@@ -10,9 +10,9 @@ embedded as real symmetric of doubled size), nonnegative scalars, and
 free scalars (split internally into differences of nonnegatives).
 
 The solver is a homogeneous self-dual (HSD) primal-dual path-following
-method with Nesterov-Todd scaling and a Mehrotra predictor-corrector,
-using a dense Schur complement.  It reports primal-dual solutions with
-certified gaps, or an improving ray when the program is infeasible.
+method with Nesterov-Todd scaling and a Mehrotra predictor-corrector.  It
+reports primal-dual solutions with certified gaps, or an improving ray
+when the program is infeasible.
 
 Variables are declared as *families* (a batch of identically sized
 blocks), and equality constraints as *row groups*: either a matrix
@@ -20,14 +20,25 @@ group, which equates a Hermitian-valued linear expression to a Hermitian
 right-hand side (d*d real rows), or a single scalar row.  Dual
 multipliers are reported per row group, reassembled into Hermitian
 matrices for matrix groups.
+
+Each iteration factors the dense Schur complement As Phi As^T (Phi is
+the NT scaling), assembled family by family.  Hermitian blocks enter rows
+only through the d*d basis functionals K, and the row builders record
+which rows each block touches with which weight; a Hermitian family's
+term is then one T_i = K Phi_i K^T per block, summed against those
+weights (after Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  Real
+PSD blocks (NPA moment matrices) use their dense columns of As, and LP
+and free scalars a sparse diagonal product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_solve
 
 from .errors import SolverFailure
 from .operators import hermitize
@@ -39,23 +50,25 @@ _STEP_FRACTION = 0.99
 # symmetric vectorization helpers
 # ---------------------------------------------------------------------------
 
-def svec_scale(s: int) -> np.ndarray:
-    """Per-coordinate scale of the isometric svec map for size ``s``."""
+@lru_cache(maxsize=None)
+def _svec_index(s: int):
+    """Upper-triangle indices and isometric scale of svec for size ``s``."""
     iu, ju = np.triu_indices(s)
-    return np.where(iu == ju, 1.0, np.sqrt(2.0))
+    scale = np.where(iu == ju, 1.0, np.sqrt(2.0))
+    for arr in (iu, ju, scale):
+        arr.flags.writeable = False
+    return iu, ju, scale
 
 
 def svec(mat: np.ndarray) -> np.ndarray:
     """Isometric vectorization of a real symmetric matrix (batched ok)."""
-    s = mat.shape[-1]
-    iu, ju = np.triu_indices(s)
-    return mat[..., iu, ju] * svec_scale(s)
+    iu, ju, scale = _svec_index(mat.shape[-1])
+    return mat[..., iu, ju] * scale
 
 
 def smat(vec: np.ndarray, s: int) -> np.ndarray:
     """Inverse of :func:`svec`; supports a leading batch axis."""
-    iu, ju = np.triu_indices(s)
-    scale = svec_scale(s)
+    iu, ju, scale = _svec_index(s)
     out = np.zeros(vec.shape[:-1] + (s, s))
     out[..., iu, ju] = vec / scale
     out[..., ju, iu] = out[..., iu, ju]
@@ -106,34 +119,14 @@ def hermitian_from_coords(coords: np.ndarray, d: int) -> np.ndarray:
     return mat
 
 
-def _herm_row_basis(d: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def herm_row_basis(d: int) -> np.ndarray:
     """K[k] = svec(embed(F_k))/2: coefficients of the k-th Hermitian
     functional on the embedded svec coordinates of a block."""
-    iu, ju = np.triu_indices(d, k=1)
-    rows = []
-    for i in range(d):
-        f = np.zeros((d, d), dtype=complex)
-        f[i, i] = 1.0
-        rows.append(svec(embed_hermitian(f)) / 2)
-    for i, j in zip(iu, ju):
-        f = np.zeros((d, d), dtype=complex)
-        f[i, j] = f[j, i] = 1 / np.sqrt(2)
-        rows.append(svec(embed_hermitian(f)) / 2)
-    for i, j in zip(iu, ju):
-        f = np.zeros((d, d), dtype=complex)
-        f[i, j] = 1j / np.sqrt(2)
-        f[j, i] = -1j / np.sqrt(2)
-        rows.append(svec(embed_hermitian(f)) / 2)
-    return np.array(rows)
-
-
-_ROW_BASIS_CACHE: dict[int, np.ndarray] = {}
-
-
-def herm_row_basis(d: int) -> np.ndarray:
-    if d not in _ROW_BASIS_CACHE:
-        _ROW_BASIS_CACHE[d] = _herm_row_basis(d)
-    return _ROW_BASIS_CACHE[d]
+    basis = np.array([svec(embed_hermitian(hermitian_from_coords(e, d)))
+                      for e in np.eye(d * d)]) / 2
+    basis.flags.writeable = False
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +140,8 @@ class _Family:
     count: int
     dim: int           # matrix dimension (1 for scalar kinds)
     offset: int = -1   # filled when offsets are frozen
+    # 'herm' only: key -> (rows, functional, weights); see touch()
+    touches: dict = field(default_factory=dict, repr=False)
 
     @property
     def block_size(self) -> int:
@@ -168,6 +163,25 @@ class _Family:
         if self.kind == "free":
             return 2 * self.count
         return self.count
+
+    def touch(self, key, rows, functional, indices, weight) -> None:
+        """Record that ``weight * X_i``, i in ``indices``, enters ``rows``
+        through ``functional`` (len(rows) x dim^2, on Hermitian-basis
+        coordinates).  Touches with one ``key`` add their weights."""
+        if key not in self.touches:
+            self.touches[key] = (np.asarray(rows), functional, np.zeros(self.count))
+        np.add.at(self.touches[key][2], indices, weight)
+
+    def structure(self):
+        """(rows, P, U) with this family's columns of A, block i, equal to
+        ``P @ kron(U[:, i], I) @ herm_row_basis(dim)`` on ``rows``."""
+        d2, touches = self.dim * self.dim, list(self.touches.values())
+        urows = np.unique([r for rows, _, _ in touches for r in rows])
+        P = np.zeros((urows.size, len(touches) * d2))
+        for t, (rows, functional, _) in enumerate(touches):
+            P[np.searchsorted(urows, rows), t * d2:(t + 1) * d2] += functional
+        U = np.array([w for _, _, w in touches]).reshape(-1, self.count)
+        return urows.astype(np.int64), P, U
 
 
 @dataclass
@@ -277,39 +291,34 @@ class ConicProgram:
 
     def _expand_scalar_terms(self, row, terms, emit):
         for term in terms:
-            tag = term[0]
+            tag, fam = term[0], self._fam(term[1])
             if tag == "lin":
-                _, famname, indices, coeffs = term
-                cols, vals = self._scalar_cols_vals(self._fam(famname), indices, coeffs)
-            elif tag == "mat":
-                _, famname, index, cmat = term
-                fam = self._fam(famname)
-                fvec = self._mat_functional(fam, cmat)
-                nz = np.nonzero(fvec)[0]
-                cols = fam.offset + index * fam.svec_dim + nz
-                vals = fvec[nz]
+                emit(row, *self._scalar_cols_vals(fam, term[2], term[3]))
+                continue
+            weight = 1.0
+            if tag == "mat":
+                _, _, indices, cmat = term
             elif tag == "tr":
-                _, famname, indices, weight = term
-                fam = self._fam(famname)
-                fvec = self._mat_functional(fam, np.eye(fam.dim)) * weight
-                indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-                nz = np.nonzero(fvec)[0]
-                cols = (fam.offset + indices[:, None] * fam.svec_dim
-                        + nz[None, :]).ravel()
-                vals = np.tile(fvec[nz], indices.size)
+                _, _, indices, weight = term
+                cmat = np.eye(fam.dim)
             elif tag == "entry":
-                _, famname, index, (i, j) = term
-                fam = self._fam(famname)
-                cm = np.zeros((fam.dim, fam.dim))
-                cm[i, j] += 0.5
-                cm[j, i] += 0.5
-                fvec = self._mat_functional(fam, cm)
-                nz = np.nonzero(fvec)[0]
-                cols = fam.offset + index * fam.svec_dim + nz
-                vals = fvec[nz]
+                _, _, indices, (i, j) = term
+                cmat = np.zeros((fam.dim, fam.dim))
+                cmat[i, j] += 0.5
+                cmat[j, i] += 0.5
             else:
                 raise ValueError(f"unknown scalar term {tag!r}")
-            emit(row, cols, vals)
+            indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+            fvec = self._mat_functional(fam, cmat) * weight
+            nz = np.nonzero(fvec)[0]
+            cols = (fam.offset + indices[:, None] * fam.svec_dim
+                    + nz[None, :]).ravel()
+            emit(row, cols, np.tile(fvec[nz], indices.size))
+            if row is not None and fam.kind == "herm":
+                coords = hermitian_coords(
+                    hermitize(np.asarray(cmat, dtype=complex)), fam.dim)
+                fam.touch((row, coords.tobytes()), [row], coords[None],
+                          indices, weight)
 
     # ---- rows ----------------------------------------------------------------
 
@@ -366,6 +375,7 @@ class ConicProgram:
                         + ck[None, :]).ravel()
                 rows = np.tile(rows_arange[rk], indices.size)
                 self._emit(rows, cols, np.tile(vals, indices.size))
+                fam.touch(row0, rows_arange, np.eye(nr), indices, weight)
             elif tag == "scalar_mat":
                 _, famname, index, cmat = term
                 coords = hermitian_coords(
@@ -526,13 +536,18 @@ def verify_solution(prog: ConicProgram, sol: ConicSolution) -> ResidualReport:
     A, b, c, _, _ = prog.build()
     if sol.status in ("infeasible", "unbounded"):
         if sol.status == "infeasible" and sol.ray is not None:
-            y = _duals_to_vec(prog, sol.ray)
-            slack = -(A.T @ y)
-            res = float(np.linalg.norm(A.T @ y + np.maximum(slack, 0) * 0
-                                       + np.minimum(slack, 0)))
-            # residual of A'y + s = 0 with s the cone projection of -A'y
+            # min ||A'y + s|| over s in the (self-dual) cone: the distance of
+            # -A'y from it, per block by eigenvalues, per scalar by sign
+            z = -(A.T @ _duals_to_vec(prog, sol.ray))
+            res = 0.0
+            for fam in prog.families.values():
+                blk = z[fam.offset:fam.offset + fam.width]
+                if fam.kind in ("herm", "psd"):
+                    blk = np.linalg.eigvalsh(smat(
+                        blk.reshape(fam.count, fam.svec_dim), fam.block_size))
+                res += float(np.sum(np.minimum(blk, 0) ** 2))
             return ResidualReport(np.nan, np.nan, np.nan, np.nan,
-                                  ray_residual=res,
+                                  ray_residual=float(np.sqrt(res)),
                                   ray_violation=sol.ray_violation)
         return ResidualReport(np.nan, np.nan, np.nan, np.nan,
                               ray_violation=sol.ray_violation)
@@ -582,20 +597,44 @@ def _duals_to_vec(prog: ConicProgram, duals: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _PsdGroup:
-    """Batched view of one PSD family inside the flat variable vector."""
+    """Batched view of one PSD family inside the flat variable vector,
+    with the data its term of the Schur complement As Phi As^T needs."""
 
-    def __init__(self, fam: _Family):
+    def __init__(self, fam: _Family, As, drow):
         self.fam = fam
         self.s = fam.block_size
         self.sd = fam.svec_dim
         self.count = fam.count
         self.sl = slice(fam.offset, fam.offset + fam.width)
-        iu, ju = np.triu_indices(self.s)
-        scale = svec_scale(self.s)
-        eb = np.zeros((self.sd, self.s, self.s))
-        eb[np.arange(self.sd), iu, ju] = 1.0 / scale
-        eb[np.arange(self.sd), ju, iu] = 1.0 / scale
-        self.basis = eb
+        if fam.kind == "herm":
+            self.rows, P, self.U = fam.structure()
+            self.P = P / drow[self.rows, None]
+            self.kmats = smat(herm_row_basis(fam.dim), self.s).reshape(-1, self.s)
+        else:   # real PSD blocks: their dense columns on the rows they touch
+            cols = As[:, self.sl]
+            self.rows = np.unique(cols.nonzero()[0])
+            self.A = cols[self.rows].toarray()
+
+    def schur(self, G: np.ndarray) -> np.ndarray:
+        """This family's block of As Phi As^T on ``self.rows``, where Phi
+        maps block i by Z -> G[i] Z G[i]."""
+        if self.fam.kind == "psd":
+            Z = smat(self.A.reshape(len(self.rows), self.count, self.sd), self.s)
+            phia = svec(G @ Z @ G).reshape(len(self.rows), -1)
+            return self.A @ phia.T
+        # T_i[k, q] = tr(B_k G_i B_q G_i) = (K Phi_i K^T)[k, q], kmats = (B_k)
+        d2, s = self.fam.dim ** 2, self.s
+        BG = np.matmul(self.kmats, G).reshape(-1, d2, s, s)
+        T = (BG.reshape(-1, d2, s * s)
+             @ BG.transpose(0, 3, 2, 1).reshape(-1, s * s, d2)).reshape(-1, d2 * d2)
+        # S[t, t'] = sum_i U[t, i] U[t', i] T_i, symmetric in (t, t')
+        nt = self.U.shape[0]
+        S = np.empty((nt, nt, d2 * d2))
+        for t in range(nt):
+            S[t, t:] = (self.U[t:] * self.U[t]) @ T
+            S[t:, t] = S[t, t:]
+        S = S.reshape(nt, nt, d2, d2).transpose(0, 2, 1, 3).reshape(nt * d2, nt * d2)
+        return self.P @ S @ self.P.T
 
     def mats(self, x: np.ndarray) -> np.ndarray:
         return smat(x[self.sl].reshape(self.count, self.sd), self.s)
@@ -658,21 +697,6 @@ class _Scaling:
         out[self.lp] = lp_scaled * self.w_lp
         return out
 
-    def w_values(self):
-        """Concatenated entries of the block-diagonal svec-matrix of
-        Z -> R Z R^T plus the LP diagonal (pattern order of _WPattern)."""
-        vals = []
-        for gi, g in enumerate(self.groups):
-            R = self.R[gi]
-            rer = R[:, None] @ g.basis[None] @ R.transpose(0, 2, 1)[:, None]
-            wm = svec(rer).transpose(0, 2, 1)    # (count, row_q, col_p)
-            vals.append(wm.ravel())
-        vals.append(self.w_lp)
-        return np.concatenate(vals)
-
-    def w_matrix(self, pattern: "_WPattern"):
-        return pattern.assemble(self.w_values())
-
     def max_step(self, dmats_scaled, dlp_scaled):
         """Largest alpha keeping lambda + alpha*d in the cone (scaled space)."""
         alpha = np.inf
@@ -690,36 +714,6 @@ class _Scaling:
         return alpha
 
 
-class _WPattern:
-    """Fixed sparsity pattern of the NT scaling matrix; values swap per
-    iteration without re-sorting the CSR structure."""
-
-    def __init__(self, groups, lp_slice, n):
-        rows, cols = [], []
-        for g in groups:
-            base = g.fam.offset + np.arange(g.count)[:, None, None] * g.sd
-            shape = (g.count, g.sd, g.sd)
-            rows.append(np.broadcast_to(
-                base + np.arange(g.sd)[None, :, None], shape).ravel())
-            cols.append(np.broadcast_to(
-                base + np.arange(g.sd)[None, None, :], shape).ravel())
-        lp_idx = np.arange(lp_slice.start, lp_slice.stop)
-        rows.append(lp_idx)
-        cols.append(lp_idx)
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        proto = sp.csr_matrix(
-            (np.arange(rows.size, dtype=np.int64), (rows, cols)), shape=(n, n))
-        self.perm = proto.data.astype(np.int64)
-        self.indices = proto.indices
-        self.indptr = proto.indptr
-        self.n = n
-
-    def assemble(self, values: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix((values[self.perm], self.indices, self.indptr),
-                             shape=(self.n, self.n))
-
-
 def _chol_reg(M):
     base = np.mean(np.abs(np.diag(M))) + 1.0
     reg = 0.0
@@ -732,20 +726,28 @@ def _chol_reg(M):
 
 
 def _cho_solve_refined(L, M, rhs):
-    z = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    z = cho_solve((L, True), rhs, check_finite=False)
     for _ in range(2):
         r = rhs - M @ z
-        z += np.linalg.solve(L.T, np.linalg.solve(L, r))
+        z += cho_solve((L, True), r, check_finite=False)
     return z
+
+
+def _schur_complement(groups, As_lp, At_lp, sc: _Scaling) -> np.ndarray:
+    """As Phi As^T (Phi = W W^T) by family; As_lp: the LP columns, CSR."""
+    scaled = (As_lp.data * sc.w_lp[As_lp.indices] ** 2, As_lp.indices, As_lp.indptr)
+    M = (sp.csr_matrix(scaled, shape=As_lp.shape) @ At_lp).toarray()
+    for g, G in zip(groups, sc.G):
+        M[np.ix_(g.rows, g.rows)] += g.schur(G)
+    return (M + M.T) / 2
 
 
 def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
     A, b, c, psd_fams, lp_width = prog.build()
     nrows, n = A.shape
-    groups = [_PsdGroup(f) for f in psd_fams]
     lp_off = sum(f.width for f in psd_fams)
     lp_slice = slice(lp_off, lp_off + lp_width)
-    degree = sum(g.count * g.s for g in groups) + lp_width
+    degree = sum(f.count * f.block_size for f in psd_fams) + lp_width
 
     if nrows == 0:
         raise SolverFailure("program has no equality rows", program=prog)
@@ -757,6 +759,8 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
     As = (sp.diags(1.0 / drow) @ A).tocsr()
     bs = b / drow
     At = As.T.tocsr()
+    groups = [_PsdGroup(f, As, drow) for f in psd_fams]
+    As_lp, At_lp = As[:, lp_slice], At[lp_slice]
     norm_b = 1 + np.linalg.norm(bs)
     norm_c = 1 + np.linalg.norm(c)
 
@@ -771,7 +775,6 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
     y = np.zeros(nrows)
     tau, kappa = 1.0, 1.0
     mu0 = (x @ s + tau * kappa) / (degree + 1)
-    wpattern = _WPattern(groups, lp_slice, n)
 
     status = "numerical-failure"
     it = 0
@@ -821,10 +824,7 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
             sc = _Scaling(groups, lp_slice, x, s)
         except np.linalg.LinAlgError:
             break
-        W = sc.w_matrix(wpattern)
-        AW = (As @ W).tocsr()
-        M = (AW @ AW.T).toarray()
-        M = (M + M.T) / 2
+        M = _schur_complement(groups, As_lp, At_lp, sc)
         Lm = _chol_reg(M)
         if Lm is None:
             break

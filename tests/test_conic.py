@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from corrquant import incompat, scenario, steering
 from corrquant.conic import (
     ConicProgram,
+    _PsdGroup,
+    _Scaling,
+    _schur_complement,
     embed_hermitian,
     hermitian_coords,
     hermitian_from_coords,
@@ -229,3 +234,97 @@ def test_verify_infeasible_report():
     sol = prog.solve()
     rep = verify_solution(prog, sol)
     assert rep.ray_violation >= 1e-6
+
+
+def test_verify_infeasible_sdp_ray_passes():
+    # tr X = -2 with X >> 0: the solver's ray makes -A'y PSD
+    prog = ConicProgram("infeas-sdp")
+    prog.add_hermitian_family("X", 1, 2)
+    prog.add_scalar_row(("tr",), -2.0, [("tr", "X", [0], 1.0)])
+    prog.set_objective([("tr", "X", [0], 1.0)])
+    sol = prog.solve()
+    assert sol.status == "infeasible"
+    assert verify_solution(prog, sol).ray_residual < 1e-9
+
+
+@pytest.mark.parametrize("minus_y", [[[9.0, 2.0], [2.0, 0.0]],
+                                     [[-0.5, -0.5], [-0.5, -0.5]]])
+def test_verify_infeasible_sdp_ray_flags_negative_eigenvalue(minus_y):
+    # X = B with X >> 0 is infeasible (negative diagonal); rays Y have
+    # tr(Y B) = 1 and -Y >> 0.  Each pushed -Y keeps tr(Y B) = 1 and has a
+    # negative eigenvalue, with entries all of one sign, so no entrywise
+    # test of -A'y can flag both.
+    rhs = np.array([[-1.0, 2.0], [2.0, -1.0]])
+    prog = ConicProgram("infeas-pin")
+    prog.add_hermitian_family("X", 1, 2)
+    prog.add_matrix_row_group(("pin",), rhs, [("one", "X", 0, 1.0)])
+    prog.set_objective([("tr", "X", [0], 1.0)])
+    sol = prog.solve()
+    assert sol.status == "infeasible"
+    assert verify_solution(prog, sol).ray_residual < 1e-9
+    pushed = -np.array(minus_y)
+    assert np.isclose(np.trace(pushed @ rhs), 1.0)
+    sol.ray = {("pin",): pushed}
+    assert verify_solution(prog, sol).ray_residual > 1e-2
+
+
+def _mixed_program():
+    """Hermitian blocks under matrix, trace, 'mat' and 'entry' rows next to
+    a real PSD block, nonnegative and free scalars."""
+    rng = np.random.default_rng(12)
+    prog = ConicProgram("mixed")
+    prog.add_hermitian_family("H", 5, 2)
+    prog.add_psd_family("P", 2, 3)
+    prog.add_nonneg("t", 3)
+    prog.add_free("w", 2)
+    prog.add_matrix_row_group(
+        ("m0",), random_hermitian(2, rng),
+        [("sum", "H", [0, 2, 4], 1.0), ("one", "H", 1, -0.5),
+         ("scalar_mat", "w", 0, random_hermitian(2, rng))])
+    prog.add_matrix_row_group(("m1",), np.eye(2),
+                              [("sum", "H", [1, 2, 2], 2.0), ("one", "H", 3, 1.0)])
+    prog.add_scalar_row(("tr",), 1.0, [("tr", "H", [0, 3], 1.0),
+                                       ("tr", "P", [1], 2.0),
+                                       ("lin", "t", [0, 2], [1.0, -1.0])])
+    prog.add_scalar_row(("mat",), 0.3, [("mat", "H", 4, random_hermitian(2, rng)),
+                                        ("mat", "H", 1, random_hermitian(2, rng)),
+                                        ("entry", "P", 0, (0, 2))])
+    prog.add_scalar_row(("entry",), 0.1, [("entry", "H", 2, (0, 1)),
+                                          ("lin", "w", [1], [3.0])])
+    return prog
+
+
+def _schur_program(name):
+    ms = scenario.lossy(scenario.bloch_measurements(
+        scenario.dodecahedron_vectors()[:3]), 0.4)
+    assemblage = scenario.steer(scenario.werner(1.0, psi="singlet"), ms)
+    return {
+        "IR": lambda: incompat._build_program(ms, incompat.IncompatKind.robustness),
+        "IW": lambda: incompat._build_program(ms, incompat.IncompatKind.weight),
+        "SR": lambda: steering._build_program(assemblage, steering.SteeringKind.SR),
+        "mixed": _mixed_program,
+    }[name]()
+
+
+@pytest.mark.parametrize("name", ["IR", "IW", "SR", "mixed"])
+def test_structured_schur_matches_dense_product(name):
+    prog = _schur_program(name)
+    A, _, _, psd_fams, lp_width = prog.build()
+    drow = np.maximum(np.abs(A).max(axis=1).toarray().ravel(), 1e-12)
+    As = (sp.diags(1.0 / drow) @ A).tocsr()
+    groups = [_PsdGroup(f, As, drow) for f in psd_fams]
+    lp_off = sum(f.width for f in psd_fams)
+    lp_slice = slice(lp_off, lp_off + lp_width)
+    rng = np.random.default_rng(13)
+    x, s = np.zeros(A.shape[1]), np.zeros(A.shape[1])
+    for vec in (x, s):
+        for g in groups:
+            r = rng.normal(size=(g.count, g.s, g.s))
+            g.put(vec, r @ r.transpose(0, 2, 1) + 0.1 * np.eye(g.s))
+        vec[lp_slice] = rng.uniform(0.1, 2.0, lp_width)
+    sc = _Scaling(groups, lp_slice, x, s)
+    M = _schur_complement(groups, As[:, lp_slice], As.T.tocsr()[lp_slice], sc)
+    # reference: As Phi As^T with Phi applied to each dense row of As
+    Ad = As.toarray()
+    ref = Ad @ np.array([sc.phi(row) for row in Ad]).T
+    assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))

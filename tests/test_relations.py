@@ -9,8 +9,10 @@ from corrquant import incompat as ic
 from corrquant import nonlocality as nl
 from corrquant import scenario as sc
 from corrquant import steering as st
+from corrquant.errors import SolverFailure
 
 TOL = 1e-7
+LOSSY_ETA = 0.4
 
 
 def random_qubit_povm_set(m, n, rng):
@@ -112,6 +114,35 @@ def test_tightness_pure_states(theta):
                - st.steering_quantifier(asm, "SR_c_lhs").value) <= 1e-6
     assert abs(iv["weight"]
                - st.steering_quantifier(asm, "SW_c").value) <= 1e-6
+
+
+def lossy_dodecahedron(m):
+    """The first m dodecahedron directions at detection efficiency 0.4:
+    n^m = 3^m strategy blocks, IW = (eta - 1/m) / (1 - 1/m)."""
+    meas = sc.lossy(sc.bloch_measurements(sc.dodecahedron_vectors()[:m]), LOSSY_ETA)
+    return meas, sc.steer(sc.werner(1.0, psi="singlet"), meas)
+
+
+def test_tightness_lossy_dodecahedron_m5():
+    meas, asm = lossy_dodecahedron(5)
+    ir = ic.incompatibility_quantifier(meas, "robustness").value
+    iw = ic.incompatibility_quantifier(meas, "weight").value
+    assert abs(iw - (LOSSY_ETA - 1 / 5) / (1 - 1 / 5)) <= 1e-6
+    assert abs(st.steering_quantifier(asm, "SR_c").value - ir) <= 1e-6
+    assert abs(st.steering_quantifier(asm, "SW_c").value - iw) <= 1e-6
+
+
+def test_lossy_dodecahedron_m7_sw_c_is_right_or_loud():
+    # 2187 strategy blocks; this solve once stalled just above feastol.  A
+    # failure must be loud, with the program and the residual report
+    # attached; a returned value must be the IW closed form
+    _, asm = lossy_dodecahedron(7)
+    try:
+        value = st.steering_quantifier(asm, "SW_c").value
+    except SolverFailure as exc:
+        assert exc.program is not None and exc.report
+        return
+    assert abs(value - (LOSSY_ETA - 1 / 7) / (1 - 1 / 7)) <= 1e-6
 
 
 def test_proof_construction_mixture_is_lhs():
