@@ -23,7 +23,6 @@ from .scenario import (
     Assemblage,
     Behaviour,
     BipartiteState,
-    DeterministicStrategy,
     LhsModel,
     LocalModel,
     MeasurementSet,
@@ -31,7 +30,6 @@ from .scenario import (
     behaviour_marginal,
     bloch_measurements,
     dodecahedron,
-    enumerate_strategies,
     lossy,
     make_measurements,
     make_state,
@@ -57,13 +55,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assemblage", "Behaviour", "BellInequality", "BipartiteState",
-    "ConicProgram", "ConicSolution", "DeterministicStrategy", "IncompatKind",
+    "ConicProgram", "ConicSolution", "IncompatKind",
     "IncompatResult", "LhsModel", "LocalModel", "MeasurementSet",
     "MomentMatrix", "NonlocalityKind", "NonlocalityResult", "ParentPovm",
     "SteeringInequality", "SteeringKind", "SteeringResult",
     "behaviour_from_counts", "behaviour_marginal", "bell_certificate",
     "bloch_measurements", "build_npa_block", "dodecahedron",
-    "enumerate_strategies", "has_lhs_model", "incompatibility_quantifier",
+    "has_lhs_model", "incompatibility_quantifier",
     "is_jointly_measurable", "is_local", "lossy", "make_measurements",
     "make_state", "max_entangled", "measure", "nonlocality_quantifier",
     "npa_membership", "npa_optimize", "ns_project", "paulis", "pure_theta",

@@ -85,12 +85,13 @@ def unembed_hermitian(sym: np.ndarray) -> np.ndarray:
     """Recover a Hermitian matrix from its (possibly unstructured) embedding.
 
     Averages over the embedding symmetry; exact for structured input.
+    Accepts a stack ``(..., 2d, 2d)``.
     """
-    d = sym.shape[0] // 2
-    re = (sym[:d, :d] + sym[d:, d:]) / 2
-    im = (sym[d:, :d] - sym[:d, d:]) / 2
-    re = (re + re.T) / 2
-    im = (im - im.T) / 2
+    d = sym.shape[-1] // 2
+    re = (sym[..., :d, :d] + sym[..., d:, d:]) / 2
+    im = (sym[..., d:, :d] - sym[..., :d, d:]) / 2
+    re = (re + re.swapaxes(-1, -2)) / 2
+    im = (im - im.swapaxes(-1, -2)) / 2
     return re + 1j * im
 
 
@@ -956,9 +957,7 @@ def _extract_primal(prog: ConicProgram, groups, lp_slice, vec, slack=False):
             mats = groups[gi].mats(vec)
             gi += 1
             if fam.kind == "herm":
-                factor = 2.0 if slack else 1.0
-                out[fam.name] = np.array(
-                    [unembed_hermitian(m) * factor for m in mats])
+                out[fam.name] = unembed_hermitian(mats) * (2.0 if slack else 1.0)
             else:
                 out[fam.name] = mats
         elif fam.kind == "nonneg":

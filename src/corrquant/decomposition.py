@@ -1,0 +1,210 @@
+"""One conic program behind every incompatibility and steering quantifier.
+
+Steering quantifiers are incompatibility quantifiers with the reference
+R = rho_B standing where R = 1 stood (the quantitative form of the
+steering / joint-measurability map of Uola, Budroni, Guehne & Pellonpaa,
+PRL 115, 230402, 2015).  Every kind matches, per input x and outcome a,
+
+    sum_{lambda: lambda_x = a} G_lambda + sign * noise_{a|x} = D_{a|x},
+
+with data D (effects M_{a|x}, or members sigma_{a|x}), PSD blocks G_lambda
+over the deterministic strategies, and noise weight t minimized.  Each
+kind is one row of :data:`KINDS`:
+
+* ``noise``: "free", one PSD block N_{a|x} per (x, a); "white", t R/n;
+  or "model", a strategy model sum_{lambda_x = a} H_lambda;
+* ``sign``: -1 for robustness kinds, +1 for weight kinds;
+* ``rows``: "all", or "pruned": the last outcome dropped for x > 0;
+* ``norm``: "first", sum_a N_{a|0} = t R; "each", sum_a N_{a|x} = t R for
+  every x; "model", sum_lambda H_lambda = t R; "trace", one scalar row
+  fixing the noise's total trace to t (on H, or through the x = 0 match
+  rows on G); or None.
+
+The variables are the scaled-variable linearization: G absorbs the
+mixture denominator (G = (1 - sign*t) times the normalized parent or
+model) and the noise absorbs t, so the fractional mixture constraints
+are linear.  Match rows are pruned exactly where the normalization makes
+them dependent (summed over outcomes, every input's rows give the same
+equation), so A keeps full row rank.  Families are declared in one
+order: N, G, H, then t.
+
+Dual multipliers of the match rows are the witness (incompatibility) or
+steering-inequality (steering) coefficients; their bound is enumerated
+over the deterministic strategies.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .conic import ConicProgram, ConicSolution
+from .errors import SolverFailure
+from .scenario import check_strategy_cap, strategy_assignments, strategy_masks
+
+FEASTOL = 1e-8
+GAPTOL = 1e-9
+TINY = 1e-9     # noise weights and scales below this are treated as zero
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    noise: str          # "free" | "white" | "model"
+    sign: float         # -1 robustness, +1 weight
+    rows: str           # "all" | "pruned"
+    norm: str | None    # "first" | "each" | "model" | "trace" | None
+
+
+KINDS = {
+    # incompatibility, R = 1
+    "robustness": Decomposition("free", -1.0, "all", "first"),
+    "random_robustness": Decomposition("white", -1.0, "pruned", None),
+    "jm_robustness": Decomposition("model", -1.0, "pruned", "model"),
+    "weight": Decomposition("free", +1.0, "all", "first"),
+    # steering, R = rho_B
+    "SR": Decomposition("free", -1.0, "all", "trace"),
+    "SR_red": Decomposition("white", -1.0, "pruned", None),
+    "SR_lhs": Decomposition("model", -1.0, "pruned", "trace"),
+    "SW": Decomposition("free", +1.0, "all", "trace"),
+    "SR_c": Decomposition("free", -1.0, "pruned", "each"),
+    "SR_c_lhs": Decomposition("model", -1.0, "pruned", "model"),
+    "SW_c": Decomposition("free", +1.0, "pruned", "each"),
+}
+
+
+def match_rows(m: int, n: int, rows: str):
+    """(x, a) pairs of the match rows: all, or the last outcome dropped
+    for x > 0."""
+    return [(x, a) for x in range(m)
+            for a in range(n if rows == "all" or x == 0 else n - 1)]
+
+
+def build_program(domain: str, kind: str, data: np.ndarray,
+                  reference: np.ndarray, cap: int = 10 ** 6) -> ConicProgram:
+    """The program of ``KINDS[kind]`` on an (m, n, d, d) data grid."""
+    row = KINDS[kind]
+    m, n, d = data.shape[:3]
+    total = check_strategy_cap(m, n, cap)
+    masks = strategy_masks(m, n, cap)
+    every = np.arange(total)
+
+    prog = ConicProgram(f"{domain}:{kind}")
+    if row.noise == "free":
+        prog.add_hermitian_family("N", m * n, d)
+    prog.add_hermitian_family("G", total, d)
+    if row.noise == "model":
+        prog.add_hermitian_family("H", total, d)
+    prog.add_nonneg("t", 1)
+    for x, a in match_rows(m, n, row.rows):
+        if row.noise == "free":
+            noise = ("one", "N", x * n + a, row.sign)
+        elif row.noise == "white":
+            noise = ("scalar_mat", "t", 0, row.sign * reference / n)
+        else:
+            noise = ("sum", "H", masks[x][a], row.sign)
+        prog.add_matrix_row_group(("match", x, a), data[x, a],
+                                  [("sum", "G", masks[x][a], 1.0), noise])
+    if row.norm in ("first", "each"):
+        for x in range(1 if row.norm == "first" else m):
+            prog.add_matrix_row_group(
+                ("norm", x), np.zeros((d, d)),
+                [("sum", "N", x * n + np.arange(n), 1.0),
+                 ("scalar_mat", "t", 0, -reference)])
+    elif row.norm == "model":
+        prog.add_matrix_row_group(
+            ("norm",), np.zeros((d, d)),
+            [("sum", "H", every, 1.0), ("scalar_mat", "t", 0, -reference)])
+    elif row.norm == "trace" and row.noise == "model":
+        # tr sum_lambda H_lambda = t
+        prog.add_scalar_row(("norm",), 0.0, [("tr", "H", every, 1.0),
+                                             ("lin", "t", [0], [-1.0])])
+    elif row.norm == "trace":
+        # the x = 0 match rows carry tr sum_a N_{a|0} = t over to G:
+        # tr sum_lambda G_lambda = 1 - sign * t
+        prog.add_scalar_row(("norm",), 1.0, [("tr", "G", every, 1.0),
+                                             ("lin", "t", [0], [row.sign])])
+    prog.set_objective([("lin", "t", [0], [1.0])])
+    return prog
+
+
+def membership_program(name: str, data: np.ndarray,
+                       cap: int = 10 ** 6) -> ConicProgram:
+    """Max-margin membership: maximize w such that
+    sum_{lambda_x = a} G_lambda + w 1/n = D_{a|x} with G_lambda >= 0.
+    D has a parent POVM / LHS model iff w* >= 0."""
+    m, n, d = data.shape[:3]
+    total = check_strategy_cap(m, n, cap)
+    masks = strategy_masks(m, n, cap)
+    prog = ConicProgram(name)
+    prog.add_hermitian_family("G", total, d)
+    prog.add_free("w", 1)
+    eye = np.eye(d)
+    for x, a in match_rows(m, n, "pruned"):
+        prog.add_matrix_row_group(
+            ("match", x, a), data[x, a],
+            [("sum", "G", masks[x][a], 1.0), ("scalar_mat", "w", 0, eye / n)])
+    prog.set_objective([("lin", "w", [0], [-1.0])])
+    return prog
+
+
+def solve(prog: ConicProgram) -> ConicSolution:
+    """Solve at the quantifier tolerances; raise unless optimal."""
+    sol = prog.solve(feastol=FEASTOL, gaptol=GAPTOL)
+    if sol.status != "optimal":
+        raise SolverFailure(f"{prog.name} solve returned {sol.status}",
+                            program=prog)
+    return sol
+
+
+def match_duals(sol: ConicSolution, m: int, n: int, d: int) -> np.ndarray:
+    """(m, n, d, d) grid of the match rows' dual matrices (zero where a
+    row was pruned)."""
+    grid = np.zeros((m, n, d, d), dtype=complex)
+    for key, val in sol.dual_rows.items():
+        if key[0] == "match":
+            _, x, a = key
+            grid[x, a] = val
+    return grid
+
+
+def quantify(domain: str, kind: str, data: np.ndarray, reference: np.ndarray,
+             cap: int = 10 ** 6):
+    """Solve one kind: (noise weight t >= 0, solution, match-row duals)."""
+    m, n, d = data.shape[:3]
+    sol = solve(build_program(domain, kind, data, reference, cap))
+    t = max(float(sol.primal["t"][0]), 0.0)
+    return t, sol, match_duals(sol, m, n, d)
+
+
+def max_margin(name: str, data: np.ndarray, tol: float, cap: int = 10 ** 6):
+    """Solve the membership program: (margin w*, blocks, duals).
+
+    Within ``tol`` of the boundary, ``blocks`` are the G_lambda shifted
+    by w*/L (so they reproduce D exactly) and clipped PSD, and ``duals``
+    is None; otherwise ``blocks`` is None and ``duals`` is the match-row
+    dual grid, the certificate of non-membership.
+    """
+    m, n, d = data.shape[:3]
+    sol = solve(membership_program(name, data, cap))
+    margin = -sol.value
+    if margin >= -tol:
+        blocks = sol.primal["G"]
+        return margin, clip_psd(blocks + (margin / len(blocks)) * np.eye(d)), None
+    return margin, None, match_duals(sol, m, n, d)
+
+
+def strategy_bound(coefficients: np.ndarray) -> float:
+    """max over strategies lambda of lambda_max(sum_x Y_{lambda_x|x}): the
+    largest value sum tr[Y D] takes on any D with a parent / LHS model."""
+    m, n = coefficients.shape[:2]
+    assign = strategy_assignments(m, n)
+    sums = coefficients[np.arange(m)[None, :], assign].sum(axis=1)
+    return float(np.max(np.linalg.eigvalsh(sums)[:, -1]))
+
+
+def clip_psd(blocks: np.ndarray) -> np.ndarray:
+    """Blocks with their negative eigenvalues set to zero."""
+    vals, vecs = np.linalg.eigh(blocks)
+    return np.einsum("lik,lk,ljk->lij", vecs, np.clip(vals, 0.0, None),
+                     vecs.conj())

@@ -1,13 +1,10 @@
 """Joint-measurability membership and the four incompatibility quantifiers.
 
-Every quantifier is a single conic solve of the scaled-variable
-linearization: with noise weight t, the scaled unknowns are
-Ntilde = t*N (or Otilde = t*O for the weight) and Gtilde = (1+t)*G,
-which renders the fractional mixture constraints linear.  Redundant
-coarse-graining rows are pruned so the constraint matrix keeps full row
-rank: summing the rows of one input over outcomes reproduces the parent
-normalization, so fixed-noise programs drop the last outcome of every
-input except the first.
+The programs are those of :mod:`corrquant.decomposition` with the
+reference R = 1 and the effects M_{a|x} as data; this module holds the
+kinds, the result and witness records, and the reconstruction of the
+defining decomposition: parent effects normalized to sum to the identity,
+and the noise as a measurement set.
 """
 
 from __future__ import annotations
@@ -17,18 +14,9 @@ from enum import Enum
 
 import numpy as np
 
-from .conic import ConicProgram, ConicSolution
-from .errors import SolverFailure
-from .scenario import (
-    MeasurementSet,
-    ParentPovm,
-    check_strategy_cap,
-    strategy_assignments,
-    strategy_masks,
-)
-
-FEASTOL = 1e-8
-GAPTOL = 1e-9
+from .conic import ConicSolution
+from .decomposition import KINDS, TINY, clip_psd, max_margin, quantify, strategy_bound
+from .scenario import MeasurementSet, ParentPovm, coarse_grain
 
 
 class IncompatKind(str, Enum):
@@ -94,32 +82,9 @@ class IncompatResult:
     solution: ConicSolution
 
 
-def _pruned_rows(m: int, n: int):
-    """(x, a) pairs with the last outcome dropped for x > 0."""
-    return [(x, a) for x in range(m) for a in range(n if x == 0 else n - 1)]
-
-
-def _all_rows(m: int, n: int):
-    return [(x, a) for x in range(m) for a in range(n)]
-
-
-def _jm_bound(y_grid: np.ndarray, m: int, n: int) -> float:
-    """max over outcome vectors of lambda_max(sum_x Y_{vec_x|x})."""
-    assign = strategy_assignments(m, n)
-    stacked = y_grid[np.arange(m)[None, :], assign]      # (L, m, d, d)
-    sums = stacked.sum(axis=1)
-    return float(np.max(np.linalg.eigvalsh(sums)[:, -1]))
-
-
-def _witness_from_duals(sol: ConicSolution, m: int, n: int, d: int,
-                        measurements: MeasurementSet) -> IncompatWitness:
-    y = np.zeros((m, n, d, d), dtype=complex)
-    for key, val in sol.dual_rows.items():
-        if key[0] == "match":
-            _, x, a = key
-            y[x, a] = val
+def _witness(y: np.ndarray, measurements: MeasurementSet) -> IncompatWitness:
     value = float(np.einsum("xaij,xaji->", y, measurements.effects).real)
-    return IncompatWitness(coefficients=y, value=value, bound=_jm_bound(y, m, n))
+    return IncompatWitness(coefficients=y, value=value, bound=strategy_bound(y))
 
 
 def is_jointly_measurable(measurements: MeasurementSet, tol: float = 5e-8,
@@ -134,44 +99,13 @@ def is_jointly_measurable(measurements: MeasurementSet, tol: float = 5e-8,
     measurable; witnesses for barely incompatible sets carry the honest
     (possibly tiny) violation |w*|.
     """
-    m, n, d = measurements.m, measurements.n, measurements.d
-    total = check_strategy_cap(m, n, cap)
-    masks = strategy_masks(m, n, cap)
-
-    prog = ConicProgram("is_jointly_measurable")
-    prog.add_hermitian_family("S", total, d)
-    prog.add_free("w", 1)
-    eye = np.eye(d)
-    for x, a in _pruned_rows(m, n):
-        prog.add_matrix_row_group(
-            ("match", x, a), measurements.effects[x, a],
-            [("sum", "S", masks[x][a], 1.0),
-             ("scalar_mat", "w", 0, eye / n)])
-    prog.set_objective([("lin", "w", [0], [-1.0])])
-    sol = prog.solve(feastol=FEASTOL, gaptol=GAPTOL)
-    if sol.status != "optimal":
-        raise SolverFailure(f"membership solve returned {sol.status}", program=prog)
-    margin = -sol.value
-    if margin >= -tol:
-        effects = sol.primal["S"] + (margin / total) * eye
-        # clip solver-level negative eigenvalues on boundary cases
-        parent = ParentPovm(_renorm_povm(_clip_psd(effects, 1e-12)), (m, n))
-        return JmDecision(True, margin, parent=parent)
-    y = np.zeros((m, n, d, d), dtype=complex)
-    for key, val in sol.dual_rows.items():
-        if key[0] == "match":
-            _, x, a = key
-            y[x, a] = val
-    value = float(np.einsum("xaij,xaji->", y, measurements.effects).real)
-    witness = IncompatWitness(coefficients=y, value=value,
-                              bound=_jm_bound(y, m, n))
-    return JmDecision(False, margin, witness=witness)
-
-
-def _clip_psd(effects: np.ndarray, floor: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(effects)
-    vals = np.clip(vals, 0.0, None)
-    return np.einsum("lik,lk,ljk->lij", vecs, vals, vecs.conj())
+    m, n = measurements.m, measurements.n
+    margin, effects, y = max_margin("is_jointly_measurable",
+                                    measurements.effects, tol, cap)
+    if effects is not None:
+        return JmDecision(True, margin,
+                          parent=ParentPovm(_renorm_povm(effects), (m, n)))
+    return JmDecision(False, margin, witness=_witness(y, measurements))
 
 
 def _renorm_povm(effects: np.ndarray) -> np.ndarray:
@@ -193,123 +127,40 @@ def _renorm_grid(grid: np.ndarray) -> np.ndarray:
     return np.stack([_renorm_povm(row) for row in grid])
 
 
-def _build_program(measurements: MeasurementSet, kind: IncompatKind,
-                   cap: int = 10 ** 6) -> ConicProgram:
-    m, n, d = measurements.m, measurements.n, measurements.d
-    total = check_strategy_cap(m, n, cap)
-    masks = strategy_masks(m, n, cap)
-    eye = np.eye(d)
-    eff = measurements.effects
-
-    prog = ConicProgram(f"incompat:{kind.value}")
-    if kind is IncompatKind.robustness:
-        prog.add_hermitian_family("G", total, d)
-        prog.add_hermitian_family("N", m * n, d)
-        prog.add_nonneg("t", 1)
-        for x, a in _all_rows(m, n):
-            prog.add_matrix_row_group(
-                ("match", x, a), eff[x, a],
-                [("sum", "G", masks[x][a], 1.0), ("one", "N", x * n + a, -1.0)])
-        prog.add_matrix_row_group(
-            ("nnorm",), np.zeros((d, d)),
-            [("sum", "N", np.arange(n), 1.0), ("scalar_mat", "t", 0, -eye)])
-    elif kind is IncompatKind.random_robustness:
-        prog.add_hermitian_family("G", total, d)
-        prog.add_nonneg("t", 1)
-        for x, a in _pruned_rows(m, n):
-            prog.add_matrix_row_group(
-                ("match", x, a), eff[x, a],
-                [("sum", "G", masks[x][a], 1.0), ("scalar_mat", "t", 0, -eye / n)])
-    elif kind is IncompatKind.jm_robustness:
-        prog.add_hermitian_family("G", total, d)
-        prog.add_hermitian_family("H", total, d)
-        prog.add_nonneg("t", 1)
-        for x, a in _pruned_rows(m, n):
-            prog.add_matrix_row_group(
-                ("match", x, a), eff[x, a],
-                [("sum", "G", masks[x][a], 1.0), ("sum", "H", masks[x][a], -1.0)])
-        prog.add_matrix_row_group(
-            ("hnorm",), np.zeros((d, d)),
-            [("sum", "H", np.arange(total), 1.0), ("scalar_mat", "t", 0, -eye)])
-    elif kind is IncompatKind.weight:
-        prog.add_hermitian_family("O", m * n, d)
-        prog.add_hermitian_family("G", total, d)
-        prog.add_nonneg("t", 1)
-        for x, a in _all_rows(m, n):
-            prog.add_matrix_row_group(
-                ("match", x, a), eff[x, a],
-                [("one", "O", x * n + a, 1.0), ("sum", "G", masks[x][a], 1.0)])
-        prog.add_matrix_row_group(
-            ("onorm",), np.zeros((d, d)),
-            [("sum", "O", np.arange(n), 1.0), ("scalar_mat", "t", 0, -eye)])
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    prog.set_objective([("lin", "t", [0], [1.0])])
-    return prog
-
-
 def incompatibility_quantifier(measurements: MeasurementSet,
                                kind: IncompatKind | str,
                                cap: int = 10 ** 6) -> IncompatResult:
     """One of IR, IR^r, IR^jm, IW as a single conic solve."""
     kind = parse_incompat_kind(kind) if isinstance(kind, str) else kind
-    m, n, d = measurements.m, measurements.n, measurements.d
-    masks = strategy_masks(m, n, cap)
-    prog = _build_program(measurements, kind, cap)
-    sol = prog.solve(feastol=FEASTOL, gaptol=GAPTOL)
-    if sol.status != "optimal":
-        raise SolverFailure(
-            f"{kind.value} solve returned {sol.status}", program=prog)
-    t = max(float(sol.primal["t"][0]), 0.0)
-    witness = _witness_from_duals(sol, m, n, d, measurements)
-    noise, parent, noise_parent = _reconstruct(kind, sol, measurements, masks, t)
+    d = measurements.d
+    t, sol, y = quantify("incompat", kind.value, measurements.effects,
+                         np.eye(d), cap)
+    noise, parent, noise_parent = _reconstruct(kind, sol, measurements, t)
     return IncompatResult(kind=kind, value=t, noise=noise, parent=parent,
-                          noise_parent=noise_parent, witness=witness,
+                          noise_parent=noise_parent,
+                          witness=_witness(y, measurements),
                           gap=abs(sol.pobj - sol.dobj), solution=sol)
 
 
-def _coarse(effects: np.ndarray, masks, m, n) -> np.ndarray:
-    d = effects.shape[1]
-    out = np.zeros((m, n, d, d), dtype=complex)
-    for x in range(m):
-        for a in range(n):
-            out[x, a] = effects[masks[x][a]].sum(axis=0)
-    return out
-
-
-def _reconstruct(kind, sol, measurements, masks, t):
+def _reconstruct(kind, sol, measurements, t):
     """Unscale the solver blocks into the defining decomposition."""
+    row = KINDS[kind.value]
     m, n, d = measurements.m, measurements.n, measurements.d
     total = len(sol.primal["G"])
     eye = np.eye(d)
-    tiny = 1e-9
-    if kind is IncompatKind.weight:
-        scale = 1.0 - t
-        if scale > tiny:
-            parent_eff = _renorm_povm(_clip_psd(sol.primal["G"] / scale, 1e-12))
-        else:
-            parent_eff = np.broadcast_to(eye / total, (total, d, d)).copy()
-        parent = ParentPovm(parent_eff, (m, n))
-        noise = (sol.primal["O"] / t if t > tiny
-                 else np.broadcast_to(eye / n, (m * n, d, d))).reshape(m, n, d, d)
-        return _renorm_grid(np.asarray(noise)), parent, None
-    parent = ParentPovm(
-        _renorm_povm(_clip_psd(sol.primal["G"] / (1.0 + t), 1e-12)), (m, n))
-    if kind is IncompatKind.robustness:
-        noise = (sol.primal["N"] / t if t > tiny
-                 else np.broadcast_to(eye / n, (m * n, d, d))).reshape(m, n, d, d)
-        return _renorm_grid(np.asarray(noise)), parent, None
-    if kind is IncompatKind.random_robustness:
-        noise = np.broadcast_to(eye / n, (m, n, d, d)).copy()
-        return noise, parent, None
-    # jm_robustness
-    if t > tiny:
-        h_eff = _renorm_povm(_clip_psd(sol.primal["H"] / t, 1e-12))
-    else:
-        h_eff = np.broadcast_to(eye / total, (total, d, d)).copy()
-    noise_parent = ParentPovm(h_eff, (m, n))
-    noise = _coarse(noise_parent.effects, masks, m, n)
-    return noise, parent, noise_parent
+    uniform = np.broadcast_to(eye / total, (total, d, d))
+    scale = 1.0 - row.sign * t
+    parent = ParentPovm(_renorm_povm(clip_psd(sol.primal["G"] / scale))
+                        if scale > TINY else uniform, (m, n))
+    if row.noise == "white":
+        return np.broadcast_to(eye / n, (m, n, d, d)).copy(), parent, None
+    if row.noise == "model":
+        noise_parent = ParentPovm(_renorm_povm(clip_psd(sol.primal["H"] / t))
+                                  if t > TINY else uniform, (m, n))
+        return coarse_grain(noise_parent.effects, m, n), parent, noise_parent
+    noise = (sol.primal["N"] / t if t > TINY
+             else np.broadcast_to(eye / n, (m * n, d, d))).reshape(m, n, d, d)
+    return _renorm_grid(noise), parent, None
 
 
 def mixture(measurements: MeasurementSet, noise: np.ndarray,

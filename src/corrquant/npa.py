@@ -75,22 +75,6 @@ def word_class_key(u, v):
 
 
 @dataclass
-class OperatorWord:
-    """A canonical projector word (exposed for inspection and tests)."""
-
-    symbols: tuple
-
-    def __post_init__(self):
-        canon = canonical_word(self.symbols)
-        if canon is None:
-            raise ValueError("word reduces to the zero operator")
-        self.symbols = canon
-
-    def __len__(self):
-        return len(self.symbols)
-
-
-@dataclass
 class NpaTemplate:
     """Word index, equivalence classes, and the CG identification map."""
 

@@ -6,9 +6,7 @@ primitives they need: tensor products, partial traces, matrix square
 roots, transposition in an arbitrary orthonormal basis, and the
 positivity/hermiticity checks used by every constructor.
 
-All functions accept plain complex ndarrays or :class:`HermitianOperator`
-and return ndarrays (wrap with ``HermitianOperator`` when the validated
-type is wanted).  Values are never mutated in place.
+Values are never mutated in place.
 """
 
 from __future__ import annotations
@@ -24,9 +22,7 @@ UNITARY_TOL = 1e-10
 
 
 def asmatrix(op) -> np.ndarray:
-    """Return the underlying complex ndarray of ``op``."""
-    if isinstance(op, HermitianOperator):
-        return op.matrix
+    """Return ``op`` as a complex ndarray."""
     return np.asarray(op, dtype=complex)
 
 
@@ -39,43 +35,6 @@ def hermitize(mat, tol: float = HERM_REJECT) -> np.ndarray:
     if asym > tol:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {tol:.1e}")
     return (mat + mat.conj().T) / 2
-
-
-class HermitianOperator:
-    """A validated, immutable Hermitian matrix.
-
-    Construction symmetrizes the input and rejects asymmetry beyond
-    1e-8; the stored matrix then satisfies ``M[i,j] == conj(M[j,i])``
-    exactly.
-    """
-
-    __slots__ = ("_mat",)
-
-    def __init__(self, matrix):
-        mat = hermitize(asmatrix(matrix))
-        mat.setflags(write=False)
-        self._mat = mat
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._mat
-
-    @property
-    def dim(self) -> int:
-        return self._mat.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self._mat.astype(dtype)
-        return self._mat
-
-    def __repr__(self):
-        return f"HermitianOperator(dim={self.dim})"
-
-    def __eq__(self, other):
-        if not isinstance(other, HermitianOperator):
-            return NotImplemented
-        return self.dim == other.dim and np.array_equal(self._mat, other._mat)
 
 
 def tensor(a, b) -> np.ndarray:

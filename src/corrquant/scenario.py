@@ -205,26 +205,6 @@ def behaviour_marginal(b: Behaviour, party: str, average: bool = False) -> np.nd
     raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
-class DeterministicStrategy:
-    """Outcome assignment per input, with its lexicographic index."""
-
-    __slots__ = ("assignment", "index")
-
-    def __init__(self, assignment, index):
-        self.assignment = tuple(int(a) for a in assignment)
-        self.index = int(index)
-
-    def __repr__(self):
-        return f"DeterministicStrategy({self.assignment}, index={self.index})"
-
-    def __eq__(self, other):
-        return (isinstance(other, DeterministicStrategy)
-                and self.assignment == other.assignment)
-
-    def __hash__(self):
-        return hash(self.assignment)
-
-
 def strategy_count(m: int, n: int) -> int:
     return n ** m
 
@@ -237,15 +217,10 @@ def check_strategy_cap(m: int, n: int, cap: int = STRATEGY_CAP) -> int:
     return total
 
 
-def enumerate_strategies(m: int, n: int, cap: int = STRATEGY_CAP):
-    """All n^m deterministic strategies, lexicographic in the assignment."""
-    check_strategy_cap(m, n, cap)
-    return [DeterministicStrategy(assignment, idx)
-            for idx, assignment in enumerate(itertools.product(range(n), repeat=m))]
-
-
 def strategy_assignments(m: int, n: int, cap: int = STRATEGY_CAP) -> np.ndarray:
-    """(n^m, m) integer array of assignments, same order as enumerate_strategies."""
+    """(n^m, m) integer array of the deterministic strategies' outcome
+    assignments, lexicographic: strategy i assigns input x the x-th
+    base-n digit of i, most significant first."""
     total = check_strategy_cap(m, n, cap)
     idx = np.arange(total)
     cols = []
@@ -259,6 +234,18 @@ def strategy_masks(m: int, n: int, cap: int = STRATEGY_CAP):
     assign = strategy_assignments(m, n, cap)
     return [[np.nonzero(assign[:, x] == a)[0] for a in range(n)]
             for x in range(m)]
+
+
+def coarse_grain(blocks: np.ndarray, m: int, n: int) -> np.ndarray:
+    """(m, n, d, d) grid of sum_{lambda: lambda_x = a} blocks[lambda]: the
+    marginals of a parent POVM, or the assemblage of an LHS model."""
+    masks = strategy_masks(m, n)
+    d = blocks.shape[1]
+    out = np.zeros((m, n, d, d), dtype=complex)
+    for x in range(m):
+        for a in range(n):
+            out[x, a] = blocks[masks[x][a]].sum(axis=0)
+    return out
 
 
 class LocalModel:
@@ -305,13 +292,7 @@ class LhsModel:
         self.states = st
 
     def assemblage(self) -> Assemblage:
-        masks = strategy_masks(self.m, self.n)
-        d = self.states.shape[1]
-        mem = np.zeros((self.m, self.n, d, d), dtype=complex)
-        for x in range(self.m):
-            for a in range(self.n):
-                mem[x, a] = self.states[masks[x][a]].sum(axis=0)
-        return Assemblage(mem)
+        return Assemblage(coarse_grain(self.states, self.m, self.n))
 
 
 class ParentPovm:
@@ -333,12 +314,7 @@ class ParentPovm:
 
     def coarse_grain(self) -> MeasurementSet:
         """Marginal measurements sum_{vec: vec_x = a} G_vec."""
-        masks = strategy_masks(self.m, self.n)
-        grid = np.zeros((self.m, self.n, self.d, self.d), dtype=complex)
-        for x in range(self.m):
-            for a in range(self.n):
-                grid[x, a] = self.effects[masks[x][a]].sum(axis=0)
-        return MeasurementSet(grid)
+        return MeasurementSet(coarse_grain(self.effects, self.m, self.n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """LHS membership and the seven steering quantifiers.
 
-Same scaled-variable linearization as the incompatibility module: model
-states absorb the mixture denominator (sigtilde = (1+s)*sigma_lambda,
-or (1-s)*sigma_lambda for the weight kinds) and scaled noise
-pitilde = s*pi keeps everything linear.  Coarse-graining rows are pruned
-exactly where the fixed reduced state makes them dependent (last outcome
-of every input except the first); full-rank row sets are asserted in the
-tests.
+The programs are those of :mod:`corrquant.decomposition` with the
+reference R = rho_B and the members sigma_{a|x} as data; this module
+holds the kinds, the result and inequality records, and the
+reconstruction of the defining decomposition: LHS model states
+normalized to unit trace, and the noise as an assemblage.
 
 Dual multipliers of the model-matching rows are steering-inequality
 coefficients F_{a|x}: every LHS assemblage gamma satisfies
@@ -22,19 +20,9 @@ from enum import Enum
 
 import numpy as np
 
-from .conic import ConicProgram, ConicSolution
-from .errors import SolverFailure
-from .scenario import (
-    Assemblage,
-    LhsModel,
-    check_strategy_cap,
-    reduced_state,
-    strategy_assignments,
-    strategy_masks,
-)
-
-FEASTOL = 1e-8
-GAPTOL = 1e-9
+from .conic import ConicSolution
+from .decomposition import KINDS, TINY, clip_psd, max_margin, quantify, strategy_bound
+from .scenario import Assemblage, LhsModel, coarse_grain, reduced_state
 
 
 class SteeringKind(str, Enum):
@@ -88,11 +76,7 @@ class SteeringInequality:
                                assemblage.members).real)
 
     def lhs_bound_by_enumeration(self) -> float:
-        m, n = self.coefficients.shape[:2]
-        assign = strategy_assignments(m, n)
-        stacked = self.coefficients[np.arange(m)[None, :], assign]
-        sums = stacked.sum(axis=1)
-        return float(np.max(np.linalg.eigvalsh(sums)[:, -1]))
+        return strategy_bound(self.coefficients)
 
     def to_text(self) -> str:
         """Human-readable inequality: coefficients per (a|x) plus the bound."""
@@ -130,27 +114,9 @@ class SteeringResult:
     solution: ConicSolution
 
 
-def _pruned_rows(m: int, n: int):
-    return [(x, a) for x in range(m) for a in range(n if x == 0 else n - 1)]
-
-
-def _all_rows(m: int, n: int):
-    return [(x, a) for x in range(m) for a in range(n)]
-
-
-def _collect_f(sol: ConicSolution, m, n, d) -> np.ndarray:
-    f = np.zeros((m, n, d, d), dtype=complex)
-    for key, val in sol.dual_rows.items():
-        if key[0] == "match":
-            _, x, a = key
-            f[x, a] = val
-    return f
-
-
-def _inequality(sol: ConicSolution, asm: Assemblage) -> SteeringInequality:
-    f = _collect_f(sol, asm.m, asm.n, asm.dB)
-    ineq = SteeringInequality(coefficients=f, bound=0.0, violation=0.0)
-    ineq.bound = ineq.lhs_bound_by_enumeration()
+def _inequality(f: np.ndarray, asm: Assemblage) -> SteeringInequality:
+    ineq = SteeringInequality(coefficients=f, bound=strategy_bound(f),
+                              violation=0.0)
     ineq.violation = ineq.evaluate(asm) - ineq.bound
     return ineq
 
@@ -159,156 +125,31 @@ def has_lhs_model(assemblage: Assemblage, tol: float = 5e-8,
                   cap: int = 10 ** 6) -> LhsDecision:
     """Max-margin LHS membership: maximize w such that the model states
     omega_lambda - w*I/L stay PSD while reproducing the assemblage."""
-    m, n, d = assemblage.m, assemblage.n, assemblage.dB
-    total = check_strategy_cap(m, n, cap)
-    masks = strategy_masks(m, n, cap)
-
-    prog = ConicProgram("has_lhs_model")
-    prog.add_hermitian_family("S", total, d)
-    prog.add_free("w", 1)
-    eye = np.eye(d)
-    for x, a in _pruned_rows(m, n):
-        prog.add_matrix_row_group(
-            ("match", x, a), assemblage.members[x, a],
-            [("sum", "S", masks[x][a], 1.0), ("scalar_mat", "w", 0, eye / n)])
-    prog.set_objective([("lin", "w", [0], [-1.0])])
-    sol = prog.solve(feastol=FEASTOL, gaptol=GAPTOL)
-    if sol.status != "optimal":
-        raise SolverFailure(f"LHS membership returned {sol.status}", program=prog)
-    margin = -sol.value
-    if margin >= -tol:
-        states = sol.primal["S"] + (margin / total) * eye
-        vals, vecs = np.linalg.eigh(states)
-        states = np.einsum("lik,lk,ljk->lij", vecs, np.clip(vals, 0, None),
-                           vecs.conj())
-        states /= np.einsum("lii->", states).real   # exact unit trace
-        return LhsDecision(True, margin, model=LhsModel(states, (m, n)))
-    ineq = _inequality(sol, assemblage)
-    return LhsDecision(False, margin, inequality=ineq)
-
-
-def _build_program(assemblage: Assemblage, kind: SteeringKind,
-                   cap: int = 10 ** 6) -> ConicProgram:
-    m, n, d = assemblage.m, assemblage.n, assemblage.dB
-    total = check_strategy_cap(m, n, cap)
-    masks = strategy_masks(m, n, cap)
-    rho_b = reduced_state(assemblage)
-    sig = assemblage.members
-
-    prog = ConicProgram(f"steering:{kind.value}")
-    all_lam = np.arange(total)
-    if kind is SteeringKind.SR:
-        prog.add_hermitian_family("pi", m * n, d)
-        prog.add_hermitian_family("sig", total, d)
-        prog.add_nonneg("s", 1)
-        for x, a in _all_rows(m, n):
-            prog.add_matrix_row_group(
-                ("match", x, a), sig[x, a],
-                [("sum", "sig", masks[x][a], 1.0), ("one", "pi", x * n + a, -1.0)])
-        prog.add_scalar_row(("norm",), 1.0, [("tr", "sig", all_lam, 1.0),
-                                             ("lin", "s", [0], [-1.0])])
-    elif kind is SteeringKind.SR_red:
-        prog.add_hermitian_family("sig", total, d)
-        prog.add_nonneg("s", 1)
-        for x, a in _pruned_rows(m, n):
-            prog.add_matrix_row_group(
-                ("match", x, a), sig[x, a],
-                [("sum", "sig", masks[x][a], 1.0),
-                 ("scalar_mat", "s", 0, -rho_b / n)])
-    elif kind is SteeringKind.SR_lhs:
-        prog.add_hermitian_family("sig", total, d)
-        prog.add_hermitian_family("gam", total, d)
-        prog.add_nonneg("s", 1)
-        for x, a in _pruned_rows(m, n):
-            prog.add_matrix_row_group(
-                ("match", x, a), sig[x, a],
-                [("sum", "sig", masks[x][a], 1.0),
-                 ("sum", "gam", masks[x][a], -1.0)])
-        prog.add_scalar_row(("gnorm",), 0.0, [("tr", "gam", all_lam, 1.0),
-                                              ("lin", "s", [0], [-1.0])])
-    elif kind is SteeringKind.SW:
-        prog.add_hermitian_family("pi", m * n, d)
-        prog.add_hermitian_family("sig", total, d)
-        prog.add_nonneg("s", 1)
-        for x, a in _all_rows(m, n):
-            prog.add_matrix_row_group(
-                ("match", x, a), sig[x, a],
-                [("one", "pi", x * n + a, 1.0), ("sum", "sig", masks[x][a], 1.0)])
-        prog.add_scalar_row(("norm",), 1.0, [("tr", "sig", all_lam, 1.0),
-                                             ("lin", "s", [0], [1.0])])
-    elif kind is SteeringKind.SR_c:
-        prog.add_hermitian_family("pi", m * n, d)
-        prog.add_hermitian_family("sig", total, d)
-        prog.add_nonneg("s", 1)
-        for x, a in _pruned_rows(m, n):
-            prog.add_matrix_row_group(
-                ("match", x, a), sig[x, a],
-                [("sum", "sig", masks[x][a], 1.0), ("one", "pi", x * n + a, -1.0)])
-        for x in range(m):
-            prog.add_matrix_row_group(
-                ("consis", x), np.zeros((d, d)),
-                [("sum", "pi", x * n + np.arange(n), 1.0),
-                 ("scalar_mat", "s", 0, -rho_b)])
-    elif kind is SteeringKind.SR_c_lhs:
-        prog.add_hermitian_family("sig", total, d)
-        prog.add_hermitian_family("gam", total, d)
-        prog.add_nonneg("s", 1)
-        for x, a in _pruned_rows(m, n):
-            prog.add_matrix_row_group(
-                ("match", x, a), sig[x, a],
-                [("sum", "sig", masks[x][a], 1.0),
-                 ("sum", "gam", masks[x][a], -1.0)])
-        prog.add_matrix_row_group(
-            ("consis",), np.zeros((d, d)),
-            [("sum", "gam", all_lam, 1.0), ("scalar_mat", "s", 0, -rho_b)])
-    elif kind is SteeringKind.SW_c:
-        prog.add_hermitian_family("pi", m * n, d)
-        prog.add_hermitian_family("sig", total, d)
-        prog.add_nonneg("s", 1)
-        for x, a in _pruned_rows(m, n):
-            prog.add_matrix_row_group(
-                ("match", x, a), sig[x, a],
-                [("one", "pi", x * n + a, 1.0), ("sum", "sig", masks[x][a], 1.0)])
-        for x in range(m):
-            prog.add_matrix_row_group(
-                ("consis", x), np.zeros((d, d)),
-                [("sum", "pi", x * n + np.arange(n), 1.0),
-                 ("scalar_mat", "s", 0, -rho_b)])
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    prog.set_objective([("lin", "s", [0], [1.0])])
-    return prog
+    m, n = assemblage.m, assemblage.n
+    margin, states, f = max_margin("has_lhs_model", assemblage.members, tol, cap)
+    if states is not None:
+        return LhsDecision(True, margin,
+                           model=LhsModel(_unit_trace(states), (m, n)))
+    return LhsDecision(False, margin, inequality=_inequality(f, assemblage))
 
 
 def steering_quantifier(assemblage: Assemblage, kind: SteeringKind | str,
                         cap: int = 10 ** 6) -> SteeringResult:
     """One of SR, SR^red, SR^lhs, SW, SR^c, SR^c/lhs, SW^c."""
     kind = parse_steering_kind(kind) if isinstance(kind, str) else kind
-    m, n = assemblage.m, assemblage.n
-    masks = strategy_masks(m, n, cap)
     rho_b = reduced_state(assemblage)
-    prog = _build_program(assemblage, kind, cap)
-    sol = prog.solve(feastol=FEASTOL, gaptol=GAPTOL)
-    if sol.status != "optimal":
-        raise SolverFailure(f"{kind.value} solve returned {sol.status}",
-                            program=prog)
-    s = max(float(sol.primal["s"][0]), 0.0)
-    noise, model, noise_model = _reconstruct(kind, sol, assemblage, masks,
-                                             rho_b, s)
-    ineq = _inequality(sol, assemblage)
+    s, sol, f = quantify("steering", kind.value, assemblage.members, rho_b, cap)
+    noise, model, noise_model = _reconstruct(kind, sol, assemblage, rho_b, s)
     return SteeringResult(kind=kind, value=s, noise=noise, model=model,
-                          noise_model=noise_model, inequality=ineq,
+                          noise_model=noise_model,
+                          inequality=_inequality(f, assemblage),
                           gap=abs(sol.pobj - sol.dobj), solution=sol)
 
 
-def _states_clip_normalize(states: np.ndarray, trace: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(states)
-    states = np.einsum("lik,lk,ljk->lij", vecs, np.clip(vals, 0, None),
-                       vecs.conj())
+def _unit_trace(states: np.ndarray) -> np.ndarray:
+    """States rescaled to unit total trace."""
     tr = np.einsum("lii->", states).real
-    if tr > 0 and trace > 0:
-        states = states * (trace / tr)
-    return states
+    return states / tr if tr > 0 else states
 
 
 def _blend_psd_rows(grid: np.ndarray) -> np.ndarray:
@@ -330,51 +171,29 @@ def _blend_psd_rows(grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coarse(states: np.ndarray, masks, m, n) -> np.ndarray:
-    d = states.shape[1]
-    out = np.zeros((m, n, d, d), dtype=complex)
-    for x in range(m):
-        for a in range(n):
-            out[x, a] = states[masks[x][a]].sum(axis=0)
-    return out
-
-
-def _reconstruct(kind, sol, assemblage, masks, rho_b, s):
+def _reconstruct(kind, sol, assemblage, rho_b, s):
+    row = KINDS[kind.value]
     m, n, d = assemblage.m, assemblage.n, assemblage.dB
-    total = sol.primal["sig"].shape[0]
-    tiny = 1e-9
-    denom = (1.0 - s) if kind.weight_like else (1.0 + s)
-    if denom > tiny:
-        states = _states_clip_normalize(sol.primal["sig"] / denom, 1.0)
-    else:
-        states = np.broadcast_to(np.eye(d) / (total * d),
-                                 (total, d, d)).astype(complex)
-    model = LhsModel(states, (m, n))
-    noise_model = None
-    if kind in (SteeringKind.SR_lhs, SteeringKind.SR_c_lhs):
-        if s > tiny:
-            gstates = _states_clip_normalize(sol.primal["gam"] / s, 1.0)
-        else:
-            gstates = np.broadcast_to(np.eye(d) / (total * d),
-                                      (total, d, d)).astype(complex)
-        noise_model = LhsModel(gstates, (m, n))
-        noise = _coarse(noise_model.states, masks, m, n)
-    elif kind is SteeringKind.SR_red:
-        noise = np.broadcast_to(rho_b / n, (m, n, d, d)).copy()
-    else:
-        # rebuild the noise from the exactly normalized model, so the
-        # defining decomposition holds to rounding instead of to the
-        # (1/s)-amplified solver residual; then repair PSD sum-preservingly
-        if s > tiny:
-            model_grid = model.assemblage().members
-            if kind.weight_like:
-                noise = (assemblage.members - (1 - s) * model_grid) / s
-            else:
-                noise = ((1 + s) * model_grid - assemblage.members) / s
-            noise = _blend_psd_rows(noise)
-        else:
-            noise = np.asarray(assemblage.members).copy()
-    return np.asarray(noise), model, noise_model
+    total = len(sol.primal["G"])
+    uniform = np.broadcast_to(np.eye(d) / (total * d),
+                              (total, d, d)).astype(complex)
+    scale = 1.0 - row.sign * s
+    model = LhsModel(_unit_trace(clip_psd(sol.primal["G"] / scale))
+                     if scale > TINY else uniform, (m, n))
+    if row.noise == "white":
+        return np.broadcast_to(rho_b / n, (m, n, d, d)).copy(), model, None
+    if row.noise == "model":
+        noise_model = LhsModel(_unit_trace(clip_psd(sol.primal["H"] / s))
+                               if s > TINY else uniform, (m, n))
+        return coarse_grain(noise_model.states, m, n), model, noise_model
+    # rebuild the noise from the exactly normalized model, so the defining
+    # decomposition holds to rounding instead of to the (1/s)-amplified
+    # solver residual; then repair PSD sum-preservingly
+    if s > TINY:
+        model_grid = model.assemblage().members
+        noise = row.sign * (assemblage.members - scale * model_grid) / s
+        return _blend_psd_rows(noise), model, None
+    return np.asarray(assemblage.members).copy(), model, None
 
 
 def steering_certificate(result: SteeringResult,
@@ -383,11 +202,7 @@ def steering_certificate(result: SteeringResult,
     enumerated LHS bound; raises if the solve was not optimal."""
     if result.solution.status != "optimal":
         raise ValueError("certificate requires an optimal solve")
-    ineq = SteeringInequality(coefficients=result.inequality.coefficients,
-                              bound=0.0, violation=0.0)
-    ineq.bound = ineq.lhs_bound_by_enumeration()
-    ineq.violation = ineq.evaluate(assemblage) - ineq.bound
-    return ineq
+    return _inequality(result.inequality.coefficients, assemblage)
 
 
 def lhs_mixture(assemblage: Assemblage, noise: np.ndarray, s: float) -> Assemblage:

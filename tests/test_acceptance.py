@@ -21,7 +21,9 @@ Criterion 3 (10-measurement Bennet row) is long-running; enable with
 CORRQUANT_EXTENDED=1.
 """
 
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,21 @@ from corrquant.cg import CgLayout, strategy_cg_matrix
 def record(num: int, ok: bool, detail: str) -> bool:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
+
+
+# incompatibility and steering values of criteria 5 and 6, written once
+# from the code before the decomposition core replaced the per-domain
+# program builders (command in CHANGES.md); no test writes it
+SNAPSHOT = Path(__file__).parent / "data" / "decomposition_values.json"
+SNAPSHOT_TOL = 1e-9
+
+
+def snapshot_drift(criterion: str, rows: list[dict]) -> float:
+    """Largest |value - snapshot| over the snapshot's entries for ``criterion``."""
+    want = json.loads(SNAPSHOT.read_text())[criterion]
+    assert len(want) == len(rows) and all(w.keys() == r.keys()
+                                          for w, r in zip(want, rows))
+    return max(abs(r[k] - w[k]) for w, r in zip(want, rows) for k in w)
 
 
 def random_qubit_povm_set(m, n, rng):
@@ -197,23 +214,35 @@ def test_criterion_4_thresholds_and_linearity():
 # 5. tightness for full-Schmidt-rank pure states
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_tightness_suite():
+TIGHT_PAIRS = [("robustness", "SR_c"), ("random_robustness", "SR_red"),
+               ("jm_robustness", "SR_c_lhs"), ("weight", "SW_c")]
+
+
+def tightness_values() -> list[dict]:
+    """Criterion 5's values, one dict per random pure state and set."""
     rng = np.random.default_rng(20240505)
-    pairs = [("robustness", "SR_c"), ("random_robustness", "SR_red"),
-             ("jm_robustness", "SR_c_lhs"), ("weight", "SW_c")]
-    worst = 0.0
+    rows = []
     for _ in range(25):
         theta = rng.uniform(0.1, np.pi / 4)
         m = int(rng.integers(2, 4))
         n = int(rng.integers(2, 4))
         meas = random_qubit_povm_set(m, n, rng)
         asm = sc.steer(sc.pure_theta(theta), meas)
-        for ikind, skind in pairs:
-            iv = ic.incompatibility_quantifier(meas, ikind).value
-            sv = st.steering_quantifier(asm, skind).value
-            worst = max(worst, abs(iv - sv))
-    ok = worst <= 1e-6
-    record(5, ok, f"25 states x 4 equalities, worst |I-S| = {worst:.2e}")
+        row = {}
+        for ikind, skind in TIGHT_PAIRS:
+            row[ikind] = ic.incompatibility_quantifier(meas, ikind).value
+            row[skind] = st.steering_quantifier(asm, skind).value
+        rows.append(row)
+    return rows
+
+
+def test_criterion_5_tightness_suite():
+    rows = tightness_values()
+    worst = max(abs(row[i] - row[s]) for row in rows for i, s in TIGHT_PAIRS)
+    drift = snapshot_drift("criterion_5", rows)
+    ok = worst <= 1e-6 and drift <= SNAPSHOT_TOL
+    record(5, ok, f"25 states x 4 equalities, worst |I-S| = {worst:.2e}, "
+                  f"snapshot drift = {drift:.2e}")
     assert ok
 
 
@@ -221,10 +250,11 @@ def test_criterion_5_tightness_suite():
 # 6. inequality-chain suite
 # ---------------------------------------------------------------------------
 
-def test_criterion_6_chain_suite():
+def chain_values() -> tuple[list[dict], list[dict]]:
+    """Criterion 6's values per random triple: the incompatibility and
+    steering values, and the nonlocality values."""
     rng = np.random.default_rng(20240606)
-    tol = 1e-7
-    worst = -np.inf
+    decomposition, nonlocal_ = [], []
     for _ in range(50):
         meas = random_qubit_povm_set(2, 2, rng)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -235,30 +265,41 @@ def test_criterion_6_chain_suite():
         bob = random_qubit_povm_set(2, 2, rng)
         asm = sc.steer(state, meas)
         beh = sc.measure(asm, bob)
-        iv = {k: ic.incompatibility_quantifier(meas, k).value
-              for k in ("robustness", "random_robustness", "jm_robustness",
-                        "weight")}
-        sv = {k.value: st.steering_quantifier(asm, k).value
-              for k in st.SteeringKind}
-        nv = {k.value: nl.nonlocality_quantifier(beh, k, level=1).value
-              for k in nl.NonlocalityKind}
+        row = {k.value: ic.incompatibility_quantifier(meas, k).value
+               for k in ic.IncompatKind}
+        row.update({k.value: st.steering_quantifier(asm, k).value
+                    for k in st.SteeringKind})
+        decomposition.append(row)
+        nonlocal_.append({k.value: nl.nonlocality_quantifier(beh, k, level=1).value
+                          for k in nl.NonlocalityKind})
+    return decomposition, nonlocal_
+
+
+def test_criterion_6_chain_suite():
+    tol = 1e-7
+    worst = -np.inf
+    rows, nonlocal_ = chain_values()
+    for row, nv in zip(rows, nonlocal_):
+        v = {**row, **nv}
         gaps = [
-            sv["SR"] - nv["NLR"], sv["SR_red"] - nv["NLR_mar"],
-            sv["SR_lhs"] - nv["NLR_lhv"], sv["SW"] - nv["NLW"],
-            iv["robustness"] - sv["SR"],
-            iv["random_robustness"] - sv["SR_red"],
-            iv["jm_robustness"] - sv["SR_lhs"], iv["weight"] - sv["SW"],
-            iv["robustness"] - sv["SR_c"], sv["SR_c"] - sv["SR"],
-            iv["jm_robustness"] - sv["SR_c_lhs"],
-            sv["SR_c_lhs"] - sv["SR_lhs"],
-            iv["weight"] - sv["SW_c"], sv["SW_c"] - sv["SW"],
-            sv["SR_c"] - nv["NLR_c"], sv["SR_c_lhs"] - nv["NLR_c_lhv"],
-            sv["SW_c"] - nv["NLW_c"],
-            nv["NLR_c"] - nv["NLR"], nv["NLW_c"] - nv["NLW"],
+            v["SR"] - v["NLR"], v["SR_red"] - v["NLR_mar"],
+            v["SR_lhs"] - v["NLR_lhv"], v["SW"] - v["NLW"],
+            v["robustness"] - v["SR"],
+            v["random_robustness"] - v["SR_red"],
+            v["jm_robustness"] - v["SR_lhs"], v["weight"] - v["SW"],
+            v["robustness"] - v["SR_c"], v["SR_c"] - v["SR"],
+            v["jm_robustness"] - v["SR_c_lhs"],
+            v["SR_c_lhs"] - v["SR_lhs"],
+            v["weight"] - v["SW_c"], v["SW_c"] - v["SW"],
+            v["SR_c"] - v["NLR_c"], v["SR_c_lhs"] - v["NLR_c_lhv"],
+            v["SW_c"] - v["NLW_c"],
+            v["NLR_c"] - v["NLR"], v["NLW_c"] - v["NLW"],
         ]
         worst = max(worst, -min(gaps))
-    ok = worst <= tol
-    record(6, ok, f"50 triples, worst chain violation = {worst:.2e}")
+    drift = snapshot_drift("criterion_6", rows)
+    ok = worst <= tol and drift <= SNAPSHOT_TOL
+    record(6, ok, f"50 triples, worst chain violation = {worst:.2e}, "
+                  f"snapshot drift = {drift:.2e}")
     assert ok
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from corrquant import incompat, scenario, steering
+from corrquant import scenario
 from corrquant.conic import (
     ConicProgram,
     _PsdGroup,
@@ -18,6 +18,7 @@ from corrquant.conic import (
     unembed_hermitian,
     verify_solution,
 )
+from corrquant.decomposition import build_program
 from corrquant.errors import SolverFailure
 
 RNG = np.random.default_rng(20240311)
@@ -43,6 +44,15 @@ def test_hermitian_embedding_roundtrip():
     emb = embed_hermitian(h)
     assert np.allclose(emb, emb.T)
     assert np.allclose(unembed_hermitian(emb), h)
+    # a stack unembeds block by block, structured or not
+    rng = np.random.default_rng(5)
+    stack = np.array([random_hermitian(4, rng) for _ in range(3)])
+    assert np.allclose(unembed_hermitian(
+        np.array([embed_hermitian(m) for m in stack])), stack)
+    sym = rng.normal(size=(3, 8, 8))
+    sym = sym + sym.transpose(0, 2, 1)
+    assert np.array_equal(unembed_hermitian(sym),
+                          np.array([unembed_hermitian(m) for m in sym]))
     # embedding inner product double-counts
     h2 = random_hermitian(4)
     lhs = np.trace(embed_hermitian(h) @ embed_hermitian(h2))
@@ -298,10 +308,11 @@ def _schur_program(name):
     ms = scenario.lossy(scenario.bloch_measurements(
         scenario.dodecahedron_vectors()[:3]), 0.4)
     assemblage = scenario.steer(scenario.werner(1.0, psi="singlet"), ms)
+    eye, rho_b = np.eye(2), scenario.reduced_state(assemblage)
     return {
-        "IR": lambda: incompat._build_program(ms, incompat.IncompatKind.robustness),
-        "IW": lambda: incompat._build_program(ms, incompat.IncompatKind.weight),
-        "SR": lambda: steering._build_program(assemblage, steering.SteeringKind.SR),
+        "IR": lambda: build_program("incompat", "robustness", ms.effects, eye),
+        "IW": lambda: build_program("incompat", "weight", ms.effects, eye),
+        "SR": lambda: build_program("steering", "SR", assemblage.members, rho_b),
         "mixed": _mixed_program,
     }[name]()
 

@@ -221,10 +221,3 @@ def test_cap_exceeded():
     with pytest.raises(StrategyCapExceeded):
         ic.incompatibility_quantifier(
             sc.bloch_measurements(np.eye(3)), "random_robustness", cap=4)
-
-
-def test_row_sets_full_rank():
-    ms = sc.lossy(sc.paulis("XZ"), (0.7, 0.9))
-    for kind in ic.IncompatKind:
-        prog = ic._build_program(ms, kind)
-        assert prog.row_rank_deficiency() == 0, kind

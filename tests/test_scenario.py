@@ -97,22 +97,23 @@ def test_measure_uniform_noise_assemblage():
             assert np.allclose(beh.table[x, y], pb[y][None, :] / n)
 
 
-def test_enumerate_strategies_counts():
-    assert len(sc.enumerate_strategies(1, 2)) == 2
-    strats = sc.enumerate_strategies(3, 3)
-    assert len(strats) == 27
-    assert len(set(strats)) == 27
+def test_strategy_counts_and_cap():
+    assert sc.check_strategy_cap(1, 2) == 2
+    assert sc.strategy_assignments(1, 2).shape == (2, 1)
+    assign = sc.strategy_assignments(3, 3)
+    assert assign.shape == (27, 3)
+    assert len({tuple(row) for row in assign}) == 27
     assert sc.strategy_count(10, 3) == 59049
     assert sc.strategy_assignments(10, 3).shape == (59049, 10)
     with pytest.raises(StrategyCapExceeded):
-        sc.enumerate_strategies(30, 3)
+        sc.check_strategy_cap(30, 3)
+    with pytest.raises(StrategyCapExceeded):
+        sc.strategy_assignments(3, 3, cap=26)
 
 
 def test_strategy_order_lexicographic():
-    strats = sc.enumerate_strategies(2, 3)
-    assert strats[0].assignment == (0, 0)
-    assert strats[1].assignment == (0, 1)
-    assert strats[3].assignment == (1, 0)
+    assign = sc.strategy_assignments(2, 3)
+    assert [tuple(row) for row in assign] == list(itertools.product(range(3), repeat=2))
     masks = sc.strategy_masks(2, 3)
     for x in range(2):
         for a in range(3):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from corrquant import decomposition as dc
 from corrquant import incompat as ic
 from corrquant import scenario as sc
 from corrquant import steering as st
@@ -172,13 +173,23 @@ def test_relabeling_invariance():
                    - st.steering_quantifier(rel, kind).value) < 1e-7
 
 
-def test_row_sets_full_rank():
-    # the pruned row sets must leave A with full row rank
-    rng = np.random.default_rng(4)
-    asm = sc.steer(sc.werner(0.8), random_povm_set(2, 3, 2, rng))
-    for kind in st.SteeringKind:
-        prog = st._build_program(asm, kind)
-        assert prog.row_rank_deficiency() == 0, kind
+@pytest.mark.parametrize("kind", [*dc.KINDS, "membership"])
+def test_row_sets_full_rank(kind):
+    # the pruned row sets must leave A with full row rank, for every row
+    # of the decomposition table and for the membership program
+    ms = sc.lossy(sc.paulis("XZ"), (0.7, 0.9))
+    asm = sc.steer(sc.werner(0.8),
+                   random_povm_set(2, 3, 2, np.random.default_rng(4)))
+    if kind == "membership":
+        progs = [dc.membership_program("jm", ms.effects),
+                 dc.membership_program("lhs", asm.members)]
+    elif kind in {k.value for k in ic.IncompatKind}:
+        progs = [dc.build_program("incompat", kind, ms.effects, np.eye(2))]
+    else:
+        progs = [dc.build_program("steering", kind, asm.members,
+                                  sc.reduced_state(asm))]
+    for prog in progs:
+        assert prog.row_rank_deficiency() == 0, prog.name
 
 
 def test_tightness_pure_state_small():
