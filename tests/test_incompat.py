@@ -221,3 +221,22 @@ def test_cap_exceeded():
     with pytest.raises(StrategyCapExceeded):
         ic.incompatibility_quantifier(
             sc.bloch_measurements(np.eye(3)), "random_robustness", cap=4)
+
+
+def mub_pair(d: int) -> sc.MeasurementSet:
+    """Computational and Fourier bases of C^d as projective measurements."""
+    omega = np.exp(2j * np.pi / d)
+    fourier = omega ** np.outer(np.arange(d), np.arange(d)) / np.sqrt(d)
+    bases = (np.eye(d), fourier)
+    return sc.MeasurementSet(np.array(
+        [[np.outer(u[:, k], u[:, k].conj()) for k in range(d)] for u in bases]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_random_robustness_mub_pair(d):
+    # a MUB pair mixed with white noise is jointly measurable iff
+    # eta <= (2 + sqrt d)/(2 + 2 sqrt d) (Carmeli, Heinosaari & Toigo,
+    # 2012), so IR^r = 1/eta* - 1 = sqrt d/(sqrt d + 2); d > 2 sends
+    # Hermitian blocks of dimension 3 and 4 through the quantifier
+    res = ic.incompatibility_quantifier(mub_pair(d), "random_robustness")
+    assert abs(res.value - np.sqrt(d) / (np.sqrt(d) + 2)) < 1e-8
