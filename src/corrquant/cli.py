@@ -112,7 +112,8 @@ def quantify(domain, kind, infile, level, out):
 @main.command("sweep")
 @click.option("--spec", "-s", required=True, type=click.Path(exists=True))
 @click.option("--out", "-o", type=click.Path(), help="CSV output path")
-@click.option("--workers", "-w", default=1, show_default=True, type=int)
+@click.option("--workers", "-w", default=1, show_default=True, type=int,
+              help="Accepted for compatibility; ignored (grid points run serially).")
 def sweep_cmd(spec, out, workers):
     """Run a quantifier sweep described by a JSON spec file."""
     try:

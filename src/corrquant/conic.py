@@ -5,30 +5,37 @@ Programs have the shape
     minimize    c'x
     subject to  A x = b,   x in K,
 
-where K is a product of PSD blocks (real symmetric, or complex Hermitian
-embedded as real symmetric of doubled size), nonnegative scalars, and
-free scalars (split internally into differences of nonnegatives).
+where K is a product of PSD blocks (real symmetric, or complex
+Hermitian), nonnegative scalars, and free scalars (split internally into
+differences of nonnegatives).  A real symmetric block is stored as its
+isometric svec; a d x d Hermitian block as its d*d real coordinates in
+the orthonormal Hermitian basis of :func:`hermitian_coords`, so the
+trace inner product is the dot product of coordinates.
 
 The solver is a homogeneous self-dual (HSD) primal-dual path-following
 method with Nesterov-Todd scaling and a Mehrotra predictor-corrector.  It
 reports primal-dual solutions with certified gaps, or an improving ray
-when the program is infeasible.
+when the program is infeasible.  Each family is one cone to the solver:
+2x2 Hermitian blocks are the Lorentz cone Q^4 (the coordinate map is an
+isometry onto it), with a closed-form scaling, step length and Jordan
+algebra; larger Hermitian and all real symmetric blocks run the same
+matrix code (Cholesky, SVD, eigenvalues), on complex or real arrays;
+nonnegative scalars are the orthant.
 
 Variables are declared as *families* (a batch of identically sized
 blocks), and equality constraints as *row groups*: either a matrix
 group, which equates a Hermitian-valued linear expression to a Hermitian
-right-hand side (d*d real rows), or a single scalar row.  Dual
-multipliers are reported per row group, reassembled into Hermitian
-matrices for matrix groups.
+right-hand side (d*d real rows, one per basis coordinate), or a single
+scalar row.  Dual multipliers are reported per row group, reassembled
+into Hermitian matrices for matrix groups.
 
 Each iteration factors the dense Schur complement As Phi As^T (Phi is
-the NT scaling), assembled family by family.  Hermitian blocks enter rows
-only through the d*d basis functionals K, and the row builders record
-which rows each block touches with which weight; a Hermitian family's
-term is then one T_i = K Phi_i K^T per block, summed against those
-weights (after Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  Real
-PSD blocks (NPA moment matrices) use their dense columns of As, and LP
-and free scalars a sparse diagonal product.
+the NT scaling), assembled family by family.  The row builders record
+which rows each 2x2 Hermitian block touches with which weight and
+through which coordinate functional; that family's term is then one
+closed-form T_i = Phi_i per block, summed against those weights (after
+Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  Matrix families use
+their dense columns of As, and scalars a sparse diagonal product.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ _STEP_FRACTION = 0.99
 
 
 # ---------------------------------------------------------------------------
-# symmetric vectorization helpers
+# block coordinates
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -75,59 +82,28 @@ def smat(vec: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def embed_hermitian(mat: np.ndarray) -> np.ndarray:
-    """Real-symmetric embedding [[Re, -Im], [Im, Re]] of a Hermitian matrix."""
-    re, im = mat.real, mat.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def unembed_hermitian(sym: np.ndarray) -> np.ndarray:
-    """Recover a Hermitian matrix from its (possibly unstructured) embedding.
-
-    Averages over the embedding symmetry; exact for structured input.
-    Accepts a stack ``(..., 2d, 2d)``.
-    """
-    d = sym.shape[-1] // 2
-    re = (sym[..., :d, :d] + sym[..., d:, d:]) / 2
-    im = (sym[..., d:, :d] - sym[..., :d, d:]) / 2
-    re = (re + re.swapaxes(-1, -2)) / 2
-    im = (im - im.swapaxes(-1, -2)) / 2
-    return re + 1j * im
-
-
 def hermitian_coords(mat: np.ndarray, d: int) -> np.ndarray:
     """Real coordinates tr(F_k M) in the orthonormal Hermitian basis.
 
     Basis order: diagonal units, then (E_ij+E_ji)/sqrt2, then
-    i(E_ij-E_ji)/sqrt2 for i<j row-major.
+    i(E_ij-E_ji)/sqrt2 for i<j row-major.  Batched over leading axes.
     """
     iu, ju = np.triu_indices(d, k=1)
-    diag = mat[np.arange(d), np.arange(d)].real
-    re = np.sqrt(2.0) * mat[iu, ju].real
-    im = np.sqrt(2.0) * mat[iu, ju].imag
-    return np.concatenate([diag, re, im])
+    diag = np.diagonal(mat, axis1=-2, axis2=-1).real
+    off = np.sqrt(2.0) * mat[..., iu, ju]
+    return np.concatenate([diag, off.real, off.imag], axis=-1)
 
 
 def hermitian_from_coords(coords: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`hermitian_coords`."""
     iu, ju = np.triu_indices(d, k=1)
     noff = iu.size
-    mat = np.zeros((d, d), dtype=complex)
-    mat[np.arange(d), np.arange(d)] = coords[:d]
-    off = (coords[d:d + noff] + 1j * coords[d + noff:]) / np.sqrt(2.0)
-    mat[iu, ju] = off
-    mat[ju, iu] = off.conj()
+    mat = np.zeros(coords.shape[:-1] + (d, d), dtype=complex)
+    mat[..., np.arange(d), np.arange(d)] = coords[..., :d]
+    off = (coords[..., d:d + noff] + 1j * coords[..., d + noff:]) / np.sqrt(2.0)
+    mat[..., iu, ju] = off
+    mat[..., ju, iu] = off.conj()
     return mat
-
-
-@lru_cache(maxsize=None)
-def herm_row_basis(d: int) -> np.ndarray:
-    """K[k] = svec(embed(F_k))/2: coefficients of the k-th Hermitian
-    functional on the embedded svec coordinates of a block."""
-    basis = np.array([svec(embed_hermitian(hermitian_from_coords(e, d)))
-                      for e in np.eye(d * d)]) / 2
-    basis.flags.writeable = False
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -145,25 +121,42 @@ class _Family:
     touches: dict = field(default_factory=dict, repr=False)
 
     @property
-    def block_size(self) -> int:
+    def ncoords(self) -> int:
+        """Real coordinates per block."""
         if self.kind == "herm":
-            return 2 * self.dim
+            return self.dim * self.dim
         if self.kind == "psd":
-            return self.dim
+            return self.dim * (self.dim + 1) // 2
         return 0
-
-    @property
-    def svec_dim(self) -> int:
-        s = self.block_size
-        return s * (s + 1) // 2
 
     @property
     def width(self) -> int:
         if self.kind in ("herm", "psd"):
-            return self.count * self.svec_dim
+            return self.count * self.ncoords
         if self.kind == "free":
             return 2 * self.count
         return self.count
+
+    def mats(self, coords: np.ndarray) -> np.ndarray:
+        """Blocks from their coordinates (batched)."""
+        if self.kind == "herm":
+            return hermitian_from_coords(coords, self.dim)
+        return smat(coords, self.dim)
+
+    def coords(self, mats: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`mats`."""
+        if self.kind == "herm":
+            return hermitian_coords(mats, self.dim)
+        return svec(np.asarray(mats, dtype=float))
+
+    def functional(self, cmat) -> np.ndarray:
+        """Coordinates of X -> tr(C X) on one block."""
+        if self.kind == "herm":
+            return self.coords(hermitize(np.asarray(cmat, dtype=complex)))
+        if self.kind == "psd":
+            c = np.asarray(cmat, dtype=float)
+            return self.coords((c + c.T) / 2)
+        raise ValueError(f"family {self.name!r} is not a matrix family")
 
     def touch(self, key, rows, functional, indices, weight) -> None:
         """Record that ``weight * X_i``, i in ``indices``, enters ``rows``
@@ -175,7 +168,7 @@ class _Family:
 
     def structure(self):
         """(rows, P, U) with this family's columns of A, block i, equal to
-        ``P @ kron(U[:, i], I) @ herm_row_basis(dim)`` on ``rows``."""
+        ``P @ kron(U[:, i], I)`` on ``rows``."""
         d2, touches = self.dim * self.dim, list(self.touches.values())
         urows = np.unique([r for rows, _, _ in touches for r in rows])
         P = np.zeros((urows.size, len(touches) * d2))
@@ -281,15 +274,6 @@ class ConicProgram:
             return cols, vals
         raise ValueError(f"family {fam.name!r} is not scalar")
 
-    def _mat_functional(self, fam: _Family, cmat) -> np.ndarray:
-        """svec-coefficients of X -> tr(C X) on one block of ``fam``."""
-        if fam.kind == "herm":
-            return svec(embed_hermitian(hermitize(np.asarray(cmat, dtype=complex)))) / 2
-        if fam.kind == "psd":
-            c = np.asarray(cmat, dtype=float)
-            return svec((c + c.T) / 2)
-        raise ValueError(f"family {fam.name!r} is not a matrix family")
-
     def _expand_scalar_terms(self, row, terms, emit):
         for term in terms:
             tag, fam = term[0], self._fam(term[1])
@@ -310,14 +294,13 @@ class ConicProgram:
             else:
                 raise ValueError(f"unknown scalar term {tag!r}")
             indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-            fvec = self._mat_functional(fam, cmat) * weight
+            coords = fam.functional(cmat)
+            fvec = coords * weight
             nz = np.nonzero(fvec)[0]
-            cols = (fam.offset + indices[:, None] * fam.svec_dim
+            cols = (fam.offset + indices[:, None] * fam.ncoords
                     + nz[None, :]).ravel()
             emit(row, cols, np.tile(fvec[nz], indices.size))
             if row is not None and fam.kind == "herm":
-                coords = hermitian_coords(
-                    hermitize(np.asarray(cmat, dtype=complex)), fam.dim)
                 fam.touch((row, coords.tobytes()), [row], coords[None],
                           indices, weight)
 
@@ -348,14 +331,14 @@ class ConicProgram:
         ("one", family, index, weight)    -> weight * X_index
         ("scalar_mat", family, index, C)  -> z_index * C
 
-        Expands into d*d real rows in the orthonormal Hermitian basis.
+        Expands into d*d real rows in the orthonormal Hermitian basis,
+        where row k reads coordinate k of each Hermitian block.
         """
         self._freeze()
         rhs = hermitize(np.asarray(rhs, dtype=complex))
         d = rhs.shape[0]
         nr = d * d
         row0 = self._nrows
-        kbasis = herm_row_basis(d)
         rows_arange = row0 + np.arange(nr)
         for term in terms:
             tag = term[0]
@@ -370,12 +353,10 @@ class ConicProgram:
                 if fam.kind != "herm" or fam.dim != d:
                     raise ValueError(
                         f"family {famname!r} incompatible with {d}x{d} matrix row")
-                rk, ck = np.nonzero(kbasis)
-                vals = kbasis[rk, ck] * weight
-                cols = (fam.offset + indices[:, None] * fam.svec_dim
-                        + ck[None, :]).ravel()
-                rows = np.tile(rows_arange[rk], indices.size)
-                self._emit(rows, cols, np.tile(vals, indices.size))
+                cols = (fam.offset + indices[:, None] * nr
+                        + np.arange(nr)[None, :]).ravel()
+                self._emit(np.tile(rows_arange, indices.size), cols,
+                           np.full(cols.shape, float(weight)))
                 fam.touch(row0, rows_arange, np.eye(nr), indices, weight)
             elif tag == "scalar_mat":
                 _, famname, index, cmat = term
@@ -544,8 +525,8 @@ def verify_solution(prog: ConicProgram, sol: ConicSolution) -> ResidualReport:
             for fam in prog.families.values():
                 blk = z[fam.offset:fam.offset + fam.width]
                 if fam.kind in ("herm", "psd"):
-                    blk = np.linalg.eigvalsh(smat(
-                        blk.reshape(fam.count, fam.svec_dim), fam.block_size))
+                    blk = np.linalg.eigvalsh(fam.mats(
+                        blk.reshape(fam.count, fam.ncoords)))
                 res += float(np.sum(np.minimum(blk, 0) ** 2))
             return ResidualReport(np.nan, np.nan, np.nan, np.nan,
                                   ray_residual=float(np.sqrt(res)),
@@ -565,13 +546,8 @@ def _primal_to_vec(prog: ConicProgram, primal: dict) -> np.ndarray:
     x = np.zeros(prog._ncols)
     for fam in prog.families.values():
         blk = primal[fam.name]
-        if fam.kind == "herm":
-            emb = np.array([svec(embed_hermitian(np.asarray(m, dtype=complex)))
-                            for m in blk])
-            x[fam.offset:fam.offset + fam.width] = emb.ravel()
-        elif fam.kind == "psd":
-            x[fam.offset:fam.offset + fam.width] = svec(
-                np.asarray(blk, dtype=float)).ravel()
+        if fam.kind in ("herm", "psd"):
+            x[fam.offset:fam.offset + fam.width] = fam.coords(blk).ravel()
         elif fam.kind == "nonneg":
             x[fam.offset:fam.offset + fam.count] = blk
         else:
@@ -594,126 +570,283 @@ def _duals_to_vec(prog: ConicProgram, duals: dict) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# HSD interior-point core
+# cones
 # ---------------------------------------------------------------------------
+#
+# The HSD core sees each family as one cone on its slice ``sl`` of the
+# iterate.  ``scale(x, s)`` sets the NT scaling W at an iterate; the
+# other methods work in its scaled space, where lam = W^-1 x = W^T s:
+#
+#   phi(v)             Phi v = W W^T v, on the slice
+#   to_scaled(dx, ds)  (W^-1 dx, W^T ds)
+#   from_scaled(d)     W d, on the slice
+#   center(smu, corr)  d with lam o d = smu e - lam o lam - corr, where o is
+#                      the Jordan product that makes X o S = mu e central
+#   product(a, b)      a o b
+#   max_step(d)        largest alpha with lam + alpha d in the cone
+#   schur()            this cone's term of As Phi As^T on the rows ``rows``
 
-class _PsdGroup:
-    """Batched view of one PSD family inside the flat variable vector,
-    with the data its term of the Schur complement As Phi As^T needs."""
+def _min_step(lmin) -> float:
+    """Largest alpha with 1 + alpha * lmin >= 0 for every entry."""
+    low = np.min(lmin, initial=0.0)
+    return -1.0 / low if low < 0 else np.inf
 
-    def __init__(self, fam: _Family, As, drow):
-        self.fam = fam
-        self.s = fam.block_size
-        self.sd = fam.svec_dim
-        self.count = fam.count
+
+class _Nonneg:
+    """The nonnegative orthant: LP and split free scalars."""
+
+    def __init__(self, sl, As):
+        self.sl = sl
+        cols = As[:, sl]
+        self.rows = np.nonzero(np.diff(cols.indptr))[0]
+        self.A = cols[self.rows]
+        self.At = self.A.T.tocsr()
+        self.unit = np.ones(sl.stop - sl.start)
+
+    def scale(self, x, s):
+        x, s = x[self.sl], s[self.sl]
+        self.w = np.sqrt(x / s)
+        self.lam = np.sqrt(x * s)
+
+    def phi(self, v):
+        return v * self.w ** 2
+
+    def to_scaled(self, dx, ds):
+        return dx / self.w, ds * self.w
+
+    def from_scaled(self, d):
+        return d * self.w
+
+    def center(self, smu, corr):
+        return (smu - self.lam ** 2 - corr) / self.lam
+
+    def product(self, a, b):
+        return a * b
+
+    def max_step(self, d):
+        return _min_step(d / self.lam)
+
+    def schur(self):
+        A = self.A
+        scaled = sp.csr_matrix((A.data * self.w[A.indices] ** 2, A.indices,
+                                A.indptr), shape=A.shape)
+        return (scaled @ self.At).toarray()
+
+
+_R2 = np.sqrt(0.5)
+_JSIGN = np.array([1.0, -1.0, -1.0, -1.0])
+# J = diag(1, -1, -1, -1) of Q^4 in Hermitian coordinates: X -> adj(X)
+_JC = np.array([[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+
+
+def _q(v):
+    """Hermitian coordinates (a, c, re, im) of 2x2 blocks, one per row, to
+    Q^4 coordinates ((a+c)/sqrt2, (a-c)/sqrt2, re, im); the map is an
+    isometry, its own inverse, and X >> 0 iff q0 >= |(q1, q2, q3)|."""
+    out = v.copy()
+    out[:, 0] = (v[:, 0] + v[:, 1]) * _R2
+    out[:, 1] = (v[:, 0] - v[:, 1]) * _R2
+    return out
+
+
+def _jnorm(q):
+    """sqrt(q0^2 - |q_bar|^2) per row; raises off the cone's interior."""
+    nbar = np.sqrt(np.einsum("ij,ij->i", q[:, 1:], q[:, 1:]))
+    lo = q[:, 0] - nbar
+    if not np.all(lo > 0):
+        raise np.linalg.LinAlgError("iterate left the Lorentz cone")
+    return np.sqrt(lo * (q[:, 0] + nbar))
+
+
+def _hyperbolic(v, d, scale):
+    """scale * (2 v v^T - J) d per row."""
+    out = d * -_JSIGN
+    out += 2 * v * np.einsum("ij,ij->i", v, d)[:, None]
+    return out * scale[:, None]
+
+
+def _jordan(a, b):
+    """Jordan product of Q^4 with unit e = (1, 0, 0, 0), per row."""
+    out = np.empty_like(a)
+    out[:, 0] = np.einsum("ij,ij->i", a, b)
+    out[:, 1:] = a[:, :1] * b[:, 1:] + b[:, :1] * a[:, 1:]
+    return out
+
+
+class _Lorentz:
+    """2x2 Hermitian PSD blocks as the Lorentz cone Q^4, in closed form.
+
+    The NT scaling is W = beta (2 v v^T - J) with v^T J v = 1 (Alizadeh &
+    Goldfarb, Math. Prog. 95, 2003).  The scaled space holds Q^4
+    coordinates under the Jordan product with unit e = (1, 0, 0, 0), in
+    which the central X o S = mu 1 of 2x2 matrices reads x o s = 2 mu e.
+    """
+
+    def __init__(self, fam, drow):
         self.sl = slice(fam.offset, fam.offset + fam.width)
-        if fam.kind == "herm":
-            self.rows, P, self.U = fam.structure()
-            self.P = P / drow[self.rows, None]
-            self.kmats = smat(herm_row_basis(fam.dim), self.s).reshape(-1, self.s)
-        else:   # real PSD blocks: their dense columns on the rows they touch
-            cols = As[:, self.sl]
-            self.rows = np.unique(cols.nonzero()[0])
-            self.A = cols[self.rows].toarray()
+        self.rows, P, self.U = fam.structure()
+        self.P = P / drow[self.rows, None]
+        self.unit = np.tile([1.0, 1.0, 0.0, 0.0], fam.count)
 
-    def schur(self, G: np.ndarray) -> np.ndarray:
-        """This family's block of As Phi As^T on ``self.rows``, where Phi
-        maps block i by Z -> G[i] Z G[i]."""
-        if self.fam.kind == "psd":
-            Z = smat(self.A.reshape(len(self.rows), self.count, self.sd), self.s)
-            phia = svec(G @ Z @ G).reshape(len(self.rows), -1)
-            return self.A @ phia.T
-        # T_i[k, q] = tr(B_k G_i B_q G_i) = (K Phi_i K^T)[k, q], kmats = (B_k)
-        d2, s = self.fam.dim ** 2, self.s
-        BG = np.matmul(self.kmats, G).reshape(-1, d2, s, s)
-        T = (BG.reshape(-1, d2, s * s)
-             @ BG.transpose(0, 3, 2, 1).reshape(-1, s * s, d2)).reshape(-1, d2 * d2)
-        # S[t, t'] = sum_i U[t, i] U[t', i] T_i, symmetric in (t, t')
-        nt = self.U.shape[0]
-        S = np.empty((nt, nt, d2 * d2))
-        for t in range(nt):
-            S[t, t:] = (self.U[t:] * self.U[t]) @ T
-            S[t:, t] = S[t, t:]
-        S = S.reshape(nt, nt, d2, d2).transpose(0, 2, 1, 3).reshape(nt * d2, nt * d2)
+    def scale(self, x, s):
+        xq = _q(x[self.sl].reshape(-1, 4))
+        sq = _q(s[self.sl].reshape(-1, 4))
+        nx, ns = _jnorm(xq), _jnorm(sq)
+        xh, sh = xq / nx[:, None], sq / ns[:, None]
+        gamma = np.sqrt((1 + np.einsum("ij,ij->i", xh, sh)) / 2)
+        w = (xh + sh * _JSIGN) / (2 * gamma)[:, None]   # P(w) sh = xh, det w = 1
+        v = w.copy()
+        v[:, 0] += 1
+        v /= np.sqrt(2 * v[:, :1])                       # v o v = w
+        lam = np.empty_like(xh)
+        lam[:, 0] = gamma
+        lam[:, 1:] = (((gamma + sh[:, 0])[:, None] * xh[:, 1:]
+                       + (gamma + xh[:, 0])[:, None] * sh[:, 1:])
+                      / (2 * gamma + xh[:, 0] + sh[:, 0])[:, None])
+        # lam^-1/2 of the unit-determinant lam/|lam|, for the step length
+        u = lam * _JSIGN
+        u[:, 0] += 1
+        u /= np.sqrt(2 * u[:, :1])
+        self.lnorm = np.sqrt(nx * ns)
+        self.lam = lam * self.lnorm[:, None]
+        self.beta, self.v, self.u = np.sqrt(nx / ns), v, u
+        self.wc = _q(w)
+
+    def phi(self, z):
+        # Phi = W^2 = beta^2 (2 w w^T - J), applied in Hermitian coordinates
+        z = z.reshape(-1, 4)
+        out = z @ -_JC
+        out += 2 * self.wc * np.einsum("ij,ij->i", self.wc, z)[:, None]
+        return (out * (self.beta ** 2)[:, None]).ravel()
+
+    def to_scaled(self, dx, ds):
+        return (_hyperbolic(self.v * _JSIGN, _q(dx.reshape(-1, 4)), 1 / self.beta),
+                _hyperbolic(self.v, _q(ds.reshape(-1, 4)), self.beta))
+
+    def from_scaled(self, d):
+        return _q(_hyperbolic(self.v, d, self.beta)).ravel()
+
+    def center(self, smu, corr):
+        r = -_jordan(self.lam, self.lam) - corr
+        r[:, 0] += 2 * smu
+        lam = self.lam
+        d = np.empty_like(r)
+        d[:, 0] = ((lam[:, 0] * r[:, 0] - np.einsum("ij,ij->i", lam[:, 1:], r[:, 1:]))
+                   / self.lnorm ** 2)
+        d[:, 1:] = (r[:, 1:] - d[:, :1] * lam[:, 1:]) / lam[:, :1]
+        return d
+
+    def product(self, a, b):
+        return _jordan(a, b)
+
+    def max_step(self, d):
+        rho = _hyperbolic(self.u, d, 1 / self.lnorm)     # P(lam^-1/2) d
+        return _min_step(rho[:, 0] - np.sqrt(np.einsum("ij,ij->i", rho[:, 1:],
+                                                       rho[:, 1:])))
+
+    def schur(self):
+        # sum_i U[t, i] U[t', i] Phi_i, with Phi_i = 2 b_i^2 w_i w_i^T - b_i^2 J
+        b2 = self.beta ** 2
+        V = (self.U[:, None, :] * (np.sqrt(2 * b2) * self.wc.T)[None]).reshape(
+            -1, b2.size)
+        S = V @ V.T - np.kron((self.U * b2) @ self.U.T, _JC)
         return self.P @ S @ self.P.T
 
-    def mats(self, x: np.ndarray) -> np.ndarray:
-        return smat(x[self.sl].reshape(self.count, self.sd), self.s)
 
-    def put(self, x: np.ndarray, mats: np.ndarray) -> None:
-        x[self.sl] = svec(mats).reshape(-1)
+class _Matrix:
+    """Real symmetric or complex Hermitian PSD blocks as matrices, with the
+    NT scaling R^-1 X R^-H = R^H S R = Lam (diagonal) from the Cholesky
+    factors of X and S and an SVD; the scaled space holds matrices in the
+    eigenbasis of the scaled point, and the Jordan product is (AB+BA)/2."""
+
+    def __init__(self, fam, As):
+        self.fam = fam
+        self.sl = slice(fam.offset, fam.offset + fam.width)
+        cols = As[:, self.sl]
+        self.rows = np.unique(cols.nonzero()[0])
+        self.A = cols[self.rows].toarray()
+        self.unit = fam.coords(np.broadcast_to(
+            np.eye(fam.dim), (fam.count, fam.dim, fam.dim))).ravel()
+
+    def _mats(self, v):
+        fam = self.fam
+        return fam.mats(v.reshape(v.shape[:-1] + (fam.count, fam.ncoords)))
+
+    def _vec(self, mats):
+        return self.fam.coords(mats).ravel()
+
+    def scale(self, x, s):
+        Lx = np.linalg.cholesky(self._mats(x[self.sl]))
+        Ls = np.linalg.cholesky(self._mats(s[self.sl]))
+        U, sig, Vh = np.linalg.svd(_herm_t(Ls) @ Lx)
+        r = 1.0 / np.sqrt(sig)
+        self.R = Lx @ _herm_t(Vh) * r[:, None, :]
+        self.Rinv = r[:, :, None] * _herm_t(U) @ _herm_t(Ls)
+        self.G = self.R @ _herm_t(self.R)
+        self.lam = sig
+
+    def phi(self, z):
+        return self._vec(self.G @ self._mats(z) @ self.G)
+
+    def to_scaled(self, dx, ds):
+        Ri, R = self.Rinv, self.R
+        return (Ri @ self._mats(dx) @ _herm_t(Ri),
+                _herm_t(R) @ self._mats(ds) @ R)
+
+    def from_scaled(self, d):
+        return self._vec(self.R @ d @ _herm_t(self.R))
+
+    def center(self, smu, corr):
+        lam = self.lam
+        rhs = np.zeros(lam.shape + lam.shape[-1:], dtype=self.R.dtype)
+        di = np.arange(lam.shape[-1])
+        rhs[:, di, di] = smu - lam ** 2
+        return (rhs - corr) / ((lam[:, :, None] + lam[:, None, :]) / 2)
+
+    def product(self, a, b):
+        return (a @ b + b @ a) / 2
+
+    def max_step(self, d):
+        r = 1.0 / np.sqrt(self.lam)
+        return _min_step(np.linalg.eigvalsh(d * r[:, :, None] * r[:, None, :])[:, 0])
+
+    def schur(self):
+        # Phi applied to each dense row of As restricted to this family
+        Z = self._mats(self.A)
+        phia = self.fam.coords(self.G @ Z @ self.G).reshape(len(self.rows), -1)
+        return self.A @ phia.T
 
 
-class _Scaling:
-    """Nesterov-Todd scaling state for one iterate."""
+def _herm_t(m):
+    return m.conj().swapaxes(-1, -2)
 
-    def __init__(self, groups, lp_slice, x, s):
-        self.groups = groups
-        self.lp = lp_slice
-        self.R, self.Rinv, self.G, self.lam = [], [], [], []
-        for g in groups:
-            X = g.mats(x)
-            S = g.mats(s)
-            Lx = np.linalg.cholesky(X)
-            Ls = np.linalg.cholesky(S)
-            M = np.einsum("bji,bjk->bik", Ls, Lx)          # Ls^T Lx
-            U, sig, Vt = np.linalg.svd(M)
-            R = np.einsum("bij,bkj,bk->bik", Lx, Vt, 1.0 / np.sqrt(sig))
-            Rinv = np.einsum("bi,bji,bkj->bik", 1.0 / np.sqrt(sig), U, Ls)
-            self.R.append(R)
-            self.Rinv.append(Rinv)
-            self.G.append(np.einsum("bij,bkj->bik", R, R))
-            self.lam.append(sig)
-        xl, sl_ = x[lp_slice], s[lp_slice]
-        self.w_lp = np.sqrt(xl / sl_)
-        self.lam_lp = np.sqrt(xl * sl_)
 
-    def scale_x(self, gi, mats):
-        Ri = self.Rinv[gi]
-        return Ri @ mats @ Ri.transpose(0, 2, 1)
+def _cones(psd_fams, lp_slice, As, drow):
+    cones = [_Lorentz(f, drow) if f.kind == "herm" and f.dim == 2
+             else _Matrix(f, As) for f in psd_fams]
+    if lp_slice.stop > lp_slice.start:
+        cones.append(_Nonneg(lp_slice, As))
+    return cones
 
-    def scale_s(self, gi, mats):
-        R = self.R[gi]
-        return R.transpose(0, 2, 1) @ mats @ R
 
-    def unscale_x(self, gi, mats):
-        R = self.R[gi]
-        return R @ mats @ R.transpose(0, 2, 1)
+def _phi(cones, v):
+    out = np.empty_like(v)
+    for g in cones:
+        out[g.sl] = g.phi(v[g.sl])
+    return out
 
-    def phi(self, vec):
-        """Apply Phi = W W^T to a flat vector."""
-        res = np.zeros_like(vec)
-        for gi, g in enumerate(self.groups):
-            Z = g.mats(vec)
-            Gm = self.G[gi]
-            g.put(res, Gm @ Z @ Gm)
-        res[self.lp] = vec[self.lp] * self.w_lp ** 2
-        return res
 
-    def w_apply(self, scaled_mats, lp_scaled, n):
-        """Map scaled-space quantities to a flat x-space vector (apply W)."""
-        out = np.zeros(n)
-        for gi, g in enumerate(self.groups):
-            g.put(out, self.unscale_x(gi, scaled_mats[gi]))
-        out[self.lp] = lp_scaled * self.w_lp
-        return out
+def _schur_complement(cones, nrows) -> np.ndarray:
+    """As Phi As^T (Phi = W W^T), summed cone by cone."""
+    M = np.zeros((nrows, nrows))
+    for g in cones:
+        M[np.ix_(g.rows, g.rows)] += g.schur()
+    return (M + M.T) / 2
 
-    def max_step(self, dmats_scaled, dlp_scaled):
-        """Largest alpha keeping lambda + alpha*d in the cone (scaled space)."""
-        alpha = np.inf
-        for gi in range(len(self.groups)):
-            lam = self.lam[gi]
-            d = dmats_scaled[gi] / np.sqrt(lam)[:, :, None] / np.sqrt(lam)[:, None, :]
-            if d.size:
-                emin = np.linalg.eigvalsh(d)[:, 0].min()
-                if emin < 0:
-                    alpha = min(alpha, -1.0 / emin)
-        if dlp_scaled.size:
-            mn = (dlp_scaled / self.lam_lp).min()
-            if mn < 0:
-                alpha = min(alpha, -1.0 / mn)
-        return alpha
 
+# ---------------------------------------------------------------------------
+# HSD interior-point core
+# ---------------------------------------------------------------------------
 
 def _chol_reg(M):
     base = np.mean(np.abs(np.diag(M))) + 1.0
@@ -734,21 +867,12 @@ def _cho_solve_refined(L, M, rhs):
     return z
 
 
-def _schur_complement(groups, As_lp, At_lp, sc: _Scaling) -> np.ndarray:
-    """As Phi As^T (Phi = W W^T) by family; As_lp: the LP columns, CSR."""
-    scaled = (As_lp.data * sc.w_lp[As_lp.indices] ** 2, As_lp.indices, As_lp.indptr)
-    M = (sp.csr_matrix(scaled, shape=As_lp.shape) @ At_lp).toarray()
-    for g, G in zip(groups, sc.G):
-        M[np.ix_(g.rows, g.rows)] += g.schur(G)
-    return (M + M.T) / 2
-
-
 def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
     A, b, c, psd_fams, lp_width = prog.build()
     nrows, n = A.shape
     lp_off = sum(f.width for f in psd_fams)
     lp_slice = slice(lp_off, lp_off + lp_width)
-    degree = sum(f.count * f.block_size for f in psd_fams) + lp_width
+    degree = sum(f.count * f.dim for f in psd_fams) + lp_width
 
     if nrows == 0:
         raise SolverFailure("program has no equality rows", program=prog)
@@ -760,19 +884,14 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
     As = (sp.diags(1.0 / drow) @ A).tocsr()
     bs = b / drow
     At = As.T.tocsr()
-    groups = [_PsdGroup(f, As, drow) for f in psd_fams]
-    As_lp, At_lp = As[:, lp_slice], At[lp_slice]
+    cones = _cones(psd_fams, lp_slice, As, drow)
     norm_b = 1 + np.linalg.norm(bs)
     norm_c = 1 + np.linalg.norm(c)
 
-    x = np.zeros(n)
-    s = np.zeros(n)
-    for g in groups:
-        eye = np.broadcast_to(np.eye(g.s), (g.count, g.s, g.s)).copy()
-        g.put(x, eye)
-        g.put(s, eye)
-    x[lp_slice] = 1.0
-    s[lp_slice] = 1.0
+    x = np.empty(n)
+    for g in cones:
+        x[g.sl] = g.unit
+    s = x.copy()
     y = np.zeros(nrows)
     tau, kappa = 1.0, 1.0
     mu0 = (x @ s + tau * kappa) / (degree + 1)
@@ -789,24 +908,31 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
         rz = c @ x - bs @ y + kappa
 
         xs, ys, ss = x / tau, y / tau, s / tau
-        pres = np.linalg.norm(As @ xs - bs) / norm_b
-        dres = np.linalg.norm(At @ ys + ss - c) / norm_c
+        rp, rd = As @ xs - bs, At @ ys + ss - c
+        pres = np.linalg.norm(rp) / norm_b
+        dres = np.linalg.norm(rd) / norm_c
         pobj, dobj = c @ xs, bs @ ys
-        relgap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
+        objscale = 1 + abs(pobj) + abs(dobj)
+        relgap = abs(pobj - dobj) / objscale
         if verbose:
             print(f"  it={it:3d} mu={mu:9.2e} pres={pres:8.1e} dres={dres:8.1e} "
                   f"gap={relgap:8.1e} tau={tau:8.1e} kappa={kappa:8.1e}")
         if pres <= feastol and dres <= feastol and relgap <= gaptol:
-            # keep polishing until weak duality holds to 1e-10 or progress
-            # stalls; among qualifying iterates prefer small residuals
-            crossover = (dobj - pobj) / (1 + abs(pobj) + abs(dobj))
-            score = (crossover > 1e-10, max(pres, dres, relgap))
+            # keep polishing until weak duality holds to 1e-10 and the
+            # objective has settled, or progress stalls.  The objective's
+            # error is estimated by the gap plus each residual priced by
+            # the other side's iterate (large duals turn a small primal
+            # residual into a large objective error); among qualifying
+            # iterates the smallest estimate wins
+            crossover = (dobj - pobj) / objscale
+            err = (abs(pobj - dobj) + abs(ys @ rp) + abs(xs @ rd)) / objscale
+            score = (crossover > 1e-10, err)
             if candidate is None or score < candidate[0]:
                 candidate = (score, x.copy(), y.copy(), s.copy(), tau,
                              pres, dres)
             polish += 1
-            if (crossover <= 1e-10 and max(pres, dres) <= 0.03 * feastol) \
-                    or polish >= 10:
+            if (crossover <= 1e-10 and max(pres, dres) <= 0.03 * feastol
+                    and err <= 0.1 * gaptol) or polish >= 10:
                 status = "optimal"
                 break
         by, cx = bs @ y, c @ x
@@ -822,41 +948,29 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
             break
 
         try:
-            sc = _Scaling(groups, lp_slice, x, s)
+            for g in cones:
+                g.scale(x, s)
         except np.linalg.LinAlgError:
             break
-        M = _schur_complement(groups, As_lp, At_lp, sc)
+        M = _schur_complement(cones, nrows)
         Lm = _chol_reg(M)
         if Lm is None:
             break
-        phic = sc.phi(c)
-        phirx = sc.phi(rx)
+        phic = _phi(cones, c)
+        phirx = _phi(cones, rx)
         asphirx = As @ phirx
         u2 = _cho_solve_refined(Lm, M, As @ phic + bs)
-        p2 = sc.phi(At @ u2) - phic
+        p2 = _phi(cones, At @ u2) - phic
         den = c @ p2 - bs @ u2 - kappa / tau
 
-        def direction(eta, sigma, corr_mats, corr_lp, corr_tk):
-            dmats = []
-            for gi, g in enumerate(sc.groups):
-                lam = sc.lam[gi]
-                rhs = np.zeros((g.count, g.s, g.s))
-                di = np.arange(g.s)
-                rhs[:, di, di] = -lam ** 2 + sigma * mu
-                if corr_mats is not None:
-                    rhs = rhs - corr_mats[gi]
-                denom = (lam[:, :, None] + lam[:, None, :]) / 2
-                dmats.append(rhs / denom)
-            rhs_lp = -sc.lam_lp ** 2 + sigma * mu
-            if corr_lp is not None:
-                rhs_lp = rhs_lp - corr_lp
-            d_lp = rhs_lp / sc.lam_lp if lp_width else rhs_lp
+        def direction(eta, sigma, corr, corr_tk):
+            wu = np.empty(n)
+            for g, cg in zip(cones, corr):
+                wu[g.sl] = g.from_scaled(g.center(sigma * mu, cg))
             rhs_tk = sigma * mu - tau * kappa - corr_tk
-
-            wu = sc.w_apply(dmats, d_lp, n)
             rhs1 = -eta * ry - As @ wu - eta * asphirx
             u1 = _cho_solve_refined(Lm, M, rhs1)
-            p1 = wu + eta * phirx + sc.phi(At @ u1)
+            p1 = wu + eta * phirx + _phi(cones, At @ u1)
             if abs(den) < 1e-300:
                 raise FloatingPointError("singular tau equation")
             dtau = (-eta * rz - c @ p1 + bs @ u1 - rhs_tk / tau) / den
@@ -866,40 +980,30 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
             dkappa = (rhs_tk - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
 
-        def scaled_steps(dx, ds):
-            dxs = [sc.scale_x(gi, g.mats(dx)) for gi, g in enumerate(groups)]
-            dss = [sc.scale_s(gi, g.mats(ds)) for gi, g in enumerate(groups)]
-            dxl = dx[lp_slice] / sc.w_lp if lp_width else dx[lp_slice]
-            dsl = ds[lp_slice] * sc.w_lp if lp_width else ds[lp_slice]
-            return dxs, dss, dxl, dsl
+        def step_bound(dx, ds, dtau, dkappa):
+            """Scaled steps per cone, and the largest feasible alpha."""
+            steps = [g.to_scaled(dx[g.sl], ds[g.sl]) for g in cones]
+            amax = min(min(g.max_step(a), g.max_step(b))
+                       for g, (a, b) in zip(cones, steps))
+            if dtau < 0:
+                amax = min(amax, -tau / dtau)
+            if dkappa < 0:
+                amax = min(amax, -kappa / dkappa)
+            return steps, amax
 
         try:
-            dxa, dya, dsa, dta, dka = direction(1.0, 0.0, None, None, 0.0)
-            dxs, dss, dxl, dsl = scaled_steps(dxa, dsa)
-            amax = min(sc.max_step(dxs, dxl), sc.max_step(dss, dsl))
-            if dta < 0:
-                amax = min(amax, -tau / dta)
-            if dka < 0:
-                amax = min(amax, -kappa / dka)
+            dxa, dya, dsa, dta, dka = direction(1.0, 0.0, [0.0] * len(cones), 0.0)
+            steps, amax = step_bound(dxa, dsa, dta, dka)
             aaff = min(1.0, amax)
             mua = ((x + aaff * dxa) @ (s + aaff * dsa)
                    + (tau + aaff * dta) * (kappa + aaff * dka)) / (degree + 1)
             sigma = min(1.0, max(0.0, mua / mu)) ** 3
-            corr_mats = [(np.einsum("bij,bjk->bik", dxs[gi], dss[gi])
-                          + np.einsum("bij,bjk->bik", dss[gi], dxs[gi])) / 2
-                         for gi in range(len(groups))]
-            corr_lp = dxl * dsl
-            dx, dy, ds, dt, dk = direction(1.0 - sigma, sigma,
-                                           corr_mats, corr_lp, dta * dka)
+            corr = [g.product(a, b) for g, (a, b) in zip(cones, steps)]
+            dx, dy, ds, dt, dk = direction(1.0 - sigma, sigma, corr, dta * dka)
         except (np.linalg.LinAlgError, FloatingPointError):
             break
 
-        dxs, dss, dxl, dsl = scaled_steps(dx, ds)
-        amax = min(sc.max_step(dxs, dxl), sc.max_step(dss, dsl))
-        if dt < 0:
-            amax = min(amax, -tau / dt)
-        if dk < 0:
-            amax = min(amax, -kappa / dk)
+        _, amax = step_bound(dx, ds, dt, dk)
         alpha = min(1.0, _STEP_FRACTION * amax)
         if alpha <= 1e-13:
             break
@@ -918,11 +1022,10 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
     sol = ConicSolution(status="numerical-failure", iterations=it)
     if status == "optimal":
         xs = x / tau
-        ss = s / tau
         sol.status = "optimal"
-        sol.primal = _extract_primal(prog, groups, lp_slice, xs)
+        sol.primal = _extract_primal(prog, xs)
         sol.dual_rows = _extract_duals(prog, y_orig / tau)
-        sol.dual_slack = _extract_primal(prog, groups, lp_slice, ss, slack=True)
+        sol.dual_slack = _extract_primal(prog, s / tau)
         sol.pobj = float(c @ xs + prog.objective_constant)
         sol.dobj = float(b @ (y_orig / tau) + prog.objective_constant)
         sol.gap = abs(sol.pobj - sol.dobj) / (1 + abs(sol.pobj) + abs(sol.dobj))
@@ -938,7 +1041,7 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
     if status == "unbounded":
         sol.status = "unbounded"
         cx = c @ x
-        sol.ray = {"x": _extract_primal(prog, groups, lp_slice, x / -cx)}
+        sol.ray = {"x": _extract_primal(prog, x / -cx)}
         sol.ray_violation = float(-cx / np.linalg.norm(x))
         return sol
 
@@ -949,23 +1052,16 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
         program=prog, report=report)
 
 
-def _extract_primal(prog: ConicProgram, groups, lp_slice, vec, slack=False):
+def _extract_primal(prog: ConicProgram, vec):
     out = {}
-    gi = 0
     for fam in prog.families.values():
+        blk = vec[fam.offset:fam.offset + fam.width]
         if fam.kind in ("herm", "psd"):
-            mats = groups[gi].mats(vec)
-            gi += 1
-            if fam.kind == "herm":
-                out[fam.name] = unembed_hermitian(mats) * (2.0 if slack else 1.0)
-            else:
-                out[fam.name] = mats
+            out[fam.name] = fam.mats(blk.reshape(fam.count, fam.ncoords))
         elif fam.kind == "nonneg":
-            out[fam.name] = vec[fam.offset:fam.offset + fam.count].copy()
+            out[fam.name] = blk.copy()
         else:
-            plus = vec[fam.offset:fam.offset + fam.count]
-            minus = vec[fam.offset + fam.count:fam.offset + 2 * fam.count]
-            out[fam.name] = plus - minus
+            out[fam.name] = blk[:fam.count] - blk[fam.count:]
     return out
 
 

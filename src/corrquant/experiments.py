@@ -145,24 +145,15 @@ def _evaluate_point(spec: SweepSpec, alice, bob, param: float, kind: str) -> flo
 def sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the grid and report thresholds and linearity diagnostics.
 
-    Grid points are independent pure computations; ``workers`` > 1 runs
-    them on a thread pool.  That does not make sweeps faster: the solves
-    are small and spend most of their time in Python, which holds the
-    GIL, so on 2 cores ``workers=2`` measured slower than ``workers=1``
-    (about 2x on the criterion-4 steering grid, 1.1-1.6x on the CHSH
-    grid).  Output order is deterministic either way.
+    Grid points are evaluated one after another, in grid order.
+    ``workers`` is accepted for compatibility and ignored: the solves are
+    small and spend most of their time in Python, which holds the GIL,
+    so a thread pool measured slower than the serial loop on 2 cores.
     """
     alice = _alice_set(spec)
     bob = _bob_set(spec) if spec.scenario == "nonlocality" else None
     jobs = [(float(param), kind) for param in spec.grid for kind in spec.kinds]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda pk: _evaluate_point(spec, alice, bob, pk[0], pk[1]),
-                jobs))
-    else:
-        results = [_evaluate_point(spec, alice, bob, p, k) for p, k in jobs]
+    results = [_evaluate_point(spec, alice, bob, p, k) for p, k in jobs]
     rows = []
     values = {kind: [] for kind in spec.kinds}
     for (param, kind), val in zip(jobs, results):

@@ -240,9 +240,6 @@ class MomentMatrix:
         """CG vector read off the matrix cells."""
         return np.array([self.gamma[c] for c in self.template.cg_cells])
 
-    def class_values(self) -> np.ndarray:
-        return np.array([self.gamma[cells[0]] for cells in self.template.classes])
-
 
 @dataclass
 class BellFunctional:

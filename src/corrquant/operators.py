@@ -85,16 +85,6 @@ def matrix_sqrt(op) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def is_psd(op, tol: float = 1e-9) -> bool:
-    """True when the smallest eigenvalue is at least ``-tol``."""
-    mat = hermitize(asmatrix(op))
-    return bool(np.linalg.eigvalsh(mat)[0] >= -tol)
-
-
-def min_eigenvalue(op) -> float:
-    return float(np.linalg.eigvalsh(hermitize(asmatrix(op)))[0])
-
-
 def basis_transpose(op, basis) -> np.ndarray:
     """Transpose in the orthonormal basis given by the columns of ``basis``.
 

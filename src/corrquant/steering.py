@@ -75,9 +75,6 @@ class SteeringInequality:
         return float(np.einsum("xaij,xaji->", self.coefficients,
                                assemblage.members).real)
 
-    def lhs_bound_by_enumeration(self) -> float:
-        return strategy_bound(self.coefficients)
-
     def to_text(self) -> str:
         """Human-readable inequality: coefficients per (a|x) plus the bound."""
         m, n = self.coefficients.shape[:2]

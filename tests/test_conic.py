@@ -7,15 +7,13 @@ import scipy.sparse as sp
 from corrquant import scenario
 from corrquant.conic import (
     ConicProgram,
-    _PsdGroup,
-    _Scaling,
+    _cones,
+    _phi,
     _schur_complement,
-    embed_hermitian,
     hermitian_coords,
     hermitian_from_coords,
     smat,
     svec,
-    unembed_hermitian,
     verify_solution,
 )
 from corrquant.decomposition import build_program
@@ -41,24 +39,19 @@ def test_svec_roundtrip():
 
 def test_hermitian_embedding_roundtrip():
     h = random_hermitian(4)
-    emb = embed_hermitian(h)
-    assert np.allclose(emb, emb.T)
-    assert np.allclose(unembed_hermitian(emb), h)
-    # a stack unembeds block by block, structured or not
-    rng = np.random.default_rng(5)
-    stack = np.array([random_hermitian(4, rng) for _ in range(3)])
-    assert np.allclose(unembed_hermitian(
-        np.array([embed_hermitian(m) for m in stack])), stack)
-    sym = rng.normal(size=(3, 8, 8))
-    sym = sym + sym.transpose(0, 2, 1)
-    assert np.array_equal(unembed_hermitian(sym),
-                          np.array([unembed_hermitian(m) for m in sym]))
-    # embedding inner product double-counts
-    h2 = random_hermitian(4)
-    lhs = np.trace(embed_hermitian(h) @ embed_hermitian(h2))
-    assert np.isclose(lhs, 2 * np.trace(h @ h2).real)
     coords = hermitian_coords(h, 4)
     assert np.allclose(hermitian_from_coords(coords, 4), h)
+    # a stack converts block by block, both ways
+    rng = np.random.default_rng(5)
+    stack = np.array([random_hermitian(4, rng) for _ in range(3)])
+    cstack = hermitian_coords(stack, 4)
+    assert np.array_equal(cstack, np.array([hermitian_coords(m, 4) for m in stack]))
+    assert np.array_equal(hermitian_from_coords(cstack, 4),
+                          np.array([hermitian_from_coords(c, 4) for c in cstack]))
+    assert np.allclose(hermitian_from_coords(cstack, 4), stack)
+    # the coordinates are isometric: the trace inner product is their dot
+    h2 = random_hermitian(4)
+    assert np.isclose(coords @ hermitian_coords(h2, 4), np.trace(h @ h2).real)
 
 
 def test_lp_min_above_bound():
@@ -304,6 +297,25 @@ def _mixed_program():
     return prog
 
 
+def _kernel_program():
+    """One family of every cone kind: 2x2 and 3x3 Hermitian, real
+    symmetric, nonnegative and free."""
+    prog = ConicProgram("kernels")
+    prog.add_hermitian_family("H2", 4, 2)
+    prog.add_hermitian_family("H3", 3, 3)
+    prog.add_psd_family("P", 2, 3)
+    prog.add_nonneg("t", 3)
+    prog.add_free("w", 1)
+    prog.add_matrix_row_group(("m2",), np.eye(2), [("sum", "H2", [0, 1, 3], 1.0)])
+    prog.add_matrix_row_group(("m3",), np.eye(3), [("sum", "H3", [0, 2], 1.0),
+                                                   ("one", "H3", 1, -1.0)])
+    prog.add_scalar_row(("tr",), 1.0, [("tr", "P", [0, 1], 1.0),
+                                       ("tr", "H2", [2], 1.0),
+                                       ("lin", "t", [0, 1, 2], [1.0, 2.0, -1.0]),
+                                       ("lin", "w", [0], [1.0])])
+    return prog
+
+
 def _schur_program(name):
     ms = scenario.lossy(scenario.bloch_measurements(
         scenario.dodecahedron_vectors()[:3]), 0.4)
@@ -314,28 +326,71 @@ def _schur_program(name):
         "IW": lambda: build_program("incompat", "weight", ms.effects, eye),
         "SR": lambda: build_program("steering", "SR", assemblage.members, rho_b),
         "mixed": _mixed_program,
+        "kernels": _kernel_program,
     }[name]()
 
 
-@pytest.mark.parametrize("name", ["IR", "IW", "SR", "mixed"])
-def test_structured_schur_matches_dense_product(name):
-    prog = _schur_program(name)
+def _interior_point(prog, rng):
+    """Random x, s inside the cone of ``prog``, and its cones."""
     A, _, _, psd_fams, lp_width = prog.build()
-    drow = np.maximum(np.abs(A).max(axis=1).toarray().ravel(), 1e-12)
-    As = (sp.diags(1.0 / drow) @ A).tocsr()
-    groups = [_PsdGroup(f, As, drow) for f in psd_fams]
-    lp_off = sum(f.width for f in psd_fams)
-    lp_slice = slice(lp_off, lp_off + lp_width)
-    rng = np.random.default_rng(13)
     x, s = np.zeros(A.shape[1]), np.zeros(A.shape[1])
     for vec in (x, s):
-        for g in groups:
-            r = rng.normal(size=(g.count, g.s, g.s))
-            g.put(vec, r @ r.transpose(0, 2, 1) + 0.1 * np.eye(g.s))
-        vec[lp_slice] = rng.uniform(0.1, 2.0, lp_width)
-    sc = _Scaling(groups, lp_slice, x, s)
-    M = _schur_complement(groups, As[:, lp_slice], As.T.tocsr()[lp_slice], sc)
+        for f in psd_fams:
+            r = rng.normal(size=(f.count, f.dim, f.dim))
+            if f.kind == "herm":
+                r = r + 1j * rng.normal(size=r.shape)
+            blocks = r @ r.conj().transpose(0, 2, 1) + 0.1 * np.eye(f.dim)
+            vec[f.offset:f.offset + f.width] = f.coords(blocks).ravel()
+        vec[A.shape[1] - lp_width:] = rng.uniform(0.1, 2.0, lp_width)
+    drow = np.maximum(np.abs(A).max(axis=1).toarray().ravel(), 1e-12)
+    As = (sp.diags(1.0 / drow) @ A).tocsr()
+    lp_slice = slice(A.shape[1] - lp_width, A.shape[1])
+    cones = _cones(psd_fams, lp_slice, As, drow)
+    for g in cones:
+        g.scale(x, s)
+    return As, x, s, cones
+
+
+@pytest.mark.parametrize("name", ["IR", "IW", "SR", "mixed", "kernels"])
+def test_structured_schur_matches_dense_product(name):
+    prog = _schur_program(name)
+    As, _, _, cones = _interior_point(prog, np.random.default_rng(13))
+    M = _schur_complement(cones, As.shape[0])
     # reference: As Phi As^T with Phi applied to each dense row of As
     Ad = As.toarray()
-    ref = Ad @ np.array([sc.phi(row) for row in Ad]).T
+    ref = Ad @ np.array([_phi(cones, row) for row in Ad]).T
     assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_nt_scaling_kernels():
+    """On every cone kind (2x2 Hermitian in closed form, 3x3 Hermitian and
+    real symmetric as matrices, scalars) the scaling maps x and s to one
+    point lam, Phi maps s to x, centering inverts lam o . at the barrier
+    degree of the block, and the step length stops on the boundary."""
+    prog = _kernel_program()
+    rng = np.random.default_rng(21)
+    _, x, s, cones = _interior_point(prog, rng)
+    fams = {f.offset: f for f in prog.build()[3]}
+    for g in cones:
+        fam = fams.get(g.sl.start)     # None for the scalars
+        lam, lam_s = g.to_scaled(x[g.sl], s[g.sl])
+        assert np.allclose(lam_s, lam)
+        assert np.allclose(g.from_scaled(lam), x[g.sl])
+        assert np.allclose(g.phi(s[g.sl]), x[g.sl])
+        assert np.allclose(g.center(0.0, 0.0), -lam)
+        d = g.center(0.3, 0.0)
+        degree = fam.count * fam.dim if fam else lam.size
+        assert np.isclose(np.vdot(lam, d).real,
+                          0.3 * degree - np.vdot(lam, lam).real)
+        corr = g.product(lam, d)
+        assert np.allclose(g.product(lam, g.center(0.3, corr) - d), -corr)
+        step = rng.normal(size=lam.shape)
+        if np.iscomplexobj(lam):
+            step = step + 1j * rng.normal(size=lam.shape)
+        if lam.ndim == 3:
+            step = step + step.conj().transpose(0, 2, 1)
+        alpha = g.max_step(step)
+        edge = g.from_scaled(lam + alpha * step)
+        low = (np.linalg.eigvalsh(fam.mats(edge.reshape(fam.count, -1)))[:, 0]
+               if fam else edge).min()
+        assert abs(low) <= 1e-9 * np.abs(edge).max()
