@@ -29,23 +29,30 @@ right-hand side (d*d real rows, one per basis coordinate), or a single
 scalar row.  Dual multipliers are reported per row group, reassembled
 into Hermitian matrices for matrix groups.
 
-Each iteration factors the dense Schur complement As Phi As^T (Phi is
-the NT scaling), assembled family by family.  The row builders record
-which rows each 2x2 Hermitian block touches with which weight and
-through which coordinate functional; that family's term is then one
-closed-form T_i = Phi_i per block, summed against those weights (after
-Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  Matrix families use
-their dense columns of As, and scalars a sparse diagonal product.
+Each cone owns its columns of the row-equilibrated As and applies them
+itself: the iteration's products As v and As^T y and its dense Schur
+complement As Phi As^T (Phi is the NT scaling) are sums over the cones,
+so no sparse product runs inside the loop (the design of ECOS, Domahidi,
+Chu & Boyd, ECC 2013).  The row builders record which rows each 2x2
+Hermitian block touches with which weight and through which coordinate
+functional, so a family's columns are P kron(U[:, i], I) for block i;
+its products are P (U X) and U^T (P^T y), and its Schur term is one
+closed-form Phi_i per block summed against the weights U (after
+Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  A run of consecutive
+2x2 Hermitian families is one Lorentz cone, so its closed-form kernels
+run once per iteration over all its blocks.  Matrix families and scalars
+use their dense columns on the rows they touch.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from .errors import SolverFailure
 from .operators import hermitize
@@ -82,13 +89,22 @@ def smat(vec: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _offdiag_index(d: int):
+    """Strict upper-triangle indices for size ``d``."""
+    iu, ju = np.triu_indices(d, k=1)
+    for arr in (iu, ju):
+        arr.flags.writeable = False
+    return iu, ju
+
+
 def hermitian_coords(mat: np.ndarray, d: int) -> np.ndarray:
     """Real coordinates tr(F_k M) in the orthonormal Hermitian basis.
 
     Basis order: diagonal units, then (E_ij+E_ji)/sqrt2, then
     i(E_ij-E_ji)/sqrt2 for i<j row-major.  Batched over leading axes.
     """
-    iu, ju = np.triu_indices(d, k=1)
+    iu, ju = _offdiag_index(d)
     diag = np.diagonal(mat, axis1=-2, axis2=-1).real
     off = np.sqrt(2.0) * mat[..., iu, ju]
     return np.concatenate([diag, off.real, off.imag], axis=-1)
@@ -96,7 +112,7 @@ def hermitian_coords(mat: np.ndarray, d: int) -> np.ndarray:
 
 def hermitian_from_coords(coords: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`hermitian_coords`."""
-    iu, ju = np.triu_indices(d, k=1)
+    iu, ju = _offdiag_index(d)
     noff = iu.size
     mat = np.zeros(coords.shape[:-1] + (d, d), dtype=complex)
     mat[..., np.arange(d), np.arange(d)] = coords[..., :d]
@@ -503,10 +519,8 @@ def _block_margins(prog, blocks):
             continue
         blk = blocks[fam.name]
         if fam.kind in ("herm", "psd"):
-            arr = np.asarray(blk, dtype=complex)
-            for i in range(fam.count):
-                margin = min(margin, float(np.linalg.eigvalsh(
-                    hermitize(arr[i]))[0]))
+            low = np.linalg.eigvalsh(hermitize(blk))[:, 0]
+            margin = float(np.min(low, initial=margin))
         elif fam.kind == "nonneg":
             if np.size(blk):
                 margin = min(margin, float(np.min(blk)))
@@ -585,11 +599,24 @@ def _duals_to_vec(prog: ConicProgram, duals: dict) -> np.ndarray:
 #   product(a, b)      a o b
 #   max_step(d)        largest alpha with lam + alpha d in the cone
 #   schur()            this cone's term of As Phi As^T on the rows ``rows``
+#
+# and two products with its columns of As, which are zero off ``rows``:
+#
+#   matvec(v)          its term of As v on ``rows``, from v on the slice
+#   rmatvec(y)         its slice of As^T y, from the whole y
 
 def _min_step(lmin) -> float:
     """Largest alpha with 1 + alpha * lmin >= 0 for every entry."""
-    low = np.min(lmin, initial=0.0)
+    low = lmin.min(initial=0.0)
     return -1.0 / low if low < 0 else np.inf
+
+
+def _dense_columns(As, sl):
+    """The rows that columns ``sl`` of As touch, and those columns there,
+    as a dense array."""
+    cols = As[:, sl].toarray()
+    rows = np.flatnonzero(np.any(cols != 0, axis=1))
+    return rows, cols[rows]
 
 
 class _Nonneg:
@@ -597,11 +624,14 @@ class _Nonneg:
 
     def __init__(self, sl, As):
         self.sl = sl
-        cols = As[:, sl]
-        self.rows = np.nonzero(np.diff(cols.indptr))[0]
-        self.A = cols[self.rows]
-        self.At = self.A.T.tocsr()
+        self.rows, self.A = _dense_columns(As, sl)
         self.unit = np.ones(sl.stop - sl.start)
+
+    def matvec(self, v):
+        return self.A @ v
+
+    def rmatvec(self, y):
+        return y[self.rows] @ self.A
 
     def scale(self, x, s):
         x, s = x[self.sl], s[self.sl]
@@ -627,10 +657,7 @@ class _Nonneg:
         return _min_step(d / self.lam)
 
     def schur(self):
-        A = self.A
-        scaled = sp.csr_matrix((A.data * self.w[A.indices] ** 2, A.indices,
-                                A.indptr), shape=A.shape)
-        return (scaled @ self.At).toarray()
+        return (self.A * self.w ** 2) @ self.A.T
 
 
 _R2 = np.sqrt(0.5)
@@ -674,19 +701,43 @@ def _jordan(a, b):
 
 
 class _Lorentz:
-    """2x2 Hermitian PSD blocks as the Lorentz cone Q^4, in closed form.
+    """A run of consecutive families of 2x2 Hermitian PSD blocks as the
+    Lorentz cone Q^4, in closed form.
 
     The NT scaling is W = beta (2 v v^T - J) with v^T J v = 1 (Alizadeh &
     Goldfarb, Math. Prog. 95, 2003).  The scaled space holds Q^4
     coordinates under the Jordan product with unit e = (1, 0, 0, 0), in
     which the central X o S = mu 1 of 2x2 matrices reads x o s = 2 mu e.
+
+    Each family keeps its own structure (rows, P, U) from
+    :meth:`_Family.structure`; the P are stacked into one matrix on the
+    run's rows, family f owning its columns ``cols`` of it and its blocks
+    ``blocks`` of the run.
     """
 
-    def __init__(self, fam, drow):
-        self.sl = slice(fam.offset, fam.offset + fam.width)
-        self.rows, P, self.U = fam.structure()
-        self.P = P / drow[self.rows, None]
-        self.unit = np.tile([1.0, 1.0, 0.0, 0.0], fam.count)
+    def __init__(self, fams, drow):
+        self.sl = slice(fams[0].offset, fams[-1].offset + fams[-1].width)
+        structs = [f.structure() for f in fams]
+        self.rows = np.unique(np.concatenate([rows for rows, _, _ in structs]))
+        self.P = np.zeros((self.rows.size, sum(P.shape[1] for _, P, _ in structs)))
+        self.parts = []           # (blocks, cols, U) per family
+        block = col = 0
+        for f, (rows, P, U) in zip(fams, structs):
+            cols = slice(col, col + P.shape[1])
+            self.P[np.searchsorted(self.rows, rows), cols] = P / drow[rows, None]
+            self.parts.append((slice(block, block + f.count), cols, U))
+            block, col = block + f.count, cols.stop
+        self.unit = np.tile([1.0, 1.0, 0.0, 0.0], block)
+
+    def matvec(self, v):
+        X = v.reshape(-1, 4)
+        return self.P @ np.concatenate([(U @ X[blocks]).ravel()
+                                        for blocks, _, U in self.parts])
+
+    def rmatvec(self, y):
+        z = y[self.rows] @ self.P
+        return np.concatenate([(U.T @ z[cols].reshape(-1, 4)).ravel()
+                               for _, cols, U in self.parts])
 
     def scale(self, x, s):
         xq = _q(x[self.sl].reshape(-1, 4))
@@ -745,11 +796,16 @@ class _Lorentz:
                                                        rho[:, 1:])))
 
     def schur(self):
-        # sum_i U[t, i] U[t', i] Phi_i, with Phi_i = 2 b_i^2 w_i w_i^T - b_i^2 J
-        b2 = self.beta ** 2
-        V = (self.U[:, None, :] * (np.sqrt(2 * b2) * self.wc.T)[None]).reshape(
-            -1, b2.size)
-        S = V @ V.T - np.kron((self.U * b2) @ self.U.T, _JC)
+        # per family, sum_i U[t, i] U[t', i] Phi_i with
+        # Phi_i = 2 b_i^2 w_i w_i^T - b_i^2 J, between that family's P
+        S = np.zeros((self.P.shape[1],) * 2)
+        for blocks, cols, U in self.parts:
+            b2 = self.beta[blocks] ** 2
+            V = (U[:, None, :] * (np.sqrt(2 * b2) * self.wc[blocks].T)[None]).reshape(
+                -1, b2.size)
+            K = (U * b2) @ U.T                       # kron(K, J) below
+            S[cols, cols] = V @ V.T - (K[:, None, :, None] * _JC[:, None]).reshape(
+                V.shape[0], -1)
         return self.P @ S @ self.P.T
 
 
@@ -762,11 +818,15 @@ class _Matrix:
     def __init__(self, fam, As):
         self.fam = fam
         self.sl = slice(fam.offset, fam.offset + fam.width)
-        cols = As[:, self.sl]
-        self.rows = np.unique(cols.nonzero()[0])
-        self.A = cols[self.rows].toarray()
+        self.rows, self.A = _dense_columns(As, self.sl)
         self.unit = fam.coords(np.broadcast_to(
             np.eye(fam.dim), (fam.count, fam.dim, fam.dim))).ravel()
+
+    def matvec(self, v):
+        return self.A @ v
+
+    def rmatvec(self, y):
+        return y[self.rows] @ self.A
 
     def _mats(self, v):
         fam = self.fam
@@ -822,11 +882,34 @@ def _herm_t(m):
 
 
 def _cones(psd_fams, lp_slice, As, drow):
-    cones = [_Lorentz(f, drow) if f.kind == "herm" and f.dim == 2
-             else _Matrix(f, As) for f in psd_fams]
+    """One cone per run of consecutive 2x2 Hermitian families, per other
+    matrix family, and one for all scalars."""
+    cones = []
+    for lorentz, run in itertools.groupby(
+            psd_fams, key=lambda f: f.kind == "herm" and f.dim == 2):
+        if lorentz:
+            cones.append(_Lorentz(list(run), drow))
+        else:
+            cones.extend(_Matrix(f, As) for f in run)
     if lp_slice.stop > lp_slice.start:
         cones.append(_Nonneg(lp_slice, As))
     return cones
+
+
+def _matvec(cones, v, nrows):
+    """As v, summed cone by cone."""
+    out = np.zeros(nrows)
+    for g in cones:
+        out[g.rows] += g.matvec(v[g.sl])
+    return out
+
+
+def _rmatvec(cones, y, ncols):
+    """As^T y, sliced cone by cone."""
+    out = np.empty(ncols)
+    for g in cones:
+        out[g.sl] = g.rmatvec(y)
+    return out
 
 
 def _phi(cones, v):
@@ -849,21 +932,41 @@ def _schur_complement(cones, nrows) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _chol_reg(M):
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        pass
     base = np.mean(np.abs(np.diag(M))) + 1.0
-    reg = 0.0
-    for k in range(7):
+    for k in range(6):
         try:
-            return np.linalg.cholesky(M + reg * np.eye(M.shape[0]))
+            return np.linalg.cholesky(
+                M + base * 10.0 ** (-14 + 2 * k) * np.eye(M.shape[0]))
         except np.linalg.LinAlgError:
-            reg = base * 10.0 ** (-14 + 2 * k)
+            pass
     return None
 
 
+def _row_scale(A):
+    """max |A_ij| over each row of the CSR ``A``, at least 1e-12."""
+    mag = np.zeros(A.shape[0])
+    filled = np.diff(A.indptr) > 0
+    if filled.any():
+        mag[filled] = np.maximum.reduceat(np.abs(A.data), A.indptr[:-1][filled])
+    return np.maximum(mag, 1e-12)
+
+
+def _potrs(L, rhs):
+    # L.T is the upper factor in Fortran order, so LAPACK reads it uncopied
+    z, info = dpotrs(L.T, rhs, lower=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrs returned info={info}")
+    return z
+
+
 def _cho_solve_refined(L, M, rhs):
-    z = cho_solve((L, True), rhs, check_finite=False)
+    z = _potrs(L, rhs)
     for _ in range(2):
-        r = rhs - M @ z
-        z += cho_solve((L, True), r, check_finite=False)
+        z += _potrs(L, rhs - M @ z)
     return z
 
 
@@ -879,11 +982,12 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
     if degree == 0:
         raise SolverFailure("program has no cone variables", program=prog)
 
-    # row equilibration; duals are recovered through drow at the end
-    drow = np.maximum(np.abs(A).max(axis=1).toarray().ravel(), 1e-12)
-    As = (sp.diags(1.0 / drow) @ A).tocsr()
+    # row equilibration; duals are recovered through drow at the end.
+    # As is only sliced into the cones' columns, so it is kept as CSC
+    drow = _row_scale(A)
+    As = A.tocsc()
+    As.data *= (1.0 / drow)[As.indices]
     bs = b / drow
-    At = As.T.tocsr()
     cones = _cones(psd_fams, lp_slice, As, drow)
     norm_b = 1 + np.linalg.norm(bs)
     norm_c = 1 + np.linalg.norm(c)
@@ -903,12 +1007,13 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
     polish = 0
     for it in range(1, maxiter + 1):
         mu = (x @ s + tau * kappa) / (degree + 1)
-        ry = As @ x - bs * tau
-        rx = At @ y + s - c * tau
+        ax, aty = _matvec(cones, x, nrows), _rmatvec(cones, y, n)
+        ry = ax - bs * tau
+        rx = aty + s - c * tau
         rz = c @ x - bs @ y + kappa
 
         xs, ys, ss = x / tau, y / tau, s / tau
-        rp, rd = As @ xs - bs, At @ ys + ss - c
+        rp, rd = ax / tau - bs, aty / tau + ss - c
         pres = np.linalg.norm(rp) / norm_b
         dres = np.linalg.norm(rd) / norm_c
         pobj, dobj = c @ xs, bs @ ys
@@ -937,11 +1042,11 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
                 break
         by, cx = bs @ y, c @ x
         if by > 0 and mu < 1e-3 * mu0:
-            if np.linalg.norm(At @ (y / by) + s / by) <= feastol * norm_c:
+            if np.linalg.norm(_rmatvec(cones, y / by, n) + s / by) <= feastol * norm_c:
                 status = "infeasible"
                 break
         if cx < 0 and mu < 1e-3 * mu0:
-            if np.linalg.norm(As @ (x / -cx)) <= feastol * norm_b:
+            if np.linalg.norm(_matvec(cones, x / -cx, nrows)) <= feastol * norm_b:
                 status = "unbounded"
                 break
         if mu < 1e-16 * mu0:
@@ -958,9 +1063,9 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
             break
         phic = _phi(cones, c)
         phirx = _phi(cones, rx)
-        asphirx = As @ phirx
-        u2 = _cho_solve_refined(Lm, M, As @ phic + bs)
-        p2 = _phi(cones, At @ u2) - phic
+        asphirx = _matvec(cones, phirx, nrows)
+        u2 = _cho_solve_refined(Lm, M, _matvec(cones, phic, nrows) + bs)
+        p2 = _phi(cones, _rmatvec(cones, u2, n)) - phic
         den = c @ p2 - bs @ u2 - kappa / tau
 
         def direction(eta, sigma, corr, corr_tk):
@@ -968,15 +1073,15 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
             for g, cg in zip(cones, corr):
                 wu[g.sl] = g.from_scaled(g.center(sigma * mu, cg))
             rhs_tk = sigma * mu - tau * kappa - corr_tk
-            rhs1 = -eta * ry - As @ wu - eta * asphirx
+            rhs1 = -eta * ry - _matvec(cones, wu, nrows) - eta * asphirx
             u1 = _cho_solve_refined(Lm, M, rhs1)
-            p1 = wu + eta * phirx + _phi(cones, At @ u1)
+            p1 = wu + eta * phirx + _phi(cones, _rmatvec(cones, u1, n))
             if abs(den) < 1e-300:
                 raise FloatingPointError("singular tau equation")
             dtau = (-eta * rz - c @ p1 + bs @ u1 - rhs_tk / tau) / den
             dy = u1 + dtau * u2
             dx = p1 + dtau * p2
-            ds = -eta * rx - At @ dy + c * dtau
+            ds = -eta * rx - _rmatvec(cones, dy, n) + c * dtau
             dkappa = (rhs_tk - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
 

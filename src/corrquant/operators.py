@@ -27,14 +27,18 @@ def asmatrix(op) -> np.ndarray:
 
 
 def hermitize(mat, tol: float = HERM_REJECT) -> np.ndarray:
-    """Symmetrize ``(M + M†)/2``, rejecting asymmetry beyond ``tol``."""
+    """Symmetrize ``(M + M†)/2``, rejecting asymmetry beyond ``tol``.
+
+    Batched over leading axes.
+    """
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-    asym = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
+    adj = mat.conj().swapaxes(-1, -2)
+    asym = np.max(np.abs(mat - adj)) if mat.size else 0.0
     if asym > tol:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {tol:.1e}")
-    return (mat + mat.conj().T) / 2
+    return (mat + adj) / 2
 
 
 def tensor(a, b) -> np.ndarray:

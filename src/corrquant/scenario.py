@@ -41,11 +41,13 @@ SUM_TOL = 1e-9
 
 
 def _check_psd_grid(grid, tol=PSD_TOL, what="effect"):
-    for idx in np.ndindex(grid.shape[:-2]):
-        ev = np.linalg.eigvalsh(grid[idx])[0]
-        if ev < -tol:
-            raise NotPositiveSemidefinite(
-                f"{what}{list(idx)} has eigenvalue {ev:.3e}")
+    """Raise on the first block, in index order, with an eigenvalue below -tol."""
+    low = np.linalg.eigvalsh(grid)[..., 0]
+    bad = np.argwhere(low < -tol)
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise NotPositiveSemidefinite(
+            f"{what}{list(idx)} has eigenvalue {low[idx]:.3e}")
 
 
 class MeasurementSet:

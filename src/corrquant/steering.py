@@ -35,10 +35,6 @@ class SteeringKind(str, Enum):
     SW_c = "SW_c"            # consistent weight
 
     @property
-    def consistent(self) -> bool:
-        return self in (SteeringKind.SR_c, SteeringKind.SR_c_lhs, SteeringKind.SW_c)
-
-    @property
     def weight_like(self) -> bool:
         return self in (SteeringKind.SW, SteeringKind.SW_c)
 

@@ -8,7 +8,9 @@ from corrquant import scenario
 from corrquant.conic import (
     ConicProgram,
     _cones,
+    _matvec,
     _phi,
+    _rmatvec,
     _schur_complement,
     hermitian_coords,
     hermitian_from_coords,
@@ -316,6 +318,37 @@ def _kernel_program():
     return prog
 
 
+def _run_program():
+    """2x2 Hermitian families A, B, then a real symmetric P that breaks the
+    run, then a 2x2 Hermitian C that starts a new one, then scalars; rows
+    mix all of them, with weights that make the row scales differ."""
+    rng = np.random.default_rng(15)
+    prog = ConicProgram("runs")
+    prog.add_hermitian_family("A", 3, 2)
+    prog.add_hermitian_family("B", 2, 2)
+    prog.add_psd_family("P", 2, 3)
+    prog.add_hermitian_family("C", 2, 2)
+    prog.add_nonneg("t", 3)
+    prog.add_free("w", 2)
+    prog.add_matrix_row_group(
+        ("m0",), random_hermitian(2, rng),
+        [("sum", "A", [0, 1, 2], 1.0), ("one", "B", 1, -2.0),
+         ("scalar_mat", "w", 0, random_hermitian(2, rng))])
+    prog.add_matrix_row_group(("m1",), np.eye(2), [("sum", "B", [0, 1], 0.5),
+                                                   ("sum", "C", [0, 1], 3.0)])
+    prog.add_scalar_row(("tr",), 1.0, [("tr", "A", [1], 1.0),
+                                       ("tr", "P", [0, 1], 2.0),
+                                       ("tr", "C", [1], 1.0),
+                                       ("lin", "t", [0, 1, 2], [1.0, 2.0, -1.0])])
+    prog.add_scalar_row(("mat",), 0.3, [("mat", "B", 0, random_hermitian(2, rng)),
+                                        ("entry", "P", 1, (0, 2)),
+                                        ("mat", "A", 2, random_hermitian(2, rng))])
+    prog.add_scalar_row(("entry",), 0.1, [("entry", "C", 0, (0, 1)),
+                                          ("lin", "w", [1], [3.0]),
+                                          ("lin", "t", [2], [1.0])])
+    return prog
+
+
 def _schur_program(name):
     ms = scenario.lossy(scenario.bloch_measurements(
         scenario.dodecahedron_vectors()[:3]), 0.4)
@@ -327,6 +360,7 @@ def _schur_program(name):
         "SR": lambda: build_program("steering", "SR", assemblage.members, rho_b),
         "mixed": _mixed_program,
         "kernels": _kernel_program,
+        "runs": _run_program,
     }[name]()
 
 
@@ -351,15 +385,34 @@ def _interior_point(prog, rng):
     return As, x, s, cones
 
 
-@pytest.mark.parametrize("name", ["IR", "IW", "SR", "mixed", "kernels"])
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["IR", "IW", "SR", "mixed", "kernels", "runs"])
 def test_structured_schur_matches_dense_product(name):
     prog = _schur_program(name)
     As, _, _, cones = _interior_point(prog, np.random.default_rng(13))
+    if name == "runs":
+        # A and B share one Lorentz cone, P its own, C a new Lorentz cone
+        assert [(type(g).__name__, g.sl.stop - g.sl.start) for g in cones] == [
+            ("_Lorentz", 20), ("_Matrix", 12), ("_Lorentz", 8), ("_Nonneg", 7)]
     M = _schur_complement(cones, As.shape[0])
     # reference: As Phi As^T with Phi applied to each dense row of As
     Ad = As.toarray()
     ref = Ad @ np.array([_phi(cones, row) for row in Ad]).T
-    assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert _close(M, ref)
+    # each cone's products with its own columns, zero off its rows, and
+    # the operator they assemble, against the CSR As
+    rng = np.random.default_rng(14)
+    v, y = rng.normal(size=As.shape[1]), rng.normal(size=As.shape[0])
+    for g in cones:
+        got = np.zeros(As.shape[0])
+        got[g.rows] = g.matvec(v[g.sl])
+        assert _close(got, As[:, g.sl] @ v[g.sl])
+        assert _close(g.rmatvec(y), (As.T @ y)[g.sl])
+    assert _close(_matvec(cones, v, As.shape[0]), As @ v)
+    assert _close(_rmatvec(cones, y, As.shape[1]), As.T @ y)
 
 
 def test_nt_scaling_kernels():

@@ -7,6 +7,7 @@ from corrquant import scenario as sc
 from corrquant.errors import (
     DimensionMismatch,
     InconsistentAssemblage,
+    NotPositiveSemidefinite,
     StrategyCapExceeded,
 )
 
@@ -33,6 +34,17 @@ def test_measurement_set_validation():
     bad[0, 0] = np.eye(2)
     bad[0, 1] = 0.5 * np.eye(2)
     with pytest.raises(DimensionMismatch):
+        sc.MeasurementSet(bad)
+
+
+def test_measurement_set_rejects_negative_effect():
+    # effects sum to the identity, but effect[0, 1] and effect[1, 1] are not
+    # PSD; the first in index order is named, not the most negative
+    bad = np.zeros((2, 2, 2, 2), dtype=complex)
+    bad[0, 0], bad[0, 1] = np.diag([1.0, 1.2]), np.diag([0.0, -0.2])
+    bad[1, 0], bad[1, 1] = np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])
+    with pytest.raises(NotPositiveSemidefinite,
+                       match=r"^effect\[0, 1\] has eigenvalue -2\.000e-01$"):
         sc.MeasurementSet(bad)
 
 
