@@ -453,24 +453,12 @@ class ConicProgram:
         return A.shape[0] - np.linalg.matrix_rank(A)
 
     def solve(self, feastol: float = 1e-8, gaptol: float = 1e-8,
-              maxiter: int = 200, verbose: bool = False,
-              on_failure: str = "raise") -> "ConicSolution":
-        """Run the interior-point solver.
-
-        ``on_failure`` controls the iteration-limit/stall path: "raise"
-        (default) raises SolverFailure carrying the program and residual
-        report; "return" yields a ConicSolution with status
-        "numerical-failure" and the report attached.
-        """
-        try:
-            return _solve_hsd(self, feastol=feastol, gaptol=gaptol,
-                              maxiter=maxiter, verbose=verbose)
-        except SolverFailure as exc:
-            if on_failure == "return":
-                sol = ConicSolution(status="numerical-failure")
-                sol.report = exc.report
-                return sol
-            raise
+              maxiter: int = 200, verbose: bool = False) -> "ConicSolution":
+        """Run the interior-point solver; an iteration-limit or stalled
+        solve raises SolverFailure carrying the program and residual
+        report."""
+        return _solve_hsd(self, feastol=feastol, gaptol=gaptol,
+                          maxiter=maxiter, verbose=verbose)
 
 
 # ---------------------------------------------------------------------------

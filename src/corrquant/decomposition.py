@@ -31,6 +31,13 @@ order: N, G, H, then t.
 Dual multipliers of the match rows are the witness (incompatibility) or
 steering-inequality (steering) coefficients; their bound is enumerated
 over the deterministic strategies.
+
+The nonlocality quantifiers read the steering rows too: each is the
+program of the steering kind it bounds, with the parent changed to
+nonnegative weights over strategy pairs and the match rows written on
+Collins-Gisin coordinates (:func:`corrquant.nonlocality.build_program`).
+:func:`solve` is the one solve-or-raise step of every quantifier and
+membership program.
 """
 
 from __future__ import annotations

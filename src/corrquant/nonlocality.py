@@ -2,13 +2,22 @@
 no-signalling projection of experimental data, and Bell-inequality
 extraction.
 
-All linear programs run on Collins-Gisin coordinates (full tables are
-rank deficient under no-signalling).  Kinds whose noise ranges over the
-quantum set embed a scaled moment block Qtilde = r*Q with
-Gamma[0,0] = r, which keeps the bilinear product linear and makes the
-reported value a certified lower bound at the chosen relaxation level;
-kinds with polyhedral noise (uniform-marginal, local, consistent-local)
-are LP-exact.
+Each nonlocality quantifier is a lower bound on one steering quantifier
+(:data:`STEERING_KIND`), because it is the same decomposition with the
+parent changed from PSD blocks over strategies to weights G over strategy
+pairs: :func:`build_program` reads the steering kind's row of
+:data:`corrquant.decomposition.KINDS` and writes it on Collins-Gisin
+coordinates (full tables are rank deficient under no-signalling),
+
+    sum_p G_p S_pk + sign * noise_k = cg_k,
+
+with noise_k a cell of a scaled moment block Qtilde = t*Q with
+Gamma[0,0] = t ("free" noise: the quantum set, which keeps the bilinear
+product linear and makes the value a certified lower bound at the chosen
+relaxation level), t times the uniform-Alice marginal ("white"), or
+sum_p H_p S_pk with t = sum_p H_p ("model": local noise).  The
+"each" and "model" normalizations become the rows fixing the noise's Bob
+marginal to t p(b|y).  Kinds with polyhedral noise are LP-exact.
 """
 
 from __future__ import annotations
@@ -20,17 +29,15 @@ import numpy as np
 
 from .cg import CgLayout, strategy_cg_matrix
 from .conic import ConicProgram, ConicSolution
+from .decomposition import KINDS, TINY, solve
 from .errors import SolverFailure
-from .npa import NpaTemplate, build_npa_block
+from .npa import build_npa_block, cell_functional
 from .scenario import (
     Behaviour,
     LocalModel,
     behaviour_marginal,
     check_strategy_cap,
 )
-
-FEASTOL = 1e-8
-GAPTOL = 1e-9
 
 
 class NonlocalityKind(str, Enum):
@@ -42,19 +49,17 @@ class NonlocalityKind(str, Enum):
     NLR_c_lhv = "NLR_c_lhv"      # consistent local noise (LP)
     NLW_c = "NLW_c"              # consistent weight (SDP-relaxed)
 
-    @property
-    def lp_exact(self) -> bool:
-        return self in (NonlocalityKind.NLR_mar, NonlocalityKind.NLR_lhv,
-                        NonlocalityKind.NLR_c_lhv)
 
-    @property
-    def weight_like(self) -> bool:
-        return self in (NonlocalityKind.NLW, NonlocalityKind.NLW_c)
-
-    @property
-    def consistent(self) -> bool:
-        return self in (NonlocalityKind.NLR_c, NonlocalityKind.NLR_c_lhv,
-                        NonlocalityKind.NLW_c)
+# the steering kind each nonlocality kind bounds from below
+STEERING_KIND = {
+    NonlocalityKind.NLR: "SR",
+    NonlocalityKind.NLR_mar: "SR_red",
+    NonlocalityKind.NLR_lhv: "SR_lhs",
+    NonlocalityKind.NLW: "SW",
+    NonlocalityKind.NLR_c: "SR_c",
+    NonlocalityKind.NLR_c_lhv: "SR_c_lhs",
+    NonlocalityKind.NLW_c: "SW_c",
+}
 
 
 def parse_nonlocality_kind(text: str) -> NonlocalityKind:
@@ -163,9 +168,7 @@ def is_local(b: Behaviour, tol: float = 5e-8, cap: int = 10 ** 6) -> LocalDecisi
                             [("lin", "u", np.arange(npairs), S[:, k]),
                              ("lin", "w", [0], [mean_s[k]])])
     prog.set_objective([("lin", "w", [0], [-1.0])])
-    sol = prog.solve(feastol=FEASTOL, gaptol=GAPTOL)
-    if sol.status != "optimal":
-        raise SolverFailure(f"is_local returned {sol.status}", program=prog)
+    sol = solve(prog)
     margin = -sol.value
     if margin >= -tol:
         q = sol.primal["u"] + margin / npairs
@@ -175,86 +178,69 @@ def is_local(b: Behaviour, tol: float = 5e-8, cap: int = 10 ** 6) -> LocalDecisi
     return LocalDecision(False, margin, inequality=ineq)
 
 
-def _build_lp_program(b: Behaviour, kind: NonlocalityKind, layout, S):
-    npairs = S.shape[0]
-    cg = layout.of_table(b.table)
-    prog = ConicProgram(f"nonlocality:{kind.value}")
-    idx = np.arange(npairs)
-    if kind is NonlocalityKind.NLR_mar:
-        pb = behaviour_marginal(b, "B")
-        noise = np.broadcast_to(pb[None, :, None, :] / b.nA,
-                                (b.mA, b.mB, b.nA, b.nB))
-        ncg = layout.of_table(np.asarray(noise))
-        prog.add_nonneg("q", npairs)
-        prog.add_nonneg("r", 1)
-        for k in range(layout.dim):
-            prog.add_scalar_row(("cg", k), cg[k],
-                                [("lin", "q", idx, S[:, k]),
-                                 ("lin", "r", [0], [-ncg[k]])])
-        prog.set_objective([("lin", "r", [0], [1.0])])
-    elif kind is NonlocalityKind.NLR_lhv:
-        prog.add_nonneg("q", npairs)
-        prog.add_nonneg("p", npairs)
-        for k in range(layout.dim):
-            prog.add_scalar_row(("cg", k), cg[k],
-                                [("lin", "q", idx, S[:, k]),
-                                 ("lin", "p", idx, -S[:, k])])
-        prog.set_objective([("lin", "p", idx, np.ones(npairs))])
-    elif kind is NonlocalityKind.NLR_c_lhv:
-        pb = behaviour_marginal(b, "B")
-        prog.add_nonneg("q", npairs)
-        prog.add_nonneg("p", npairs)
-        for k in range(layout.dim):
-            prog.add_scalar_row(("cg", k), cg[k],
-                                [("lin", "q", idx, S[:, k]),
-                                 ("lin", "p", idx, -S[:, k])])
-        for y in range(b.mB):
-            for bb in range(b.nB - 1):
-                k = layout.index[("B", y, bb)]
-                prog.add_scalar_row(
-                    ("consis", y, bb), 0.0,
-                    [("lin", "p", idx, S[:, k] - pb[y, bb])])
-        prog.set_objective([("lin", "p", idx, np.ones(npairs))])
-    else:
-        raise ValueError(kind)
-    return prog
+def _marginal_noise(b: Behaviour) -> np.ndarray:
+    """Uniform-Alice noise p(b|y)/nA, the white noise of the marginal kind."""
+    pb = behaviour_marginal(b, "B")
+    return np.broadcast_to(pb[None, :, None, :] / b.nA,
+                           (b.mA, b.mB, b.nA, b.nB)).copy()
 
 
-def _build_sdp_program(b: Behaviour, kind: NonlocalityKind, layout, S,
-                       tmpl: NpaTemplate):
-    npairs = S.shape[0]
+def build_program(b: Behaviour, kind: NonlocalityKind, layout: CgLayout,
+                  S: np.ndarray, level: int):
+    """The program of the steering row ``kind`` bounds, on CG rows.
+
+    Returns (program, NPA template or None).
+    """
+    row = KINDS[STEERING_KIND[kind]]
     cg = layout.of_table(b.table)
     pb = behaviour_marginal(b, "B")
-    prog = ConicProgram(f"nonlocality:{kind.value}:l{tmpl.level}")
-    tmpl.declare_block(prog, "G")
-    prog.add_nonneg("q", npairs)
-    prog.add_nonneg("r", 1)
-    idx = np.arange(npairs)
-    # mixture rows: weight kinds decompose P = Qtilde + Rtilde, robustness
-    # kinds mix P + Qtilde = (1+r)-scaled local part
-    sign = 1.0 if kind.weight_like else -1.0
+    every = np.arange(S.shape[0])
+    tmpl = None
+    name = f"nonlocality:{kind.value}"
+    if row.noise == "free":
+        tmpl = build_npa_block(_scenario(b), level)
+        name += f":l{level}"
+    elif row.noise == "white":
+        white = layout.of_table(_marginal_noise(b))
+    prog = ConicProgram(name)
+    if tmpl is not None:
+        tmpl.declare_block(prog, "N")
+    prog.add_nonneg("G", len(every))
+    if row.noise == "model":
+        prog.add_nonneg("H", len(every))
+    else:
+        prog.add_nonneg("t", 1)
+
+    def noise(k, coef):
+        """coef * noise_k: the moment cell, t * white_k or sum H S_k."""
+        if row.noise == "free":
+            return ("mat", "N", 0,
+                    coef * cell_functional(tmpl.size, tmpl.cg_cells[k]))
+        if row.noise == "white":
+            return ("lin", "t", [0], [coef * white[k]])
+        return ("lin", "H", every, coef * S[:, k])
+
+    def weight(coef):
+        """coef * t, with t = sum H for model noise."""
+        if row.noise == "model":
+            return ("lin", "H", every, coef)
+        return ("lin", "t", [0], [coef])
+
     for k in range(layout.dim):
-        cell = tmpl.cg_cells[k]
-        cmat = np.zeros((tmpl.size, tmpl.size))
-        cmat[cell[0], cell[1]] += sign / 2
-        cmat[cell[1], cell[0]] += sign / 2
         prog.add_scalar_row(("cg", k), cg[k],
-                            [("lin", "q", idx, S[:, k]),
-                             ("mat", "G", 0, cmat)])
-    tmpl.add_structure_rows(prog, "G", ("r", 0))
-    if kind.consistent:
+                            [("lin", "G", every, S[:, k]), noise(k, row.sign)])
+    if tmpl is not None:
+        tmpl.add_structure_rows(prog, "N", ("t", 0))
+    if row.norm in ("each", "model"):
+        # the noise's Bob marginal is t p(b|y)
         for y in range(b.mB):
             for bb in range(b.nB - 1):
-                cell = tmpl.cg_cells[layout.index[("B", y, bb)]]
-                cmat = np.zeros((tmpl.size, tmpl.size))
-                cmat[cell[0], cell[1]] += 0.5
-                cmat[cell[1], cell[0]] += 0.5
                 prog.add_scalar_row(
                     ("consis", y, bb), 0.0,
-                    [("mat", "G", 0, cmat),
-                     ("lin", "r", [0], [-pb[y, bb]])])
-    prog.set_objective([("lin", "r", [0], [1.0])])
-    return prog
+                    [noise(layout.index[("B", y, bb)], 1.0),
+                     weight(-pb[y, bb])])
+    prog.set_objective([weight(1.0)])
+    return prog, tmpl
 
 
 def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
@@ -278,6 +264,10 @@ def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
         if res.noise_table is not None:
             res.noise_table = np.ascontiguousarray(
                 res.noise_table.transpose(1, 0, 3, 2))
+        res.model = LocalModel(res.model.weights.T, _scenario(b))
+        if res.noise_model is not None:
+            res.noise_model = LocalModel(res.noise_model.weights.T,
+                                         _scenario(b))
         return res
     b.require_no_signalling()
     mA, nA, mB, nB = _scenario(b)
@@ -288,51 +278,30 @@ def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
     if S.shape[0] > cap:
         raise SolverFailure(f"strategy-pair count {S.shape[0]} exceeds cap {cap}")
 
-    tmpl = None
-    if kind.lp_exact:
-        prog = _build_lp_program(b, kind, layout, S)
-    else:
-        tmpl = build_npa_block((mA, nA, mB, nB), level,
-                               normalization="tied-to-scalar")
-        prog = _build_sdp_program(b, kind, layout, S, tmpl)
-    sol = prog.solve(feastol=FEASTOL, gaptol=GAPTOL)
-    if sol.status != "optimal":
-        raise SolverFailure(f"{kind.value} returned {sol.status}", program=prog)
-
-    if kind is NonlocalityKind.NLR_mar:
-        r = float(sol.primal["r"][0])
-        pb = behaviour_marginal(b, "B")
-        noise = np.broadcast_to(pb[None, :, None, :] / nA,
-                                (mA, mB, nA, nB)).copy()
-        noise_model = None
-        model = _pair_weights_to_model(sol.primal["q"], _scenario(b))
-    elif kind in (NonlocalityKind.NLR_lhv, NonlocalityKind.NLR_c_lhv):
-        r = float(np.sum(sol.primal["p"]))
-        model = _pair_weights_to_model(sol.primal["q"], _scenario(b))
-        if r > 1e-9:
-            noise_model = _pair_weights_to_model(sol.primal["p"], _scenario(b))
+    row = KINDS[STEERING_KIND[kind]]
+    prog, tmpl = build_program(b, kind, layout, S, level)
+    sol = solve(prog)
+    model = _pair_weights_to_model(sol.primal["G"], _scenario(b))
+    noise_model = noise = None
+    if row.noise == "model":
+        r = float(np.sum(sol.primal["H"]))
+        if r > TINY:
+            noise_model = _pair_weights_to_model(sol.primal["H"], _scenario(b))
             noise = noise_model.behaviour().table
-        else:
-            noise_model = None
-            noise = None
     else:
-        r = float(sol.primal["r"][0])
-        model = _pair_weights_to_model(sol.primal["q"], _scenario(b))
-        noise_model = None
-        gamma = sol.primal["G"][0]
-        if r > 1e-9:
+        r = float(sol.primal["t"][0])
+        if row.noise == "white":
+            noise = _marginal_noise(b)
+        elif r > TINY:
+            gamma = sol.primal["N"][0]
             reads = np.array([gamma[c] for c in tmpl.cg_cells]) / r
             noise = layout.table_of(reads)
-        else:
-            noise = None
-    ineq = _inequality_from_duals(sol, layout, S, b.table,
-                                  level=None if kind.lp_exact else level)
+    level = level if row.noise == "free" else None
     return NonlocalityResult(
-        kind=kind, value=max(r, 0.0),
-        certified_lower_bound=not kind.lp_exact,
-        level=None if kind.lp_exact else level,
-        noise_table=noise, model=model, noise_model=noise_model,
-        inequality=ineq, gap=abs(sol.pobj - sol.dobj), solution=sol)
+        kind=kind, value=max(r, 0.0), certified_lower_bound=level is not None,
+        level=level, noise_table=noise, model=model, noise_model=noise_model,
+        inequality=_inequality_from_duals(sol, layout, S, b.table, level=level),
+        gap=abs(sol.pobj - sol.dobj), solution=sol)
 
 
 def bell_certificate(result: NonlocalityResult, b: Behaviour) -> BellInequality:

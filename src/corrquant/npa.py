@@ -22,10 +22,7 @@ import numpy as np
 
 from .cg import CgLayout
 from .conic import ConicProgram
-from .errors import SolverFailure
-
-FEASTOL = 1e-8
-GAPTOL = 1e-9
+from .decomposition import solve
 
 # a symbol is (party, input, outcome); words are tuples of symbols,
 # canonical form keeps Alice symbols (party 0) before Bob symbols.
@@ -82,13 +79,10 @@ class NpaTemplate:
     level: int
     words: list
     classes: list            # list of lists of cells (i, j), i <= j
-    class_keys: list
-    cell_class: dict         # (i, j) i<=j -> class index
     zero_cells: list
     layout: CgLayout = field(default=None)
     cg_class: list = field(default=None)      # cg index -> class index
     cg_cells: list = field(default=None)      # cg index -> representative cell
-    normalization: str = "fixed-1"            # "fixed-1" | "tied-to-scalar"
 
     @property
     def size(self) -> int:
@@ -101,51 +95,29 @@ class NpaTemplate:
         """Declare Gamma as a primal PSD block (before any rows)."""
         prog.add_psd_family(name, 1, self.size)
 
-    def dump_triplets(self) -> str:
-        """Sparse-triplet dump of the template's structure rows, for
-        cross-checking against external solvers."""
-        prog = ConicProgram(f"npa_template:l{self.level}")
-        self.declare_block(prog, "G")
-        if self.normalization == "tied-to-scalar":
-            prog.add_nonneg("r", 1)
-            self.add_structure_rows(prog, "G", ("r", 0))
-        else:
-            self.add_structure_rows(prog, "G", 1.0)
-        prog.set_objective([("entry", "G", 0, (0, 0))])
-        return prog.dump_triplets()
-
     def add_structure_rows(self, prog: ConicProgram, name: str,
-                           normalization) -> None:
+                           normalization: tuple) -> None:
         """Tying rows (shared class entries), zero cells, and the
-        normalization row Gamma[0,0] = 1 or Gamma[0,0] = scalar variable
-        (``normalization`` a (family, index) pair)."""
+        normalization row Gamma[0,0] = the scalar variable
+        ``normalization``, a (family, index) pair."""
         for ci, cells in enumerate(self.classes):
             rep = cells[0]
             for cell in cells[1:]:
-                diff = (_cell_functional(self.size, cell)
-                        - _cell_functional(self.size, rep))
+                diff = (cell_functional(self.size, cell)
+                        - cell_functional(self.size, rep))
                 prog.add_scalar_row(("tie", name, ci, cell), 0.0,
                                     [("mat", name, 0, diff)])
         for cell in self.zero_cells:
             prog.add_scalar_row(("zero", name, cell), 0.0,
                                 [("entry", name, 0, cell)])
-        if isinstance(normalization, tuple):
-            fam, idx = normalization
-            prog.add_scalar_row(("gnorm", name), 0.0,
-                                [("entry", name, 0, (0, 0)),
-                                 ("lin", fam, [idx], [-1.0])])
-        else:
-            prog.add_scalar_row(("gnorm", name), float(normalization),
-                                [("entry", name, 0, (0, 0))])
+        fam, idx = normalization
+        prog.add_scalar_row(("gnorm", name), 0.0,
+                            [("entry", name, 0, (0, 0)),
+                             ("lin", fam, [idx], [-1.0])])
 
 
-def build_npa_block(scenario, level: int, normalization="fixed-1") -> NpaTemplate:
-    """Word index + class structure for one scenario and level.
-
-    ``normalization`` is recorded for callers ("fixed-1" or
-    "tied-to-scalar"); the actual tying happens when the template is
-    added to a program.
-    """
+def build_npa_block(scenario, level: int) -> NpaTemplate:
+    """Word index + class structure for one scenario and level."""
     mA, nA, mB, nB = scenario
     if level not in (1, 2):
         raise ValueError(f"unsupported level {level!r} (only 1 and 2)")
@@ -170,9 +142,7 @@ def build_npa_block(scenario, level: int, normalization="fixed-1") -> NpaTemplat
                     words.append(w)
 
     nw = len(words)
-    cell_class: dict = {}
     classes: list = []
-    keys: list = []
     key_index: dict = {}
     zero_cells = []
     for i in range(nw):
@@ -184,10 +154,7 @@ def build_npa_block(scenario, level: int, normalization="fixed-1") -> NpaTemplat
             if key not in key_index:
                 key_index[key] = len(classes)
                 classes.append([])
-                keys.append(key)
-            ci = key_index[key]
-            classes[ci].append((i, j))
-            cell_class[(i, j)] = ci
+            classes[key_index[key]].append((i, j))
 
     layout = CgLayout(mA, nA, mB, nB)
     cg_class, cg_cells = [], []
@@ -205,13 +172,11 @@ def build_npa_block(scenario, level: int, normalization="fixed-1") -> NpaTemplat
         cg_class.append(ci)
         cg_cells.append(classes[ci][0])
     return NpaTemplate(scenario=tuple(scenario), level=level, words=words,
-                       classes=classes, class_keys=keys, cell_class=cell_class,
-                       zero_cells=zero_cells, layout=layout,
-                       cg_class=cg_class, cg_cells=cg_cells,
-                       normalization=normalization)
+                       classes=classes, zero_cells=zero_cells, layout=layout,
+                       cg_class=cg_class, cg_cells=cg_cells)
 
 
-def _cell_functional(size: int, cell) -> np.ndarray:
+def cell_functional(size: int, cell) -> np.ndarray:
     """Symmetric C with tr(C Gamma) = Gamma[cell]."""
     i, j = cell
     c = np.zeros((size, size))
@@ -297,10 +262,7 @@ def _membership_from_cg(tmpl: NpaTemplate, cgvec, tol) -> NpaDecision:
                             [("mat", "X", 0, _class_indicator(tmpl, ci))])
     prog.add_scalar_row(("trace",), 1.0, [("tr", "X", [0], 1.0)])
     prog.set_objective([("mat", "X", 0, f0)])
-    sol = prog.solve(feastol=FEASTOL, gaptol=GAPTOL)
-    if sol.status != "optimal":
-        raise SolverFailure(f"membership solve returned {sol.status}",
-                            program=prog)
+    sol = solve(prog)
     margin = sol.value
     if margin >= -tol:
         gamma = sol.dual_slack["X"][0].real.copy()
@@ -346,9 +308,7 @@ def npa_optimize(coefficients, scenario, level: int = 2):
             terms.append(("lin", "w", [0], [-1.0]))
         prog.add_scalar_row(("class", ci), -gclass[ci], terms)
     prog.set_objective([("lin", "w", [0], [1.0])])
-    sol = prog.solve(feastol=FEASTOL, gaptol=GAPTOL)
-    if sol.status != "optimal":
-        raise SolverFailure(f"npa_optimize returned {sol.status}", program=prog)
+    sol = solve(prog)
     gamma = np.zeros((tmpl.size, tmpl.size))
     for ci in range(len(tmpl.classes)):
         z = -sol.dual_rows[("class", ci)] if ci != idc else 1.0

@@ -34,10 +34,6 @@ class SteeringKind(str, Enum):
     SR_c_lhs = "SR_c_lhs"    # consistent LHS robustness
     SW_c = "SW_c"            # consistent weight
 
-    @property
-    def weight_like(self) -> bool:
-        return self in (SteeringKind.SW, SteeringKind.SW_c)
-
 
 def parse_steering_kind(text: str) -> SteeringKind:
     key = text.strip().replace("^", "_").replace("/", "_").replace("-", "_")

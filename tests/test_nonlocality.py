@@ -292,3 +292,18 @@ def test_three_outcome_quantifiers():
     assert res.value > 0.1
     dec = nl.is_local(beh32)
     assert not dec.local
+
+
+@pytest.mark.parametrize("kind", ["NLR_mar", "NLR_lhv", "NLR_c_lhv"])
+def test_pin_party_a_model_in_input_scenario(kind):
+    # pinned to A, the program runs on the transposed behaviour; the
+    # local model must come back in the input's (2, 2, 3, 2) scenario
+    rng = np.random.default_rng(5)
+    w = rng.random((9, 4))
+    w /= w.sum()
+    loc = sc.LocalModel(w, (2, 3, 2, 2)).behaviour()
+    res = nl.nonlocality_quantifier(loc, kind, level=1, pin_party="A")
+    assert res.model.weights.shape == (9, 4)
+    noise = 0.0 if res.noise_table is None else res.noise_table
+    mix = (loc.table + res.value * noise) / (1 + res.value)
+    assert np.max(np.abs(res.model.behaviour().table - mix)) < 1e-8

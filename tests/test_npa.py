@@ -156,7 +156,7 @@ def test_measured_behaviours_feasible_both_levels():
 
 
 def test_tied_normalization_row():
-    tmpl = npa.build_npa_block(CHSH, 1, normalization="tied-to-scalar")
+    tmpl = npa.build_npa_block(CHSH, 1)
     from corrquant.conic import ConicProgram
     prog = ConicProgram("tied")
     tmpl.declare_block(prog, "G")
@@ -170,12 +170,6 @@ def test_tied_normalization_row():
     row = A.getrow(grp.offset).toarray().ravel()
     rfam = prog.families["r"]
     assert row[rfam.offset] == -1.0
-
-
-def test_template_dump():
-    tmpl = npa.build_npa_block(CHSH, 1, normalization="tied-to-scalar")
-    text = tmpl.dump_triplets()
-    assert "family G" in text and "gnorm" in text
 
 
 def test_three_outcome_scenario_zero_cells():

@@ -86,7 +86,7 @@ def test_witnesses_and_certificates(kind):
     res = st.steering_quantifier(asm, kind)
     assert res.value > 1e-4
     # defining decomposition reconstructs within 1e-8
-    if kind.weight_like:
+    if dc.KINDS[kind.value].sign > 0:
         remainder = st.weight_remainder(asm, res.noise, res.value)
         dec = st.has_lhs_model(remainder, tol=1e-7)
         assert dec.has_model
