@@ -60,7 +60,18 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary: every command's package error exits
+    through ``_fail``."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CorrquantError as exc:
+            _fail(exc)
+
+
+@click.group(cls=_Main)
 def main():
     """Robustness and weight quantifiers of measurement incompatibility,
     steering, and nonlocality."""
@@ -75,37 +86,33 @@ def main():
 @click.option("--out", "-o", type=click.Path(), help="write JSON here")
 def quantify(domain, kind, infile, level, out):
     """Evaluate one quantifier on a serialized object."""
-    try:
-        obj = serialize.load(infile)
-        if domain == "incompat":
-            if not isinstance(obj, MeasurementSet):
-                raise ValidationError(f"{infile}: expected a measurement set")
-            res = ic.incompatibility_quantifier(obj, kind)
-            payload = {"domain": domain, "kind": res.kind.value,
-                       "value": res.value, "gap": res.gap,
-                       "witness_value": res.witness.value,
-                       "witness_bound": res.witness.bound}
-        elif domain == "steer":
-            if not isinstance(obj, Assemblage):
-                raise ValidationError(f"{infile}: expected an assemblage")
-            res = st.steering_quantifier(obj, kind)
-            payload = {"domain": domain, "kind": res.kind.value,
-                       "value": res.value, "gap": res.gap,
-                       "inequality_bound": res.inequality.bound,
-                       "inequality_violation": res.inequality.violation}
-        else:
-            if not isinstance(obj, Behaviour):
-                raise ValidationError(f"{infile}: expected a behaviour")
-            res = nl.nonlocality_quantifier(obj, kind, level=level)
-            payload = {"domain": domain, "kind": res.kind.value,
-                       "value": res.value,
-                       "certified_lower_bound": res.certified_lower_bound,
-                       "level": res.level, "gap": res.gap,
-                       "inequality_bound": res.inequality.bound,
-                       "inequality_violation": res.inequality.violation}
-    except CorrquantError as exc:
-        _fail(exc)
-        return
+    obj = serialize.load(infile)
+    if domain == "incompat":
+        if not isinstance(obj, MeasurementSet):
+            raise ValidationError(f"{infile}: expected a measurement set")
+        res = ic.incompatibility_quantifier(obj, kind)
+        payload = {"domain": domain, "kind": res.kind.value,
+                   "value": res.value, "gap": res.gap,
+                   "witness_value": res.witness.value,
+                   "witness_bound": res.witness.bound}
+    elif domain == "steer":
+        if not isinstance(obj, Assemblage):
+            raise ValidationError(f"{infile}: expected an assemblage")
+        res = st.steering_quantifier(obj, kind)
+        payload = {"domain": domain, "kind": res.kind.value,
+                   "value": res.value, "gap": res.gap,
+                   "inequality_bound": res.inequality.bound,
+                   "inequality_violation": res.inequality.violation}
+    else:
+        if not isinstance(obj, Behaviour):
+            raise ValidationError(f"{infile}: expected a behaviour")
+        res = nl.nonlocality_quantifier(obj, kind, level=level)
+        payload = {"domain": domain, "kind": res.kind.value,
+                   "value": res.value,
+                   "certified_lower_bound": res.certified_lower_bound,
+                   "level": res.level, "gap": res.gap,
+                   "inequality_bound": res.inequality.bound,
+                   "inequality_violation": res.inequality.violation}
     _emit(payload, out)
 
 
@@ -120,10 +127,8 @@ def sweep_cmd(spec, out, workers):
         with open(spec) as fh:
             data = json.load(fh)
         result = sweep(SweepSpec.from_dict(data), workers=workers)
-    except (CorrquantError, KeyError, json.JSONDecodeError) as exc:
-        _fail(exc if isinstance(exc, CorrquantError)
-              else ValidationError(str(exc)))
-        return
+    except (KeyError, json.JSONDecodeError) as exc:
+        raise ValidationError(str(exc)) from exc
     csv_text = result.to_csv()
     if out:
         with open(out, "w") as fh:
@@ -144,12 +149,8 @@ def sweep_cmd(spec, out, workers):
 @click.option("--out", "-o", type=click.Path())
 def seesaw_cmd(theta, kind, restarts, seed, level, out):
     """See-saw optimization of Bob's two measurements at a given angle."""
-    try:
-        res = seesaw_optimize(theta, kind, restarts=restarts, seed=seed,
-                              level=level)
-    except CorrquantError as exc:
-        _fail(exc)
-        return
+    res = seesaw_optimize(theta, kind, restarts=restarts, seed=seed,
+                          level=level)
     payload = {"theta": theta, "kind": str(kind), "value": res.value,
                "history": res.state.history, "converged": res.state.converged,
                "restarts": res.restarts,
@@ -167,11 +168,7 @@ def reproduce_cmd(target, outdir, extended):
     """Recompute a published table or figure's data files."""
     if target == "table1" and not extended:
         click.echo("note: Bennet row requires --extended", err=True)
-    try:
-        summary = reproduce(target, outdir, extended=extended)
-    except CorrquantError as exc:
-        _fail(exc)
-        return
+    summary = reproduce(target, outdir, extended=extended)
     for path in summary.get("files", []):
         click.echo(f"wrote {path}")
     alerts = summary.get("regression_alerts", [])
@@ -187,16 +184,12 @@ def reproduce_cmd(target, outdir, extended):
 def project_ns_cmd(infile, out):
     """Project a (possibly signalling) behaviour or count table onto the
     no-signalling polytope."""
-    try:
-        obj = serialize.load(infile)
-        if isinstance(obj, np.ndarray):          # counts
-            obj = nl.behaviour_from_counts(obj)
-        if not isinstance(obj, Behaviour):
-            raise ValidationError(f"{infile}: expected a behaviour or counts")
-        proj = nl.ns_project(obj.table)
-    except CorrquantError as exc:
-        _fail(exc)
-        return
+    obj = serialize.load(infile)
+    if isinstance(obj, np.ndarray):          # counts
+        obj = nl.behaviour_from_counts(obj)
+    if not isinstance(obj, Behaviour):
+        raise ValidationError(f"{infile}: expected a behaviour or counts")
+    proj = nl.ns_project(obj.table)
     payload = serialize.behaviour_to_dict(proj.behaviour)
     payload["divergence"] = proj.divergence
     payload["kkt_residual"] = proj.kkt_residual
@@ -211,34 +204,30 @@ def project_ns_cmd(infile, out):
 @click.option("--out", "-o", type=click.Path())
 def certificate_cmd(infile, kind, level, out):
     """Extract the dual inequality certified by a quantifier solve."""
-    try:
-        obj = serialize.load(infile)
-        if isinstance(obj, Assemblage):
-            res = st.steering_quantifier(obj, kind)
-            cert = st.steering_certificate(res, obj)
-            payload = {"domain": "steer", "kind": res.kind.value,
-                       "value": res.value, "bound": cert.bound,
-                       "violation": cert.violation,
-                       "coefficients": cert.coefficients,
-                       "text": cert.to_text()}
-        elif isinstance(obj, Behaviour):
-            res = nl.nonlocality_quantifier(obj, kind, level=level)
-            cert = nl.bell_certificate(res, obj)
-            payload = {"domain": "nonlocal", "kind": res.kind.value,
-                       "value": res.value, "bound": cert.bound,
-                       "violation": cert.violation, "level": cert.level,
-                       "coefficients": cert.coefficients}
-        elif isinstance(obj, MeasurementSet):
-            res = ic.incompatibility_quantifier(obj, kind)
-            payload = {"domain": "incompat", "kind": res.kind.value,
-                       "value": res.value, "bound": res.witness.bound,
-                       "violation": res.witness.value,
-                       "coefficients": res.witness.coefficients}
-        else:
-            raise ValidationError(f"{infile}: unsupported object")
-    except CorrquantError as exc:
-        _fail(exc)
-        return
+    obj = serialize.load(infile)
+    if isinstance(obj, Assemblage):
+        res = st.steering_quantifier(obj, kind)
+        cert = st.steering_certificate(res, obj)
+        payload = {"domain": "steer", "kind": res.kind.value,
+                   "value": res.value, "bound": cert.bound,
+                   "violation": cert.violation,
+                   "coefficients": cert.coefficients,
+                   "text": cert.to_text()}
+    elif isinstance(obj, Behaviour):
+        res = nl.nonlocality_quantifier(obj, kind, level=level)
+        cert = nl.bell_certificate(res, obj)
+        payload = {"domain": "nonlocal", "kind": res.kind.value,
+                   "value": res.value, "bound": cert.bound,
+                   "violation": cert.violation, "level": cert.level,
+                   "coefficients": cert.coefficients}
+    elif isinstance(obj, MeasurementSet):
+        res = ic.incompatibility_quantifier(obj, kind)
+        payload = {"domain": "incompat", "kind": res.kind.value,
+                   "value": res.value, "bound": res.witness.bound,
+                   "violation": res.witness.value,
+                   "coefficients": res.witness.coefficients}
+    else:
+        raise ValidationError(f"{infile}: unsupported object")
     _emit(payload, out)
 
 

@@ -57,6 +57,13 @@ from scipy.linalg.lapack import dpotrs
 from .errors import SolverFailure
 from .operators import hermitize
 
+# The solve tolerances and limits, read when a solve or check runs:
+# set them on the module to solve and verify at other values.
+FEASTOL = 1e-8            # relative primal and dual residual
+GAPTOL = 1e-9             # relative duality gap
+MAXITER = 200
+VARIABLE_CAP = 4_000_000  # columns of A
+
 _STEP_FRACTION = 0.99
 
 
@@ -210,9 +217,8 @@ class ConicProgram:
     coefficient freezes the variable layout.
     """
 
-    def __init__(self, name: str = "", variable_cap: int = 4_000_000):
+    def __init__(self, name: str = ""):
         self.name = name
-        self.variable_cap = variable_cap
         self._families: dict[str, _Family] = {}
         self._rows: list[_RowGroup] = []
         self._ai: list[np.ndarray] = []
@@ -222,7 +228,6 @@ class ConicProgram:
         self._nrows = 0
         self._cj: list[np.ndarray] = []
         self._cv: list[np.ndarray] = []
-        self.objective_constant = 0.0
         self._frozen = False
 
     # ---- variables --------------------------------------------------------
@@ -262,9 +267,9 @@ class ConicProgram:
                 fam.offset = offset
                 offset += fam.width
         self._ncols = offset
-        if offset > self.variable_cap:
+        if offset > VARIABLE_CAP:
             raise SolverFailure(
-                f"variable dimension {offset} exceeds cap {self.variable_cap}",
+                f"variable dimension {offset} exceeds cap {VARIABLE_CAP}",
                 program=self)
         self._frozen = True
 
@@ -388,7 +393,7 @@ class ConicProgram:
         self._rows.append(_RowGroup(tuple(name), "mat", d, row0, nr))
         self._nrows += nr
 
-    def set_objective(self, terms, constant: float = 0.0) -> None:
+    def set_objective(self, terms) -> None:
         """Linear objective (minimized); same term grammar as scalar rows."""
         self._freeze()
 
@@ -397,7 +402,6 @@ class ConicProgram:
             self._cv.append(vals)
 
         self._expand_scalar_terms(None, terms, emit)
-        self.objective_constant = float(constant)
 
     # ---- assembled data ------------------------------------------------------
 
@@ -452,13 +456,11 @@ class ConicProgram:
         A = self.build()[0].toarray()
         return A.shape[0] - np.linalg.matrix_rank(A)
 
-    def solve(self, feastol: float = 1e-8, gaptol: float = 1e-8,
-              maxiter: int = 200, verbose: bool = False) -> "ConicSolution":
-        """Run the interior-point solver; an iteration-limit or stalled
-        solve raises SolverFailure carrying the program and residual
-        report."""
-        return _solve_hsd(self, feastol=feastol, gaptol=gaptol,
-                          maxiter=maxiter, verbose=verbose)
+    def solve(self) -> "ConicSolution":
+        """Run the interior-point solver at FEASTOL, GAPTOL and MAXITER;
+        an iteration-limit or stalled solve raises SolverFailure carrying
+        the program and residual report."""
+        return _solve_hsd(self)
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +489,22 @@ class ConicSolution:
 
 @dataclass
 class ResidualReport:
-    eq_residual: float
-    cone_margin: float      # most negative primal PSD/LP margin
-    dual_margin: float      # most negative dual-slack margin
-    gap: float
+    eq_residual: float = np.nan     # max |A x - b|
+    dual_residual: float = np.nan   # max |A'y + s - c|
+    cone_margin: float = np.nan     # most negative primal PSD/LP margin
+    dual_margin: float = np.nan     # most negative dual-slack margin
+    gap: float = np.nan             # relative gap of c'x and b'y
     ray_residual: float = np.nan
     ray_violation: float = np.nan
 
-    def ok(self, feastol: float = 1e-8, gaptol: float = 1e-8) -> bool:
-        return (self.eq_residual <= 100 * feastol
+    def ok(self) -> bool:
+        """Both sides feasible to 100 FEASTOL, both in their cones to
+        1e-9, and the gap within 100 GAPTOL."""
+        return (self.eq_residual <= 100 * FEASTOL
+                and self.dual_residual <= 100 * FEASTOL
                 and self.cone_margin >= -1e-9
-                and self.gap <= 100 * gaptol)
+                and self.dual_margin >= -1e-9
+                and self.gap <= 100 * GAPTOL)
 
 
 def _block_margins(prog, blocks):
@@ -530,17 +537,18 @@ def verify_solution(prog: ConicProgram, sol: ConicSolution) -> ResidualReport:
                     blk = np.linalg.eigvalsh(fam.mats(
                         blk.reshape(fam.count, fam.ncoords)))
                 res += float(np.sum(np.minimum(blk, 0) ** 2))
-            return ResidualReport(np.nan, np.nan, np.nan, np.nan,
-                                  ray_residual=float(np.sqrt(res)),
+            return ResidualReport(ray_residual=float(np.sqrt(res)),
                                   ray_violation=sol.ray_violation)
-        return ResidualReport(np.nan, np.nan, np.nan, np.nan,
-                              ray_violation=sol.ray_violation)
+        return ResidualReport(ray_violation=sol.ray_violation)
     x = _primal_to_vec(prog, sol.primal)
+    y = _duals_to_vec(prog, sol.dual_rows)
+    s = _primal_to_vec(prog, sol.dual_slack)
     eq = float(np.max(np.abs(A @ x - b))) if b.size else 0.0
-    margin = _block_margins(prog, sol.primal)
-    dmargin = _block_margins(prog, sol.dual_slack)
-    gap = abs(sol.pobj - sol.dobj) / (1 + abs(sol.pobj) + abs(sol.dobj))
-    return ResidualReport(eq, float(margin), float(dmargin), float(gap))
+    dres = float(np.max(np.abs(A.T @ y + s - c))) if c.size else 0.0
+    pobj, dobj = float(c @ x), float(b @ y)
+    gap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
+    return ResidualReport(eq, dres, _block_margins(prog, sol.primal),
+                          _block_margins(prog, sol.dual_slack), gap)
 
 
 def _primal_to_vec(prog: ConicProgram, primal: dict) -> np.ndarray:
@@ -553,9 +561,12 @@ def _primal_to_vec(prog: ConicProgram, primal: dict) -> np.ndarray:
         elif fam.kind == "nonneg":
             x[fam.offset:fam.offset + fam.count] = blk
         else:
-            z = np.asarray(blk, dtype=float)
-            x[fam.offset:fam.offset + fam.count] = np.maximum(z, 0)
-            x[fam.offset + fam.count:fam.offset + 2 * fam.count] = np.maximum(-z, 0)
+            # any split z = z+ - z- gives the same A x and c x; the
+            # symmetric one also undoes the dual slack's, whose two
+            # halves are negatives of each other at a dual-feasible point
+            z = np.asarray(blk, dtype=float) / 2
+            x[fam.offset:fam.offset + fam.count] = z
+            x[fam.offset + fam.count:fam.offset + 2 * fam.count] = -z
     return x
 
 
@@ -958,7 +969,7 @@ def _cho_solve_refined(L, M, rhs):
     return z
 
 
-def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
+def _solve_hsd(prog: ConicProgram):
     A, b, c, psd_fams, lp_width = prog.build()
     nrows, n = A.shape
     lp_off = sum(f.width for f in psd_fams)
@@ -993,7 +1004,7 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
     pres = dres = relgap = np.nan
     candidate = None      # last iterate meeting the base tolerances
     polish = 0
-    for it in range(1, maxiter + 1):
+    for it in range(1, MAXITER + 1):
         mu = (x @ s + tau * kappa) / (degree + 1)
         ax, aty = _matvec(cones, x, nrows), _rmatvec(cones, y, n)
         ry = ax - bs * tau
@@ -1007,10 +1018,7 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
         pobj, dobj = c @ xs, bs @ ys
         objscale = 1 + abs(pobj) + abs(dobj)
         relgap = abs(pobj - dobj) / objscale
-        if verbose:
-            print(f"  it={it:3d} mu={mu:9.2e} pres={pres:8.1e} dres={dres:8.1e} "
-                  f"gap={relgap:8.1e} tau={tau:8.1e} kappa={kappa:8.1e}")
-        if pres <= feastol and dres <= feastol and relgap <= gaptol:
+        if pres <= FEASTOL and dres <= FEASTOL and relgap <= GAPTOL:
             # keep polishing until weak duality holds to 1e-10 and the
             # objective has settled, or progress stalls.  The objective's
             # error is estimated by the gap plus each residual priced by
@@ -1024,17 +1032,17 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
                 candidate = (score, x.copy(), y.copy(), s.copy(), tau,
                              pres, dres)
             polish += 1
-            if (crossover <= 1e-10 and max(pres, dres) <= 0.03 * feastol
-                    and err <= 0.1 * gaptol) or polish >= 10:
+            if (crossover <= 1e-10 and max(pres, dres) <= 0.03 * FEASTOL
+                    and err <= 0.1 * GAPTOL) or polish >= 10:
                 status = "optimal"
                 break
         by, cx = bs @ y, c @ x
         if by > 0 and mu < 1e-3 * mu0:
-            if np.linalg.norm(_rmatvec(cones, y / by, n) + s / by) <= feastol * norm_c:
+            if np.linalg.norm(_rmatvec(cones, y / by, n) + s / by) <= FEASTOL * norm_c:
                 status = "infeasible"
                 break
         if cx < 0 and mu < 1e-3 * mu0:
-            if np.linalg.norm(_matvec(cones, x / -cx, nrows)) <= feastol * norm_b:
+            if np.linalg.norm(_matvec(cones, x / -cx, nrows)) <= FEASTOL * norm_b:
                 status = "unbounded"
                 break
         if mu < 1e-16 * mu0:
@@ -1119,8 +1127,8 @@ def _solve_hsd(prog: ConicProgram, feastol, gaptol, maxiter, verbose):
         sol.primal = _extract_primal(prog, xs)
         sol.dual_rows = _extract_duals(prog, y_orig / tau)
         sol.dual_slack = _extract_primal(prog, s / tau)
-        sol.pobj = float(c @ xs + prog.objective_constant)
-        sol.dobj = float(b @ (y_orig / tau) + prog.objective_constant)
+        sol.pobj = float(c @ xs)
+        sol.dobj = float(b @ (y_orig / tau))
         sol.gap = abs(sol.pobj - sol.dobj) / (1 + abs(sol.pobj) + abs(sol.dobj))
         sol.pres = float(pres)
         sol.dres = float(dres)

@@ -43,16 +43,16 @@ membership program.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from .conic import ConicProgram, ConicSolution
-from .errors import SolverFailure
+from .errors import SolverFailure, ValidationError
 from .scenario import check_strategy_cap, strategy_assignments, strategy_masks
 
-FEASTOL = 1e-8
-GAPTOL = 1e-9
 TINY = 1e-9     # noise weights and scales below this are treated as zero
+MEMBERSHIP_TOL = 5e-8   # margins down to -MEMBERSHIP_TOL count as members
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,26 @@ KINDS = {
 }
 
 
+def parse_kind(enum: type[Enum], text: str, aliases: dict) -> Enum:
+    """The member of ``enum`` named by ``text`` (``text`` itself if it is
+    one), matched after dropping case and the separators ^ / - _;
+    ``aliases`` maps further names, so flattened, to members."""
+    if isinstance(text, enum):
+        return text
+    key = _flat(text)
+    for kind in enum:
+        if key == _flat(kind.value):
+            return kind
+    if key in aliases:
+        return aliases[key]
+    raise ValidationError(f"unknown {enum.__name__} {text!r}: expected one of "
+                          f"{', '.join(k.value for k in enum)}")
+
+
+def _flat(text: str) -> str:
+    return "".join(ch for ch in text.strip().lower() if ch not in "^/-_")
+
+
 def match_rows(m: int, n: int, rows: str):
     """(x, a) pairs of the match rows: all, or the last outcome dropped
     for x > 0."""
@@ -88,12 +108,12 @@ def match_rows(m: int, n: int, rows: str):
 
 
 def build_program(domain: str, kind: str, data: np.ndarray,
-                  reference: np.ndarray, cap: int = 10 ** 6) -> ConicProgram:
+                  reference: np.ndarray) -> ConicProgram:
     """The program of ``KINDS[kind]`` on an (m, n, d, d) data grid."""
     row = KINDS[kind]
     m, n, d = data.shape[:3]
-    total = check_strategy_cap(m, n, cap)
-    masks = strategy_masks(m, n, cap)
+    total = check_strategy_cap(m, n)
+    masks = strategy_masks(m, n)
     every = np.arange(total)
 
     prog = ConicProgram(f"{domain}:{kind}")
@@ -135,14 +155,13 @@ def build_program(domain: str, kind: str, data: np.ndarray,
     return prog
 
 
-def membership_program(name: str, data: np.ndarray,
-                       cap: int = 10 ** 6) -> ConicProgram:
+def membership_program(name: str, data: np.ndarray) -> ConicProgram:
     """Max-margin membership: maximize w such that
     sum_{lambda_x = a} G_lambda + w 1/n = D_{a|x} with G_lambda >= 0.
     D has a parent POVM / LHS model iff w* >= 0."""
     m, n, d = data.shape[:3]
-    total = check_strategy_cap(m, n, cap)
-    masks = strategy_masks(m, n, cap)
+    total = check_strategy_cap(m, n)
+    masks = strategy_masks(m, n)
     prog = ConicProgram(name)
     prog.add_hermitian_family("G", total, d)
     prog.add_free("w", 1)
@@ -156,8 +175,8 @@ def membership_program(name: str, data: np.ndarray,
 
 
 def solve(prog: ConicProgram) -> ConicSolution:
-    """Solve at the quantifier tolerances; raise unless optimal."""
-    sol = prog.solve(feastol=FEASTOL, gaptol=GAPTOL)
+    """Solve; raise unless optimal."""
+    sol = prog.solve()
     if sol.status != "optimal":
         raise SolverFailure(f"{prog.name} solve returned {sol.status}",
                             program=prog)
@@ -175,27 +194,26 @@ def match_duals(sol: ConicSolution, m: int, n: int, d: int) -> np.ndarray:
     return grid
 
 
-def quantify(domain: str, kind: str, data: np.ndarray, reference: np.ndarray,
-             cap: int = 10 ** 6):
+def quantify(domain: str, kind: str, data: np.ndarray, reference: np.ndarray):
     """Solve one kind: (noise weight t >= 0, solution, match-row duals)."""
     m, n, d = data.shape[:3]
-    sol = solve(build_program(domain, kind, data, reference, cap))
+    sol = solve(build_program(domain, kind, data, reference))
     t = max(float(sol.primal["t"][0]), 0.0)
     return t, sol, match_duals(sol, m, n, d)
 
 
-def max_margin(name: str, data: np.ndarray, tol: float, cap: int = 10 ** 6):
+def max_margin(name: str, data: np.ndarray):
     """Solve the membership program: (margin w*, blocks, duals).
 
-    Within ``tol`` of the boundary, ``blocks`` are the G_lambda shifted
+    Within MEMBERSHIP_TOL of the boundary, ``blocks`` are the G_lambda shifted
     by w*/L (so they reproduce D exactly) and clipped PSD, and ``duals``
     is None; otherwise ``blocks`` is None and ``duals`` is the match-row
     dual grid, the certificate of non-membership.
     """
     m, n, d = data.shape[:3]
-    sol = solve(membership_program(name, data, cap))
+    sol = solve(membership_program(name, data))
     margin = -sol.value
-    if margin >= -tol:
+    if margin >= -MEMBERSHIP_TOL:
         blocks = sol.primal["G"]
         return margin, clip_psd(blocks + (margin / len(blocks)) * np.eye(d)), None
     return margin, None, match_duals(sol, m, n, d)

@@ -24,6 +24,7 @@ import numpy as np
 from . import incompat as ic
 from . import nonlocality as nl
 from . import steering as st
+from .decomposition import parse_kind
 from .errors import ValidationError
 from .scenario import (
     MeasurementSet,
@@ -39,6 +40,9 @@ from .scenario import (
 )
 
 THRESHOLD_EPS = 1e-6
+SEESAW_ROUNDS = 100       # see-saw rounds per restart
+SEESAW_TOL = 1e-7         # a round gaining at most this has converged
+TABLE1_BUDGET_S = 1800.0  # wall-clock budget of each steering-table row
 
 # Published reference values for the loophole-free steering data sets
 # (Wittmann et al. and Bennet et al. experiments), used by reproduce().
@@ -216,8 +220,7 @@ def _bob_update(certificate: np.ndarray, members: np.ndarray) -> MeasurementSet:
 
 
 def seesaw_optimize(theta: float, kind, restarts: int = 3, seed: int = 0,
-                    level: int = 2, rounds: int = 100,
-                    tol: float = 1e-7) -> SeesawOutcome:
+                    level: int = 2) -> SeesawOutcome:
     """Alternating optimization of Bob's two dichotomic measurements.
 
     Alice stays fixed at the X and Z measurements on the partially
@@ -225,7 +228,7 @@ def seesaw_optimize(theta: float, kind, restarts: int = 3, seed: int = 0,
     with Bob fixed, then updates Bob from the dual Bell functional.
     Heuristic: reports the best value found over ``restarts`` seeds.
     """
-    kind = nl.parse_nonlocality_kind(kind) if isinstance(kind, str) else kind
+    kind = parse_kind(nl.NonlocalityKind, kind, {})
     state = make_state({"family": "pure_theta", "theta": theta})
     alice = paulis("XZ")
     asm = steer(state, alice)
@@ -241,10 +244,10 @@ def seesaw_optimize(theta: float, kind, restarts: int = 3, seed: int = 0,
             bob = bloch_measurements(vecs)
         state_rec = SeesawState(bob=bob)
         current = -np.inf
-        for _ in range(rounds):
+        for _ in range(SEESAW_ROUNDS):
             beh = measure(asm, bob)
             res = nl.nonlocality_quantifier(beh, kind, level=level)
-            if res.value <= current + tol:
+            if res.value <= current + SEESAW_TOL:
                 state_rec.converged = True
                 if res.value > current:
                     current = res.value
@@ -266,7 +269,7 @@ def seesaw_optimize(theta: float, kind, restarts: int = 3, seed: int = 0,
 # reproduction targets
 # ---------------------------------------------------------------------------
 
-def _table1_row(name: str, extended_budget: float | None = None) -> dict:
+def _table1_row(name: str) -> dict:
     ref = REFERENCE_TABLE1[name]
     params = ref["params"]
     if name == "wittmann":
@@ -286,7 +289,7 @@ def _table1_row(name: str, extended_budget: float | None = None) -> dict:
         ("SWc", lambda: st.steering_quantifier(asm, "SW_c").value),
     ]
     for label, job in jobs:
-        if extended_budget is not None and time.monotonic() - start > extended_budget:
+        if time.monotonic() - start > TABLE1_BUDGET_S:
             out["status"] = "partial"
             break
         val = job()
@@ -329,13 +332,12 @@ def _check_deviation_regression(path, rows) -> list:
     return alerts
 
 
-def reproduce_table1(outdir, extended: bool = False,
-                     budget_seconds: float = 1800.0) -> dict:
+def reproduce_table1(outdir, extended: bool = False) -> dict:
     """Steering-table reproduction: CSV + markdown + persisted deviations.
 
-    The Bennet row sits behind ``extended`` (a 3^10-outcome parent); if
-    the wall-clock budget runs out the row reports partial status
-    without failing.
+    The Bennet row sits behind ``extended`` (a 3^10-outcome parent); a
+    row that runs out of TABLE1_BUDGET_S reports partial status without
+    failing.
     """
     import pathlib
 
@@ -343,7 +345,7 @@ def reproduce_table1(outdir, extended: bool = False,
     outdir.mkdir(parents=True, exist_ok=True)
     rows = [_table1_row("wittmann")]
     if extended:
-        rows.append(_table1_row("bennet", extended_budget=budget_seconds))
+        rows.append(_table1_row("bennet"))
     dev_path = outdir / "table1_deviations.json"
     alerts = _check_deviation_regression(dev_path, rows)
     with open(outdir / "table1.md", "w") as fh:

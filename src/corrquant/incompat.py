@@ -15,7 +15,8 @@ from enum import Enum
 import numpy as np
 
 from .conic import ConicSolution
-from .decomposition import KINDS, TINY, clip_psd, max_margin, quantify, strategy_bound
+from .decomposition import (KINDS, TINY, clip_psd, max_margin, parse_kind,
+                            quantify, strategy_bound)
 from .scenario import MeasurementSet, ParentPovm, coarse_grain
 
 
@@ -26,21 +27,13 @@ class IncompatKind(str, Enum):
     weight = "weight"                        # convex-split weight, IW
 
 
+# the paper's symbols, flattened as parse_kind matches them
 _ALIASES = {
     "ir": IncompatKind.robustness,
     "irr": IncompatKind.random_robustness,
-    "ir_r": IncompatKind.random_robustness,
     "irjm": IncompatKind.jm_robustness,
-    "ir_jm": IncompatKind.jm_robustness,
     "iw": IncompatKind.weight,
 }
-
-
-def parse_incompat_kind(text: str) -> IncompatKind:
-    key = text.strip().lower().replace("^", "").replace("-", "_")
-    if key in _ALIASES:
-        return _ALIASES[key]
-    return IncompatKind(key)
 
 
 @dataclass
@@ -87,21 +80,20 @@ def _witness(y: np.ndarray, measurements: MeasurementSet) -> IncompatWitness:
     return IncompatWitness(coefficients=y, value=value, bound=strategy_bound(y))
 
 
-def is_jointly_measurable(measurements: MeasurementSet, tol: float = 5e-8,
-                          cap: int = 10 ** 6) -> JmDecision:
+def is_jointly_measurable(measurements: MeasurementSet) -> JmDecision:
     """Max-margin membership test for the jointly measurable set.
 
     Solves  max w  s.t.  sum_{vec: vec_x=a} (S_vec + w*I/L) = M_{a|x},
     S_vec >= 0.  The sign of w* decides membership; the duals of the
     coarse-graining rows are the witness when incompatible.
 
-    Inputs within ``tol`` of the JM boundary are classified as jointly
-    measurable; witnesses for barely incompatible sets carry the honest
-    (possibly tiny) violation |w*|.
+    Inputs within ``decomposition.MEMBERSHIP_TOL`` of the JM boundary are
+    classified as jointly measurable; witnesses for barely incompatible
+    sets carry the honest (possibly tiny) violation |w*|.
     """
     m, n = measurements.m, measurements.n
     margin, effects, y = max_margin("is_jointly_measurable",
-                                    measurements.effects, tol, cap)
+                                    measurements.effects)
     if effects is not None:
         return JmDecision(True, margin,
                           parent=ParentPovm(_renorm_povm(effects), (m, n)))
@@ -128,13 +120,12 @@ def _renorm_grid(grid: np.ndarray) -> np.ndarray:
 
 
 def incompatibility_quantifier(measurements: MeasurementSet,
-                               kind: IncompatKind | str,
-                               cap: int = 10 ** 6) -> IncompatResult:
+                               kind: IncompatKind | str) -> IncompatResult:
     """One of IR, IR^r, IR^jm, IW as a single conic solve."""
-    kind = parse_incompat_kind(kind) if isinstance(kind, str) else kind
+    kind = parse_kind(IncompatKind, kind, _ALIASES)
     d = measurements.d
     t, sol, y = quantify("incompat", kind.value, measurements.effects,
-                         np.eye(d), cap)
+                         np.eye(d))
     noise, parent, noise_parent = _reconstruct(kind, sol, measurements, t)
     return IncompatResult(kind=kind, value=t, noise=noise, parent=parent,
                           noise_parent=noise_parent,

@@ -27,10 +27,11 @@ from enum import Enum
 
 import numpy as np
 
+from . import scenario
 from .cg import CgLayout, strategy_cg_matrix
 from .conic import ConicProgram, ConicSolution
-from .decomposition import KINDS, TINY, solve
-from .errors import SolverFailure
+from .decomposition import KINDS, MEMBERSHIP_TOL, TINY, parse_kind, solve
+from .errors import SolverFailure, StrategyCapExceeded
 from .npa import build_npa_block, cell_functional
 from .scenario import (
     Behaviour,
@@ -38,6 +39,11 @@ from .scenario import (
     behaviour_marginal,
     check_strategy_cap,
 )
+
+# ns_project: the log-barrier weight keeping its iterate interior, and
+# its Newton iteration limit
+NS_BARRIER = 1e-12
+NS_MAXITER = 200
 
 
 class NonlocalityKind(str, Enum):
@@ -60,20 +66,6 @@ STEERING_KIND = {
     NonlocalityKind.NLR_c_lhv: "SR_c_lhs",
     NonlocalityKind.NLW_c: "SW_c",
 }
-
-
-def parse_nonlocality_kind(text: str) -> NonlocalityKind:
-    key = text.strip().replace("^", "_").replace("/", "_").replace("-", "_")
-    for kind in NonlocalityKind:
-        if key.lower() == kind.value.lower():
-            return kind
-    flat = key.lower().replace("_", "")
-    aliases = {"nlrc": NonlocalityKind.NLR_c, "nlrmar": NonlocalityKind.NLR_mar,
-               "nlrlhv": NonlocalityKind.NLR_lhv, "nlwc": NonlocalityKind.NLW_c,
-               "nlrclhv": NonlocalityKind.NLR_c_lhv}
-    if flat in aliases:
-        return aliases[flat]
-    raise ValueError(f"unknown nonlocality kind {text!r}")
 
 
 @dataclass
@@ -142,21 +134,30 @@ def _inequality_from_duals(sol: ConicSolution, layout: CgLayout,
                           violation=value - bound, level=level)
 
 
-def is_local(b: Behaviour, tol: float = 5e-8, cap: int = 10 ** 6) -> LocalDecision:
-    """Max-margin LP membership in the local polytope.
-
-    Maximizes w with weights q = u + w/N, u >= 0; w* >= 0 means local and
-    the duals of the CG rows give a Bell inequality otherwise.
-    """
+def _strategy_pairs(b: Behaviour):
+    """(layout, S) of a no-signalling behaviour, with S the CG vectors of
+    the deterministic strategy pairs, one per row; the pair count is
+    checked against the strategy cap before S is built."""
     b.require_no_signalling()
     mA, nA, mB, nB = _scenario(b)
-    check_strategy_cap(mA, nA, cap)
-    check_strategy_cap(mB, nB, cap)
+    npairs = check_strategy_cap(mA, nA) * check_strategy_cap(mB, nB)
+    if npairs > scenario.STRATEGY_CAP:
+        raise StrategyCapExceeded(
+            f"{npairs} deterministic strategy pairs exceed the cap "
+            f"{scenario.STRATEGY_CAP}")
     layout = CgLayout(mA, nA, mB, nB)
-    S = strategy_cg_matrix(layout)
+    return layout, strategy_cg_matrix(layout)
+
+
+def is_local(b: Behaviour) -> LocalDecision:
+    """Max-margin LP membership in the local polytope.
+
+    Maximizes w with weights q = u + w/N, u >= 0; w* >= 0 (down to
+    -MEMBERSHIP_TOL) means local and the duals of the CG rows give a Bell
+    inequality otherwise.
+    """
+    layout, S = _strategy_pairs(b)
     npairs = S.shape[0]
-    if npairs > cap:
-        raise SolverFailure(f"strategy-pair count {npairs} exceeds cap {cap}")
     cg = layout.of_table(b.table)
 
     prog = ConicProgram("is_local")
@@ -170,7 +171,7 @@ def is_local(b: Behaviour, tol: float = 5e-8, cap: int = 10 ** 6) -> LocalDecisi
     prog.set_objective([("lin", "w", [0], [-1.0])])
     sol = solve(prog)
     margin = -sol.value
-    if margin >= -tol:
+    if margin >= -MEMBERSHIP_TOL:
         q = sol.primal["u"] + margin / npairs
         model = _pair_weights_to_model(q, _scenario(b))
         return LocalDecision(True, margin, model=model)
@@ -244,7 +245,7 @@ def build_program(b: Behaviour, kind: NonlocalityKind, layout: CgLayout,
 
 
 def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
-                           level: int = 2, cap: int = 10 ** 6,
+                           level: int = 2,
                            pin_party: str = "B") -> NonlocalityResult:
     """One of NLR, NLR^mar, NLR^lhv, NLW, NLR^c, NLR^c/lhv, NLW^c.
 
@@ -253,12 +254,12 @@ def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
     ``pin_party`` picks whose marginal the consistency/marginal kinds
     pin: "B" (default, estimating Alice's incompatibility) or "A".
     """
-    kind = parse_nonlocality_kind(kind) if isinstance(kind, str) else kind
+    kind = parse_kind(NonlocalityKind, kind, {})
     if pin_party not in ("A", "B"):
         raise ValueError(f"pin_party must be 'A' or 'B', got {pin_party!r}")
     if pin_party == "A":
         swapped = Behaviour(np.ascontiguousarray(b.table.transpose(1, 0, 3, 2)))
-        res = nonlocality_quantifier(swapped, kind, level=level, cap=cap)
+        res = nonlocality_quantifier(swapped, kind, level=level)
         res.inequality.coefficients = np.ascontiguousarray(
             res.inequality.coefficients.transpose(1, 0, 3, 2))
         if res.noise_table is not None:
@@ -269,15 +270,7 @@ def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
             res.noise_model = LocalModel(res.noise_model.weights.T,
                                          _scenario(b))
         return res
-    b.require_no_signalling()
-    mA, nA, mB, nB = _scenario(b)
-    check_strategy_cap(mA, nA, cap)
-    check_strategy_cap(mB, nB, cap)
-    layout = CgLayout(mA, nA, mB, nB)
-    S = strategy_cg_matrix(layout)
-    if S.shape[0] > cap:
-        raise SolverFailure(f"strategy-pair count {S.shape[0]} exceeds cap {cap}")
-
+    layout, S = _strategy_pairs(b)
     row = KINDS[STEERING_KIND[kind]]
     prog, tmpl = build_program(b, kind, layout, S, level)
     sol = solve(prog)
@@ -332,14 +325,13 @@ class NsProjection:
     boundary_flag: bool          # raw mass on events the projection floors
 
 
-def ns_project(raw_table: np.ndarray, weights=None, barrier: float = 1e-12,
-               maxiter: int = 200) -> NsProjection:
+def ns_project(raw_table: np.ndarray, weights=None) -> NsProjection:
     """Closest no-signalling behaviour in relative entropy.
 
     Minimizes  sum_xy w_xy sum_ab raw log(raw / P(z))  over the
     no-signalling polytope, parameterized affinely in Collins-Gisin
-    coordinates, by damped Newton with a log-barrier 1e-12 keeping the
-    iterate in the relative interior.  Weights default to uniform
+    coordinates, by damped Newton with a log-barrier NS_BARRIER keeping
+    the iterate in the relative interior.  Weights default to uniform
     1/(mA*mB) per setting pair.
     """
     raw = np.asarray(raw_table, dtype=float)
@@ -369,11 +361,11 @@ def ns_project(raw_table: np.ndarray, weights=None, barrier: float = 1e-12,
         return t0 + Tred @ vv
 
     it = 0
-    for it in range(1, maxiter + 1):
+    for it in range(1, NS_MAXITER + 1):
         p = table_vec(v)
         if np.min(p) <= 0:
             raise SolverFailure("ns_project iterate left the positive orthant")
-        coef = cvec + barrier
+        coef = cvec + NS_BARRIER
         g = -Tred.T @ (coef / p)
         h = Tred.T @ ((coef / p ** 2)[:, None] * Tred)
         try:
@@ -403,7 +395,7 @@ def ns_project(raw_table: np.ndarray, weights=None, barrier: float = 1e-12,
     mask = raw > 0
     div = float(np.sum((w[:, :, None, None] * raw)[mask]
                        * np.log(raw[mask] / table[mask])))
-    floored = bool(np.min(table) < 10 * barrier)
+    floored = bool(np.min(table) < 10 * NS_BARRIER)
     norms = table.sum(axis=(2, 3))[:, :, None, None]
     beh = Behaviour(np.clip(table, 0.0, None) / norms)
     return NsProjection(behaviour=beh, divergence=div, kkt_residual=kkt,
@@ -420,4 +412,4 @@ def behaviour_from_counts(counts) -> Behaviour:
     totals = arr.sum(axis=(2, 3), keepdims=True)
     if np.any(totals == 0):
         raise ValueError("every (x, y) slice needs at least one count")
-    return Behaviour(arr / totals, signalling_tol=1e-9)
+    return Behaviour(arr / totals)

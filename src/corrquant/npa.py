@@ -23,6 +23,9 @@ import numpy as np
 from .cg import CgLayout
 from .conic import ConicProgram
 from .decomposition import solve
+from .errors import ValidationError
+
+MEMBERSHIP_TOL = 1e-9   # npa_membership: margins down to -MEMBERSHIP_TOL are in
 
 # a symbol is (party, input, outcome); words are tuples of symbols,
 # canonical form keeps Alice symbols (party 0) before Bob symbols.
@@ -120,7 +123,7 @@ def build_npa_block(scenario, level: int) -> NpaTemplate:
     """Word index + class structure for one scenario and level."""
     mA, nA, mB, nB = scenario
     if level not in (1, 2):
-        raise ValueError(f"unsupported level {level!r} (only 1 and 2)")
+        raise ValidationError(f"unsupported level {level!r} (only 1 and 2)")
     asyms = [(0, x, a) for x in range(mA) for a in range(nA - 1)]
     bsyms = [(1, y, b) for y in range(mB) for b in range(nB - 1)]
     words = [()]
@@ -230,7 +233,7 @@ class NpaDecision:
     functional: BellFunctional | None = None
 
 
-def npa_membership(behaviour, level: int = 2, tol: float = 1e-9) -> NpaDecision:
+def npa_membership(behaviour, level: int = 2) -> NpaDecision:
     """Margin test of membership in the level-``level`` relaxation.
 
     Solved in dualized form: minimize <F0(P), X> over X >= 0, tr X = 1,
@@ -242,10 +245,6 @@ def npa_membership(behaviour, level: int = 2, tol: float = 1e-9) -> NpaDecision:
     tmpl = build_npa_block(
         (behaviour.mA, behaviour.nA, behaviour.mB, behaviour.nB), level)
     cgvec = tmpl.layout.of_table(behaviour.table)
-    return _membership_from_cg(tmpl, cgvec, tol)
-
-
-def _membership_from_cg(tmpl: NpaTemplate, cgvec, tol) -> NpaDecision:
     pinned = {}
     for k, ci in enumerate(tmpl.cg_class):
         pinned[ci] = cgvec[k]
@@ -264,7 +263,7 @@ def _membership_from_cg(tmpl: NpaTemplate, cgvec, tol) -> NpaDecision:
     prog.set_objective([("mat", "X", 0, f0)])
     sol = solve(prog)
     margin = sol.value
-    if margin >= -tol:
+    if margin >= -MEMBERSHIP_TOL:
         gamma = sol.dual_slack["X"][0].real.copy()
         gamma += sol.dual_rows[("trace",)] * np.eye(tmpl.size)
         mm = MomentMatrix(template=tmpl, gamma=gamma,

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import BasisError, DimensionMismatch, NotHermitian, NotPositiveSemidefinite
 
-HERM_TOL = 1e-12       # invariant tolerance on entries vs conjugate transpose
 HERM_REJECT = 1e-8     # construction rejects asymmetry beyond this
 PSD_TOL = 1e-10        # eigenvalues above -PSD_TOL are clipped to zero
 UNITARY_TOL = 1e-10
@@ -26,8 +25,8 @@ def asmatrix(op) -> np.ndarray:
     return np.asarray(op, dtype=complex)
 
 
-def hermitize(mat, tol: float = HERM_REJECT) -> np.ndarray:
-    """Symmetrize ``(M + M†)/2``, rejecting asymmetry beyond ``tol``.
+def hermitize(mat) -> np.ndarray:
+    """Symmetrize ``(M + M†)/2``, rejecting asymmetry beyond HERM_REJECT.
 
     Batched over leading axes.
     """
@@ -36,8 +35,9 @@ def hermitize(mat, tol: float = HERM_REJECT) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
     adj = mat.conj().swapaxes(-1, -2)
     asym = np.max(np.abs(mat - adj)) if mat.size else 0.0
-    if asym > tol:
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {tol:.1e}")
+    if asym > HERM_REJECT:
+        raise NotHermitian(
+            f"asymmetry {asym:.3e} exceeds tolerance {HERM_REJECT:.1e}")
     return (mat + adj) / 2
 
 
@@ -70,16 +70,16 @@ def partial_trace(op, dims: tuple[int, int], keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def eigh_clipped(op, tol: float = PSD_TOL):
+def eigh_clipped(op):
     """Eigendecomposition with small negative eigenvalues clipped to 0.
 
-    Raises NotPositiveSemidefinite if any eigenvalue is below ``-tol``.
+    Raises NotPositiveSemidefinite if any eigenvalue is below -PSD_TOL.
     """
     mat = hermitize(asmatrix(op))
     vals, vecs = np.linalg.eigh(mat)
-    if vals.size and vals[0] < -tol:
+    if vals.size and vals[0] < -PSD_TOL:
         raise NotPositiveSemidefinite(
-            f"smallest eigenvalue {vals[0]:.3e} below -{tol:.1e}")
+            f"smallest eigenvalue {vals[0]:.3e} below -{PSD_TOL:.1e}")
     return np.clip(vals, 0.0, None), vecs
 
 

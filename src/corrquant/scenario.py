@@ -35,15 +35,18 @@ from .operators import (
     tensor,
 )
 
+# every strategy count is checked against this module attribute when the
+# check runs, so setting it moves every check at once
 STRATEGY_CAP = 10 ** 6
 PSD_TOL = 1e-9
 SUM_TOL = 1e-9
+SIGNALLING_TOL = 1e-9
 
 
-def _check_psd_grid(grid, tol=PSD_TOL, what="effect"):
-    """Raise on the first block, in index order, with an eigenvalue below -tol."""
+def _check_psd_grid(grid, what="effect"):
+    """Raise on the first block, in index order, with an eigenvalue below -PSD_TOL."""
     low = np.linalg.eigvalsh(grid)[..., 0]
-    bad = np.argwhere(low < -tol)
+    bad = np.argwhere(low < -PSD_TOL)
     if bad.size:
         idx = tuple(int(i) for i in bad[0])
         raise NotPositiveSemidefinite(
@@ -158,7 +161,7 @@ class Behaviour:
     ``signalling=True`` together with the observed deviation.
     """
 
-    def __init__(self, table, signalling_tol: float = 1e-9):
+    def __init__(self, table):
         tab = np.asarray(table, dtype=float)
         if tab.ndim != 4:
             raise DimensionMismatch(f"table must be (mA, mB, nA, nB), got {tab.shape}")
@@ -175,7 +178,7 @@ class Behaviour:
         dev = max(np.max(np.abs(pa - pa[:, :1])),
                   np.max(np.abs(pb - pb[:1, :])))
         self.signalling_deviation = float(dev)
-        self.signalling = bool(dev > signalling_tol)
+        self.signalling = bool(dev > SIGNALLING_TOL)
         tab.setflags(write=False)
         self.table = tab
 
@@ -184,26 +187,21 @@ class Behaviour:
         return (f"Behaviour(mA={self.mA}, nA={self.nA}, "
                 f"mB={self.mB}, nB={self.nB}{flag})")
 
-    def require_no_signalling(self, tol: float = 1e-9):
-        if self.signalling_deviation > tol:
+    def require_no_signalling(self):
+        if self.signalling_deviation > SIGNALLING_TOL:
             raise SignallingError(
-                f"signalling deviation {self.signalling_deviation:.2e} > {tol:.1e}")
+                f"signalling deviation {self.signalling_deviation:.2e} "
+                f"> {SIGNALLING_TOL:.1e}")
 
 
-def behaviour_marginal(b: Behaviour, party: str, average: bool = False) -> np.ndarray:
-    """Marginal table P(a|x) (party="A") or P(b|y) (party="B").
-
-    Signalling behaviours need ``average=True``, which averages over the
-    traced party's inputs instead of failing.
-    """
-    if not average:
-        b.require_no_signalling()
+def behaviour_marginal(b: Behaviour, party: str) -> np.ndarray:
+    """Marginal table P(a|x) (party="A") or P(b|y) (party="B") of a
+    no-signalling behaviour."""
+    b.require_no_signalling()
     if party in ("A", "a"):
-        pa = b.table.sum(axis=3)        # (mA, mB, nA)
-        return pa.mean(axis=1) if average else pa[:, 0]
+        return b.table.sum(axis=3)[:, 0]        # (mA, nA), read at y = 0
     if party in ("B", "b"):
-        pb = b.table.sum(axis=2)        # (mA, mB, nB)
-        return pb.mean(axis=0) if average else pb[0]
+        return b.table.sum(axis=2)[0]           # (mB, nB), read at x = 0
     raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
@@ -211,19 +209,19 @@ def strategy_count(m: int, n: int) -> int:
     return n ** m
 
 
-def check_strategy_cap(m: int, n: int, cap: int = STRATEGY_CAP) -> int:
+def check_strategy_cap(m: int, n: int) -> int:
     total = strategy_count(m, n)
-    if total > cap:
+    if total > STRATEGY_CAP:
         raise StrategyCapExceeded(
-            f"n^m = {total} deterministic strategies exceed the cap {cap}")
+            f"n^m = {total} deterministic strategies exceed the cap {STRATEGY_CAP}")
     return total
 
 
-def strategy_assignments(m: int, n: int, cap: int = STRATEGY_CAP) -> np.ndarray:
+def strategy_assignments(m: int, n: int) -> np.ndarray:
     """(n^m, m) integer array of the deterministic strategies' outcome
     assignments, lexicographic: strategy i assigns input x the x-th
     base-n digit of i, most significant first."""
-    total = check_strategy_cap(m, n, cap)
+    total = check_strategy_cap(m, n)
     idx = np.arange(total)
     cols = []
     for x in range(m):
@@ -231,9 +229,9 @@ def strategy_assignments(m: int, n: int, cap: int = STRATEGY_CAP) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def strategy_masks(m: int, n: int, cap: int = STRATEGY_CAP):
+def strategy_masks(m: int, n: int):
     """masks[x][a] = indices of strategies assigning outcome a to input x."""
-    assign = strategy_assignments(m, n, cap)
+    assign = strategy_assignments(m, n)
     return [[np.nonzero(assign[:, x] == a)[0] for a in range(n)]
             for x in range(m)]
 

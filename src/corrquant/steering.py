@@ -21,7 +21,8 @@ from enum import Enum
 import numpy as np
 
 from .conic import ConicSolution
-from .decomposition import KINDS, TINY, clip_psd, max_margin, quantify, strategy_bound
+from .decomposition import (KINDS, TINY, clip_psd, max_margin, parse_kind,
+                            quantify, strategy_bound)
 from .scenario import Assemblage, LhsModel, coarse_grain, reduced_state
 
 
@@ -33,20 +34,6 @@ class SteeringKind(str, Enum):
     SR_c = "SR_c"            # consistent robustness
     SR_c_lhs = "SR_c_lhs"    # consistent LHS robustness
     SW_c = "SW_c"            # consistent weight
-
-
-def parse_steering_kind(text: str) -> SteeringKind:
-    key = text.strip().replace("^", "_").replace("/", "_").replace("-", "_")
-    for kind in SteeringKind:
-        if key.lower() == kind.value.lower():
-            return kind
-    aliases = {"src": SteeringKind.SR_c, "srred": SteeringKind.SR_red,
-               "srlhs": SteeringKind.SR_lhs, "swc": SteeringKind.SW_c,
-               "srclhs": SteeringKind.SR_c_lhs, "sr_clhs": SteeringKind.SR_c_lhs}
-    flat = key.lower().replace("_", "")
-    if flat in aliases:
-        return aliases[flat]
-    raise ValueError(f"unknown steering kind {text!r}")
 
 
 @dataclass
@@ -110,24 +97,23 @@ def _inequality(f: np.ndarray, asm: Assemblage) -> SteeringInequality:
     return ineq
 
 
-def has_lhs_model(assemblage: Assemblage, tol: float = 5e-8,
-                  cap: int = 10 ** 6) -> LhsDecision:
+def has_lhs_model(assemblage: Assemblage) -> LhsDecision:
     """Max-margin LHS membership: maximize w such that the model states
     omega_lambda - w*I/L stay PSD while reproducing the assemblage."""
     m, n = assemblage.m, assemblage.n
-    margin, states, f = max_margin("has_lhs_model", assemblage.members, tol, cap)
+    margin, states, f = max_margin("has_lhs_model", assemblage.members)
     if states is not None:
         return LhsDecision(True, margin,
                            model=LhsModel(_unit_trace(states), (m, n)))
     return LhsDecision(False, margin, inequality=_inequality(f, assemblage))
 
 
-def steering_quantifier(assemblage: Assemblage, kind: SteeringKind | str,
-                        cap: int = 10 ** 6) -> SteeringResult:
+def steering_quantifier(assemblage: Assemblage,
+                        kind: SteeringKind | str) -> SteeringResult:
     """One of SR, SR^red, SR^lhs, SW, SR^c, SR^c/lhs, SW^c."""
-    kind = parse_steering_kind(kind) if isinstance(kind, str) else kind
+    kind = parse_kind(SteeringKind, kind, {})
     rho_b = reduced_state(assemblage)
-    s, sol, f = quantify("steering", kind.value, assemblage.members, rho_b, cap)
+    s, sol, f = quantify("steering", kind.value, assemblage.members, rho_b)
     noise, model, noise_model = _reconstruct(kind, sol, assemblage, rho_b, s)
     return SteeringResult(kind=kind, value=s, noise=noise, model=model,
                           noise_model=noise_model,

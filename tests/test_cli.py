@@ -1,11 +1,16 @@
 import json
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
+from corrquant import incompat as ic
+from corrquant import nonlocality as nl
 from corrquant import scenario as sc
 from corrquant import serialize
+from corrquant import steering as st
 from corrquant.cli import main
+from corrquant.decomposition import parse_kind
 
 
 def write_assemblage(path):
@@ -65,6 +70,50 @@ def test_validation_exit_code(tmp_path):
     serialize.save(path2, sc.paulis("XZ"))
     res2 = runner.invoke(main, ["quantify", "steer", "-k", "SR", "-i", str(path2)])
     assert res2.exit_code == 2
+
+
+CHSH = sc.measure(sc.steer(sc.werner(1.0), sc.paulis("XZ")),
+                  sc.bloch_measurements([np.array([1, 0, 1]) / np.sqrt(2),
+                                         np.array([1, 0, -1]) / np.sqrt(2)]))
+
+
+@pytest.mark.parametrize("obj, args", [
+    (sc.paulis("XZ"), ["quantify", "incompat", "-k", "bogus"]),
+    (sc.paulis("XZ"), ["certificate", "-k", "bogus"]),
+    (CHSH, ["quantify", "nonlocal", "-k", "NLR", "-l", "3"]),
+])
+def test_unknown_kind_or_level_exits_2(tmp_path, obj, args):
+    path = tmp_path / "obj.json"
+    serialize.save(path, obj)
+    res = CliRunner().invoke(main, args + ["-i", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output
+
+
+# spellings the per-domain parsers accepted, with the kind each gave
+IK, SK, NK = ic.IncompatKind, st.SteeringKind, nl.NonlocalityKind
+ALIASES = {IK: ic._ALIASES, SK: {}, NK: {}}
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("robustness", IK.robustness), ("IR", IK.robustness),
+    ("Random-Robustness", IK.random_robustness), ("IR^r", IK.random_robustness),
+    ("ir_r", IK.random_robustness), ("IRr", IK.random_robustness),
+    ("jm_robustness", IK.jm_robustness), ("IR^jm", IK.jm_robustness),
+    ("ir-jm", IK.jm_robustness), (" weight ", IK.weight), ("IW", IK.weight),
+    ("SR", SK.SR), ("sr", SK.SR), ("SR^red", SK.SR_red), ("SRred", SK.SR_red),
+    ("sr-lhs", SK.SR_lhs), ("SW", SK.SW), ("SR^c", SK.SR_c), ("src", SK.SR_c),
+    ("SR^c/lhs", SK.SR_c_lhs), ("SRclhs", SK.SR_c_lhs),
+    ("SR_c-lhs", SK.SR_c_lhs), ("SW^c", SK.SW_c), ("swc", SK.SW_c),
+    ("NLR", NK.NLR), ("NLR^mar", NK.NLR_mar), ("nlrmar", NK.NLR_mar),
+    ("NLR/lhv", NK.NLR_lhv), ("nlw", NK.NLW), ("NLR^c", NK.NLR_c),
+    ("NLRc", NK.NLR_c), ("NLR^c/lhv", NK.NLR_c_lhv), ("nlrclhv", NK.NLR_c_lhv),
+    ("NLW-c", NK.NLW_c), ("NLWc", NK.NLW_c),
+])
+def test_parse_kind_keeps_old_spellings(text, kind):
+    enum = type(kind)
+    assert parse_kind(enum, text, ALIASES[enum]) is kind
+    assert parse_kind(enum, kind, ALIASES[enum]) is kind
 
 
 def test_sweep_command(tmp_path):

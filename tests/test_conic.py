@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from corrquant import scenario
+from corrquant import conic, scenario
 from corrquant.conic import (
     ConicProgram,
     _cones,
@@ -213,6 +213,42 @@ def test_verify_flags_corruption():
     assert rep.eq_residual >= 1e-4
 
 
+@pytest.mark.parametrize("corrupt", ["dual_slack", "dual_row"])
+def test_verify_flags_dual_corruption(corrupt):
+    rng = np.random.default_rng(11)
+    cmat = random_hermitian(3, rng)
+    prog = ConicProgram()
+    prog.add_hermitian_family("X", 1, 3)
+    prog.add_scalar_row(("tr",), 1.0, [("tr", "X", [0], 1.0)])
+    prog.set_objective([("mat", "X", 0, cmat)])
+    sol = prog.solve()
+    assert verify_solution(prog, sol).ok()
+    if corrupt == "dual_slack":
+        sol.dual_slack["X"] = sol.dual_slack["X"] - 0.5 * np.eye(3)
+    else:
+        sol.dual_rows[("tr",)] += 0.3
+    assert not verify_solution(prog, sol).ok()
+
+
+def test_tolerances_are_read_when_solving(monkeypatch):
+    rng = np.random.default_rng(12)
+    prog = ConicProgram("lammin")
+    prog.add_hermitian_family("X", 1, 4)
+    prog.add_scalar_row(("trace",), 1.0, [("tr", "X", [0], 1.0)])
+    prog.set_objective([("mat", "X", 0, random_hermitian(4, rng))])
+    tight = prog.solve()
+    monkeypatch.setattr(conic, "FEASTOL", 1e-4)
+    monkeypatch.setattr(conic, "GAPTOL", 1e-4)
+    assert prog.solve().iterations < tight.iterations
+    # the check reads the same constant: a gap of 5e-8 is within 100 GAPTOL
+    # at 1e-9, not at 1e-10
+    report = conic.ResidualReport(0.0, 0.0, 0.0, 0.0, gap=5e-8)
+    monkeypatch.setattr(conic, "GAPTOL", 1e-9)
+    assert report.ok()
+    monkeypatch.setattr(conic, "GAPTOL", 1e-10)
+    assert not report.ok()
+
+
 def test_dump_triplets_roundtrip_header():
     prog = ConicProgram("dumpme")
     prog.add_nonneg("t", 1)
@@ -225,8 +261,9 @@ def test_dump_triplets_roundtrip_header():
 
 
 def test_variable_cap():
-    prog = ConicProgram("capped", variable_cap=10)
-    prog.add_hermitian_family("X", 5, 4)
+    # 250001 blocks of 16 coordinates: 4000016 columns > VARIABLE_CAP
+    prog = ConicProgram("capped")
+    prog.add_hermitian_family("X", 250_001, 4)
     with pytest.raises(SolverFailure):
         prog.add_scalar_row(("tr",), 1.0, [("tr", "X", [0], 1.0)])
 

@@ -161,10 +161,10 @@ def test_witness_reconstruction_invariants():
         if kind is ic.IncompatKind.weight:
             remainder = ic.weight_remainder(ms, res.noise.reshape(ms.m, ms.n, 2, 2),
                                             res.value)
-            dec = ic.is_jointly_measurable(remainder, tol=1e-7)
+            dec = ic.is_jointly_measurable(remainder)
         else:
             mix = ic.mixture(ms, res.noise, res.value)
-            dec = ic.is_jointly_measurable(mix, tol=1e-7)
+            dec = ic.is_jointly_measurable(mix)
         assert dec.jointly_measurable, kind
         # the parent returned by the solve coarse-grains to the mixture
         if kind is not ic.IncompatKind.weight:
@@ -218,9 +218,12 @@ def test_linearization_reproduces_fractional_constraints():
 
 
 def test_cap_exceeded():
+    # 20 dichotomic measurements: 2^20 > 10^6 strategies
+    vecs = np.random.default_rng(3).normal(size=(20, 3))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     with pytest.raises(StrategyCapExceeded):
-        ic.incompatibility_quantifier(
-            sc.bloch_measurements(np.eye(3)), "random_robustness", cap=4)
+        ic.incompatibility_quantifier(sc.bloch_measurements(vecs),
+                                      "random_robustness")
 
 
 def mub_pair(d: int) -> sc.MeasurementSet:

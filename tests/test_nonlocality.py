@@ -5,7 +5,7 @@ from scipy.optimize import linprog
 from corrquant import nonlocality as nl
 from corrquant import scenario as sc
 from corrquant.cg import CgLayout, strategy_cg_matrix
-from corrquant.errors import SignallingError
+from corrquant.errors import SignallingError, StrategyCapExceeded
 
 
 def isotropic_chsh(v):
@@ -92,6 +92,25 @@ def test_signalling_rejected():
     beh = sc.Behaviour(tab)
     with pytest.raises(SignallingError):
         nl.is_local(beh)
+
+
+def test_pair_cap_checked_before_strategy_matrix(monkeypatch):
+    # 4 strategies per party fit a cap of 10, their 16 pairs do not: both
+    # programs refuse before building the (16, 9) strategy matrix, and the
+    # one setting moves every strategy check
+    monkeypatch.setattr(sc, "STRATEGY_CAP", 10)
+
+    def spy(layout):
+        raise AssertionError("strategy matrix built past the cap")
+
+    monkeypatch.setattr(nl, "strategy_cg_matrix", spy)
+    beh = isotropic_chsh(1.0)
+    with pytest.raises(StrategyCapExceeded):
+        nl.is_local(beh)
+    with pytest.raises(StrategyCapExceeded):
+        nl.nonlocality_quantifier(beh, "NLR_mar")
+    with pytest.raises(StrategyCapExceeded):
+        sc.strategy_masks(4, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -149,5 +149,5 @@ def test_proof_construction_mixture_is_lhs():
     res = ic.incompatibility_quantifier(meas, "robustness")
     mixed = ic.mixture(meas, res.noise, res.value)
     asm = sc.steer(state, mixed)
-    dec = st.has_lhs_model(asm, tol=1e-7)
+    dec = st.has_lhs_model(asm)
     assert dec.has_model

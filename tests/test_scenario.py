@@ -120,7 +120,7 @@ def test_strategy_counts_and_cap():
     with pytest.raises(StrategyCapExceeded):
         sc.check_strategy_cap(30, 3)
     with pytest.raises(StrategyCapExceeded):
-        sc.strategy_assignments(3, 3, cap=26)
+        sc.strategy_assignments(13, 3)
 
 
 def test_strategy_order_lexicographic():

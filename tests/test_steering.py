@@ -88,13 +88,13 @@ def test_witnesses_and_certificates(kind):
     # defining decomposition reconstructs within 1e-8
     if dc.KINDS[kind.value].sign > 0:
         remainder = st.weight_remainder(asm, res.noise, res.value)
-        dec = st.has_lhs_model(remainder, tol=1e-7)
+        dec = st.has_lhs_model(remainder)
         assert dec.has_model
         rebuilt = res.value * res.noise + (1 - res.value) * \
             res.model.assemblage().members
     else:
         mix = st.lhs_mixture(asm, res.noise, res.value)
-        dec = st.has_lhs_model(mix, tol=1e-7)
+        dec = st.has_lhs_model(mix)
         assert dec.has_model
         rebuilt = (1 + res.value) * res.model.assemblage().members \
             - res.value * res.noise
