@@ -8,7 +8,9 @@ project-ns, certificate.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import json
+import os
 import sys
+import tempfile
 
 import click
 import numpy as np
@@ -30,7 +32,9 @@ def _fail(exc: Exception) -> None:
     if isinstance(exc, SolverFailure):
         if exc.program is not None:
             try:
-                path = "corrquant_failed_program.triplets"
+                fd, path = tempfile.mkstemp(prefix="corrquant_failed_program_",
+                                            suffix=".triplets")
+                os.close(fd)
                 exc.write_dump(path)
                 click.echo(f"program dump written to {path}", err=True)
             except OSError:

@@ -63,6 +63,7 @@ FEASTOL = 1e-8            # relative primal and dual residual
 GAPTOL = 1e-9             # relative duality gap
 MAXITER = 200
 VARIABLE_CAP = 4_000_000  # columns of A
+MARGIN_TOL = 1e-9         # most negative cone margin verify_solution accepts
 
 _STEP_FRACTION = 0.99
 
@@ -180,6 +181,20 @@ class _Family:
             c = np.asarray(cmat, dtype=float)
             return self.coords((c + c.T) / 2)
         raise ValueError(f"family {self.name!r} is not a matrix family")
+
+    def part(self, vec: np.ndarray) -> np.ndarray:
+        """This family's (count, ncoords) slice of a full-length vector."""
+        return vec[self.offset:self.offset + self.width].reshape(self.count, -1)
+
+    def eigvalsh(self, coords: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues of blocks from their (batch, ncoords)
+        coordinates; closed form for 2x2 Hermitian."""
+        if self.kind == "herm" and self.dim == 2:
+            mid = (coords[:, 0] + coords[:, 1]) / 2
+            rad = np.sqrt(((coords[:, 0] - coords[:, 1]) / 2) ** 2
+                          + (coords[:, 2] ** 2 + coords[:, 3] ** 2) / 2)
+            return np.stack([mid - rad, mid + rad], axis=1)
+        return np.linalg.eigvalsh(self.mats(coords))
 
     def touch(self, key, rows, functional, indices, weight) -> None:
         """Record that ``weight * X_i``, i in ``indices``, enters ``rows``
@@ -413,23 +428,74 @@ class ConicProgram:
     def row_groups(self):
         return list(self._rows)
 
+    def _triplets(self):
+        """(ai, aj, av, cj, cv): the emitted entries of A and c, each list
+        joined into one array (and kept joined)."""
+        self._freeze()
+        parts = []
+        for store, dtype in ((self._ai, np.int64), (self._aj, np.int64),
+                             (self._av, float), (self._cj, np.int64),
+                             (self._cv, float)):
+            if len(store) != 1:
+                store[:] = [np.concatenate(store) if store else np.zeros(0, dtype)]
+            parts.append(store[0])
+        return parts
+
+    def rhs(self) -> np.ndarray:
+        """The right-hand side b."""
+        return np.asarray(self._b, dtype=float)
+
+    def objective(self) -> np.ndarray:
+        """The objective vector c."""
+        _, _, _, cj, cv = self._triplets()
+        c = np.zeros(self._ncols)
+        np.add.at(c, cj, cv)
+        return c
+
+    def column_products(self, name: str, y: np.ndarray) -> np.ndarray:
+        """A^T y on the blocks of Hermitian family ``name``, as (count,
+        ncoords) coordinates, from its touch structure (no A is built)."""
+        rows, P, U = self._fam(name).structure()
+        return U.T @ (y[rows] @ P).reshape(U.shape[0], -1)
+
     def build(self):
         """Assemble (A, b, c, psd_families, lp_width)."""
-        self._freeze()
-        nrows, ncols = self._nrows, self._ncols
-        ai = np.concatenate(self._ai) if self._ai else np.zeros(0, dtype=np.int64)
-        aj = np.concatenate(self._aj) if self._aj else np.zeros(0, dtype=np.int64)
-        av = np.concatenate(self._av) if self._av else np.zeros(0)
-        A = sp.csr_matrix((av, (ai, aj)), shape=(nrows, ncols))
+        ai, aj, av, _, _ = self._triplets()
+        A = sp.csr_matrix((av, (ai, aj)), shape=(self._nrows, self._ncols))
         A.sum_duplicates()
-        b = np.asarray(self._b, dtype=float)
-        c = np.zeros(ncols)
-        if self._cj:
-            np.add.at(c, np.concatenate(self._cj), np.concatenate(self._cv))
+        b, c = self.rhs(), self.objective()
         psd_fams = [f for f in self._families.values() if f.kind in ("herm", "psd")]
         lp_width = sum(f.width for f in self._families.values()
                        if f.kind in ("nonneg", "free"))
         return A, b, c, psd_fams, lp_width
+
+    def restrict(self, keep: dict) -> "ConicProgram":
+        """This program on blocks ``keep[name]`` (indices) of each
+        matrix family named in ``keep``: the same rows, b and objective,
+        the kept blocks' columns of A and c, and their touch weights."""
+        ai, aj, av, cj, cv = self._triplets()
+        out = ConicProgram(self.name)
+        for fam in self._families.values():
+            sel = keep.get(fam.name)
+            if sel is not None and fam.kind not in ("herm", "psd"):
+                raise ValueError(f"family {fam.name!r} is not a matrix family")
+            new = out._families[fam.name] = _Family(
+                fam.name, fam.kind, fam.count if sel is None else len(sel), fam.dim)
+            new.touches = {key: (rows, functional, w if sel is None else w[sel])
+                           for key, (rows, functional, w) in fam.touches.items()}
+        out._freeze()
+        colmap = np.full(self._ncols, -1, dtype=np.int64)
+        for fam in self._families.values():
+            cols = np.arange(fam.offset, fam.offset + fam.width)
+            if fam.name in keep:
+                cols = cols.reshape(fam.count, -1)[keep[fam.name]].ravel()
+            new = out._families[fam.name]
+            colmap[cols] = np.arange(new.offset, new.offset + new.width)
+        on, con = colmap[aj] >= 0, colmap[cj] >= 0
+        out._ai, out._aj, out._av = [ai[on]], [colmap[aj[on]]], [av[on]]
+        out._cj, out._cv = [colmap[cj[con]]], [cv[con]]
+        out._b, out._rows, out._nrows = list(self._b), list(self._rows), self._nrows
+        return out
 
     def dump_triplets(self) -> str:
         """Sparse-triplet dump: '# header', then 'A i j v' / 'b i v' / 'c j v'."""
@@ -481,6 +547,17 @@ class ConicSolution:
     iterations: int = 0
     ray: dict | None = None          # infeasibility certificate, dual_rows style
     ray_violation: float = np.nan
+    # which path ended the solve: "converged", "polish cap", or
+    # "fallback: <reason> after <k> polishing iterations" when a break or
+    # the iteration limit promoted the best polishing candidate
+    ended: str = ""
+    # column generation (decomposition.solve): strategies in the final
+    # working set (None: the whole program was solved), restricted solves
+    # (``iterations`` sums theirs), and the most negative reduced cost
+    # priced off the working set
+    working_set: int | None = None
+    rounds: int = 1
+    reduced_cost: float = np.nan
 
     @property
     def value(self) -> float:
@@ -499,11 +576,11 @@ class ResidualReport:
 
     def ok(self) -> bool:
         """Both sides feasible to 100 FEASTOL, both in their cones to
-        1e-9, and the gap within 100 GAPTOL."""
+        MARGIN_TOL, and the gap within 100 GAPTOL."""
         return (self.eq_residual <= 100 * FEASTOL
                 and self.dual_residual <= 100 * FEASTOL
-                and self.cone_margin >= -1e-9
-                and self.dual_margin >= -1e-9
+                and self.cone_margin >= -MARGIN_TOL
+                and self.dual_margin >= -MARGIN_TOL
                 and self.gap <= 100 * GAPTOL)
 
 
@@ -529,7 +606,7 @@ def verify_solution(prog: ConicProgram, sol: ConicSolution) -> ResidualReport:
         if sol.status == "infeasible" and sol.ray is not None:
             # min ||A'y + s|| over s in the (self-dual) cone: the distance of
             # -A'y from it, per block by eigenvalues, per scalar by sign
-            z = -(A.T @ _duals_to_vec(prog, sol.ray))
+            z = -(A.T @ duals_to_vec(prog, sol.ray))
             res = 0.0
             for fam in prog.families.values():
                 blk = z[fam.offset:fam.offset + fam.width]
@@ -541,7 +618,7 @@ def verify_solution(prog: ConicProgram, sol: ConicSolution) -> ResidualReport:
                                   ray_violation=sol.ray_violation)
         return ResidualReport(ray_violation=sol.ray_violation)
     x = _primal_to_vec(prog, sol.primal)
-    y = _duals_to_vec(prog, sol.dual_rows)
+    y = duals_to_vec(prog, sol.dual_rows)
     s = _primal_to_vec(prog, sol.dual_slack)
     eq = float(np.max(np.abs(A @ x - b))) if b.size else 0.0
     dres = float(np.max(np.abs(A.T @ y + s - c))) if c.size else 0.0
@@ -570,7 +647,8 @@ def _primal_to_vec(prog: ConicProgram, primal: dict) -> np.ndarray:
     return x
 
 
-def _duals_to_vec(prog: ConicProgram, duals: dict) -> np.ndarray:
+def duals_to_vec(prog: ConicProgram, duals: dict) -> np.ndarray:
+    """The row vector y of duals given per row group (dual_rows style)."""
     y = np.zeros(prog._nrows)
     for g in prog.row_groups:
         val = duals[g.name]
@@ -1004,6 +1082,7 @@ def _solve_hsd(prog: ConicProgram):
     pres = dres = relgap = np.nan
     candidate = None      # last iterate meeting the base tolerances
     polish = 0
+    ended = "iteration limit"
     for it in range(1, MAXITER + 1):
         mu = (x @ s + tau * kappa) / (degree + 1)
         ax, aty = _matvec(cones, x, nrows), _rmatvec(cones, y, n)
@@ -1032,30 +1111,34 @@ def _solve_hsd(prog: ConicProgram):
                 candidate = (score, x.copy(), y.copy(), s.copy(), tau,
                              pres, dres)
             polish += 1
-            if (crossover <= 1e-10 and max(pres, dres) <= 0.03 * FEASTOL
-                    and err <= 0.1 * GAPTOL) or polish >= 10:
-                status = "optimal"
+            converged = (crossover <= 1e-10 and max(pres, dres) <= 0.03 * FEASTOL
+                         and err <= 0.1 * GAPTOL)
+            if converged or polish >= 10:
+                status, ended = "optimal", "converged" if converged else "polish cap"
                 break
         by, cx = bs @ y, c @ x
         if by > 0 and mu < 1e-3 * mu0:
             if np.linalg.norm(_rmatvec(cones, y / by, n) + s / by) <= FEASTOL * norm_c:
-                status = "infeasible"
+                status = ended = "infeasible"
                 break
         if cx < 0 and mu < 1e-3 * mu0:
             if np.linalg.norm(_matvec(cones, x / -cx, nrows)) <= FEASTOL * norm_b:
-                status = "unbounded"
+                status = ended = "unbounded"
                 break
         if mu < 1e-16 * mu0:
+            ended = "mu underflow"
             break
 
         try:
             for g in cones:
                 g.scale(x, s)
         except np.linalg.LinAlgError:
+            ended = "iterate left the cone"
             break
         M = _schur_complement(cones, nrows)
         Lm = _chol_reg(M)
         if Lm is None:
+            ended = "Schur complement not positive definite"
             break
         phic = _phi(cones, c)
         phirx = _phi(cones, rx)
@@ -1101,12 +1184,14 @@ def _solve_hsd(prog: ConicProgram):
             sigma = min(1.0, max(0.0, mua / mu)) ** 3
             corr = [g.product(a, b) for g, (a, b) in zip(cones, steps)]
             dx, dy, ds, dt, dk = direction(1.0 - sigma, sigma, corr, dta * dka)
-        except (np.linalg.LinAlgError, FloatingPointError):
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            ended = f"direction failed ({exc})"
             break
 
         _, amax = step_bound(dx, ds, dt, dk)
         alpha = min(1.0, _STEP_FRACTION * amax)
         if alpha <= 1e-13:
+            ended = "step length below 1e-13"
             break
         x = x + alpha * dx
         y = y + alpha * dy
@@ -1116,11 +1201,12 @@ def _solve_hsd(prog: ConicProgram):
 
     if status != "optimal" and candidate is not None:
         status = "optimal"
+        ended = f"fallback: {ended} after {polish} polishing iterations"
     if status == "optimal" and candidate is not None:
         _, x, y, s, tau, pres, dres = candidate
     y_orig = y / drow
 
-    sol = ConicSolution(status="numerical-failure", iterations=it)
+    sol = ConicSolution(status="numerical-failure", iterations=it, ended=ended)
     if status == "optimal":
         xs = x / tau
         sol.status = "optimal"
@@ -1147,7 +1233,7 @@ def _solve_hsd(prog: ConicProgram):
         return sol
 
     report = dict(pres=float(pres), dres=float(dres), relgap=float(relgap),
-                  iterations=it)
+                  iterations=it, ended=ended)
     raise SolverFailure(
         f"conic solve failed for {prog.name!r}: {report}",
         program=prog, report=report)
@@ -1158,7 +1244,7 @@ def _extract_primal(prog: ConicProgram, vec):
     for fam in prog.families.values():
         blk = vec[fam.offset:fam.offset + fam.width]
         if fam.kind in ("herm", "psd"):
-            out[fam.name] = fam.mats(blk.reshape(fam.count, fam.ncoords))
+            out[fam.name] = fam.mats(fam.part(vec))
         elif fam.kind == "nonneg":
             out[fam.name] = blk.copy()
         else:

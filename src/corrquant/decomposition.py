@@ -38,21 +38,52 @@ nonnegative weights over strategy pairs and the match rows written on
 Collins-Gisin coordinates (:func:`corrquant.nonlocality.build_program`).
 :func:`solve` is the one solve-or-raise step of every quantifier and
 membership program.
+
+At the optimum almost every strategy block is empty, so :func:`solve`
+runs Dantzig-Wolfe column generation (Dantzig & Wolfe, Oper. Res. 8,
+1960) on programs with more than WORKING_SET strategies:
+
+* **Working set.** It starts with the WORKING_SET strategies of largest
+  data price lambda_max(sum_x D_{lambda_x|x}), plus the best strategy of
+  every match row they miss.  The H blocks of the model-noise kinds
+  follow the G blocks' strategies.
+* **Restricted program.** The builders' program with the other G and H
+  blocks dropped at the conic layer (:meth:`ConicProgram.restrict`),
+  solved by :meth:`ConicProgram.solve`.
+* **Pricing.** Each dropped block's reduced cost is lambda_min of its
+  dual slack c - A^T y (closed form at d = 2); when the restricted
+  program is infeasible, of -A^T y on its ray (Farkas pricing).  The
+  most violated blocks, at most WORKING_SET, join, and the loop repeats
+  until none is below -conic.MARGIN_TOL.
+* **Certificate.** That last pricing pass over all strategies makes the
+  restricted duals dual-feasible for the whole program.  The returned
+  solution has the whole program's shapes: zero primal blocks and the
+  priced dual slack off the working set, so ``verify_solution`` on the
+  whole program checks it.  It records the working-set size, the
+  rounds and the worst reduced cost.
+
+A program with at most WORKING_SET strategies is solved in one pass,
+as built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .conic import ConicProgram, ConicSolution
+from . import conic
+from .conic import ConicProgram, ConicSolution, duals_to_vec
 from .errors import SolverFailure, ValidationError
 from .scenario import check_strategy_cap, strategy_assignments, strategy_masks
 
 TINY = 1e-9     # noise weights and scales below this are treated as zero
 MEMBERSHIP_TOL = 5e-8   # margins down to -MEMBERSHIP_TOL count as members
+# column generation: strategies in the first restricted program, and the
+# most added per pricing round; programs with no more are solved whole
+WORKING_SET = 256
 
 
 @dataclass(frozen=True)
@@ -175,12 +206,83 @@ def membership_program(name: str, data: np.ndarray) -> ConicProgram:
 
 
 def solve(prog: ConicProgram) -> ConicSolution:
-    """Solve; raise unless optimal."""
-    sol = prog.solve()
+    """Solve; raise unless optimal.  A program with more than WORKING_SET
+    strategy blocks is solved by column generation (module docstring)."""
+    fams = [f for f in prog.families.values()
+            if f.name in ("G", "H") and f.kind == "herm"]
+    if not fams or fams[0].count <= WORKING_SET:
+        return _optimal(prog, prog.solve())
+    c = prog.objective()
+    keep = _starting_set(fams[0], _data_prices(prog, fams[0]))
+    iterations = 0
+    for rounds in itertools.count(1):
+        sol = prog.restrict({f.name: keep for f in fams}).solve()
+        iterations += sol.iterations
+        if sol.status == "optimal":
+            y = duals_to_vec(prog, sol.dual_rows)
+            slack = {f.name: f.part(c) - prog.column_products(f.name, y)
+                     for f in fams}
+        elif sol.status == "infeasible":
+            # Farkas pricing: the ray stops certifying infeasibility once
+            # a block on which -A^T y leaves the cone joins
+            y = duals_to_vec(prog, sol.ray)
+            slack = {f.name: -prog.column_products(f.name, y) for f in fams}
+        else:
+            break
+        cost = np.min([f.eigvalsh(slack[f.name])[:, 0] for f in fams], axis=0)
+        cost[keep] = np.inf
+        worst = cost.min()
+        if worst >= -conic.MARGIN_TOL:
+            break
+        add = np.argsort(cost, kind="stable")[:WORKING_SET]
+        keep = np.union1d(keep, add[cost[add] < -conic.MARGIN_TOL])
+    sol = _optimal(prog, sol)
+    full = replace(sol, primal=dict(sol.primal), dual_slack=dict(sol.dual_slack),
+                   iterations=iterations, working_set=keep.size, rounds=rounds,
+                   reduced_cost=float(worst))
+    for f in fams:
+        full.primal[f.name] = np.zeros((f.count, f.dim, f.dim), dtype=complex)
+        full.primal[f.name][keep] = sol.primal[f.name]
+        full.dual_slack[f.name] = f.mats(slack[f.name])
+        full.dual_slack[f.name][keep] = sol.dual_slack[f.name]
+    return full
+
+
+def _optimal(prog: ConicProgram, sol: ConicSolution) -> ConicSolution:
     if sol.status != "optimal":
         raise SolverFailure(f"{prog.name} solve returned {sol.status}",
                             program=prog)
     return sol
+
+
+def _data_prices(prog: ConicProgram, fam) -> np.ndarray:
+    """lambda_max(sum_x D_{lambda_x|x}) of every strategy, the data's own
+    price: D is read off the match rows' right-hand sides, and a pruned
+    last outcome is the x = 0 sum minus the others (every input sums to
+    the reference)."""
+    b = prog.rhs()
+    rows = {g.name[1:]: g for g in prog.row_groups if g.name[0] == "match"}
+    m, n = 1 + max(x for x, _ in rows), 1 + max(a for _, a in rows)
+    data = np.zeros((m, n, fam.ncoords))
+    for (x, a), g in rows.items():
+        data[x, a] = b[g.offset:g.offset + g.nrows]
+    for x in range(1, m):
+        if (x, n - 1) not in rows:
+            data[x, n - 1] = data[0].sum(axis=0) - data[x, :n - 1].sum(axis=0)
+    sums = data[np.arange(m), strategy_assignments(m, n)].sum(axis=1)
+    return fam.eigvalsh(sums)[:, -1]
+
+
+def _starting_set(fam, price: np.ndarray) -> np.ndarray:
+    """The WORKING_SET strategies of highest ``price``, plus the best one
+    in each row group they miss, so every (x, a) has a strategy; sorted."""
+    chosen = np.zeros(price.size, dtype=bool)
+    chosen[np.argsort(-price, kind="stable")[:WORKING_SET]] = True
+    for _, _, weights in fam.touches.values():
+        hit = np.flatnonzero(weights)
+        if not chosen[hit].any():
+            chosen[hit[np.argmax(price[hit])]] = True
+    return np.flatnonzero(chosen)
 
 
 def match_duals(sol: ConicSolution, m: int, n: int, d: int) -> np.ndarray:

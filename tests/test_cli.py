@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from corrquant import conic
 from corrquant import incompat as ic
 from corrquant import nonlocality as nl
 from corrquant import scenario as sc
@@ -157,3 +159,24 @@ def test_reproduce_table2_refused(tmp_path):
     res = runner.invoke(main, ["reproduce", "table2", "-d", str(tmp_path)])
     assert res.exit_code == 2
     assert "not reproducible" in res.output or "not reproducible" in (res.stderr or "")
+
+
+def test_solver_failure_dump_goes_to_a_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "ms.json"
+    serialize.save(path, sc.paulis("XZ"))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setattr(conic, "MAXITER", 1)
+    res = CliRunner().invoke(main, ["quantify", "incompat", "-k", "robustness",
+                                    "-i", str(path)])
+    assert res.exit_code == 3, res.output
+    line = next(ln for ln in res.stderr.splitlines()
+                if ln.startswith("program dump written to "))
+    dump = Path(line.removeprefix("program dump written to "))
+    try:
+        assert dump.is_file()
+        assert dump.read_text().startswith("# conic program")
+    finally:
+        dump.unlink(missing_ok=True)
+    assert list(work.iterdir()) == []

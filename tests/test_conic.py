@@ -249,6 +249,24 @@ def test_tolerances_are_read_when_solving(monkeypatch):
     assert not report.ok()
 
 
+def test_solution_records_the_path_that_ended_it(monkeypatch):
+    prog = build_program("incompat", "robustness", scenario.paulis("XZ").effects,
+                         np.eye(2))
+    done = prog.solve()
+    assert done.ended == "converged"
+    # one iteration short, the loop runs out after the first iterate that
+    # meets the tolerances, and that candidate is promoted to optimal
+    monkeypatch.setattr(conic, "MAXITER", done.iterations - 1)
+    sol = prog.solve()
+    assert sol.status == "optimal"
+    assert sol.ended == "fallback: iteration limit after 1 polishing iterations"
+    assert abs(sol.value - done.value) < 1e-8
+    monkeypatch.setattr(conic, "MAXITER", 1)
+    with pytest.raises(SolverFailure) as err:
+        prog.solve()
+    assert err.value.report["ended"] == "iteration limit"
+
+
 def test_dump_triplets_roundtrip_header():
     prog = ConicProgram("dumpme")
     prog.add_nonneg("t", 1)

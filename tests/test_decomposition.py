@@ -1,0 +1,147 @@
+"""Column generation in decomposition.solve: the restricted path against
+the whole program, its lifted certificate, and the one-pass path."""
+
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from corrquant import conic
+from corrquant import decomposition as dc
+from corrquant import experiments as ex
+from corrquant import scenario as sc
+from corrquant.conic import ConicProgram, verify_solution
+
+DATA = Path(__file__).parent / "data"
+LOSSY_ETA = 0.4
+TOL = 1e-8
+INCOMPAT_KINDS = ("robustness", "random_robustness", "jm_robustness", "weight")
+
+
+def lossy_dodecahedron(m):
+    meas = sc.lossy(sc.bloch_measurements(sc.dodecahedron_vectors()[:m]), LOSSY_ETA)
+    return meas, sc.steer(sc.werner(1.0, psi="singlet"), meas)
+
+
+def program(m, kind):
+    """The program of ``kind`` (a KINDS row, or "membership:incompat" /
+    "membership:steering") on the lossy dodecahedron set or its singlet
+    assemblage, and a function reading its value off a solution."""
+    meas, asm = lossy_dodecahedron(m)
+    if kind.startswith("membership"):
+        data = meas.effects if kind.endswith("incompat") else asm.members
+        return dc.membership_program(kind, data), lambda sol: -sol.value
+    if kind in INCOMPAT_KINDS:
+        prog = dc.build_program("incompat", kind, meas.effects, np.eye(2))
+    else:
+        prog = dc.build_program("steering", kind, asm.members,
+                                asm.members[0].sum(axis=0))
+    return prog, lambda sol: float(sol.primal["t"][0])
+
+
+def whole(prog):
+    """The program solved in one pass, every strategy block included."""
+    sol = prog.solve()
+    assert sol.status == "optimal"
+    return sol
+
+
+def assert_restricted_matches_whole(m, kind):
+    prog, value = program(m, kind)
+    sol = dc.solve(prog)
+    assert sol.working_set is not None and sol.working_set < 3 ** m
+    assert sol.reduced_cost >= -conic.MARGIN_TOL
+    assert abs(value(sol) - value(whole(program(m, kind)[0]))) <= TOL
+    report = verify_solution(prog, sol)
+    assert report.ok(), report
+    return sol
+
+
+@pytest.mark.parametrize("kind", [*dc.KINDS, "membership:incompat",
+                                  "membership:steering"])
+@pytest.mark.parametrize("m", [5, 6])
+def test_restricted_matches_whole_program(monkeypatch, m, kind):
+    # the 243-block m = 5 programs fit in the default working set, so it
+    # is cut below their size to send them through the restricted path
+    if 3 ** m <= dc.WORKING_SET:
+        monkeypatch.setattr(dc, "WORKING_SET", 64)
+    assert_restricted_matches_whole(m, kind)
+
+
+@pytest.mark.parametrize("kind", ["robustness", "weight", "SR_c", "SW_c"])
+@pytest.mark.parametrize("m", [7, 8])
+def test_restricted_matches_whole_program_m7_m8(m, kind):
+    # the m <= 8 ladder: 2187 and 6561 strategy blocks
+    assert_restricted_matches_whole(m, kind)
+
+
+def test_start_missing_an_outcome_converges(monkeypatch):
+    # a working set with no strategy assigning outcome 0 to input 0: the
+    # first restricted robustness program is infeasible, and Farkas
+    # pricing on its ray brings the missing strategies in
+    m, n = 6, 3
+    start = np.flatnonzero(sc.strategy_assignments(m, n)[:, 0] != 0)[:dc.WORKING_SET]
+    monkeypatch.setattr(dc, "_starting_set", lambda fam, price: start)
+    sol = assert_restricted_matches_whole(m, "robustness")
+    assert sol.rounds >= 2
+
+
+def test_small_program_is_solved_once_as_built(monkeypatch):
+    meas = sc.paulis("XZ")
+    prog = dc.build_program("incompat", "robustness", meas.effects, np.eye(2))
+    A, b, c, _, _ = prog.build()
+    solved, built = [], []
+    solve, build = ConicProgram.solve, ConicProgram.build
+
+    def spy_solve(self):
+        solved.append(self)
+        return solve(self)
+
+    def spy_build(self):
+        out = build(self)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(ConicProgram, "solve", spy_solve)
+    monkeypatch.setattr(ConicProgram, "build", spy_build)
+    sol = dc.solve(prog)
+    assert solved == [prog] and len(built) == 1
+    A2, b2, c2, _, _ = built[0]
+    assert (A2 != A).nnz == 0
+    assert np.array_equal(b2, b) and np.array_equal(c2, c)
+    assert sol.working_set is None and sol.rounds == 1
+
+
+def test_restrict_keeps_the_kept_columns():
+    meas, _ = lossy_dodecahedron(3)
+    prog = dc.build_program("incompat", "jm_robustness", meas.effects, np.eye(2))
+    keep = np.array([0, 4, 5, 26])
+    small = prog.restrict({"G": keep, "H": keep})
+    A, b, c, _, _ = prog.build()
+    As, bs, cs, _, _ = small.build()
+    fams = prog.families
+    cols = np.concatenate([
+        np.arange(f.offset, f.offset + f.width).reshape(f.count, -1)[keep].ravel()
+        if f.name in ("G", "H") else np.arange(f.offset, f.offset + f.width)
+        for f in sorted(fams.values(), key=lambda f: f.offset)])
+    assert (As != A[:, cols]).nnz == 0
+    assert np.array_equal(bs, b) and np.array_equal(cs, c[cols])
+    for name in ("G", "H"):
+        _, P, U = fams[name].structure()
+        _, Ps, Us = small.families[name].structure()
+        assert np.array_equal(Ps, P) and np.array_equal(Us, U[:, keep])
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(os.environ.get("CORRQUANT_EXTENDED") != "1",
+                    reason="extended run: set CORRQUANT_EXTENDED=1")
+def test_bennet_row_matches_whole_program_run():
+    # tests/data/bennet_values.json: one run of the whole 59049-block
+    # programs, before column generation
+    reference = json.loads((DATA / "bennet_values.json").read_text())["values"]
+    values = ex._table1_row("bennet")["values"]
+    assert values.keys() == reference.keys()
+    for label, value in values.items():
+        assert abs(value - reference[label]) <= TOL, label
