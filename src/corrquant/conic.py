@@ -517,11 +517,6 @@ class ConicProgram:
             lines.append(f"c {j} {float(c[j])!r}")
         return "\n".join(lines) + "\n"
 
-    def row_rank_deficiency(self) -> int:
-        """Rows minus numerical rank of A (diagnostic; dense, small programs)."""
-        A = self.build()[0].toarray()
-        return A.shape[0] - np.linalg.matrix_rank(A)
-
     def solve(self) -> "ConicSolution":
         """Run the interior-point solver at FEASTOL, GAPTOL and MAXITER;
         an iteration-limit or stalled solve raises SolverFailure carrying

@@ -64,6 +64,23 @@ runs Dantzig-Wolfe column generation (Dantzig & Wolfe, Oper. Res. 8,
 
 A program with at most WORKING_SET strategies is solved in one pass,
 as built.
+
+Reconstruction.  :func:`reconstruct` unscales a solution into the
+defining decomposition for every kind, and :func:`max_margin` does the
+same for the membership programs, by one normalization rule
+(:func:`_normalize`): the nonzero blocks are clipped PSD and mapped by
+one congruence X -> C X C^H, C = T^1/2 S^-1/2 on the support of T and S
+their sum, so they sum to T exactly and zero blocks (those off a
+column-generation working set) stay zero.  T = R wherever the row pins
+the sum: every ``norm`` but "trace", and both membership programs.  The
+"trace" kinds (SR, SW, SR_lhs) fix only the noise's trace, so the noise
+has a free reduced state and the parent or model sums to
+(rho_B - sign * t * rho_N) / (1 - sign * t), not to rho_B; there T is
+the blocks' own sum at unit trace.  Free noise is rebuilt from the
+normalized parent, sign * (D - (1 - sign*t) * coarse_grain(parent)) / t,
+so the decomposition holds to rounding rather than to the (1/t)-amplified
+solver residual, and a tiny negative eigenvalue left in it is repaired
+by a blend that keeps every input's sum.
 """
 
 from __future__ import annotations
@@ -77,7 +94,8 @@ import numpy as np
 from . import conic
 from .conic import ConicProgram, ConicSolution, duals_to_vec
 from .errors import SolverFailure, ValidationError
-from .scenario import check_strategy_cap, strategy_assignments, strategy_masks
+from .scenario import (check_strategy_cap, coarse_grain, strategy_assignments,
+                       strategy_masks)
 
 TINY = 1e-9     # noise weights and scales below this are treated as zero
 MEMBERSHIP_TOL = 5e-8   # margins down to -MEMBERSHIP_TOL count as members
@@ -304,21 +322,81 @@ def quantify(domain: str, kind: str, data: np.ndarray, reference: np.ndarray):
     return t, sol, match_duals(sol, m, n, d)
 
 
-def max_margin(name: str, data: np.ndarray):
+def max_margin(name: str, data: np.ndarray, reference: np.ndarray):
     """Solve the membership program: (margin w*, blocks, duals).
 
-    Within MEMBERSHIP_TOL of the boundary, ``blocks`` are the G_lambda shifted
-    by w*/L (so they reproduce D exactly) and clipped PSD, and ``duals``
-    is None; otherwise ``blocks`` is None and ``duals`` is the match-row
-    dual grid, the certificate of non-membership.
+    Within MEMBERSHIP_TOL of the boundary, ``blocks`` are the G_lambda
+    shifted by w*/L (so they reproduce D) and normalized to sum to the
+    reference, and ``duals`` is None; otherwise ``blocks`` is None and
+    ``duals`` is the match-row dual grid, the certificate of
+    non-membership.
     """
     m, n, d = data.shape[:3]
     sol = solve(membership_program(name, data))
     margin = -sol.value
     if margin >= -MEMBERSHIP_TOL:
-        blocks = sol.primal["G"]
-        return margin, clip_psd(blocks + (margin / len(blocks)) * np.eye(d)), None
+        blocks = sol.primal["G"] + (margin / len(sol.primal["G"])) * np.eye(d)
+        return margin, _normalize(blocks, reference), None
     return margin, None, match_duals(sol, m, n, d)
+
+
+def reconstruct(kind: str, sol: ConicSolution, data: np.ndarray,
+                reference: np.ndarray, t: float):
+    """The defining decomposition of ``KINDS[kind]`` from its solution at
+    noise weight ``t``: (noise grid, parent blocks, noise-parent blocks or
+    None), by the rule of the module docstring."""
+    row = KINDS[kind]
+    m, n = data.shape[:2]
+    target = None if row.norm == "trace" else reference
+    scale = 1.0 - row.sign * t
+    uniform = np.broadcast_to(reference / len(sol.primal["G"]),
+                              sol.primal["G"].shape)
+    parent = _normalize(sol.primal["G"], target) if scale > TINY else uniform
+    if row.noise == "model":
+        noise_parent = _normalize(sol.primal["H"], target) if t > TINY else uniform
+        return coarse_grain(noise_parent, m, n), parent, noise_parent
+    if row.noise == "free" and t > TINY:
+        noise = row.sign * (data - scale * coarse_grain(parent, m, n)) / t
+        return _blend_rows(noise), parent, None
+    return np.broadcast_to(reference / n, data.shape).copy(), parent, None
+
+
+def _normalize(blocks: np.ndarray, target: np.ndarray | None) -> np.ndarray:
+    """``blocks`` with their nonzero members clipped PSD and all mapped by
+    X -> C X C^H, C = T^1/2 S^-1/2 on the support of T, S the clipped
+    sum: they then sum to T exactly, and zero blocks stay zero.  T is
+    ``target``, or S at unit trace when ``target`` is None."""
+    live = np.flatnonzero(blocks.any(axis=(1, 2)))
+    vals, vecs = np.linalg.eigh(blocks[live])
+    clipped = np.einsum("lik,lk,ljk->lij", vecs, np.clip(vals, 0.0, None),
+                        vecs.conj())
+    total = clipped.sum(axis=0)
+    if target is None:
+        target = total / np.trace(total).real
+    vals, vecs = np.linalg.eigh(target)
+    vecs, root = vecs[:, vals > TINY], np.sqrt(vals[vals > TINY])
+    s_vals, s_vecs = np.linalg.eigh(vecs.conj().T @ total @ vecs)
+    inv_root = (s_vecs / np.sqrt(s_vals)) @ s_vecs.conj().T
+    c = vecs @ (root[:, None] * inv_root) @ vecs.conj().T
+    out = np.zeros(blocks.shape, dtype=complex)
+    out[live] = c @ clipped @ c.conj().T
+    return out
+
+
+def _blend_rows(grid: np.ndarray) -> np.ndarray:
+    """Repair tiny negative eigenvalues in an (m, n, d, d) grid by blending
+    each input's row toward its outcome average, which preserves the
+    per-input sums exactly; a row whose average is not positive definite
+    is left as it is."""
+    out = grid.copy()
+    for row in out:
+        avg = row.mean(axis=0)
+        lam = np.linalg.eigvalsh(row).min()
+        lam_avg = np.linalg.eigvalsh(avg)[0]
+        if lam < 0 < lam_avg:
+            w = min(1.0, -lam / (-lam + lam_avg) * (1 + 1e-9))
+            row[...] = (1 - w) * row + w * avg
+    return out
 
 
 def strategy_bound(coefficients: np.ndarray) -> float:
@@ -328,10 +406,3 @@ def strategy_bound(coefficients: np.ndarray) -> float:
     assign = strategy_assignments(m, n)
     sums = coefficients[np.arange(m)[None, :], assign].sum(axis=1)
     return float(np.max(np.linalg.eigvalsh(sums)[:, -1]))
-
-
-def clip_psd(blocks: np.ndarray) -> np.ndarray:
-    """Blocks with their negative eigenvalues set to zero."""
-    vals, vecs = np.linalg.eigh(blocks)
-    return np.einsum("lik,lk,ljk->lij", vecs, np.clip(vals, 0.0, None),
-                     vecs.conj())

@@ -1,10 +1,10 @@
 """Joint-measurability membership and the four incompatibility quantifiers.
 
-The programs are those of :mod:`corrquant.decomposition` with the
-reference R = 1 and the effects M_{a|x} as data; this module holds the
-kinds, the result and witness records, and the reconstruction of the
-defining decomposition: parent effects normalized to sum to the identity,
-and the noise as a measurement set.
+The programs, and the reconstruction of the defining decomposition
+(parent effects summing to the identity, the noise as a measurement
+set), are those of :mod:`corrquant.decomposition` with the reference
+R = 1 and the effects M_{a|x} as data; this module holds the kinds and
+the result and witness records.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from enum import Enum
 import numpy as np
 
 from .conic import ConicSolution
-from .decomposition import (KINDS, TINY, clip_psd, max_margin, parse_kind,
-                            quantify, strategy_bound)
-from .scenario import MeasurementSet, ParentPovm, coarse_grain
+from .decomposition import (max_margin, parse_kind, quantify, reconstruct,
+                            strategy_bound)
+from .scenario import MeasurementSet, ParentPovm
 
 
 class IncompatKind(str, Enum):
@@ -91,67 +91,29 @@ def is_jointly_measurable(measurements: MeasurementSet) -> JmDecision:
     classified as jointly measurable; witnesses for barely incompatible
     sets carry the honest (possibly tiny) violation |w*|.
     """
-    m, n = measurements.m, measurements.n
+    m, n, d = measurements.m, measurements.n, measurements.d
     margin, effects, y = max_margin("is_jointly_measurable",
-                                    measurements.effects)
+                                    measurements.effects, np.eye(d))
     if effects is not None:
-        return JmDecision(True, margin,
-                          parent=ParentPovm(_renorm_povm(effects), (m, n)))
+        return JmDecision(True, margin, parent=ParentPovm(effects, (m, n)))
     return JmDecision(False, margin, witness=_witness(y, measurements))
-
-
-def _renorm_povm(effects: np.ndarray) -> np.ndarray:
-    """Normalize a near-POVM: shift so the effects sum to the identity
-    exactly, then blend minimally toward the uniform POVM if the shift
-    left a tiny negative eigenvalue."""
-    count, d = effects.shape[0], effects.shape[1]
-    out = effects + (np.eye(d) - effects.sum(axis=0)) / count
-    lam = float(np.min(np.linalg.eigvalsh(out)))
-    if lam < 0:
-        w = min(1.0, -lam / (-lam + 1.0 / count) * (1 + 1e-9))
-        uniform = np.broadcast_to(np.eye(d) / count, out.shape)
-        out = (1 - w) * out + w * uniform
-    return out
-
-
-def _renorm_grid(grid: np.ndarray) -> np.ndarray:
-    """Per-input exact normalization of an (m, n, d, d) measurement grid."""
-    return np.stack([_renorm_povm(row) for row in grid])
 
 
 def incompatibility_quantifier(measurements: MeasurementSet,
                                kind: IncompatKind | str) -> IncompatResult:
     """One of IR, IR^r, IR^jm, IW as a single conic solve."""
     kind = parse_kind(IncompatKind, kind, _ALIASES)
-    d = measurements.d
+    m, n, d = measurements.m, measurements.n, measurements.d
     t, sol, y = quantify("incompat", kind.value, measurements.effects,
                          np.eye(d))
-    noise, parent, noise_parent = _reconstruct(kind, sol, measurements, t)
-    return IncompatResult(kind=kind, value=t, noise=noise, parent=parent,
-                          noise_parent=noise_parent,
+    noise, parent, noise_parent = reconstruct(
+        kind.value, sol, measurements.effects, np.eye(d), t)
+    return IncompatResult(kind=kind, value=t, noise=noise,
+                          parent=ParentPovm(parent, (m, n)),
+                          noise_parent=None if noise_parent is None
+                          else ParentPovm(noise_parent, (m, n)),
                           witness=_witness(y, measurements),
                           gap=abs(sol.pobj - sol.dobj), solution=sol)
-
-
-def _reconstruct(kind, sol, measurements, t):
-    """Unscale the solver blocks into the defining decomposition."""
-    row = KINDS[kind.value]
-    m, n, d = measurements.m, measurements.n, measurements.d
-    total = len(sol.primal["G"])
-    eye = np.eye(d)
-    uniform = np.broadcast_to(eye / total, (total, d, d))
-    scale = 1.0 - row.sign * t
-    parent = ParentPovm(_renorm_povm(clip_psd(sol.primal["G"] / scale))
-                        if scale > TINY else uniform, (m, n))
-    if row.noise == "white":
-        return np.broadcast_to(eye / n, (m, n, d, d)).copy(), parent, None
-    if row.noise == "model":
-        noise_parent = ParentPovm(_renorm_povm(clip_psd(sol.primal["H"] / t))
-                                  if t > TINY else uniform, (m, n))
-        return coarse_grain(noise_parent.effects, m, n), parent, noise_parent
-    noise = (sol.primal["N"] / t if t > TINY
-             else np.broadcast_to(eye / n, (m * n, d, d))).reshape(m, n, d, d)
-    return _renorm_grid(noise), parent, None
 
 
 def mixture(measurements: MeasurementSet, noise: np.ndarray,

@@ -185,9 +185,3 @@ def load(path):
             raise ValidationError(f"{path}: invalid JSON at line "
                                   f"{exc.lineno}, column {exc.colno}") from exc
     return object_from_dict(data)
-
-
-def io_roundtrip(path, obj):
-    """save + load; the result reproduces ``obj`` bit-for-bit in every float."""
-    save(path, obj)
-    return load(path)

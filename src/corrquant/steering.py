@@ -1,10 +1,10 @@
 """LHS membership and the seven steering quantifiers.
 
-The programs are those of :mod:`corrquant.decomposition` with the
-reference R = rho_B and the members sigma_{a|x} as data; this module
-holds the kinds, the result and inequality records, and the
-reconstruction of the defining decomposition: LHS model states
-normalized to unit trace, and the noise as an assemblage.
+The programs, and the reconstruction of the defining decomposition (LHS
+model states at unit total trace, the noise as an assemblage), are those
+of :mod:`corrquant.decomposition` with the reference R = rho_B and the
+members sigma_{a|x} as data; this module holds the kinds and the result
+and inequality records.
 
 Dual multipliers of the model-matching rows are steering-inequality
 coefficients F_{a|x}: every LHS assemblage gamma satisfies
@@ -21,9 +21,9 @@ from enum import Enum
 import numpy as np
 
 from .conic import ConicSolution
-from .decomposition import (KINDS, TINY, clip_psd, max_margin, parse_kind,
-                            quantify, strategy_bound)
-from .scenario import Assemblage, LhsModel, coarse_grain, reduced_state
+from .decomposition import (max_margin, parse_kind, quantify, reconstruct,
+                            strategy_bound)
+from .scenario import Assemblage, LhsModel, reduced_state
 
 
 class SteeringKind(str, Enum):
@@ -101,10 +101,10 @@ def has_lhs_model(assemblage: Assemblage) -> LhsDecision:
     """Max-margin LHS membership: maximize w such that the model states
     omega_lambda - w*I/L stay PSD while reproducing the assemblage."""
     m, n = assemblage.m, assemblage.n
-    margin, states, f = max_margin("has_lhs_model", assemblage.members)
+    margin, states, f = max_margin("has_lhs_model", assemblage.members,
+                                   reduced_state(assemblage))
     if states is not None:
-        return LhsDecision(True, margin,
-                           model=LhsModel(_unit_trace(states), (m, n)))
+        return LhsDecision(True, margin, model=LhsModel(states, (m, n)))
     return LhsDecision(False, margin, inequality=_inequality(f, assemblage))
 
 
@@ -112,63 +112,17 @@ def steering_quantifier(assemblage: Assemblage,
                         kind: SteeringKind | str) -> SteeringResult:
     """One of SR, SR^red, SR^lhs, SW, SR^c, SR^c/lhs, SW^c."""
     kind = parse_kind(SteeringKind, kind, {})
+    m, n = assemblage.m, assemblage.n
     rho_b = reduced_state(assemblage)
     s, sol, f = quantify("steering", kind.value, assemblage.members, rho_b)
-    noise, model, noise_model = _reconstruct(kind, sol, assemblage, rho_b, s)
-    return SteeringResult(kind=kind, value=s, noise=noise, model=model,
-                          noise_model=noise_model,
+    noise, model, noise_model = reconstruct(kind.value, sol,
+                                            assemblage.members, rho_b, s)
+    return SteeringResult(kind=kind, value=s, noise=noise,
+                          model=LhsModel(model, (m, n)),
+                          noise_model=None if noise_model is None
+                          else LhsModel(noise_model, (m, n)),
                           inequality=_inequality(f, assemblage),
                           gap=abs(sol.pobj - sol.dobj), solution=sol)
-
-
-def _unit_trace(states: np.ndarray) -> np.ndarray:
-    """States rescaled to unit total trace."""
-    tr = np.einsum("lii->", states).real
-    return states / tr if tr > 0 else states
-
-
-def _blend_psd_rows(grid: np.ndarray) -> np.ndarray:
-    """Repair tiny negative eigenvalues in an (m, n, d, d) grid by blending
-    each input's row toward its outcome average, which preserves the
-    per-input sums exactly."""
-    out = grid.copy()
-    n = grid.shape[1]
-    for x in range(grid.shape[0]):
-        lam = float(np.min(np.linalg.eigvalsh(out[x])))
-        if lam >= 0:
-            continue
-        target = np.broadcast_to(out[x].sum(axis=0) / n, out[x].shape)
-        lam_t = float(np.min(np.linalg.eigvalsh(target[0])))
-        if lam_t <= 0:
-            continue    # caller-level clip handles the degenerate case
-        w = min(1.0, -lam / (-lam + lam_t) * (1 + 1e-9))
-        out[x] = (1 - w) * out[x] + w * target
-    return out
-
-
-def _reconstruct(kind, sol, assemblage, rho_b, s):
-    row = KINDS[kind.value]
-    m, n, d = assemblage.m, assemblage.n, assemblage.dB
-    total = len(sol.primal["G"])
-    uniform = np.broadcast_to(np.eye(d) / (total * d),
-                              (total, d, d)).astype(complex)
-    scale = 1.0 - row.sign * s
-    model = LhsModel(_unit_trace(clip_psd(sol.primal["G"] / scale))
-                     if scale > TINY else uniform, (m, n))
-    if row.noise == "white":
-        return np.broadcast_to(rho_b / n, (m, n, d, d)).copy(), model, None
-    if row.noise == "model":
-        noise_model = LhsModel(_unit_trace(clip_psd(sol.primal["H"] / s))
-                               if s > TINY else uniform, (m, n))
-        return coarse_grain(noise_model.states, m, n), model, noise_model
-    # rebuild the noise from the exactly normalized model, so the defining
-    # decomposition holds to rounding instead of to the (1/s)-amplified
-    # solver residual; then repair PSD sum-preservingly
-    if s > TINY:
-        model_grid = model.assemblage().members
-        noise = row.sign * (assemblage.members - scale * model_grid) / s
-        return _blend_psd_rows(noise), model, None
-    return np.asarray(assemblage.members).copy(), model, None
 
 
 def steering_certificate(result: SteeringResult,

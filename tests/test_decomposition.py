@@ -1,5 +1,6 @@
 """Column generation in decomposition.solve: the restricted path against
-the whole program, its lifted certificate, and the one-pass path."""
+the whole program, its lifted certificate, the one-pass path, and the
+reconstruction of a restricted solution."""
 
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 from corrquant import conic
 from corrquant import decomposition as dc
 from corrquant import experiments as ex
+from corrquant import incompat as ic
 from corrquant import scenario as sc
 from corrquant.conic import ConicProgram, verify_solution
 
@@ -75,6 +77,19 @@ def test_restricted_matches_whole_program(monkeypatch, m, kind):
 def test_restricted_matches_whole_program_m7_m8(m, kind):
     # the m <= 8 ladder: 2187 and 6561 strategy blocks
     assert_restricted_matches_whole(m, kind)
+
+
+@pytest.mark.parametrize("kind", ["robustness", "jm_robustness"])
+def test_parent_of_m8_solution_stays_on_the_working_set(kind):
+    # the reconstruction maps the solved blocks by one congruence, so the
+    # 6561-outcome parent is nonzero only where the working set was
+    meas, _ = lossy_dodecahedron(8)
+    res = ic.incompatibility_quantifier(meas, kind)
+    effects = res.parent.effects
+    assert np.count_nonzero(effects.any(axis=(1, 2))) <= res.solution.working_set
+    assert np.max(np.abs(effects.sum(axis=0) - np.eye(2))) <= 1e-12
+    mix = ic.mixture(meas, res.noise, res.value)
+    assert np.max(np.abs(res.parent.coarse_grain().effects - mix.effects)) <= TOL
 
 
 def test_start_missing_an_outcome_converges(monkeypatch):

@@ -22,6 +22,12 @@ def random_povm_set(m, n, d, rng):
     return sc.MeasurementSet(grid)
 
 
+def row_rank_deficiency(prog) -> int:
+    """Rows minus numerical rank of the program's A (dense, small programs)."""
+    A = prog.build()[0].toarray()
+    return A.shape[0] - np.linalg.matrix_rank(A)
+
+
 def lhs_assemblage(rng, m=2, n=2, d=2):
     states = []
     for _ in range(n ** m):
@@ -60,11 +66,19 @@ def test_werner_xyz_thresholds():
 
 
 def test_lhs_model_assemblage_quantifier_zero():
+    # a random LHS assemblage, and a product state whose rho_B = |0><0| is
+    # rank deficient, so the models are normalized on its support
     rng = np.random.default_rng(1)
-    asm = lhs_assemblage(rng)
-    for kind in st.SteeringKind:
-        res = st.steering_quantifier(asm, kind)
-        assert res.value < 1e-7, kind
+    rho_a = np.diag([0.6, 0.4]).astype(complex)
+    product = sc.BipartiteState(np.kron(rho_a, np.diag([1.0, 0.0])), (2, 2))
+    for asm in (lhs_assemblage(rng), sc.steer(product, sc.paulis("XZ"))):
+        for kind in st.SteeringKind:
+            res = st.steering_quantifier(asm, kind)
+            assert res.value < 1e-7, kind
+            rebuilt = res.model.assemblage().members
+            assert np.max(np.abs(rebuilt - asm.members)) < 1e-8, kind
+        rebuilt = st.has_lhs_model(asm).model.assemblage().members
+        assert np.max(np.abs(rebuilt - asm.members)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +96,15 @@ def test_sr_red_max_entangled_xyz():
 
 @pytest.mark.parametrize("kind", list(st.SteeringKind))
 def test_witnesses_and_certificates(kind):
-    asm = sc.steer(sc.werner(0.95), sc.paulis("XZ"))
+    # rho_B = 1/2 for the Werner state; the partially entangled mixture has
+    # an asymmetric rho_B, to which the SR, SW and SR_lhs models do not sum
+    asym = sc.BipartiteState(0.9 * sc.pure_theta(np.pi / 7).rho
+                             + 0.1 * np.eye(4) / 4, (2, 2))
+    for state in (sc.werner(0.95), asym):
+        check_witness_and_certificate(sc.steer(state, sc.paulis("XZ")), kind)
+
+
+def check_witness_and_certificate(asm, kind):
     res = st.steering_quantifier(asm, kind)
     assert res.value > 1e-4
     # defining decomposition reconstructs within 1e-8
@@ -189,7 +211,7 @@ def test_row_sets_full_rank(kind):
         progs = [dc.build_program("steering", kind, asm.members,
                                   sc.reduced_state(asm))]
     for prog in progs:
-        assert prog.row_rank_deficiency() == 0, prog.name
+        assert row_rank_deficiency(prog) == 0, prog.name
 
 
 def test_tightness_pure_state_small():
