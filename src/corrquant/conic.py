@@ -29,19 +29,23 @@ right-hand side (d*d real rows, one per basis coordinate), or a single
 scalar row.  Dual multipliers are reported per row group, reassembled
 into Hermitian matrices for matrix groups.
 
+The row builders record, per family, which rows each block touches with
+which weight and through which coordinate functional, and the objective
+as per-block costs.  These touches are the program's only record of its
+columns: a family's columns are P kron(U[:, i], I) for block i (after
+Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  A is assembled from
+them only for the row equilibration, verification and dumps.
+
 Each cone owns its columns of the row-equilibrated As and applies them
 itself: the iteration's products As v and As^T y and its dense Schur
 complement As Phi As^T (Phi is the NT scaling) are sums over the cones,
 so no sparse product runs inside the loop (the design of ECOS, Domahidi,
-Chu & Boyd, ECC 2013).  The row builders record which rows each 2x2
-Hermitian block touches with which weight and through which coordinate
-functional, so a family's columns are P kron(U[:, i], I) for block i;
-its products are P (U X) and U^T (P^T y), and its Schur term is one
-closed-form Phi_i per block summed against the weights U (after
-Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  A run of consecutive
-2x2 Hermitian families is one Lorentz cone, so its closed-form kernels
-run once per iteration over all its blocks.  Matrix families and scalars
-use their dense columns on the rows they touch.
+Chu & Boyd, ECC 2013).  A 2x2 Hermitian family's products are P (U X)
+and U^T (P^T y), and its Schur term is one closed-form Phi_i per block
+summed against the weights U.  A run of consecutive 2x2 Hermitian
+families is one Lorentz cone, so its closed-form kernels run once per
+iteration over all its blocks.  Matrix families and scalars build their
+dense columns, on the rows they touch, from their touches.
 """
 
 from __future__ import annotations
@@ -141,25 +145,26 @@ class _Family:
     count: int
     dim: int           # matrix dimension (1 for scalar kinds)
     offset: int = -1   # filled when offsets are frozen
-    # 'herm' only: key -> (rows, functional, weights); see touch()
+    # key -> (rows, functional, weights); see touch()
     touches: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        # objective coefficients, per block and coordinate
+        self.cost = np.zeros((self.count, self.ncoords))
 
     @property
     def ncoords(self) -> int:
-        """Real coordinates per block."""
+        """Real coordinates per block (1 for scalar kinds)."""
         if self.kind == "herm":
             return self.dim * self.dim
         if self.kind == "psd":
             return self.dim * (self.dim + 1) // 2
-        return 0
+        return 1
 
     @property
     def width(self) -> int:
-        if self.kind in ("herm", "psd"):
-            return self.count * self.ncoords
-        if self.kind == "free":
-            return 2 * self.count
-        return self.count
+        """Columns of A; a free scalar is split into z+ and z-."""
+        return self.count * self.ncoords * (2 if self.kind == "free" else 1)
 
     def mats(self, coords: np.ndarray) -> np.ndarray:
         """Blocks from their coordinates (batched)."""
@@ -198,11 +203,43 @@ class _Family:
 
     def touch(self, key, rows, functional, indices, weight) -> None:
         """Record that ``weight * X_i``, i in ``indices``, enters ``rows``
-        through ``functional`` (len(rows) x dim^2, on Hermitian-basis
-        coordinates).  Touches with one ``key`` add their weights."""
+        through ``functional`` (len(rows) x ncoords, on block coordinates).
+        Touches with one ``key`` add their weights."""
         if key not in self.touches:
             self.touches[key] = (np.asarray(rows), functional, np.zeros(self.count))
         np.add.at(self.touches[key][2], indices, weight)
+
+    def entries(self):
+        """(rows, cols, vals): this family's nonzero entries of A.  Each
+        nonzero (r, k) of a touch's functional, times the touch's weight
+        on block i, sits in row rows[r] and coordinate k of block i; the
+        entries come in touch order, and a free family's z- columns are
+        the negatives of its z+ columns."""
+        touches = list(self.touches.values())
+        if not touches:
+            return _NO_ENTRIES
+        frows = np.concatenate([rows for rows, _, _ in touches])
+        F = np.concatenate([f for _, f, _ in touches])
+        owner = np.repeat(np.arange(len(touches)), [len(f) for _, f, _ in touches])
+        U = np.array([w for _, _, w in touches])
+        e, k = np.nonzero(F)
+        t, i = np.nonzero(U)
+        # pair each functional entry with the nb nonzero blocks of its
+        # touch, which sit from first on in (t, i)
+        nb = np.bincount(t, minlength=len(touches))[owner[e]]
+        first = np.searchsorted(t, owner[e])
+        j = np.repeat(np.arange(e.size), nb)
+        blk = first[j] + np.arange(j.size) - (np.cumsum(nb) - nb)[j]
+        vals = F[e[j], k[j]] * U[t[blk], i[blk]]
+        live = vals != 0
+        rows = frows[e[j]][live]
+        cols = self.offset + (k[j] + i[blk] * self.ncoords)[live]
+        vals = vals[live]
+        if self.kind == "free":
+            return (np.concatenate([rows, rows]),
+                    np.concatenate([cols, self.count + cols]),
+                    np.concatenate([vals, -vals]))
+        return rows, cols, vals
 
     def structure(self):
         """(rows, P, U) with this family's columns of A, block i, equal to
@@ -214,6 +251,14 @@ class _Family:
             P[np.searchsorted(urows, rows), t * d2:(t + 1) * d2] += functional
         U = np.array([w for _, _, w in touches]).reshape(-1, self.count)
         return urows.astype(np.int64), P, U
+
+
+_NO_ENTRIES = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+
+
+def _entries(fams):
+    """(rows, cols, vals): the nonzero entries of A in ``fams``' columns."""
+    return [np.concatenate(p) for p in zip(_NO_ENTRIES, *(f.entries() for f in fams))]
 
 
 @dataclass
@@ -236,13 +281,8 @@ class ConicProgram:
         self.name = name
         self._families: dict[str, _Family] = {}
         self._rows: list[_RowGroup] = []
-        self._ai: list[np.ndarray] = []
-        self._aj: list[np.ndarray] = []
-        self._av: list[np.ndarray] = []
         self._b: list[float] = []
         self._nrows = 0
-        self._cj: list[np.ndarray] = []
-        self._cv: list[np.ndarray] = []
         self._frozen = False
 
     # ---- variables --------------------------------------------------------
@@ -293,50 +333,35 @@ class ConicProgram:
     def _fam(self, name) -> _Family:
         return self._families[name]
 
-    def _emit(self, rows, cols, vals):
-        self._ai.append(np.asarray(rows, dtype=np.int64))
-        self._aj.append(np.asarray(cols, dtype=np.int64))
-        self._av.append(np.asarray(vals, dtype=float))
-
-    def _scalar_cols_vals(self, fam: _Family, indices, coeffs):
-        indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-        coeffs = np.broadcast_to(np.asarray(coeffs, dtype=float), indices.shape)
-        if fam.kind == "nonneg":
-            return fam.offset + indices, np.asarray(coeffs)
-        if fam.kind == "free":
-            cols = np.concatenate([fam.offset + indices,
-                                   fam.offset + fam.count + indices])
-            vals = np.concatenate([coeffs, -coeffs])
-            return cols, vals
-        raise ValueError(f"family {fam.name!r} is not scalar")
-
-    def _expand_scalar_terms(self, row, terms, emit):
+    def _expand_scalar_terms(self, row, terms):
+        """Touches of scalar row ``row``, or objective costs (row None)."""
         for term in terms:
             tag, fam = term[0], self._fam(term[1])
-            if tag == "lin":
-                emit(row, *self._scalar_cols_vals(fam, term[2], term[3]))
-                continue
             weight = 1.0
-            if tag == "mat":
-                _, _, indices, cmat = term
-            elif tag == "tr":
+            if tag == "lin":
+                if fam.kind not in ("nonneg", "free"):
+                    raise ValueError(f"family {fam.name!r} is not scalar")
                 _, _, indices, weight = term
-                cmat = np.eye(fam.dim)
-            elif tag == "entry":
-                _, _, indices, (i, j) = term
-                cmat = np.zeros((fam.dim, fam.dim))
-                cmat[i, j] += 0.5
-                cmat[j, i] += 0.5
+                coords = np.ones(1)
             else:
-                raise ValueError(f"unknown scalar term {tag!r}")
+                if tag == "mat":
+                    _, _, indices, cmat = term
+                elif tag == "tr":
+                    _, _, indices, weight = term
+                    cmat = np.eye(fam.dim)
+                elif tag == "entry":
+                    _, _, indices, (i, j) = term
+                    cmat = np.zeros((fam.dim, fam.dim))
+                    cmat[i, j] += 0.5
+                    cmat[j, i] += 0.5
+                else:
+                    raise ValueError(f"unknown scalar term {tag!r}")
+                coords = fam.functional(cmat)
             indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-            coords = fam.functional(cmat)
-            fvec = coords * weight
-            nz = np.nonzero(fvec)[0]
-            cols = (fam.offset + indices[:, None] * fam.ncoords
-                    + nz[None, :]).ravel()
-            emit(row, cols, np.tile(fvec[nz], indices.size))
-            if row is not None and fam.kind == "herm":
+            weight = np.broadcast_to(np.asarray(weight, dtype=float), indices.shape)
+            if row is None:
+                np.add.at(fam.cost, indices, weight[:, None] * coords)
+            else:
                 fam.touch((row, coords.tobytes()), [row], coords[None],
                           indices, weight)
 
@@ -352,9 +377,7 @@ class ConicProgram:
         """
         self._freeze()
         row = self._nrows
-        self._expand_scalar_terms(
-            row, terms,
-            lambda r, cols, vals: self._emit(np.full(cols.shape, r), cols, vals))
+        self._expand_scalar_terms(row, terms)
         self._b.append(float(rhs))
         self._rows.append(_RowGroup(tuple(name), "scalar", 1, row, 1))
         self._nrows += 1
@@ -375,33 +398,21 @@ class ConicProgram:
         d = rhs.shape[0]
         nr = d * d
         row0 = self._nrows
-        rows_arange = row0 + np.arange(nr)
         for term in terms:
-            tag = term[0]
+            tag, famname, indices, arg = term
+            fam = self._fam(famname)
             if tag in ("sum", "one"):
-                if tag == "one":
-                    _, famname, index, weight = term
-                    indices = np.array([index], dtype=np.int64)
-                else:
-                    _, famname, indices, weight = term
-                    indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-                fam = self._fam(famname)
                 if fam.kind != "herm" or fam.dim != d:
                     raise ValueError(
                         f"family {famname!r} incompatible with {d}x{d} matrix row")
-                cols = (fam.offset + indices[:, None] * nr
-                        + np.arange(nr)[None, :]).ravel()
-                self._emit(np.tile(rows_arange, indices.size), cols,
-                           np.full(cols.shape, float(weight)))
-                fam.touch(row0, rows_arange, np.eye(nr), indices, weight)
+                fam.touch(row0, row0 + np.arange(nr), np.eye(nr), indices, arg)
             elif tag == "scalar_mat":
-                _, famname, index, cmat = term
-                coords = hermitian_coords(
-                    hermitize(np.asarray(cmat, dtype=complex)), d)
-                fam = self._fam(famname)
-                for k in np.nonzero(np.abs(coords) > 0)[0]:
-                    cols, vals = self._scalar_cols_vals(fam, index, coords[k])
-                    self._emit(np.full(cols.shape, row0 + k), cols, vals)
+                if fam.kind not in ("nonneg", "free"):
+                    raise ValueError(f"family {famname!r} is not scalar")
+                coords = hermitian_coords(hermitize(np.asarray(arg, dtype=complex)), d)
+                nz = np.flatnonzero(coords)
+                fam.touch((row0, coords.tobytes()), row0 + nz, coords[nz, None],
+                          indices, 1.0)
             else:
                 raise ValueError(f"unknown matrix term {tag!r}")
         self._b.extend(hermitian_coords(rhs, d))
@@ -411,12 +422,7 @@ class ConicProgram:
     def set_objective(self, terms) -> None:
         """Linear objective (minimized); same term grammar as scalar rows."""
         self._freeze()
-
-        def emit(_r, cols, vals):
-            self._cj.append(cols)
-            self._cv.append(vals)
-
-        self._expand_scalar_terms(None, terms, emit)
+        self._expand_scalar_terms(None, terms)
 
     # ---- assembled data ------------------------------------------------------
 
@@ -428,28 +434,19 @@ class ConicProgram:
     def row_groups(self):
         return list(self._rows)
 
-    def _triplets(self):
-        """(ai, aj, av, cj, cv): the emitted entries of A and c, each list
-        joined into one array (and kept joined)."""
-        self._freeze()
-        parts = []
-        for store, dtype in ((self._ai, np.int64), (self._aj, np.int64),
-                             (self._av, float), (self._cj, np.int64),
-                             (self._cv, float)):
-            if len(store) != 1:
-                store[:] = [np.concatenate(store) if store else np.zeros(0, dtype)]
-            parts.append(store[0])
-        return parts
-
     def rhs(self) -> np.ndarray:
         """The right-hand side b."""
         return np.asarray(self._b, dtype=float)
 
     def objective(self) -> np.ndarray:
-        """The objective vector c."""
-        _, _, _, cj, cv = self._triplets()
+        """The objective vector c, from each family's block costs."""
+        self._freeze()
         c = np.zeros(self._ncols)
-        np.add.at(c, cj, cv)
+        for fam in self._families.values():
+            cost = fam.cost.ravel()
+            if fam.kind == "free":
+                cost = np.concatenate([cost, 0.0 - cost])
+            c[fam.offset:fam.offset + fam.width] = cost
         return c
 
     def column_products(self, name: str, y: np.ndarray) -> np.ndarray:
@@ -459,21 +456,22 @@ class ConicProgram:
         return U.T @ (y[rows] @ P).reshape(U.shape[0], -1)
 
     def build(self):
-        """Assemble (A, b, c, psd_families, lp_width)."""
-        ai, aj, av, _, _ = self._triplets()
-        A = sp.csr_matrix((av, (ai, aj)), shape=(self._nrows, self._ncols))
+        """Assemble (A, b, c, psd_families, lp_width); A is one CSR of
+        every family's touch entries."""
+        self._freeze()
+        fams = list(self._families.values())
+        rows, cols, vals = _entries(fams)
+        A = sp.csr_matrix((vals, (rows, cols)), shape=(self._nrows, self._ncols))
         A.sum_duplicates()
         b, c = self.rhs(), self.objective()
-        psd_fams = [f for f in self._families.values() if f.kind in ("herm", "psd")]
-        lp_width = sum(f.width for f in self._families.values()
-                       if f.kind in ("nonneg", "free"))
+        psd_fams = [f for f in fams if f.kind in ("herm", "psd")]
+        lp_width = sum(f.width for f in fams if f.kind in ("nonneg", "free"))
         return A, b, c, psd_fams, lp_width
 
     def restrict(self, keep: dict) -> "ConicProgram":
         """This program on blocks ``keep[name]`` (indices) of each
-        matrix family named in ``keep``: the same rows, b and objective,
-        the kept blocks' columns of A and c, and their touch weights."""
-        ai, aj, av, cj, cv = self._triplets()
+        matrix family named in ``keep``: the same rows and b, and the kept
+        blocks' touch weights and objective costs."""
         out = ConicProgram(self.name)
         for fam in self._families.values():
             sel = keep.get(fam.name)
@@ -483,17 +481,8 @@ class ConicProgram:
                 fam.name, fam.kind, fam.count if sel is None else len(sel), fam.dim)
             new.touches = {key: (rows, functional, w if sel is None else w[sel])
                            for key, (rows, functional, w) in fam.touches.items()}
+            new.cost = fam.cost if sel is None else fam.cost[sel]
         out._freeze()
-        colmap = np.full(self._ncols, -1, dtype=np.int64)
-        for fam in self._families.values():
-            cols = np.arange(fam.offset, fam.offset + fam.width)
-            if fam.name in keep:
-                cols = cols.reshape(fam.count, -1)[keep[fam.name]].ravel()
-            new = out._families[fam.name]
-            colmap[cols] = np.arange(new.offset, new.offset + new.width)
-        on, con = colmap[aj] >= 0, colmap[cj] >= 0
-        out._ai, out._aj, out._av = [ai[on]], [colmap[aj[on]]], [av[on]]
-        out._cj, out._cv = [colmap[cj[con]]], [cv[con]]
         out._b, out._rows, out._nrows = list(self._b), list(self._rows), self._nrows
         return out
 
@@ -683,21 +672,27 @@ def _min_step(lmin) -> float:
     return -1.0 / low if low < 0 else np.inf
 
 
-def _dense_columns(As, sl):
-    """The rows that columns ``sl`` of As touch, and those columns there,
-    as a dense array."""
-    cols = As[:, sl].toarray()
-    rows = np.flatnonzero(np.any(cols != 0, axis=1))
-    return rows, cols[rows]
+def _columns(fams, sl, drow):
+    """The rows that the families ``fams``, on columns ``sl``, touch, and
+    their columns of As = A / drow there, as one dense array built from
+    their touch entries."""
+    rows, cols, vals = _entries(fams)
+    touched = np.unique(rows)
+    width = sl.stop - sl.start
+    dense = np.bincount(np.searchsorted(touched, rows) * width + cols - sl.start,
+                        vals, touched.size * width).reshape(touched.size, width)
+    live = np.any(dense != 0, axis=1)     # entries of two touches may cancel
+    touched = touched[live]
+    return touched, dense[live] * (1.0 / drow)[touched][:, None]
 
 
 class _Nonneg:
     """The nonnegative orthant: LP and split free scalars."""
 
-    def __init__(self, sl, As):
-        self.sl = sl
-        self.rows, self.A = _dense_columns(As, sl)
-        self.unit = np.ones(sl.stop - sl.start)
+    def __init__(self, fams, drow):
+        self.sl = slice(fams[0].offset, fams[-1].offset + fams[-1].width)
+        self.rows, self.A = _columns(fams, self.sl, drow)
+        self.unit = np.ones(self.sl.stop - self.sl.start)
 
     def matvec(self, v):
         return self.A @ v
@@ -887,10 +882,10 @@ class _Matrix:
     factors of X and S and an SVD; the scaled space holds matrices in the
     eigenbasis of the scaled point, and the Jordan product is (AB+BA)/2."""
 
-    def __init__(self, fam, As):
+    def __init__(self, fam, drow):
         self.fam = fam
         self.sl = slice(fam.offset, fam.offset + fam.width)
-        self.rows, self.A = _dense_columns(As, self.sl)
+        self.rows, self.A = _columns([fam], self.sl, drow)
         self.unit = fam.coords(np.broadcast_to(
             np.eye(fam.dim), (fam.count, fam.dim, fam.dim))).ravel()
 
@@ -953,18 +948,22 @@ def _herm_t(m):
     return m.conj().swapaxes(-1, -2)
 
 
-def _cones(psd_fams, lp_slice, As, drow):
+def _cones(prog, drow):
     """One cone per run of consecutive 2x2 Hermitian families, per other
-    matrix family, and one for all scalars."""
+    matrix family, and one for all scalars, on the columns of As = A / drow
+    (rows) that ``prog``'s touches give."""
+    fams = list(prog.families.values())
     cones = []
     for lorentz, run in itertools.groupby(
-            psd_fams, key=lambda f: f.kind == "herm" and f.dim == 2):
+            (f for f in fams if f.kind in ("herm", "psd")),
+            key=lambda f: f.kind == "herm" and f.dim == 2):
         if lorentz:
             cones.append(_Lorentz(list(run), drow))
         else:
-            cones.extend(_Matrix(f, As) for f in run)
-    if lp_slice.stop > lp_slice.start:
-        cones.append(_Nonneg(lp_slice, As))
+            cones.extend(_Matrix(f, drow) for f in run)
+    scalars = [f for f in fams if f.kind in ("nonneg", "free") and f.width]
+    if scalars:
+        cones.append(_Nonneg(scalars, drow))
     return cones
 
 
@@ -1045,8 +1044,6 @@ def _cho_solve_refined(L, M, rhs):
 def _solve_hsd(prog: ConicProgram):
     A, b, c, psd_fams, lp_width = prog.build()
     nrows, n = A.shape
-    lp_off = sum(f.width for f in psd_fams)
-    lp_slice = slice(lp_off, lp_off + lp_width)
     degree = sum(f.count * f.dim for f in psd_fams) + lp_width
 
     if nrows == 0:
@@ -1054,13 +1051,10 @@ def _solve_hsd(prog: ConicProgram):
     if degree == 0:
         raise SolverFailure("program has no cone variables", program=prog)
 
-    # row equilibration; duals are recovered through drow at the end.
-    # As is only sliced into the cones' columns, so it is kept as CSC
+    # row equilibration; duals are recovered through drow at the end
     drow = _row_scale(A)
-    As = A.tocsc()
-    As.data *= (1.0 / drow)[As.indices]
     bs = b / drow
-    cones = _cones(psd_fams, lp_slice, As, drow)
+    cones = _cones(prog, drow)
     norm_b = 1 + np.linalg.norm(bs)
     norm_c = 1 + np.linalg.norm(c)
 

@@ -301,8 +301,7 @@ def bell_certificate(result: NonlocalityResult, b: Behaviour) -> BellInequality:
     """Inequality record re-verified against full strategy enumeration."""
     if result.solution.status != "optimal":
         raise ValueError("certificate requires an optimal solve")
-    layout = CgLayout(*_scenario(b))
-    S = strategy_cg_matrix(layout)
+    layout, S = _strategy_pairs(b)
     coeffs = result.inequality.coefficients
     # evaluate the functional on every deterministic strategy pair
     fcg = layout.table_matrix().T @ coeffs.ravel()

@@ -238,13 +238,14 @@ def strategy_masks(m: int, n: int):
 
 def coarse_grain(blocks: np.ndarray, m: int, n: int) -> np.ndarray:
     """(m, n, d, d) grid of sum_{lambda: lambda_x = a} blocks[lambda]: the
-    marginals of a parent POVM, or the assemblage of an LHS model."""
-    masks = strategy_masks(m, n)
+    marginals of a parent POVM, or the assemblage of an LHS model.  Only
+    the nonzero blocks are summed, read by their strategies' digits."""
+    live = np.flatnonzero(np.any(blocks.reshape(len(blocks), -1) != 0, axis=1))
+    assign = strategy_assignments(m, n)[live]
     d = blocks.shape[1]
     out = np.zeros((m, n, d, d), dtype=complex)
     for x in range(m):
-        for a in range(n):
-            out[x, a] = blocks[masks[x][a]].sum(axis=0)
+        np.add.at(out[x], assign[:, x], blocks[live])
     return out
 
 

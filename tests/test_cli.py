@@ -15,10 +15,9 @@ from corrquant.cli import main
 from corrquant.decomposition import parse_kind
 
 
-def write_assemblage(path):
-    asm = sc.steer(sc.werner(0.95), sc.paulis("XZ"))
-    serialize.save(path, asm)
-    return asm
+CHSH = sc.measure(sc.steer(sc.werner(1.0), sc.paulis("XZ")),
+                  sc.bloch_measurements([np.array([1, 0, 1]) / np.sqrt(2),
+                                         np.array([1, 0, -1]) / np.sqrt(2)]))
 
 
 def test_quantify_incompat(tmp_path):
@@ -33,16 +32,22 @@ def test_quantify_incompat(tmp_path):
 
 
 def test_quantify_steer_and_certificate(tmp_path):
-    path = tmp_path / "asm.json"
-    write_assemblage(path)
+    # one input per certificate branch: assemblage, behaviour, measurement set
     runner = CliRunner()
-    res = runner.invoke(main, ["quantify", "steer", "-k", "SR_c", "-i", str(path)])
-    assert res.exit_code == 0, res.output
-    value = json.loads(res.output)["value"]
-    res2 = runner.invoke(main, ["certificate", "-i", str(path), "-k", "SR_c"])
-    assert res2.exit_code == 0, res2.output
-    cert = json.loads(res2.output)
-    assert abs(cert["violation"] - value) < 1e-6
+    for domain, kind, obj in [
+            ("steer", "SR_c", sc.steer(sc.werner(0.95), sc.paulis("XZ"))),
+            ("nonlocal", "NLR_mar", CHSH),
+            ("incompat", "robustness", sc.paulis("XZ"))]:
+        path = tmp_path / f"{domain}.json"
+        serialize.save(path, obj)
+        res = runner.invoke(main, ["quantify", domain, "-k", kind, "-i", str(path)])
+        assert res.exit_code == 0, res.output
+        value = json.loads(res.output)["value"]
+        res2 = runner.invoke(main, ["certificate", "-i", str(path), "-k", kind])
+        assert res2.exit_code == 0, res2.output
+        cert = json.loads(res2.output)
+        assert cert["domain"] == domain
+        assert abs(cert["violation"] - value) < 1e-6, domain
 
 
 def test_quantify_nonlocal(tmp_path):
@@ -72,11 +77,6 @@ def test_validation_exit_code(tmp_path):
     serialize.save(path2, sc.paulis("XZ"))
     res2 = runner.invoke(main, ["quantify", "steer", "-k", "SR", "-i", str(path2)])
     assert res2.exit_code == 2
-
-
-CHSH = sc.measure(sc.steer(sc.werner(1.0), sc.paulis("XZ")),
-                  sc.bloch_measurements([np.array([1, 0, 1]) / np.sqrt(2),
-                                         np.array([1, 0, -1]) / np.sqrt(2)]))
 
 
 @pytest.mark.parametrize("obj, args", [

@@ -328,6 +328,91 @@ def test_verify_infeasible_sdp_ray_flags_negative_eigenvalue(minus_y):
     assert verify_solution(prog, sol).ray_residual > 1e-2
 
 
+def _unit_blocks(prog, x):
+    """The blocks and scalars that the column vector ``x`` holds."""
+    out = {}
+    for f in prog.families.values():
+        part = x[f.offset:f.offset + f.width]
+        if f.kind == "herm":
+            out[f.name] = hermitian_from_coords(part.reshape(f.count, -1), f.dim)
+        elif f.kind == "psd":
+            out[f.name] = smat(part.reshape(f.count, -1), f.dim)
+        elif f.kind == "nonneg":
+            out[f.name] = part
+        else:
+            out[f.name] = part[:f.count] - part[f.count:]
+    return out
+
+
+def test_build_writes_out_the_term_grammar():
+    """build()'s A, b and c against the grammar written out by hand: column
+    j of A is every row's expression evaluated on the j-th unit vector,
+    and c_j the objective's.  Every term tag runs on every family kind
+    that takes it."""
+    rng = np.random.default_rng(31)
+    prog = ConicProgram("grammar")
+    prog.add_hermitian_family("A", 3, 2)
+    prog.add_hermitian_family("B", 2, 3)
+    prog.add_psd_family("P", 2, 3)
+    prog.add_nonneg("u", 3)
+    prog.add_free("z", 2)
+    C2, H2, K2, Q2, R2 = (random_hermitian(2, rng) for _ in range(5))
+    C3, H3, R3 = (random_hermitian(3, rng) for _ in range(3))
+    S, S2 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))   # read symmetrized
+    tr = np.trace
+    # (rhs, terms, the same expression on the blocks X); a matrix rhs is a
+    # matrix row group
+    rows = [
+        (0.3, [("lin", "u", [0, 2], [1.5, -2.0]), ("lin", "z", [1], [0.7]),
+               ("mat", "A", 1, C2), ("tr", "B", [0, 1], 2.0),
+               ("entry", "P", 1, (0, 2))],
+         lambda X: (1.5 * X["u"][0] - 2.0 * X["u"][2] + 0.7 * X["z"][1]
+                    + tr(C2 @ X["A"][1]).real + 2.0 * tr(X["B"][0] + X["B"][1]).real
+                    + X["P"][1][0, 2])),
+        (R2, [("sum", "A", [0, 1], 0.5), ("one", "A", 2, 2.0),
+              ("scalar_mat", "u", 0, H2), ("scalar_mat", "z", 1, K2)],
+         lambda X: (0.5 * (X["A"][0] + X["A"][1]) + 2.0 * X["A"][2]
+                    + X["u"][0] * H2 + X["z"][1] * K2)),
+        (-1.2, [("mat", "P", 0, S), ("entry", "A", 2, (0, 1)),
+                ("entry", "B", 1, (1, 2)), ("tr", "A", [0, 2], -1.0),
+                ("tr", "P", [1], 0.5), ("mat", "B", 0, C3),
+                ("lin", "u", [1, 1], [3.0, 1.0])],
+         lambda X: (tr(S @ X["P"][0]) + X["A"][2][0, 1].real
+                    + X["B"][1][1, 2].real - tr(X["A"][0] + X["A"][2]).real
+                    + 0.5 * tr(X["P"][1]) + tr(C3 @ X["B"][0]).real
+                    + 4.0 * X["u"][1])),
+        (R3, [("sum", "B", [0, 1], 1.0), ("one", "B", 1, -1.0),
+              ("scalar_mat", "z", 0, H3)],
+         lambda X: X["B"][0] + X["z"][0] * H3),
+    ]
+    objective = ([("lin", "z", [0, 1], [1.0, -2.0]), ("lin", "u", [2], [0.5]),
+                  ("mat", "A", 0, Q2), ("mat", "P", 1, S2)],
+                 lambda X: (X["z"][0] - 2.0 * X["z"][1] + 0.5 * X["u"][2]
+                            + tr(Q2 @ X["A"][0]).real + tr(S2 @ X["P"][1])))
+    for i, (rhs, terms, _) in enumerate(rows):
+        if np.ndim(rhs):
+            prog.add_matrix_row_group(("m", i), rhs, terms)
+        else:
+            prog.add_scalar_row(("s", i), rhs, terms)
+    prog.set_objective(objective[0])
+
+    def row_values(X):
+        return np.concatenate([
+            hermitian_coords(expr(X), rhs.shape[0]) if np.ndim(rhs) else [expr(X)]
+            for rhs, _, expr in rows])
+
+    A, b, c, _, _ = prog.build()
+    units = [_unit_blocks(prog, e) for e in np.eye(A.shape[1])]
+    want_a = np.array([row_values(X) for X in units]).T
+    want_c = np.array([objective[1](X) for X in units])
+    assert A.shape == (2 + 4 + 9, 3 * 4 + 2 * 9 + 2 * 6 + 3 + 2 * 2)
+    assert np.max(np.abs(A.toarray() - want_a)) <= 1e-12
+    assert np.max(np.abs(c - want_c)) <= 1e-12
+    assert np.max(np.abs(b - np.concatenate(
+        [hermitian_coords(rhs, rhs.shape[0]) if np.ndim(rhs) else [rhs]
+         for rhs, _, _ in rows]))) <= 1e-12
+
+
 def _mixed_program():
     """Hermitian blocks under matrix, trace, 'mat' and 'entry' rows next to
     a real PSD block, nonnegative and free scalars."""
@@ -433,8 +518,7 @@ def _interior_point(prog, rng):
         vec[A.shape[1] - lp_width:] = rng.uniform(0.1, 2.0, lp_width)
     drow = np.maximum(np.abs(A).max(axis=1).toarray().ravel(), 1e-12)
     As = (sp.diags(1.0 / drow) @ A).tocsr()
-    lp_slice = slice(A.shape[1] - lp_width, A.shape[1])
-    cones = _cones(psd_fams, lp_slice, As, drow)
+    cones = _cones(prog, drow)
     for g in cones:
         g.scale(x, s)
     return As, x, s, cones

@@ -113,6 +113,16 @@ def test_pair_cap_checked_before_strategy_matrix(monkeypatch):
         sc.strategy_masks(4, 2)
 
 
+def test_bell_certificate_checks_the_pair_cap(monkeypatch):
+    # the certificate enumerates the same 16 strategy pairs as the solve,
+    # so a cap they exceed refuses it too
+    beh = isotropic_chsh(1.0)
+    res = nl.nonlocality_quantifier(beh, "NLR_mar")
+    monkeypatch.setattr(sc, "STRATEGY_CAP", 10)
+    with pytest.raises(StrategyCapExceeded):
+        nl.bell_certificate(res, beh)
+
+
 # ---------------------------------------------------------------------------
 # quantifiers
 # ---------------------------------------------------------------------------
