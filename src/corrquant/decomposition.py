@@ -247,7 +247,7 @@ def solve(prog: ConicProgram) -> ConicSolution:
             slack = {f.name: -prog.column_products(f.name, y) for f in fams}
         else:
             break
-        cost = np.min([f.eigvalsh(slack[f.name])[:, 0] for f in fams], axis=0)
+        cost = np.min([_eigvalsh(slack[f.name], f.dim)[:, 0] for f in fams], axis=0)
         cost[keep] = np.inf
         worst = cost.min()
         if worst >= -conic.MARGIN_TOL:
@@ -288,7 +288,18 @@ def _data_prices(prog: ConicProgram, fam) -> np.ndarray:
         if (x, n - 1) not in rows:
             data[x, n - 1] = data[0].sum(axis=0) - data[x, :n - 1].sum(axis=0)
     sums = data[np.arange(m), strategy_assignments(m, n)].sum(axis=1)
-    return fam.eigvalsh(sums)[:, -1]
+    return _eigvalsh(sums, fam.dim)[:, -1]
+
+
+def _eigvalsh(coords: np.ndarray, d: int) -> np.ndarray:
+    """Ascending eigenvalues of d x d Hermitian blocks from their (batch,
+    d*d) coordinates; closed form for d = 2."""
+    if d != 2:
+        return np.linalg.eigvalsh(conic.hermitian_from_coords(coords, d))
+    mid = (coords[:, 0] + coords[:, 1]) / 2
+    rad = np.sqrt(((coords[:, 0] - coords[:, 1]) / 2) ** 2
+                  + (coords[:, 2] ** 2 + coords[:, 3] ** 2) / 2)
+    return np.stack([mid - rad, mid + rad], axis=1)
 
 
 def _starting_set(fam, price: np.ndarray) -> np.ndarray:
@@ -402,7 +413,8 @@ def _blend_rows(grid: np.ndarray) -> np.ndarray:
 def strategy_bound(coefficients: np.ndarray) -> float:
     """max over strategies lambda of lambda_max(sum_x Y_{lambda_x|x}): the
     largest value sum tr[Y D] takes on any D with a parent / LHS model."""
-    m, n = coefficients.shape[:2]
+    m, n, d = coefficients.shape[:3]
+    coords = conic.hermitian_coords(coefficients, d)
     assign = strategy_assignments(m, n)
-    sums = coefficients[np.arange(m)[None, :], assign].sum(axis=1)
-    return float(np.max(np.linalg.eigvalsh(sums)[:, -1]))
+    sums = sum(coords[x, assign[:, x]] for x in range(m))
+    return float(np.max(_eigvalsh(sums, d)[:, -1]))

@@ -250,12 +250,13 @@ def test_tolerances_are_read_when_solving(monkeypatch):
 
 
 def test_solution_records_the_path_that_ended_it(monkeypatch):
-    prog = build_program("incompat", "robustness", scenario.paulis("XZ").effects,
+    prog = build_program("incompat", "robustness", scenario.paulis("XYZ").effects,
                          np.eye(2))
     done = prog.solve()
     assert done.ended == "converged"
-    # one iteration short, the loop runs out after the first iterate that
-    # meets the tolerances, and that candidate is promoted to optimal
+    # this solve first meets the tolerances one iteration before it
+    # converges: one iteration short, the loop runs out after that iterate,
+    # and the candidate is promoted to optimal
     monkeypatch.setattr(conic, "MAXITER", done.iterations - 1)
     sol = prog.solve()
     assert sol.status == "optimal"
@@ -265,6 +266,30 @@ def test_solution_records_the_path_that_ended_it(monkeypatch):
     with pytest.raises(SolverFailure) as err:
         prog.solve()
     assert err.value.report["ended"] == "iteration limit"
+
+
+def test_endgame_is_superlinear():
+    # once the predictor is exact the step runs up to 1 - 1e-6 of the way
+    # to the boundary, so mu falls far more than 100x per iteration; a
+    # fixed 0.99 step takes 8 iterations here and lands 1.7e-12 off
+    prog = build_program("incompat", "robustness", scenario.paulis("XZ").effects,
+                         np.eye(2))
+    sol = prog.solve()
+    assert sol.iterations <= 6
+    assert abs(sol.value - (3 - 2 * np.sqrt(2))) < 1e-12
+
+
+def test_step_fraction_rule():
+    grid = np.concatenate([np.linspace(0, 1, 101), 1 - np.logspace(-16, -1, 31),
+                           np.logspace(-16, -1, 31)])
+    for sigma in grid:
+        for aaff in grid:
+            frac = conic._step_fraction(sigma, aaff)
+            assert frac <= 1 - 1e-6
+            if aaff <= 0.9 or sigma >= 1e-2:
+                assert frac == 0.99
+            if sigma <= 1e-8 and aaff >= 1 - 1e-8:
+                assert frac >= 1 - 1e-5
 
 
 def test_dump_triplets_roundtrip_header():

@@ -149,6 +149,30 @@ def test_restrict_keeps_the_kept_columns():
         assert np.array_equal(Ps, P) and np.array_equal(Us, U[:, keep])
 
 
+def test_strategy_bound_takes_qubit_eigenvalues_in_closed_form(monkeypatch):
+    rng = np.random.default_rng(11)
+
+    def grid(m, n, d):
+        g = rng.normal(size=(m, n, d, d)) + 1j * rng.normal(size=(m, n, d, d))
+        return g + np.swapaxes(g, -1, -2).conj()
+
+    def enumerated(coefficients):
+        m, n = coefficients.shape[:2]
+        sums = coefficients[np.arange(m), sc.strategy_assignments(m, n)].sum(axis=1)
+        return np.linalg.eigvalsh(sums)[:, -1].max()
+
+    qubit = [grid(m, n, 2) for m in range(1, 7) for n in (2, 3)]
+    qutrit = grid(4, 3, 3)
+    expected = [enumerated(y) for y in qubit + [qutrit]]
+    lapack, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or lapack(a))
+    for y, bound in zip(qubit, expected):
+        assert abs(dc.strategy_bound(y) - bound) <= 1e-12
+    assert calls == []
+    assert abs(dc.strategy_bound(qutrit) - expected[-1]) <= 1e-12
+    assert calls == [(3 ** 4, 3, 3)]
+
+
 @pytest.mark.extended
 @pytest.mark.skipif(os.environ.get("CORRQUANT_EXTENDED") != "1",
                     reason="extended run: set CORRQUANT_EXTENDED=1")
