@@ -39,8 +39,10 @@ The row builders record, per family, which rows each block touches with
 which weight and through which coordinate functional, and the objective
 as per-block costs.  These touches are the program's only record of its
 columns: a family's columns are P kron(U[:, i], I) for block i (after
-Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  A is assembled from
-them only for the row equilibration, verification and dumps.
+Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  A solve reads them
+once: each family's entries give the row equilibration and the dense
+columns of its cone.  A is assembled from them only for verification and
+dumps.
 
 Each cone owns its columns of the row-equilibrated As and applies them
 itself: the iteration's products As v and As^T y and its dense Schur
@@ -250,9 +252,9 @@ class _Family:
 _NO_ENTRIES = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
 
 
-def _entries(fams):
-    """(rows, cols, vals): the nonzero entries of A in ``fams``' columns."""
-    return [np.concatenate(p) for p in zip(_NO_ENTRIES, *(f.entries() for f in fams))]
+def _concat(entries):
+    """One (rows, cols, vals) from several."""
+    return [np.concatenate(p) for p in zip(_NO_ENTRIES, *entries)]
 
 
 @dataclass
@@ -450,17 +452,13 @@ class ConicProgram:
         return U.T @ (y[rows] @ P).reshape(U.shape[0], -1)
 
     def build(self):
-        """Assemble (A, b, c, psd_families, lp_width); A is one CSR of
-        every family's touch entries."""
+        """Assemble (A, b, c), A one CSR of every family's touch entries,
+        for verification and dumps (the solver reads the touches)."""
         self._freeze()
-        fams = list(self._families.values())
-        rows, cols, vals = _entries(fams)
+        rows, cols, vals = _concat(f.entries() for f in self._families.values())
         A = sp.csr_matrix((vals, (rows, cols)), shape=(self._nrows, self._ncols))
         A.sum_duplicates()
-        b, c = self.rhs(), self.objective()
-        psd_fams = [f for f in fams if f.kind in ("herm", "psd")]
-        lp_width = sum(f.width for f in fams if f.kind in ("nonneg", "free"))
-        return A, b, c, psd_fams, lp_width
+        return A, self.rhs(), self.objective()
 
     def restrict(self, keep: dict) -> "ConicProgram":
         """This program on blocks ``keep[name]`` (indices) of each
@@ -482,7 +480,7 @@ class ConicProgram:
 
     def dump_triplets(self) -> str:
         """Sparse-triplet dump: '# header', then 'A i j v' / 'b i v' / 'c j v'."""
-        A, b, c, _, _ = self.build()
+        A, b, c = self.build()
         lines = [f"# conic program {self.name!r}: {A.shape[0]} rows, {A.shape[1]} cols"]
         for fam in self._families.values():
             lines.append(
@@ -579,7 +577,7 @@ def _block_margins(prog, blocks):
 
 def verify_solution(prog: ConicProgram, sol: ConicSolution) -> ResidualReport:
     """Recompute residuals and cone margins independent of solver internals."""
-    A, b, c, _, _ = prog.build()
+    A, b, c = prog.build()
     if sol.status in ("infeasible", "unbounded"):
         if sol.status == "infeasible" and sol.ray is not None:
             # min ||A'y + s|| over s in the (self-dual) cone: the distance of
@@ -666,11 +664,10 @@ def _min_step(lmin) -> float:
     return -1.0 / low if low < 0 else np.inf
 
 
-def _columns(fams, sl, drow):
-    """The rows that the families ``fams``, on columns ``sl``, touch, and
-    their columns of As = A / drow there, as one dense array built from
-    their touch entries."""
-    rows, cols, vals = _entries(fams)
+def _columns(entries, sl, drow):
+    """The rows that the touch ``entries`` of columns ``sl`` reach, and
+    those columns of As = A / drow there, as one dense array."""
+    rows, cols, vals = entries
     touched = np.unique(rows)
     width = sl.stop - sl.start
     dense = np.bincount(np.searchsorted(touched, rows) * width + cols - sl.start,
@@ -683,9 +680,9 @@ def _columns(fams, sl, drow):
 class _Nonneg:
     """The nonnegative orthant: LP and split free scalars."""
 
-    def __init__(self, fams, drow):
+    def __init__(self, fams, entries, drow):
         self.sl = slice(fams[0].offset, fams[-1].offset + fams[-1].width)
-        self.rows, self.A = _columns(fams, self.sl, drow)
+        self.rows, self.A = _columns(entries, self.sl, drow)
         self.unit = np.ones(self.sl.stop - self.sl.start)
 
     def matvec(self, v):
@@ -876,10 +873,10 @@ class _Matrix:
     factors of X and S and an SVD; the scaled space holds matrices in the
     eigenbasis of the scaled point, and the Jordan product is (AB+BA)/2."""
 
-    def __init__(self, fam, drow):
+    def __init__(self, fam, entries, drow):
         self.fam = fam
         self.sl = slice(fam.offset, fam.offset + fam.width)
-        self.rows, self.A = _columns([fam], self.sl, drow)
+        self.rows, self.A = _columns(entries, self.sl, drow)
         self.unit = fam.coords(np.broadcast_to(
             np.eye(fam.dim), (fam.count, fam.dim, fam.dim))).ravel()
 
@@ -942,11 +939,19 @@ def _herm_t(m):
     return m.conj().swapaxes(-1, -2)
 
 
-def _cones(prog, drow):
-    """One cone per run of consecutive 2x2 Hermitian families, per other
-    matrix family, and one for all scalars, on the columns of As = A / drow
-    (rows) that ``prog``'s touches give."""
+def _cones(prog):
+    """(cones, drow): one cone per run of consecutive 2x2 Hermitian
+    families, per other matrix family, and one for all scalars, on the
+    columns of As = A / drow.  The row scale drow[r] is the largest |entry|
+    in row r of the touch entries before entries on one block coordinate
+    are summed, at least 1e-12: max_j |A_rj| unless a row holds two terms
+    on one coordinate.  Each family's entries are computed once."""
     fams = list(prog.families.values())
+    entries = {f.name: f.entries() for f in fams}
+    rows, _, vals = _concat(entries.values())
+    drow = np.zeros(prog._nrows)
+    np.maximum.at(drow, rows, np.abs(vals))
+    drow = np.maximum(drow, 1e-12)
     cones = []
     for lorentz, run in itertools.groupby(
             (f for f in fams if f.kind in ("herm", "psd")),
@@ -954,11 +959,12 @@ def _cones(prog, drow):
         if lorentz:
             cones.append(_Lorentz(list(run), drow))
         else:
-            cones.extend(_Matrix(f, drow) for f in run)
+            cones.extend(_Matrix(f, entries[f.name], drow) for f in run)
     scalars = [f for f in fams if f.kind in ("nonneg", "free") and f.width]
     if scalars:
-        cones.append(_Nonneg(scalars, drow))
-    return cones
+        cones.append(_Nonneg(scalars, _concat(entries[f.name] for f in scalars),
+                             drow))
+    return cones, drow
 
 
 def _matvec(cones, v, nrows):
@@ -1011,15 +1017,6 @@ def _chol_reg(M):
     return None
 
 
-def _row_scale(A):
-    """max |A_ij| over each row of the CSR ``A``, at least 1e-12."""
-    mag = np.zeros(A.shape[0])
-    filled = np.diff(A.indptr) > 0
-    if filled.any():
-        mag[filled] = np.maximum.reduceat(np.abs(A.data), A.indptr[:-1][filled])
-    return np.maximum(mag, 1e-12)
-
-
 def _potrs(L, rhs):
     # L.T is the upper factor in Fortran order, so LAPACK reads it uncopied
     z, info = dpotrs(L.T, rhs, lower=0)
@@ -1042,25 +1039,24 @@ def _step_fraction(sigma: float, aaff: float) -> float:
 
 
 def _solve_hsd(prog: ConicProgram):
-    A, b, c, psd_fams, lp_width = prog.build()
-    nrows, n = A.shape
-    degree = sum(f.count * f.dim for f in psd_fams) + lp_width
-
+    b, c = prog.rhs(), prog.objective()
+    nrows, n = prog._nrows, prog._ncols
     if nrows == 0:
         raise SolverFailure("program has no equality rows", program=prog)
-    if degree == 0:
-        raise SolverFailure("program has no cone variables", program=prog)
 
     # row equilibration; duals are recovered through drow at the end
-    drow = _row_scale(A)
+    cones, drow = _cones(prog)
     bs = b / drow
-    cones = _cones(prog, drow)
     norm_b = 1 + np.linalg.norm(bs)
     norm_c = 1 + np.linalg.norm(c)
 
     x = np.empty(n)
     for g in cones:
         x[g.sl] = g.unit
+    # the barrier degree: unit @ unit is each cone's degree
+    degree = x @ x
+    if degree == 0:
+        raise SolverFailure("program has no cone variables", program=prog)
     s = x.copy()
     y = np.zeros(nrows)
     tau, kappa = 1.0, 1.0

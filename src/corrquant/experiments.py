@@ -365,6 +365,22 @@ def reproduce_table1(outdir, extended: bool = False) -> dict:
                       str(dev_path)]}
 
 
+def _write_sweep_csv(path, kinds, note: str, res: SweepResult) -> str:
+    """Write ``res.rows`` as one CSV row per grid point v, the repr of v
+    and of each kind's value, under a '# columns' line and '# note'."""
+    by_param = {}
+    for param, kind, val in res.rows:
+        by_param.setdefault(param, {})[kind] = val
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(f"# columns: v, {', '.join(kinds)}\n# {note}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["v"] + kinds)
+        for param in sorted(by_param):
+            writer.writerow([repr(param)] + [repr(by_param[param][k]) for k in kinds])
+    return str(path)
+
+
 def reproduce_fig1(outdir, num: int = 41) -> dict:
     """Consistent steering quantifiers vs Werner visibility, plus the
     constant incompatibility values of the sharp X, Y, Z set."""
@@ -379,23 +395,11 @@ def reproduce_fig1(outdir, num: int = 41) -> dict:
         "IRr": ic.incompatibility_quantifier(meas, "random_robustness").value,
         "IW": ic.incompatibility_quantifier(meas, "weight").value,
     }
-    outdir = pathlib.Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "fig1.csv"
-    with open(path, "w") as fh:
-        fh.write("# columns: v, SR_c, SR_red, SW_c\n")
-        fh.write(f"# incompatibility values: IR={dashed['IR']!r} "
-                 f"IRr={dashed['IRr']!r} IW={dashed['IW']!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["v", "SR_c", "SR_red", "SW_c"])
-        by_param = {}
-        for param, kind, val in res.rows:
-            by_param.setdefault(param, {})[kind] = val
-        for param in sorted(by_param):
-            vals = by_param[param]
-            writer.writerow([repr(param)] + [repr(vals[k])
-                                             for k in ("SR_c", "SR_red", "SW_c")])
-    return {"sweep": res, "dashed": dashed, "files": [str(path)]}
+    path = _write_sweep_csv(
+        pathlib.Path(outdir) / "fig1.csv", spec.kinds,
+        f"incompatibility values: IR={dashed['IR']!r} IRr={dashed['IRr']!r} "
+        f"IW={dashed['IW']!r}", res)
+    return {"sweep": res, "dashed": dashed, "files": [path]}
 
 
 def reproduce_fig2(outdir, num: int = 21, level: int = 2) -> dict:
@@ -414,21 +418,10 @@ def reproduce_fig2(outdir, num: int = 21, level: int = 2) -> dict:
         "IRjm": ic.incompatibility_quantifier(meas, "jm_robustness").value,
         "IW": ic.incompatibility_quantifier(meas, "weight").value,
     }
-    outdir = pathlib.Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "fig2.csv"
-    with open(path, "w") as fh:
-        fh.write(f"# columns: v, {', '.join(kinds)}\n")
-        fh.write(f"# incompatibility values of the fixed pair: {dashed!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["v"] + kinds)
-        by_param = {}
-        for param, kind, val in res.rows:
-            by_param.setdefault(param, {})[kind] = val
-        for param in sorted(by_param):
-            writer.writerow([repr(param)]
-                            + [repr(by_param[param][k]) for k in kinds])
-    return {"sweep": res, "dashed": dashed, "files": [str(path)]}
+    path = _write_sweep_csv(pathlib.Path(outdir) / "fig2.csv", kinds,
+                            f"incompatibility values of the fixed pair: {dashed!r}",
+                            res)
+    return {"sweep": res, "dashed": dashed, "files": [path]}
 
 
 def reproduce_fig3(outdir, num: int = 7, restarts: int = 2, seed: int = 7,

@@ -43,6 +43,47 @@ def _matrix_from_json(obj, path: str) -> np.ndarray:
     return mat
 
 
+def _fields(obj, what: str, keys) -> None:
+    if not isinstance(obj, dict):
+        raise ValidationError(
+            f"{what}: expected a JSON object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ValidationError(f"{what}: missing field {key!r}")
+
+
+def _size(obj: dict, key: str) -> int:
+    val = obj[key]
+    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+        raise ValidationError(f"{key}: expected a positive integer, got {val!r}")
+    return val
+
+
+def _length(val) -> str:
+    return str(len(val)) if isinstance(val, list) else type(val).__name__
+
+
+def _matrices(obj: dict, key: str, sizes) -> np.ndarray:
+    """The [x][a] matrices of field ``key``, checked against the m, n and
+    d named by ``sizes``, as one (m, n, d, d) array."""
+    m, n, d = (_size(obj, k) for k in sizes)
+    rows = obj[key]
+    if not isinstance(rows, list) or len(rows) != m:
+        raise ValidationError(f"{key}: expected {m} inputs, got {_length(rows)}")
+    mats = []
+    for x, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise ValidationError(
+                f"{key}[{x}]: expected {n} outcomes, got {_length(row)}")
+        for a, entry in enumerate(row):
+            mat = _matrix_from_json(entry, f"{key}[{x}][{a}]")
+            if mat.shape != (d, d):
+                raise ValidationError(
+                    f"{key}[{x}][{a}]: expected {d}x{d}, got {mat.shape}")
+            mats.append(mat)
+    return np.array(mats, dtype=complex).reshape(m, n, d, d)
+
+
 def measurements_to_dict(ms: MeasurementSet) -> dict:
     return {"m": ms.m, "n": ms.n, "d": ms.d,
             "effects": [[_matrix_to_json(ms.effects[x, a])
@@ -50,24 +91,8 @@ def measurements_to_dict(ms: MeasurementSet) -> dict:
 
 
 def measurements_from_dict(obj: dict) -> MeasurementSet:
-    for key in ("m", "n", "d", "effects"):
-        if key not in obj:
-            raise ValidationError(f"measurements: missing field {key!r}")
-    m, n, d = obj["m"], obj["n"], obj["d"]
-    eff = np.zeros((m, n, d, d), dtype=complex)
-    rows = obj["effects"]
-    if len(rows) != m:
-        raise ValidationError(f"effects: expected {m} inputs, got {len(rows)}")
-    for x in range(m):
-        if len(rows[x]) != n:
-            raise ValidationError(
-                f"effects[{x}]: expected {n} outcomes, got {len(rows[x])}")
-        for a in range(n):
-            mat = _matrix_from_json(rows[x][a], f"effects[{x}][{a}]")
-            if mat.shape != (d, d):
-                raise ValidationError(
-                    f"effects[{x}][{a}]: expected {d}x{d}, got {mat.shape}")
-            eff[x, a] = mat
+    _fields(obj, "measurements", ("m", "n", "d", "effects"))
+    eff = _matrices(obj, "effects", ("m", "n", "d"))
     try:
         return MeasurementSet(eff)
     except ValueError as exc:
@@ -81,20 +106,8 @@ def assemblage_to_dict(asm: Assemblage) -> dict:
 
 
 def assemblage_from_dict(obj: dict) -> Assemblage:
-    for key in ("m", "n", "dB", "members"):
-        if key not in obj:
-            raise ValidationError(f"assemblage: missing field {key!r}")
-    m, n, d = obj["m"], obj["n"], obj["dB"]
-    mem = np.zeros((m, n, d, d), dtype=complex)
-    rows = obj["members"]
-    if len(rows) != m:
-        raise ValidationError(f"members: expected {m} inputs, got {len(rows)}")
-    for x in range(m):
-        if len(rows[x]) != n:
-            raise ValidationError(
-                f"members[{x}]: expected {n} outcomes, got {len(rows[x])}")
-        for a in range(n):
-            mem[x, a] = _matrix_from_json(rows[x][a], f"members[{x}][{a}]")
+    _fields(obj, "assemblage", ("m", "n", "dB", "members"))
+    mem = _matrices(obj, "members", ("m", "n", "dB"))
     try:
         return Assemblage(mem)
     except ValueError as exc:
@@ -107,9 +120,7 @@ def behaviour_to_dict(b: Behaviour) -> dict:
 
 
 def behaviour_from_dict(obj: dict) -> Behaviour:
-    for key in ("mA", "nA", "mB", "nB", "table"):
-        if key not in obj:
-            raise ValidationError(f"behaviour: missing field {key!r}")
+    _fields(obj, "behaviour", ("mA", "nA", "mB", "nB", "table"))
     try:
         tab = np.asarray(obj["table"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -125,8 +136,7 @@ def behaviour_from_dict(obj: dict) -> Behaviour:
 
 
 def counts_from_dict(obj: dict) -> np.ndarray:
-    if "counts" not in obj:
-        raise ValidationError("counts: missing field 'counts'")
+    _fields(obj, "counts", ("counts",))
     try:
         arr = np.asarray(obj["counts"], dtype=np.int64)
     except (TypeError, ValueError) as exc:
@@ -153,6 +163,7 @@ def object_to_dict(obj) -> dict:
 
 
 def object_from_dict(obj: dict):
+    _fields(obj, "top level", ())
     kind = obj.get("type")
     if kind == "measurementset":
         return measurements_from_dict(obj)

@@ -77,6 +77,11 @@ def test_validation_exit_code(tmp_path):
     serialize.save(path2, sc.paulis("XZ"))
     res2 = runner.invoke(main, ["quantify", "steer", "-k", "SR", "-i", str(path2)])
     assert res2.exit_code == 2
+    # a top-level JSON list is not an object
+    path3 = tmp_path / "list.json"
+    path3.write_text("[1, 2]")
+    res3 = runner.invoke(main, ["quantify", "incompat", "-k", "IR", "-i", str(path3)])
+    assert res3.exit_code == 2 and "error:" in res3.output
 
 
 @pytest.mark.parametrize("obj, args", [

@@ -426,7 +426,7 @@ def test_build_writes_out_the_term_grammar():
             hermitian_coords(expr(X), rhs.shape[0]) if np.ndim(rhs) else [expr(X)]
             for rhs, _, expr in rows])
 
-    A, b, c, _, _ = prog.build()
+    A, b, c = prog.build()
     units = [_unit_blocks(prog, e) for e in np.eye(A.shape[1])]
     want_a = np.array([row_values(X) for X in units]).T
     want_c = np.array([objective[1](X) for X in units])
@@ -514,6 +514,22 @@ def _run_program():
     return prog
 
 
+def _duplicate_program():
+    """A scalar row holding tr X_2 and tr(C X_2): two terms on each
+    diagonal coordinate of block 2, which A sums to 1 + C_kk."""
+    prog = ConicProgram("duplicate")
+    prog.add_hermitian_family("H", 3, 2)
+    prog.add_nonneg("t", 1)
+    prog.add_matrix_row_group(("m",), np.eye(2), [("sum", "H", [0, 1, 2], 1.0)])
+    prog.add_scalar_row(("dup",), 1.0, [("tr", "H", [2], 1.0),
+                                        ("mat", "H", 2, np.diag([0.5, 0.25])),
+                                        ("lin", "t", [0], [0.75])])
+    return prog
+
+
+SCHUR_PROGRAMS = ["IR", "IW", "SR", "mixed", "kernels", "runs", "duplicate"]
+
+
 def _schur_program(name):
     ms = scenario.lossy(scenario.bloch_measurements(
         scenario.dodecahedron_vectors()[:3]), 0.4)
@@ -526,34 +542,56 @@ def _schur_program(name):
         "mixed": _mixed_program,
         "kernels": _kernel_program,
         "runs": _run_program,
+        "duplicate": _duplicate_program,
     }[name]()
 
 
 def _interior_point(prog, rng):
-    """Random x, s inside the cone of ``prog``, and its cones."""
-    A, _, _, psd_fams, lp_width = prog.build()
+    """Random x, s inside the cone of ``prog``, its cones, and As = A / drow
+    at the solver's own row scale drow."""
+    A = prog.build()[0]
+    fams = prog.families.values()
+    lp_width = sum(f.width for f in fams if f.kind in ("nonneg", "free"))
     x, s = np.zeros(A.shape[1]), np.zeros(A.shape[1])
     for vec in (x, s):
-        for f in psd_fams:
+        for f in fams:
+            if f.kind not in ("herm", "psd"):
+                continue
             r = rng.normal(size=(f.count, f.dim, f.dim))
             if f.kind == "herm":
                 r = r + 1j * rng.normal(size=r.shape)
             blocks = r @ r.conj().transpose(0, 2, 1) + 0.1 * np.eye(f.dim)
             vec[f.offset:f.offset + f.width] = f.coords(blocks).ravel()
         vec[A.shape[1] - lp_width:] = rng.uniform(0.1, 2.0, lp_width)
-    drow = np.maximum(np.abs(A).max(axis=1).toarray().ravel(), 1e-12)
+    cones, drow = _cones(prog)
     As = (sp.diags(1.0 / drow) @ A).tocsr()
-    cones = _cones(prog, drow)
     for g in cones:
         g.scale(x, s)
     return As, x, s, cones
+
+
+@pytest.mark.parametrize("name", SCHUR_PROGRAMS)
+def test_row_scale_is_largest_touch_entry(name):
+    """The solver's row scale is max_j |A_rj| (at least 1e-12) on rows
+    without two terms on one block coordinate; on such a row it is the
+    largest |entry| before the terms are summed."""
+    prog = _schur_program(name)
+    _, drow = _cones(prog)
+    A = prog.build()[0]
+    want = np.maximum(np.abs(A).max(axis=1).toarray().ravel(), 1e-12)
+    if name == "duplicate":
+        row = prog.row_groups[-1].offset
+        # A's row holds 1.5, 1.25 and 0.75; its touch entries 1, 1, 0.5, 0.25, 0.75
+        assert want[row] == 1.5
+        want[row] = 1.0
+    assert np.array_equal(drow, want)
 
 
 def _close(got, want):
     return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("name", ["IR", "IW", "SR", "mixed", "kernels", "runs"])
+@pytest.mark.parametrize("name", SCHUR_PROGRAMS)
 def test_structured_schur_matches_dense_product(name):
     prog = _schur_program(name)
     As, _, _, cones = _interior_point(prog, np.random.default_rng(13))
@@ -587,7 +625,7 @@ def test_nt_scaling_kernels():
     prog = _kernel_program()
     rng = np.random.default_rng(21)
     _, x, s, cones = _interior_point(prog, rng)
-    fams = {f.offset: f for f in prog.build()[3]}
+    fams = {f.offset: f for f in prog.families.values() if f.kind in ("herm", "psd")}
     for g in cones:
         fam = fams.get(g.sl.start)     # None for the scalars
         lam, lam_s = g.to_scaled(x[g.sl], s[g.sl])

@@ -104,9 +104,10 @@ def test_start_missing_an_outcome_converges(monkeypatch):
 
 
 def test_small_program_is_solved_once_as_built(monkeypatch):
+    # the program goes to the solver as built, which reads its touches and
+    # assembles no A
     meas = sc.paulis("XZ")
     prog = dc.build_program("incompat", "robustness", meas.effects, np.eye(2))
-    A, b, c, _, _ = prog.build()
     solved, built = [], []
     solve, build = ConicProgram.solve, ConicProgram.build
 
@@ -122,10 +123,7 @@ def test_small_program_is_solved_once_as_built(monkeypatch):
     monkeypatch.setattr(ConicProgram, "solve", spy_solve)
     monkeypatch.setattr(ConicProgram, "build", spy_build)
     sol = dc.solve(prog)
-    assert solved == [prog] and len(built) == 1
-    A2, b2, c2, _, _ = built[0]
-    assert (A2 != A).nnz == 0
-    assert np.array_equal(b2, b) and np.array_equal(c2, c)
+    assert solved == [prog] and built == []
     assert sol.working_set is None and sol.rounds == 1
 
 
@@ -134,8 +132,8 @@ def test_restrict_keeps_the_kept_columns():
     prog = dc.build_program("incompat", "jm_robustness", meas.effects, np.eye(2))
     keep = np.array([0, 4, 5, 26])
     small = prog.restrict({"G": keep, "H": keep})
-    A, b, c, _, _ = prog.build()
-    As, bs, cs, _, _ = small.build()
+    A, b, c = prog.build()
+    As, bs, cs = small.build()
     fams = prog.families
     cols = np.concatenate([
         np.arange(f.offset, f.offset + f.width).reshape(f.count, -1)[keep].ravel()

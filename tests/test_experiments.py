@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -125,6 +126,26 @@ def test_reproduce_fig2_endpoints_match_incompat(tmp_path):
                - ic.incompatibility_quantifier(meas, "jm_robustness").value) < 1e-4
     assert abs(end["NLW_c"]
                - ic.incompatibility_quantifier(meas, "weight").value) < 1e-4
+
+
+@pytest.mark.parametrize("fig, kwargs, kinds", [
+    ("fig1", {"num": 5}, ["SR_c", "SR_red", "SW_c"]),
+    ("fig2", {"num": 3, "level": 2}, ["NLR_c", "NLR_mar", "NLR_c_lhv", "NLW_c"]),
+])
+def test_figure_csv_holds_the_sweep(tmp_path, fig, kwargs, kinds):
+    out = ex.reproduce(fig, tmp_path, **kwargs)
+    assert out["files"] == [str(tmp_path / f"{fig}.csv")]
+    lines = (tmp_path / f"{fig}.csv").read_text().splitlines()
+    assert lines[0] == f"# columns: v, {', '.join(kinds)}"
+    assert lines[1].startswith("# incompatibility values")
+    rows = list(csv.reader(lines[2:]))
+    assert rows[0] == ["v"] + kinds
+    want = {}
+    for v, kind, val in out["sweep"].rows:
+        want.setdefault(v, {})[kind] = val
+    assert [float(r[0]) for r in rows[1:]] == sorted(want)
+    for r in rows[1:]:
+        assert [float(x) for x in r[1:]] == [want[float(r[0])][k] for k in kinds]
 
 
 def test_reproduce_table2_refused(tmp_path):

@@ -165,7 +165,7 @@ def test_tied_normalization_row():
     # inspect: the gnorm row ties Gamma[0,0] to r
     names = [g.name for g in prog.row_groups]
     assert ("gnorm", "G") in names
-    A, b, c, _, _ = prog.build()
+    A, b, c = prog.build()
     grp = [g for g in prog.row_groups if g.name == ("gnorm", "G")][0]
     row = A.getrow(grp.offset).toarray().ravel()
     rfam = prog.families["r"]

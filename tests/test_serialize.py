@@ -74,3 +74,41 @@ def test_malformed_json_line_info(tmp_path):
     with pytest.raises(ValidationError) as err:
         serialize.load(path)
     assert "line" in str(err.value)
+
+
+def _pauli_dict(kind):
+    if kind == "assemblage":
+        return serialize.object_to_dict(sc.steer(sc.werner(0.5), sc.paulis("XZ")))
+    return serialize.object_to_dict(sc.paulis("XZ"))
+
+
+@pytest.mark.parametrize("kind, field, value, name", [
+    ("measurementset", "m", -1, "m"),
+    ("measurementset", "n", 2.0, "n"),
+    ("measurementset", "d", 0, "d"),
+    ("measurementset", "m", True, "m"),
+    ("assemblage", "dB", -2, "dB"),
+    ("assemblage", "n", 1.5, "n"),
+    ("measurementset", "effects", 3, "effects"),
+    ("measurementset", "effects", [3, 4], "effects[0]"),
+    ("assemblage", "members", 3, "members"),
+    ("assemblage", "members", "XZ", "members"),
+    ("assemblage", "dB", 3, "members[0][0]"),     # 2x2 members
+])
+def test_malformed_field_names_it(tmp_path, kind, field, value, name):
+    obj = _pauli_dict(kind)
+    obj[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValidationError) as err:
+        serialize.load(path)
+    assert str(err.value).startswith(f"{name}:")
+
+
+@pytest.mark.parametrize("top", [[1, 2], "abc", 3, None])
+def test_top_level_must_be_an_object(tmp_path, top):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(top))
+    with pytest.raises(ValidationError) as err:
+        serialize.load(path)
+    assert "expected a JSON object" in str(err.value)
