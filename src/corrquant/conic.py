@@ -39,10 +39,13 @@ The row builders record, per family, which rows each block touches with
 which weight and through which coordinate functional, and the objective
 as per-block costs.  These touches are the program's only record of its
 columns: a family's columns are P kron(U[:, i], I) for block i (after
-Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  A solve reads them
-once: each family's entries give the row equilibration and the dense
-columns of its cone.  A is assembled from them only for verification and
-dumps.
+Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  One decoder,
+:meth:`_Family.stacked`, reads them: every touch's rows and functional
+rows stacked, the touch owning each, and one weight row per touch.  A
+solve decodes each family once; the stack gives the row equilibration
+(max |F| times max |U| per stacked row) and the columns of its cone.
+Pricing and ``build()``, which assembles A only for verification and
+dumps, read the same stack.
 
 Each cone owns its columns of the row-equilibrated As and applies them
 itself: the iteration's products As v and As^T y and its dense Schur
@@ -53,7 +56,7 @@ and U^T (P^T y), and its Schur term is one closed-form Phi_i per block
 summed against the weights U.  A run of consecutive 2x2 Hermitian
 families is one Lorentz cone, so its closed-form kernels run once per
 iteration over all its blocks.  Matrix families and scalars build their
-dense columns, on the rows they touch, from their touches.
+dense columns, on the rows they touch, as U[owner] (x) F per stacked row.
 """
 
 from __future__ import annotations
@@ -205,56 +208,18 @@ class _Family:
             self.touches[key] = (np.asarray(rows), functional, np.zeros(self.count))
         np.add.at(self.touches[key][2], indices, weight)
 
-    def entries(self):
-        """(rows, cols, vals): this family's nonzero entries of A.  Each
-        nonzero (r, k) of a touch's functional, times the touch's weight
-        on block i, sits in row rows[r] and coordinate k of block i; the
-        entries come in touch order, and a free family's z- columns are
-        the negatives of its z+ columns."""
+    def stacked(self):
+        """(rows, F, owner, U): every touch's rows and functional rows
+        stacked, the touch that owns each stacked row, and one weight row
+        per touch.  Block i's columns of A are P kron(U[:, i], I), P the
+        functional rows F[e] placed in rows rows[e] and the coordinates
+        of touch owner[e]; a free family's z- columns are their negatives."""
         touches = list(self.touches.values())
-        if not touches:
-            return _NO_ENTRIES
-        frows = np.concatenate([rows for rows, _, _ in touches])
-        F = np.concatenate([f for _, f, _ in touches])
+        rows = np.concatenate([np.zeros(0, np.int64)] + [r for r, _, _ in touches])
+        F = np.concatenate([np.zeros((0, self.ncoords))] + [f for _, f, _ in touches])
         owner = np.repeat(np.arange(len(touches)), [len(f) for _, f, _ in touches])
-        U = np.array([w for _, _, w in touches])
-        e, k = np.nonzero(F)
-        t, i = np.nonzero(U)
-        # pair each functional entry with the nb nonzero blocks of its
-        # touch, which sit from first on in (t, i)
-        nb = np.bincount(t, minlength=len(touches))[owner[e]]
-        first = np.searchsorted(t, owner[e])
-        j = np.repeat(np.arange(e.size), nb)
-        blk = first[j] + np.arange(j.size) - (np.cumsum(nb) - nb)[j]
-        vals = F[e[j], k[j]] * U[t[blk], i[blk]]
-        live = vals != 0
-        rows = frows[e[j]][live]
-        cols = self.offset + (k[j] + i[blk] * self.ncoords)[live]
-        vals = vals[live]
-        if self.kind == "free":
-            return (np.concatenate([rows, rows]),
-                    np.concatenate([cols, self.count + cols]),
-                    np.concatenate([vals, -vals]))
-        return rows, cols, vals
-
-    def structure(self):
-        """(rows, P, U) with this family's columns of A, block i, equal to
-        ``P @ kron(U[:, i], I)`` on ``rows``."""
-        d2, touches = self.dim * self.dim, list(self.touches.values())
-        urows = np.unique([r for rows, _, _ in touches for r in rows])
-        P = np.zeros((urows.size, len(touches) * d2))
-        for t, (rows, functional, _) in enumerate(touches):
-            P[np.searchsorted(urows, rows), t * d2:(t + 1) * d2] += functional
-        U = np.array([w for _, _, w in touches]).reshape(-1, self.count)
-        return urows.astype(np.int64), P, U
-
-
-_NO_ENTRIES = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
-
-
-def _concat(entries):
-    """One (rows, cols, vals) from several."""
-    return [np.concatenate(p) for p in zip(_NO_ENTRIES, *entries)]
+        U = np.array([w for _, _, w in touches]).reshape(len(touches), self.count)
+        return rows, F, owner, U
 
 
 @dataclass
@@ -446,18 +411,28 @@ class ConicProgram:
         return c
 
     def column_products(self, name: str, y: np.ndarray) -> np.ndarray:
-        """A^T y on the blocks of Hermitian family ``name``, as (count,
-        ncoords) coordinates, from its touch structure (no A is built)."""
-        rows, P, U = self._fam(name).structure()
-        return U.T @ (y[rows] @ P).reshape(U.shape[0], -1)
+        """A^T y on the blocks of matrix family ``name``, as (count,
+        ncoords) coordinates, from its touches (no A is built)."""
+        rows, F, owner, U = self._fam(name).stacked()
+        z = np.zeros((len(U), F.shape[1]))
+        np.add.at(z, owner, y[rows, None] * F)
+        return U.T @ z
 
     def build(self):
-        """Assemble (A, b, c), A one CSR of every family's touch entries,
-        for verification and dumps (the solver reads the touches)."""
+        """Assemble (A, b, c), A one CSR with sorted indices, family by
+        family P kron(U, I) from the touches, for verification and dumps
+        (the solver reads the touches)."""
         self._freeze()
-        rows, cols, vals = _concat(f.entries() for f in self._families.values())
-        A = sp.csr_matrix((vals, (rows, cols)), shape=(self._nrows, self._ncols))
-        A.sum_duplicates()
+        blocks = [sp.csr_matrix((self._nrows, 0))]   # a program may have no columns
+        for fam in sorted(self._families.values(), key=lambda f: f.offset):
+            rows, F, owner, U = fam.stacked()
+            e, k = np.nonzero(F)
+            P = sp.csr_matrix((F[e, k], (rows[e], owner[e] * fam.ncoords + k)),
+                              shape=(self._nrows, F.shape[1] * len(U)))
+            Af = P @ sp.kron(U, sp.identity(fam.ncoords), "csr")
+            blocks += [Af, -Af] if fam.kind == "free" else [Af]
+        A = sp.hstack(blocks, format="csr")
+        A.sort_indices()
         return A, self.rhs(), self.objective()
 
     def restrict(self, keep: dict) -> "ConicProgram":
@@ -664,32 +639,42 @@ def _min_step(lmin) -> float:
     return -1.0 / low if low < 0 else np.inf
 
 
-def _columns(entries, sl, drow):
-    """The rows that the touch ``entries`` of columns ``sl`` reach, and
-    those columns of As = A / drow there, as one dense array."""
-    rows, cols, vals = entries
-    touched = np.unique(rows)
-    width = sl.stop - sl.start
-    dense = np.bincount(np.searchsorted(touched, rows) * width + cols - sl.start,
-                        vals, touched.size * width).reshape(touched.size, width)
-    live = np.any(dense != 0, axis=1)     # entries of two touches may cancel
-    touched = touched[live]
-    return touched, dense[live] * (1.0 / drow)[touched][:, None]
+class _Dense:
+    """Columns of As held as one dense array on the rows they reach: each
+    stacked touch row adds U[owner] (x) F to its row, the negatives too
+    for a free family's z- columns."""
 
-
-class _Nonneg:
-    """The nonnegative orthant: LP and split free scalars."""
-
-    def __init__(self, fams, entries, drow):
+    def __init__(self, fams, decoded, drow):
         self.sl = slice(fams[0].offset, fams[-1].offset + fams[-1].width)
-        self.rows, self.A = _columns(entries, self.sl, drow)
-        self.unit = np.ones(self.sl.stop - self.sl.start)
+        width = self.sl.stop - self.sl.start
+        touched = np.unique(np.concatenate([rows for rows, _, _, _ in decoded]))
+        index, vals = [], []
+        for f, (rows, F, owner, U) in zip(fams, decoded):
+            D = (U[owner][:, :, None] * F[:, None, :]).reshape(len(rows), -1)
+            if f.kind == "free":
+                D = np.hstack([D, -D])
+            cols = f.offset - self.sl.start + np.arange(f.width)
+            index.append((np.searchsorted(touched, rows)[:, None] * width + cols).ravel())
+            vals.append(D.ravel())
+        dense = np.bincount(np.concatenate(index), np.concatenate(vals),
+                            touched.size * width).reshape(touched.size, width)
+        live = np.any(dense != 0, axis=1)     # the terms of two touches may cancel
+        self.rows = touched[live]
+        self.A = dense[live] * (1.0 / drow)[self.rows][:, None]
 
     def matvec(self, v):
         return self.A @ v
 
     def rmatvec(self, y):
         return y[self.rows] @ self.A
+
+
+class _Nonneg(_Dense):
+    """The nonnegative orthant: LP and split free scalars."""
+
+    def __init__(self, fams, decoded, drow):
+        super().__init__(fams, decoded, drow)
+        self.unit = np.ones(self.sl.stop - self.sl.start)
 
     def scale(self, x, s):
         x, s = x[self.sl], s[self.sl]
@@ -767,22 +752,22 @@ class _Lorentz:
     coordinates under the Jordan product with unit e = (1, 0, 0, 0), in
     which the central X o S = mu 1 of 2x2 matrices reads x o s = 2 mu e.
 
-    Each family keeps its own structure (rows, P, U) from
-    :meth:`_Family.structure`; the P are stacked into one matrix on the
-    run's rows, family f owning its columns ``cols`` of it and its blocks
-    ``blocks`` of the run.
+    The run's columns are one matrix P on the rows they reach, family f
+    owning its columns ``cols`` of it (four per touch, filled from its
+    :meth:`_Family.stacked` functional rows) and its blocks ``blocks`` of
+    the run, whose weights on those touches are U.
     """
 
-    def __init__(self, fams, drow):
+    def __init__(self, fams, decoded, drow):
         self.sl = slice(fams[0].offset, fams[-1].offset + fams[-1].width)
-        structs = [f.structure() for f in fams]
-        self.rows = np.unique(np.concatenate([rows for rows, _, _ in structs]))
-        self.P = np.zeros((self.rows.size, sum(P.shape[1] for _, P, _ in structs)))
+        self.rows = np.unique(np.concatenate([rows for rows, _, _, _ in decoded]))
+        self.P = np.zeros((self.rows.size, 4 * sum(len(U) for _, _, _, U in decoded)))
         self.parts = []           # (blocks, cols, U) per family
         block = col = 0
-        for f, (rows, P, U) in zip(fams, structs):
-            cols = slice(col, col + P.shape[1])
-            self.P[np.searchsorted(self.rows, rows), cols] = P / drow[rows, None]
+        for f, (rows, F, owner, U) in zip(fams, decoded):
+            self.P[np.searchsorted(self.rows, rows)[:, None],
+                   col + 4 * owner[:, None] + np.arange(4)] = F / drow[rows, None]
+            cols = slice(col, col + 4 * len(U))
             self.parts.append((slice(block, block + f.count), cols, U))
             block, col = block + f.count, cols.stop
         self.unit = np.tile([1.0, 1.0, 0.0, 0.0], block)
@@ -867,24 +852,17 @@ class _Lorentz:
         return self.P @ S @ self.P.T
 
 
-class _Matrix:
+class _Matrix(_Dense):
     """Real symmetric or complex Hermitian PSD blocks as matrices, with the
     NT scaling R^-1 X R^-H = R^H S R = Lam (diagonal) from the Cholesky
     factors of X and S and an SVD; the scaled space holds matrices in the
     eigenbasis of the scaled point, and the Jordan product is (AB+BA)/2."""
 
-    def __init__(self, fam, entries, drow):
+    def __init__(self, fam, decoded, drow):
+        super().__init__([fam], [decoded], drow)
         self.fam = fam
-        self.sl = slice(fam.offset, fam.offset + fam.width)
-        self.rows, self.A = _columns(entries, self.sl, drow)
         self.unit = fam.coords(np.broadcast_to(
             np.eye(fam.dim), (fam.count, fam.dim, fam.dim))).ravel()
-
-    def matvec(self, v):
-        return self.A @ v
-
-    def rmatvec(self, y):
-        return y[self.rows] @ self.A
 
     def _mats(self, v):
         fam = self.fam
@@ -943,27 +921,29 @@ def _cones(prog):
     """(cones, drow): one cone per run of consecutive 2x2 Hermitian
     families, per other matrix family, and one for all scalars, on the
     columns of As = A / drow.  The row scale drow[r] is the largest |entry|
-    in row r of the touch entries before entries on one block coordinate
+    that a touch puts in row r, before the touches on one block coordinate
     are summed, at least 1e-12: max_j |A_rj| unless a row holds two terms
-    on one coordinate.  Each family's entries are computed once."""
+    on one coordinate.  Each family's touches are stacked once."""
     fams = list(prog.families.values())
-    entries = {f.name: f.entries() for f in fams}
-    rows, _, vals = _concat(entries.values())
+    decoded = {f.name: f.stacked() for f in fams}
     drow = np.zeros(prog._nrows)
-    np.maximum.at(drow, rows, np.abs(vals))
+    for rows, F, owner, U in decoded.values():
+        # rounding is monotone: max |F_ek U_ti| is max |F_e| max |U_t|
+        np.maximum.at(drow, rows,
+                      np.abs(F).max(axis=1) * np.abs(U).max(axis=1, initial=0.0)[owner])
     drow = np.maximum(drow, 1e-12)
     cones = []
     for lorentz, run in itertools.groupby(
             (f for f in fams if f.kind in ("herm", "psd")),
             key=lambda f: f.kind == "herm" and f.dim == 2):
+        run = list(run)
         if lorentz:
-            cones.append(_Lorentz(list(run), drow))
+            cones.append(_Lorentz(run, [decoded[f.name] for f in run], drow))
         else:
-            cones.extend(_Matrix(f, entries[f.name], drow) for f in run)
+            cones.extend(_Matrix(f, decoded[f.name], drow) for f in run)
     scalars = [f for f in fams if f.kind in ("nonneg", "free") and f.width]
     if scalars:
-        cones.append(_Nonneg(scalars, _concat(entries[f.name] for f in scalars),
-                             drow))
+        cones.append(_Nonneg(scalars, [decoded[f.name] for f in scalars], drow))
     return cones, drow
 
 

@@ -307,7 +307,8 @@ def _starting_set(fam, price: np.ndarray) -> np.ndarray:
     in each row group they miss, so every (x, a) has a strategy; sorted."""
     chosen = np.zeros(price.size, dtype=bool)
     chosen[np.argsort(-price, kind="stable")[:WORKING_SET]] = True
-    for _, _, weights in fam.touches.values():
+    _, _, _, U = fam.stacked()
+    for weights in U:
         hit = np.flatnonzero(weights)
         if not chosen[hit].any():
             chosen[hit[np.argmax(price[hit])]] = True

@@ -38,6 +38,7 @@ from .scenario import (
     steer,
     werner,
 )
+from .serialize import _fields
 
 THRESHOLD_EPS = 1e-6
 SEESAW_ROUNDS = 100       # see-saw rounds per restart
@@ -84,7 +85,7 @@ class SweepSpec:
     psi: str = "phi+"
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
+        self.grid = _spec_field("grid", lambda g: np.asarray(g, dtype=float), self.grid)
         if self.grid.size < 2:
             raise ValidationError("grid resolution must be at least 2")
         if np.any(np.diff(self.grid) <= 0):
@@ -96,14 +97,28 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepSpec":
-        grid = obj.get("grid")
+        """The spec a JSON object describes; a malformed field raises
+        ValidationError naming it."""
+        _fields(obj, "sweep spec", ("state_family", "grid", "kinds"))
+        grid, kinds = obj["grid"], obj["kinds"]
         if isinstance(grid, dict):
-            grid = np.linspace(grid["start"], grid["stop"], int(grid["num"]))
-        return cls(state_family=obj["state_family"], grid=grid,
-                   kinds=list(obj["kinds"]),
+            grid = _spec_field("grid", lambda g: np.linspace(
+                float(g["start"]), float(g["stop"]), int(g["num"])), grid)
+        if not (isinstance(kinds, list) and all(isinstance(k, str) for k in kinds)):
+            raise ValidationError(f"kinds: expected a list of kind names, got {kinds!r}")
+        return cls(state_family=obj["state_family"], grid=grid, kinds=kinds,
                    scenario=obj.get("scenario", "steering"),
                    alice=obj.get("alice"), bob=obj.get("bob"),
-                   level=int(obj.get("level", 2)), psi=obj.get("psi", "phi+"))
+                   level=_spec_field("level", int, obj.get("level", 2)),
+                   psi=obj.get("psi", "phi+"))
+
+
+def _spec_field(name: str, convert, value):
+    """``convert(value)``, or ValidationError naming field ``name``."""
+    try:
+        return convert(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: {exc!r}") from exc
 
 
 @dataclass
@@ -350,19 +365,27 @@ def reproduce_table1(outdir, extended: bool = False) -> dict:
     alerts = _check_deviation_regression(dev_path, rows)
     with open(outdir / "table1.md", "w") as fh:
         fh.write(_table1_markdown(rows))
-    with open(outdir / "table1.csv", "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "quantity", "computed", "reference", "deviation"])
-        for row in rows:
-            ref = REFERENCE_TABLE1[row["row"]]
-            for label, val in row["values"].items():
-                writer.writerow([row["row"], label, repr(val), ref[label],
-                                 repr(row["deviations"][label])])
+    _write_csv(outdir / "table1.csv", [],
+               ["row", "quantity", "computed", "reference", "deviation"],
+               [[row["row"], label, repr(val), REFERENCE_TABLE1[row["row"]][label],
+                 repr(row["deviations"][label])]
+                for row in rows for label, val in row["values"].items()])
     with open(dev_path, "w") as fh:
         json.dump({row["row"]: row for row in rows}, fh, indent=1)
     return {"rows": rows, "regression_alerts": alerts,
             "files": [str(outdir / "table1.md"), str(outdir / "table1.csv"),
                       str(dev_path)]}
+
+
+def _write_csv(path, comments, header, rows) -> str:
+    """Write one '# ' line per comment, then ``header`` and ``rows`` as CSV."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
 
 
 def _write_sweep_csv(path, kinds, note: str, res: SweepResult) -> str:
@@ -371,14 +394,9 @@ def _write_sweep_csv(path, kinds, note: str, res: SweepResult) -> str:
     by_param = {}
     for param, kind, val in res.rows:
         by_param.setdefault(param, {})[kind] = val
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(f"# columns: v, {', '.join(kinds)}\n# {note}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["v"] + kinds)
-        for param in sorted(by_param):
-            writer.writerow([repr(param)] + [repr(by_param[param][k]) for k in kinds])
-    return str(path)
+    return _write_csv(path, [f"columns: v, {', '.join(kinds)}", note], ["v"] + kinds,
+                      [[repr(param)] + [repr(by_param[param][k]) for k in kinds]
+                       for param in sorted(by_param)])
 
 
 def reproduce_fig1(outdir, num: int = 41) -> dict:
@@ -439,17 +457,11 @@ def reproduce_fig3(outdir, num: int = 7, restarts: int = 2, seed: int = 7,
                                   seed=seed, level=level)
             point[kind] = out.value
         rows.append(point)
-    outdir = pathlib.Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "fig3.csv"
-    with open(path, "w") as fh:
-        fh.write("# columns: theta, NLR_c, NLR_mar, NLW_c (see-saw optimized)\n")
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "NLR_c", "NLR_mar", "NLW_c"])
-        for point in rows:
-            writer.writerow([repr(point["theta"]), repr(point["NLR_c"]),
-                             repr(point["NLR_mar"]), repr(point["NLW_c"])])
-    return {"rows": rows, "files": [str(path)]}
+    columns = ["theta", "NLR_c", "NLR_mar", "NLW_c"]
+    path = _write_csv(pathlib.Path(outdir) / "fig3.csv",
+                      [f"columns: {', '.join(columns)} (see-saw optimized)"], columns,
+                      [[repr(point[c]) for c in columns] for point in rows])
+    return {"rows": rows, "files": [path]}
 
 
 def reproduce(target: str, outdir, extended: bool = False, **kwargs) -> dict:

@@ -136,6 +136,15 @@ def test_sweep_command(tmp_path):
     assert out_path.read_text().startswith("parameter,kind,value")
 
 
+def test_sweep_command_refuses_a_malformed_spec(tmp_path):
+    spec_path = tmp_path / "list.json"
+    spec_path.write_text("[1, 2]")
+    out_path = tmp_path / "out.csv"
+    res = CliRunner().invoke(main, ["sweep", "-s", str(spec_path), "-o", str(out_path)])
+    assert res.exit_code == 2 and "error:" in res.output
+    assert not out_path.exists()
+
+
 def test_seesaw_command_deterministic(tmp_path):
     runner = CliRunner()
     args = ["seesaw", "-t", str(np.pi / 4), "-k", "NLR_mar", "-r", "1",

@@ -427,6 +427,7 @@ def test_build_writes_out_the_term_grammar():
             for rhs, _, expr in rows])
 
     A, b, c = prog.build()
+    assert A.has_sorted_indices
     units = [_unit_blocks(prog, e) for e in np.eye(A.shape[1])]
     want_a = np.array([row_values(X) for X in units]).T
     want_c = np.array([objective[1](X) for X in units])
@@ -589,6 +590,26 @@ def test_row_scale_is_largest_touch_entry(name):
 
 def _close(got, want):
     return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name, families", [("jm", ("G", "H")), ("SR", ("G",))])
+def test_column_products_are_a_slice_of_a_transpose_y(name, families):
+    """Pricing from the touches gives the family's slice of A^T y."""
+    ms = scenario.lossy(scenario.bloch_measurements(
+        scenario.dodecahedron_vectors()[:3]), 0.4)
+    if name == "jm":
+        prog = build_program("incompat", "jm_robustness", ms.effects, np.eye(2))
+    else:
+        assemblage = scenario.steer(scenario.werner(1.0, psi="singlet"), ms)
+        prog = build_program("steering", "SR", assemblage.members,
+                             scenario.reduced_state(assemblage))
+    A = prog.build()[0]
+    y = np.random.default_rng(15).normal(size=A.shape[0])
+    for fname in families:
+        fam = prog.families[fname]
+        got = prog.column_products(fname, y)
+        assert got.shape == (fam.count, fam.ncoords)
+        assert _close(got, fam.part(A.T @ y))
 
 
 @pytest.mark.parametrize("name", SCHUR_PROGRAMS)

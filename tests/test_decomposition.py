@@ -142,9 +142,10 @@ def test_restrict_keeps_the_kept_columns():
     assert (As != A[:, cols]).nnz == 0
     assert np.array_equal(bs, b) and np.array_equal(cs, c[cols])
     for name in ("G", "H"):
-        _, P, U = fams[name].structure()
-        _, Ps, Us = small.families[name].structure()
-        assert np.array_equal(Ps, P) and np.array_equal(Us, U[:, keep])
+        rows, F, owner, U = fams[name].stacked()
+        rows_s, F_s, owner_s, U_s = small.families[name].stacked()
+        assert np.array_equal(rows_s, rows) and np.array_equal(F_s, F)
+        assert np.array_equal(owner_s, owner) and np.array_equal(U_s, U[:, keep])
 
 
 def test_strategy_bound_takes_qubit_eigenvalues_in_closed_form(monkeypatch):

@@ -20,6 +20,18 @@ def test_sweep_spec_validation():
         {"state_family": "werner", "grid": {"start": 0, "stop": 1, "num": 3},
          "kinds": ["SR_red"]})
     assert spec.grid.size == 3
+    # malformed spec files name the field they break
+    base = {"state_family": "werner", "grid": [0.2, 0.5], "kinds": ["SR_red"]}
+    for obj, field in [
+            ([1, 2], "sweep spec"),
+            ({**base, "grid": "abc"}, "grid"),
+            ({**base, "level": "x"}, "level"),
+            ({**base, "grid": {"start": 0, "stop": 1, "num": "q"}}, "grid"),
+            ({**base, "kinds": 5}, "kinds"),
+            ({**base, "kinds": "SR_red"}, "kinds"),
+            ({k: v for k, v in base.items() if k != "state_family"}, "state_family")]:
+        with pytest.raises(ValidationError, match=field):
+            ex.SweepSpec.from_dict(obj)
 
 
 def test_werner_steering_sweep_below_threshold():
@@ -88,6 +100,14 @@ def test_reproduce_table1_wittmann(tmp_path):
     assert row["deviations"]["SWc"] < 1e-4
     md = (tmp_path / "table1.md").read_text()
     assert "wittmann" in md and "SRc" in md
+    with open(tmp_path / "table1.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["row", "quantity", "computed", "reference", "deviation"]
+    ref = ex.REFERENCE_TABLE1["wittmann"]
+    assert [(r[0], r[1]) for r in rows[1:]] == [("wittmann", k) for k in row["values"]]
+    for r in rows[1:]:
+        assert [float(x) for x in r[2:]] == [
+            row["values"][r[1]], ref[r[1]], row["deviations"][r[1]]]
 
 
 def test_reproduce_table1_regression_alert(tmp_path):
@@ -167,3 +187,11 @@ def test_reproduce_fig3_smoke(tmp_path):
     endpoint = out["rows"][-1]
     assert abs(endpoint["theta"] - np.pi / 4) < 1e-12
     assert abs(endpoint["NLW_c"] - 1.0) < 1e-3
+    assert out["files"] == [str(tmp_path / "fig3.csv")]
+    lines = (tmp_path / "fig3.csv").read_text().splitlines()
+    columns = ["theta", "NLR_c", "NLR_mar", "NLW_c"]
+    assert lines[0] == f"# columns: {', '.join(columns)} (see-saw optimized)"
+    rows = list(csv.reader(lines[1:]))
+    assert rows[0] == columns
+    assert [[float(x) for x in r] for r in rows[1:]] == [
+        [point[c] for c in columns] for point in out["rows"]]
