@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from corrquant import conic, scenario
+from corrquant import conic, decomposition, scenario
 from corrquant.conic import (
     ConicProgram,
     _cones,
@@ -12,6 +12,7 @@ from corrquant.conic import (
     _phi,
     _rmatvec,
     _schur_complement,
+    _start,
     hermitian_coords,
     hermitian_from_coords,
     smat,
@@ -231,11 +232,9 @@ def test_verify_flags_dual_corruption(corrupt):
 
 
 def test_tolerances_are_read_when_solving(monkeypatch):
-    rng = np.random.default_rng(12)
-    prog = ConicProgram("lammin")
-    prog.add_hermitian_family("X", 1, 4)
-    prog.add_scalar_row(("trace",), 1.0, [("tr", "X", [0], 1.0)])
-    prog.set_objective([("mat", "X", 0, random_hermitian(4, rng))])
+    # XZ IR takes 6 iterations at the default tolerances and 5 at 1e-4
+    prog = build_program("incompat", "robustness", scenario.paulis("XZ").effects,
+                         np.eye(2))
     tight = prog.solve()
     monkeypatch.setattr(conic, "FEASTOL", 1e-4)
     monkeypatch.setattr(conic, "GAPTOL", 1e-4)
@@ -250,7 +249,7 @@ def test_tolerances_are_read_when_solving(monkeypatch):
 
 
 def test_solution_records_the_path_that_ended_it(monkeypatch):
-    prog = build_program("incompat", "robustness", scenario.paulis("XYZ").effects,
+    prog = build_program("incompat", "jm_robustness", scenario.paulis("XYZ").effects,
                          np.eye(2))
     done = prog.solve()
     assert done.ended == "converged"
@@ -290,6 +289,24 @@ def test_step_fraction_rule():
                 assert frac == 0.99
             if sigma <= 1e-8 and aaff >= 1 - 1e-8:
                 assert frac >= 1 - 1e-5
+
+
+def test_scaled_start_iteration_counts():
+    # the start x0 = alpha e fits the equality rows (on the m = 6 IW program
+    # |As e| is about 600 |bs|, and alpha sits at its floor 1e-2); from
+    # x0 = e these solves took 18 and 22 iterations
+    ms6 = scenario.lossy(scenario.bloch_measurements(
+        scenario.dodecahedron_vectors()[:6]), 0.4)
+    ms7 = scenario.lossy(scenario.bloch_measurements(
+        scenario.dodecahedron_vectors()[:7]), 0.4)
+    asm7 = scenario.steer(scenario.werner(1.0, psi="singlet"), ms7)
+    iw = decomposition.solve(build_program("incompat", "weight", ms6.effects, np.eye(2)))
+    sw = decomposition.solve(build_program("steering", "SW_c", asm7.members,
+                                           scenario.reduced_state(asm7)))
+    assert iw.iterations <= 16
+    assert sw.iterations <= 14
+    assert abs(iw.value - (0.4 - 1 / 6) / (1 - 1 / 6)) < 1e-8
+    assert abs(sw.value - (0.4 - 1 / 7) / (1 - 1 / 7)) < 1e-8
 
 
 def test_dump_triplets_roundtrip_header():
@@ -636,6 +653,42 @@ def test_structured_schur_matches_dense_product(name):
         assert _close(g.rmatvec(y), (As.T @ y)[g.sl])
     assert _close(_matvec(cones, v, As.shape[0]), As @ v)
     assert _close(_rmatvec(cones, y, As.shape[1]), As.T @ y)
+
+
+@pytest.mark.parametrize("name", SCHUR_PROGRAMS)
+def test_start_is_the_least_squares_multiple_of_the_unit(name):
+    """x0 = alpha e, alpha in [1e-2, 1], and x0 fits the equality rows at
+    least as well as e does."""
+    prog = _schur_program(name)
+    cones, drow = _cones(prog)
+    bs = prog.rhs() / drow
+    nrows, n = prog._nrows, prog._ncols
+    x0, e = _start(cones, bs, n, nrows)
+    alpha = (x0 @ e) / (e @ e)
+    assert 1e-2 <= alpha <= 1
+    assert np.allclose(x0, alpha * e, rtol=1e-15, atol=0)
+    assert (np.linalg.norm(_matvec(cones, x0, nrows) - bs)
+            <= np.linalg.norm(_matvec(cones, e, nrows) - bs))
+
+
+def test_start_stays_interior_and_defined():
+    # x1 + x2 = -1: the least-squares multiple is -1/2, floored at 1e-2
+    prog = ConicProgram("infeas")
+    prog.add_nonneg("x", 2)
+    prog.add_scalar_row(("sum",), -1.0, [("lin", "x", [0, 1], [1.0, 1.0])])
+    prog.set_objective([("lin", "x", [0], [1.0])])
+    cones, drow = _cones(prog)
+    x0, e = _start(cones, prog.rhs() / drow, prog._ncols, prog._nrows)
+    assert np.array_equal(e, np.ones(2))
+    assert np.array_equal(x0, np.full(2, 1e-2))
+    # a row on an off-diagonal coordinate only: As e = 0 fits every
+    # multiple equally, and the start is the unit
+    prog = ConicProgram("offdiag")
+    prog.add_hermitian_family("X", 1, 2)
+    prog.add_scalar_row(("re",), 0.3, [("entry", "X", 0, (0, 1))])
+    cones, drow = _cones(prog)
+    x0, e = _start(cones, prog.rhs() / drow, prog._ncols, prog._nrows)
+    assert np.array_equal(x0, e)
 
 
 def test_nt_scaling_kernels():
