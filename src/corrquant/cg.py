@@ -1,93 +1,79 @@
 """Collins-Gisin coordinates for bipartite behaviours.
 
 A no-signalling behaviour is determined by the vector
+[1, P(a|x) (a<nA-1), P(b|y) (b<nB-1), P(ab|xy) (a<nA-1, b<nB-1)], and
+the full table is an affine function of it.  Local-polytope and
+moment-matrix programs use these coordinates because the table's rows
+are linearly dependent under no-signalling, which would make equality
+constraint matrices rank deficient.
 
-    [1, P(a|x) (a<nA-1), P(b|y) (b<nB-1), P(ab|xy) (a<nA-1, b<nB-1)],
-
-and the full table is an affine function of it.  All local-polytope and
-moment-matrix programs are formulated on these coordinates: the full
-table's rows are linearly dependent under no-signalling, which would
-make equality constraint matrices rank deficient.
+Each coordinate is the product of one local coordinate per party, so
+every map here is a product of two per-party factors (:class:`_Party`),
+each gathered at the coordinates' local indices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .scenario import strategy_assignments
+
+
+class _Party:
+    """One party's local coordinates ``[(), (x, a) for a < n-1]``, with
+    ``()`` the identity.  For coordinate i, ``read[i]`` is the (m, n) cell
+    functional that reads it, ``()`` at x = 0, and ``table[i]`` its share
+    of the cells, the last outcome filled in by completeness."""
+
+    def __init__(self, m: int, n: int):
+        self.m, self.n = m, n
+        self.coords = [()] + [(x, a) for x in range(m) for a in range(n - 1)]
+        k = len(self.coords)
+        cells = np.eye(m * n).reshape(m, n, m, n)
+        self.read = np.concatenate([cells[0].sum(axis=0)[None],
+                                    cells[:, :-1].reshape(k - 1, m, n)])
+        self.table = np.zeros((k, m, n))
+        self.table[1:, :, :-1] = np.eye(k - 1).reshape(k - 1, m, n - 1)
+        # completeness: each input's outcomes sum to the identity ()
+        self.table[:, :, -1] = np.eye(k)[:, :1] - self.table.sum(axis=2)
+
+    def strategies(self) -> np.ndarray:
+        """Rows = local coordinates of the deterministic strategies."""
+        onehot = np.eye(self.n)[strategy_assignments(self.m, self.n)]
+        return np.einsum("lxa,ixa->li", onehot, self.read)
+
 
 class CgLayout:
-    """Index bookkeeping for one (mA, nA, mB, nB) scenario."""
+    """Index bookkeeping for one (mA, nA, mB, nB) scenario.
+
+    ``parts[k]`` is the pair of local coordinates (Alice's, Bob's) of
+    coordinate k, and ``coords[k]`` its label: ``()``, ``("A", x, a)``,
+    ``("B", y, b)`` or ``("AB", x, a, y, b)``.
+    """
 
     def __init__(self, mA: int, nA: int, mB: int, nB: int):
         self.mA, self.nA, self.mB, self.nB = mA, nA, mB, nB
-        self.coords: list[tuple] = [()]
-        for x in range(mA):
-            for a in range(nA - 1):
-                self.coords.append(("A", x, a))
-        for y in range(mB):
-            for b in range(nB - 1):
-                self.coords.append(("B", y, b))
-        for x in range(mA):
-            for a in range(nA - 1):
-                for y in range(mB):
-                    for b in range(nB - 1):
-                        self.coords.append(("AB", x, a, y, b))
+        a, b = self._a, self._b = _Party(mA, nA), _Party(mB, nB)
+        # sort by kind (0 = (), 1 = A, 2 = B, 3 = AB), then x, a, y, b
+        order = sorted(((i > 0) + 2 * (j > 0), i, j)
+                       for i, j in np.ndindex(len(a.coords), len(b.coords)))
+        kind, self._i, self._j = np.array(order).T
+        self.parts = [(a.coords[i], b.coords[j]) for _, i, j in order]
+        self.coords = [((), ("A",), ("B",), ("AB",))[k] + ca + cb
+                       for k, (ca, cb) in zip(kind, self.parts)]
         self.dim = len(self.coords)
         self.index = {c: i for i, c in enumerate(self.coords)}
 
     def of_table(self, table: np.ndarray) -> np.ndarray:
         """CG vector of a table (mA, mB, nA, nB); marginals read at the
         other party's first input (exact for no-signalling tables)."""
-        v = np.empty(self.dim)
-        v[0] = table[0, 0].sum()
-        for i, coord in enumerate(self.coords):
-            if not coord:
-                continue
-            if coord[0] == "A":
-                _, x, a = coord
-                v[i] = table[x, 0, a, :].sum()
-            elif coord[0] == "B":
-                _, y, b = coord
-                v[i] = table[0, y, :, b].sum()
-            else:
-                _, x, a, y, b = coord
-                v[i] = table[x, y, a, b]
-        return v
+        return np.einsum("kxa,xyab,kyb->k", self._a.read[self._i], table,
+                         self._b.read[self._j])
 
     def table_matrix(self) -> np.ndarray:
         """Matrix T with  vec(table) = T @ cg  (inclusion-exclusion)."""
-        mA, nA, mB, nB = self.mA, self.nA, self.mB, self.nB
-        T = np.zeros((mA * mB * nA * nB, self.dim))
-
-        def row(x, y, a, b):
-            return ((x * mB + y) * nA + a) * nB + b
-
-        for x in range(mA):
-            for y in range(mB):
-                for a in range(nA):
-                    for b in range(nB):
-                        r = row(x, y, a, b)
-                        la, lb = a == nA - 1, b == nB - 1
-                        if not la and not lb:
-                            T[r, self.index[("AB", x, a, y, b)]] += 1
-                        elif not la and lb:
-                            T[r, self.index[("A", x, a)]] += 1
-                            for bp in range(nB - 1):
-                                T[r, self.index[("AB", x, a, y, bp)]] -= 1
-                        elif la and not lb:
-                            T[r, self.index[("B", y, b)]] += 1
-                            for ap in range(nA - 1):
-                                T[r, self.index[("AB", x, ap, y, b)]] -= 1
-                        else:
-                            T[r, 0] += 1
-                            for ap in range(nA - 1):
-                                T[r, self.index[("A", x, ap)]] -= 1
-                            for bp in range(nB - 1):
-                                T[r, self.index[("B", y, bp)]] -= 1
-                            for ap in range(nA - 1):
-                                for bp in range(nB - 1):
-                                    T[r, self.index[("AB", x, ap, y, bp)]] += 1
-        return T
+        return np.einsum("kxa,kyb->xyabk", self._a.table[self._i],
+                         self._b.table[self._j]).reshape(-1, self.dim)
 
     def table_of(self, cg: np.ndarray) -> np.ndarray:
         return (self.table_matrix() @ cg).reshape(
@@ -99,24 +85,8 @@ class CgLayout:
         Uses the same marginal reads as :meth:`of_table`, so the identity
         holds for every table (signalling or not).
         """
-        mA, nA, mB, nB = self.mA, self.nA, self.mB, self.nB
-        B = np.zeros((mA, mB, nA, nB))
-        for i, coord in enumerate(self.coords):
-            w = coeffs_cg[i]
-            if w == 0:
-                continue
-            if not coord:
-                B[0, 0, :, :] += w
-            elif coord[0] == "A":
-                _, x, a = coord
-                B[x, 0, a, :] += w
-            elif coord[0] == "B":
-                _, y, b = coord
-                B[0, y, :, b] += w
-            else:
-                _, x, a, y, b = coord
-                B[x, y, a, b] += w
-        return B
+        return np.einsum("k,kxa,kyb->xyab", coeffs_cg, self._a.read[self._i],
+                         self._b.read[self._j])
 
 
 def strategy_cg_matrix(layout: CgLayout) -> np.ndarray:
@@ -125,24 +95,6 @@ def strategy_cg_matrix(layout: CgLayout) -> np.ndarray:
     Pair index p = mu * nB^mB + nu, matching the lexicographic strategy
     enumeration of each party.
     """
-    from .scenario import strategy_assignments
-
-    da = strategy_assignments(layout.mA, layout.nA)     # (LA, mA)
-    db = strategy_assignments(layout.mB, layout.nB)     # (LB, mB)
-    la, lb = da.shape[0], db.shape[0]
-    S = np.zeros((la * lb, layout.dim))
-    S[:, 0] = 1.0
-    for i, coord in enumerate(layout.coords):
-        if not coord:
-            continue
-        if coord[0] == "A":
-            _, x, a = coord
-            S[:, i] = np.repeat(da[:, x] == a, lb)
-        elif coord[0] == "B":
-            _, y, b = coord
-            S[:, i] = np.tile(db[:, y] == b, la)
-        else:
-            _, x, a, y, b = coord
-            S[:, i] = (np.repeat(da[:, x] == a, lb)
-                       & np.tile(db[:, y] == b, la))
-    return S
+    S = np.einsum("mk,nk->mnk", layout._a.strategies()[:, layout._i],
+                  layout._b.strategies()[:, layout._j])
+    return S.reshape(-1, layout.dim)

@@ -244,7 +244,10 @@ def seesaw_optimize(theta: float, kind, restarts: int = 3, seed: int = 0,
     Heuristic: reports the best value found over ``restarts`` seeds.
     """
     kind = parse_kind(nl.NonlocalityKind, kind, {})
-    state = make_state({"family": "pure_theta", "theta": theta})
+    try:
+        state = make_state({"family": "pure_theta", "theta": theta})
+    except ValueError as exc:
+        raise ValidationError(f"theta: {exc}") from exc
     alice = paulis("XZ")
     asm = steer(state, alice)
     rng = np.random.default_rng(seed)

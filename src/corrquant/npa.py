@@ -161,17 +161,10 @@ def build_npa_block(scenario, level: int) -> NpaTemplate:
 
     layout = CgLayout(mA, nA, mB, nB)
     cg_class, cg_cells = [], []
-    for coord in layout.coords:
-        if not coord:
-            word = ()
-        elif coord[0] == "A":
-            word = ((0, coord[1], coord[2]),)
-        elif coord[0] == "B":
-            word = ((1, coord[1], coord[2]),)
-        else:
-            word = ((0, coord[1], coord[2]), (1, coord[3], coord[4]))
-        key = word_class_key((), word)
-        ci = key_index[key]
+    for parts in layout.parts:
+        # one symbol (party, x, a) per party whose local part is not ()
+        word = tuple((p, *part) for p, part in enumerate(parts) if part)
+        ci = key_index[word_class_key((), word)]
         cg_class.append(ci)
         cg_cells.append(classes[ci][0])
     return NpaTemplate(scenario=tuple(scenario), level=level, words=words,

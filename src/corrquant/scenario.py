@@ -162,7 +162,8 @@ class Behaviour:
     """
 
     def __init__(self, table):
-        tab = np.asarray(table, dtype=float)
+        # a copy, so that freezing it leaves the caller's array writable
+        tab = np.array(table, dtype=float)
         if tab.ndim != 4:
             raise DimensionMismatch(f"table must be (mA, mB, nA, nB), got {tab.shape}")
         self.mA, self.mB, self.nA, self.nB = tab.shape
@@ -266,14 +267,9 @@ class LocalModel:
         self.weights = w
 
     def behaviour(self) -> Behaviour:
-        da = strategy_assignments(self.mA, self.nA)
-        db = strategy_assignments(self.mB, self.nB)
-        tab = np.zeros((self.mA, self.mB, self.nA, self.nB))
-        for x in range(self.mA):
-            for y in range(self.mB):
-                np.add.at(tab[x, y], (da[:, x][:, None], db[:, y][None, :]),
-                          self.weights)
-        return Behaviour(tab)
+        ea = np.eye(self.nA)[strategy_assignments(self.mA, self.nA)]
+        eb = np.eye(self.nB)[strategy_assignments(self.mB, self.nB)]
+        return Behaviour(np.einsum("mn,mxa,nyb->xyab", self.weights, ea, eb))
 
 
 class LhsModel:

@@ -145,6 +145,10 @@ def counts_from_dict(obj: dict) -> np.ndarray:
         raise ValidationError(f"counts: expected 4 axes, got {arr.ndim}")
     if np.any(arr < 0):
         raise ValidationError("counts: negative entries")
+    empty = np.argwhere(arr.sum(axis=(2, 3)) == 0)
+    if len(empty):
+        x, y = empty[0]
+        raise ValidationError(f"counts[{x}][{y}]: the slice has no counts")
     return arr
 
 

@@ -155,6 +155,22 @@ def test_seesaw_command_deterministic(tmp_path):
     assert json.loads(r1.output)["value"] == json.loads(r2.output)["value"]
 
 
+def test_seesaw_refuses_an_angle_outside_its_range():
+    res = CliRunner().invoke(main, ["seesaw", "-t", "2.0", "-k", "NLR_c"])
+    assert res.exit_code == 2, res.output
+    assert "error: theta" in res.output
+
+
+def test_project_ns_refuses_a_slice_without_counts(tmp_path):
+    counts = np.full((2, 2, 2, 2), 10)
+    counts[1, 0] = 0
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps({"counts": counts.tolist()}))
+    res = CliRunner().invoke(main, ["project-ns", "-i", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "error: counts[1][0]" in res.output
+
+
 def test_project_ns_command(tmp_path):
     rng = np.random.default_rng(0)
     counts = rng.integers(100, 500, size=(2, 2, 2, 2))

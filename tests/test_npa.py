@@ -40,14 +40,57 @@ def pr_box():
     return sc.Behaviour(tab)
 
 
-def test_cg_roundtrip():
-    layout = CgLayout(2, 2, 2, 2)
-    assert layout.dim == 9
-    beh = tsirelson_behaviour(0.8)
-    cg = layout.of_table(beh.table)
+def cg_reference(layout, table):
+    """CG vector of a table read coordinate by coordinate from its label,
+    marginals at the other party's first input."""
+    out = []
+    for c in layout.coords:
+        if not c:
+            out.append(table[0, 0].sum())
+        elif c[0] == "A":
+            out.append(table[c[1], 0, c[2], :].sum())
+        elif c[0] == "B":
+            out.append(table[0, c[1], :, c[2]].sum())
+        else:
+            out.append(table[c[1], c[3], c[2], c[4]])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("mA, nA, mB, nB", [
+    (2, 2, 2, 2), (2, 3, 2, 2), (3, 2, 2, 3), (3, 3, 2, 2)])
+def test_cg_roundtrip(mA, nA, mB, nB):
+    layout = CgLayout(mA, nA, mB, nB)
+    assert layout.coords == (
+        [()] + [("A", x, a) for x in range(mA) for a in range(nA - 1)]
+        + [("B", y, b) for y in range(mB) for b in range(nB - 1)]
+        + [("AB", x, a, y, b) for x in range(mA) for a in range(nA - 1)
+           for y in range(mB) for b in range(nB - 1)])
+    rng = np.random.default_rng([mA, nA, mB, nB])
+    la, lb = nA ** mA, nB ** mB
+    w = rng.random((la, lb))
+    local = sc.LocalModel(w / w.sum(), (mA, nA, mB, nB)).behaviour().table
+    cg = layout.of_table(local)
     assert abs(cg[0] - 1.0) < 1e-12
-    back = layout.table_of(cg)
-    assert np.max(np.abs(back - beh.table)) < 1e-12
+    assert np.max(np.abs(layout.table_of(cg) - local)) < 1e-12
+    # off the no-signalling subspace, of_table still reads each label and
+    # functional_to_table is its transpose
+    signalling = rng.random((mA, mB, nA, nB))
+    read = layout.of_table(signalling)
+    assert np.max(np.abs(read - cg_reference(layout, signalling))) < 1e-12
+    coeffs = rng.normal(size=layout.dim)
+    lhs = np.sum(layout.functional_to_table(coeffs) * signalling)
+    assert abs(lhs - coeffs @ read) < 1e-12
+    # row mu * lb + nu is the CG vector of pair (mu, nu)'s deterministic table
+    S = strategy_cg_matrix(layout)
+    assert S.shape == (la * lb, layout.dim)
+    da = sc.strategy_assignments(mA, nA)
+    db = sc.strategy_assignments(mB, nB)
+    x, y = np.ix_(range(mA), range(mB))
+    for mu in range(la):
+        for nu in range(lb):
+            det = np.zeros((mA, mB, nA, nB))
+            det[x, y, da[mu][:, None], db[nu][None, :]] = 1.0
+            assert np.array_equal(S[mu * lb + nu], layout.of_table(det))
 
 
 def test_cg_strategy_matrix_spans():

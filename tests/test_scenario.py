@@ -225,6 +225,15 @@ def test_behaviour_marginals():
             assert abs(pb[y, bb] - np.trace(bob.effects[y, bb] @ rho_b).real) < 1e-12
 
 
+def test_behaviour_copies_the_callers_table():
+    t = np.full((2, 2, 2, 2), 0.25)
+    b = sc.Behaviour(t)
+    t[0, 0, 0, 0] = 0.5                 # the caller's array stays writable
+    assert b.table[0, 0, 0, 0] == 0.25
+    with pytest.raises(ValueError, match="read-only"):
+        b.table[0, 0, 0, 0] = 0.0
+
+
 def test_lhs_model_roundtrip():
     rng = np.random.default_rng(7)
     states = []
