@@ -108,13 +108,21 @@ def svec(mat: np.ndarray) -> np.ndarray:
     return mat[..., iu, ju] * scale
 
 
+@lru_cache(maxsize=None)
+def _smat_index(s: int):
+    """The svec coordinate of every entry of an s x s matrix, row-major."""
+    iu, ju, _ = _svec_index(s)
+    index = np.empty((s, s), dtype=np.int64)
+    index[iu, ju] = index[ju, iu] = np.arange(iu.size)
+    index = index.ravel()
+    index.flags.writeable = False
+    return index
+
+
 def smat(vec: np.ndarray, s: int) -> np.ndarray:
     """Inverse of :func:`svec`; supports a leading batch axis."""
-    iu, ju, scale = _svec_index(s)
-    out = np.zeros(vec.shape[:-1] + (s, s))
-    out[..., iu, ju] = vec / scale
-    out[..., ju, iu] = out[..., iu, ju]
-    return out
+    _, _, scale = _svec_index(s)
+    return (vec / scale)[..., _smat_index(s)].reshape(vec.shape[:-1] + (s, s))
 
 
 @lru_cache(maxsize=None)
@@ -349,6 +357,24 @@ class ConicProgram:
         self._b.append(float(rhs))
         self._rows.append(_RowGroup(tuple(name), "scalar", 1, row, 1))
         self._nrows += 1
+
+    def add_coordinate_rows(self, names, family: str, index: int, functionals) -> None:
+        """Scalar rows with right-hand side 0 on one block: row k, named
+        ``names[k]``, reads ``functionals[k]`` (on block coordinates) of
+        block ``index`` of ``family``.  The rows are the ones
+        ``add_scalar_row`` writes for ("mat", family, index, C_k), C_k the
+        block with coordinates ``functionals[k]``, recorded as one touch."""
+        self._freeze()
+        fam = self._fam(family)
+        functionals = np.asarray(functionals, dtype=float)
+        if functionals.shape != (len(names), fam.ncoords):
+            raise ValueError(f"functionals must be shaped {(len(names), fam.ncoords)}")
+        row0 = self._nrows
+        fam.touch(("rows", row0), row0 + np.arange(len(names)), functionals, index, 1.0)
+        self._b.extend([0.0] * len(names))
+        self._rows.extend(_RowGroup(tuple(name), "scalar", 1, row0 + k, 1)
+                          for k, name in enumerate(names))
+        self._nrows += len(names)
 
     def add_matrix_row_group(self, name: tuple, rhs, terms) -> None:
         """Equate a Hermitian-valued expression to Hermitian ``rhs``.
@@ -638,13 +664,22 @@ def duals_to_vec(prog: ConicProgram, duals: dict) -> np.ndarray:
 #   center(smu, corr)  d with lam o d = smu e - lam o lam - corr, where o is
 #                      the Jordan product that makes X o S = mu e central
 #   product(a, b)      a o b
-#   max_step(d)        largest alpha with lam + alpha d in the cone
+#   max_steps(a, b)    largest alpha with lam + alpha a and lam + alpha b
+#                      both in the cone: one kernel call on a and b stacked
 #   schur()            this cone's term of As Phi As^T on the rows ``rows``
 #
 # and two products with its columns of As, which are zero off ``rows``:
 #
 #   matvec(v)          its term of As v on ``rows``, from v on the slice
 #   rmatvec(y)         its slice of As^T y, from the whole y
+#
+# ``scale()`` also stores every quantity of the scaling that these kernels
+# would otherwise recompute on each call, computed as they computed it, so
+# each floating-point operation runs once per iteration:
+#
+#   orthant            w^2 and lam^2
+#   Lorentz cone       beta^2, 1/beta, J v, lam o lam, |lam|^2 and 1/|lam|
+#   matrix cone        R^H, R^-H and lam^-1/2
 
 def _min_step(lmin) -> float:
     """Largest alpha with 1 + alpha * lmin >= 0 for every entry."""
@@ -693,9 +728,10 @@ class _Nonneg(_Dense):
         x, s = x[self.sl], s[self.sl]
         self.w = np.sqrt(x / s)
         self.lam = np.sqrt(x * s)
+        self.w2, self.lam2 = self.w ** 2, self.lam ** 2
 
     def phi(self, v):
-        return v * self.w ** 2
+        return v * self.w2
 
     def to_scaled(self, dx, ds):
         return dx / self.w, ds * self.w
@@ -704,22 +740,23 @@ class _Nonneg(_Dense):
         return d * self.w
 
     def center(self, smu, corr):
-        return (smu - self.lam ** 2 - corr) / self.lam
+        return (smu - self.lam2 - corr) / self.lam
 
     def product(self, a, b):
         return a * b
 
-    def max_step(self, d):
-        return _min_step(d / self.lam)
+    def max_steps(self, a, b):
+        return _min_step(np.stack([a, b]) / self.lam)
 
     def schur(self):
-        return (self.A * self.w ** 2) @ self.A.T
+        return (self.A * self.w2) @ self.A.T
 
 
 _R2 = np.sqrt(0.5)
 _JSIGN = np.array([1.0, -1.0, -1.0, -1.0])
 # J = diag(1, -1, -1, -1) of Q^4 in Hermitian coordinates: X -> adj(X)
 _JC = np.array([[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+_NEG_JSIGN, _NEG_JC = -_JSIGN, -_JC
 
 
 def _q(v):
@@ -743,7 +780,7 @@ def _jnorm(q):
 
 def _hyperbolic(v, d, scale):
     """scale * (2 v v^T - J) d per row."""
-    out = d * -_JSIGN
+    out = d * _NEG_JSIGN
     out += 2 * v * np.einsum("ij,ij->i", v, d)[:, None]
     return out * scale[:, None]
 
@@ -814,40 +851,46 @@ class _Lorentz:
         u = lam * _JSIGN
         u[:, 0] += 1
         u /= np.sqrt(2 * u[:, :1])
-        self.lnorm = np.sqrt(nx * ns)
-        self.lam = lam * self.lnorm[:, None]
-        self.beta, self.v, self.u = np.sqrt(nx / ns), v, u
+        lnorm = np.sqrt(nx * ns)
+        self.lam = lam * lnorm[:, None]
+        self.lam_sq, self.lnorm_sq = _jordan(self.lam, self.lam), lnorm ** 2
+        self.beta, self.v = np.sqrt(nx / ns), v
+        self.beta2, self.beta_inv, self.vj = self.beta ** 2, 1 / self.beta, v * _JSIGN
+        # u and 1/|lam| twice over: max_steps stacks its two operands
+        self.u2 = np.concatenate([u, u])
+        self.linv2 = np.tile(1 / lnorm, 2)
         self.wc = _q(w)
 
     def phi(self, z):
         # Phi = W^2 = beta^2 (2 w w^T - J), applied in Hermitian coordinates
         z = z.reshape(-1, 4)
-        out = z @ -_JC
+        out = z @ _NEG_JC
         out += 2 * self.wc * np.einsum("ij,ij->i", self.wc, z)[:, None]
-        return (out * (self.beta ** 2)[:, None]).ravel()
+        return (out * self.beta2[:, None]).ravel()
 
     def to_scaled(self, dx, ds):
-        return (_hyperbolic(self.v * _JSIGN, _q(dx.reshape(-1, 4)), 1 / self.beta),
+        return (_hyperbolic(self.vj, _q(dx.reshape(-1, 4)), self.beta_inv),
                 _hyperbolic(self.v, _q(ds.reshape(-1, 4)), self.beta))
 
     def from_scaled(self, d):
         return _q(_hyperbolic(self.v, d, self.beta)).ravel()
 
     def center(self, smu, corr):
-        r = -_jordan(self.lam, self.lam) - corr
+        r = -self.lam_sq - corr
         r[:, 0] += 2 * smu
         lam = self.lam
         d = np.empty_like(r)
         d[:, 0] = ((lam[:, 0] * r[:, 0] - np.einsum("ij,ij->i", lam[:, 1:], r[:, 1:]))
-                   / self.lnorm ** 2)
+                   / self.lnorm_sq)
         d[:, 1:] = (r[:, 1:] - d[:, :1] * lam[:, 1:]) / lam[:, :1]
         return d
 
     def product(self, a, b):
         return _jordan(a, b)
 
-    def max_step(self, d):
-        rho = _hyperbolic(self.u, d, 1 / self.lnorm)     # P(lam^-1/2) d
+    def max_steps(self, a, b):
+        # P(lam^-1/2) d, d = a and b stacked
+        rho = _hyperbolic(self.u2, np.concatenate([a, b]), self.linv2)
         return _min_step(rho[:, 0] - np.sqrt(np.einsum("ij,ij->i", rho[:, 1:],
                                                        rho[:, 1:])))
 
@@ -856,7 +899,7 @@ class _Lorentz:
         # Phi_i = 2 b_i^2 w_i w_i^T - b_i^2 J, between that family's P
         S = np.zeros((self.P.shape[1],) * 2)
         for blocks, cols, U in self.parts:
-            b2 = self.beta[blocks] ** 2
+            b2 = self.beta2[blocks]
             V = (U[:, None, :] * (np.sqrt(2 * b2) * self.wc[blocks].T)[None]).reshape(
                 -1, b2.size)
             K = (U * b2) @ U.T                       # kron(K, J) below
@@ -876,6 +919,7 @@ class _Matrix(_Dense):
         self.fam = fam
         self.unit = fam.coords(np.broadcast_to(
             np.eye(fam.dim), (fam.count, fam.dim, fam.dim))).ravel()
+        self.Amats = self._mats(self.A)        # the dense rows as blocks
 
     def _mats(self, v):
         fam = self.fam
@@ -891,19 +935,21 @@ class _Matrix(_Dense):
         r = 1.0 / np.sqrt(sig)
         self.R = Lx @ _herm_t(Vh) * r[:, None, :]
         self.Rinv = r[:, :, None] * _herm_t(U) @ _herm_t(Ls)
-        self.G = self.R @ _herm_t(self.R)
+        self.RH, self.RinvH = _herm_t(self.R), _herm_t(self.Rinv)
+        self.G = self.R @ self.RH
         self.lam = sig
+        # r = lam^-1/2, twice over: max_steps stacks its two operands
+        self.r2 = np.concatenate([r, r])
 
     def phi(self, z):
         return self._vec(self.G @ self._mats(z) @ self.G)
 
     def to_scaled(self, dx, ds):
-        Ri, R = self.Rinv, self.R
-        return (Ri @ self._mats(dx) @ _herm_t(Ri),
-                _herm_t(R) @ self._mats(ds) @ R)
+        return (self.Rinv @ self._mats(dx) @ self.RinvH,
+                self.RH @ self._mats(ds) @ self.R)
 
     def from_scaled(self, d):
-        return self._vec(self.R @ d @ _herm_t(self.R))
+        return self._vec(self.R @ d @ self.RH)
 
     def center(self, smu, corr):
         lam = self.lam
@@ -915,14 +961,14 @@ class _Matrix(_Dense):
     def product(self, a, b):
         return (a @ b + b @ a) / 2
 
-    def max_step(self, d):
-        r = 1.0 / np.sqrt(self.lam)
+    def max_steps(self, a, b):
+        r = self.r2
+        d = np.concatenate([a, b])
         return _min_step(np.linalg.eigvalsh(d * r[:, :, None] * r[:, None, :])[:, 0])
 
     def schur(self):
         # Phi applied to each dense row of As restricted to this family
-        Z = self._mats(self.A)
-        phia = self.fam.coords(self.G @ Z @ self.G).reshape(len(self.rows), -1)
+        phia = self.fam.coords(self.G @ self.Amats @ self.G).reshape(len(self.rows), -1)
         return self.A @ phia.T
 
 
@@ -987,7 +1033,10 @@ def _schur_complement(cones, nrows) -> np.ndarray:
     """As Phi As^T (Phi = W W^T), summed cone by cone."""
     M = np.zeros((nrows, nrows))
     for g in cones:
-        M[np.ix_(g.rows, g.rows)] += g.schur()
+        if g.rows.size == nrows:           # rows are sorted and distinct
+            M += g.schur()
+        else:
+            M[np.ix_(g.rows, g.rows)] += g.schur()
     return (M + M.T) / 2
 
 
@@ -1158,8 +1207,7 @@ def _solve_hsd(prog: ConicProgram):
         def step_bound(dx, ds, dtau, dkappa):
             """Scaled steps per cone, and the largest feasible alpha."""
             steps = [g.to_scaled(dx[g.sl], ds[g.sl]) for g in cones]
-            amax = min(min(g.max_step(a), g.max_step(b))
-                       for g, (a, b) in zip(cones, steps))
+            amax = min(g.max_steps(a, b) for g, (a, b) in zip(cones, steps))
             if dtau < 0:
                 amax = min(amax, -tau / dtau)
             if dkappa < 0:

@@ -35,6 +35,7 @@ from .scenario import (
     make_state,
     measure,
     paulis,
+    pure_theta,
     steer,
     werner,
 )
@@ -92,6 +93,12 @@ class SweepSpec:
             raise ValidationError("grid must be strictly increasing")
         if self.state_family not in ("werner", "pure_theta"):
             raise ValidationError(f"unknown state family {self.state_family!r}")
+        # the state constructors check the grid's range (the grid is
+        # increasing) and psi
+        family = werner if self.state_family == "werner" else pure_theta
+        for param in (self.grid[0], self.grid[-1]):
+            _spec_field("grid", family, float(param))
+        _spec_field("psi", lambda psi: werner(1.0, psi=psi), self.psi)
         if self.scenario not in ("steering", "nonlocality"):
             raise ValidationError(f"unknown scenario {self.scenario!r}")
 

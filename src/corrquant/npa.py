@@ -16,12 +16,13 @@ normalization Gamma[0,0] tied to the noise weight (see nonlocality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .cg import CgLayout
-from .conic import ConicProgram
+from .conic import ConicProgram, svec
 from .decomposition import solve
 from .errors import ValidationError
 
@@ -74,18 +75,28 @@ def word_class_key(u, v):
     return min(w, wadj)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NpaTemplate:
-    """Word index, equivalence classes, and the CG identification map."""
+    """Word index, equivalence classes, the CG identification map, and the
+    tie and zero rows.  :func:`build_npa_block` shares one template between
+    every program of its scenario and level, so a template is read-only:
+    tuples and non-writeable arrays, and a layout that is only read."""
 
     scenario: tuple          # (mA, nA, mB, nB)
     level: int
-    words: list
-    classes: list            # list of lists of cells (i, j), i <= j
-    zero_cells: list
-    layout: CgLayout = field(default=None)
-    cg_class: list = field(default=None)      # cg index -> class index
-    cg_cells: list = field(default=None)      # cg index -> representative cell
+    words: tuple
+    classes: tuple           # per class, its cells (i, j), i <= j
+    zero_cells: tuple
+    layout: CgLayout
+    cg_class: tuple          # cg index -> class index
+    cg_cells: tuple          # cg index -> representative cell
+    # the tie rows (a cell minus its class's first cell) and the zero
+    # rows: each row's name less the block's, and for each cell a row
+    # reads, the row, the cell's svec coordinate and its sign
+    row_names: tuple
+    row_of: np.ndarray
+    coord_of: np.ndarray
+    sign_of: np.ndarray
 
     @property
     def size(self) -> int:
@@ -102,25 +113,24 @@ class NpaTemplate:
                            normalization: tuple) -> None:
         """Tying rows (shared class entries), zero cells, and the
         normalization row Gamma[0,0] = the scalar variable
-        ``normalization``, a (family, index) pair."""
-        for ci, cells in enumerate(self.classes):
-            rep = cells[0]
-            for cell in cells[1:]:
-                diff = (cell_functional(self.size, cell)
-                        - cell_functional(self.size, rep))
-                prog.add_scalar_row(("tie", name, ci, cell), 0.0,
-                                    [("mat", name, 0, diff)])
-        for cell in self.zero_cells:
-            prog.add_scalar_row(("zero", name, cell), 0.0,
-                                [("entry", name, 0, cell)])
+        ``normalization``, a (family, index) pair.  The tie and zero rows
+        are one scatter of the template's cells, added as one touch."""
+        # svec of cell_functional: 1 on a diagonal cell, 1/2 off it, scaled
+        cell_value = svec(0.5 * (1 + np.eye(self.size)))
+        F = np.zeros((len(self.row_names), cell_value.size))
+        F[self.row_of, self.coord_of] = self.sign_of * cell_value[self.coord_of]
+        prog.add_coordinate_rows([(kind, name, *rest) for kind, *rest in self.row_names],
+                                 name, 0, F)
         fam, idx = normalization
         prog.add_scalar_row(("gnorm", name), 0.0,
                             [("entry", name, 0, (0, 0)),
                              ("lin", fam, [idx], [-1.0])])
 
 
-def build_npa_block(scenario, level: int) -> NpaTemplate:
-    """Word index + class structure for one scenario and level."""
+@lru_cache(maxsize=None)
+def build_npa_block(scenario: tuple, level: int) -> NpaTemplate:
+    """Word index + class structure for one scenario and level, built once
+    per (scenario, level) and shared; ``__wrapped__`` builds a new one."""
     mA, nA, mB, nB = scenario
     if level not in (1, 2):
         raise ValidationError(f"unsupported level {level!r} (only 1 and 2)")
@@ -167,9 +177,27 @@ def build_npa_block(scenario, level: int) -> NpaTemplate:
         ci = key_index[word_class_key((), word)]
         cg_class.append(ci)
         cg_cells.append(classes[ci][0])
-    return NpaTemplate(scenario=tuple(scenario), level=level, words=words,
-                       classes=classes, zero_cells=zero_cells, layout=layout,
-                       cg_class=cg_class, cg_cells=cg_cells)
+
+    coord = np.zeros((nw, nw), dtype=np.int64)      # cell -> svec coordinate
+    coord[np.triu_indices(nw)] = np.arange(nw * (nw + 1) // 2)
+    row_names, reads = [], []                       # reads: (row, coord, sign)
+    for ci, cells in enumerate(classes):
+        for cell in cells[1:]:
+            reads += [(len(row_names), coord[cell], 1.0),
+                      (len(row_names), coord[cells[0]], -1.0)]
+            row_names.append(("tie", ci, cell))
+    for cell in zero_cells:
+        reads.append((len(row_names), coord[cell], 1.0))
+        row_names.append(("zero", cell))
+    row_of, coord_of = (np.array([r[k] for r in reads], dtype=np.int64) for k in (0, 1))
+    sign_of = np.array([r[2] for r in reads])
+    for arr in (row_of, coord_of, sign_of):
+        arr.flags.writeable = False
+    return NpaTemplate(scenario=tuple(scenario), level=level, words=tuple(words),
+                       classes=tuple(map(tuple, classes)), zero_cells=tuple(zero_cells),
+                       layout=layout, cg_class=tuple(cg_class), cg_cells=tuple(cg_cells),
+                       row_names=tuple(row_names), row_of=row_of, coord_of=coord_of,
+                       sign_of=sign_of)
 
 
 def cell_functional(size: int, cell) -> np.ndarray:
@@ -278,7 +306,7 @@ def npa_optimize(coefficients, scenario, level: int = 2):
     Returns (value, MomentMatrix); the matrix is the relaxation's
     optimizer, recovered exactly from the dual slack.
     """
-    tmpl = build_npa_block(scenario, level)
+    tmpl = build_npa_block(tuple(scenario), level)
     coeffs = np.asarray(coefficients, dtype=float)
     mA, nA, mB, nB = scenario
     if coeffs.shape != (mA, mB, nA, nB):

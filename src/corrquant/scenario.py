@@ -391,6 +391,8 @@ def werner(v: float, psi: str = "phi+") -> BipartiteState:
     """
     if not 0 <= v <= 1:
         raise ValueError(f"visibility {v!r} outside [0, 1]")
+    if psi not in ("phi+", "singlet"):
+        raise ValueError(f"psi {psi!r} is neither 'phi+' nor 'singlet'")
     base = max_entangled(2) if psi == "phi+" else singlet()
     rho = v * base.rho + (1 - v) * np.eye(4) / 4
     return BipartiteState(rho, (2, 2))

@@ -145,6 +145,22 @@ def test_sweep_command_refuses_a_malformed_spec(tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("spec", [
+    {"state_family": "pure_theta", "grid": {"start": 0.0, "stop": 0.5, "num": 2},
+     "kinds": ["NLR_mar"], "scenario": "nonlocality", "level": 1},
+    {"state_family": "werner", "grid": {"start": 0.5, "stop": 1.5, "num": 3},
+     "kinds": ["SR_red"]},
+    {"state_family": "werner", "grid": [0.2, 0.5], "kinds": ["SR_red"], "psi": "foo"}])
+def test_sweep_command_refuses_parameters_outside_the_family(tmp_path, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_path = tmp_path / "out.csv"
+    res = CliRunner().invoke(main, ["sweep", "-s", str(spec_path), "-o", str(out_path)])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == "" and "error:" in res.stderr
+    assert not out_path.exists()
+
+
 def test_seesaw_command_deterministic(tmp_path):
     runner = CliRunner()
     args = ["seesaw", "-t", str(np.pi / 4), "-k", "NLR_mar", "-r", "1",

@@ -390,7 +390,8 @@ def test_build_writes_out_the_term_grammar():
     """build()'s A, b and c against the grammar written out by hand: column
     j of A is every row's expression evaluated on the j-th unit vector,
     and c_j the objective's.  Every term tag runs on every family kind
-    that takes it."""
+    that takes it, and add_coordinate_rows on a real symmetric and a 3x3
+    Hermitian family."""
     rng = np.random.default_rng(31)
     prog = ConicProgram("grammar")
     prog.add_hermitian_family("A", 3, 2)
@@ -427,6 +428,17 @@ def test_build_writes_out_the_term_grammar():
               ("scalar_mat", "z", 0, H3)],
          lambda X: X["B"][0] + X["z"][0] * H3),
     ]
+    # rows of add_coordinate_rows: functionals on block coordinates, the
+    # svec of a real symmetric block and the Hermitian basis of a 3x3 one
+    # read entry by entry
+    upper, off = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)], [(0, 1), (0, 2), (1, 2)]
+    coordinate_rows = [
+        ("P", 1, rng.normal(size=(2, 6)),
+         lambda X: [X[i, j] * (1.0 if i == j else np.sqrt(2)) for i, j in upper]),
+        ("B", 0, rng.normal(size=(3, 9)),
+         lambda X: ([X[i, i].real for i in range(3)]
+                    + [np.sqrt(2) * X[i, j].real for i, j in off]
+                    + [np.sqrt(2) * X[i, j].imag for i, j in off]))]
     objective = ([("lin", "z", [0, 1], [1.0, -2.0]), ("lin", "u", [2], [0.5]),
                   ("mat", "A", 0, Q2), ("mat", "P", 1, S2)],
                  lambda X: (X["z"][0] - 2.0 * X["z"][1] + 0.5 * X["u"][2]
@@ -436,24 +448,29 @@ def test_build_writes_out_the_term_grammar():
             prog.add_matrix_row_group(("m", i), rhs, terms)
         else:
             prog.add_scalar_row(("s", i), rhs, terms)
+    for name, index, F, _ in coordinate_rows:
+        prog.add_coordinate_rows([("c", name, k) for k in range(len(F))], name, index, F)
     prog.set_objective(objective[0])
 
     def row_values(X):
         return np.concatenate([
             hermitian_coords(expr(X), rhs.shape[0]) if np.ndim(rhs) else [expr(X)]
-            for rhs, _, expr in rows])
+            for rhs, _, expr in rows] + [
+            F @ np.array(reads(X[name][index])) for name, index, F, reads in coordinate_rows])
 
     A, b, c = prog.build()
     assert A.has_sorted_indices
     units = [_unit_blocks(prog, e) for e in np.eye(A.shape[1])]
     want_a = np.array([row_values(X) for X in units]).T
     want_c = np.array([objective[1](X) for X in units])
-    assert A.shape == (2 + 4 + 9, 3 * 4 + 2 * 9 + 2 * 6 + 3 + 2 * 2)
+    assert A.shape == (2 + 4 + 9 + 2 + 3, 3 * 4 + 2 * 9 + 2 * 6 + 3 + 2 * 2)
     assert np.max(np.abs(A.toarray() - want_a)) <= 1e-12
     assert np.max(np.abs(c - want_c)) <= 1e-12
     assert np.max(np.abs(b - np.concatenate(
         [hermitian_coords(rhs, rhs.shape[0]) if np.ndim(rhs) else [rhs]
-         for rhs, _, _ in rows]))) <= 1e-12
+         for rhs, _, _ in rows] + [np.zeros(5)]))) <= 1e-12
+    with pytest.raises(ValueError, match="shaped"):    # a Hermitian 3x3 functional on P
+        prog.add_coordinate_rows([("bad",)], "P", 0, np.zeros((1, 9)))
 
 
 def _mixed_program():
@@ -695,7 +712,8 @@ def test_nt_scaling_kernels():
     """On every cone kind (2x2 Hermitian in closed form, 3x3 Hermitian and
     real symmetric as matrices, scalars) the scaling maps x and s to one
     point lam, Phi maps s to x, centering inverts lam o . at the barrier
-    degree of the block, and the step length stops on the boundary."""
+    degree of the block, and the step length stops on the boundary
+    whichever of its two operands carries the step."""
     prog = _kernel_program()
     rng = np.random.default_rng(21)
     _, x, s, cones = _interior_point(prog, rng)
@@ -718,7 +736,9 @@ def test_nt_scaling_kernels():
             step = step + 1j * rng.normal(size=lam.shape)
         if lam.ndim == 3:
             step = step + step.conj().transpose(0, 2, 1)
-        alpha = g.max_step(step)
+        # the step bound reads both stacked operands: a zero step never binds
+        alpha = g.max_steps(step, 0 * step)
+        assert g.max_steps(0 * step, step) == alpha
         edge = g.from_scaled(lam + alpha * step)
         low = (np.linalg.eigvalsh(fam.mats(edge.reshape(fam.count, -1)))[:, 0]
                if fam else edge).min()

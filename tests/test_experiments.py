@@ -34,6 +34,30 @@ def test_sweep_spec_validation():
             ex.SweepSpec.from_dict(obj)
 
 
+@pytest.mark.parametrize("obj, field", [
+    ({"state_family": "pure_theta", "grid": {"start": 0.0, "stop": 0.5, "num": 2}}, "grid"),
+    ({"state_family": "pure_theta", "grid": [0.5, 0.8]}, "grid"),
+    ({"state_family": "werner", "grid": {"start": 0.5, "stop": 1.5, "num": 3}}, "grid"),
+    ({"state_family": "werner", "grid": [-0.1, 0.5]}, "grid"),
+    ({"state_family": "werner", "grid": [0.2, 0.5], "psi": "foo"}, "psi"),
+    ({"state_family": "pure_theta", "grid": [0.2, 0.5], "psi": "psi-"}, "psi")])
+def test_sweep_spec_refuses_parameters_outside_the_family(obj, field):
+    # the grid lies in the family's range, [0, 1] for werner and
+    # (0, pi/4] for pure_theta, and psi is phi+ or singlet
+    with pytest.raises(ValidationError, match=field):
+        ex.SweepSpec.from_dict({"kinds": ["NLR_mar"], **obj})
+
+
+def test_sweep_spec_takes_the_ends_of_each_range():
+    assert ex.SweepSpec("werner", [0.0, 1.0], ["SR_red"], psi="singlet").grid[-1] == 1.0
+    assert ex.SweepSpec("pure_theta", [0.1, np.pi / 4], ["NLR_mar"]).grid[-1] == np.pi / 4
+
+
+def test_werner_refuses_an_unknown_psi():
+    with pytest.raises(ValueError, match="psi"):
+        sc.werner(0.5, psi="foo")
+
+
 def test_werner_steering_sweep_below_threshold():
     spec = ex.SweepSpec(state_family="werner",
                         grid=np.linspace(0.1, 0.5, 3),

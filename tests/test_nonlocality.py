@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from corrquant import nonlocality as nl
+from corrquant import npa
 from corrquant import scenario as sc
 from corrquant.cg import CgLayout, strategy_cg_matrix
 from corrquant.errors import SignallingError, StrategyCapExceeded
@@ -336,3 +339,43 @@ def test_pin_party_a_model_in_input_scenario(kind):
     noise = 0.0 if res.noise_table is None else res.noise_table
     mix = (loc.table + res.value * noise) / (1 + res.value)
     assert np.max(np.abs(res.model.behaviour().table - mix)) < 1e-8
+
+
+def _solution_arrays(sol):
+    """Every array of a solution, in a fixed order, for byte comparison."""
+    return [np.asarray(part[key]) for part in (sol.primal, sol.dual_rows, sol.dual_slack)
+            for key in part]
+
+
+def test_shared_npa_template_builds_the_same_programs(monkeypatch):
+    """build_npa_block hands every caller one read-only template, and the
+    level-2 programs it builds and their solutions are the ones a template
+    built afresh gives, to the last bit."""
+    tmpl = npa.build_npa_block((2, 2, 2, 2), 2)
+    assert npa.build_npa_block((2, 2, 2, 2), 2) is tmpl
+    for arr in (tmpl.row_of, tmpl.coord_of, tmpl.sign_of):
+        assert not arr.flags.writeable
+    for seq in (tmpl.words, tmpl.classes, tmpl.zero_cells, tmpl.cg_class,
+                tmpl.cg_cells, tmpl.row_names, *tmpl.classes):
+        assert isinstance(seq, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tmpl.level = 1
+    beh = isotropic_chsh(0.9)
+    layout, S = nl._strategy_pairs(beh)
+    # iteration bounds at 1 BLAS thread; NLW_c runs to the polish cap
+    for kind, most in (("NLW_c", 20), ("NLR_c", 15)):
+        runs = []
+        for build in (npa.build_npa_block, npa.build_npa_block.__wrapped__):
+            monkeypatch.setattr(nl, "build_npa_block", build)
+            prog, _ = nl.build_program(beh, nl.NonlocalityKind(kind), layout, S, 2)
+            A, b, c = prog.build()
+            res = nl.nonlocality_quantifier(beh, kind, level=2)
+            runs.append(([A.indptr, A.indices, A.data, b, c], res.solution))
+        (shared, sol), (fresh, sol_fresh) = runs
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(shared, fresh))
+        assert (sol.iterations, sol.ended, sol.pobj.hex(), sol.dobj.hex()) == (
+            sol_fresh.iterations, sol_fresh.ended, sol_fresh.pobj.hex(),
+            sol_fresh.dobj.hex())
+        assert all(x.tobytes() == y.tobytes() for x, y in
+                   zip(_solution_arrays(sol), _solution_arrays(sol_fresh)))
+        assert sol.iterations <= most

@@ -228,3 +228,37 @@ def test_three_outcome_scenario_zero_cells():
     mm = dec.moment_matrix
     for cell in tmpl.zero_cells:
         assert abs(mm.gamma[cell]) < 1e-12
+
+
+@pytest.mark.parametrize("scenario, level", [(CHSH, 1), (CHSH, 2), ((2, 3, 2, 2), 2)])
+def test_structure_rows_match_the_per_row_loop(scenario, level):
+    """add_structure_rows writes the rows, names and (A, b, c), byte for
+    byte, of one add_scalar_row per tie and zero cell."""
+    from corrquant.conic import ConicProgram
+    tmpl = npa.build_npa_block(scenario, level)
+    progs = []
+    for batched in (True, False):
+        prog = ConicProgram("rows")
+        tmpl.declare_block(prog, "G")
+        prog.add_nonneg("r", 1)
+        prog.add_scalar_row(("first",), 1.0, [("entry", "G", 0, (0, 1))])
+        if batched:
+            tmpl.add_structure_rows(prog, "G", ("r", 0))
+        else:
+            for ci, cells in enumerate(tmpl.classes):
+                for cell in cells[1:]:
+                    diff = (npa.cell_functional(tmpl.size, cell)
+                            - npa.cell_functional(tmpl.size, cells[0]))
+                    prog.add_scalar_row(("tie", "G", ci, cell), 0.0,
+                                        [("mat", "G", 0, diff)])
+            for cell in tmpl.zero_cells:
+                prog.add_scalar_row(("zero", "G", cell), 0.0, [("entry", "G", 0, cell)])
+            prog.add_scalar_row(("gnorm", "G"), 0.0, [("entry", "G", 0, (0, 0)),
+                                                      ("lin", "r", [0], [-1.0])])
+        prog.set_objective([("lin", "r", [0], [1.0])])
+        progs.append(prog)
+    (A, b, c), (A0, b0, c0) = (p.build() for p in progs)
+    for got, want in [(A.indptr, A0.indptr), (A.indices, A0.indices), (A.data, A0.data),
+                      (b, b0), (c, c0)]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert progs[0].row_groups == progs[1].row_groups
