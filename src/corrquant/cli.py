@@ -130,9 +130,9 @@ def sweep_cmd(spec, out, workers):
     try:
         with open(spec) as fh:
             data = json.load(fh)
-        result = sweep(SweepSpec.from_dict(data), workers=workers)
-    except (KeyError, json.JSONDecodeError) as exc:
-        raise ValidationError(str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{spec}: invalid JSON ({exc})") from exc
+    result = sweep(SweepSpec.from_dict(data), workers=workers)
     csv_text = result.to_csv()
     if out:
         with open(out, "w") as fh:
@@ -158,7 +158,7 @@ def seesaw_cmd(theta, kind, restarts, seed, level, out):
     payload = {"theta": theta, "kind": str(kind), "value": res.value,
                "history": res.state.history, "converged": res.state.converged,
                "restarts": res.restarts,
-               "bob": serialize.measurements_to_dict(res.bob)}
+               "bob": serialize.grid_to_dict(res.bob)}
     _emit(payload, out)
 
 

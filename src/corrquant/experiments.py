@@ -26,6 +26,7 @@ from . import nonlocality as nl
 from . import steering as st
 from .decomposition import parse_kind
 from .errors import ValidationError
+from .npa import build_npa_block
 from .scenario import (
     MeasurementSet,
     bloch_measurements,
@@ -74,15 +75,17 @@ CHSH_BOB = [np.array([1, 0, 1]) / np.sqrt(2), np.array([1, 0, -1]) / np.sqrt(2)]
 
 @dataclass
 class SweepSpec:
-    """Grid description: which state family, measurements, and kinds."""
+    """Grid description: which state family, measurements, and kinds.
+    Checked whole when made: a bad field raises ValidationError naming it."""
 
     state_family: str                      # "werner" | "pure_theta"
     grid: np.ndarray                       # monotone increasing parameters
     kinds: list                            # quantifier kind names
     scenario: str = "steering"             # "steering" | "nonlocality"
-    alice: dict | None = None              # measurement spec (default XYZ / XZ)
-    bob: dict | None = None                # nonlocality only (default CHSH pair)
-    level: int = 2
+    alice: dict | None = None              # measurement spec (default XYZ / XZ),
+    bob: dict | None = None                # nonlocality only (default CHSH pair);
+                                           # each becomes its MeasurementSet
+    level: int = 2                         # NPA level, nonlocality only
     psi: str = "phi+"
 
     def __post_init__(self):
@@ -101,29 +104,42 @@ class SweepSpec:
         _spec_field("psi", lambda psi: werner(1.0, psi=psi), self.psi)
         if self.scenario not in ("steering", "nonlocality"):
             raise ValidationError(f"unknown scenario {self.scenario!r}")
+        steering = self.scenario == "steering"
+        if not (isinstance(self.kinds, list)
+                and all(isinstance(k, str) for k in self.kinds)):
+            raise ValidationError(
+                f"kinds: expected a list of kind names, got {self.kinds!r}")
+        enum = st.SteeringKind if steering else nl.NonlocalityKind
+        _spec_field("kinds", lambda: [parse_kind(enum, k, {}) for k in self.kinds])
+        self.alice = (paulis("XYZ" if steering else "XZ") if self.alice is None
+                      else _spec_field("alice", make_measurements, self.alice))
+        self.bob = (bloch_measurements(CHSH_BOB) if self.bob is None
+                    else _spec_field("bob", make_measurements, self.bob))
+        self.level = _spec_field("level", int, self.level)
+        if not steering:
+            # the template the solves share checks the level, once
+            _spec_field("level", build_npa_block, (
+                self.alice.m, self.alice.n, self.bob.m, self.bob.n), self.level)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepSpec":
         """The spec a JSON object describes; a malformed field raises
         ValidationError naming it."""
         _fields(obj, "sweep spec", ("state_family", "grid", "kinds"))
-        grid, kinds = obj["grid"], obj["kinds"]
+        grid = obj["grid"]
         if isinstance(grid, dict):
             grid = _spec_field("grid", lambda g: np.linspace(
                 float(g["start"]), float(g["stop"]), int(g["num"])), grid)
-        if not (isinstance(kinds, list) and all(isinstance(k, str) for k in kinds)):
-            raise ValidationError(f"kinds: expected a list of kind names, got {kinds!r}")
-        return cls(state_family=obj["state_family"], grid=grid, kinds=kinds,
+        return cls(state_family=obj["state_family"], grid=grid, kinds=obj["kinds"],
                    scenario=obj.get("scenario", "steering"),
                    alice=obj.get("alice"), bob=obj.get("bob"),
-                   level=_spec_field("level", int, obj.get("level", 2)),
-                   psi=obj.get("psi", "phi+"))
+                   level=obj.get("level", 2), psi=obj.get("psi", "phi+"))
 
 
-def _spec_field(name: str, convert, value):
-    """``convert(value)``, or ValidationError naming field ``name``."""
+def _spec_field(name: str, convert, *args):
+    """``convert(*args)``, or ValidationError naming field ``name``."""
     try:
-        return convert(value)
+        return convert(*args)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{name}: {exc!r}") from exc
 
@@ -144,27 +160,15 @@ class SweepResult:
         return buf.getvalue()
 
 
-def _alice_set(spec: SweepSpec) -> MeasurementSet:
-    if spec.alice is not None:
-        return make_measurements(spec.alice)
-    return paulis("XYZ") if spec.scenario == "steering" else paulis("XZ")
-
-
-def _bob_set(spec: SweepSpec) -> MeasurementSet:
-    if spec.bob is not None:
-        return make_measurements(spec.bob)
-    return bloch_measurements(CHSH_BOB)
-
-
-def _evaluate_point(spec: SweepSpec, alice, bob, param: float, kind: str) -> float:
+def _evaluate_point(spec: SweepSpec, param: float, kind: str) -> float:
     if spec.state_family == "werner":
         state = werner(param, psi=spec.psi)
     else:
         state = make_state({"family": "pure_theta", "theta": param})
-    asm = steer(state, alice)
+    asm = steer(state, spec.alice)
     if spec.scenario == "steering":
         return st.steering_quantifier(asm, kind).value
-    beh = measure(asm, bob)
+    beh = measure(asm, spec.bob)
     return nl.nonlocality_quantifier(beh, kind, level=spec.level).value
 
 
@@ -176,10 +180,8 @@ def sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     small and spend most of their time in Python, which holds the GIL,
     so a thread pool measured slower than the serial loop on 2 cores.
     """
-    alice = _alice_set(spec)
-    bob = _bob_set(spec) if spec.scenario == "nonlocality" else None
     jobs = [(float(param), kind) for param in spec.grid for kind in spec.kinds]
-    results = [_evaluate_point(spec, alice, bob, p, k) for p, k in jobs]
+    results = [_evaluate_point(spec, p, k) for p, k in jobs]
     rows = []
     values = {kind: [] for kind in spec.kinds}
     for (param, kind), val in zip(jobs, results):
@@ -251,10 +253,7 @@ def seesaw_optimize(theta: float, kind, restarts: int = 3, seed: int = 0,
     Heuristic: reports the best value found over ``restarts`` seeds.
     """
     kind = parse_kind(nl.NonlocalityKind, kind, {})
-    try:
-        state = make_state({"family": "pure_theta", "theta": theta})
-    except ValueError as exc:
-        raise ValidationError(f"theta: {exc}") from exc
+    state = _spec_field("theta", pure_theta, theta)
     alice = paulis("XZ")
     asm = steer(state, alice)
     rng = np.random.default_rng(seed)
@@ -339,16 +338,27 @@ def _table1_markdown(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_deviation_regression(path, rows) -> list:
-    """Fail (report) if any persisted deviation grew by more than 10x."""
-    alerts = []
+def _read_deviations(path) -> dict:
+    """{row: {quantity: deviation}} as an earlier run persisted it at
+    ``path``, {} if there is none; a file ``reproduce_table1`` did not
+    write raises ValidationError naming it."""
     try:
         with open(path) as fh:
             previous = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError):
-        return alerts
+        return {name: {label: float(dev) for label, dev in row["deviations"].items()}
+                for name, row in previous.items()}
+    except FileNotFoundError:
+        return {}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{path}: not a table-1 deviation history ({exc!r})") from exc
+
+
+def _deviation_alerts(previous: dict, rows) -> list:
+    """One alert per deviation that grew more than 10x from ``previous``."""
+    alerts = []
     for row in rows:
-        prev = previous.get(row["row"], {}).get("deviations", {})
+        prev = previous.get(row["row"], {})
         for label, dev in row["deviations"].items():
             if label in prev and prev[label] > 0 and dev > 10 * prev[label]:
                 alerts.append(
@@ -362,17 +372,19 @@ def reproduce_table1(outdir, extended: bool = False) -> dict:
 
     The Bennet row sits behind ``extended`` (a 3^10-outcome parent); a
     row that runs out of TABLE1_BUDGET_S reports partial status without
-    failing.
+    failing.  The deviations of an earlier run are read before the first
+    solve, and a malformed file is refused then.
     """
     import pathlib
 
     outdir = pathlib.Path(outdir)
+    dev_path = outdir / "table1_deviations.json"
+    previous = _read_deviations(dev_path)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = [_table1_row("wittmann")]
     if extended:
         rows.append(_table1_row("bennet"))
-    dev_path = outdir / "table1_deviations.json"
-    alerts = _check_deviation_regression(dev_path, rows)
+    alerts = _deviation_alerts(previous, rows)
     with open(outdir / "table1.md", "w") as fh:
         fh.write(_table1_markdown(rows))
     _write_csv(outdir / "table1.csv", [],

@@ -31,7 +31,7 @@ from . import scenario
 from .cg import CgLayout, strategy_cg_matrix
 from .conic import ConicProgram, ConicSolution
 from .decomposition import KINDS, MEMBERSHIP_TOL, TINY, parse_kind, solve
-from .errors import SolverFailure, StrategyCapExceeded
+from .errors import SolverFailure, StrategyCapExceeded, ValidationError
 from .npa import build_npa_block, cell_functional
 from .scenario import (
     Behaviour,
@@ -402,13 +402,16 @@ def ns_project(raw_table: np.ndarray, weights=None) -> NsProjection:
 
 
 def behaviour_from_counts(counts) -> Behaviour:
-    """Empirical behaviour from integer count tables counts[x][y][a][b]."""
+    """Empirical behaviour from integer count tables counts[x][y][a][b],
+    the one check of a count table (ValidationError naming ``counts``)."""
     arr = np.asarray(counts, dtype=float)
     if arr.ndim != 4:
-        raise ValueError(f"counts must be 4-d, got {arr.shape}")
+        raise ValidationError(f"counts: expected 4 axes, got {arr.ndim}")
     if np.any(arr < 0):
-        raise ValueError("counts must be nonnegative")
+        raise ValidationError("counts: negative entries")
     totals = arr.sum(axis=(2, 3), keepdims=True)
-    if np.any(totals == 0):
-        raise ValueError("every (x, y) slice needs at least one count")
+    empty = np.argwhere(totals[..., 0, 0] == 0)
+    if len(empty):
+        x, y = empty[0]
+        raise ValidationError(f"counts[{x}][{y}]: the slice has no counts")
     return Behaviour(arr / totals)

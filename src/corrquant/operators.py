@@ -28,16 +28,20 @@ def asmatrix(op) -> np.ndarray:
 def hermitize(mat) -> np.ndarray:
     """Symmetrize ``(M + M†)/2``, rejecting asymmetry beyond HERM_REJECT.
 
-    Batched over leading axes.
+    Batched over leading axes; the error then names the first offending
+    matrix in index order, as ``[x, a]: ...``.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
     adj = mat.conj().swapaxes(-1, -2)
-    asym = np.max(np.abs(mat - adj)) if mat.size else 0.0
-    if asym > HERM_REJECT:
+    diff = np.abs(mat - adj)
+    if mat.size and diff.max() > HERM_REJECT:
+        asym = diff.max(axis=(-2, -1))
+        idx = tuple(int(i) for i in np.argwhere(asym > HERM_REJECT)[0])
+        where = f"{list(idx)}: " if idx else ""
         raise NotHermitian(
-            f"asymmetry {asym:.3e} exceeds tolerance {HERM_REJECT:.1e}")
+            f"{where}asymmetry {asym[idx]:.3e} exceeds tolerance {HERM_REJECT:.1e}")
     return (mat + adj) / 2
 
 

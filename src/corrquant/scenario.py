@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InconsistentAssemblage,
+    NotHermitian,
     NotPositiveSemidefinite,
     SignallingError,
     StrategyCapExceeded,
@@ -46,11 +47,30 @@ SIGNALLING_TOL = 1e-9
 def _check_psd_grid(grid, what="effect"):
     """Raise on the first block, in index order, with an eigenvalue below -PSD_TOL."""
     low = np.linalg.eigvalsh(grid)[..., 0]
-    bad = np.argwhere(low < -PSD_TOL)
-    if bad.size:
-        idx = tuple(int(i) for i in bad[0])
+    if low.size and low.min() < -PSD_TOL:
+        idx = tuple(int(i) for i in np.argwhere(low < -PSD_TOL)[0])
         raise NotPositiveSemidefinite(
             f"{what}{list(idx)} has eigenvalue {low[idx]:.3e}")
+
+
+def _operator_grid(ops, shape, what="effect") -> np.ndarray:
+    """A read-only copy of the grid of square blocks ``ops``: its shape is
+    ``shape`` (an int fixes that axis, a name leaves it free), each block
+    Hermitian by ``hermitize`` (which symmetrizes it) and PSD.  A failure
+    names the first bad block in index order."""
+    grid = np.asarray(ops, dtype=complex)
+    fixed = tuple(k if isinstance(k, int) else s for k, s in zip(shape, grid.shape))
+    if (grid.ndim != len(shape) or fixed != grid.shape
+            or grid.shape[-1] != grid.shape[-2]):
+        raise DimensionMismatch(
+            f"{what}s must be ({', '.join(map(str, shape))}), got {grid.shape}")
+    try:
+        grid = hermitize(grid)
+    except NotHermitian as exc:
+        raise NotHermitian(f"{what}{exc}") from None
+    _check_psd_grid(grid, what)
+    grid.setflags(write=False)
+    return grid
 
 
 class MeasurementSet:
@@ -61,20 +81,14 @@ class MeasurementSet:
     """
 
     def __init__(self, effects):
-        eff = np.asarray(effects, dtype=complex)
-        if eff.ndim != 4 or eff.shape[2] != eff.shape[3]:
-            raise DimensionMismatch(
-                f"effects must be (m, n, d, d), got {eff.shape}")
-        eff = (eff + eff.conj().swapaxes(2, 3)) / 2
-        self.m, self.n, self.d = eff.shape[0], eff.shape[1], eff.shape[2]
-        _check_psd_grid(eff)
+        eff = _operator_grid(effects, ("m", "n", "d", "d"))
+        self.m, self.n, self.d = eff.shape[:3]
         eye = np.eye(self.d)
         for x in range(self.m):
             dev = np.max(np.abs(eff[x].sum(axis=0) - eye))
             if dev > SUM_TOL:
                 raise DimensionMismatch(
                     f"effects of input {x} sum to identity only within {dev:.2e}")
-        eff.setflags(write=False)
         self.effects = eff
 
     def __repr__(self):
@@ -118,13 +132,8 @@ class Assemblage:
     """Subnormalized conditional states sigma_{a|x} on Bob's side."""
 
     def __init__(self, members):
-        mem = np.asarray(members, dtype=complex)
-        if mem.ndim != 4 or mem.shape[2] != mem.shape[3]:
-            raise DimensionMismatch(
-                f"members must be (m, n, dB, dB), got {mem.shape}")
-        mem = (mem + mem.conj().swapaxes(2, 3)) / 2
-        self.m, self.n, self.dB = mem.shape[0], mem.shape[1], mem.shape[2]
-        _check_psd_grid(mem, what="member")
+        mem = _operator_grid(members, ("m", "n", "dB", "dB"), what="member")
+        self.m, self.n, self.dB = mem.shape[:3]
         sums = mem.sum(axis=1)
         dev = np.max(np.abs(sums - sums[0]))
         if dev > SUM_TOL:
@@ -133,7 +142,6 @@ class Assemblage:
         tr = np.trace(sums[0]).real
         if abs(tr - 1) > SUM_TOL:
             raise InconsistentAssemblage(f"total trace {tr!r} is not 1")
-        mem.setflags(write=False)
         self.members = mem
 
     def __repr__(self):
@@ -255,7 +263,7 @@ class LocalModel:
 
     def __init__(self, weights, scenario):
         self.mA, self.nA, self.mB, self.nB = scenario
-        w = np.asarray(weights, dtype=float)
+        w = np.array(weights, dtype=float)     # a copy, frozen below
         la = strategy_count(self.mA, self.nA)
         lb = strategy_count(self.mB, self.nB)
         if w.shape != (la, lb):
@@ -264,6 +272,7 @@ class LocalModel:
             raise ValueError(f"negative weight {np.min(w):.3e}")
         if abs(w.sum() - 1) > 1e-9:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+        w.setflags(write=False)
         self.weights = w
 
     def behaviour(self) -> Behaviour:
@@ -277,12 +286,8 @@ class LhsModel:
 
     def __init__(self, states, scenario):
         self.m, self.n = scenario
-        st = np.asarray(states, dtype=complex)
-        total = strategy_count(self.m, self.n)
-        if st.ndim != 3 or st.shape[0] != total:
-            raise DimensionMismatch(
-                f"states must be ({total}, d, d), got {st.shape}")
-        _check_psd_grid(st, what="state")
+        st = _operator_grid(states, (strategy_count(self.m, self.n), "d", "d"),
+                            what="state")
         tr = np.einsum("lii->", st).real
         if abs(tr - 1) > 1e-9:
             raise ValueError(f"model trace {tr!r} is not 1")
@@ -297,13 +302,8 @@ class ParentPovm:
 
     def __init__(self, effects, scenario):
         self.m, self.n = scenario
-        eff = np.asarray(effects, dtype=complex)
-        total = strategy_count(self.m, self.n)
-        if eff.ndim != 3 or eff.shape[0] != total:
-            raise DimensionMismatch(
-                f"effects must be ({total}, d, d), got {eff.shape}")
+        eff = _operator_grid(effects, (strategy_count(self.m, self.n), "d", "d"))
         self.d = eff.shape[1]
-        _check_psd_grid(eff)
         dev = np.max(np.abs(eff.sum(axis=0) - np.eye(self.d)))
         if dev > SUM_TOL:
             raise ValueError(f"parent effects sum to identity within {dev:.2e} only")
@@ -343,13 +343,9 @@ def measure(assemblage: Assemblage, bob: MeasurementSet) -> Behaviour:
 
 
 def reduced_state(assemblage: Assemblage) -> np.ndarray:
-    """rho_B = sum_a sigma_{a|x}; asserts x-independence within 1e-9."""
-    sums = assemblage.members.sum(axis=1)
-    dev = np.max(np.abs(sums - sums[0]))
-    if dev > SUM_TOL:
-        raise InconsistentAssemblage(
-            f"reduced state differs across inputs by {dev:.2e}")
-    return sums[0]
+    """rho_B = sum_a sigma_{a|0}, the same for every x (``Assemblage``
+    checked it)."""
+    return assemblage.members.sum(axis=1)[0]
 
 
 def pure_state_assemblage(state: BipartiteState,

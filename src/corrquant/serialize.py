@@ -10,7 +10,10 @@ Schemas (indexing order is part of the contract):
 
 Complex matrices serialize as nested arrays of [re, im] pairs.  Floats
 round-trip exactly (json uses shortest-repr, 17 significant digits).
-Malformed input raises ValidationError with the offending field path.
+This module only parses: the JSON's shape, and ``operators.hermitize``
+on each matrix to name a non-Hermitian one by its path.  The objects'
+constructors and ``nonlocality.behaviour_from_counts`` check the rest,
+and malformed input raises ValidationError with the offending field path.
 """
 
 from __future__ import annotations
@@ -19,8 +22,13 @@ import json
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NotHermitian, ValidationError
+from .operators import hermitize
 from .scenario import Assemblage, Behaviour, MeasurementSet
+
+# per operator-grid class: the object's name, its size fields, its grid field
+_GRIDS = {MeasurementSet: ("measurements", ("m", "n", "d"), "effects"),
+          Assemblage: ("assemblage", ("m", "n", "dB"), "members")}
 
 
 def _matrix_to_json(mat: np.ndarray):
@@ -37,9 +45,10 @@ def _matrix_from_json(obj, path: str) -> np.ndarray:
             f"{path}: expected a square matrix of [re, im] pairs, "
             f"got shape {arr.shape}")
     mat = arr[..., 0] + 1j * arr[..., 1]
-    asym = np.max(np.abs(mat - mat.conj().T))
-    if asym > 1e-8:
-        raise ValidationError(f"{path}: not Hermitian (asymmetry {asym:.2e})")
+    try:
+        hermitize(mat)
+    except NotHermitian as exc:
+        raise ValidationError(f"{path}: not Hermitian ({exc})") from exc
     return mat
 
 
@@ -63,9 +72,20 @@ def _length(val) -> str:
     return str(len(val)) if isinstance(val, list) else type(val).__name__
 
 
-def _matrices(obj: dict, key: str, sizes) -> np.ndarray:
-    """The [x][a] matrices of field ``key``, checked against the m, n and
-    d named by ``sizes``, as one (m, n, d, d) array."""
+def grid_to_dict(obj) -> dict:
+    """The JSON object of a measurement set or an assemblage."""
+    _, sizes, key = _GRIDS[type(obj)]
+    out = {size: getattr(obj, size) for size in sizes}
+    out[key] = [[_matrix_to_json(mat) for mat in row] for row in getattr(obj, key)]
+    return out
+
+
+def grid_from_dict(cls, obj: dict):
+    """The ``cls`` (MeasurementSet or Assemblage) a JSON object describes:
+    its [x][a] matrices checked against its m, n and d, then handed to
+    ``cls``, whose refusal names the grid field."""
+    what, sizes, key = _GRIDS[cls]
+    _fields(obj, what, (*sizes, key))
     m, n, d = (_size(obj, k) for k in sizes)
     rows = obj[key]
     if not isinstance(rows, list) or len(rows) != m:
@@ -81,37 +101,10 @@ def _matrices(obj: dict, key: str, sizes) -> np.ndarray:
                 raise ValidationError(
                     f"{key}[{x}][{a}]: expected {d}x{d}, got {mat.shape}")
             mats.append(mat)
-    return np.array(mats, dtype=complex).reshape(m, n, d, d)
-
-
-def measurements_to_dict(ms: MeasurementSet) -> dict:
-    return {"m": ms.m, "n": ms.n, "d": ms.d,
-            "effects": [[_matrix_to_json(ms.effects[x, a])
-                         for a in range(ms.n)] for x in range(ms.m)]}
-
-
-def measurements_from_dict(obj: dict) -> MeasurementSet:
-    _fields(obj, "measurements", ("m", "n", "d", "effects"))
-    eff = _matrices(obj, "effects", ("m", "n", "d"))
     try:
-        return MeasurementSet(eff)
+        return cls(np.array(mats, dtype=complex).reshape(m, n, d, d))
     except ValueError as exc:
-        raise ValidationError(f"effects: {exc}") from exc
-
-
-def assemblage_to_dict(asm: Assemblage) -> dict:
-    return {"m": asm.m, "n": asm.n, "dB": asm.dB,
-            "members": [[_matrix_to_json(asm.members[x, a])
-                         for a in range(asm.n)] for x in range(asm.m)]}
-
-
-def assemblage_from_dict(obj: dict) -> Assemblage:
-    _fields(obj, "assemblage", ("m", "n", "dB", "members"))
-    mem = _matrices(obj, "members", ("m", "n", "dB"))
-    try:
-        return Assemblage(mem)
-    except ValueError as exc:
-        raise ValidationError(f"members: {exc}") from exc
+        raise ValidationError(f"{key}: {exc}") from exc
 
 
 def behaviour_to_dict(b: Behaviour) -> dict:
@@ -136,54 +129,39 @@ def behaviour_from_dict(obj: dict) -> Behaviour:
 
 
 def counts_from_dict(obj: dict) -> np.ndarray:
+    """The integer array of a counts object, unchecked: the one check of a
+    count table, its axes too, is ``nonlocality.behaviour_from_counts``."""
     _fields(obj, "counts", ("counts",))
     try:
-        arr = np.asarray(obj["counts"], dtype=np.int64)
+        return np.asarray(obj["counts"], dtype=np.int64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"counts: not integer ({exc})") from exc
-    if arr.ndim != 4:
-        raise ValidationError(f"counts: expected 4 axes, got {arr.ndim}")
-    if np.any(arr < 0):
-        raise ValidationError("counts: negative entries")
-    empty = np.argwhere(arr.sum(axis=(2, 3)) == 0)
-    if len(empty):
-        x, y = empty[0]
-        raise ValidationError(f"counts[{x}][{y}]: the slice has no counts")
-    return arr
-
-
-_TO_DICT = {MeasurementSet: measurements_to_dict,
-            Assemblage: assemblage_to_dict,
-            Behaviour: behaviour_to_dict}
 
 
 def object_to_dict(obj) -> dict:
-    for cls, fn in _TO_DICT.items():
-        if isinstance(obj, cls):
-            out = fn(obj)
-            out["type"] = cls.__name__.lower()
-            return out
-    raise ValidationError(f"unsupported object type {type(obj).__name__}")
+    if not isinstance(obj, (MeasurementSet, Assemblage, Behaviour)):
+        raise ValidationError(f"unsupported object type {type(obj).__name__}")
+    out = behaviour_to_dict(obj) if isinstance(obj, Behaviour) else grid_to_dict(obj)
+    out["type"] = type(obj).__name__.lower()
+    return out
+
+
+# each type's reader, after the field that marks an untyped object of it
+_READERS = {"measurementset": ("effects", lambda obj: grid_from_dict(MeasurementSet, obj)),
+            "assemblage": ("members", lambda obj: grid_from_dict(Assemblage, obj)),
+            "behaviour": ("table", behaviour_from_dict)}
 
 
 def object_from_dict(obj: dict):
     _fields(obj, "top level", ())
     kind = obj.get("type")
-    if kind == "measurementset":
-        return measurements_from_dict(obj)
-    if kind == "assemblage":
-        return assemblage_from_dict(obj)
-    if kind == "behaviour":
-        return behaviour_from_dict(obj)
+    if isinstance(kind, str) and kind in _READERS:
+        return _READERS[kind][1](obj)
     if "counts" in obj:
         return counts_from_dict(obj)
-    # untyped: guess by fields
-    if "effects" in obj:
-        return measurements_from_dict(obj)
-    if "members" in obj:
-        return assemblage_from_dict(obj)
-    if "table" in obj:
-        return behaviour_from_dict(obj)
+    for key, read in _READERS.values():       # untyped: guess by fields
+        if key in obj:
+            return read(obj)
     raise ValidationError("unrecognized object (no type field or known fields)")
 
 

@@ -161,6 +161,32 @@ def test_sweep_command_refuses_parameters_outside_the_family(tmp_path, spec):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"alice": {"family": "nope"}}, "alice"),
+    ({"alice": {"family": "lossy", "base": {"family": "paulis"},
+                "etas": [0.5, 0.5, 2.0]}}, "alice"),
+    ({"alice": {"family": "bloch", "vectors": [[1, 0, 1]]}}, "alice"),
+    ({"kinds": ["SR_red", "NOPE"]}, "kinds"),
+    ({"kinds": ["NLR_mar", "NLR_c"], "scenario": "nonlocality", "level": 3}, "level")])
+def test_sweep_command_refuses_a_bad_field_before_solving(tmp_path, spec, field):
+    spec = {"state_family": "werner", "grid": [0.2, 0.5], "kinds": ["SR_red"], **spec}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_path = tmp_path / "out.csv"
+    res = CliRunner().invoke(main, ["sweep", "-s", str(spec_path), "-o", str(out_path)])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == "" and res.stderr.startswith(f"error: {field}: ")
+    assert not out_path.exists()
+
+
+def test_reproduce_table1_refuses_a_malformed_history(tmp_path):
+    (tmp_path / "table1_deviations.json").write_text("[1, 2]")
+    res = CliRunner().invoke(main, ["reproduce", "table1", "-d", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == "" and "table1_deviations.json: not a table-1" in res.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["table1_deviations.json"]
+
+
 def test_seesaw_command_deterministic(tmp_path):
     runner = CliRunner()
     args = ["seesaw", "-t", str(np.pi / 4), "-k", "NLR_mar", "-r", "1",

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -50,7 +51,40 @@ def test_sweep_spec_refuses_parameters_outside_the_family(obj, field):
 
 def test_sweep_spec_takes_the_ends_of_each_range():
     assert ex.SweepSpec("werner", [0.0, 1.0], ["SR_red"], psi="singlet").grid[-1] == 1.0
-    assert ex.SweepSpec("pure_theta", [0.1, np.pi / 4], ["NLR_mar"]).grid[-1] == np.pi / 4
+    assert ex.SweepSpec("pure_theta", [0.1, np.pi / 4], ["NLR_mar"],
+                        scenario="nonlocality").grid[-1] == np.pi / 4
+
+
+SPEC = {"state_family": "werner", "grid": [0.2, 0.5], "kinds": ["SR_red"]}
+NONLOCAL_SPEC = {**SPEC, "kinds": ["NLR_mar", "NLR_c"], "scenario": "nonlocality"}
+BAD_SPECS = [
+    ({**SPEC, "alice": {"family": "nope"}}, "alice"),
+    ({**SPEC, "alice": {"family": "lossy", "base": {"family": "paulis"},
+                        "etas": [0.5, 0.5, 2.0]}}, "alice"),
+    ({**SPEC, "alice": {"family": "bloch", "vectors": [[1, 0, 1]]}}, "alice"),
+    ({**NONLOCAL_SPEC, "bob": {"family": "bloch", "vectors": [[1, 0, 1]]}}, "bob"),
+    ({**SPEC, "kinds": ["SR_red", "NOPE"]}, "kinds"),
+    ({**SPEC, "kinds": ["NLR_mar"]}, "kinds"),       # not a steering kind
+    ({**NONLOCAL_SPEC, "level": 3}, "level"),
+]
+
+
+@pytest.mark.parametrize("obj, field", BAD_SPECS)
+def test_sweep_spec_is_refused_before_any_solve(monkeypatch, obj, field):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a point of a bad spec was solved")
+
+    monkeypatch.setattr(ex.st, "steering_quantifier", no_solve)
+    monkeypatch.setattr(ex.nl, "nonlocality_quantifier", no_solve)
+    with pytest.raises(ValidationError, match=f"^{field}: "):
+        ex.sweep(ex.SweepSpec.from_dict(obj))
+
+
+def test_sweep_spec_builds_its_measurement_sets():
+    spec = ex.SweepSpec.from_dict({**NONLOCAL_SPEC, "alice": {"family": "paulis",
+                                                              "which": "XZ"}})
+    assert (spec.alice.m, spec.bob.m) == (2, 2)
+    assert spec.bob.effects.shape == (2, 2, 2, 2)
 
 
 def test_werner_refuses_an_unknown_psi():
@@ -190,6 +224,39 @@ def test_figure_csv_holds_the_sweep(tmp_path, fig, kwargs, kinds):
     assert [float(r[0]) for r in rows[1:]] == sorted(want)
     for r in rows[1:]:
         assert [float(x) for x in r[1:]] == [want[float(r[0])][k] for k in kinds]
+
+
+def _table1_row_unsolved(name):
+    """A table-1 row with one quantity, made without a solve."""
+    return {"row": name, "status": "complete", "values": {"SRc": 7.5e-3},
+            "deviations": {"SRc": 1e-4}}
+
+
+def test_table1_history_feeds_the_regression_alert(tmp_path, monkeypatch):
+    monkeypatch.setattr(ex, "_table1_row", _table1_row_unsolved)
+    assert ex.reproduce("table1", tmp_path)["regression_alerts"] == []
+    path = tmp_path / "table1_deviations.json"
+    history = json.loads(path.read_text())
+    history["wittmann"]["deviations"]["SRc"] = 1e-6
+    path.write_text(json.dumps(history))
+    alerts = ex.reproduce("table1", tmp_path)["regression_alerts"]
+    assert len(alerts) == 1 and alerts[0].startswith("wittmann.SRc: deviation")
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]", "{oops", '{"wittmann": [1]}', '{"wittmann": {}}',
+    '{"wittmann": {"deviations": {"SRc": "x"}}}',
+    '{"wittmann": {"deviations": [1e-3]}}'])
+def test_table1_refuses_a_malformed_history_before_solving(tmp_path, monkeypatch, text):
+    def no_solve(name):
+        raise AssertionError("a row was solved before the history was read")
+
+    monkeypatch.setattr(ex, "_table1_row", no_solve)
+    path = tmp_path / "table1_deviations.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
+        ex.reproduce("table1", tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["table1_deviations.json"]
 
 
 def test_reproduce_table2_refused(tmp_path):

@@ -8,7 +8,7 @@ from corrquant import nonlocality as nl
 from corrquant import npa
 from corrquant import scenario as sc
 from corrquant.cg import CgLayout, strategy_cg_matrix
-from corrquant.errors import SignallingError, StrategyCapExceeded
+from corrquant.errors import SignallingError, StrategyCapExceeded, ValidationError
 
 
 def isotropic_chsh(v):
@@ -290,6 +290,17 @@ def test_behaviour_from_counts():
     assert beh.signalling            # finite statistics always signal a bit
     proj = nl.ns_project(beh.table)
     assert proj.behaviour.signalling_deviation < 1e-10
+
+
+@pytest.mark.parametrize("cell, value, message", [
+    ((0, 1, 1, 0), -3, r"^counts: negative entries$"),
+    ((1, 0), 0, r"^counts\[1\]\[0\]: the slice has no counts$")],
+    ids=["negative", "empty slice"])
+def test_behaviour_from_counts_refuses_a_bad_table(cell, value, message):
+    counts = np.full((2, 2, 2, 2), 10)
+    counts[cell] = value
+    with pytest.raises(ValidationError, match=message):
+        nl.behaviour_from_counts(counts)
 
 
 def test_pin_party_configurable():

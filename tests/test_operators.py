@@ -31,6 +31,17 @@ def test_hermitize_invariants():
         op.hermitize(np.zeros((2, 3)))
 
 
+def test_hermitize_names_the_first_bad_matrix():
+    with pytest.raises(NotHermitian, match=r"^asymmetry 1\.000e\+00 exceeds"):
+        op.hermitize([[0, 1], [0, 0]])
+    grid = np.zeros((2, 3, 2, 2), dtype=complex)
+    grid[1, 2, 0, 1] = 0.5
+    grid[1, 0, 1, 0] = 1e-9             # within the tolerance
+    grid[1, 1, 1, 0] = 0.1
+    with pytest.raises(NotHermitian, match=r"^\[1, 1\]: asymmetry 1\.000e-01 exceeds"):
+        op.hermitize(grid)
+
+
 def test_tensor_identity_cases():
     assert np.allclose(op.tensor(op.I2, op.I2), np.eye(4))
     assert np.allclose(op.tensor(op.SZ, op.I2), np.diag([1, 1, -1, -1]))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from corrquant import scenario as sc
 from corrquant.errors import (
     DimensionMismatch,
     InconsistentAssemblage,
+    NotHermitian,
     NotPositiveSemidefinite,
     StrategyCapExceeded,
 )
@@ -270,3 +272,55 @@ def test_steer_pipeline_invariants():
         asm = sc.steer(state, ms)        # constructor validates invariants
         beh = sc.measure(asm, random_povm_set(2, 2, 2, rng))
         assert beh.signalling_deviation < 1e-12
+
+
+# each operator-grid way in: constructor, grid of scaled identities it
+# accepts, its block name, the attribute holding the grid, and two blocks
+# whose sum over outcomes (or strategies) a one-sided off-diagonal leaves
+# unchanged
+GRIDS = [
+    pytest.param(sc.MeasurementSet, np.eye(2) / 2, (2, 2), "effect", "effects",
+                 ((1, 0), (1, 1)), id="MeasurementSet"),
+    pytest.param(sc.Assemblage, np.eye(2) / 4, (2, 2), "member", "members",
+                 ((1, 0), (1, 1)), id="Assemblage"),
+    pytest.param(lambda g: sc.ParentPovm(g, (2, 2)), np.eye(2) / 4, (4,), "effect",
+                 "effects", ((1,), (2,)), id="ParentPovm"),
+    pytest.param(lambda g: sc.LhsModel(g, (2, 2)), np.eye(2) / 8, (4,), "state",
+                 "states", ((1,), (2,)), id="LhsModel"),
+]
+
+
+def _grid(block, lead):
+    return np.broadcast_to(block, lead + (2, 2)).astype(complex)
+
+
+@pytest.mark.parametrize("make, block, lead, what, attr, pair", GRIDS)
+def test_non_hermitian_block_is_refused_by_name(make, block, lead, what, attr, pair):
+    # [[s, 0.8 s], [0, s]] is PSD once symmetrized and the pair's sum is
+    # unchanged, so only the Hermitian check can refuse it
+    grid = _grid(block, lead)
+    grid[pair[0]][0, 1] += 0.8 * block[0, 0]
+    grid[pair[1]][0, 1] -= 0.8 * block[0, 0]
+    name = re.escape(f"{what}{list(pair[0])}")
+    with pytest.raises(NotHermitian, match=rf"^{name}: asymmetry"):
+        make(grid)
+
+
+@pytest.mark.parametrize("make, block, lead, what, attr, pair", GRIDS)
+def test_operator_grid_is_a_read_only_copy(make, block, lead, what, attr, pair):
+    grid = _grid(block, lead)
+    obj = make(grid)
+    stored = getattr(obj, attr)
+    with pytest.raises(ValueError, match="read-only"):
+        stored[pair[0]] = 0.0
+    grid[...] = 0.0                      # the caller's array stays its own
+    assert np.array_equal(stored, _grid(block, lead))
+
+
+def test_local_model_weights_are_a_read_only_copy():
+    w = np.full((4, 4), 1 / 16)
+    model = sc.LocalModel(w, (2, 2, 2, 2))
+    with pytest.raises(ValueError, match="read-only"):
+        model.weights[0, 0] = 0.0
+    w[0, 0] = 1.0
+    assert model.weights[0, 0] == 1 / 16

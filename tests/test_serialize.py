@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_counts_loading(tmp_path):
 
 def test_non_hermitian_rejected_with_path(tmp_path):
     ms = sc.paulis("XZ")
-    obj = serialize.measurements_to_dict(ms)
+    obj = serialize.grid_to_dict(ms)
     obj["effects"][1][0][0][1] = [0.5, 0.4]    # break hermiticity hard
     obj["type"] = "measurementset"
     path = tmp_path / "bad.json"
@@ -112,3 +113,29 @@ def test_top_level_must_be_an_object(tmp_path, top):
     with pytest.raises(ValidationError) as err:
         serialize.load(path)
     assert "expected a JSON object" in str(err.value)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _saved_objects():
+    tab = np.full((2, 2, 2, 2), 0.25)
+    tab[0, 0] = [[0.6, 0.2], [0.1, 0.1]]
+    return {
+        "measurements": sc.lossy(sc.paulis("XY"),
+                                 (0.3817263546172635, 0.9123456789012345)),
+        "assemblage": sc.steer(sc.werner(0.87654321), sc.paulis("XZ")),
+        "behaviour": sc.Behaviour(tab),
+    }
+
+
+@pytest.mark.parametrize("name", ["measurements", "assemblage", "behaviour"])
+def test_save_writes_the_committed_bytes(tmp_path, name):
+    # tests/data/saved_<name>.json holds the bytes an earlier writer gave
+    # for these objects; writing them, or reading and rewriting the file,
+    # gives the same bytes
+    want = (DATA / f"saved_{name}.json").read_bytes()
+    serialize.save(tmp_path / "now.json", _saved_objects()[name])
+    assert (tmp_path / "now.json").read_bytes() == want
+    serialize.save(tmp_path / "again.json", serialize.load(DATA / f"saved_{name}.json"))
+    assert (tmp_path / "again.json").read_bytes() == want
