@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import pathlib
 import time
 from dataclasses import dataclass, field
 
@@ -33,7 +34,6 @@ from .scenario import (
     dodecahedron,
     lossy,
     make_measurements,
-    make_state,
     measure,
     paulis,
     pure_theta,
@@ -160,36 +160,33 @@ class SweepResult:
         return buf.getvalue()
 
 
-def _evaluate_point(spec: SweepSpec, param: float, kind: str) -> float:
-    if spec.state_family == "werner":
-        state = werner(param, psi=spec.psi)
-    else:
-        state = make_state({"family": "pure_theta", "theta": param})
-    asm = steer(state, spec.alice)
-    if spec.scenario == "steering":
-        return st.steering_quantifier(asm, kind).value
-    beh = measure(asm, spec.bob)
-    return nl.nonlocality_quantifier(beh, kind, level=spec.level).value
-
-
 def sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the grid and report thresholds and linearity diagnostics.
 
-    Grid points are evaluated one after another, in grid order.
+    Grid points are evaluated one after another, in grid order: each
+    point's assemblage (and, for nonlocality, its behaviour) is built
+    once and every kind is solved on it, in the order of ``spec.kinds``.
     ``workers`` is accepted for compatibility and ignored: the solves are
     small and spend most of their time in Python, which holds the GIL,
     so a thread pool measured slower than the serial loop on 2 cores.
     """
-    jobs = [(float(param), kind) for param in spec.grid for kind in spec.kinds]
-    results = [_evaluate_point(spec, p, k) for p, k in jobs]
     rows = []
-    values = {kind: [] for kind in spec.kinds}
-    for (param, kind), val in zip(jobs, results):
-        rows.append((param, kind, val))
-        values[kind].append(val)
+    for param in spec.grid:
+        param = float(param)
+        state = (werner(param, psi=spec.psi) if spec.state_family == "werner"
+                 else pure_theta(param))
+        asm = steer(state, spec.alice)
+        if spec.scenario == "steering":
+            rows += [(param, kind, st.steering_quantifier(asm, kind).value)
+                     for kind in spec.kinds]
+        else:
+            beh = measure(asm, spec.bob)
+            rows += [(param, kind,
+                      nl.nonlocality_quantifier(beh, kind, level=spec.level).value)
+                     for kind in spec.kinds]
     thresholds, lindev = {}, {}
     for kind in spec.kinds:
-        vals = np.asarray(values[kind])
+        vals = np.asarray([val for _, k, val in rows if k == kind])
         below = spec.grid[vals < THRESHOLD_EPS]
         thresholds[kind] = float(below[-1]) if below.size else float("nan")
         above = vals >= THRESHOLD_EPS
@@ -258,8 +255,9 @@ def seesaw_optimize(theta: float, kind, restarts: int = 3, seed: int = 0,
     asm = steer(state, alice)
     rng = np.random.default_rng(seed)
 
+    restarts = max(1, restarts)
     best: SeesawOutcome | None = None
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         if restart == 0:
             bob = bloch_measurements(CHSH_BOB)
         else:
@@ -271,27 +269,40 @@ def seesaw_optimize(theta: float, kind, restarts: int = 3, seed: int = 0,
         for _ in range(SEESAW_ROUNDS):
             beh = measure(asm, bob)
             res = nl.nonlocality_quantifier(beh, kind, level=level)
-            if res.value <= current + SEESAW_TOL:
-                state_rec.converged = True
-                if res.value > current:
-                    current = res.value
-                    state_rec.bob = bob
-                    state_rec.history.append(res.value)
+            # a round that gains is kept; one gaining at most SEESAW_TOL ends
+            state_rec.converged = res.value <= current + SEESAW_TOL
+            if res.value > current:
+                current = res.value
+                state_rec.bob = bob
+                state_rec.history.append(res.value)
+            if state_rec.converged:
                 break
-            current = res.value
-            state_rec.bob = bob
-            state_rec.history.append(res.value)
             bob = _bob_update(res.inequality.coefficients, asm.members)
         if best is None or current > best.value:
             best = SeesawOutcome(value=current, bob=state_rec.bob,
-                                 state=state_rec, restarts=restart + 1)
-    best.restarts = max(1, restarts)
+                                 state=state_rec, restarts=restarts)
     return best
 
 
 # ---------------------------------------------------------------------------
 # reproduction targets
 # ---------------------------------------------------------------------------
+
+def _quantity(label: str, meas: MeasurementSet, asm=None) -> float:
+    """The paper's quantity ``label``: an incompatibility quantifier (IR,
+    IRr, IRjm, IW) of ``meas``, or a steering quantifier (SRc, SRred,
+    SWc) of ``asm``."""
+    try:
+        kind = parse_kind(ic.IncompatKind, label, ic._ALIASES)
+    except ValidationError:
+        return st.steering_quantifier(asm, label).value
+    return ic.incompatibility_quantifier(meas, kind).value
+
+
+def _table1_labels(ref: dict) -> list:
+    """The quantities of a REFERENCE_TABLE1 row, in the paper's order."""
+    return [label for label in ref if label != "params"]
+
 
 def _table1_row(name: str) -> dict:
     ref = REFERENCE_TABLE1[name]
@@ -304,19 +315,11 @@ def _table1_row(name: str) -> dict:
     asm = steer(state, meas)
     out = {"row": name, "status": "complete", "values": {}, "deviations": {}}
     start = time.monotonic()
-    jobs = [
-        ("IR", lambda: ic.incompatibility_quantifier(meas, "robustness").value),
-        ("IRr", lambda: ic.incompatibility_quantifier(meas, "random_robustness").value),
-        ("IW", lambda: ic.incompatibility_quantifier(meas, "weight").value),
-        ("SRc", lambda: st.steering_quantifier(asm, "SR_c").value),
-        ("SRred", lambda: st.steering_quantifier(asm, "SR_red").value),
-        ("SWc", lambda: st.steering_quantifier(asm, "SW_c").value),
-    ]
-    for label, job in jobs:
+    for label in _table1_labels(ref):
         if time.monotonic() - start > TABLE1_BUDGET_S:
             out["status"] = "partial"
             break
-        val = job()
+        val = _quantity(label, meas, asm)
         out["values"][label] = val
         out["deviations"][label] = abs(val - ref[label])
     return out
@@ -327,7 +330,7 @@ def _table1_markdown(rows: list) -> str:
              "|---|---|---|---|---|"]
     for row in rows:
         ref = REFERENCE_TABLE1[row["row"]]
-        for label in ("IR", "IRr", "IW", "SRc", "SRred", "SWc"):
+        for label in _table1_labels(ref):
             if label not in row["values"]:
                 lines.append(f"| {row['row']} | {label} | (not computed: "
                              f"{row['status']}) | {ref[label]:.4e} | |")
@@ -375,8 +378,6 @@ def reproduce_table1(outdir, extended: bool = False) -> dict:
     failing.  The deviations of an earlier run are read before the first
     solve, and a malformed file is refused then.
     """
-    import pathlib
-
     outdir = pathlib.Path(outdir)
     dev_path = outdir / "table1_deviations.json"
     previous = _read_deviations(dev_path)
@@ -421,55 +422,44 @@ def _write_sweep_csv(path, kinds, note: str, res: SweepResult) -> str:
                        for param in sorted(by_param)])
 
 
+def _werner_figure(name: str, outdir, num: int, kinds: list, scenario: str,
+                   alice: str, labels: tuple, note, level: int = 2) -> dict:
+    """Sweep ``kinds`` over Werner visibility with Alice's Paulis
+    ``alice``, take the dashed values ``labels`` of that sharp set, and
+    write ``<name>.csv`` under the line ``note(dashed)``."""
+    spec = SweepSpec(state_family="werner", grid=np.linspace(0.0, 1.0, num),
+                     kinds=kinds, scenario=scenario, level=level,
+                     alice={"family": "paulis", "which": alice})
+    res = sweep(spec)
+    dashed = {label: _quantity(label, spec.alice) for label in labels}
+    path = _write_sweep_csv(pathlib.Path(outdir) / f"{name}.csv", kinds,
+                            note(dashed), res)
+    return {"sweep": res, "dashed": dashed, "files": [path]}
+
+
 def reproduce_fig1(outdir, num: int = 41) -> dict:
     """Consistent steering quantifiers vs Werner visibility, plus the
     constant incompatibility values of the sharp X, Y, Z set."""
-    import pathlib
-
-    spec = SweepSpec(state_family="werner", grid=np.linspace(0.0, 1.0, num),
-                     kinds=["SR_c", "SR_red", "SW_c"], scenario="steering")
-    res = sweep(spec)
-    meas = paulis("XYZ")
-    dashed = {
-        "IR": ic.incompatibility_quantifier(meas, "robustness").value,
-        "IRr": ic.incompatibility_quantifier(meas, "random_robustness").value,
-        "IW": ic.incompatibility_quantifier(meas, "weight").value,
-    }
-    path = _write_sweep_csv(
-        pathlib.Path(outdir) / "fig1.csv", spec.kinds,
-        f"incompatibility values: IR={dashed['IR']!r} IRr={dashed['IRr']!r} "
-        f"IW={dashed['IW']!r}", res)
-    return {"sweep": res, "dashed": dashed, "files": [path]}
+    return _werner_figure(
+        "fig1", outdir, num, ["SR_c", "SR_red", "SW_c"], "steering", "XYZ",
+        ("IR", "IRr", "IW"), lambda dashed: "incompatibility values: " + " ".join(
+            f"{label}={val!r}" for label, val in dashed.items()))
 
 
 def reproduce_fig2(outdir, num: int = 21, level: int = 2) -> dict:
     """Consistent nonlocality quantifiers vs Werner visibility for the
     CHSH configuration, plus the incompatibility values of sharp X, Z."""
-    import pathlib
-
-    kinds = ["NLR_c", "NLR_mar", "NLR_c_lhv", "NLW_c"]
-    spec = SweepSpec(state_family="werner", grid=np.linspace(0.0, 1.0, num),
-                     kinds=kinds, scenario="nonlocality", level=level)
-    res = sweep(spec)
-    meas = paulis("XZ")
-    dashed = {
-        "IR": ic.incompatibility_quantifier(meas, "robustness").value,
-        "IRr": ic.incompatibility_quantifier(meas, "random_robustness").value,
-        "IRjm": ic.incompatibility_quantifier(meas, "jm_robustness").value,
-        "IW": ic.incompatibility_quantifier(meas, "weight").value,
-    }
-    path = _write_sweep_csv(pathlib.Path(outdir) / "fig2.csv", kinds,
-                            f"incompatibility values of the fixed pair: {dashed!r}",
-                            res)
-    return {"sweep": res, "dashed": dashed, "files": [path]}
+    return _werner_figure(
+        "fig2", outdir, num, ["NLR_c", "NLR_mar", "NLR_c_lhv", "NLW_c"],
+        "nonlocality", "XZ", ("IR", "IRr", "IRjm", "IW"),
+        lambda dashed: f"incompatibility values of the fixed pair: {dashed!r}",
+        level=level)
 
 
 def reproduce_fig3(outdir, num: int = 7, restarts: int = 2, seed: int = 7,
                    level: int = 2) -> dict:
     """See-saw-optimized consistent nonlocality quantifiers vs the
     pure-state angle theta."""
-    import pathlib
-
     thetas = np.linspace(np.pi / 16, np.pi / 4, num)
     rows = []
     for theta in thetas:

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .conic import ConicSolution
-from .decomposition import (max_margin, parse_kind, quantify, reconstruct,
+from .decomposition import (TINY, max_margin, parse_kind, quantify, reconstruct,
                             strategy_bound)
 from .scenario import MeasurementSet, ParentPovm
 
@@ -126,7 +126,7 @@ def mixture(measurements: MeasurementSet, noise: np.ndarray,
 def weight_remainder(measurements: MeasurementSet, generic: np.ndarray,
                      t: float) -> MeasurementSet:
     """N = (M - t O)/(1 - t), the JM part of the weight decomposition."""
-    if 1 - t < 1e-9:
+    if 1 - t < TINY:
         d = measurements.d
         return MeasurementSet(np.broadcast_to(
             np.eye(d) / measurements.n,

@@ -255,6 +255,9 @@ def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
     pin: "B" (default, estimating Alice's incompatibility) or "A".
     """
     kind = parse_kind(NonlocalityKind, kind, {})
+    # the NPA template refuses a level it has no relaxation for; every
+    # kind takes ``level``, so every kind is refused it
+    build_npa_block(_scenario(b), level)
     if pin_party not in ("A", "B"):
         raise ValueError(f"pin_party must be 'A' or 'B', got {pin_party!r}")
     if pin_party == "A":

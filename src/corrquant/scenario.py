@@ -178,7 +178,7 @@ class Behaviour:
         if np.min(tab) < -1e-12:
             raise ValueError(f"negative probability {np.min(tab):.3e}")
         norms = tab.sum(axis=(2, 3))
-        if np.max(np.abs(norms - 1)) > 1e-9:
+        if np.max(np.abs(norms - 1)) > SUM_TOL:
             raise ValueError(
                 f"slice normalization off by {np.max(np.abs(norms - 1)):.2e}")
         # no-signalling deviation, both directions
@@ -268,9 +268,9 @@ class LocalModel:
         lb = strategy_count(self.mB, self.nB)
         if w.shape != (la, lb):
             raise DimensionMismatch(f"weights must be ({la}, {lb}), got {w.shape}")
-        if np.min(w) < -1e-9:
+        if np.min(w) < -PSD_TOL:
             raise ValueError(f"negative weight {np.min(w):.3e}")
-        if abs(w.sum() - 1) > 1e-9:
+        if abs(w.sum() - 1) > SUM_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
         w.setflags(write=False)
         self.weights = w
@@ -289,7 +289,7 @@ class LhsModel:
         st = _operator_grid(states, (strategy_count(self.m, self.n), "d", "d"),
                             what="state")
         tr = np.einsum("lii->", st).real
-        if abs(tr - 1) > 1e-9:
+        if abs(tr - 1) > SUM_TOL:
             raise ValueError(f"model trace {tr!r} is not 1")
         self.states = st
 

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .conic import ConicSolution
-from .decomposition import (max_margin, parse_kind, quantify, reconstruct,
+from .decomposition import (TINY, max_margin, parse_kind, quantify, reconstruct,
                             strategy_bound)
 from .scenario import Assemblage, LhsModel, reduced_state
 
@@ -142,7 +142,7 @@ def lhs_mixture(assemblage: Assemblage, noise: np.ndarray, s: float) -> Assembla
 def weight_remainder(assemblage: Assemblage, noise: np.ndarray,
                      s: float) -> Assemblage:
     """gamma = (sigma - s*pi)/(1-s), the LHS part of the weight split."""
-    if 1 - s < 1e-9:
+    if 1 - s < TINY:
         d = assemblage.dB
         grid = np.broadcast_to(np.eye(d) / (assemblage.n * d),
                                (assemblage.m, assemblage.n, d, d))

@@ -88,6 +88,8 @@ def test_validation_exit_code(tmp_path):
     (sc.paulis("XZ"), ["quantify", "incompat", "-k", "bogus"]),
     (sc.paulis("XZ"), ["certificate", "-k", "bogus"]),
     (CHSH, ["quantify", "nonlocal", "-k", "NLR", "-l", "3"]),
+    (CHSH, ["quantify", "nonlocal", "-k", "NLR_mar", "-l", "3"]),
+    (CHSH, ["certificate", "-k", "NLR_c_lhv", "-l", "3"]),
 ])
 def test_unknown_kind_or_level_exits_2(tmp_path, obj, args):
     path = tmp_path / "obj.json"
@@ -95,6 +97,16 @@ def test_unknown_kind_or_level_exits_2(tmp_path, obj, args):
     res = CliRunner().invoke(main, args + ["-i", str(path)])
     assert res.exit_code == 2, res.output
     assert "error:" in res.output
+
+
+@pytest.mark.parametrize("kind", ["NLR_mar", "NLR_lhv", "NLR_c_lhv"])
+def test_seesaw_refuses_an_unsupported_level(kind):
+    # the linear-program kinds build no moment matrix, and are refused too
+    res = CliRunner().invoke(main, ["seesaw", "-t", "0.5", "-k", kind,
+                                    "-l", "7", "-r", "1"])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert "error: unsupported level 7 (only 1 and 2)" in res.stderr
 
 
 # spellings the per-domain parsers accepted, with the kind each gave

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -137,6 +138,26 @@ def test_seesaw_nlw_c_is_one_at_pi4():
     assert abs(out.value - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("last, kept", [
+    (0.6 + ex.SEESAW_TOL / 2, True),     # gains, but at most SEESAW_TOL
+    (0.6, False),                        # gains nothing
+    (0.6 - 1e-3, False)])                # loses
+def test_seesaw_last_round(monkeypatch, last, kept):
+    values = iter([0.5, 0.6, last])
+    coefficients = np.arange(16.0).reshape(2, 2, 2, 2)
+
+    def stub(beh, kind, level):
+        return SimpleNamespace(value=next(values),
+                               inequality=SimpleNamespace(coefficients=coefficients))
+
+    monkeypatch.setattr(ex.nl, "nonlocality_quantifier", stub)
+    out = ex.seesaw_optimize(np.pi / 6, "NLR_mar", restarts=1)
+    assert out.state.converged
+    assert out.state.history == [0.5, 0.6] + [last] * kept
+    assert out.value == out.state.history[-1]
+    assert out.restarts == 1
+
+
 def test_seesaw_restarts_monotone():
     v1 = ex.seesaw_optimize(np.pi / 6, "NLR_mar", restarts=1, seed=5).value
     v3 = ex.seesaw_optimize(np.pi / 6, "NLR_mar", restarts=3, seed=5).value
@@ -206,6 +227,11 @@ def test_reproduce_fig2_endpoints_match_incompat(tmp_path):
                - ic.incompatibility_quantifier(meas, "weight").value) < 1e-4
 
 
+# each figure's note line, formatted with its dashed values
+FIGURE_NOTES = {"fig1": "incompatibility values: IR={IR!r} IRr={IRr!r} IW={IW!r}",
+                "fig2": "incompatibility values of the fixed pair: {dashed!r}"}
+
+
 @pytest.mark.parametrize("fig, kwargs, kinds", [
     ("fig1", {"num": 5}, ["SR_c", "SR_red", "SW_c"]),
     ("fig2", {"num": 3, "level": 2}, ["NLR_c", "NLR_mar", "NLR_c_lhv", "NLW_c"]),
@@ -215,7 +241,8 @@ def test_figure_csv_holds_the_sweep(tmp_path, fig, kwargs, kinds):
     assert out["files"] == [str(tmp_path / f"{fig}.csv")]
     lines = (tmp_path / f"{fig}.csv").read_text().splitlines()
     assert lines[0] == f"# columns: v, {', '.join(kinds)}"
-    assert lines[1].startswith("# incompatibility values")
+    dashed = out["dashed"]
+    assert lines[1] == "# " + FIGURE_NOTES[fig].format(dashed=dashed, **dashed)
     rows = list(csv.reader(lines[2:]))
     assert rows[0] == ["v"] + kinds
     want = {}
@@ -262,6 +289,31 @@ def test_table1_refuses_a_malformed_history_before_solving(tmp_path, monkeypatch
 def test_reproduce_table2_refused(tmp_path):
     with pytest.raises(ValidationError):
         ex.reproduce("table2", tmp_path)
+
+
+@pytest.mark.parametrize("spec", [
+    ex.SweepSpec("werner", [0.3, 0.6, 0.9], ["SR_red", "SR_c"]),
+    ex.SweepSpec("pure_theta", [0.3, 0.6], ["NLR_mar", "NLR_c"],
+                 scenario="nonlocality", level=1)])
+def test_sweep_builds_each_grid_point_once(monkeypatch, spec):
+    built = {"steer": 0, "measure": 0}
+
+    def spy(name):
+        real = getattr(ex, name)
+
+        def counted(*args, **kwargs):
+            built[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in built:
+        monkeypatch.setattr(ex, name, spy(name))
+    res = ex.sweep(spec)
+    assert built == {"steer": spec.grid.size,
+                     "measure": spec.grid.size * (spec.scenario == "nonlocality")}
+    # every kind still runs at every point, in grid order, then kind order
+    assert [row[:2] for row in res.rows] == [
+        (float(p), k) for p in spec.grid for k in spec.kinds]
 
 
 def test_sweep_workers_deterministic():

@@ -97,6 +97,20 @@ def test_signalling_rejected():
         nl.is_local(beh)
 
 
+@pytest.mark.parametrize("kind", list(nl.NonlocalityKind))
+@pytest.mark.parametrize("pin_party", ["B", "A"])
+def test_every_kind_refuses_an_unsupported_level(kind, pin_party):
+    # the level is checked before the behaviour: a signalling one is
+    # refused for its level, not for signalling
+    tab = np.full((2, 2, 2, 2), 0.25)
+    tab[0, 0] = [[0.6, 0.2], [0.1, 0.1]]
+    for beh in (isotropic_chsh(1.0), sc.Behaviour(tab)):
+        for level in (0, 3, 7):
+            with pytest.raises(ValidationError,
+                               match=rf"^unsupported level {level} \(only 1 and 2\)$"):
+                nl.nonlocality_quantifier(beh, kind, level=level, pin_party=pin_party)
+
+
 def test_pair_cap_checked_before_strategy_matrix(monkeypatch):
     # 4 strategies per party fit a cap of 10, their 16 pairs do not: both
     # programs refuse before building the (16, 9) strategy matrix, and the
