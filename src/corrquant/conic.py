@@ -29,9 +29,10 @@ programs, which start at the floor) the solve spends its first
 iterations shrinking the primal residual.
 It reports primal-dual solutions with certified gaps, or an improving ray
 when the program is infeasible.  Each family is one cone to the solver:
-2x2 Hermitian blocks are the Lorentz cone Q^4 (the coordinate map is an
-isometry onto it), with a closed-form scaling, step length and Jordan
-algebra; larger Hermitian and all real symmetric blocks run the same
+2x2 Hermitian blocks are the Lorentz cone Q^4, with a closed-form
+scaling, step length and Jordan algebra, iterated in Q^4 coordinates (an
+isometry of the Hermitian ones, applied to c on entry and to x and s on
+exit); larger Hermitian and all real symmetric blocks run the same
 matrix code (Cholesky, SVD, eigenvalues), on complex or real arrays;
 nonnegative scalars are the orthant.
 
@@ -58,12 +59,15 @@ Each cone owns its columns of the row-equilibrated As and applies them
 itself: the iteration's products As v and As^T y and its dense Schur
 complement As Phi As^T (Phi is the NT scaling) are sums over the cones,
 so no sparse product runs inside the loop (the design of ECOS, Domahidi,
-Chu & Boyd, ECC 2013).  A 2x2 Hermitian family's products are P (U X)
-and U^T (P^T y), and its Schur term is one closed-form Phi_i per block
-summed against the weights U.  A run of consecutive 2x2 Hermitian
-families is one Lorentz cone, so its closed-form kernels run once per
-iteration over all its blocks.  Matrix families and scalars build their
-dense columns, on the rows they touch, as U[owner] (x) F per stacked row.
+Chu & Boyd, ECC 2013).  An iteration factors the Schur complement with one
+dpotrf and applies As and As^T four times each: once for its residuals,
+three times for its two directions (As^T dy is summed from the products
+that formed dx).  A 2x2 Hermitian family's products are P (U X) and
+U^T (P^T y), and its Schur term is one closed-form Phi_i per block summed
+against the weights U.  A run of consecutive 2x2 Hermitian families is
+one Lorentz cone, so its closed-form kernels run once per iteration over
+all its blocks.  Matrix families and scalars build their dense columns,
+on the rows they touch, as U[owner] (x) F per stacked row.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import SolverFailure
 from .operators import hermitize
@@ -306,13 +310,10 @@ class ConicProgram:
 
     # ---- coefficient expansion ---------------------------------------------
 
-    def _fam(self, name) -> _Family:
-        return self._families[name]
-
     def _expand_scalar_terms(self, row, terms):
         """Touches of scalar row ``row``, or objective costs (row None)."""
         for term in terms:
-            tag, fam = term[0], self._fam(term[1])
+            tag, fam = term[0], self._families[term[1]]
             weight = 1.0
             if tag == "lin":
                 if fam.kind not in ("nonneg", "free"):
@@ -365,7 +366,7 @@ class ConicProgram:
         ``add_scalar_row`` writes for ("mat", family, index, C_k), C_k the
         block with coordinates ``functionals[k]``, recorded as one touch."""
         self._freeze()
-        fam = self._fam(family)
+        fam = self._families[family]
         functionals = np.asarray(functionals, dtype=float)
         if functionals.shape != (len(names), fam.ncoords):
             raise ValueError(f"functionals must be shaped {(len(names), fam.ncoords)}")
@@ -394,7 +395,7 @@ class ConicProgram:
         row0 = self._nrows
         for term in terms:
             tag, famname, indices, arg = term
-            fam = self._fam(famname)
+            fam = self._families[famname]
             if tag in ("sum", "one"):
                 if fam.kind != "herm" or fam.dim != d:
                     raise ValueError(
@@ -446,7 +447,7 @@ class ConicProgram:
     def column_products(self, name: str, y: np.ndarray) -> np.ndarray:
         """A^T y on the blocks of matrix family ``name``, as (count,
         ncoords) coordinates, from its touches (no A is built)."""
-        rows, F, owner, U = self._fam(name).stacked()
+        rows, F, owner, U = self._families[name].stacked()
         z = np.zeros((len(U), F.shape[1]))
         np.add.at(z, owner, y[rows, None] * F)
         return U.T @ z
@@ -655,8 +656,9 @@ def duals_to_vec(prog: ConicProgram, duals: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # The HSD core sees each family as one cone on its slice ``sl`` of the
-# iterate.  ``scale(x, s)`` sets the NT scaling W at an iterate; the
-# other methods work in its scaled space, where lam = W^-1 x = W^T s:
+# iterate, in the cone's coordinates (:func:`_cone_coords`).  ``scale(x, s)``
+# sets the NT scaling W at an iterate; the other methods work in its
+# scaled space, where lam = W^-1 x = W^T s:
 #
 #   phi(v)             Phi v = W W^T v, on the slice
 #   to_scaled(dx, ds)  (W^-1 dx, W^T ds)
@@ -674,12 +676,8 @@ def duals_to_vec(prog: ConicProgram, duals: dict) -> np.ndarray:
 #   rmatvec(y)         its slice of As^T y, from the whole y
 #
 # ``scale()`` also stores every quantity of the scaling that these kernels
-# would otherwise recompute on each call, computed as they computed it, so
-# each floating-point operation runs once per iteration:
-#
-#   orthant            w^2 and lam^2
-#   Lorentz cone       beta^2, 1/beta, J v, lam o lam, |lam|^2 and 1/|lam|
-#   matrix cone        R^H, R^-H and lam^-1/2
+# would otherwise recompute on each call (w^2, J v, lam o lam, R^H, ...),
+# computed as they computed it, so each runs once per iteration.
 
 def _min_step(lmin) -> float:
     """Largest alpha with 1 + alpha * lmin >= 0 for every entry."""
@@ -753,10 +751,8 @@ class _Nonneg(_Dense):
 
 
 _R2 = np.sqrt(0.5)
-_JSIGN = np.array([1.0, -1.0, -1.0, -1.0])
-# J = diag(1, -1, -1, -1) of Q^4 in Hermitian coordinates: X -> adj(X)
-_JC = np.array([[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
-_NEG_JSIGN, _NEG_JC = -_JSIGN, -_JC
+_JSIGN = np.array([1.0, -1.0, -1.0, -1.0])    # J = diag(_JSIGN): X -> adj(X)
+_NEG_JSIGN = -_JSIGN
 
 
 def _q(v):
@@ -795,7 +791,7 @@ def _jordan(a, b):
 
 class _Lorentz:
     """A run of consecutive families of 2x2 Hermitian PSD blocks as the
-    Lorentz cone Q^4, in closed form.
+    Lorentz cone Q^4, in closed form, on Q^4 coordinates (:func:`_cone_coords`).
 
     The NT scaling is W = beta (2 v v^T - J) with v^T J v = 1 (Alizadeh &
     Goldfarb, Math. Prog. 95, 2003).  The scaled space holds Q^4
@@ -803,8 +799,8 @@ class _Lorentz:
     which the central X o S = mu 1 of 2x2 matrices reads x o s = 2 mu e.
 
     The run's columns are one matrix P on the rows they reach, family f
-    owning its columns ``cols`` of it (four per touch, filled from its
-    :meth:`_Family.stacked` functional rows) and its blocks ``blocks`` of
+    owning its columns ``cols`` of it (four per touch: its stacked
+    functional rows mapped by :func:`_q`) and its blocks ``blocks`` of
     the run, whose weights on those touches are U.
     """
 
@@ -816,11 +812,11 @@ class _Lorentz:
         block = col = 0
         for f, (rows, F, owner, U) in zip(fams, decoded):
             self.P[np.searchsorted(self.rows, rows)[:, None],
-                   col + 4 * owner[:, None] + np.arange(4)] = F / drow[rows, None]
+                   col + 4 * owner[:, None] + np.arange(4)] = _q(F) / drow[rows, None]
             cols = slice(col, col + 4 * len(U))
             self.parts.append((slice(block, block + f.count), cols, U))
             block, col = block + f.count, cols.stop
-        self.unit = np.tile([1.0, 1.0, 0.0, 0.0], block)
+        self.unit = np.tile([np.sqrt(2.0), 0.0, 0.0, 0.0], block)
 
     def matvec(self, v):
         X = v.reshape(-1, 4)
@@ -833,8 +829,7 @@ class _Lorentz:
                                for _, cols, U in self.parts])
 
     def scale(self, x, s):
-        xq = _q(x[self.sl].reshape(-1, 4))
-        sq = _q(s[self.sl].reshape(-1, 4))
+        xq, sq = x[self.sl].reshape(-1, 4), s[self.sl].reshape(-1, 4)
         nx, ns = _jnorm(xq), _jnorm(sq)
         xh, sh = xq / nx[:, None], sq / ns[:, None]
         gamma = np.sqrt((1 + np.einsum("ij,ij->i", xh, sh)) / 2)
@@ -854,26 +849,22 @@ class _Lorentz:
         lnorm = np.sqrt(nx * ns)
         self.lam = lam * lnorm[:, None]
         self.lam_sq, self.lnorm_sq = _jordan(self.lam, self.lam), lnorm ** 2
-        self.beta, self.v = np.sqrt(nx / ns), v
+        self.beta, self.v, self.w = np.sqrt(nx / ns), v, w
         self.beta2, self.beta_inv, self.vj = self.beta ** 2, 1 / self.beta, v * _JSIGN
         # u and 1/|lam| twice over: max_steps stacks its two operands
         self.u2 = np.concatenate([u, u])
         self.linv2 = np.tile(1 / lnorm, 2)
-        self.wc = _q(w)
 
     def phi(self, z):
-        # Phi = W^2 = beta^2 (2 w w^T - J), applied in Hermitian coordinates
-        z = z.reshape(-1, 4)
-        out = z @ _NEG_JC
-        out += 2 * self.wc * np.einsum("ij,ij->i", self.wc, z)[:, None]
-        return (out * self.beta2[:, None]).ravel()
+        # Phi = W^2 = beta^2 (2 w w^T - J)
+        return _hyperbolic(self.w, z.reshape(-1, 4), self.beta2).ravel()
 
     def to_scaled(self, dx, ds):
-        return (_hyperbolic(self.vj, _q(dx.reshape(-1, 4)), self.beta_inv),
-                _hyperbolic(self.v, _q(ds.reshape(-1, 4)), self.beta))
+        return (_hyperbolic(self.vj, dx.reshape(-1, 4), self.beta_inv),
+                _hyperbolic(self.v, ds.reshape(-1, 4), self.beta))
 
     def from_scaled(self, d):
-        return _q(_hyperbolic(self.v, d, self.beta)).ravel()
+        return _hyperbolic(self.v, d, self.beta).ravel()
 
     def center(self, smu, corr):
         r = -self.lam_sq - corr
@@ -900,11 +891,11 @@ class _Lorentz:
         S = np.zeros((self.P.shape[1],) * 2)
         for blocks, cols, U in self.parts:
             b2 = self.beta2[blocks]
-            V = (U[:, None, :] * (np.sqrt(2 * b2) * self.wc[blocks].T)[None]).reshape(
+            V = (U[:, None, :] * (np.sqrt(2 * b2) * self.w[blocks].T)[None]).reshape(
                 -1, b2.size)
             K = (U * b2) @ U.T                       # kron(K, J) below
-            S[cols, cols] = V @ V.T - (K[:, None, :, None] * _JC[:, None]).reshape(
-                V.shape[0], -1)
+            S[cols, cols] = V @ V.T - (K[:, None, :, None] * np.diag(_JSIGN)[:, None]
+                                       ).reshape(V.shape[0], -1)
         return self.P @ S @ self.P.T
 
 
@@ -1006,6 +997,16 @@ def _cones(prog):
     return cones, drow
 
 
+def _cone_coords(cones, v):
+    """v with each Lorentz cone's slice mapped by :func:`_q`: from the
+    families' coordinates to the cones', and back (the map is an involution)."""
+    out = v.copy()
+    for g in cones:
+        if isinstance(g, _Lorentz):
+            out[g.sl] = _q(v[g.sl].reshape(-1, 4)).ravel()
+    return out
+
+
 def _matvec(cones, v, nrows):
     """As v, summed cone by cone."""
     out = np.zeros(nrows)
@@ -1045,23 +1046,20 @@ def _schur_complement(cones, nrows) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _chol_reg(M):
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        pass
+    """The lower factor of M, or of M + base 10^(2k-14) I for the least k < 6."""
+    L, info = dpotrf(M, lower=1)
+    if info == 0:
+        return L
     base = np.mean(np.abs(np.diag(M))) + 1.0
     for k in range(6):
-        try:
-            return np.linalg.cholesky(
-                M + base * 10.0 ** (-14 + 2 * k) * np.eye(M.shape[0]))
-        except np.linalg.LinAlgError:
-            pass
+        L, info = dpotrf(M + base * 10.0 ** (-14 + 2 * k) * np.eye(M.shape[0]), lower=1)
+        if info == 0:
+            return L
     return None
 
 
 def _potrs(L, rhs):
-    # L.T is the upper factor in Fortran order, so LAPACK reads it uncopied
-    z, info = dpotrs(L.T, rhs, lower=0)
+    z, info = dpotrs(L, rhs, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrs returned info={info}")
     return z
@@ -1097,13 +1095,14 @@ def _start(cones, bs, n, nrows):
 
 
 def _solve_hsd(prog: ConicProgram):
-    b, c = prog.rhs(), prog.objective()
+    b, c_prog = prog.rhs(), prog.objective()
     nrows, n = prog._nrows, prog._ncols
     if nrows == 0:
         raise SolverFailure("program has no equality rows", program=prog)
 
     # row equilibration; duals are recovered through drow at the end
     cones, drow = _cones(prog)
+    c = _cone_coords(cones, c_prog)
     bs = b / drow
     norm_b = 1 + np.linalg.norm(bs)
     norm_c = 1 + np.linalg.norm(c)
@@ -1182,30 +1181,33 @@ def _solve_hsd(prog: ConicProgram):
             break
         phic = _phi(cones, c)
         phirx = _phi(cones, rx)
-        asphirx = _matvec(cones, phirx, nrows)
         u2 = _cho_solve_refined(Lm, M, _matvec(cones, phic, nrows) + bs)
-        p2 = _phi(cones, _rmatvec(cones, u2, n)) - phic
+        t2 = _rmatvec(cones, u2, n)
+        p2 = _phi(cones, t2) - phic
         den = c @ p2 - bs @ u2 - kappa / tau
 
         def direction(eta, sigma, corr, corr_tk):
-            wu = np.empty(n)
+            # As^T dy = t1 + dtau t2, both products formed for dx
+            v = np.empty(n)
             for g, cg in zip(cones, corr):
-                wu[g.sl] = g.from_scaled(g.center(sigma * mu, cg))
+                v[g.sl] = g.from_scaled(g.center(sigma * mu, cg))
+            v += eta * phirx
             rhs_tk = sigma * mu - tau * kappa - corr_tk
-            rhs1 = -eta * ry - _matvec(cones, wu, nrows) - eta * asphirx
-            u1 = _cho_solve_refined(Lm, M, rhs1)
-            p1 = wu + eta * phirx + _phi(cones, _rmatvec(cones, u1, n))
+            u1 = _cho_solve_refined(Lm, M, -eta * ry - _matvec(cones, v, nrows))
+            t1 = _rmatvec(cones, u1, n)
+            p1 = v + _phi(cones, t1)
             if abs(den) < 1e-300:
                 raise FloatingPointError("singular tau equation")
             dtau = (-eta * rz - c @ p1 + bs @ u1 - rhs_tk / tau) / den
             dy = u1 + dtau * u2
             dx = p1 + dtau * p2
-            ds = -eta * rx - _rmatvec(cones, dy, n) + c * dtau
+            ds = c * dtau - eta * rx - t1 - dtau * t2
             dkappa = (rhs_tk - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
 
         def step_bound(dx, ds, dtau, dkappa):
-            """Scaled steps per cone, and the largest feasible alpha."""
+            """Scaled steps per cone and the largest feasible alpha, for the ds
+            applied: W^T ds taken as d - W^-1 dx let iterates leave the cone."""
             steps = [g.to_scaled(dx[g.sl], ds[g.sl]) for g in cones]
             amax = min(g.max_steps(a, b) for g, (a, b) in zip(cones, steps))
             if dtau < 0:
@@ -1243,12 +1245,12 @@ def _solve_hsd(prog: ConicProgram):
         ended = f"fallback: {ended} after {polish} polishing iterations"
     if status == "optimal" and candidate is not None:
         _, x, y, s, tau, pres, dres = candidate
+    x, s, c = _cone_coords(cones, x), _cone_coords(cones, s), c_prog
     y_orig = y / drow
 
-    sol = ConicSolution(status="numerical-failure", iterations=it, ended=ended)
+    sol = ConicSolution(status=status, iterations=it, ended=ended)
     if status == "optimal":
         xs = x / tau
-        sol.status = "optimal"
         sol.primal = _extract_primal(prog, xs)
         sol.dual_rows = _extract_duals(prog, y_orig / tau)
         sol.dual_slack = _extract_primal(prog, s / tau)
@@ -1260,12 +1262,10 @@ def _solve_hsd(prog: ConicProgram):
         return sol
     if status == "infeasible":
         by = b @ y_orig
-        sol.status = "infeasible"
         sol.ray = _extract_duals(prog, y_orig / by)
         sol.ray_violation = float(by / np.linalg.norm(y_orig))
         return sol
     if status == "unbounded":
-        sol.status = "unbounded"
         cx = c @ x
         sol.ray = {"x": _extract_primal(prog, x / -cx)}
         sol.ray_violation = float(-cx / np.linalg.norm(x))

@@ -225,10 +225,6 @@ class MomentMatrix:
     gamma: np.ndarray
     normalization: float
 
-    def behaviour_reads(self) -> np.ndarray:
-        """CG vector read off the matrix cells."""
-        return np.array([self.gamma[c] for c in self.template.cg_cells])
-
 
 @dataclass
 class BellFunctional:

@@ -28,10 +28,8 @@ from .errors import (
 from .operators import (
     PAULIS,
     asmatrix,
-    basis_transpose,
     bloch_projectors,
     hermitize,
-    matrix_sqrt,
     partial_trace,
     tensor,
 )
@@ -151,14 +149,6 @@ class Assemblage:
         u = np.asarray(u, dtype=complex)
         return Assemblage(np.einsum("ij,xajk,lk->xail",
                                     u, self.members, u.conj()))
-
-    def relabeled(self, input_perm=None, outcome_perm=None) -> "Assemblage":
-        mem = self.members
-        if input_perm is not None:
-            mem = mem[list(input_perm)]
-        if outcome_perm is not None:
-            mem = mem[:, list(outcome_perm)]
-        return Assemblage(mem)
 
 
 class Behaviour:
@@ -346,20 +336,6 @@ def reduced_state(assemblage: Assemblage) -> np.ndarray:
     """rho_B = sum_a sigma_{a|0}, the same for every x (``Assemblage``
     checked it)."""
     return assemblage.members.sum(axis=1)[0]
-
-
-def pure_state_assemblage(state: BipartiteState,
-                          measurements: MeasurementSet) -> Assemblage:
-    """Closed form rho_B^1/2 M^T rho_B^1/2 for pure states.
-
-    The transpose is taken in the eigenbasis of rho_B.
-    """
-    rho_b = partial_trace(state.rho, (state.dA, state.dB), "B")
-    _, basis = np.linalg.eigh(rho_b)
-    root = matrix_sqrt(rho_b)
-    mem = np.array([[root @ basis_transpose(eff, basis) @ root
-                     for eff in row] for row in measurements.effects])
-    return Assemblage(mem)
 
 
 # ---------------------------------------------------------------------------

@@ -134,11 +134,6 @@ def steering_certificate(result: SteeringResult,
     return _inequality(result.inequality.coefficients, assemblage)
 
 
-def lhs_mixture(assemblage: Assemblage, noise: np.ndarray, s: float) -> Assemblage:
-    """(sigma + s*noise)/(1+s), the mixture the robustness kinds certify."""
-    return Assemblage((assemblage.members + s * noise) / (1 + s))
-
-
 def weight_remainder(assemblage: Assemblage, noise: np.ndarray,
                      s: float) -> Assemblage:
     """gamma = (sigma - s*pi)/(1-s), the LHS part of the weight split."""

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from corrquant import conic, decomposition, scenario
 from corrquant.conic import (
     ConicProgram,
+    _cone_coords,
     _cones,
     _matvec,
     _phi,
@@ -276,6 +277,41 @@ def test_endgame_is_superlinear():
     sol = prog.solve()
     assert sol.iterations <= 6
     assert abs(sol.value - (3 - 2 * np.sqrt(2))) < 1e-12
+
+
+def test_a_step_applies_as_four_times_each_way(monkeypatch):
+    """A step applies As and As^T four times each: once each for its
+    residuals, and three times each for its directions, between the Schur
+    complement and the step length.  A solve adds one As for the start and
+    at most one As and one As^T per iteration for the stopping checks."""
+    events = []
+
+    def spy(name, real):
+        def counted(*args):
+            events.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("_matvec", "_rmatvec", "_schur_complement", "_step_fraction"):
+        monkeypatch.setattr(conic, name, spy(name, getattr(conic, name)))
+    sol = build_program("incompat", "robustness", scenario.paulis("XZ").effects,
+                        np.eye(2)).solve()
+    assert sol.ended == "converged"
+    steps, outside, window = [], [], None
+    for name in events:
+        if name == "_schur_complement":
+            window = []
+        elif name == "_step_fraction":
+            steps.append(window)
+            window = None
+        else:
+            (outside if window is None else window).append(name)
+    assert len(steps) == sol.iterations - 1
+    for window in steps:
+        assert window.count("_matvec") <= 3 and window.count("_rmatvec") <= 3
+    # residuals, plus the start's As e and the stopping checks
+    assert outside.count("_matvec") <= 1 + 2 * sol.iterations
+    assert outside.count("_rmatvec") <= 2 * sol.iterations
 
 
 def test_step_fraction_rule():
@@ -583,7 +619,8 @@ def _schur_program(name):
 
 def _interior_point(prog, rng):
     """Random x, s inside the cone of ``prog``, its cones, and As = A / drow
-    at the solver's own row scale drow."""
+    at the solver's own row scale drow.  x and s are in the cones'
+    coordinates (``_cone_coords``), As in the families'."""
     A = prog.build()[0]
     fams = prog.families.values()
     lp_width = sum(f.width for f in fams if f.kind in ("nonneg", "free"))
@@ -600,6 +637,7 @@ def _interior_point(prog, rng):
         vec[A.shape[1] - lp_width:] = rng.uniform(0.1, 2.0, lp_width)
     cones, drow = _cones(prog)
     As = (sp.diags(1.0 / drow) @ A).tocsr()
+    x, s = _cone_coords(cones, x), _cone_coords(cones, s)
     for g in cones:
         g.scale(x, s)
     return As, x, s, cones
@@ -655,21 +693,24 @@ def test_structured_schur_matches_dense_product(name):
         assert [(type(g).__name__, g.sl.stop - g.sl.start) for g in cones] == [
             ("_Lorentz", 20), ("_Matrix", 12), ("_Lorentz", 8), ("_Nonneg", 7)]
     M = _schur_complement(cones, As.shape[0])
-    # reference: As Phi As^T with Phi applied to each dense row of As
-    Ad = As.toarray()
+    # reference: As Phi As^T with Phi applied to each dense row of As,
+    # each row read in the cones' coordinates
+    Ad = np.array([_cone_coords(cones, row) for row in As.toarray()])
     ref = Ad @ np.array([_phi(cones, row) for row in Ad]).T
     assert _close(M, ref)
     # each cone's products with its own columns, zero off its rows, and
-    # the operator they assemble, against the CSR As
+    # the operator they assemble, against the CSR As: v enters and As^T y
+    # leaves through the coordinate map
     rng = np.random.default_rng(14)
     v, y = rng.normal(size=As.shape[1]), rng.normal(size=As.shape[0])
+    vc, aty = _cone_coords(cones, v), _cone_coords(cones, As.T @ y)
     for g in cones:
         got = np.zeros(As.shape[0])
-        got[g.rows] = g.matvec(v[g.sl])
+        got[g.rows] = g.matvec(vc[g.sl])
         assert _close(got, As[:, g.sl] @ v[g.sl])
-        assert _close(g.rmatvec(y), (As.T @ y)[g.sl])
-    assert _close(_matvec(cones, v, As.shape[0]), As @ v)
-    assert _close(_rmatvec(cones, y, As.shape[1]), As.T @ y)
+        assert _close(g.rmatvec(y), aty[g.sl])
+    assert _close(_matvec(cones, vc, As.shape[0]), As @ v)
+    assert _close(_cone_coords(cones, _rmatvec(cones, y, As.shape[1])), As.T @ y)
 
 
 @pytest.mark.parametrize("name", SCHUR_PROGRAMS)
@@ -712,8 +753,9 @@ def test_nt_scaling_kernels():
     """On every cone kind (2x2 Hermitian in closed form, 3x3 Hermitian and
     real symmetric as matrices, scalars) the scaling maps x and s to one
     point lam, Phi maps s to x, centering inverts lam o . at the barrier
-    degree of the block, and the step length stops on the boundary
-    whichever of its two operands carries the step."""
+    degree of the block, and the step length stops on the boundary (read
+    in the families' coordinates) whichever of its two operands carries
+    the step."""
     prog = _kernel_program()
     rng = np.random.default_rng(21)
     _, x, s, cones = _interior_point(prog, rng)
@@ -739,7 +781,9 @@ def test_nt_scaling_kernels():
         # the step bound reads both stacked operands: a zero step never binds
         alpha = g.max_steps(step, 0 * step)
         assert g.max_steps(0 * step, step) == alpha
-        edge = g.from_scaled(lam + alpha * step)
+        edge = np.zeros_like(x)
+        edge[g.sl] = g.from_scaled(lam + alpha * step)
+        edge = _cone_coords(cones, edge)[g.sl]      # the families' coordinates
         low = (np.linalg.eigvalsh(fam.mats(edge.reshape(fam.count, -1)))[:, 0]
                if fam else edge).min()
         assert abs(low) <= 1e-9 * np.abs(edge).max()

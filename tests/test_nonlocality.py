@@ -8,6 +8,7 @@ from corrquant import nonlocality as nl
 from corrquant import npa
 from corrquant import scenario as sc
 from corrquant.cg import CgLayout, strategy_cg_matrix
+from corrquant.conic import verify_solution
 from corrquant.errors import SignallingError, StrategyCapExceeded, ValidationError
 
 
@@ -364,6 +365,23 @@ def test_pin_party_a_model_in_input_scenario(kind):
     noise = 0.0 if res.noise_table is None else res.noise_table
     mix = (loc.table + res.value * noise) / (1 + res.value)
     assert np.max(np.abs(res.model.behaviour().table - mix)) < 1e-8
+
+
+def test_nlr_c_level2_converges_on_the_criterion_4_grid():
+    """Every NLR_c level-2 solve on the CHSH Werner grid of criterion 4
+    ends converged and verifies.  The step bound reads the ds the step
+    applies: W^T ds taken as d - W^-1 dx (d the scaled centring direction),
+    equal in exact arithmetic, let an iterate on this grid leave the cone."""
+    vth = 1 / np.sqrt(2)
+    grid = np.unique(np.concatenate([np.arange(vth - 3e-3, vth + 3e-3, 5e-4),
+                                     np.linspace(0.72, 1.0, 8)]))
+    for v in grid:
+        beh = isotropic_chsh(v)
+        layout, S = nl._strategy_pairs(beh)
+        prog, _ = nl.build_program(beh, nl.NonlocalityKind("NLR_c"), layout, S, 2)
+        sol = prog.solve()
+        assert sol.ended == "converged", (v, sol.ended)
+        assert verify_solution(prog, sol).ok(), v
 
 
 def _solution_arrays(sol):

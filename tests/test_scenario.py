@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from corrquant import scenario as sc
+from corrquant.operators import basis_transpose, matrix_sqrt, partial_trace
 from corrquant.errors import (
     DimensionMismatch,
     InconsistentAssemblage,
@@ -70,6 +71,16 @@ def test_steer_product_state():
             assert np.allclose(asm.members[x, a], p * rho_b, atol=1e-12)
 
 
+def pure_state_assemblage(state, measurements):
+    """Closed form rho_B^1/2 M^T rho_B^1/2 for pure states, the transpose
+    taken in the eigenbasis of rho_B."""
+    rho_b = partial_trace(state.rho, (state.dA, state.dB), "B")
+    _, basis = np.linalg.eigh(rho_b)
+    root = matrix_sqrt(rho_b)
+    return sc.Assemblage(np.array([[root @ basis_transpose(eff, basis) @ root
+                                    for eff in row] for row in measurements.effects]))
+
+
 @pytest.mark.parametrize("theta", [np.pi / 8, np.pi / 6, np.pi / 4])
 def test_steer_pure_state_closed_form(theta):
     # oracle: rho_B^1/2 M^T rho_B^1/2 via matrix_sqrt + basis_transpose
@@ -77,7 +88,7 @@ def test_steer_pure_state_closed_form(theta):
     state = sc.pure_theta(theta)
     ms = random_povm_set(3, 2, 2, rng)
     direct = sc.steer(state, ms)
-    closed = sc.pure_state_assemblage(state, ms)
+    closed = pure_state_assemblage(state, ms)
     assert np.max(np.abs(direct.members - closed.members)) < 1e-10
 
 

@@ -104,6 +104,16 @@ def test_witnesses_and_certificates(kind):
         check_witness_and_certificate(sc.steer(state, sc.paulis("XZ")), kind)
 
 
+def lhs_mixture(asm, noise, s):
+    """(sigma + s*noise)/(1+s), the mixture the robustness kinds certify."""
+    return sc.Assemblage((asm.members + s * noise) / (1 + s))
+
+
+def relabeled(asm, input_perm, outcome_perm):
+    """``asm`` with its inputs and outcomes permuted."""
+    return sc.Assemblage(asm.members[list(input_perm)][:, list(outcome_perm)])
+
+
 def check_witness_and_certificate(asm, kind):
     res = st.steering_quantifier(asm, kind)
     assert res.value > 1e-4
@@ -115,7 +125,7 @@ def check_witness_and_certificate(asm, kind):
         rebuilt = res.value * res.noise + (1 - res.value) * \
             res.model.assemblage().members
     else:
-        mix = st.lhs_mixture(asm, res.noise, res.value)
+        mix = lhs_mixture(asm, res.noise, res.value)
         dec = st.has_lhs_model(mix)
         assert dec.has_model
         rebuilt = (1 + res.value) * res.model.assemblage().members \
@@ -189,7 +199,7 @@ def test_local_unitary_invariance():
 
 def test_relabeling_invariance():
     asm = sc.steer(sc.werner(0.9), sc.paulis("XZ"))
-    rel = asm.relabeled(input_perm=[1, 0], outcome_perm=[1, 0])
+    rel = relabeled(asm, input_perm=[1, 0], outcome_perm=[1, 0])
     for kind in ("SR_red", "SR_c"):
         assert abs(st.steering_quantifier(asm, kind).value
                    - st.steering_quantifier(rel, kind).value) < 1e-7
