@@ -32,7 +32,6 @@ from .scenario import (
     dodecahedron,
     lossy,
     make_measurements,
-    make_state,
     max_entangled,
     measure,
     paulis,
@@ -63,7 +62,7 @@ __all__ = [
     "bloch_measurements", "build_npa_block", "dodecahedron",
     "has_lhs_model", "incompatibility_quantifier",
     "is_jointly_measurable", "is_local", "lossy", "make_measurements",
-    "make_state", "max_entangled", "measure", "nonlocality_quantifier",
+    "max_entangled", "measure", "nonlocality_quantifier",
     "npa_membership", "npa_optimize", "ns_project", "paulis", "pure_theta",
     "reduced_state", "singlet", "steer", "steering_certificate",
     "steering_quantifier", "verify_solution", "werner",

@@ -123,16 +123,14 @@ def quantify(domain, kind, infile, level, out):
 @main.command("sweep")
 @click.option("--spec", "-s", required=True, type=click.Path(exists=True))
 @click.option("--out", "-o", type=click.Path(), help="CSV output path")
-@click.option("--workers", "-w", default=1, show_default=True, type=int,
-              help="Accepted for compatibility; ignored (grid points run serially).")
-def sweep_cmd(spec, out, workers):
+def sweep_cmd(spec, out):
     """Run a quantifier sweep described by a JSON spec file."""
     try:
         with open(spec) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{spec}: invalid JSON ({exc})") from exc
-    result = sweep(SweepSpec.from_dict(data), workers=workers)
+    result = sweep(SweepSpec.from_dict(data))
     csv_text = result.to_csv()
     if out:
         with open(out, "w") as fh:

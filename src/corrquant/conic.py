@@ -150,6 +150,17 @@ def hermitian_coords(mat: np.ndarray, d: int) -> np.ndarray:
     return np.concatenate([diag, off.real, off.imag], axis=-1)
 
 
+def hermitian_eigvalsh(coords: np.ndarray, d: int) -> np.ndarray:
+    """Ascending eigenvalues of d x d Hermitian blocks from their (batch,
+    d*d) coordinates; closed form for d = 2."""
+    if d != 2:
+        return np.linalg.eigvalsh(hermitian_from_coords(coords, d))
+    mid = (coords[:, 0] + coords[:, 1]) / 2
+    rad = np.sqrt(((coords[:, 0] - coords[:, 1]) / 2) ** 2
+                  + (coords[:, 2] ** 2 + coords[:, 3] ** 2) / 2)
+    return np.stack([mid - rad, mid + rad], axis=1)
+
+
 def hermitian_from_coords(coords: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`hermitian_coords`."""
     iu, ju = _offdiag_index(d)

@@ -92,7 +92,7 @@ from enum import Enum
 import numpy as np
 
 from . import conic
-from .conic import ConicProgram, ConicSolution, duals_to_vec
+from .conic import ConicProgram, ConicSolution, duals_to_vec, hermitian_eigvalsh
 from .errors import SolverFailure, ValidationError
 from .scenario import (check_strategy_cap, coarse_grain, strategy_assignments,
                        strategy_masks)
@@ -230,7 +230,6 @@ def solve(prog: ConicProgram) -> ConicSolution:
             if f.name in ("G", "H") and f.kind == "herm"]
     if not fams or fams[0].count <= WORKING_SET:
         return _optimal(prog, prog.solve())
-    c = prog.objective()
     keep = _starting_set(fams[0], _data_prices(prog, fams[0]))
     iterations = 0
     for rounds in itertools.count(1):
@@ -238,7 +237,7 @@ def solve(prog: ConicProgram) -> ConicSolution:
         iterations += sol.iterations
         if sol.status == "optimal":
             y = duals_to_vec(prog, sol.dual_rows)
-            slack = {f.name: f.part(c) - prog.column_products(f.name, y)
+            slack = {f.name: f.cost - prog.column_products(f.name, y)
                      for f in fams}
         elif sol.status == "infeasible":
             # Farkas pricing: the ray stops certifying infeasibility once
@@ -247,7 +246,7 @@ def solve(prog: ConicProgram) -> ConicSolution:
             slack = {f.name: -prog.column_products(f.name, y) for f in fams}
         else:
             break
-        cost = np.min([_eigvalsh(slack[f.name], f.dim)[:, 0] for f in fams], axis=0)
+        cost = np.min([hermitian_eigvalsh(slack[f.name], f.dim)[:, 0] for f in fams], axis=0)
         cost[keep] = np.inf
         worst = cost.min()
         if worst >= -conic.MARGIN_TOL:
@@ -288,18 +287,7 @@ def _data_prices(prog: ConicProgram, fam) -> np.ndarray:
         if (x, n - 1) not in rows:
             data[x, n - 1] = data[0].sum(axis=0) - data[x, :n - 1].sum(axis=0)
     sums = data[np.arange(m), strategy_assignments(m, n)].sum(axis=1)
-    return _eigvalsh(sums, fam.dim)[:, -1]
-
-
-def _eigvalsh(coords: np.ndarray, d: int) -> np.ndarray:
-    """Ascending eigenvalues of d x d Hermitian blocks from their (batch,
-    d*d) coordinates; closed form for d = 2."""
-    if d != 2:
-        return np.linalg.eigvalsh(conic.hermitian_from_coords(coords, d))
-    mid = (coords[:, 0] + coords[:, 1]) / 2
-    rad = np.sqrt(((coords[:, 0] - coords[:, 1]) / 2) ** 2
-                  + (coords[:, 2] ** 2 + coords[:, 3] ** 2) / 2)
-    return np.stack([mid - rad, mid + rad], axis=1)
+    return hermitian_eigvalsh(sums, fam.dim)[:, -1]
 
 
 def _starting_set(fam, price: np.ndarray) -> np.ndarray:
@@ -418,4 +406,4 @@ def strategy_bound(coefficients: np.ndarray) -> float:
     coords = conic.hermitian_coords(coefficients, d)
     assign = strategy_assignments(m, n)
     sums = sum(coords[x, assign[:, x]] for x in range(m))
-    return float(np.max(_eigvalsh(sums, d)[:, -1]))
+    return float(np.max(hermitian_eigvalsh(sums, d)[:, -1]))

@@ -123,13 +123,18 @@ def _pair_weights_to_model(q: np.ndarray, scenario) -> LocalModel:
     return LocalModel(w, scenario)
 
 
-def _inequality_from_duals(sol: ConicSolution, layout: CgLayout,
-                           S: np.ndarray, table: np.ndarray,
-                           level=None) -> BellInequality:
+def _dual_coefficients(sol: ConicSolution, layout: CgLayout) -> np.ndarray:
+    """The full-table functional of the CG rows' duals."""
     y = np.array([sol.dual_rows[("cg", k)] for k in range(layout.dim)])
-    coeffs = layout.functional_to_table(y)
-    bound = float(np.max(S @ y))
-    value = float(np.sum(coeffs * table))
+    return layout.functional_to_table(y)
+
+
+def _inequality(coeffs: np.ndarray, b: Behaviour, layout: CgLayout,
+                S: np.ndarray, level=None) -> BellInequality:
+    """The inequality of full-table ``coeffs`` on ``b``, its bound the
+    largest value on the deterministic strategy pairs S."""
+    bound = float(np.max(S @ (layout.table_matrix().T @ coeffs.ravel())))
+    value = float(np.sum(coeffs * b.table))
     return BellInequality(coefficients=coeffs, bound=bound,
                           violation=value - bound, level=level)
 
@@ -175,7 +180,7 @@ def is_local(b: Behaviour) -> LocalDecision:
         q = sol.primal["u"] + margin / npairs
         model = _pair_weights_to_model(q, _scenario(b))
         return LocalDecision(True, margin, model=model)
-    ineq = _inequality_from_duals(sol, layout, S, b.table)
+    ineq = _inequality(_dual_coefficients(sol, layout), b, layout, S)
     return LocalDecision(False, margin, inequality=ineq)
 
 
@@ -205,7 +210,7 @@ def build_program(b: Behaviour, kind: NonlocalityKind, layout: CgLayout,
         white = layout.of_table(_marginal_noise(b))
     prog = ConicProgram(name)
     if tmpl is not None:
-        tmpl.declare_block(prog, "N")
+        prog.add_psd_family("N", 1, tmpl.size)
     prog.add_nonneg("G", len(every))
     if row.noise == "model":
         prog.add_nonneg("H", len(every))
@@ -296,7 +301,7 @@ def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
     return NonlocalityResult(
         kind=kind, value=max(r, 0.0), certified_lower_bound=level is not None,
         level=level, noise_table=noise, model=model, noise_model=noise_model,
-        inequality=_inequality_from_duals(sol, layout, S, b.table, level=level),
+        inequality=_inequality(_dual_coefficients(sol, layout), b, layout, S, level),
         gap=abs(sol.pobj - sol.dobj), solution=sol)
 
 
@@ -304,14 +309,8 @@ def bell_certificate(result: NonlocalityResult, b: Behaviour) -> BellInequality:
     """Inequality record re-verified against full strategy enumeration."""
     if result.solution.status != "optimal":
         raise ValueError("certificate requires an optimal solve")
-    layout, S = _strategy_pairs(b)
-    coeffs = result.inequality.coefficients
-    # evaluate the functional on every deterministic strategy pair
-    fcg = layout.table_matrix().T @ coeffs.ravel()
-    bound = float(np.max(S @ fcg))
-    value = float(np.sum(coeffs * b.table))
-    return BellInequality(coefficients=coeffs, bound=bound,
-                          violation=value - bound, level=result.level)
+    return _inequality(result.inequality.coefficients, b, *_strategy_pairs(b),
+                       result.level)
 
 
 # ---------------------------------------------------------------------------

@@ -91,36 +91,23 @@ class NpaTemplate:
     cg_class: tuple          # cg index -> class index
     cg_cells: tuple          # cg index -> representative cell
     # the tie rows (a cell minus its class's first cell) and the zero
-    # rows: each row's name less the block's, and for each cell a row
-    # reads, the row, the cell's svec coordinate and its sign
+    # rows: each row's name less the block's, and its functional on the
+    # block's svec coordinates, one row each
     row_names: tuple
-    row_of: np.ndarray
-    coord_of: np.ndarray
-    sign_of: np.ndarray
+    structure: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.words)
-
-    def identity_class(self) -> int:
-        return self.cg_class[0]
-
-    def declare_block(self, prog: ConicProgram, name: str) -> None:
-        """Declare Gamma as a primal PSD block (before any rows)."""
-        prog.add_psd_family(name, 1, self.size)
 
     def add_structure_rows(self, prog: ConicProgram, name: str,
                            normalization: tuple) -> None:
         """Tying rows (shared class entries), zero cells, and the
         normalization row Gamma[0,0] = the scalar variable
         ``normalization``, a (family, index) pair.  The tie and zero rows
-        are one scatter of the template's cells, added as one touch."""
-        # svec of cell_functional: 1 on a diagonal cell, 1/2 off it, scaled
-        cell_value = svec(0.5 * (1 + np.eye(self.size)))
-        F = np.zeros((len(self.row_names), cell_value.size))
-        F[self.row_of, self.coord_of] = self.sign_of * cell_value[self.coord_of]
+        are the template's ``structure``, added as one touch."""
         prog.add_coordinate_rows([(kind, name, *rest) for kind, *rest in self.row_names],
-                                 name, 0, F)
+                                 name, 0, self.structure)
         fam, idx = normalization
         prog.add_scalar_row(("gnorm", name), 0.0,
                             [("entry", name, 0, (0, 0)),
@@ -178,26 +165,21 @@ def build_npa_block(scenario: tuple, level: int) -> NpaTemplate:
         cg_class.append(ci)
         cg_cells.append(classes[ci][0])
 
-    coord = np.zeros((nw, nw), dtype=np.int64)      # cell -> svec coordinate
-    coord[np.triu_indices(nw)] = np.arange(nw * (nw + 1) // 2)
-    row_names, reads = [], []                       # reads: (row, coord, sign)
+    row_names, structure = [], []
     for ci, cells in enumerate(classes):
         for cell in cells[1:]:
-            reads += [(len(row_names), coord[cell], 1.0),
-                      (len(row_names), coord[cells[0]], -1.0)]
             row_names.append(("tie", ci, cell))
+            structure.append(svec(cell_functional(nw, cell)
+                                  - cell_functional(nw, cells[0])))
     for cell in zero_cells:
-        reads.append((len(row_names), coord[cell], 1.0))
         row_names.append(("zero", cell))
-    row_of, coord_of = (np.array([r[k] for r in reads], dtype=np.int64) for k in (0, 1))
-    sign_of = np.array([r[2] for r in reads])
-    for arr in (row_of, coord_of, sign_of):
-        arr.flags.writeable = False
+        structure.append(svec(cell_functional(nw, cell)))
+    structure = np.array(structure, dtype=float).reshape(len(row_names), nw * (nw + 1) // 2)
+    structure.flags.writeable = False
     return NpaTemplate(scenario=tuple(scenario), level=level, words=tuple(words),
                        classes=tuple(map(tuple, classes)), zero_cells=tuple(zero_cells),
                        layout=layout, cg_class=tuple(cg_class), cg_cells=tuple(cg_cells),
-                       row_names=tuple(row_names), row_of=row_of, coord_of=coord_of,
-                       sign_of=sign_of)
+                       row_names=tuple(row_names), structure=structure)
 
 
 def cell_functional(size: int, cell) -> np.ndarray:
@@ -311,7 +293,7 @@ def npa_optimize(coefficients, scenario, level: int = 2):
     T = tmpl.layout.table_matrix()
     g = T.T @ coeffs.ravel()
 
-    idc = tmpl.identity_class()
+    idc = tmpl.cg_class[0]
     prog = ConicProgram(f"npa_optimize:l{level}")
     prog.add_psd_family("X", 1, tmpl.size)
     prog.add_free("w", 1)

@@ -444,20 +444,6 @@ def dodecahedron() -> MeasurementSet:
     return bloch_measurements(dodecahedron_vectors())
 
 
-def make_state(spec: dict) -> BipartiteState:
-    """Dispatch on {"family": "werner"|"pure_theta"|"max_entangled"|"singlet", ...}."""
-    family = spec["family"]
-    if family == "werner":
-        return werner(spec["v"], psi=spec.get("psi", "phi+"))
-    if family == "pure_theta":
-        return pure_theta(spec["theta"])
-    if family == "max_entangled":
-        return max_entangled(spec.get("d", 2))
-    if family == "singlet":
-        return singlet()
-    raise ValueError(f"unknown state family {family!r}")
-
-
 def make_measurements(spec: dict) -> MeasurementSet:
     """Dispatch on {"family": "paulis"|"bloch"|"lossy"|"dodecahedron", ...}."""
     family = spec["family"]

@@ -199,6 +199,22 @@ def test_reproduce_table1_refuses_a_malformed_history(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["table1_deviations.json"]
 
 
+def test_reproduce_table1_flags_a_deviation_that_grew_tenfold(tmp_path):
+    runner = CliRunner()
+    res = runner.invoke(main, ["reproduce", "table1", "-d", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert "regression:" not in res.stderr
+    # persist an SRc deviation 100x smaller than the one this run gives
+    history = tmp_path / "table1_deviations.json"
+    data = json.loads(history.read_text())
+    data["wittmann"]["deviations"]["SRc"] /= 100
+    history.write_text(json.dumps(data))
+    res = runner.invoke(main, ["reproduce", "table1", "-d", str(tmp_path)])
+    assert res.exit_code == 3, res.output
+    alerts = [line for line in res.stderr.splitlines() if line.startswith("regression:")]
+    assert len(alerts) == 1 and alerts[0].startswith("regression: wittmann.SRc: ")
+
+
 def test_seesaw_command_deterministic(tmp_path):
     runner = CliRunner()
     args = ["seesaw", "-t", str(np.pi / 4), "-k", "NLR_mar", "-r", "1",

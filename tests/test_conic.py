@@ -11,6 +11,7 @@ from corrquant.conic import (
     _cones,
     _matvec,
     _phi,
+    _primal_to_vec,
     _rmatvec,
     _schur_complement,
     _start,
@@ -187,6 +188,37 @@ def test_infeasible_sdp_certificate():
     sol = prog.solve()
     assert sol.status == "infeasible"
     assert sol.ray_violation >= 1e-6
+
+
+def assert_improving_ray(prog, sol):
+    """The unbounded solve's ray is in the cone, on A's kernel, and
+    lowers the objective."""
+    assert (sol.status, sol.ended, sol.iterations) == ("unbounded", "unbounded", 2)
+    A, b, c = prog.build()
+    ray = _primal_to_vec(prog, sol.ray["x"])
+    assert conic._block_margins(prog, sol.ray["x"]) >= 0
+    assert np.max(np.abs(A @ ray)) <= 1e-9
+    assert c @ ray < 0
+
+
+def test_unbounded_lp_ray():
+    # min -x0 subject to x0 - x1 = 0, x >= 0
+    prog = ConicProgram("unbounded")
+    prog.add_nonneg("x", 2)
+    prog.add_scalar_row(("tie",), 0.0, [("lin", "x", [0, 1], [1.0, -1.0])])
+    prog.set_objective([("lin", "x", [0], [-1.0])])
+    assert_improving_ray(prog, prog.solve())
+
+
+@pytest.mark.parametrize("declare", ["add_psd_family", "add_hermitian_family"])
+def test_unbounded_sdp_ray(declare):
+    # min -X11 subject to X01 = 0, X >> 0: the real block runs the matrix
+    # cone, the 2x2 Hermitian one the Lorentz cone
+    prog = ConicProgram("unbounded-sdp")
+    getattr(prog, declare)("X", 1, 2)
+    prog.add_scalar_row(("off",), 0.0, [("entry", "X", 0, (0, 1))])
+    prog.set_objective([("mat", "X", 0, -np.diag([0.0, 1.0]))])
+    assert_improving_ray(prog, prog.solve())
 
 
 def test_free_variable_split():

@@ -103,6 +103,24 @@ def test_start_missing_an_outcome_converges(monkeypatch):
     assert sol.rounds >= 2
 
 
+@pytest.mark.parametrize("kind", ["robustness", "random_robustness", "jm_robustness"])
+def test_start_fills_the_row_groups_the_top_strategies_miss(monkeypatch, kind):
+    # the 2 strategies of highest data price on the m = 4 set leave some
+    # (x, a) without a strategy, so the start adds the best one of each
+    monkeypatch.setattr(dc, "WORKING_SET", 2)
+    starting_set, starts = dc._starting_set, []
+
+    def spy(fam, price):
+        starts.append(starting_set(fam, price))
+        return starts[-1]
+
+    monkeypatch.setattr(dc, "_starting_set", spy)
+    assert_restricted_matches_whole(4, kind)
+    assert starts[0].size > dc.WORKING_SET
+    outcomes = sc.strategy_assignments(4, 3)[starts[0]]
+    assert all(set(outcomes[:, x]) == {0, 1, 2} for x in range(4))
+
+
 def test_small_program_is_solved_once_as_built(monkeypatch):
     # the program goes to the solver as built, which reads its touches and
     # assembles no A

@@ -396,8 +396,7 @@ def test_shared_npa_template_builds_the_same_programs(monkeypatch):
     built afresh gives, to the last bit."""
     tmpl = npa.build_npa_block((2, 2, 2, 2), 2)
     assert npa.build_npa_block((2, 2, 2, 2), 2) is tmpl
-    for arr in (tmpl.row_of, tmpl.coord_of, tmpl.sign_of):
-        assert not arr.flags.writeable
+    assert not tmpl.structure.flags.writeable
     for seq in (tmpl.words, tmpl.classes, tmpl.zero_cells, tmpl.cg_class,
                 tmpl.cg_cells, tmpl.row_names, *tmpl.classes):
         assert isinstance(seq, tuple)

@@ -203,7 +203,7 @@ def test_tied_normalization_row():
     tmpl = npa.build_npa_block(CHSH, 1)
     from corrquant.conic import ConicProgram
     prog = ConicProgram("tied")
-    tmpl.declare_block(prog, "G")
+    prog.add_psd_family("G", 1, tmpl.size)
     prog.add_nonneg("r", 1)
     tmpl.add_structure_rows(prog, "G", ("r", 0))
     # inspect: the gnorm row ties Gamma[0,0] to r
@@ -240,7 +240,7 @@ def test_structure_rows_match_the_per_row_loop(scenario, level):
     progs = []
     for batched in (True, False):
         prog = ConicProgram("rows")
-        tmpl.declare_block(prog, "G")
+        prog.add_psd_family("G", 1, tmpl.size)
         prog.add_nonneg("r", 1)
         prog.add_scalar_row(("first",), 1.0, [("entry", "G", 0, (0, 1))])
         if batched:

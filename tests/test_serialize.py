@@ -139,3 +139,27 @@ def test_save_writes_the_committed_bytes(tmp_path, name):
     assert (tmp_path / "now.json").read_bytes() == want
     serialize.save(tmp_path / "again.json", serialize.load(DATA / f"saved_{name}.json"))
     assert (tmp_path / "again.json").read_bytes() == want
+
+
+@pytest.mark.parametrize("name, field", [("measurements", "effects"),
+                                         ("assemblage", "members"),
+                                         ("behaviour", "table")])
+def test_untyped_objects_are_read_by_their_fields(tmp_path, name, field):
+    # the README's schemas carry no "type": the grid or table field names
+    # the object (an untyped counts object: test_counts_loading)
+    want = _saved_objects()[name]
+    obj = serialize.object_to_dict(want)
+    del obj["type"]
+    path = tmp_path / "untyped.json"
+    path.write_text(json.dumps(obj))
+    back = serialize.load(path)
+    assert type(back) is type(want)
+    assert np.array_equal(getattr(back, field), getattr(want, field))
+
+
+def test_an_object_of_no_known_schema_is_refused(tmp_path):
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps({"type": "state", "rho": [[1, 0], [0, 0]]}))
+    with pytest.raises(ValidationError) as err:
+        serialize.load(path)
+    assert str(err.value) == "unrecognized object (no type field or known fields)"
