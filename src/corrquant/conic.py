@@ -337,11 +337,6 @@ class ConicProgram:
                 elif tag == "tr":
                     _, _, indices, weight = term
                     cmat = np.eye(fam.dim)
-                elif tag == "entry":
-                    _, _, indices, (i, j) = term
-                    cmat = np.zeros((fam.dim, fam.dim))
-                    cmat[i, j] += 0.5
-                    cmat[j, i] += 0.5
                 else:
                     raise ValueError(f"unknown scalar term {tag!r}")
                 coords = fam.functional(cmat)
@@ -361,7 +356,6 @@ class ConicProgram:
         ("lin", family, indices, coeffs)  -> sum coeffs*z_i
         ("mat", family, index, C)         -> tr(C X_index)
         ("tr",  family, indices, weight)  -> weight * sum tr X_i
-        ("entry", family, index, (i, j))  -> symmetric entry X[i,j]
         """
         self._freeze()
         row = self._nrows
@@ -547,14 +541,15 @@ class ConicSolution:
     pres: float = np.nan
     dres: float = np.nan
     iterations: int = 0
-    ray: dict | None = None          # infeasibility certificate, dual_rows style
+    # the certificate; infeasible: dual_rows style, unbounded: {"x": primal blocks}
+    ray: dict | None = None
     ray_violation: float = np.nan
     # which path ended the solve: "converged", "polish cap", or
     # "fallback: <reason> after <k> polishing iterations" when a break or
     # the iteration limit promoted the best polishing candidate
     ended: str = ""
-    # column generation (decomposition.solve): strategies in the final
-    # working set (None: the whole program was solved), restricted solves
+    # column generation (decomposition.solve_strategies): strategies in the
+    # final working set (None: the whole program was solved), restricted solves
     # (``iterations`` sums theirs), and the most negative reduced cost
     # priced off the working set
     working_set: int | None = None
@@ -601,24 +596,29 @@ def _block_margins(prog, blocks):
     return margin
 
 
+def _cone_distance(prog: ConicProgram, z: np.ndarray) -> float:
+    """Distance of the column vector z from the (self-dual) cone, per block
+    by eigenvalues, per scalar (a free one's split halves too) by sign."""
+    parts = [np.linalg.eigvalsh(f.mats(f.part(z))) if f.kind in ("herm", "psd")
+             else f.part(z) for f in prog.families.values()]
+    return float(np.sqrt(sum(np.sum(np.minimum(p, 0) ** 2) for p in parts)))
+
+
 def verify_solution(prog: ConicProgram, sol: ConicSolution) -> ResidualReport:
     """Recompute residuals and cone margins independent of solver internals."""
     A, b, c = prog.build()
     if sol.status in ("infeasible", "unbounded"):
+        res = np.nan
         if sol.status == "infeasible" and sol.ray is not None:
-            # min ||A'y + s|| over s in the (self-dual) cone: the distance of
-            # -A'y from it, per block by eigenvalues, per scalar by sign
-            z = -(A.T @ duals_to_vec(prog, sol.ray))
-            res = 0.0
-            for fam in prog.families.values():
-                blk = z[fam.offset:fam.offset + fam.width]
-                if fam.kind in ("herm", "psd"):
-                    blk = np.linalg.eigvalsh(fam.mats(
-                        blk.reshape(fam.count, fam.ncoords)))
-                res += float(np.sum(np.minimum(blk, 0) ** 2))
-            return ResidualReport(ray_residual=float(np.sqrt(res)),
-                                  ray_violation=sol.ray_violation)
-        return ResidualReport(ray_violation=sol.ray_violation)
+            # min ||A'y + s|| over s in the cone: the distance of -A'y from it
+            res = _cone_distance(prog, -(A.T @ duals_to_vec(prog, sol.ray)))
+        elif sol.ray is not None:
+            # A x = 0, and x in the cone, where a free variable takes any value
+            ray = sol.ray["x"]
+            fixed = {f.name: 0.0 for f in prog.families.values() if f.kind == "free"}
+            res = max(float(np.max(np.abs(A @ _primal_to_vec(prog, ray)), initial=0.0)),
+                      _cone_distance(prog, _primal_to_vec(prog, {**ray, **fixed})))
+        return ResidualReport(ray_residual=res, ray_violation=sol.ray_violation)
     x = _primal_to_vec(prog, sol.primal)
     y = duals_to_vec(prog, sol.dual_rows)
     s = _primal_to_vec(prog, sol.dual_slack)

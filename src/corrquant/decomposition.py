@@ -1,4 +1,5 @@
-"""One conic program behind every incompatibility and steering quantifier.
+"""One conic program behind every incompatibility and steering quantifier,
+and behind membership of the jointly measurable and LHS sets.
 
 Steering quantifiers are incompatibility quantifiers with the reference
 R = rho_B standing where R = 1 stood (the quantitative form of the
@@ -18,7 +19,9 @@ kind is one row of :data:`KINDS`:
 * ``norm``: "first", sum_a N_{a|0} = t R; "each", sum_a N_{a|x} = t R for
   every x; "model", sum_lambda H_lambda = t R; "trace", one scalar row
   fixing the noise's total trace to t (on H, or through the x = 0 match
-  rows on G); or None.
+  rows on G); or None;
+* ``weight``: the cone of t, "nonneg"; or "free" in the "membership" row,
+  white noise at R = 1 whose margin w* = -t* is >= 0 exactly on members.
 
 The variables are the scaled-variable linearization: G absorbs the
 mixture denominator (G = (1 - sign*t) times the normalized parent or
@@ -36,17 +39,18 @@ The nonlocality quantifiers read the steering rows too: each is the
 program of the steering kind it bounds, with the parent changed to
 nonnegative weights over strategy pairs and the match rows written on
 Collins-Gisin coordinates (:func:`corrquant.nonlocality.build_program`).
-:func:`solve` is the one solve-or-raise step of every quantifier and
-membership program.
+:func:`solve` is the one solve-or-raise step of every program.
 
-At the optimum almost every strategy block is empty, so :func:`solve`
-runs Dantzig-Wolfe column generation (Dantzig & Wolfe, Oper. Res. 8,
-1960) on programs with more than WORKING_SET strategies:
+At the optimum almost every strategy block is empty, so
+:func:`solve_strategies` solves a program of :func:`build_program` with
+more than WORKING_SET strategies by Dantzig-Wolfe column generation
+(Dantzig & Wolfe, Oper. Res. 8, 1960), and a smaller one in one pass, as built:
 
 * **Working set.** It starts with the WORKING_SET strategies of largest
-  data price lambda_max(sum_x D_{lambda_x|x}), plus the best strategy of
-  every match row they miss.  The H blocks of the model-noise kinds
-  follow the G blocks' strategies.
+  data price lambda_max(sum_x D_{lambda_x|x}) (:func:`strategy_prices`
+  on the caller's data, the witness bound's kernel), plus the best
+  strategy of every match row they miss.  The H blocks of the
+  model-noise kinds follow the G blocks' strategies.
 * **Restricted program.** The builders' program with the other G and H
   blocks dropped at the conic layer (:meth:`ConicProgram.restrict`),
   solved by :meth:`ConicProgram.solve`.
@@ -62,17 +66,14 @@ runs Dantzig-Wolfe column generation (Dantzig & Wolfe, Oper. Res. 8,
   whole program checks it.  It records the working-set size, the
   rounds and the worst reduced cost.
 
-A program with at most WORKING_SET strategies is solved in one pass,
-as built.
-
 Reconstruction.  :func:`reconstruct` unscales a solution into the
 defining decomposition for every kind, and :func:`max_margin` does the
-same for the membership programs, by one normalization rule
+same for the membership row, by one normalization rule
 (:func:`_normalize`): the nonzero blocks are clipped PSD and mapped by
 one congruence X -> C X C^H, C = T^1/2 S^-1/2 on the support of T and S
 their sum, so they sum to T exactly and zero blocks (those off a
 column-generation working set) stay zero.  T = R wherever the row pins
-the sum: every ``norm`` but "trace", and both membership programs.  The
+the sum: every ``norm`` but "trace", and membership.  The
 "trace" kinds (SR, SW, SR_lhs) fix only the noise's trace, so the noise
 has a free reduced state and the parent or model sums to
 (rho_B - sign * t * rho_N) / (1 - sign * t), not to rho_B; there T is
@@ -110,22 +111,25 @@ class Decomposition:
     sign: float         # -1 robustness, +1 weight
     rows: str           # "all" | "pruned"
     norm: str | None    # "first" | "each" | "model" | "trace" | None
+    weight: str         # cone of t: "nonneg" | "free"
 
 
 KINDS = {
     # incompatibility, R = 1
-    "robustness": Decomposition("free", -1.0, "all", "first"),
-    "random_robustness": Decomposition("white", -1.0, "pruned", None),
-    "jm_robustness": Decomposition("model", -1.0, "pruned", "model"),
-    "weight": Decomposition("free", +1.0, "all", "first"),
+    "robustness": Decomposition("free", -1.0, "all", "first", "nonneg"),
+    "random_robustness": Decomposition("white", -1.0, "pruned", None, "nonneg"),
+    "jm_robustness": Decomposition("model", -1.0, "pruned", "model", "nonneg"),
+    "weight": Decomposition("free", +1.0, "all", "first", "nonneg"),
     # steering, R = rho_B
-    "SR": Decomposition("free", -1.0, "all", "trace"),
-    "SR_red": Decomposition("white", -1.0, "pruned", None),
-    "SR_lhs": Decomposition("model", -1.0, "pruned", "trace"),
-    "SW": Decomposition("free", +1.0, "all", "trace"),
-    "SR_c": Decomposition("free", -1.0, "pruned", "each"),
-    "SR_c_lhs": Decomposition("model", -1.0, "pruned", "model"),
-    "SW_c": Decomposition("free", +1.0, "pruned", "each"),
+    "SR": Decomposition("free", -1.0, "all", "trace", "nonneg"),
+    "SR_red": Decomposition("white", -1.0, "pruned", None, "nonneg"),
+    "SR_lhs": Decomposition("model", -1.0, "pruned", "trace", "nonneg"),
+    "SW": Decomposition("free", +1.0, "all", "trace", "nonneg"),
+    "SR_c": Decomposition("free", -1.0, "pruned", "each", "nonneg"),
+    "SR_c_lhs": Decomposition("model", -1.0, "pruned", "model", "nonneg"),
+    "SW_c": Decomposition("free", +1.0, "pruned", "each", "nonneg"),
+    # membership, R = 1
+    "membership": Decomposition("white", -1.0, "pruned", None, "free"),
 }
 
 
@@ -171,7 +175,7 @@ def build_program(domain: str, kind: str, data: np.ndarray,
     prog.add_hermitian_family("G", total, d)
     if row.noise == "model":
         prog.add_hermitian_family("H", total, d)
-    prog.add_nonneg("t", 1)
+    (prog.add_free if row.weight == "free" else prog.add_nonneg)("t", 1)
     for x, a in match_rows(m, n, row.rows):
         if row.noise == "free":
             noise = ("one", "N", x * n + a, row.sign)
@@ -204,33 +208,19 @@ def build_program(domain: str, kind: str, data: np.ndarray,
     return prog
 
 
-def membership_program(name: str, data: np.ndarray) -> ConicProgram:
-    """Max-margin membership: maximize w such that
-    sum_{lambda_x = a} G_lambda + w 1/n = D_{a|x} with G_lambda >= 0.
-    D has a parent POVM / LHS model iff w* >= 0."""
-    m, n, d = data.shape[:3]
-    total = check_strategy_cap(m, n)
-    masks = strategy_masks(m, n)
-    prog = ConicProgram(name)
-    prog.add_hermitian_family("G", total, d)
-    prog.add_free("w", 1)
-    eye = np.eye(d)
-    for x, a in match_rows(m, n, "pruned"):
-        prog.add_matrix_row_group(
-            ("match", x, a), data[x, a],
-            [("sum", "G", masks[x][a], 1.0), ("scalar_mat", "w", 0, eye / n)])
-    prog.set_objective([("lin", "w", [0], [-1.0])])
-    return prog
-
-
 def solve(prog: ConicProgram) -> ConicSolution:
-    """Solve; raise unless optimal.  A program with more than WORKING_SET
-    strategy blocks is solved by column generation (module docstring)."""
-    fams = [f for f in prog.families.values()
-            if f.name in ("G", "H") and f.kind == "herm"]
-    if not fams or fams[0].count <= WORKING_SET:
-        return _optimal(prog, prog.solve())
-    keep = _starting_set(fams[0], _data_prices(prog, fams[0]))
+    """Solve; raise unless optimal."""
+    return _optimal(prog, prog.solve())
+
+
+def solve_strategies(prog: ConicProgram, data: np.ndarray) -> ConicSolution:
+    """Solve a program of :func:`build_program` on its (m, n, d, d) data
+    grid; raise unless optimal.  With more than WORKING_SET strategy
+    blocks it runs column generation (module docstring)."""
+    fams = [prog.families[name] for name in ("G", "H") if name in prog.families]
+    if fams[0].count <= WORKING_SET:
+        return solve(prog)
+    keep = _starting_set(fams[0], strategy_prices(data))
     iterations = 0
     for rounds in itertools.count(1):
         sol = prog.restrict({f.name: keep for f in fams}).solve()
@@ -272,24 +262,6 @@ def _optimal(prog: ConicProgram, sol: ConicSolution) -> ConicSolution:
     return sol
 
 
-def _data_prices(prog: ConicProgram, fam) -> np.ndarray:
-    """lambda_max(sum_x D_{lambda_x|x}) of every strategy, the data's own
-    price: D is read off the match rows' right-hand sides, and a pruned
-    last outcome is the x = 0 sum minus the others (every input sums to
-    the reference)."""
-    b = prog.rhs()
-    rows = {g.name[1:]: g for g in prog.row_groups if g.name[0] == "match"}
-    m, n = 1 + max(x for x, _ in rows), 1 + max(a for _, a in rows)
-    data = np.zeros((m, n, fam.ncoords))
-    for (x, a), g in rows.items():
-        data[x, a] = b[g.offset:g.offset + g.nrows]
-    for x in range(1, m):
-        if (x, n - 1) not in rows:
-            data[x, n - 1] = data[0].sum(axis=0) - data[x, :n - 1].sum(axis=0)
-    sums = data[np.arange(m), strategy_assignments(m, n)].sum(axis=1)
-    return hermitian_eigvalsh(sums, fam.dim)[:, -1]
-
-
 def _starting_set(fam, price: np.ndarray) -> np.ndarray:
     """The WORKING_SET strategies of highest ``price``, plus the best one
     in each row group they miss, so every (x, a) has a strategy; sorted."""
@@ -317,13 +289,13 @@ def match_duals(sol: ConicSolution, m: int, n: int, d: int) -> np.ndarray:
 def quantify(domain: str, kind: str, data: np.ndarray, reference: np.ndarray):
     """Solve one kind: (noise weight t >= 0, solution, match-row duals)."""
     m, n, d = data.shape[:3]
-    sol = solve(build_program(domain, kind, data, reference))
+    sol = solve_strategies(build_program(domain, kind, data, reference), data)
     t = max(float(sol.primal["t"][0]), 0.0)
     return t, sol, match_duals(sol, m, n, d)
 
 
 def max_margin(name: str, data: np.ndarray, reference: np.ndarray):
-    """Solve the membership program: (margin w*, blocks, duals).
+    """Solve the membership row: (margin w* = -t*, blocks, duals).
 
     Within MEMBERSHIP_TOL of the boundary, ``blocks`` are the G_lambda
     shifted by w*/L (so they reproduce D) and normalized to sum to the
@@ -332,7 +304,7 @@ def max_margin(name: str, data: np.ndarray, reference: np.ndarray):
     non-membership.
     """
     m, n, d = data.shape[:3]
-    sol = solve(membership_program(name, data))
+    sol = solve_strategies(build_program(name, "membership", data, np.eye(d)), data)
     margin = -sol.value
     if margin >= -MEMBERSHIP_TOL:
         blocks = sol.primal["G"] + (margin / len(sol.primal["G"])) * np.eye(d)
@@ -399,11 +371,17 @@ def _blend_rows(grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def strategy_bound(coefficients: np.ndarray) -> float:
-    """max over strategies lambda of lambda_max(sum_x Y_{lambda_x|x}): the
-    largest value sum tr[Y D] takes on any D with a parent / LHS model."""
+def strategy_prices(coefficients: np.ndarray) -> np.ndarray:
+    """lambda_max(sum_x C_{lambda_x|x}) of every strategy lambda, from an
+    (m, n, d, d) grid C (closed form at d = 2)."""
     m, n, d = coefficients.shape[:3]
     coords = conic.hermitian_coords(coefficients, d)
     assign = strategy_assignments(m, n)
     sums = sum(coords[x, assign[:, x]] for x in range(m))
-    return float(np.max(hermitian_eigvalsh(sums, d)[:, -1]))
+    return hermitian_eigvalsh(sums, d)[:, -1]
+
+
+def strategy_bound(coefficients: np.ndarray) -> float:
+    """max over strategies lambda of lambda_max(sum_x Y_{lambda_x|x}): the
+    largest value sum tr[Y D] takes on any D with a parent / LHS model."""
+    return float(np.max(strategy_prices(coefficients)))

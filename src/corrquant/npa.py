@@ -110,7 +110,7 @@ class NpaTemplate:
                                  name, 0, self.structure)
         fam, idx = normalization
         prog.add_scalar_row(("gnorm", name), 0.0,
-                            [("entry", name, 0, (0, 0)),
+                            [("mat", name, 0, cell_functional(self.size, (0, 0))),
                              ("lin", fam, [idx], [-1.0])])
 
 

@@ -1,5 +1,7 @@
 """Solver unit tests: small analytic programs plus duality and determinism checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -22,6 +24,7 @@ from corrquant.conic import (
     verify_solution,
 )
 from corrquant.decomposition import build_program
+from corrquant.npa import cell_functional
 from corrquant.errors import SolverFailure
 
 RNG = np.random.default_rng(20240311)
@@ -78,9 +81,9 @@ def test_schur_2x2():
     prog = ConicProgram("schur")
     prog.add_psd_family("X", 1, 2)
     prog.add_nonneg("t", 1)
-    prog.add_scalar_row(("e11",), 1.0, [("entry", "X", 0, (0, 0))])
-    prog.add_scalar_row(("e12",), 0.5, [("entry", "X", 0, (0, 1))])
-    prog.add_scalar_row(("tie",), 0.0, [("entry", "X", 0, (1, 1)),
+    prog.add_scalar_row(("e11",), 1.0, [("mat", "X", 0, cell_functional(2, (0, 0)))])
+    prog.add_scalar_row(("e12",), 0.5, [("mat", "X", 0, cell_functional(2, (0, 1)))])
+    prog.add_scalar_row(("tie",), 0.0, [("mat", "X", 0, cell_functional(2, (1, 1))),
                                         ("lin", "t", [0], [-1.0])])
     prog.set_objective([("lin", "t", [0], [1.0])])
     sol = prog.solve()
@@ -190,15 +193,22 @@ def test_infeasible_sdp_certificate():
     assert sol.ray_violation >= 1e-6
 
 
-def assert_improving_ray(prog, sol):
+def assert_improving_ray(prog, sol, off_kernel):
     """The unbounded solve's ray is in the cone, on A's kernel, and
-    lowers the objective."""
+    lowers the objective, and verify_solution says so; it flags the ray
+    pushed off A's kernel by the cone member ``off_kernel``, and the
+    negated ray, which leaves the cone."""
     assert (sol.status, sol.ended, sol.iterations) == ("unbounded", "unbounded", 2)
     A, b, c = prog.build()
     ray = _primal_to_vec(prog, sol.ray["x"])
     assert conic._block_margins(prog, sol.ray["x"]) >= 0
     assert np.max(np.abs(A @ ray)) <= 1e-9
     assert c @ ray < 0
+    assert verify_solution(prog, sol).ray_residual <= 1e-9
+    pushed = [{k: v + off_kernel[k] for k, v in sol.ray["x"].items()},
+              {k: -v for k, v in sol.ray["x"].items()}]
+    for x in pushed:
+        assert verify_solution(prog, replace(sol, ray={"x": x})).ray_residual > 1e-2
 
 
 def test_unbounded_lp_ray():
@@ -207,7 +217,7 @@ def test_unbounded_lp_ray():
     prog.add_nonneg("x", 2)
     prog.add_scalar_row(("tie",), 0.0, [("lin", "x", [0, 1], [1.0, -1.0])])
     prog.set_objective([("lin", "x", [0], [-1.0])])
-    assert_improving_ray(prog, prog.solve())
+    assert_improving_ray(prog, prog.solve(), {"x": np.array([1.0, 0.0])})
 
 
 @pytest.mark.parametrize("declare", ["add_psd_family", "add_hermitian_family"])
@@ -216,9 +226,9 @@ def test_unbounded_sdp_ray(declare):
     # cone, the 2x2 Hermitian one the Lorentz cone
     prog = ConicProgram("unbounded-sdp")
     getattr(prog, declare)("X", 1, 2)
-    prog.add_scalar_row(("off",), 0.0, [("entry", "X", 0, (0, 1))])
+    prog.add_scalar_row(("off",), 0.0, [("mat", "X", 0, cell_functional(2, (0, 1)))])
     prog.set_objective([("mat", "X", 0, -np.diag([0.0, 1.0]))])
-    assert_improving_ray(prog, prog.solve())
+    assert_improving_ray(prog, prog.solve(), {"X": np.ones((1, 2, 2))})
 
 
 def test_free_variable_split():
@@ -368,9 +378,11 @@ def test_scaled_start_iteration_counts():
     ms7 = scenario.lossy(scenario.bloch_measurements(
         scenario.dodecahedron_vectors()[:7]), 0.4)
     asm7 = scenario.steer(scenario.werner(1.0, psi="singlet"), ms7)
-    iw = decomposition.solve(build_program("incompat", "weight", ms6.effects, np.eye(2)))
-    sw = decomposition.solve(build_program("steering", "SW_c", asm7.members,
-                                           scenario.reduced_state(asm7)))
+    iw = decomposition.solve_strategies(
+        build_program("incompat", "weight", ms6.effects, np.eye(2)), ms6.effects)
+    sw = decomposition.solve_strategies(
+        build_program("steering", "SW_c", asm7.members, scenario.reduced_state(asm7)),
+        asm7.members)
     assert iw.iterations <= 16
     assert sw.iterations <= 14
     assert abs(iw.value - (0.4 - 1 / 6) / (1 - 1 / 6)) < 1e-8
@@ -476,7 +488,7 @@ def test_build_writes_out_the_term_grammar():
     rows = [
         (0.3, [("lin", "u", [0, 2], [1.5, -2.0]), ("lin", "z", [1], [0.7]),
                ("mat", "A", 1, C2), ("tr", "B", [0, 1], 2.0),
-               ("entry", "P", 1, (0, 2))],
+               ("mat", "P", 1, cell_functional(3, (0, 2)))],
          lambda X: (1.5 * X["u"][0] - 2.0 * X["u"][2] + 0.7 * X["z"][1]
                     + tr(C2 @ X["A"][1]).real + 2.0 * tr(X["B"][0] + X["B"][1]).real
                     + X["P"][1][0, 2])),
@@ -484,8 +496,8 @@ def test_build_writes_out_the_term_grammar():
               ("scalar_mat", "u", 0, H2), ("scalar_mat", "z", 1, K2)],
          lambda X: (0.5 * (X["A"][0] + X["A"][1]) + 2.0 * X["A"][2]
                     + X["u"][0] * H2 + X["z"][1] * K2)),
-        (-1.2, [("mat", "P", 0, S), ("entry", "A", 2, (0, 1)),
-                ("entry", "B", 1, (1, 2)), ("tr", "A", [0, 2], -1.0),
+        (-1.2, [("mat", "P", 0, S), ("mat", "A", 2, cell_functional(2, (0, 1))),
+                ("mat", "B", 1, cell_functional(3, (1, 2))), ("tr", "A", [0, 2], -1.0),
                 ("tr", "P", [1], 0.5), ("mat", "B", 0, C3),
                 ("lin", "u", [1, 1], [3.0, 1.0])],
          lambda X: (tr(S @ X["P"][0]) + X["A"][2][0, 1].real
@@ -542,7 +554,7 @@ def test_build_writes_out_the_term_grammar():
 
 
 def _mixed_program():
-    """Hermitian blocks under matrix, trace, 'mat' and 'entry' rows next to
+    """Hermitian blocks under matrix, trace and 'mat' rows next to
     a real PSD block, nonnegative and free scalars."""
     rng = np.random.default_rng(12)
     prog = ConicProgram("mixed")
@@ -561,8 +573,8 @@ def _mixed_program():
                                        ("lin", "t", [0, 2], [1.0, -1.0])])
     prog.add_scalar_row(("mat",), 0.3, [("mat", "H", 4, random_hermitian(2, rng)),
                                         ("mat", "H", 1, random_hermitian(2, rng)),
-                                        ("entry", "P", 0, (0, 2))])
-    prog.add_scalar_row(("entry",), 0.1, [("entry", "H", 2, (0, 1)),
+                                        ("mat", "P", 0, cell_functional(3, (0, 2)))])
+    prog.add_scalar_row(("entry",), 0.1, [("mat", "H", 2, cell_functional(2, (0, 1))),
                                           ("lin", "w", [1], [3.0])])
     return prog
 
@@ -609,9 +621,9 @@ def _run_program():
                                        ("tr", "C", [1], 1.0),
                                        ("lin", "t", [0, 1, 2], [1.0, 2.0, -1.0])])
     prog.add_scalar_row(("mat",), 0.3, [("mat", "B", 0, random_hermitian(2, rng)),
-                                        ("entry", "P", 1, (0, 2)),
+                                        ("mat", "P", 1, cell_functional(3, (0, 2))),
                                         ("mat", "A", 2, random_hermitian(2, rng))])
-    prog.add_scalar_row(("entry",), 0.1, [("entry", "C", 0, (0, 1)),
+    prog.add_scalar_row(("entry",), 0.1, [("mat", "C", 0, cell_functional(2, (0, 1))),
                                           ("lin", "w", [1], [3.0]),
                                           ("lin", "t", [2], [1.0])])
     return prog
@@ -775,7 +787,7 @@ def test_start_stays_interior_and_defined():
     # multiple equally, and the start is the unit
     prog = ConicProgram("offdiag")
     prog.add_hermitian_family("X", 1, 2)
-    prog.add_scalar_row(("re",), 0.3, [("entry", "X", 0, (0, 1))])
+    prog.add_scalar_row(("re",), 0.3, [("mat", "X", 0, cell_functional(2, (0, 1)))])
     cones, drow = _cones(prog)
     x0, e = _start(cones, prog.rhs() / drow, prog._ncols, prog._nrows)
     assert np.array_equal(x0, e)

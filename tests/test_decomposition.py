@@ -1,6 +1,7 @@
-"""Column generation in decomposition.solve: the restricted path against
-the whole program, its lifted certificate, the one-pass path, and the
-reconstruction of a restricted solution."""
+"""Column generation in decomposition.solve_strategies: the restricted
+path against the whole program, its lifted certificate, the one-pass
+path, and the reconstruction of a restricted solution; the membership
+row against the program it replaced, and at the 59049-strategy scale."""
 
 import json
 import os
@@ -14,12 +15,17 @@ from corrquant import decomposition as dc
 from corrquant import experiments as ex
 from corrquant import incompat as ic
 from corrquant import scenario as sc
+from corrquant import steering as st
 from corrquant.conic import ConicProgram, verify_solution
 
 DATA = Path(__file__).parent / "data"
 LOSSY_ETA = 0.4
 TOL = 1e-8
 INCOMPAT_KINDS = ("robustness", "random_robustness", "jm_robustness", "weight")
+# every KINDS row, the membership row on the measurement set and on the
+# assemblage
+CASES = [*(k for k in dc.KINDS if k != "membership"), "membership:incompat",
+         "membership:steering"]
 
 
 def lossy_dodecahedron(m):
@@ -28,19 +34,17 @@ def lossy_dodecahedron(m):
 
 
 def program(m, kind):
-    """The program of ``kind`` (a KINDS row, or "membership:incompat" /
-    "membership:steering") on the lossy dodecahedron set or its singlet
-    assemblage, and a function reading its value off a solution."""
+    """The program of ``kind`` (one of CASES) on the lossy dodecahedron set
+    or its singlet assemblage, and that data grid."""
     meas, asm = lossy_dodecahedron(m)
-    if kind.startswith("membership"):
-        data = meas.effects if kind.endswith("incompat") else asm.members
-        return dc.membership_program(kind, data), lambda sol: -sol.value
+    row, _, domain = kind.partition(":")
+    if row == "membership":
+        data = meas.effects if domain == "incompat" else asm.members
+        return dc.build_program(domain, row, data, np.eye(2)), data
     if kind in INCOMPAT_KINDS:
-        prog = dc.build_program("incompat", kind, meas.effects, np.eye(2))
-    else:
-        prog = dc.build_program("steering", kind, asm.members,
-                                asm.members[0].sum(axis=0))
-    return prog, lambda sol: float(sol.primal["t"][0])
+        return dc.build_program("incompat", kind, meas.effects, np.eye(2)), meas.effects
+    return dc.build_program("steering", kind, asm.members,
+                            asm.members[0].sum(axis=0)), asm.members
 
 
 def whole(prog):
@@ -51,18 +55,17 @@ def whole(prog):
 
 
 def assert_restricted_matches_whole(m, kind):
-    prog, value = program(m, kind)
-    sol = dc.solve(prog)
+    prog, data = program(m, kind)
+    sol = dc.solve_strategies(prog, data)
     assert sol.working_set is not None and sol.working_set < 3 ** m
     assert sol.reduced_cost >= -conic.MARGIN_TOL
-    assert abs(value(sol) - value(whole(program(m, kind)[0]))) <= TOL
+    assert abs(sol.primal["t"][0] - whole(program(m, kind)[0]).primal["t"][0]) <= TOL
     report = verify_solution(prog, sol)
     assert report.ok(), report
     return sol
 
 
-@pytest.mark.parametrize("kind", [*dc.KINDS, "membership:incompat",
-                                  "membership:steering"])
+@pytest.mark.parametrize("kind", CASES)
 @pytest.mark.parametrize("m", [5, 6])
 def test_restricted_matches_whole_program(monkeypatch, m, kind):
     # the 243-block m = 5 programs fit in the default working set, so it
@@ -140,7 +143,7 @@ def test_small_program_is_solved_once_as_built(monkeypatch):
 
     monkeypatch.setattr(ConicProgram, "solve", spy_solve)
     monkeypatch.setattr(ConicProgram, "build", spy_build)
-    sol = dc.solve(prog)
+    sol = dc.solve_strategies(prog, meas.effects)
     assert solved == [prog] and built == []
     assert sol.working_set is None and sol.rounds == 1
 
@@ -188,6 +191,64 @@ def test_strategy_bound_takes_qubit_eigenvalues_in_closed_form(monkeypatch):
     assert calls == []
     assert abs(dc.strategy_bound(qutrit) - expected[-1]) <= 1e-12
     assert calls == [(3 ** 4, 3, 3)]
+
+
+def replaced_membership_margin(data):
+    """The max-margin program the membership row replaced, written out:
+    Hermitian G over the strategies and a free w with
+    sum_{lambda_x = a} G_lambda + w 1/n = D_{a|x} on the pruned rows,
+    maximizing w; its margin w*."""
+    m, n, d = data.shape[:3]
+    masks = sc.strategy_masks(m, n)
+    prog = ConicProgram("replaced membership")
+    prog.add_hermitian_family("G", n ** m, d)
+    prog.add_free("w", 1)
+    for x, a in dc.match_rows(m, n, "pruned"):
+        prog.add_matrix_row_group(("match", x, a), data[x, a],
+                                  [("sum", "G", masks[x][a], 1.0),
+                                   ("scalar_mat", "w", 0, np.eye(d) / n)])
+    prog.set_objective([("lin", "w", [0], [-1.0])])
+    return -whole(prog).value
+
+
+def test_membership_row_matches_the_program_it_replaced():
+    rng = np.random.default_rng(23)
+    grids = []
+    for m in (2, 3, 3, 4):
+        vecs = rng.normal(size=(m, 3))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        meas = sc.lossy(sc.bloch_measurements(vecs), rng.uniform(0.3, 0.9, size=m))
+        asm = sc.steer(sc.werner(rng.uniform(0.5, 1.0), psi="singlet"), meas)
+        grids += [(meas.effects, np.eye(2)), (asm.members, sc.reduced_state(asm))]
+    meas, _ = lossy_dodecahedron(4)
+    grids.append((meas.effects, np.eye(2)))
+    margins = []
+    for data, reference in grids:
+        margin = dc.max_margin("membership", data, reference)[0]
+        assert abs(margin - replaced_membership_margin(data)) <= 1e-10
+        margins.append(margin)
+    # members and non-members both
+    assert min(margins) < -dc.MEMBERSHIP_TOL and max(margins) > dc.MEMBERSHIP_TOL
+
+
+def test_membership_at_bennet_scale():
+    # 59049 strategies, through column generation: the lossy dodecahedron
+    # set just inside its incompatible region, and its singlet assemblage
+    meas = sc.lossy(sc.dodecahedron(), 0.132)
+    jm = ic.is_jointly_measurable(meas)
+    lhs = st.has_lhs_model(sc.steer(sc.werner(0.992, psi="singlet"), meas))
+    assert not jm.jointly_measurable and not lhs.has_model
+    assert abs(jm.margin - -0.00711575645725) <= TOL
+    assert abs(lhs.margin - -0.00266607977234) <= TOL
+    assert abs(jm.witness.value - abs(jm.margin)) <= TOL
+    assert abs(lhs.inequality.violation - abs(lhs.margin)) <= TOL
+    assert jm.witness.bound <= TOL and lhs.inequality.bound <= TOL
+    # the lifted solution is a solution of the whole program
+    prog = dc.build_program("incompat", "membership", meas.effects, np.eye(2))
+    sol = dc.solve_strategies(prog, meas.effects)
+    assert sol.working_set < 3 ** 10
+    report = verify_solution(prog, sol)
+    assert report.ok(), report
 
 
 @pytest.mark.extended

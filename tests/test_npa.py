@@ -237,12 +237,16 @@ def test_structure_rows_match_the_per_row_loop(scenario, level):
     byte, of one add_scalar_row per tie and zero cell."""
     from corrquant.conic import ConicProgram
     tmpl = npa.build_npa_block(scenario, level)
+
+    def entry(ij):
+        return ("mat", "G", 0, npa.cell_functional(tmpl.size, ij))
+
     progs = []
     for batched in (True, False):
         prog = ConicProgram("rows")
         prog.add_psd_family("G", 1, tmpl.size)
         prog.add_nonneg("r", 1)
-        prog.add_scalar_row(("first",), 1.0, [("entry", "G", 0, (0, 1))])
+        prog.add_scalar_row(("first",), 1.0, [entry((0, 1))])
         if batched:
             tmpl.add_structure_rows(prog, "G", ("r", 0))
         else:
@@ -253,8 +257,8 @@ def test_structure_rows_match_the_per_row_loop(scenario, level):
                     prog.add_scalar_row(("tie", "G", ci, cell), 0.0,
                                         [("mat", "G", 0, diff)])
             for cell in tmpl.zero_cells:
-                prog.add_scalar_row(("zero", "G", cell), 0.0, [("entry", "G", 0, cell)])
-            prog.add_scalar_row(("gnorm", "G"), 0.0, [("entry", "G", 0, (0, 0)),
+                prog.add_scalar_row(("zero", "G", cell), 0.0, [entry(cell)])
+            prog.add_scalar_row(("gnorm", "G"), 0.0, [entry((0, 0)),
                                                       ("lin", "r", [0], [-1.0])])
         prog.set_objective([("lin", "r", [0], [1.0])])
         progs.append(prog)

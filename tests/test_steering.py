@@ -205,16 +205,16 @@ def test_relabeling_invariance():
                    - st.steering_quantifier(rel, kind).value) < 1e-7
 
 
-@pytest.mark.parametrize("kind", [*dc.KINDS, "membership"])
+@pytest.mark.parametrize("kind", dc.KINDS)
 def test_row_sets_full_rank(kind):
     # the pruned row sets must leave A with full row rank, for every row
-    # of the decomposition table and for the membership program
+    # of the decomposition table, membership on both domains
     ms = sc.lossy(sc.paulis("XZ"), (0.7, 0.9))
     asm = sc.steer(sc.werner(0.8),
                    random_povm_set(2, 3, 2, np.random.default_rng(4)))
     if kind == "membership":
-        progs = [dc.membership_program("jm", ms.effects),
-                 dc.membership_program("lhs", asm.members)]
+        progs = [dc.build_program("incompat", kind, ms.effects, np.eye(2)),
+                 dc.build_program("steering", kind, asm.members, np.eye(2))]
     elif kind in {k.value for k in ic.IncompatKind}:
         progs = [dc.build_program("incompat", kind, ms.effects, np.eye(2))]
     else:
