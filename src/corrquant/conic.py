@@ -62,12 +62,12 @@ so no sparse product runs inside the loop (the design of ECOS, Domahidi,
 Chu & Boyd, ECC 2013).  An iteration factors the Schur complement with one
 dpotrf and applies As and As^T four times each: once for its residuals,
 three times for its two directions (As^T dy is summed from the products
-that formed dx).  A 2x2 Hermitian family's products are P (U X) and
-U^T (P^T y), and its Schur term is one closed-form Phi_i per block summed
-against the weights U.  A run of consecutive 2x2 Hermitian families is
-one Lorentz cone, so its closed-form kernels run once per iteration over
-all its blocks.  Matrix families and scalars build their dense columns,
-on the rows they touch, as U[owner] (x) F per stacked row.
+that formed dx).  A run of consecutive 2x2 Hermitian families is one
+Lorentz cone; its closed-form kernels run once per iteration over all its
+blocks, its products are P (U X) and U^T (y P) over the run's U, and its
+Schur term sums a closed-form Phi_i per block against each family's U.
+Matrix families and scalars hold dense columns, U[owner] (x) F per
+stacked row, on the rows they touch; a cone on every row uses a view.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import SolverFailure
@@ -303,15 +302,11 @@ class ConicProgram:
     def _freeze(self):
         if self._frozen:
             return
-        offset = 0
-        for fam in self._families.values():
-            if fam.kind in ("herm", "psd"):
-                fam.offset = offset
-                offset += fam.width
-        for fam in self._families.values():
-            if fam.kind in ("nonneg", "free"):
-                fam.offset = offset
-                offset += fam.width
+        offset = 0     # matrix families, then scalars, each in declaration order
+        for fam in sorted(self._families.values(),
+                          key=lambda f: f.kind in ("nonneg", "free")):
+            fam.offset = offset
+            offset += fam.width
         self._ncols = offset
         if offset > VARIABLE_CAP:
             raise SolverFailure(
@@ -461,6 +456,7 @@ class ConicProgram:
         """Assemble (A, b, c), A one CSR with sorted indices, family by
         family P kron(U, I) from the touches, for verification and dumps
         (the solver reads the touches)."""
+        import scipy.sparse as sp   # only verification and dumps build A
         self._freeze()
         blocks = [sp.csr_matrix((self._nrows, 0))]   # a program may have no columns
         for fam in sorted(self._families.values(), key=lambda f: f.offset):
@@ -755,7 +751,7 @@ class _Nonneg(_Dense):
         return a * b
 
     def max_steps(self, a, b):
-        return _min_step(np.stack([a, b]) / self.lam)
+        return _min_step(np.minimum(a, b) / self.lam)
 
     def schur(self):
         return (self.A * self.w2) @ self.A.T
@@ -780,7 +776,7 @@ def _jnorm(q):
     """sqrt(q0^2 - |q_bar|^2) per row; raises off the cone's interior."""
     nbar = np.sqrt(np.einsum("ij,ij->i", q[:, 1:], q[:, 1:]))
     lo = q[:, 0] - nbar
-    if not np.all(lo > 0):
+    if not lo.min() > 0:                  # NaN fails too
         raise np.linalg.LinAlgError("iterate left the Lorentz cone")
     return np.sqrt(lo * (q[:, 0] + nbar))
 
@@ -809,35 +805,38 @@ class _Lorentz:
     coordinates under the Jordan product with unit e = (1, 0, 0, 0), in
     which the central X o S = mu 1 of 2x2 matrices reads x o s = 2 mu e.
 
-    The run's columns are one matrix P on the rows they reach, family f
-    owning its columns ``cols`` of it (four per touch: its stacked
-    functional rows mapped by :func:`_q`) and its blocks ``blocks`` of
-    the run, whose weights on those touches are U.
+    The run's columns are P kron(U, I4): P on the rows they reach, four
+    columns per touch (its functional rows mapped by :func:`_q`), U the
+    run's touch weights, family f's in its slot (``touches`` by ``blocks``;
+    ``cols`` of P) and zero elsewhere.  As^T y is U^T (y P), and As v is
+    P (U X) with U X formed slot by slot: a BLAS product over the padded U
+    sums a family's blocks in another order.  The Schur term is per slot.
     """
 
     def __init__(self, fams, decoded, drow):
         self.sl = slice(fams[0].offset, fams[-1].offset + fams[-1].width)
         self.rows = np.unique(np.concatenate([rows for rows, _, _, _ in decoded]))
-        self.P = np.zeros((self.rows.size, 4 * sum(len(U) for _, _, _, U in decoded)))
-        self.parts = []           # (blocks, cols, U) per family
-        block = col = 0
+        self.U = np.zeros((sum(len(U) for *_, U in decoded), sum(f.count for f in fams)))
+        self.P = np.zeros((self.rows.size, 4 * len(self.U)))
+        self.parts = []           # (blocks, touches, cols, U) per family
+        block = touch = 0
         for f, (rows, F, owner, U) in zip(fams, decoded):
             self.P[np.searchsorted(self.rows, rows)[:, None],
-                   col + 4 * owner[:, None] + np.arange(4)] = _q(F) / drow[rows, None]
-            cols = slice(col, col + 4 * len(U))
-            self.parts.append((slice(block, block + f.count), cols, U))
-            block, col = block + f.count, cols.stop
+                   4 * (touch + owner[:, None]) + np.arange(4)] = _q(F) / drow[rows, None]
+            blocks, touches = slice(block, block + f.count), slice(touch, touch + len(U))
+            self.U[touches, blocks] = U
+            self.parts.append((blocks, touches, slice(4 * touch, 4 * touches.stop), U))
+            block, touch = blocks.stop, touches.stop
         self.unit = np.tile([np.sqrt(2.0), 0.0, 0.0, 0.0], block)
 
     def matvec(self, v):
-        X = v.reshape(-1, 4)
-        return self.P @ np.concatenate([(U @ X[blocks]).ravel()
-                                        for blocks, _, U in self.parts])
+        X, UX = v.reshape(-1, 4), np.empty((len(self.U), 4))
+        for blocks, touches, _, U in self.parts:
+            np.matmul(U, X[blocks], out=UX[touches])
+        return self.P @ UX.ravel()
 
     def rmatvec(self, y):
-        z = y[self.rows] @ self.P
-        return np.concatenate([(U.T @ z[cols].reshape(-1, 4)).ravel()
-                               for _, cols, U in self.parts])
+        return (self.U.T @ (y[self.rows] @ self.P).reshape(-1, 4)).ravel()
 
     def scale(self, x, s):
         xq, sq = x[self.sl].reshape(-1, 4), s[self.sl].reshape(-1, 4)
@@ -864,7 +863,7 @@ class _Lorentz:
         self.beta2, self.beta_inv, self.vj = self.beta ** 2, 1 / self.beta, v * _JSIGN
         # u and 1/|lam| twice over: max_steps stacks its two operands
         self.u2 = np.concatenate([u, u])
-        self.linv2 = np.tile(1 / lnorm, 2)
+        self.linv2 = np.concatenate([1 / lnorm] * 2)
 
     def phi(self, z):
         # Phi = W^2 = beta^2 (2 w w^T - J)
@@ -900,7 +899,7 @@ class _Lorentz:
         # per family, sum_i U[t, i] U[t', i] Phi_i with
         # Phi_i = 2 b_i^2 w_i w_i^T - b_i^2 J, between that family's P
         S = np.zeros((self.P.shape[1],) * 2)
-        for blocks, cols, U in self.parts:
+        for blocks, _, cols, U in self.parts:
             b2 = self.beta2[blocks]
             V = (U[:, None, :] * (np.sqrt(2 * b2) * self.w[blocks].T)[None]).reshape(
                 -1, b2.size)
@@ -970,7 +969,7 @@ class _Matrix(_Dense):
 
     def schur(self):
         # Phi applied to each dense row of As restricted to this family
-        phia = self.fam.coords(self.G @ self.Amats @ self.G).reshape(len(self.rows), -1)
+        phia = self.fam.coords(self.G @ self.Amats @ self.G).reshape(self.A.shape[0], -1)
         return self.A @ phia.T
 
 
@@ -1005,6 +1004,10 @@ def _cones(prog):
     scalars = [f for f in fams if f.kind in ("nonneg", "free") and f.width]
     if scalars:
         cones.append(_Nonneg(scalars, [decoded[f.name] for f in scalars], drow))
+    for g in cones:     # rows are sorted and distinct: all rows are a view
+        full = g.rows.size == prog._nrows
+        g.rows = slice(None) if full else g.rows
+        g.square = (g.rows, g.rows) if full else np.ix_(g.rows, g.rows)
     return cones, drow
 
 
@@ -1045,10 +1048,7 @@ def _schur_complement(cones, nrows) -> np.ndarray:
     """As Phi As^T (Phi = W W^T), summed cone by cone."""
     M = np.zeros((nrows, nrows))
     for g in cones:
-        if g.rows.size == nrows:           # rows are sorted and distinct
-            M += g.schur()
-        else:
-            M[np.ix_(g.rows, g.rows)] += g.schur()
+        M[g.square] += g.schur()
     return (M + M.T) / 2
 
 
@@ -1142,8 +1142,8 @@ def _solve_hsd(prog: ConicProgram):
 
         xs, ys, ss = x / tau, y / tau, s / tau
         rp, rd = ax / tau - bs, aty / tau + ss - c
-        pres = np.linalg.norm(rp) / norm_b
-        dres = np.linalg.norm(rd) / norm_c
+        pres = np.sqrt(rp @ rp) / norm_b
+        dres = np.sqrt(rd @ rd) / norm_c
         pobj, dobj = c @ xs, bs @ ys
         objscale = 1 + abs(pobj) + abs(dobj)
         relgap = abs(pobj - dobj) / objscale

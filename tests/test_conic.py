@@ -1,6 +1,10 @@
 """Solver unit tests: small analytic programs plus duality and determinism checks."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from corrquant.conic import (
     ConicProgram,
     _cone_coords,
     _cones,
+    _jnorm,
     _matvec,
     _phi,
     _primal_to_vec,
@@ -831,3 +836,26 @@ def test_nt_scaling_kernels():
         low = (np.linalg.eigvalsh(fam.mats(edge.reshape(fam.count, -1)))[:, 0]
                if fam else edge).min()
         assert abs(low) <= 1e-9 * np.abs(edge).max()
+
+
+def test_jnorm_is_the_lorentz_norm_and_fails_loudly():
+    """sqrt(q0^2 - |q_bar|^2) per interior row; a boundary row, a row
+    holding NaN, or one bad row under a good one raises, so a step that
+    left the cone or went NaN cannot pass as a scaling."""
+    rows = np.array([[2.0, 0.5, -1.0, 0.25], [1.0, 0.0, 0.0, 0.0], [3.0, 1.0, 1.0, 1.0]])
+    want = np.sqrt(rows[:, 0] ** 2 - np.sum(rows[:, 1:] ** 2, axis=1))
+    assert np.allclose(_jnorm(rows), want, rtol=1e-14, atol=0)
+    for bad in ([1.0, 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [2.0, 0.0, np.nan, 0.0]):
+        for stack in ([bad], [rows[0], bad]):
+            with pytest.raises(np.linalg.LinAlgError):
+                _jnorm(np.array(stack))
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    """A solve never assembles A, so importing the package and its CLI
+    does not import scipy.sparse; ConicProgram.build() imports it."""
+    src = str(Path(conic.__file__).resolve().parents[1])
+    code = "import sys, corrquant, corrquant.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
