@@ -63,6 +63,9 @@ class CgLayout:
                        for k, (ca, cb) in zip(kind, self.parts)]
         self.dim = len(self.coords)
         self.index = {c: i for i, c in enumerate(self.coords)}
+        self._table = np.einsum("kxa,kyb->xyabk", a.table[self._i],
+                                b.table[self._j]).reshape(-1, self.dim)
+        self._table.flags.writeable = False
 
     def of_table(self, table: np.ndarray) -> np.ndarray:
         """CG vector of a table (mA, mB, nA, nB); marginals read at the
@@ -71,9 +74,9 @@ class CgLayout:
                          self._b.read[self._j])
 
     def table_matrix(self) -> np.ndarray:
-        """Matrix T with  vec(table) = T @ cg  (inclusion-exclusion)."""
-        return np.einsum("kxa,kyb->xyabk", self._a.table[self._i],
-                         self._b.table[self._j]).reshape(-1, self.dim)
+        """Matrix T with  vec(table) = T @ cg  (inclusion-exclusion), built
+        with the layout and read-only."""
+        return self._table
 
     def table_of(self, cg: np.ndarray) -> np.ndarray:
         return (self.table_matrix() @ cg).reshape(

@@ -65,7 +65,8 @@ three times for its two directions (As^T dy is summed from the products
 that formed dx).  A run of consecutive 2x2 Hermitian families is one
 Lorentz cone; its closed-form kernels run once per iteration over all its
 blocks, its products are P (U X) and U^T (y P) over the run's U, and its
-Schur term sums a closed-form Phi_i per block against each family's U.
+Schur term is formed on the run's rows from each family's stacked rows
+(their touches and functionals), with no product by P.
 Matrix families and scalars hold dense columns, U[owner] (x) F per
 stacked row, on the rows they touch; a cone on every row uses a view.
 """
@@ -807,31 +808,55 @@ class _Lorentz:
 
     The run's columns are P kron(U, I4): P on the rows they reach, four
     columns per touch (its functional rows mapped by :func:`_q`), U the
-    run's touch weights, family f's in its slot (``touches`` by ``blocks``;
-    ``cols`` of P) and zero elsewhere.  As^T y is U^T (y P), and As v is
+    run's touch weights, family f's in its slot (its touches by its blocks)
+    and zero elsewhere.  As^T y is U^T (y P), and As v is
     P (U X) with U X formed slot by slot: a BLAS product over the padded U
-    sums a family's blocks in another order.  The Schur term is per slot.
+    sums a family's blocks in another order.  The Schur term needs neither
+    P nor a touch-space matrix: each family's stacked rows are laid on the
+    run's rows, one layer per touch that reaches a row again, with their
+    touches and functionals, and :meth:`schur` sums Z Z^T over the run's
+    blocks less one K o (F J F^T) per family (after Fujisawa, Kojima &
+    Nakata, Math. Prog. 79, 1997).
     """
 
     def __init__(self, fams, decoded, drow):
         self.sl = slice(fams[0].offset, fams[-1].offset + fams[-1].width)
         self.rows = np.unique(np.concatenate([rows for rows, _, _, _ in decoded]))
+        nrows = self.rows.size
         self.U = np.zeros((sum(len(U) for *_, U in decoded), sum(f.count for f in fams)))
-        self.P = np.zeros((self.rows.size, 4 * len(self.U)))
-        self.parts = []           # (blocks, touches, cols, U) per family
+        self.P = np.zeros((nrows, 4 * len(self.U)))
+        self.parts = []           # (blocks, touches, U) per family
+        stacks = []
         block = touch = 0
         for f, (rows, F, owner, U) in zip(fams, decoded):
-            self.P[np.searchsorted(self.rows, rows)[:, None],
-                   4 * (touch + owner[:, None]) + np.arange(4)] = _q(F) / drow[rows, None]
+            at, Fq = np.searchsorted(self.rows, rows), _q(F) / drow[rows, None]
+            self.P[at[:, None], 4 * (touch + owner[:, None]) + np.arange(4)] = Fq
             blocks, touches = slice(block, block + f.count), slice(touch, touch + len(U))
             self.U[touches, blocks] = U
-            self.parts.append((blocks, touches, slice(4 * touch, 4 * touches.stop), U))
+            self.parts.append((blocks, touches, U))
+            # layer k holds each row's k-th stacked row in this family
+            order = np.argsort(at, kind="stable")
+            layer = np.empty_like(at)
+            layer[order] = np.arange(at.size) - np.searchsorted(at[order], at[order])
+            stacks.append((layer, at, owner, Fq))
             block, touch = blocks.stop, touches.stop
         self.unit = np.tile([np.sqrt(2.0), 0.0, 0.0, 0.0], block)
+        # the Schur term's record: each family's stacked row sits in slot
+        # layer * nrows + row of as many layers as the run needs, with its
+        # touch t and functional F; an empty slot's F is zero
+        self.layers = 1 + int(max(layer.max(initial=-1) for layer, *_ in stacks))
+        size = self.layers * nrows
+        self.terms = []           # (blocks, U, U[t]^T, F^T, K index, F J F^T) per family
+        for (blocks, _, U), (layer, at, owner, Fq) in zip(self.parts, stacks):
+            slot = layer * nrows + at
+            FT, t = np.zeros((4, size)), np.zeros(size, np.int64)
+            FT[:, slot], t[slot] = Fq.T, owner
+            self.terms.append((blocks, U, U.T.take(t, axis=1), FT, t[:, None] * len(U) + t,
+                               (FT.T * _JSIGN) @ FT))
 
     def matvec(self, v):
         X, UX = v.reshape(-1, 4), np.empty((len(self.U), 4))
-        for blocks, touches, _, U in self.parts:
+        for blocks, touches, U in self.parts:
             np.matmul(U, X[blocks], out=UX[touches])
         return self.P @ UX.ravel()
 
@@ -896,17 +921,21 @@ class _Lorentz:
                                                        rho[:, 1:])))
 
     def schur(self):
-        # per family, sum_i U[t, i] U[t', i] Phi_i with
-        # Phi_i = 2 b_i^2 w_i w_i^T - b_i^2 J, between that family's P
-        S = np.zeros((self.P.shape[1],) * 2)
-        for blocks, _, cols, U in self.parts:
-            b2 = self.beta2[blocks]
-            V = (U[:, None, :] * (np.sqrt(2 * b2) * self.w[blocks].T)[None]).reshape(
-                -1, b2.size)
-            K = (U * b2) @ U.T                       # kron(K, J) below
-            S[cols, cols] = V @ V.T - (K[:, None, :, None] * np.diag(_JSIGN)[:, None]
-                                       ).reshape(V.shape[0], -1)
-        return self.P @ S @ self.P.T
+        # family f's term between its stacked rows e, e' (touch t_e, Q^4
+        # functional F_e) is sum_i U[t_e, i] U[t_e', i] F_e Phi_i F_e'^T with
+        # Phi_i = 2 b_i^2 w_i w_i^T - b_i^2 J, that is
+        # Z Z^T - K[t_e, t_e'] F_e J F_e'^T for Z[e, i] = sqrt2 b_i U[t_e, i] F_e.w_i
+        # and K = U diag(b^2) U^T.  Every family fills its blocks' rows of one
+        # Z^T, and the layers of slots sum onto the run's rows.
+        n, layers = len(self.P), self.layers
+        W = self.w * np.sqrt(2 * self.beta2)[:, None]
+        ZT = np.empty((len(W), layers * n))
+        S = np.zeros((layers * n,) * 2)
+        for blocks, U, UtT, FT, kidx, FJF in self.terms:
+            np.multiply(UtT, W[blocks] @ FT, out=ZT[blocks])
+            S -= ((U * self.beta2[blocks]) @ U.T).take(kidx) * FJF
+        S += ZT.T @ ZT
+        return S.reshape(layers, n, layers, n).sum((0, 2))
 
 
 class _Matrix(_Dense):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,8 +151,17 @@ def _strategy_pairs(b: Behaviour):
         raise StrategyCapExceeded(
             f"{npairs} deterministic strategy pairs exceed the cap "
             f"{scenario.STRATEGY_CAP}")
-    layout = CgLayout(mA, nA, mB, nB)
-    return layout, strategy_cg_matrix(layout)
+    return _cg_scenario((mA, nA, mB, nB))
+
+
+@lru_cache(maxsize=None)
+def _cg_scenario(key: tuple):
+    """(layout, S) of one (mA, nA, mB, nB) scenario, built once per
+    scenario and shared, so S and the layout's table matrix are read-only."""
+    layout = CgLayout(*key)
+    S = strategy_cg_matrix(layout)
+    S.flags.writeable = False
+    return layout, S
 
 
 def is_local(b: Behaviour) -> LocalDecision:

@@ -647,7 +647,19 @@ def _duplicate_program():
     return prog
 
 
-SCHUR_PROGRAMS = ["IR", "IW", "SR", "mixed", "kernels", "runs", "duplicate"]
+def _ladder_program():
+    """The m = 6 lossy-dodecahedron IR program on its starting strategies,
+    as column generation solves it first: one Lorentz run of the families
+    N and G (18 + 256 blocks) on the match and norm rows."""
+    ms = scenario.lossy(scenario.bloch_measurements(
+        scenario.dodecahedron_vectors()[:6]), 0.4)
+    prog = build_program("incompat", "robustness", ms.effects, np.eye(2))
+    keep = decomposition._starting_set(prog.families["G"],
+                                       decomposition.strategy_prices(ms.effects))
+    return prog.restrict({"G": keep})
+
+
+SCHUR_PROGRAMS = ["IR", "IW", "SR", "mixed", "kernels", "runs", "duplicate", "ladder"]
 
 
 def _schur_program(name):
@@ -663,6 +675,7 @@ def _schur_program(name):
         "kernels": _kernel_program,
         "runs": _run_program,
         "duplicate": _duplicate_program,
+        "ladder": _ladder_program,
     }[name]()
 
 
@@ -741,6 +754,9 @@ def test_structured_schur_matches_dense_product(name):
         # A and B share one Lorentz cone, P its own, C a new Lorentz cone
         assert [(type(g).__name__, g.sl.stop - g.sl.start) for g in cones] == [
             ("_Lorentz", 20), ("_Matrix", 12), ("_Lorentz", 8), ("_Nonneg", 7)]
+    if name == "ladder":
+        assert [(type(g).__name__, g.sl.stop - g.sl.start) for g in cones] == [
+            ("_Lorentz", 4 * 274), ("_Nonneg", 1)]
     M = _schur_complement(cones, As.shape[0])
     # reference: As Phi As^T with Phi applied to each dense row of As,
     # each row read in the cones' coordinates

@@ -131,6 +131,22 @@ def test_pair_cap_checked_before_strategy_matrix(monkeypatch):
         sc.strategy_masks(4, 2)
 
 
+def test_strategy_pairs_are_built_once_per_scenario():
+    # two behaviours of one scenario share its layout, S and table matrix,
+    # all read-only, and they are the arrays a fresh layout gives
+    layout, S = nl._strategy_pairs(isotropic_chsh(1.0))
+    again, S_again = nl._strategy_pairs(isotropic_chsh(0.5))
+    assert again is layout and S_again is S
+    assert again.table_matrix() is layout.table_matrix()
+    for arr in (S, layout.table_matrix()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    fresh = CgLayout(2, 2, 2, 2)
+    assert np.array_equal(S, strategy_cg_matrix(fresh))
+    assert np.array_equal(layout.table_matrix(), fresh.table_matrix())
+
+
 def test_bell_certificate_checks_the_pair_cap(monkeypatch):
     # the certificate enumerates the same 16 strategy pairs as the solve,
     # so a cap they exceed refuses it too
