@@ -704,7 +704,8 @@ class _Dense:
         touched = np.unique(np.concatenate([rows for rows, _, _, _ in decoded]))
         index, vals = [], []
         for f, (rows, F, owner, U) in zip(fams, decoded):
-            D = (U[owner][:, :, None] * F[:, None, :]).reshape(len(rows), -1)
+            D = (U[owner][:, :, None] * F[:, None, :]).reshape(
+                len(rows), f.count * f.ncoords)
             if f.kind == "free":
                 D = np.hstack([D, -D])
             cols = f.offset - self.sl.start + np.arange(f.width)
@@ -846,8 +847,12 @@ class _Lorentz:
         # touch t and functional F; an empty slot's F is zero
         self.layers = 1 + int(max(layer.max(initial=-1) for layer, *_ in stacks))
         size = self.layers * nrows
-        self.terms = []           # (blocks, U, U[t]^T, F^T, K index, F J F^T) per family
+        # (blocks, U, U[t]^T, F^T, K index, F J F^T) per family that a row
+        # touches; an untouched family's blocks keep zero rows of Z^T
+        self.terms = []
         for (blocks, _, U), (layer, at, owner, Fq) in zip(self.parts, stacks):
+            if not len(U):
+                continue
             slot = layer * nrows + at
             FT, t = np.zeros((4, size)), np.zeros(size, np.int64)
             FT[:, slot], t[slot] = Fq.T, owner
@@ -929,7 +934,7 @@ class _Lorentz:
         # Z^T, and the layers of slots sum onto the run's rows.
         n, layers = len(self.P), self.layers
         W = self.w * np.sqrt(2 * self.beta2)[:, None]
-        ZT = np.empty((len(W), layers * n))
+        ZT = np.zeros((len(W), layers * n))
         S = np.zeros((layers * n,) * 2)
         for blocks, U, UtT, FT, kidx, FJF in self.terms:
             np.multiply(UtT, W[blocks] @ FT, out=ZT[blocks])
@@ -998,7 +1003,7 @@ class _Matrix(_Dense):
 
     def schur(self):
         # Phi applied to each dense row of As restricted to this family
-        phia = self.fam.coords(self.G @ self.Amats @ self.G).reshape(self.A.shape[0], -1)
+        phia = self.fam.coords(self.G @ self.Amats @ self.G).reshape(self.A.shape)
         return self.A @ phia.T
 
 

@@ -4,7 +4,10 @@ and behind membership of the jointly measurable and LHS sets.
 Steering quantifiers are incompatibility quantifiers with the reference
 R = rho_B standing where R = 1 stood (the quantitative form of the
 steering / joint-measurability map of Uola, Budroni, Guehne & Pellonpaa,
-PRL 115, 230402, 2015).  Every kind matches, per input x and outcome a,
+PRL 115, 230402, 2015): the consistent steering kinds solve the four
+incompatibility rows at R = rho_B (:data:`corrquant.steering.ROW`), and
+the table adds the rows whose noise keeps a free reduced state, and
+membership.  Every kind matches, per input x and outcome a,
 
     sum_{lambda: lambda_x = a} G_lambda + sign * noise_{a|x} = D_{a|x},
 
@@ -15,30 +18,30 @@ kind is one row of :data:`KINDS`:
 * ``noise``: "free", one PSD block N_{a|x} per (x, a); "white", t R/n;
   or "model", a strategy model sum_{lambda_x = a} H_lambda;
 * ``sign``: -1 for robustness kinds, +1 for weight kinds;
-* ``rows``: "all", or "pruned": the last outcome dropped for x > 0;
-* ``norm``: "first", sum_a N_{a|0} = t R; "each", sum_a N_{a|x} = t R for
-  every x; "model", sum_lambda H_lambda = t R; "trace", one scalar row
-  fixing the noise's total trace to t (on H, or through the x = 0 match
-  rows on G); or None;
+* ``norm``: "consistent", the noise sums to t R over every input's
+  outcomes (one row, sum_a N_{a|0} = t R or sum_lambda H_lambda = t R,
+  and none for white noise, which sums to t R as it is); or "trace",
+  one scalar row fixing only the noise's total trace to t (on H, or
+  through the x = 0 match rows on G);
 * ``weight``: the cone of t, "nonneg"; or "free" in the "membership" row,
   white noise at R = 1 whose margin w* = -t* is >= 0 exactly on members.
 
 The variables are the scaled-variable linearization: G absorbs the
 mixture denominator (G = (1 - sign*t) times the normalized parent or
 model) and the noise absorbs t, so the fractional mixture constraints
-are linear.  Match rows are pruned exactly where the normalization makes
-them dependent (summed over outcomes, every input's rows give the same
-equation), so A keeps full row rank.  Families are declared in one
-order: N, G, H, then t.
+are linear.  Free noise keeps every match row; white and model noise
+drop the last outcome for x > 0, where summed over outcomes every
+input's rows give the same equation, so A keeps full row rank.  Families
+are declared in one order: N, G, H, then t.
 
 Dual multipliers of the match rows are the witness (incompatibility) or
 steering-inequality (steering) coefficients; their bound is enumerated
 over the deterministic strategies.
 
-The nonlocality quantifiers read the steering rows too: each is the
-program of the steering kind it bounds, with the parent changed to
-nonnegative weights over strategy pairs and the match rows written on
-Collins-Gisin coordinates (:func:`corrquant.nonlocality.build_program`).
+The nonlocality quantifiers read the same rows: each is the program of
+the steering kind it bounds, with the parent changed to nonnegative
+weights over strategy pairs and the match rows written on Collins-Gisin
+coordinates (:func:`corrquant.nonlocality.build_program`).
 :func:`solve` is the one solve-or-raise step of every program.
 
 At the optimum almost every strategy block is empty, so
@@ -72,9 +75,9 @@ same for the membership row, by one normalization rule
 (:func:`_normalize`): the nonzero blocks are clipped PSD and mapped by
 one congruence X -> C X C^H, C = T^1/2 S^-1/2 on the support of T and S
 their sum, so they sum to T exactly and zero blocks (those off a
-column-generation working set) stay zero.  T = R wherever the row pins
-the sum: every ``norm`` but "trace", and membership.  The
-"trace" kinds (SR, SW, SR_lhs) fix only the noise's trace, so the noise
+column-generation working set) stay zero.  T = R on the "consistent"
+rows, membership included.  The "trace" rows (SR, SW, SR_lhs) fix only
+the noise's trace, so the noise
 has a free reduced state and the parent or model sums to
 (rho_B - sign * t * rho_N) / (1 - sign * t), not to rho_B; there T is
 the blocks' own sum at unit trace.  Free noise is rebuilt from the
@@ -109,27 +112,22 @@ WORKING_SET = 256
 class Decomposition:
     noise: str          # "free" | "white" | "model"
     sign: float         # -1 robustness, +1 weight
-    rows: str           # "all" | "pruned"
-    norm: str | None    # "first" | "each" | "model" | "trace" | None
+    norm: str           # "consistent" | "trace"
     weight: str         # cone of t: "nonneg" | "free"
 
 
 KINDS = {
-    # incompatibility, R = 1
-    "robustness": Decomposition("free", -1.0, "all", "first", "nonneg"),
-    "random_robustness": Decomposition("white", -1.0, "pruned", None, "nonneg"),
-    "jm_robustness": Decomposition("model", -1.0, "pruned", "model", "nonneg"),
-    "weight": Decomposition("free", +1.0, "all", "first", "nonneg"),
-    # steering, R = rho_B
-    "SR": Decomposition("free", -1.0, "all", "trace", "nonneg"),
-    "SR_red": Decomposition("white", -1.0, "pruned", None, "nonneg"),
-    "SR_lhs": Decomposition("model", -1.0, "pruned", "trace", "nonneg"),
-    "SW": Decomposition("free", +1.0, "all", "trace", "nonneg"),
-    "SR_c": Decomposition("free", -1.0, "pruned", "each", "nonneg"),
-    "SR_c_lhs": Decomposition("model", -1.0, "pruned", "model", "nonneg"),
-    "SW_c": Decomposition("free", +1.0, "pruned", "each", "nonneg"),
+    # incompatibility at R = 1; the consistent steering kinds at R = rho_B
+    "robustness": Decomposition("free", -1.0, "consistent", "nonneg"),
+    "random_robustness": Decomposition("white", -1.0, "consistent", "nonneg"),
+    "jm_robustness": Decomposition("model", -1.0, "consistent", "nonneg"),
+    "weight": Decomposition("free", +1.0, "consistent", "nonneg"),
+    # steering with the noise's reduced state free, R = rho_B
+    "SR": Decomposition("free", -1.0, "trace", "nonneg"),
+    "SR_lhs": Decomposition("model", -1.0, "trace", "nonneg"),
+    "SW": Decomposition("free", +1.0, "trace", "nonneg"),
     # membership, R = 1
-    "membership": Decomposition("white", -1.0, "pruned", None, "free"),
+    "membership": Decomposition("white", -1.0, "consistent", "free"),
 }
 
 
@@ -153,30 +151,31 @@ def _flat(text: str) -> str:
     return "".join(ch for ch in text.strip().lower() if ch not in "^/-_")
 
 
-def match_rows(m: int, n: int, rows: str):
-    """(x, a) pairs of the match rows: all, or the last outcome dropped
-    for x > 0."""
+def match_rows(m: int, n: int, noise: str):
+    """(x, a) pairs of the match rows: all for free noise; otherwise the
+    last outcome dropped for x > 0, as every input's rows sum to the same
+    equation."""
     return [(x, a) for x in range(m)
-            for a in range(n if rows == "all" or x == 0 else n - 1)]
+            for a in range(n if noise == "free" or x == 0 else n - 1)]
 
 
-def build_program(domain: str, kind: str, data: np.ndarray,
+def build_program(name: str, kind: str, data: np.ndarray,
                   reference: np.ndarray) -> ConicProgram:
-    """The program of ``KINDS[kind]`` on an (m, n, d, d) data grid."""
+    """The program ``name`` of ``KINDS[kind]`` on an (m, n, d, d) data grid."""
     row = KINDS[kind]
     m, n, d = data.shape[:3]
     total = check_strategy_cap(m, n)
     masks = strategy_masks(m, n)
     every = np.arange(total)
 
-    prog = ConicProgram(f"{domain}:{kind}")
+    prog = ConicProgram(name)
     if row.noise == "free":
         prog.add_hermitian_family("N", m * n, d)
     prog.add_hermitian_family("G", total, d)
     if row.noise == "model":
         prog.add_hermitian_family("H", total, d)
     (prog.add_free if row.weight == "free" else prog.add_nonneg)("t", 1)
-    for x, a in match_rows(m, n, row.rows):
+    for x, a in match_rows(m, n, row.noise):
         if row.noise == "free":
             noise = ("one", "N", x * n + a, row.sign)
         elif row.noise == "white":
@@ -185,17 +184,7 @@ def build_program(domain: str, kind: str, data: np.ndarray,
             noise = ("sum", "H", masks[x][a], row.sign)
         prog.add_matrix_row_group(("match", x, a), data[x, a],
                                   [("sum", "G", masks[x][a], 1.0), noise])
-    if row.norm in ("first", "each"):
-        for x in range(1 if row.norm == "first" else m):
-            prog.add_matrix_row_group(
-                ("norm", x), np.zeros((d, d)),
-                [("sum", "N", x * n + np.arange(n), 1.0),
-                 ("scalar_mat", "t", 0, -reference)])
-    elif row.norm == "model":
-        prog.add_matrix_row_group(
-            ("norm",), np.zeros((d, d)),
-            [("sum", "H", every, 1.0), ("scalar_mat", "t", 0, -reference)])
-    elif row.norm == "trace" and row.noise == "model":
+    if row.norm == "trace" and row.noise == "model":
         # tr sum_lambda H_lambda = t
         prog.add_scalar_row(("norm",), 0.0, [("tr", "H", every, 1.0),
                                              ("lin", "t", [0], [-1.0])])
@@ -204,6 +193,16 @@ def build_program(domain: str, kind: str, data: np.ndarray,
         # tr sum_lambda G_lambda = 1 - sign * t
         prog.add_scalar_row(("norm",), 1.0, [("tr", "G", every, 1.0),
                                              ("lin", "t", [0], [row.sign])])
+    elif row.noise == "free":
+        # sum_a N_{a|0} = t R; the match rows carry it to every x
+        prog.add_matrix_row_group(
+            ("norm", 0), np.zeros((d, d)),
+            [("sum", "N", np.arange(n), 1.0), ("scalar_mat", "t", 0, -reference)])
+    elif row.noise == "model":
+        # sum_lambda H_lambda = t R (white noise t R/n sums to t R as it is)
+        prog.add_matrix_row_group(
+            ("norm",), np.zeros((d, d)),
+            [("sum", "H", every, 1.0), ("scalar_mat", "t", 0, -reference)])
     prog.set_objective([("lin", "t", [0], [1.0])])
     return prog
 
@@ -286,10 +285,11 @@ def match_duals(sol: ConicSolution, m: int, n: int, d: int) -> np.ndarray:
     return grid
 
 
-def quantify(domain: str, kind: str, data: np.ndarray, reference: np.ndarray):
-    """Solve one kind: (noise weight t >= 0, solution, match-row duals)."""
+def quantify(name: str, kind: str, data: np.ndarray, reference: np.ndarray):
+    """Solve program ``name`` of one kind: (noise weight t >= 0, solution,
+    match-row duals)."""
     m, n, d = data.shape[:3]
-    sol = solve_strategies(build_program(domain, kind, data, reference), data)
+    sol = solve_strategies(build_program(name, kind, data, reference), data)
     t = max(float(sol.primal["t"][0]), 0.0)
     return t, sol, match_duals(sol, m, n, d)
 

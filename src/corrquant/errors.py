@@ -17,10 +17,6 @@ class NotPositiveSemidefinite(CorrquantError, ValueError):
     """Matrix has an eigenvalue below the accepted tolerance."""
 
 
-class BasisError(CorrquantError, ValueError):
-    """Supplied basis is not unitary within tolerance."""
-
-
 class StrategyCapExceeded(CorrquantError, ValueError):
     """Deterministic-strategy count n**m exceeds the configured cap."""
 

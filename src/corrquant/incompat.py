@@ -41,14 +41,16 @@ class IncompatWitness:
     """Incompatibility witness from the dual of a quantifier solve.
 
     Coefficients Y_{a|x} satisfy  sum_{a,x} tr[Y_{a|x} N_{a|x}] <= 0  for
-    every jointly measurable set N (bound 0, checked by enumerating all
-    parent outcome vectors), while the input set reaches the quantifier
-    value.
+    every jointly measurable set N (``bound`` <= 0, checked by enumerating
+    all parent outcome vectors), while the input set reaches the
+    quantifier value.  A nonzero parent of the optimum pins the bound at
+    0 by complementary slackness; at IW = 1 the parent is empty and the
+    bound can be negative (-0.684 for the sharp X, Z pair).
     """
 
     coefficients: np.ndarray     # (m, n, d, d)
     value: float                 # sum tr[Y M] on the certified set
-    bound: float                 # enumerated JM bound (== 0 up to solver tol)
+    bound: float                 # enumerated JM bound (0 up to solver tol below IW = 1)
 
     def evaluate(self, measurements: MeasurementSet) -> float:
         return float(np.einsum("xaij,xaji->", self.coefficients,
@@ -104,8 +106,8 @@ def incompatibility_quantifier(measurements: MeasurementSet,
     """One of IR, IR^r, IR^jm, IW as a single conic solve."""
     kind = parse_kind(IncompatKind, kind, _ALIASES)
     m, n, d = measurements.m, measurements.n, measurements.d
-    t, sol, y = quantify("incompat", kind.value, measurements.effects,
-                         np.eye(d))
+    t, sol, y = quantify(f"incompat:{kind.value}", kind.value,
+                         measurements.effects, np.eye(d))
     noise, parent, noise_parent = reconstruct(
         kind.value, sol, measurements.effects, np.eye(d), t)
     return IncompatResult(kind=kind, value=t, noise=noise,

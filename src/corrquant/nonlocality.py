@@ -5,8 +5,9 @@ extraction.
 Each nonlocality quantifier is a lower bound on one steering quantifier
 (:data:`STEERING_KIND`), because it is the same decomposition with the
 parent changed from PSD blocks over strategies to weights G over strategy
-pairs: :func:`build_program` reads the steering kind's row of
-:data:`corrquant.decomposition.KINDS` and writes it on Collins-Gisin
+pairs: :func:`build_program` reads the row of
+:data:`corrquant.decomposition.KINDS` that the steering kind solves
+(:data:`corrquant.steering.ROW`) and writes it on Collins-Gisin
 coordinates (full tables are rank deficient under no-signalling),
 
     sum_p G_p S_pk + sign * noise_k = cg_k,
@@ -15,9 +16,10 @@ with noise_k a cell of a scaled moment block Qtilde = t*Q with
 Gamma[0,0] = t ("free" noise: the quantum set, which keeps the bilinear
 product linear and makes the value a certified lower bound at the chosen
 relaxation level), t times the uniform-Alice marginal ("white"), or
-sum_p H_p S_pk with t = sum_p H_p ("model": local noise).  The
-"each" and "model" normalizations become the rows fixing the noise's Bob
-marginal to t p(b|y).  Kinds with polyhedral noise are LP-exact.
+sum_p H_p S_pk with t = sum_p H_p ("model": local noise).  A
+"consistent" row with free or model noise adds the rows fixing the
+noise's Bob marginal to t p(b|y) (white noise has that marginal as it
+is).  Kinds with polyhedral noise are LP-exact.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .scenario import (
     behaviour_marginal,
     check_strategy_cap,
 )
+from .steering import ROW, SteeringKind
 
 # ns_project: the log-barrier weight keeping its iterate interior, and
 # its Newton iteration limit
@@ -59,13 +62,13 @@ class NonlocalityKind(str, Enum):
 
 # the steering kind each nonlocality kind bounds from below
 STEERING_KIND = {
-    NonlocalityKind.NLR: "SR",
-    NonlocalityKind.NLR_mar: "SR_red",
-    NonlocalityKind.NLR_lhv: "SR_lhs",
-    NonlocalityKind.NLW: "SW",
-    NonlocalityKind.NLR_c: "SR_c",
-    NonlocalityKind.NLR_c_lhv: "SR_c_lhs",
-    NonlocalityKind.NLW_c: "SW_c",
+    NonlocalityKind.NLR: SteeringKind.SR,
+    NonlocalityKind.NLR_mar: SteeringKind.SR_red,
+    NonlocalityKind.NLR_lhv: SteeringKind.SR_lhs,
+    NonlocalityKind.NLW: SteeringKind.SW,
+    NonlocalityKind.NLR_c: SteeringKind.SR_c,
+    NonlocalityKind.NLR_c_lhv: SteeringKind.SR_c_lhs,
+    NonlocalityKind.NLW_c: SteeringKind.SW_c,
 }
 
 
@@ -207,7 +210,7 @@ def build_program(b: Behaviour, kind: NonlocalityKind, layout: CgLayout,
 
     Returns (program, NPA template or None).
     """
-    row = KINDS[STEERING_KIND[kind]]
+    row = KINDS[ROW[STEERING_KIND[kind]]]
     cg = layout.of_table(b.table)
     pb = behaviour_marginal(b, "B")
     every = np.arange(S.shape[0])
@@ -247,8 +250,8 @@ def build_program(b: Behaviour, kind: NonlocalityKind, layout: CgLayout,
                             [("lin", "G", every, S[:, k]), noise(k, row.sign)])
     if tmpl is not None:
         tmpl.add_structure_rows(prog, "N", ("t", 0))
-    if row.norm in ("each", "model"):
-        # the noise's Bob marginal is t p(b|y)
+    if row.norm == "consistent" and row.noise != "white":
+        # the noise's Bob marginal is t p(b|y) (white noise has it as it is)
         for y in range(b.mB):
             for bb in range(b.nB - 1):
                 prog.add_scalar_row(
@@ -289,7 +292,7 @@ def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
                                          _scenario(b))
         return res
     layout, S = _strategy_pairs(b)
-    row = KINDS[STEERING_KIND[kind]]
+    row = KINDS[ROW[STEERING_KIND[kind]]]
     prog, tmpl = build_program(b, kind, layout, S, level)
     sol = solve(prog)
     model = _pair_weights_to_model(sol.primal["G"], _scenario(b))

@@ -2,9 +2,8 @@
 
 Everything downstream (measurements, assemblages, parent POVMs, model
 states) is a small dense Hermitian matrix; this module owns the few
-primitives they need: tensor products, partial traces, matrix square
-roots, transposition in an arbitrary orthonormal basis, and the
-positivity/hermiticity checks used by every constructor.
+primitives they need: tensor products, partial traces and the
+hermiticity check used by every constructor.
 
 Values are never mutated in place.
 """
@@ -13,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BasisError, DimensionMismatch, NotHermitian, NotPositiveSemidefinite
+from .errors import DimensionMismatch, NotHermitian
 
 HERM_REJECT = 1e-8     # construction rejects asymmetry beyond this
 PSD_TOL = 1e-10        # eigenvalues above -PSD_TOL are clipped to zero
-UNITARY_TOL = 1e-10
 
 
 def asmatrix(op) -> np.ndarray:
@@ -72,40 +70,6 @@ def partial_trace(op, dims: tuple[int, int], keep: str) -> np.ndarray:
     if keep in ("A", "a"):
         return np.einsum("aibi->ab", t)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def eigh_clipped(op):
-    """Eigendecomposition with small negative eigenvalues clipped to 0.
-
-    Raises NotPositiveSemidefinite if any eigenvalue is below -PSD_TOL.
-    """
-    mat = hermitize(asmatrix(op))
-    vals, vecs = np.linalg.eigh(mat)
-    if vals.size and vals[0] < -PSD_TOL:
-        raise NotPositiveSemidefinite(
-            f"smallest eigenvalue {vals[0]:.3e} below -{PSD_TOL:.1e}")
-    return np.clip(vals, 0.0, None), vecs
-
-
-def matrix_sqrt(op) -> np.ndarray:
-    """PSD square root; input must be PSD within 1e-10."""
-    vals, vecs = eigh_clipped(op)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def basis_transpose(op, basis) -> np.ndarray:
-    """Transpose in the orthonormal basis given by the columns of ``basis``.
-
-    Returns ``U (U† M U)ᵀ U†``; applying it twice is the identity.
-    """
-    mat = asmatrix(op)
-    u = np.asarray(basis, dtype=complex)
-    if u.shape != mat.shape:
-        raise DimensionMismatch(
-            f"basis shape {u.shape} does not match operator {mat.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > UNITARY_TOL:
-        raise BasisError("basis columns are not orthonormal within 1e-10")
-    return u @ (u.conj().T @ mat @ u).T @ u.conj().T
 
 
 # Pauli matrices and friends, used all over the scenario constructors.

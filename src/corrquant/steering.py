@@ -3,14 +3,19 @@
 The programs, and the reconstruction of the defining decomposition (LHS
 model states at unit total trace, the noise as an assemblage), are those
 of :mod:`corrquant.decomposition` with the reference R = rho_B and the
-members sigma_{a|x} as data; this module holds the kinds and the result
-and inequality records.
+members sigma_{a|x} as data.  :data:`ROW` names each kind's row: the
+consistent kinds SR_c, SR_red, SR_c_lhs and SW_c solve the
+incompatibility rows robustness, random_robustness, jm_robustness and
+weight, and SR, SR_lhs and SW the rows that leave the noise's reduced
+state free.  This module holds the kinds, that map, and the result and
+inequality records.
 
 Dual multipliers of the model-matching rows are steering-inequality
 coefficients F_{a|x}: every LHS assemblage gamma satisfies
 sum tr[F gamma] <= bound with bound enumerated over deterministic
-strategies, and the certified input violates the bound by exactly the
-quantifier value.
+strategies, and the certified input violates the bound by the
+quantifier value below weight 1, and by at least it at weight 1
+(:class:`SteeringInequality`).
 """
 
 from __future__ import annotations
@@ -36,14 +41,30 @@ class SteeringKind(str, Enum):
     SW_c = "SW_c"            # consistent weight
 
 
+# the row of decomposition.KINDS each kind solves at R = rho_B: the
+# consistent kinds are the incompatibility rows
+ROW = {
+    SteeringKind.SR: "SR",
+    SteeringKind.SR_red: "random_robustness",
+    SteeringKind.SR_lhs: "SR_lhs",
+    SteeringKind.SW: "SW",
+    SteeringKind.SR_c: "robustness",
+    SteeringKind.SR_c_lhs: "jm_robustness",
+    SteeringKind.SW_c: "weight",
+}
+
+
 @dataclass
 class SteeringInequality:
     """Linear steering inequality from the dual of a quantifier solve.
 
     LHS assemblages obey  sum_{a,x} tr[F_{a|x} gamma_{a|x}] <= bound;
     the certified assemblage violates it by ``violation``, which equals
-    the quantifier value (the documented monotone relation is the
-    identity for all seven kinds).
+    the quantifier value below weight 1.  A nonzero LHS part of the
+    optimum pins the bound by complementary slackness; at weight 1 (SW,
+    SW_c) that part is empty, the bound can fall lower, and the violation
+    is at least the value (1.83 for SW_c on the Werner v = 1 XZ
+    assemblage).
     """
 
     coefficients: np.ndarray        # (m, n, dB, dB)
@@ -114,9 +135,10 @@ def steering_quantifier(assemblage: Assemblage,
     kind = parse_kind(SteeringKind, kind, {})
     m, n = assemblage.m, assemblage.n
     rho_b = reduced_state(assemblage)
-    s, sol, f = quantify("steering", kind.value, assemblage.members, rho_b)
-    noise, model, noise_model = reconstruct(kind.value, sol,
-                                            assemblage.members, rho_b, s)
+    s, sol, f = quantify(f"steering:{kind.value}", ROW[kind], assemblage.members,
+                         rho_b)
+    noise, model, noise_model = reconstruct(ROW[kind], sol, assemblage.members,
+                                            rho_b, s)
     return SteeringResult(kind=kind, value=s, noise=noise,
                           model=LhsModel(model, (m, n)),
                           noise_model=None if noise_model is None

@@ -249,6 +249,39 @@ def test_free_variable_split():
     assert abs(sol.primal["w"][0] + 2.5) < 1e-7
 
 
+@pytest.mark.parametrize("cost", [1.0, 0.0, -1.0])
+@pytest.mark.parametrize("kind", ["herm", "psd", "nonneg", "free"])
+def test_untouched_family_solves_or_is_unbounded(kind, cost):
+    # min tr A_0 + x + cost * (tr or sum of Y) with A_0 + A_1 = 1, x = 2,
+    # and a family Y that no row touches: a 2x2 Hermitian Y shares the
+    # Lorentz run of A, a 3x3 real PSD Y is a matrix cone of its own, and
+    # a nonneg or free Y sits beside the touched nonneg x.  Y faces the
+    # objective alone: the value is 2 when its cost lies in the dual cone
+    # (Y = 0 at a positive cost), and the program is unbounded otherwise
+    prog = ConicProgram(f"untouched {kind}")
+    prog.add_hermitian_family("A", 2, 2)
+    {"herm": lambda: prog.add_hermitian_family("Y", 2, 2),
+     "psd": lambda: prog.add_psd_family("Y", 2, 3),
+     "nonneg": lambda: prog.add_nonneg("Y", 2),
+     "free": lambda: prog.add_free("Y", 2)}[kind]()
+    prog.add_nonneg("x", 1)
+    prog.add_matrix_row_group(("pin",), np.eye(2), [("sum", "A", [0, 1], 1.0)])
+    prog.add_scalar_row(("x",), 2.0, [("lin", "x", [0], [1.0])])
+    prog.set_objective([("tr", "A", [0], 1.0), ("lin", "x", [0], [1.0]),
+                        ("tr", "Y", [0, 1], cost) if kind in ("herm", "psd")
+                        else ("lin", "Y", [0, 1], [cost, cost])])
+    sol = prog.solve()
+    if cost < 0 or (cost > 0 and kind == "free"):
+        assert sol.status == "unbounded"
+        assert verify_solution(prog, sol).ray_residual <= 100 * conic.FEASTOL
+        return
+    assert sol.status == "optimal"
+    assert abs(sol.value - 2.0) < 1e-7
+    assert verify_solution(prog, sol).ok()
+    if cost > 0:
+        assert np.max(np.abs(sol.primal["Y"])) < 1e-6
+
+
 def test_verify_flags_corruption():
     rng = np.random.default_rng(11)
     cmat = random_hermitian(3, rng)
@@ -386,7 +419,7 @@ def test_scaled_start_iteration_counts():
     iw = decomposition.solve_strategies(
         build_program("incompat", "weight", ms6.effects, np.eye(2)), ms6.effects)
     sw = decomposition.solve_strategies(
-        build_program("steering", "SW_c", asm7.members, scenario.reduced_state(asm7)),
+        build_program("steering", "weight", asm7.members, scenario.reduced_state(asm7)),
         asm7.members)
     assert iw.iterations <= 16
     assert sw.iterations <= 14

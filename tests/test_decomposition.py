@@ -22,9 +22,10 @@ DATA = Path(__file__).parent / "data"
 LOSSY_ETA = 0.4
 TOL = 1e-8
 INCOMPAT_KINDS = ("robustness", "random_robustness", "jm_robustness", "weight")
-# every KINDS row, the membership row on the measurement set and on the
-# assemblage
-CASES = [*(k for k in dc.KINDS if k != "membership"), "membership:incompat",
+# every incompatibility and steering kind (the steering kinds solve their
+# st.ROW rows at R = rho_B, so every KINDS row is here), and the membership
+# row on the measurement set and on the assemblage
+CASES = [*INCOMPAT_KINDS, *(k.value for k in st.SteeringKind), "membership:incompat",
          "membership:steering"]
 
 
@@ -43,7 +44,8 @@ def program(m, kind):
         return dc.build_program(domain, row, data, np.eye(2)), data
     if kind in INCOMPAT_KINDS:
         return dc.build_program("incompat", kind, meas.effects, np.eye(2)), meas.effects
-    return dc.build_program("steering", kind, asm.members,
+    row = st.ROW[st.SteeringKind(kind)]
+    return dc.build_program("steering", row, asm.members,
                             asm.members[0].sum(axis=0)), asm.members
 
 
@@ -203,7 +205,7 @@ def replaced_membership_margin(data):
     prog = ConicProgram("replaced membership")
     prog.add_hermitian_family("G", n ** m, d)
     prog.add_free("w", 1)
-    for x, a in dc.match_rows(m, n, "pruned"):
+    for x, a in dc.match_rows(m, n, "white"):
         prog.add_matrix_row_group(("match", x, a), data[x, a],
                                   [("sum", "G", masks[x][a], 1.0),
                                    ("scalar_mat", "w", 0, np.eye(d) / n)])

@@ -99,20 +99,69 @@ def test_chain_werner_chsh():
                  nonlocality_values(beh, level=2))
 
 
+def pure_theta_2x3(theta):
+    """cos(theta)|00> + sin(theta)|11> in C^2 x C^3: rho_B has rank 2."""
+    vec = np.zeros(6, dtype=complex)
+    vec[0], vec[4] = np.cos(theta), np.sin(theta)
+    return sc.BipartiteState(np.outer(vec, vec.conj()), (2, 3))
+
+
 @pytest.mark.parametrize("theta", [np.pi / 8, np.pi / 6, np.pi / 4])
 def test_tightness_pure_states(theta):
+    # the two-qubit state, and the same state in 2 x 3, whose reduced
+    # state, the steering kinds' reference, is rank deficient
     rng = np.random.default_rng(int(theta * 10000))
     meas = random_qubit_povm_set(2, 2, rng)
-    asm = sc.steer(sc.pure_theta(theta), meas)
     iv = incompat_values(meas)
-    assert abs(iv["robustness"]
-               - st.steering_quantifier(asm, "SR_c").value) <= 1e-6
-    assert abs(iv["random_robustness"]
-               - st.steering_quantifier(asm, "SR_red").value) <= 1e-6
-    assert abs(iv["jm_robustness"]
-               - st.steering_quantifier(asm, "SR_c_lhs").value) <= 1e-6
-    assert abs(iv["weight"]
-               - st.steering_quantifier(asm, "SW_c").value) <= 1e-6
+    for state in (sc.pure_theta(theta), pure_theta_2x3(theta)):
+        asm = sc.steer(state, meas)
+        assert abs(iv["robustness"]
+                   - st.steering_quantifier(asm, "SR_c").value) <= 1e-6
+        assert abs(iv["random_robustness"]
+                   - st.steering_quantifier(asm, "SR_red").value) <= 1e-6
+        assert abs(iv["jm_robustness"]
+                   - st.steering_quantifier(asm, "SR_c_lhs").value) <= 1e-6
+        assert abs(iv["weight"]
+                   - st.steering_quantifier(asm, "SW_c").value) <= 1e-6
+
+
+def assert_bound_by_enumeration(coefficients, bound):
+    """lambda_max(sum_x C_{lambda_x|x}) <= bound on every deterministic
+    strategy lambda."""
+    m, n = coefficients.shape[:2]
+    for lam in sc.strategy_assignments(m, n):
+        top = np.linalg.eigvalsh(sum(coefficients[x, lam[x]] for x in range(m)))[-1]
+        assert top <= bound + 1e-9
+
+
+def test_certificates_at_weight_one():
+    # below weight 1 the certificate's violation is the value.  At weight 1
+    # the optimum's parent / LHS part is empty, so nothing pins the
+    # enumerated bound where it sits below 1, and the violation is only at
+    # least the value: IW(X, Z) = 1 has witness bound -0.684, and SW_c on
+    # the Werner v = 1 XZ assemblage violates its bound by 1.83
+    xz = sc.paulis("XZ")
+    cases = [(sc.steer(state, xz), kind)
+             for state in (sc.werner(1.0), sc.werner(0.9)) for kind in ("SW_c", "SW")]
+    cases.append((sc.steer(pure_theta_2x3(0.5), xz), "SW_c"))
+    weights = []
+    for asm, kind in cases:
+        res = st.steering_quantifier(asm, kind)
+        assert_bound_by_enumeration(res.inequality.coefficients, res.inequality.bound)
+        weights.append((res.value, res.inequality.violation))
+    for meas in (xz, sc.lossy(xz, 0.9)):
+        res = ic.incompatibility_quantifier(meas, "weight")
+        witness = res.witness
+        assert_bound_by_enumeration(witness.coefficients, witness.bound)
+        assert abs(witness.value - res.value) < 1e-7
+        assert witness.bound < 1e-7
+        weights.append((res.value, witness.value - witness.bound))
+    assert sum(value > 1 - 1e-6 for value, _ in weights) == 4
+    for value, violation in weights:
+        if value > 1 - 1e-6:
+            assert violation >= value - 1e-9
+        else:
+            assert abs(violation - value) < 1e-6
 
 
 def lossy_dodecahedron(m):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from corrquant import scenario as sc
-from corrquant.operators import basis_transpose, matrix_sqrt, partial_trace
+from corrquant.operators import partial_trace
 from corrquant.errors import (
     DimensionMismatch,
     InconsistentAssemblage,
@@ -13,6 +13,7 @@ from corrquant.errors import (
     NotPositiveSemidefinite,
     StrategyCapExceeded,
 )
+from test_operators import basis_transpose, matrix_sqrt
 
 
 def random_povm_set(m, n, d, rng):

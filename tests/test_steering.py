@@ -118,7 +118,7 @@ def check_witness_and_certificate(asm, kind):
     res = st.steering_quantifier(asm, kind)
     assert res.value > 1e-4
     # defining decomposition reconstructs within 1e-8
-    if dc.KINDS[kind.value].sign > 0:
+    if dc.KINDS[st.ROW[kind]].sign > 0:
         remainder = st.weight_remainder(asm, res.noise, res.value)
         dec = st.has_lhs_model(remainder)
         assert dec.has_model
@@ -205,10 +205,12 @@ def test_relabeling_invariance():
                    - st.steering_quantifier(rel, kind).value) < 1e-7
 
 
-@pytest.mark.parametrize("kind", dc.KINDS)
+@pytest.mark.parametrize("kind", [*(k.value for k in ic.IncompatKind), "membership",
+                                  *(k.value for k in st.SteeringKind)])
 def test_row_sets_full_rank(kind):
     # the pruned row sets must leave A with full row rank, for every row
-    # of the decomposition table, membership on both domains
+    # of the decomposition table: at R = 1, at R = rho_B through the
+    # steering kinds, and membership on both domains
     ms = sc.lossy(sc.paulis("XZ"), (0.7, 0.9))
     asm = sc.steer(sc.werner(0.8),
                    random_povm_set(2, 3, 2, np.random.default_rng(4)))
@@ -218,8 +220,8 @@ def test_row_sets_full_rank(kind):
     elif kind in {k.value for k in ic.IncompatKind}:
         progs = [dc.build_program("incompat", kind, ms.effects, np.eye(2))]
     else:
-        progs = [dc.build_program("steering", kind, asm.members,
-                                  sc.reduced_state(asm))]
+        row = st.ROW[st.SteeringKind(kind)]
+        progs = [dc.build_program("steering", row, asm.members, sc.reduced_state(asm))]
     for prog in progs:
         assert row_rank_deficiency(prog) == 0, prog.name
 
