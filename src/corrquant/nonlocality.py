@@ -5,20 +5,24 @@ extraction.
 Each nonlocality quantifier is a lower bound on one steering quantifier
 (:data:`STEERING_KIND`), because it is the same decomposition with the
 parent changed from PSD blocks over strategies to weights G over strategy
-pairs: :func:`build_program` reads the row of
-:data:`corrquant.decomposition.KINDS` that the steering kind solves
-(:data:`corrquant.steering.ROW`) and writes it on Collins-Gisin
-coordinates (full tables are rank deficient under no-signalling),
+pairs: :func:`build_program` writes a row of
+:data:`corrquant.decomposition.KINDS` at a Bob marginal, as
+:func:`corrquant.decomposition.build_program` writes one at a reference
+R, on Collins-Gisin coordinates (full tables are rank deficient under
+no-signalling).  A quantifier writes the row its steering kind solves
+(:data:`corrquant.steering.ROW`) at the behaviour's Bob marginal, and
+:func:`is_local` the "membership" row at the uniform one,
 
     sum_p G_p S_pk + sign * noise_k = cg_k,
 
 with noise_k a cell of a scaled moment block Qtilde = t*Q with
 Gamma[0,0] = t ("free" noise: the quantum set, which keeps the bilinear
 product linear and makes the value a certified lower bound at the chosen
-relaxation level), t times the uniform-Alice marginal ("white"), or
+relaxation level), t times the uniform-Alice noise at the Bob marginal
+("white"; the uniform behaviour at the uniform marginal), or
 sum_p H_p S_pk with t = sum_p H_p ("model": local noise).  A
 "consistent" row with free or model noise adds the rows fixing the
-noise's Bob marginal to t p(b|y) (white noise has that marginal as it
+noise's Bob marginal to t times the marginal (white noise has it as it
 is).  Kinds with polyhedral noise are LP-exact.
 """
 
@@ -168,59 +172,44 @@ def _cg_scenario(key: tuple):
 
 
 def is_local(b: Behaviour) -> LocalDecision:
-    """Max-margin LP membership in the local polytope.
+    """Max-margin membership in the local polytope: the "membership" row
+    at the uniform Bob marginal, whose white noise is the uniform
+    behaviour.
 
-    Maximizes w with weights q = u + w/N, u >= 0; w* >= 0 (down to
-    -MEMBERSHIP_TOL) means local and the duals of the CG rows give a Bell
-    inequality otherwise.
+    Its margin w* = -t* >= 0 (down to -MEMBERSHIP_TOL) means local, with
+    weights q = G + w*/N; otherwise the duals of the CG rows give a Bell
+    inequality.
     """
     layout, S = _strategy_pairs(b)
-    npairs = S.shape[0]
-    cg = layout.of_table(b.table)
-
-    prog = ConicProgram("is_local")
-    prog.add_nonneg("u", npairs)
-    prog.add_free("w", 1)
-    mean_s = S.mean(axis=0)
-    for k in range(layout.dim):
-        prog.add_scalar_row(("cg", k), cg[k],
-                            [("lin", "u", np.arange(npairs), S[:, k]),
-                             ("lin", "w", [0], [mean_s[k]])])
-    prog.set_objective([("lin", "w", [0], [-1.0])])
+    uniform = np.full((b.mB, b.nB), 1.0 / b.nB)
+    prog, _ = build_program("is_local", "membership", b, uniform, layout, S, None)
     sol = solve(prog)
     margin = -sol.value
     if margin >= -MEMBERSHIP_TOL:
-        q = sol.primal["u"] + margin / npairs
-        model = _pair_weights_to_model(q, _scenario(b))
-        return LocalDecision(True, margin, model=model)
+        q = sol.primal["G"] + margin / S.shape[0]
+        return LocalDecision(True, margin, model=_pair_weights_to_model(q, _scenario(b)))
     ineq = _inequality(_dual_coefficients(sol, layout), b, layout, S)
     return LocalDecision(False, margin, inequality=ineq)
 
 
-def _marginal_noise(b: Behaviour) -> np.ndarray:
-    """Uniform-Alice noise p(b|y)/nA, the white noise of the marginal kind."""
-    pb = behaviour_marginal(b, "B")
-    return np.broadcast_to(pb[None, :, None, :] / b.nA,
-                           (b.mA, b.mB, b.nA, b.nB)).copy()
-
-
-def build_program(b: Behaviour, kind: NonlocalityKind, layout: CgLayout,
-                  S: np.ndarray, level: int):
-    """The program of the steering row ``kind`` bounds, on CG rows.
+def build_program(name: str, kind: str, b: Behaviour, reference: np.ndarray,
+                  layout: CgLayout, S: np.ndarray, level: int | None):
+    """The program ``name`` of ``KINDS[kind]`` on CG rows, at Bob
+    marginal ``reference`` (mB, nB); ``level`` is the NPA level of free
+    noise.
 
     Returns (program, NPA template or None).
     """
-    row = KINDS[ROW[STEERING_KIND[kind]]]
+    row = KINDS[kind]
     cg = layout.of_table(b.table)
-    pb = behaviour_marginal(b, "B")
     every = np.arange(S.shape[0])
     tmpl = None
-    name = f"nonlocality:{kind.value}"
     if row.noise == "free":
         tmpl = build_npa_block(_scenario(b), level)
-        name += f":l{level}"
     elif row.noise == "white":
-        white = layout.of_table(_marginal_noise(b))
+        # uniform-Alice noise reference[y, b]/nA
+        white = layout.of_table(np.broadcast_to(
+            reference[None, :, None, :] / b.nA, b.table.shape).copy())
     prog = ConicProgram(name)
     if tmpl is not None:
         prog.add_psd_family("N", 1, tmpl.size)
@@ -228,7 +217,7 @@ def build_program(b: Behaviour, kind: NonlocalityKind, layout: CgLayout,
     if row.noise == "model":
         prog.add_nonneg("H", len(every))
     else:
-        prog.add_nonneg("t", 1)
+        (prog.add_free if row.weight == "free" else prog.add_nonneg)("t", 1)
 
     def noise(k, coef):
         """coef * noise_k: the moment cell, t * white_k or sum H S_k."""
@@ -251,13 +240,13 @@ def build_program(b: Behaviour, kind: NonlocalityKind, layout: CgLayout,
     if tmpl is not None:
         tmpl.add_structure_rows(prog, "N", ("t", 0))
     if row.norm == "consistent" and row.noise != "white":
-        # the noise's Bob marginal is t p(b|y) (white noise has it as it is)
+        # the noise's Bob marginal is t reference (white noise has it as it is)
         for y in range(b.mB):
             for bb in range(b.nB - 1):
                 prog.add_scalar_row(
                     ("consis", y, bb), 0.0,
                     [noise(layout.index[("B", y, bb)], 1.0),
-                     weight(-pb[y, bb])])
+                     weight(-reference[y, bb])])
     prog.set_objective([weight(1.0)])
     return prog, tmpl
 
@@ -292,8 +281,11 @@ def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
                                          _scenario(b))
         return res
     layout, S = _strategy_pairs(b)
-    row = KINDS[ROW[STEERING_KIND[kind]]]
-    prog, tmpl = build_program(b, kind, layout, S, level)
+    row_name = ROW[STEERING_KIND[kind]]
+    row = KINDS[row_name]
+    pb = behaviour_marginal(b, "B")
+    name = f"nonlocality:{kind.value}" + (f":l{level}" if row.noise == "free" else "")
+    prog, tmpl = build_program(name, row_name, b, pb, layout, S, level)
     sol = solve(prog)
     model = _pair_weights_to_model(sol.primal["G"], _scenario(b))
     noise_model = noise = None
@@ -305,7 +297,7 @@ def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
     else:
         r = float(sol.primal["t"][0])
         if row.noise == "white":
-            noise = _marginal_noise(b)
+            noise = np.broadcast_to(pb[None, :, None, :] / b.nA, b.table.shape).copy()
         elif r > TINY:
             gamma = sol.primal["N"][0]
             reads = np.array([gamma[c] for c in tmpl.cg_cells]) / r
@@ -424,6 +416,8 @@ def behaviour_from_counts(counts) -> Behaviour:
         raise ValidationError(f"counts: expected 4 axes, got {arr.ndim}")
     if np.any(arr < 0):
         raise ValidationError("counts: negative entries")
+    if not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+        raise ValidationError("counts: non-integer entries")
     totals = arr.sum(axis=(2, 3), keepdims=True)
     empty = np.argwhere(totals[..., 0, 0] == 0)
     if len(empty):

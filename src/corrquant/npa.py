@@ -1,10 +1,12 @@
 """Moment-matrix outer approximations of the quantum behaviour set.
 
 Levels 1 and 2 of the hierarchy of moment-matrix relaxations: words are
-products of measurement projectors (one outcome per input dropped via
-completeness), canonicalized by party commutation, idempotence and
-same-input orthogonality; matrix cells whose words coincide as operators
-share one scalar.
+the products of at most ``level`` measurement projectors (one outcome per
+input dropped via completeness), canonicalized by party commutation,
+idempotence and same-input orthogonality, and ordered by length, then
+one party's words before both parties'; matrix cells whose words
+coincide as operators share one scalar, and the template's class
+indicators sum each class's cells.
 
 Membership and optimization are solved in hand-dualized form so the
 completed moment matrix is recovered from the solver's *dual slack*:
@@ -16,13 +18,14 @@ normalization Gamma[0,0] tied to the noise weight (see nonlocality).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .cg import CgLayout
-from .conic import ConicProgram, svec
+from .conic import ConicProgram, smat, svec
 from .decomposition import solve
 from .errors import ValidationError
 
@@ -77,8 +80,8 @@ def word_class_key(u, v):
 
 @dataclass(frozen=True)
 class NpaTemplate:
-    """Word index, equivalence classes, the CG identification map, and the
-    tie and zero rows.  :func:`build_npa_block` shares one template between
+    """Word index, equivalence classes, the CG identification map, the
+    tie and zero rows, and the class indicators.  :func:`build_npa_block` shares one template between
     every program of its scenario and level, so a template is read-only:
     tuples and non-writeable arrays, and a layout that is only read."""
 
@@ -95,6 +98,9 @@ class NpaTemplate:
     # block's svec coordinates, one row each
     row_names: tuple
     structure: np.ndarray
+    # per class, the svec coordinates of its indicator (1 on each of its
+    # cells and their transposes): tr(E Gamma) sums the class's entries
+    indicators: np.ndarray
 
     @property
     def size(self) -> int:
@@ -121,25 +127,15 @@ def build_npa_block(scenario: tuple, level: int) -> NpaTemplate:
     mA, nA, mB, nB = scenario
     if level not in (1, 2):
         raise ValidationError(f"unsupported level {level!r} (only 1 and 2)")
-    asyms = [(0, x, a) for x in range(mA) for a in range(nA - 1)]
-    bsyms = [(1, y, b) for y in range(mB) for b in range(nB - 1)]
+    syms = ([(0, x, a) for x in range(mA) for a in range(nA - 1)]
+            + [(1, y, b) for y in range(mB) for b in range(nB - 1)])
     words = [()]
-    words += [(s,) for s in asyms] + [(s,) for s in bsyms]
-    if level == 2:
-        seen = set(words)
-        for group in (asyms, bsyms):
-            for s in group:
-                for t in group:
-                    w = canonical_word((s, t))
-                    if w and len(w) == 2 and w not in seen:
-                        seen.add(w)
-                        words.append(w)
-        for s in asyms:
-            for t in bsyms:
-                w = canonical_word((s, t))
-                if w and w not in seen:
-                    seen.add(w)
-                    words.append(w)
+    for length in range(1, level + 1):
+        # canonical products of ``length`` symbols, first-seen order; one
+        # party's words before both parties'
+        found = dict.fromkeys(map(canonical_word, itertools.product(syms, repeat=length)))
+        words += sorted((w for w in found if w and len(w) == length),
+                        key=lambda w: len({s[0] for s in w}))
 
     nw = len(words)
     classes: list = []
@@ -175,11 +171,18 @@ def build_npa_block(scenario: tuple, level: int) -> NpaTemplate:
         row_names.append(("zero", cell))
         structure.append(svec(cell_functional(nw, cell)))
     structure = np.array(structure, dtype=float).reshape(len(row_names), nw * (nw + 1) // 2)
-    structure.flags.writeable = False
+    indicators = np.zeros((len(classes), nw * (nw + 1) // 2))
+    for ci, cells in enumerate(classes):
+        e = np.zeros((nw, nw))
+        i, j = zip(*cells)
+        e[i, j] = e[j, i] = 1.0
+        indicators[ci] = svec(e)
+    structure.flags.writeable = indicators.flags.writeable = False
     return NpaTemplate(scenario=tuple(scenario), level=level, words=tuple(words),
                        classes=tuple(map(tuple, classes)), zero_cells=tuple(zero_cells),
                        layout=layout, cg_class=tuple(cg_class), cg_cells=tuple(cg_cells),
-                       row_names=tuple(row_names), structure=structure)
+                       row_names=tuple(row_names), structure=structure,
+                       indicators=indicators)
 
 
 def cell_functional(size: int, cell) -> np.ndarray:
@@ -189,14 +192,6 @@ def cell_functional(size: int, cell) -> np.ndarray:
     c[i, j] += 0.5
     c[j, i] += 0.5
     return c
-
-
-def _class_indicator(tmpl: NpaTemplate, ci: int) -> np.ndarray:
-    e = np.zeros((tmpl.size, tmpl.size))
-    for (i, j) in tmpl.classes[ci]:
-        e[i, j] = 1.0
-        e[j, i] = 1.0
-    return e
 
 
 @dataclass
@@ -244,22 +239,15 @@ def npa_membership(behaviour, level: int = 2) -> NpaDecision:
     tmpl = build_npa_block(
         (behaviour.mA, behaviour.nA, behaviour.mB, behaviour.nB), level)
     cgvec = tmpl.layout.of_table(behaviour.table)
-    pinned = {}
-    for k, ci in enumerate(tmpl.cg_class):
-        pinned[ci] = cgvec[k]
-    f0 = np.zeros((tmpl.size, tmpl.size))
-    for ci, val in pinned.items():
-        f0 += val * _class_indicator(tmpl, ci)
+    pinned = tmpl.indicators[list(tmpl.cg_class)]
+    free = [ci for ci in range(len(tmpl.classes)) if ci not in tmpl.cg_class]
 
     prog = ConicProgram(f"npa_membership:l{tmpl.level}")
     prog.add_psd_family("X", 1, tmpl.size)
-    for ci in range(len(tmpl.classes)):
-        if ci in pinned:
-            continue
-        prog.add_scalar_row(("freeclass", ci), 0.0,
-                            [("mat", "X", 0, _class_indicator(tmpl, ci))])
+    prog.add_coordinate_rows([("freeclass", ci) for ci in free], "X", 0,
+                             tmpl.indicators[free])
     prog.add_scalar_row(("trace",), 1.0, [("tr", "X", [0], 1.0)])
-    prog.set_objective([("mat", "X", 0, f0)])
+    prog.set_objective([("mat", "X", 0, smat(cgvec @ pinned, tmpl.size))])
     sol = solve(prog)
     margin = sol.value
     if margin >= -MEMBERSHIP_TOL:
@@ -268,10 +256,7 @@ def npa_membership(behaviour, level: int = 2) -> NpaDecision:
         mm = MomentMatrix(template=tmpl, gamma=gamma,
                           normalization=float(gamma[0, 0]))
         return NpaDecision(True, margin, moment_matrix=mm)
-    x = sol.primal["X"][0]
-    coeffs_cg = np.zeros(tmpl.layout.dim)
-    for k, ci in enumerate(tmpl.cg_class):
-        coeffs_cg[k] = np.sum(_class_indicator(tmpl, ci) * x)
+    coeffs_cg = pinned @ svec(sol.primal["X"][0])
     func = BellFunctional(
         coefficients=tmpl.layout.functional_to_table(coeffs_cg),
         level=tmpl.level, violation=-margin)
@@ -298,18 +283,16 @@ def npa_optimize(coefficients, scenario, level: int = 2):
     prog.add_psd_family("X", 1, tmpl.size)
     prog.add_free("w", 1)
     gclass = np.zeros(len(tmpl.classes))
-    for k, ci in enumerate(tmpl.cg_class):
-        gclass[ci] += g[k]
-    for ci in range(len(tmpl.classes)):
-        terms = [("mat", "X", 0, _class_indicator(tmpl, ci))]
+    np.add.at(gclass, list(tmpl.cg_class), g)
+    for ci, indicator in enumerate(tmpl.indicators):
+        terms = [("mat", "X", 0, smat(indicator, tmpl.size))]
         if ci == idc:
             terms.append(("lin", "w", [0], [-1.0]))
         prog.add_scalar_row(("class", ci), -gclass[ci], terms)
     prog.set_objective([("lin", "w", [0], [1.0])])
     sol = solve(prog)
-    gamma = np.zeros((tmpl.size, tmpl.size))
-    for ci in range(len(tmpl.classes)):
-        z = -sol.dual_rows[("class", ci)] if ci != idc else 1.0
-        gamma += z * _class_indicator(tmpl, ci)
+    z = np.array([-sol.dual_rows[("class", ci)] for ci in range(len(tmpl.classes))])
+    z[idc] = 1.0
+    gamma = smat(z @ tmpl.indicators, tmpl.size)
     mm = MomentMatrix(template=tmpl, gamma=gamma, normalization=1.0)
     return float(sol.value), mm

@@ -129,13 +129,18 @@ def behaviour_from_dict(obj: dict) -> Behaviour:
 
 
 def counts_from_dict(obj: dict) -> np.ndarray:
-    """The integer array of a counts object, unchecked: the one check of a
-    count table, its axes too, is ``nonlocality.behaviour_from_counts``."""
+    """The array of a counts object as parsed, so a fraction stays one;
+    only its entries' being numbers is checked here.  The one check of a
+    count table, its axes and whole-number entries too, is
+    ``nonlocality.behaviour_from_counts``."""
     _fields(obj, "counts", ("counts",))
     try:
-        return np.asarray(obj["counts"], dtype=np.int64)
+        arr = np.asarray(obj["counts"])
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"counts: not integer ({exc})") from exc
+        raise ValidationError(f"counts: not numeric ({exc})") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"counts: not numeric ({arr.dtype} entries)")
+    return arr
 
 
 def object_to_dict(obj) -> dict:

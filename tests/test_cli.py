@@ -241,6 +241,21 @@ def test_project_ns_refuses_a_slice_without_counts(tmp_path):
     assert "error: counts[1][0]" in res.output
 
 
+@pytest.mark.parametrize("value, message", [
+    (2.7, "error: counts: non-integer entries"),
+    (-0.5, "error: counts: negative entries")], ids=["fraction", "negative fraction"])
+def test_project_ns_refuses_a_count_that_is_not_a_whole_number(tmp_path, value, message):
+    counts = np.full((2, 2, 2, 2), 10.0)
+    counts[0, 1, 1, 0] = value
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps({"counts": counts.tolist()}))
+    out = tmp_path / "out.json"
+    res = CliRunner().invoke(main, ["project-ns", "-i", str(path), "-o", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == "" and res.stderr.strip() == message
+    assert not out.exists()
+
+
 def test_project_ns_command(tmp_path):
     rng = np.random.default_rng(0)
     counts = rng.integers(100, 500, size=(2, 2, 2, 2))

@@ -10,10 +10,11 @@ from corrquant import scenario as sc
 from corrquant.cg import CgLayout, strategy_cg_matrix
 from corrquant.conic import verify_solution
 from corrquant.errors import SignallingError, StrategyCapExceeded, ValidationError
+from corrquant.steering import ROW
 
 
-def isotropic_chsh(v):
-    alice = sc.paulis("XZ")
+def isotropic_chsh(v, alice=None):
+    alice = sc.paulis("XZ") if alice is None else alice
     bob = sc.bloch_measurements([
         np.array([1, 0, 1]) / np.sqrt(2),
         np.array([1, 0, -1]) / np.sqrt(2),
@@ -87,6 +88,26 @@ def test_isotropic_threshold():
     S = strategy_cg_matrix(layout)
     fcg = layout.table_matrix().T @ ineq.coefficients.ravel()
     assert np.max(S @ fcg) <= ineq.bound + 1e-9
+
+
+@pytest.mark.parametrize("v, eta", [
+    *((v, None) for v in (0.66, 0.69, 1 / np.sqrt(2) - 1e-3, 1 / np.sqrt(2),
+                          1 / np.sqrt(2) + 1e-3, 0.72, 0.76, 0.85, 1.0)),
+    (0.8, 0.9)])
+def test_membership_is_the_marginal_row_at_a_uniform_bob_marginal(v, eta):
+    """With Bob's marginal uniform the membership row and NLR_mar's row
+    are one program but for the cone of t, so the margin is -NLR_mar
+    wherever the behaviour is nonlocal (NLR_mar keeps t >= 0 and reads 0
+    where the margin is positive).  ``eta``: Alice's X and Z lossy, with
+    a third no-click outcome."""
+    alice = None if eta is None else sc.lossy(sc.paulis("XZ"), eta)
+    beh = isotropic_chsh(v, alice)
+    assert np.allclose(sc.behaviour_marginal(beh, "B"), 1 / beh.nB, atol=1e-14)
+    margin = nl.is_local(beh).margin
+    value = nl.nonlocality_quantifier(beh, "NLR_mar").value
+    assert min(margin, 0.0) == pytest.approx(-value, abs=1e-8)
+    if eta is not None:
+        assert margin == pytest.approx(-0.0182337649, abs=1e-9)
 
 
 def test_signalling_rejected():
@@ -325,10 +346,14 @@ def test_behaviour_from_counts():
 
 @pytest.mark.parametrize("cell, value, message", [
     ((0, 1, 1, 0), -3, r"^counts: negative entries$"),
+    ((0, 1, 1, 0), -0.5, r"^counts: negative entries$"),
+    ((0, 1, 1, 0), 2.7, r"^counts: non-integer entries$"),
+    ((0, 1, 1, 0), np.nan, r"^counts: non-integer entries$"),
+    ((0, 1, 1, 0), np.inf, r"^counts: non-integer entries$"),
     ((1, 0), 0, r"^counts\[1\]\[0\]: the slice has no counts$")],
-    ids=["negative", "empty slice"])
+    ids=["negative", "negative fraction", "fraction", "nan", "inf", "empty slice"])
 def test_behaviour_from_counts_refuses_a_bad_table(cell, value, message):
-    counts = np.full((2, 2, 2, 2), 10)
+    counts = np.full((2, 2, 2, 2), 10.0)
     counts[cell] = value
     with pytest.raises(ValidationError, match=message):
         nl.behaviour_from_counts(counts)
@@ -394,7 +419,8 @@ def test_nlr_c_level2_converges_on_the_criterion_4_grid():
     for v in grid:
         beh = isotropic_chsh(v)
         layout, S = nl._strategy_pairs(beh)
-        prog, _ = nl.build_program(beh, nl.NonlocalityKind("NLR_c"), layout, S, 2)
+        prog, _ = nl.build_program("nonlocality:NLR_c:l2", "robustness", beh,
+                                   sc.behaviour_marginal(beh, "B"), layout, S, 2)
         sol = prog.solve()
         assert sol.ended == "converged", (v, sol.ended)
         assert verify_solution(prog, sol).ok(), v
@@ -425,7 +451,9 @@ def test_shared_npa_template_builds_the_same_programs(monkeypatch):
         runs = []
         for build in (npa.build_npa_block, npa.build_npa_block.__wrapped__):
             monkeypatch.setattr(nl, "build_npa_block", build)
-            prog, _ = nl.build_program(beh, nl.NonlocalityKind(kind), layout, S, 2)
+            row = ROW[nl.STEERING_KIND[nl.NonlocalityKind(kind)]]
+            prog, _ = nl.build_program(f"nonlocality:{kind}:l2", row, beh,
+                                       sc.behaviour_marginal(beh, "B"), layout, S, 2)
             A, b, c = prog.build()
             res = nl.nonlocality_quantifier(beh, kind, level=2)
             runs.append(([A.indptr, A.indices, A.data, b, c], res.solution))

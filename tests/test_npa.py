@@ -267,3 +267,91 @@ def test_structure_rows_match_the_per_row_loop(scenario, level):
                       (b, b0), (c, c0)]:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert progs[0].row_groups == progs[1].row_groups
+
+
+def reference_template(scenario, level):
+    """(words, classes, zero_cells, cg_class, cg_cells, row_names,
+    structure, class indicators) from the hand-written level-1/level-2
+    word loop that built the template before words came from word length."""
+    from corrquant.conic import svec
+    mA, nA, mB, nB = scenario
+    asyms = [(0, x, a) for x in range(mA) for a in range(nA - 1)]
+    bsyms = [(1, y, b) for y in range(mB) for b in range(nB - 1)]
+    words = [()]
+    words += [(s,) for s in asyms] + [(s,) for s in bsyms]
+    if level == 2:
+        seen = set(words)
+        for group in (asyms, bsyms):
+            for s in group:
+                for t in group:
+                    w = npa.canonical_word((s, t))
+                    if w and len(w) == 2 and w not in seen:
+                        seen.add(w)
+                        words.append(w)
+        for s in asyms:
+            for t in bsyms:
+                w = npa.canonical_word((s, t))
+                if w and w not in seen:
+                    seen.add(w)
+                    words.append(w)
+    nw = len(words)
+    classes, key_index, zero_cells = [], {}, []
+    for i in range(nw):
+        for j in range(i, nw):
+            key = npa.word_class_key(words[i], words[j])
+            if key is None:
+                zero_cells.append((i, j))
+                continue
+            if key not in key_index:
+                key_index[key] = len(classes)
+                classes.append([])
+            classes[key_index[key]].append((i, j))
+    cg_class, cg_cells = [], []
+    for parts in CgLayout(*scenario).parts:
+        word = tuple((p, *part) for p, part in enumerate(parts) if part)
+        ci = key_index[npa.word_class_key((), word)]
+        cg_class.append(ci)
+        cg_cells.append(classes[ci][0])
+    row_names, structure = [], []
+    for ci, cells in enumerate(classes):
+        for cell in cells[1:]:
+            row_names.append(("tie", ci, cell))
+            structure.append(svec(npa.cell_functional(nw, cell)
+                                  - npa.cell_functional(nw, cells[0])))
+    for cell in zero_cells:
+        row_names.append(("zero", cell))
+        structure.append(svec(npa.cell_functional(nw, cell)))
+    structure = np.array(structure, dtype=float).reshape(len(row_names), nw * (nw + 1) // 2)
+    indicators = []
+    for cells in classes:
+        e = np.zeros((nw, nw))
+        for (i, j) in cells:
+            e[i, j] = 1.0
+            e[j, i] = 1.0
+        indicators.append(svec(e))
+    return (words, classes, zero_cells, cg_class, cg_cells, row_names, structure,
+            np.array(indicators))
+
+
+@pytest.mark.parametrize("scenario", [
+    (2, 2, 2, 2), (2, 3, 2, 3), (3, 2, 3, 2), (3, 3, 2, 2), (2, 3, 2, 2), (2, 2, 3, 3),
+    (3, 2, 2, 2)])
+@pytest.mark.parametrize("level", [1, 2])
+def test_words_by_length_match_the_hand_written_loop(scenario, level):
+    """Words from canonical products of at most ``level`` symbols give the
+    template, byte for byte, that the hand-written loop gave, and each
+    class indicator row is svec of the class's indicator matrix."""
+    words, classes, zero_cells, cg_class, cg_cells, row_names, structure, indicators = (
+        reference_template(scenario, level))
+    tmpl = npa.build_npa_block.__wrapped__(scenario, level)
+    assert list(tmpl.words) == words
+    assert list(map(list, tmpl.classes)) == classes
+    assert list(tmpl.zero_cells) == zero_cells
+    assert list(tmpl.cg_class) == cg_class and list(tmpl.cg_cells) == cg_cells
+    assert list(tmpl.row_names) == row_names
+    assert tmpl.structure.dtype == structure.dtype
+    assert tmpl.structure.shape == structure.shape
+    assert tmpl.structure.tobytes() == structure.tobytes()
+    assert tmpl.indicators.shape == indicators.shape
+    assert tmpl.indicators.tobytes() == indicators.tobytes()
+    assert not tmpl.indicators.flags.writeable

@@ -48,6 +48,16 @@ def test_counts_loading(tmp_path):
     arr = serialize.load(path)
     assert arr.shape == (2, 2, 2, 2)
     assert arr.dtype == np.int64
+    # parsed as written: a fraction is not cut to an integer (the count
+    # check refuses it), and a non-number is refused here
+    counts = np.arange(1, 17).reshape(2, 2, 2, 2).tolist()
+    counts[0][1][1][0] = 2.7
+    path.write_text(json.dumps({"counts": counts}))
+    assert serialize.load(path)[0, 1, 1, 0] == 2.7
+    counts[0][1][1][0] = "2"
+    path.write_text(json.dumps({"counts": counts}))
+    with pytest.raises(ValidationError, match=r"^counts: not numeric \(<U"):
+        serialize.load(path)
 
 
 def test_non_hermitian_rejected_with_path(tmp_path):
