@@ -49,11 +49,25 @@ as per-block costs.  These touches are the program's only record of its
 columns: a family's columns are P kron(U[:, i], I) for block i (after
 Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  One decoder,
 :meth:`_Family.stacked`, reads them: every touch's rows and functional
-rows stacked, the touch owning each, and one weight row per touch.  A
-solve decodes each family once; the stack gives the row equilibration
-(max |F| times max |U| per stacked row) and the columns of its cone.
-Pricing and ``build()``, which assembles A only for verification and
-dumps, read the same stack.
+rows stacked, the touch owning each, and one weight row per touch,
+decoded once per family and kept.  The stack gives the row equilibration
+(max |F| times max |U| per stacked row) and the columns of its cone;
+pricing, :meth:`ConicProgram.restrict` and ``build()``, which assembles A
+only for verification and dumps, read the same stack.
+
+A program is a read-only *structure* and per-call values.  The builders
+make the structure once per program shape (:meth:`ConicProgram.share`)
+and write each call's values on it (:meth:`ConicProgram.with_values`):
+b, and the stacked touches of scalar families, the only touches that
+read data.  What a solve derives from the structure alone is its
+:class:`_Plan`, made at its first solve and shared by every program on
+it: the matrix families' share of the row scale, each cone's layout (a
+Lorentz run's U, slots, layers and K index and its functionals in Q^4
+coordinates; a matrix family's dense columns; the scalars' index
+arrays), the cones' unit and the gathers that read the duals.  A solve
+adds its scalars' share of the row scale and divides the cones' rows by
+it, so a program's iterates are the same to the last bit whether its
+plan is new or shared.
 
 Each cone owns its columns of the row-equilibrated As and applies them
 itself: the iteration's products As v and As^T y and its dense Schur
@@ -186,6 +200,8 @@ class _Family:
     offset: int = -1   # filled when offsets are frozen
     # key -> (rows, functional, weights); see touch()
     touches: dict = field(default_factory=dict, repr=False)
+    # stacked(), kept until the next touch
+    stack: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         # objective coefficients, per block and coordinate
@@ -237,6 +253,7 @@ class _Family:
         if key not in self.touches:
             self.touches[key] = (np.asarray(rows), functional, np.zeros(self.count))
         np.add.at(self.touches[key][2], indices, weight)
+        self.stack = None
 
     def stacked(self):
         """(rows, F, owner, U): every touch's rows and functional rows
@@ -244,12 +261,22 @@ class _Family:
         per touch.  Block i's columns of A are P kron(U[:, i], I), P the
         functional rows F[e] placed in rows rows[e] and the coordinates
         of touch owner[e]; a free family's z- columns are their negatives."""
-        touches = list(self.touches.values())
-        rows = np.concatenate([np.zeros(0, np.int64)] + [r for r, _, _ in touches])
-        F = np.concatenate([np.zeros((0, self.ncoords))] + [f for _, f, _ in touches])
-        owner = np.repeat(np.arange(len(touches)), [len(f) for _, f, _ in touches])
-        U = np.array([w for _, _, w in touches]).reshape(len(touches), self.count)
-        return rows, F, owner, U
+        if self.stack is None:
+            touches = list(self.touches.values())
+            rows = np.concatenate([np.zeros(0, np.int64)] + [r for r, _, _ in touches])
+            F = np.concatenate([np.zeros((0, self.ncoords))] + [f for _, f, _ in touches])
+            owner = np.repeat(np.arange(len(touches)), [len(f) for _, f, _ in touches])
+            U = np.array([w for _, _, w in touches]).reshape(len(touches), self.count)
+            self.stack = rows, F, owner, U
+        return self.stack
+
+    def on(self, stack, cost) -> "_Family":
+        """This family's declaration and offset with touches ``stack`` (the
+        form of :meth:`stacked`) and block costs ``cost``."""
+        out = _Family(self.name, self.kind, len(cost), self.dim, self.offset,
+                      touches={}, stack=stack)
+        out.cost = cost
+        return out
 
 
 @dataclass
@@ -266,6 +293,12 @@ class ConicProgram:
 
     Declare all variable families first; the first row or objective
     coefficient freezes the variable layout.
+
+    :meth:`share` turns a program into a read-only *structure*, and
+    :meth:`with_values` makes programs on it that differ only in the
+    values a call writes: b, and the touches of scalar families.  They
+    share the structure's arrays and the solver's :class:`_Plan` of it, and
+    refuse the grammar, as a program from :meth:`restrict` does.
     """
 
     def __init__(self, name: str = ""):
@@ -275,6 +308,9 @@ class ConicProgram:
         self._b: list[float] = []
         self._nrows = 0
         self._frozen = False
+        self._shared = False    # a read-only structure, or a program on one
+        self._base = None       # the structure whose plan this one reads, if shared
+        self._plan = None       # _Plan, made at the first solve
 
     # ---- variables --------------------------------------------------------
 
@@ -315,6 +351,15 @@ class ConicProgram:
                 program=self)
         self._frozen = True
 
+    def _write(self):
+        """Open the program to a grammar call: freeze the variable layout,
+        and drop the solver's plan, which the call may change."""
+        if self._shared:
+            raise RuntimeError(f"program {self.name!r} is built on a shared "
+                               "structure: its rows and objective are fixed")
+        self._freeze()
+        self._plan = None
+
     # ---- coefficient expansion ---------------------------------------------
 
     def _expand_scalar_terms(self, row, terms):
@@ -353,7 +398,7 @@ class ConicProgram:
         ("mat", family, index, C)         -> tr(C X_index)
         ("tr",  family, indices, weight)  -> weight * sum tr X_i
         """
-        self._freeze()
+        self._write()
         row = self._nrows
         self._expand_scalar_terms(row, terms)
         self._b.append(float(rhs))
@@ -366,7 +411,7 @@ class ConicProgram:
         block ``index`` of ``family``.  The rows are the ones
         ``add_scalar_row`` writes for ("mat", family, index, C_k), C_k the
         block with coordinates ``functionals[k]``, recorded as one touch."""
-        self._freeze()
+        self._write()
         fam = self._families[family]
         functionals = np.asarray(functionals, dtype=float)
         if functionals.shape != (len(names), fam.ncoords):
@@ -389,7 +434,7 @@ class ConicProgram:
         Expands into d*d real rows in the orthonormal Hermitian basis,
         where row k reads coordinate k of each Hermitian block.
         """
-        self._freeze()
+        self._write()
         rhs = hermitize(np.asarray(rhs, dtype=complex))
         d = rhs.shape[0]
         nr = d * d
@@ -417,7 +462,7 @@ class ConicProgram:
 
     def set_objective(self, terms) -> None:
         """Linear objective (minimized); same term grammar as scalar rows."""
-        self._freeze()
+        self._write()
         self._expand_scalar_terms(None, terms)
 
     # ---- assembled data ------------------------------------------------------
@@ -431,7 +476,7 @@ class ConicProgram:
         return list(self._rows)
 
     def rhs(self) -> np.ndarray:
-        """The right-hand side b."""
+        """The right-hand side b (read-only on a shared structure)."""
         return np.asarray(self._b, dtype=float)
 
     def objective(self) -> np.ndarray:
@@ -480,20 +525,75 @@ class ConicProgram:
     def restrict(self, keep: dict) -> "ConicProgram":
         """This program on blocks ``keep[name]`` (indices) of each
         matrix family named in ``keep``: the same rows and b, and the kept
-        blocks' touch weights and objective costs."""
+        blocks' touch weights and objective costs, as a structure of its own
+        (:meth:`share`)."""
         out = ConicProgram(self.name)
         for fam in self._families.values():
             sel = keep.get(fam.name)
             if sel is not None and fam.kind not in ("herm", "psd"):
                 raise ValueError(f"family {fam.name!r} is not a matrix family")
-            new = out._families[fam.name] = _Family(
-                fam.name, fam.kind, fam.count if sel is None else len(sel), fam.dim)
-            new.touches = {key: (rows, functional, w if sel is None else w[sel])
-                           for key, (rows, functional, w) in fam.touches.items()}
-            new.cost = fam.cost if sel is None else fam.cost[sel]
+            rows, F, owner, U = fam.stacked()
+            out._families[fam.name] = (
+                fam.on((rows, F, owner, U), fam.cost.copy()) if sel is None
+                else fam.on((rows, F, owner, U.take(sel, axis=1)), fam.cost[sel]))
         out._freeze()
-        out._b, out._rows, out._nrows = list(self._b), list(self._rows), self._nrows
+        out._b, out._rows, out._nrows = self.rhs(), list(self._rows), self._nrows
+        return out.share()
+
+    def share(self) -> "ConicProgram":
+        """Make this program a read-only structure: its touches are kept
+        only in stacked form (:meth:`_Family.stacked`), every array it holds
+        (stacked touches, costs, b) becomes non-writeable, and the grammar
+        raises RuntimeError.  Programs of :meth:`with_values` build on it."""
+        self._freeze()
+        for fam in self._families.values():
+            fam.stacked()
+            fam.touches = {}
+            for arr in (*fam.stack, fam.cost):
+                arr.flags.writeable = False
+        self._b = np.array(self._b, dtype=float)
+        self._b.flags.writeable = False
+        self._rows = tuple(self._rows)
+        self._shared = True
+        return self
+
+    def with_values(self, name: str, rhs, touches: dict) -> "ConicProgram":
+        """The program ``name`` on this shared structure with right-hand
+        side ``rhs`` and, per scalar family named in ``touches``, the
+        stacked functional rows and weights ``(F, U)`` of
+        :meth:`_Family.stacked` (None keeps the structure's).  Only scalar
+        families take values, so every matrix family's cone is the
+        structure's."""
+        if not self._shared:
+            raise RuntimeError("with_values needs a shared structure (share())")
+        out = ConicProgram(name)
+        out._families = dict(self._families)
+        for fname, (F, U) in touches.items():
+            fam = self._families[fname]
+            if fam.kind not in ("nonneg", "free"):
+                raise ValueError(f"family {fname!r} is not scalar")
+            rows, F0, owner, U0 = fam.stacked()
+            F = F0 if F is None else np.array(F, dtype=float)
+            U = U0 if U is None else np.array(U, dtype=float)
+            if F.shape != F0.shape or U.shape != U0.shape:
+                raise ValueError(f"family {fname!r} takes F {F0.shape} and U {U0.shape}")
+            F.flags.writeable = U.flags.writeable = False
+            out._families[fname] = fam.on((rows, F, owner, U), fam.cost)
+        b = np.array(rhs, dtype=float)
+        if b.shape != (self._nrows,):
+            raise ValueError(f"rhs must have {self._nrows} entries")
+        b.flags.writeable = False
+        out._b, out._rows, out._nrows, out._ncols = b, self._rows, self._nrows, self._ncols
+        out._frozen = out._shared = True
+        out._base = self
         return out
+
+    def _layout(self) -> "_Plan":
+        """The solver's plan of this program's structure, made once."""
+        base = self._base or self
+        if base._plan is None:
+            base._plan = _Plan(self)
+        return base._plan
 
     def dump_triplets(self) -> str:
         """Sparse-triplet dump: '# header', then 'A i j v' / 'b i v' / 'c j v'."""
@@ -693,29 +793,55 @@ def _min_step(lmin) -> float:
     return -1.0 / low if low < 0 else np.inf
 
 
-class _Dense:
-    """Columns of As held as one dense array on the rows they reach: each
-    stacked touch row adds U[owner] (x) F to its row, the negatives too
-    for a free family's z- columns."""
+class _DensePlan:
+    """Where the dense columns of families ``fams`` go: each stacked touch
+    row adds U[owner] (x) F to its row, the negatives too for a free
+    family's z- columns.  A matrix family's columns are the structure's,
+    so they are formed here once; scalar ones are formed per solve, from
+    the solved program's touch values."""
 
-    def __init__(self, fams, decoded, drow):
+    def __init__(self, fams, unit):
         self.sl = slice(fams[0].offset, fams[-1].offset + fams[-1].width)
+        self.names, self.unit = [f.name for f in fams], unit
         width = self.sl.stop - self.sl.start
-        touched = np.unique(np.concatenate([rows for rows, _, _, _ in decoded]))
-        index, vals = [], []
-        for f, (rows, F, owner, U) in zip(fams, decoded):
+        decoded = [f.stacked() for f in fams]
+        self.touched = np.unique(np.concatenate([rows for rows, _, _, _ in decoded]))
+        self.index = np.concatenate([
+            (np.searchsorted(self.touched, rows)[:, None] * width
+             + f.offset - self.sl.start + np.arange(f.width)).ravel()
+            for f, (rows, _, _, _) in zip(fams, decoded)])
+        self.fixed = None
+        if fams[0].kind not in ("nonneg", "free"):
+            self.fixed = self.columns(fams)
+
+    def columns(self, fams):
+        """(rows, dense): the rows the columns reach, and the columns on
+        them, unscaled."""
+        if self.fixed is not None:
+            return self.fixed
+        vals = []
+        for f in fams:
+            rows, F, owner, U = f.stacked()
             D = (U[owner][:, :, None] * F[:, None, :]).reshape(
                 len(rows), f.count * f.ncoords)
             if f.kind == "free":
                 D = np.hstack([D, -D])
-            cols = f.offset - self.sl.start + np.arange(f.width)
-            index.append((np.searchsorted(touched, rows)[:, None] * width + cols).ravel())
             vals.append(D.ravel())
-        dense = np.bincount(np.concatenate(index), np.concatenate(vals),
-                            touched.size * width).reshape(touched.size, width)
+        width = self.sl.stop - self.sl.start
+        dense = np.bincount(self.index, np.concatenate(vals),
+                            self.touched.size * width).reshape(self.touched.size, width)
         live = np.any(dense != 0, axis=1)     # the terms of two touches may cancel
-        self.rows = touched[live]
-        self.A = dense[live] * (1.0 / drow)[self.rows][:, None]
+        return self.touched[live], dense[live]
+
+
+class _Dense:
+    """Columns of As held as one dense array on the rows they reach
+    (:class:`_DensePlan`), scaled by the solve's row scale."""
+
+    def __init__(self, plan, fams, drow):
+        self.sl, self.unit = plan.sl, plan.unit
+        self.rows, dense = plan.columns([fams[name] for name in plan.names])
+        self.A = dense * (1.0 / drow)[self.rows][:, None]
 
     def matvec(self, v):
         return self.A @ v
@@ -726,10 +852,6 @@ class _Dense:
 
 class _Nonneg(_Dense):
     """The nonnegative orthant: LP and split free scalars."""
-
-    def __init__(self, fams, decoded, drow):
-        super().__init__(fams, decoded, drow)
-        self.unit = np.ones(self.sl.stop - self.sl.start)
 
     def scale(self, x, s):
         x, s = x[self.sl], s[self.sl]
@@ -798,6 +920,54 @@ def _jordan(a, b):
     return out
 
 
+class _LorentzPlan:
+    """What a :class:`_Lorentz` run takes from the structure alone: its
+    rows, U and slots, each family's functional rows in Q^4 coordinates
+    (:func:`_q`) and where they go in P, and the Schur term's layers, touch
+    index and K index.  A solve divides the rows by its row scale."""
+
+    def __init__(self, fams):
+        decoded = [f.stacked() for f in fams]
+        self.sl = slice(fams[0].offset, fams[-1].offset + fams[-1].width)
+        self.rows = np.unique(np.concatenate([rows for rows, _, _, _ in decoded]))
+        nrows = self.rows.size
+        self.U = np.zeros((sum(len(U) for *_, U in decoded), sum(f.count for f in fams)))
+        self.parts = []           # (blocks, touches, U) per family
+        self.fills = []           # (rows, P row, P columns, _q(F)) per family
+        stacks = []
+        block = touch = 0
+        for f, (rows, F, owner, U) in zip(fams, decoded):
+            at = np.searchsorted(self.rows, rows)
+            self.fills.append((rows, at[:, None], 4 * (touch + owner[:, None]) + np.arange(4),
+                               _q(F)))
+            blocks, touches = slice(block, block + f.count), slice(touch, touch + len(U))
+            self.U[touches, blocks] = U
+            self.parts.append((blocks, touches, U))
+            # layer k holds each row's k-th stacked row in this family
+            order = np.argsort(at, kind="stable")
+            layer = np.empty_like(at)
+            layer[order] = np.arange(at.size) - np.searchsorted(at[order], at[order])
+            stacks.append((layer, at, owner))
+            block, touch = blocks.stop, touches.stop
+        self.unit = np.tile([np.sqrt(2.0), 0.0, 0.0, 0.0], block)
+        # the Schur term's record: each family's stacked row sits in slot
+        # layer * nrows + row of as many layers as the run needs, with its
+        # touch t and functional F; an empty slot's F is zero
+        self.layers = 1 + int(max(layer.max(initial=-1) for layer, *_ in stacks))
+        size = self.layers * nrows
+        # (blocks, U, U[t]^T, slots, K index, family) per family that a row
+        # touches; an untouched family's blocks keep zero rows of Z^T
+        self.terms = []
+        for f, ((blocks, _, U), (layer, at, owner)) in enumerate(zip(self.parts, stacks)):
+            if not len(U):
+                continue
+            slot = layer * nrows + at
+            t = np.zeros(size, np.int64)
+            t[slot] = owner
+            self.terms.append((blocks, U, U.T.take(t, axis=1), slot,
+                               t[:, None] * len(U) + t, f))
+
+
 class _Lorentz:
     """A run of consecutive families of 2x2 Hermitian PSD blocks as the
     Lorentz cone Q^4, in closed form, on Q^4 coordinates (:func:`_cone_coords`).
@@ -820,44 +990,22 @@ class _Lorentz:
     Nakata, Math. Prog. 79, 1997).
     """
 
-    def __init__(self, fams, decoded, drow):
-        self.sl = slice(fams[0].offset, fams[-1].offset + fams[-1].width)
-        self.rows = np.unique(np.concatenate([rows for rows, _, _, _ in decoded]))
-        nrows = self.rows.size
-        self.U = np.zeros((sum(len(U) for *_, U in decoded), sum(f.count for f in fams)))
-        self.P = np.zeros((nrows, 4 * len(self.U)))
-        self.parts = []           # (blocks, touches, U) per family
-        stacks = []
-        block = touch = 0
-        for f, (rows, F, owner, U) in zip(fams, decoded):
-            at, Fq = np.searchsorted(self.rows, rows), _q(F) / drow[rows, None]
-            self.P[at[:, None], 4 * (touch + owner[:, None]) + np.arange(4)] = Fq
-            blocks, touches = slice(block, block + f.count), slice(touch, touch + len(U))
-            self.U[touches, blocks] = U
-            self.parts.append((blocks, touches, U))
-            # layer k holds each row's k-th stacked row in this family
-            order = np.argsort(at, kind="stable")
-            layer = np.empty_like(at)
-            layer[order] = np.arange(at.size) - np.searchsorted(at[order], at[order])
-            stacks.append((layer, at, owner, Fq))
-            block, touch = blocks.stop, touches.stop
-        self.unit = np.tile([np.sqrt(2.0), 0.0, 0.0, 0.0], block)
-        # the Schur term's record: each family's stacked row sits in slot
-        # layer * nrows + row of as many layers as the run needs, with its
-        # touch t and functional F; an empty slot's F is zero
-        self.layers = 1 + int(max(layer.max(initial=-1) for layer, *_ in stacks))
-        size = self.layers * nrows
-        # (blocks, U, U[t]^T, F^T, K index, F J F^T) per family that a row
-        # touches; an untouched family's blocks keep zero rows of Z^T
+    def __init__(self, plan, fams, drow):
+        self.sl, self.rows, self.U, self.parts, self.unit, self.layers = (
+            plan.sl, plan.rows, plan.U, plan.parts, plan.unit, plan.layers)
+        # the functional rows at this solve's row scale, in P and in the
+        # Schur term's slots
+        self.P = np.zeros((plan.rows.size, 4 * len(plan.U)))
+        Fqs = []
+        for rows, at, cols, qF in plan.fills:
+            Fq = qF / drow[rows, None]
+            self.P[at, cols] = Fq
+            Fqs.append(Fq)
         self.terms = []
-        for (blocks, _, U), (layer, at, owner, Fq) in zip(self.parts, stacks):
-            if not len(U):
-                continue
-            slot = layer * nrows + at
-            FT, t = np.zeros((4, size)), np.zeros(size, np.int64)
-            FT[:, slot], t[slot] = Fq.T, owner
-            self.terms.append((blocks, U, U.T.take(t, axis=1), FT, t[:, None] * len(U) + t,
-                               (FT.T * _JSIGN) @ FT))
+        for blocks, U, UtT, slot, kidx, f in plan.terms:
+            FT = np.zeros((4, plan.layers * plan.rows.size))
+            FT[:, slot] = Fqs[f].T
+            self.terms.append((blocks, U, UtT, FT, kidx, (FT.T * _JSIGN) @ FT))
 
     def matvec(self, v):
         X, UX = v.reshape(-1, 4), np.empty((len(self.U), 4))
@@ -949,11 +1097,9 @@ class _Matrix(_Dense):
     factors of X and S and an SVD; the scaled space holds matrices in the
     eigenbasis of the scaled point, and the Jordan product is (AB+BA)/2."""
 
-    def __init__(self, fam, decoded, drow):
-        super().__init__([fam], [decoded], drow)
-        self.fam = fam
-        self.unit = fam.coords(np.broadcast_to(
-            np.eye(fam.dim), (fam.count, fam.dim, fam.dim))).ravel()
+    def __init__(self, plan, fams, drow):
+        super().__init__(plan, fams, drow)
+        self.fam = fams[plan.names[0]]
         self.Amats = self._mats(self.A)        # the dense rows as blocks
 
     def _mats(self, v):
@@ -1011,33 +1157,79 @@ def _herm_t(m):
     return m.conj().swapaxes(-1, -2)
 
 
+class _Plan:
+    """What the solver derives from a program's structure alone, made at
+    its first solve and shared by every program on that structure
+    (:meth:`ConicProgram.with_values`): the row scale's share from the
+    matrix families, one plan per cone, and the gathers that read the
+    duals.  Nothing in it reads a scalar family's touch values, which each
+    solve reads from its own program."""
+
+    def __init__(self, prog):
+        fams = list(prog._families.values())
+        self.drow = np.zeros(prog._nrows)
+        for f in fams:
+            if f.kind in ("herm", "psd"):
+                _row_scale(self.drow, f)
+        self.scalars = [f.name for f in fams if f.kind in ("nonneg", "free")]
+        self.cones = []           # (cone class, its plan)
+        for lorentz, run in itertools.groupby(
+                (f for f in fams if f.kind in ("herm", "psd")),
+                key=lambda f: f.kind == "herm" and f.dim == 2):
+            run = list(run)
+            if lorentz:
+                self.cones.append((_Lorentz, _LorentzPlan(run)))
+            else:
+                self.cones.extend((_Matrix, _DensePlan([f], f.coords(np.broadcast_to(
+                    np.eye(f.dim), (f.count, f.dim, f.dim))).ravel())) for f in run)
+        scalars = [f for f in fams if f.kind in ("nonneg", "free") and f.width]
+        if scalars:
+            self.cones.append((_Nonneg, _DensePlan(
+                scalars, np.ones(sum(f.width for f in scalars)))))
+        # the duals: one gather per matrix dimension and one of the scalar
+        # rows, each with its row groups' names, then the groups' order
+        self.order = [g.name for g in prog._rows]
+        groups = {}
+        for g in prog._rows:
+            groups.setdefault(g.dim if g.kind == "mat" else None, []).append(g)
+        self.gathers = [
+            ([g.name for g in gs], dim,
+             np.array([g.offset for g in gs]) if dim is None
+             else np.array([g.offset + np.arange(g.nrows) for g in gs]))
+            for dim, gs in groups.items()]
+
+    def duals(self, y) -> dict:
+        """Row-group name -> dual (dual_rows style) of the row vector y."""
+        out = {}
+        for names, dim, index in self.gathers:
+            out.update(zip(names, y[index].tolist() if dim is None
+                           else hermitian_from_coords(y[index], dim)))
+        return {name: out[name] for name in self.order}
+
+
+def _row_scale(drow, fam) -> None:
+    """Raise drow to family ``fam``'s largest |entry| per row; rounding is
+    monotone, so max |F_ek U_ti| is max |F_e| max |U_t|."""
+    rows, F, owner, U = fam.stacked()
+    np.maximum.at(drow, rows,
+                  np.abs(F).max(axis=1) * np.abs(U).max(axis=1, initial=0.0)[owner])
+
+
 def _cones(prog):
     """(cones, drow): one cone per run of consecutive 2x2 Hermitian
     families, per other matrix family, and one for all scalars, on the
     columns of As = A / drow.  The row scale drow[r] is the largest |entry|
     that a touch puts in row r, before the touches on one block coordinate
     are summed, at least 1e-12: max_j |A_rj| unless a row holds two terms
-    on one coordinate.  Each family's touches are stacked once."""
-    fams = list(prog.families.values())
-    decoded = {f.name: f.stacked() for f in fams}
-    drow = np.zeros(prog._nrows)
-    for rows, F, owner, U in decoded.values():
-        # rounding is monotone: max |F_ek U_ti| is max |F_e| max |U_t|
-        np.maximum.at(drow, rows,
-                      np.abs(F).max(axis=1) * np.abs(U).max(axis=1, initial=0.0)[owner])
+    on one coordinate.  The cones' layout is the program's :class:`_Plan`;
+    the scalar families' touches and the row scale are this program's."""
+    plan = prog._layout()
+    fams = prog._families
+    drow = plan.drow.copy()
+    for name in plan.scalars:
+        _row_scale(drow, fams[name])
     drow = np.maximum(drow, 1e-12)
-    cones = []
-    for lorentz, run in itertools.groupby(
-            (f for f in fams if f.kind in ("herm", "psd")),
-            key=lambda f: f.kind == "herm" and f.dim == 2):
-        run = list(run)
-        if lorentz:
-            cones.append(_Lorentz(run, [decoded[f.name] for f in run], drow))
-        else:
-            cones.extend(_Matrix(f, decoded[f.name], drow) for f in run)
-    scalars = [f for f in fams if f.kind in ("nonneg", "free") and f.width]
-    if scalars:
-        cones.append(_Nonneg(scalars, [decoded[f.name] for f in scalars], drow))
+    cones = [cls(cplan, fams, drow) for cls, cplan in plan.cones]
     for g in cones:     # rows are sorted and distinct: all rows are a view
         full = g.rows.size == prog._nrows
         g.rows = slice(None) if full else g.rows
@@ -1337,11 +1529,4 @@ def _extract_primal(prog: ConicProgram, vec):
 
 
 def _extract_duals(prog: ConicProgram, y: np.ndarray) -> dict:
-    out = {}
-    for g in prog.row_groups:
-        if g.kind == "mat":
-            out[g.name] = hermitian_from_coords(
-                y[g.offset:g.offset + g.nrows], g.dim)
-        else:
-            out[g.name] = float(y[g.offset])
-    return out
+    return prog._layout().duals(y)

@@ -92,12 +92,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from . import conic
-from .conic import ConicProgram, ConicSolution, duals_to_vec, hermitian_eigvalsh
+from .conic import (ConicProgram, ConicSolution, duals_to_vec, hermitian_coords,
+                    hermitian_eigvalsh, hermitian_from_coords)
 from .errors import SolverFailure, ValidationError
+from .operators import hermitize
 from .scenario import (check_strategy_cap, coarse_grain, strategy_assignments,
                        strategy_masks)
 
@@ -161,14 +164,56 @@ def match_rows(m: int, n: int, noise: str):
 
 def build_program(name: str, kind: str, data: np.ndarray,
                   reference: np.ndarray) -> ConicProgram:
-    """The program ``name`` of ``KINDS[kind]`` on an (m, n, d, d) data grid."""
+    """The program ``name`` of ``KINDS[kind]`` on an (m, n, d, d) data grid:
+    the shared structure of its shape (:func:`_structure`) with this
+    call's values, b from the data and t's coefficients from the
+    reference.  A program with more than WORKING_SET strategies is solved
+    by column generation on restricted programs, each a structure of its
+    own, so its structure is built afresh and not kept."""
     row = KINDS[kind]
     m, n, d = data.shape[:3]
     total = check_strategy_cap(m, n)
+    # the one data matrix in A: white noise's sign R/n in every match row,
+    # or -R in the norm row of consistent free and model noise; the zero
+    # pattern of its coordinates is part of the shape
+    noise = (row.sign * reference / n if row.noise == "white"
+             else -reference if row.norm == "consistent" else None)
+    coords = pattern = None
+    if noise is not None:
+        coords = hermitian_coords(hermitize(np.asarray(noise, dtype=complex)), d)
+        pattern = tuple(np.flatnonzero(coords).tolist())
+    structure = (_structure if total <= WORKING_SET else _structure.__wrapped__)(
+        kind, m, n, d, pattern)
+    xs, outcomes = zip(*match_rows(m, n, row.noise))
+    rhs = structure.rhs().copy()
+    match = hermitian_coords(hermitize(data[list(xs), list(outcomes)]), d).ravel()
+    rhs[:match.size] = match
+    values = {}
+    if coords is not None:
+        # every touch of t reads the same coordinates
+        _, _, _, U = structure.families["t"].stacked()
+        values["t"] = (np.tile(coords[list(pattern)], len(U))[:, None], None)
+    return structure.with_values(name, rhs, values)
+
+
+@lru_cache(maxsize=None)
+def _structure(kind: str, m: int, n: int, d: int, pattern: tuple | None) -> ConicProgram:
+    """The shared, read-only structure of ``KINDS[kind]`` on (m, n, d) data
+    whose noise matrix has nonzero Hermitian coordinates ``pattern`` (None:
+    no data in A): the program at zero data, with t reading the matrix of
+    unit coordinates on ``pattern``, which :func:`build_program` overwrites.
+    ``__wrapped__`` builds a new one."""
+    row = KINDS[kind]
+    total = check_strategy_cap(m, n)
     masks = strategy_masks(m, n)
     every = np.arange(total)
+    unit = None
+    if pattern is not None:
+        unit = np.zeros(d * d)
+        unit[list(pattern)] = 1.0
+        unit = hermitian_from_coords(unit, d)
 
-    prog = ConicProgram(name)
+    prog = ConicProgram(kind)
     if row.noise == "free":
         prog.add_hermitian_family("N", m * n, d)
     prog.add_hermitian_family("G", total, d)
@@ -179,10 +224,10 @@ def build_program(name: str, kind: str, data: np.ndarray,
         if row.noise == "free":
             noise = ("one", "N", x * n + a, row.sign)
         elif row.noise == "white":
-            noise = ("scalar_mat", "t", 0, row.sign * reference / n)
+            noise = ("scalar_mat", "t", 0, unit)
         else:
             noise = ("sum", "H", masks[x][a], row.sign)
-        prog.add_matrix_row_group(("match", x, a), data[x, a],
+        prog.add_matrix_row_group(("match", x, a), np.zeros((d, d)),
                                   [("sum", "G", masks[x][a], 1.0), noise])
     if row.norm == "trace" and row.noise == "model":
         # tr sum_lambda H_lambda = t
@@ -197,14 +242,14 @@ def build_program(name: str, kind: str, data: np.ndarray,
         # sum_a N_{a|0} = t R; the match rows carry it to every x
         prog.add_matrix_row_group(
             ("norm", 0), np.zeros((d, d)),
-            [("sum", "N", np.arange(n), 1.0), ("scalar_mat", "t", 0, -reference)])
+            [("sum", "N", np.arange(n), 1.0), ("scalar_mat", "t", 0, unit)])
     elif row.noise == "model":
         # sum_lambda H_lambda = t R (white noise t R/n sums to t R as it is)
         prog.add_matrix_row_group(
             ("norm",), np.zeros((d, d)),
-            [("sum", "H", every, 1.0), ("scalar_mat", "t", 0, -reference)])
+            [("sum", "H", every, 1.0), ("scalar_mat", "t", 0, unit)])
     prog.set_objective([("lin", "t", [0], [1.0])])
-    return prog
+    return prog.share()
 
 
 def solve(prog: ConicProgram) -> ConicSolution:

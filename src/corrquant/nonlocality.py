@@ -182,7 +182,7 @@ def is_local(b: Behaviour) -> LocalDecision:
     """
     layout, S = _strategy_pairs(b)
     uniform = np.full((b.mB, b.nB), 1.0 / b.nB)
-    prog, _ = build_program("is_local", "membership", b, uniform, layout, S, None)
+    prog, _ = build_program("is_local", "membership", b, uniform, None)
     sol = solve(prog)
     margin = -sol.value
     if margin >= -MEMBERSHIP_TOL:
@@ -193,24 +193,48 @@ def is_local(b: Behaviour) -> LocalDecision:
 
 
 def build_program(name: str, kind: str, b: Behaviour, reference: np.ndarray,
-                  layout: CgLayout, S: np.ndarray, level: int | None):
+                  level: int | None):
     """The program ``name`` of ``KINDS[kind]`` on CG rows, at Bob
     marginal ``reference`` (mB, nB); ``level`` is the NPA level of free
-    noise.
+    noise.  It is the shared structure of its shape (:func:`_structure`)
+    with this call's values: b from the behaviour, and the reference's
+    coefficients on t (on sum H for model noise).
 
     Returns (program, NPA template or None).
     """
     row = KINDS[kind]
-    cg = layout.of_table(b.table)
-    every = np.arange(S.shape[0])
-    tmpl = None
-    if row.noise == "free":
-        tmpl = build_npa_block(_scenario(b), level)
-    elif row.noise == "white":
-        # uniform-Alice noise reference[y, b]/nA
-        white = layout.of_table(np.broadcast_to(
+    structure, tmpl = _structure(kind, _scenario(b), level if row.noise == "free" else None)
+    layout, _ = _cg_scenario(_scenario(b))
+    rhs = structure.rhs().copy()
+    rhs[:layout.dim] = layout.of_table(b.table)
+    fam = coef = None
+    if row.noise == "white":
+        # t's weight in every CG row: uniform-Alice noise reference[y, b]/nA
+        fam, coef = "t", row.sign * layout.of_table(np.broadcast_to(
             reference[None, :, None, :] / b.nA, b.table.shape).copy())
-    prog = ConicProgram(name)
+    elif row.norm == "consistent":
+        # the weight on t of the last rows, which fix the noise's Bob marginal
+        fam, coef = ("H" if row.noise == "model" else "t"), -reference[:, :-1].ravel()
+    values = {}
+    if fam is not None:
+        U = structure.families[fam].stacked()[3].copy()
+        U[len(U) - coef.size:] += coef[:, None]
+        values[fam] = (None, U)
+    return structure.with_values(name, rhs, values), tmpl
+
+
+@lru_cache(maxsize=None)
+def _structure(kind: str, key: tuple, level: int | None):
+    """(program, NPA template or None): the shared, read-only structure of
+    ``KINDS[kind]`` on the CG rows of scenario ``key``, the program at a
+    zero behaviour and a zero Bob marginal, so every weight the marginal
+    adds to is written and holds its data-free part.  ``__wrapped__``
+    builds a new one."""
+    row = KINDS[kind]
+    layout, S = _cg_scenario(key)
+    every = np.arange(S.shape[0])
+    tmpl = build_npa_block(key, level) if row.noise == "free" else None
+    prog = ConicProgram(kind)
     if tmpl is not None:
         prog.add_psd_family("N", 1, tmpl.size)
     prog.add_nonneg("G", len(every))
@@ -225,7 +249,7 @@ def build_program(name: str, kind: str, b: Behaviour, reference: np.ndarray,
             return ("mat", "N", 0,
                     coef * cell_functional(tmpl.size, tmpl.cg_cells[k]))
         if row.noise == "white":
-            return ("lin", "t", [0], [coef * white[k]])
+            return ("lin", "t", [0], [0.0])      # white_k, written per call
         return ("lin", "H", every, coef * S[:, k])
 
     def weight(coef):
@@ -235,20 +259,21 @@ def build_program(name: str, kind: str, b: Behaviour, reference: np.ndarray,
         return ("lin", "t", [0], [coef])
 
     for k in range(layout.dim):
-        prog.add_scalar_row(("cg", k), cg[k],
+        prog.add_scalar_row(("cg", k), 0.0,
                             [("lin", "G", every, S[:, k]), noise(k, row.sign)])
     if tmpl is not None:
         tmpl.add_structure_rows(prog, "N", ("t", 0))
     if row.norm == "consistent" and row.noise != "white":
-        # the noise's Bob marginal is t reference (white noise has it as it is)
-        for y in range(b.mB):
-            for bb in range(b.nB - 1):
+        # the noise's Bob marginal is t reference (white noise has it as it
+        # is); -reference[y, bb] is added to the weight per call
+        _, _, mB, nB = key
+        for y in range(mB):
+            for bb in range(nB - 1):
                 prog.add_scalar_row(
                     ("consis", y, bb), 0.0,
-                    [noise(layout.index[("B", y, bb)], 1.0),
-                     weight(-reference[y, bb])])
+                    [noise(layout.index[("B", y, bb)], 1.0), weight(0.0)])
     prog.set_objective([weight(1.0)])
-    return prog, tmpl
+    return prog.share(), tmpl
 
 
 def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
@@ -285,7 +310,7 @@ def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
     row = KINDS[row_name]
     pb = behaviour_marginal(b, "B")
     name = f"nonlocality:{kind.value}" + (f":l{level}" if row.noise == "free" else "")
-    prog, tmpl = build_program(name, row_name, b, pb, layout, S, level)
+    prog, tmpl = build_program(name, row_name, b, pb, level)
     sol = solve(prog)
     model = _pair_weights_to_model(sol.primal["G"], _scenario(b))
     noise_model = noise = None

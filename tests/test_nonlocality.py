@@ -418,9 +418,8 @@ def test_nlr_c_level2_converges_on_the_criterion_4_grid():
                                      np.linspace(0.72, 1.0, 8)]))
     for v in grid:
         beh = isotropic_chsh(v)
-        layout, S = nl._strategy_pairs(beh)
         prog, _ = nl.build_program("nonlocality:NLR_c:l2", "robustness", beh,
-                                   sc.behaviour_marginal(beh, "B"), layout, S, 2)
+                                   sc.behaviour_marginal(beh, "B"), 2)
         sol = prog.solve()
         assert sol.ended == "converged", (v, sol.ended)
         assert verify_solution(prog, sol).ok(), v
@@ -445,15 +444,18 @@ def test_shared_npa_template_builds_the_same_programs(monkeypatch):
     with pytest.raises(dataclasses.FrozenInstanceError):
         tmpl.level = 1
     beh = isotropic_chsh(0.9)
-    layout, S = nl._strategy_pairs(beh)
+    memo = nl._structure
     # iteration bounds at 1 BLAS thread; NLW_c runs to the polish cap
     for kind, most in (("NLW_c", 20), ("NLR_c", 15)):
         runs = []
-        for build in (npa.build_npa_block, npa.build_npa_block.__wrapped__):
+        for build, structure in ((npa.build_npa_block, memo),
+                                 (npa.build_npa_block.__wrapped__, memo.__wrapped__)):
+            # the fresh template reaches the program only past the structure memo
             monkeypatch.setattr(nl, "build_npa_block", build)
+            monkeypatch.setattr(nl, "_structure", structure)
             row = ROW[nl.STEERING_KIND[nl.NonlocalityKind(kind)]]
             prog, _ = nl.build_program(f"nonlocality:{kind}:l2", row, beh,
-                                       sc.behaviour_marginal(beh, "B"), layout, S, 2)
+                                       sc.behaviour_marginal(beh, "B"), 2)
             A, b, c = prog.build()
             res = nl.nonlocality_quantifier(beh, kind, level=2)
             runs.append(([A.indptr, A.indices, A.data, b, c], res.solution))
