@@ -69,20 +69,36 @@ adds its scalars' share of the row scale and divides the cones' rows by
 it, so a program's iterates are the same to the last bit whether its
 plan is new or shared.
 
-Each cone owns its columns of the row-equilibrated As and applies them
-itself: the iteration's products As v and As^T y and its dense Schur
-complement As Phi As^T (Phi is the NT scaling) are sums over the cones,
-so no sparse product runs inside the loop (the design of ECOS, Domahidi,
-Chu & Boyd, ECC 2013).  An iteration factors the Schur complement with one
+The iteration's products As v and As^T y and its dense Schur complement
+As Phi As^T (Phi is the NT scaling) read the row-equilibrated As held in
+one of two ways, and no sparse product runs inside the loop (the design
+of ECOS, Domahidi, Chu & Boyd, ECC 2013).  The plan picks the way per
+structure by the multiplies of one product (as Fujisawa, Kojima & Nakata
+choose how to form each Schur term by its operation count):
+
+* *Dense*, when rows x columns is no more than the count by cone: one
+  dense As in the cones' coordinates.  The matrix families' columns are
+  formed once per structure; a solve adds its scalar columns and divides
+  by its row scale.  A product is one gemv, and the Schur complement is
+  As (Phi As)^T, each cone's Phi applied to the rows of As.  Most
+  small incompatibility and steering programs and the linear programs
+  take this way.
+* *By cone*: each cone owns its columns and applies them itself, and the
+  products and the Schur complement are sums over the cones.  A run of
+  consecutive 2x2 Hermitian families is one Lorentz cone; its products
+  are P (U X) and U^T (y P) over the run's U (4 touches x (rows + blocks)
+  multiplies), and its Schur term is formed on the run's rows from each
+  family's stacked rows (their touches and functionals), with no product
+  by P.  Matrix families and scalars hold dense columns, U[owner] (x) F
+  per stacked row, on the rows they touch (rows x columns multiplies); a
+  cone on every row uses a view.  Programs of many strategy blocks and
+  the NPA programs take this way.
+
+Either way a Lorentz run's closed-form kernels run once per iteration
+over all its blocks.  An iteration factors the Schur complement with one
 dpotrf and applies As and As^T four times each: once for its residuals,
 three times for its two directions (As^T dy is summed from the products
-that formed dx).  A run of consecutive 2x2 Hermitian families is one
-Lorentz cone; its closed-form kernels run once per iteration over all its
-blocks, its products are P (U X) and U^T (y P) over the run's U, and its
-Schur term is formed on the run's rows from each family's stacked rows
-(their touches and functionals), with no product by P.
-Matrix families and scalars hold dense columns, U[owner] (x) F per
-stacked row, on the rows they touch; a cone on every row uses a view.
+that formed dx).
 """
 
 from __future__ import annotations
@@ -806,6 +822,7 @@ class _DensePlan:
         width = self.sl.stop - self.sl.start
         decoded = [f.stacked() for f in fams]
         self.touched = np.unique(np.concatenate([rows for rows, _, _, _ in decoded]))
+        self.multiplies = self.touched.size * width     # of one product
         self.index = np.concatenate([
             (np.searchsorted(self.touched, rows)[:, None] * width
              + f.offset - self.sl.start + np.arange(f.width)).ravel()
@@ -836,12 +853,17 @@ class _DensePlan:
 
 class _Dense:
     """Columns of As held as one dense array on the rows they reach
-    (:class:`_DensePlan`), scaled by the solve's row scale."""
+    (:class:`_DensePlan`), scaled by the solve's row scale, or ``A``, the
+    cone's columns of the program's one dense As on all rows."""
 
-    def __init__(self, plan, fams, drow):
+    def __init__(self, plan, fams, drow, A=None):
         self.sl, self.unit = plan.sl, plan.unit
-        self.rows, dense = plan.columns([fams[name] for name in plan.names])
-        self.A = dense * (1.0 / drow)[self.rows][:, None]
+        if A is None:
+            self.rows, dense = plan.columns([fams[name] for name in plan.names])
+            A = dense * (1.0 / drow)[self.rows][:, None]
+        else:
+            self.rows = np.arange(len(A))
+        self.A = A
 
     def matvec(self, v):
         return self.A @ v
@@ -906,9 +928,9 @@ def _jnorm(q):
 
 
 def _hyperbolic(v, d, scale):
-    """scale * (2 v v^T - J) d per row."""
+    """scale * (2 v v^T - J) d per row, on d's last two axes."""
     out = d * _NEG_JSIGN
-    out += 2 * v * np.einsum("ij,ij->i", v, d)[:, None]
+    out += 2 * v * np.einsum("ij,...ij->...i", v, d)[..., None]
     return out * scale[:, None]
 
 
@@ -950,6 +972,8 @@ class _LorentzPlan:
             stacks.append((layer, at, owner))
             block, touch = blocks.stop, touches.stop
         self.unit = np.tile([np.sqrt(2.0), 0.0, 0.0, 0.0], block)
+        # one As^T y: y P on the run's rows, then U^T of it
+        self.multiplies = 4 * len(self.U) * (nrows + self.U.shape[1])
         # the Schur term's record: each family's stacked row sits in slot
         # layer * nrows + row of as many layers as the run needs, with its
         # touch t and functional F; an empty slot's F is zero
@@ -988,11 +1012,19 @@ class _Lorentz:
     touches and functionals, and :meth:`schur` sums Z Z^T over the run's
     blocks less one K o (F J F^T) per family (after Fujisawa, Kojima &
     Nakata, Math. Prog. 79, 1997).
+
+    Given ``A``, its columns of the program's one dense As, the run holds
+    them instead: its products are A v and y A, and the program forms
+    the Schur complement (:func:`_schur_complement`).
     """
 
-    def __init__(self, plan, fams, drow):
-        self.sl, self.rows, self.U, self.parts, self.unit, self.layers = (
-            plan.sl, plan.rows, plan.U, plan.parts, plan.unit, plan.layers)
+    def __init__(self, plan, fams, drow, A=None):
+        self.sl, self.unit, self.A = plan.sl, plan.unit, A
+        if A is not None:
+            self.rows = np.arange(len(A))
+            return
+        self.rows, self.U, self.parts, self.layers = (
+            plan.rows, plan.U, plan.parts, plan.layers)
         # the functional rows at this solve's row scale, in P and in the
         # Schur term's slots
         self.P = np.zeros((plan.rows.size, 4 * len(plan.U)))
@@ -1008,12 +1040,16 @@ class _Lorentz:
             self.terms.append((blocks, U, UtT, FT, kidx, (FT.T * _JSIGN) @ FT))
 
     def matvec(self, v):
+        if self.A is not None:
+            return self.A @ v
         X, UX = v.reshape(-1, 4), np.empty((len(self.U), 4))
         for blocks, touches, U in self.parts:
             np.matmul(U, X[blocks], out=UX[touches])
         return self.P @ UX.ravel()
 
     def rmatvec(self, y):
+        if self.A is not None:
+            return y @ self.A
         return (self.U.T @ (y[self.rows] @ self.P).reshape(-1, 4)).ravel()
 
     def scale(self, x, s):
@@ -1044,8 +1080,9 @@ class _Lorentz:
         self.linv2 = np.concatenate([1 / lnorm] * 2)
 
     def phi(self, z):
-        # Phi = W^2 = beta^2 (2 w w^T - J)
-        return _hyperbolic(self.w, z.reshape(-1, 4), self.beta2).ravel()
+        # Phi = W^2 = beta^2 (2 w w^T - J), on z's last axis
+        return _hyperbolic(self.w, z.reshape(z.shape[:-1] + (-1, 4)),
+                           self.beta2).reshape(z.shape)
 
     def to_scaled(self, dx, ds):
         return (_hyperbolic(self.vj, dx.reshape(-1, 4), self.beta_inv),
@@ -1097,8 +1134,8 @@ class _Matrix(_Dense):
     factors of X and S and an SVD; the scaled space holds matrices in the
     eigenbasis of the scaled point, and the Jordan product is (AB+BA)/2."""
 
-    def __init__(self, plan, fams, drow):
-        super().__init__(plan, fams, drow)
+    def __init__(self, plan, fams, drow, A=None):
+        super().__init__(plan, fams, drow, A)
         self.fam = fams[plan.names[0]]
         self.Amats = self._mats(self.A)        # the dense rows as blocks
 
@@ -1107,7 +1144,7 @@ class _Matrix(_Dense):
         return fam.mats(v.reshape(v.shape[:-1] + (fam.count, fam.ncoords)))
 
     def _vec(self, mats):
-        return self.fam.coords(mats).ravel()
+        return self.fam.coords(mats).reshape(mats.shape[:-3] + (-1,))
 
     def scale(self, x, s):
         Lx = np.linalg.cholesky(self._mats(x[self.sl]))
@@ -1161,9 +1198,14 @@ class _Plan:
     """What the solver derives from a program's structure alone, made at
     its first solve and shared by every program on that structure
     (:meth:`ConicProgram.with_values`): the row scale's share from the
-    matrix families, one plan per cone, and the gathers that read the
-    duals.  Nothing in it reads a scalar family's touch values, which each
-    solve reads from its own program."""
+    matrix families, one plan per cone, how the columns are held, and the
+    gathers that read the duals.  Nothing in it reads a scalar family's
+    touch values, which each solve reads from its own program.
+
+    The columns are held as one dense As when one As v costs no more
+    multiplies that way (rows x columns) than by cone (each cone's
+    ``multiplies``); then ``dense`` holds the matrix families' columns
+    of A in the cones' coordinates, and ``None`` otherwise."""
 
     def __init__(self, prog):
         fams = list(prog._families.values())
@@ -1186,6 +1228,18 @@ class _Plan:
         if scalars:
             self.cones.append((_Nonneg, _DensePlan(
                 scalars, np.ones(sum(f.width for f in scalars)))))
+        self.dense = None
+        nrows, mats = prog._nrows, [f for f in fams if f.kind in ("herm", "psd")]
+        if nrows * prog._ncols <= sum(cplan.multiplies for _, cplan in self.cones):
+            self.dense = np.zeros((nrows, prog._ncols))
+            if mats:     # matrix families come first in the columns
+                rows, cols = _DensePlan(mats, None).fixed
+                self.dense[rows, :cols.shape[1]] = cols
+            for cls, cplan in self.cones:
+                if cls is _Lorentz:
+                    block = self.dense[:, cplan.sl]
+                    block[:] = _q(block.reshape(-1, 4)).reshape(nrows, -1)
+            self.dense.flags.writeable = False
         # the duals: one gather per matrix dimension and one of the scalar
         # rows, each with its row groups' names, then the groups' order
         self.order = [g.name for g in prog._rows]
@@ -1215,6 +1269,12 @@ def _row_scale(drow, fam) -> None:
                   np.abs(F).max(axis=1) * np.abs(U).max(axis=1, initial=0.0)[owner])
 
 
+class _Cones(list):
+    """A program's cones, in column order, and ``A``: As as one dense
+    array in the cones' coordinates when the plan holds it so, else None."""
+    A = None
+
+
 def _cones(prog):
     """(cones, drow): one cone per run of consecutive 2x2 Hermitian
     families, per other matrix family, and one for all scalars, on the
@@ -1222,14 +1282,27 @@ def _cones(prog):
     that a touch puts in row r, before the touches on one block coordinate
     are summed, at least 1e-12: max_j |A_rj| unless a row holds two terms
     on one coordinate.  The cones' layout is the program's :class:`_Plan`;
-    the scalar families' touches and the row scale are this program's."""
+    the scalar families' touches and the row scale are this program's.
+    When the plan holds As dense, it is the plan's matrix columns and this
+    program's scalar columns over drow, and each cone holds its slice."""
     plan = prog._layout()
     fams = prog._families
     drow = plan.drow.copy()
     for name in plan.scalars:
         _row_scale(drow, fams[name])
     drow = np.maximum(drow, 1e-12)
-    cones = [cls(cplan, fams, drow) for cls, cplan in plan.cones]
+    cones = _Cones()
+    if plan.dense is None:
+        cones.extend(cls(cplan, fams, drow) for cls, cplan in plan.cones)
+    else:
+        A = plan.dense.copy()
+        for cls, cplan in plan.cones:
+            if cls is _Nonneg:
+                rows, cols = cplan.columns([fams[name] for name in cplan.names])
+                A[rows, cplan.sl] = cols
+        A *= (1.0 / drow)[:, None]
+        cones.A = A
+        cones.extend(cls(cplan, fams, drow, A[:, cplan.sl]) for cls, cplan in plan.cones)
     for g in cones:     # rows are sorted and distinct: all rows are a view
         full = g.rows.size == prog._nrows
         g.rows = slice(None) if full else g.rows
@@ -1248,7 +1321,9 @@ def _cone_coords(cones, v):
 
 
 def _matvec(cones, v, nrows):
-    """As v, summed cone by cone."""
+    """As v: one product with a dense As, else summed cone by cone."""
+    if cones.A is not None:
+        return cones.A @ v
     out = np.zeros(nrows)
     for g in cones:
         out[g.rows] += g.matvec(v[g.sl])
@@ -1256,7 +1331,9 @@ def _matvec(cones, v, nrows):
 
 
 def _rmatvec(cones, y, ncols):
-    """As^T y, sliced cone by cone."""
+    """As^T y: one product with a dense As, else sliced cone by cone."""
+    if cones.A is not None:
+        return y @ cones.A
     out = np.empty(ncols)
     for g in cones:
         out[g.sl] = g.rmatvec(y)
@@ -1264,17 +1341,22 @@ def _rmatvec(cones, y, ncols):
 
 
 def _phi(cones, v):
+    """Phi v, on v's last axis."""
     out = np.empty_like(v)
     for g in cones:
-        out[g.sl] = g.phi(v[g.sl])
+        out[..., g.sl] = g.phi(v[..., g.sl])
     return out
 
 
 def _schur_complement(cones, nrows) -> np.ndarray:
-    """As Phi As^T (Phi = W W^T), summed cone by cone."""
-    M = np.zeros((nrows, nrows))
-    for g in cones:
-        M[g.square] += g.schur()
+    """As Phi As^T (Phi = W W^T): As (Phi As^T) with a dense As, Phi
+    applied to its rows, else summed cone by cone."""
+    if cones.A is not None:
+        M = cones.A @ _phi(cones, cones.A).T
+    else:
+        M = np.zeros((nrows, nrows))
+        for g in cones:
+            M[g.square] += g.schur()
     return (M + M.T) / 2
 
 

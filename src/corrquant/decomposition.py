@@ -49,19 +49,21 @@ At the optimum almost every strategy block is empty, so
 more than WORKING_SET strategies by Dantzig-Wolfe column generation
 (Dantzig & Wolfe, Oper. Res. 8, 1960), and a smaller one in one pass, as built:
 
-* **Working set.** It starts with the WORKING_SET strategies of largest
-  data price lambda_max(sum_x D_{lambda_x|x}) (:func:`strategy_prices`
-  on the caller's data, the witness bound's kernel), plus the best
-  strategy of every match row they miss.  The H blocks of the
-  model-noise kinds follow the G blocks' strategies.
+* **Working set.** Each strategy family keeps its own.  G starts with
+  the WORKING_SET strategies of largest data price
+  lambda_max(sum_x D_{lambda_x|x}) (:func:`strategy_prices` on the
+  caller's data, the witness bound's kernel), plus the best strategy of
+  every match row they miss.  The H blocks of the model-noise kinds,
+  which enter the match rows with the opposite sign, start the same way
+  on the negated data.
 * **Restricted program.** The builders' program with the other G and H
   blocks dropped at the conic layer (:meth:`ConicProgram.restrict`),
   solved by :meth:`ConicProgram.solve`.
 * **Pricing.** Each dropped block's reduced cost is lambda_min of its
   dual slack c - A^T y (closed form at d = 2); when the restricted
-  program is infeasible, of -A^T y on its ray (Farkas pricing).  The
-  most violated blocks, at most WORKING_SET, join, and the loop repeats
-  until none is below -conic.MARGIN_TOL.
+  program is infeasible, of -A^T y on its ray (Farkas pricing).  In
+  each family the most violated blocks, at most WORKING_SET, join, and
+  the loop repeats until none is below -conic.MARGIN_TOL.
 * **Certificate.** That last pricing pass over all strategies makes the
   restricted duals dual-feasible for the whole program.  The returned
   solution has the whole program's shapes: zero primal blocks and the
@@ -264,10 +266,11 @@ def solve_strategies(prog: ConicProgram, data: np.ndarray) -> ConicSolution:
     fams = [prog.families[name] for name in ("G", "H") if name in prog.families]
     if fams[0].count <= WORKING_SET:
         return solve(prog)
-    keep = _starting_set(fams[0], strategy_prices(data))
+    keep = {f.name: _starting_set(f, strategy_prices(sign * data))
+            for f, sign in zip(fams, (1, -1))}
     iterations = 0
     for rounds in itertools.count(1):
-        sol = prog.restrict({f.name: keep for f in fams}).solve()
+        sol = prog.restrict(keep).solve()
         iterations += sol.iterations
         if sol.status == "optimal":
             y = duals_to_vec(prog, sol.dual_rows)
@@ -280,22 +283,25 @@ def solve_strategies(prog: ConicProgram, data: np.ndarray) -> ConicSolution:
             slack = {f.name: -prog.column_products(f.name, y) for f in fams}
         else:
             break
-        cost = np.min([hermitian_eigvalsh(slack[f.name], f.dim)[:, 0] for f in fams], axis=0)
-        cost[keep] = np.inf
-        worst = cost.min()
+        cost = {}
+        for f in fams:
+            cost[f.name] = hermitian_eigvalsh(slack[f.name], f.dim)[:, 0]
+            cost[f.name][keep[f.name]] = np.inf
+        worst = min(c.min() for c in cost.values())
         if worst >= -conic.MARGIN_TOL:
             break
-        add = np.argsort(cost, kind="stable")[:WORKING_SET]
-        keep = np.union1d(keep, add[cost[add] < -conic.MARGIN_TOL])
+        for name, c in cost.items():
+            add = np.argsort(c, kind="stable")[:WORKING_SET]
+            keep[name] = np.union1d(keep[name], add[c[add] < -conic.MARGIN_TOL])
     sol = _optimal(prog, sol)
     full = replace(sol, primal=dict(sol.primal), dual_slack=dict(sol.dual_slack),
-                   iterations=iterations, working_set=keep.size, rounds=rounds,
-                   reduced_cost=float(worst))
+                   iterations=iterations, rounds=rounds, reduced_cost=float(worst),
+                   working_set=np.unique(np.concatenate(list(keep.values()))).size)
     for f in fams:
         full.primal[f.name] = np.zeros((f.count, f.dim, f.dim), dtype=complex)
-        full.primal[f.name][keep] = sol.primal[f.name]
+        full.primal[f.name][keep[f.name]] = sol.primal[f.name]
         full.dual_slack[f.name] = f.mats(slack[f.name])
-        full.dual_slack[f.name][keep] = sol.dual_slack[f.name]
+        full.dual_slack[f.name][keep[f.name]] = sol.dual_slack[f.name]
     return full
 
 

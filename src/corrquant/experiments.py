@@ -247,6 +247,11 @@ def seesaw_optimize(theta: float, kind, restarts: int = 3, seed: int = 0,
     Alice stays fixed at the X and Z measurements on the partially
     entangled state of angle ``theta``; each round solves the quantifier
     with Bob fixed, then updates Bob from the dual Bell functional.
+    Restart 0 starts at the CHSH-optimal Bob for that Alice, whose
+    behaviour is nonlocal at every theta > 0: with correlation matrix
+    T = diag(sin 2theta, -sin 2theta, 1), Bob's Bloch vectors are
+    T(x +- z) normalized (Horodecki, Horodecki & Horodecki, Phys. Lett.
+    A 200, 1995), CHSH_BOB at theta = pi/4; the others at random.
     Heuristic: reports the best value found over ``restarts`` seeds.
     """
     kind = parse_kind(nl.NonlocalityKind, kind, {})
@@ -259,11 +264,11 @@ def seesaw_optimize(theta: float, kind, restarts: int = 3, seed: int = 0,
     best: SeesawOutcome | None = None
     for restart in range(restarts):
         if restart == 0:
-            bob = bloch_measurements(CHSH_BOB)
+            vecs = np.array([[np.sin(2 * theta), 0.0, 1.0], [np.sin(2 * theta), 0.0, -1.0]])
         else:
             vecs = rng.normal(size=(2, 3))
-            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-            bob = bloch_measurements(vecs)
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        bob = bloch_measurements(vecs)
         state_rec = SeesawState(bob=bob)
         current = -np.inf
         for _ in range(SEESAW_ROUNDS):

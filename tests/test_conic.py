@@ -359,11 +359,17 @@ def test_endgame_is_superlinear():
     assert abs(sol.value - (3 - 2 * np.sqrt(2))) < 1e-12
 
 
-def test_a_step_applies_as_four_times_each_way(monkeypatch):
+@pytest.mark.parametrize("program", ["XZ", "ladder"])
+def test_a_step_applies_as_four_times_each_way(monkeypatch, program):
     """A step applies As and As^T four times each: once each for its
     residuals, and three times each for its directions, between the Schur
     complement and the step length.  A solve adds one As for the start and
-    at most one As and one As^T per iteration for the stopping checks."""
+    at most one As and one As^T per iteration for the stopping checks.
+    So it does with As held dense (the XZ robustness program) and held by
+    cone (the restricted m = 6 ladder program)."""
+    prog = (build_program("incompat", "robustness", scenario.paulis("XZ").effects,
+                          np.eye(2)) if program == "XZ" else _ladder_program())
+    assert (_cones(prog)[0].A is not None) == (program == "XZ")
     events = []
 
     def spy(name, real):
@@ -374,8 +380,7 @@ def test_a_step_applies_as_four_times_each_way(monkeypatch):
 
     for name in ("_matvec", "_rmatvec", "_schur_complement", "_step_fraction"):
         monkeypatch.setattr(conic, name, spy(name, getattr(conic, name)))
-    sol = build_program("incompat", "robustness", scenario.paulis("XZ").effects,
-                        np.eye(2)).solve()
+    sol = prog.solve()
     assert sol.ended == "converged"
     steps, outside, window = [], [], None
     for name in events:
@@ -693,6 +698,9 @@ def _ladder_program():
 
 
 SCHUR_PROGRAMS = ["IR", "IW", "SR", "mixed", "kernels", "runs", "duplicate", "ladder"]
+# the programs whose As the solver holds as one dense array: rows x
+# columns is no more than one product by cone costs
+DENSE_SIDE = {"SR", "mixed", "runs", "duplicate"}
 
 
 def _schur_program(name):
@@ -796,6 +804,10 @@ def test_structured_schur_matches_dense_product(name):
     Ad = np.array([_cone_coords(cones, row) for row in As.toarray()])
     ref = Ad @ np.array([_phi(cones, row) for row in Ad]).T
     assert _close(M, ref)
+    # the rule's side, and a dense As is that reference As
+    assert (cones.A is not None) == (name in DENSE_SIDE)
+    if cones.A is not None:
+        assert cones.A.shape == Ad.shape and _close(cones.A, Ad)
     # each cone's products with its own columns, zero off its rows, and
     # the operator they assemble, against the CSR As: v enters and As^T y
     # leaves through the coordinate map

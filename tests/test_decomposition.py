@@ -264,3 +264,12 @@ def test_bennet_row_matches_whole_program_run():
     assert values.keys() == reference.keys()
     for label, value in values.items():
         assert abs(value - reference[label]) <= TOL, label
+
+
+def test_model_noise_starts_h_on_its_own_prices():
+    # H enters the match rows against G, so its start is priced on the
+    # negated data: the m = 6 jm_robustness program needs no second round
+    prog, data = program(6, "jm_robustness")
+    sol = dc.solve_strategies(prog, data)
+    assert sol.rounds == 1
+    assert abs(sol.value - whole(program(6, "jm_robustness")[0]).value) <= 1e-8

@@ -133,6 +133,13 @@ def test_seesaw_maxent_nlr_c_matches_fixed():
     assert all(b >= a - 1e-9 for a, b in zip(hist, hist[1:]))
 
 
+def test_seesaw_starts_at_the_chsh_optimal_bob():
+    # at theta = pi/16 the CHSH_BOB behaviour is local and its see-saw
+    # stays at 0; the CHSH-optimal Bob for Alice's X and Z is nonlocal
+    out = ex.seesaw_optimize(np.pi / 16, "NLR_c", restarts=1, level=2)
+    assert out.value >= 0.0339
+
+
 def test_seesaw_nlw_c_is_one_at_pi4():
     out = ex.seesaw_optimize(np.pi / 4, "NLW_c", restarts=2, seed=3, level=2)
     assert abs(out.value - 1.0) < 1e-3
