@@ -28,8 +28,8 @@ bs (about 600x in norm on the m = 6 lossy-dodecahedron IR and IW
 programs, which start at the floor) the solve spends its first
 iterations shrinking the primal residual.
 It reports primal-dual solutions with certified gaps, or an improving ray
-when the program is infeasible.  Each family is one cone to the solver:
-2x2 Hermitian blocks are the Lorentz cone Q^4, with a closed-form
+when the program is infeasible.  The 2x2 Hermitian families are together
+one cone to the solver, the Lorentz cone Q^4, with a closed-form
 scaling, step length and Jordan algebra, iterated in Q^4 coordinates (an
 isometry of the Hermitian ones, applied to c on entry and to x and s on
 exit); larger Hermitian and all real symmetric blocks run the same
@@ -51,7 +51,7 @@ Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  One decoder,
 :meth:`_Family.stacked`, reads them: every touch's rows and functional
 rows stacked, the touch owning each, and one weight row per touch,
 decoded once per family and kept.  The stack gives the row equilibration
-(max |F| times max |U| per stacked row) and the columns of its cone;
+(max |F| times max |U| per stacked row) and its columns of As;
 pricing, :meth:`ConicProgram.restrict` and ``build()``, which assembles A
 only for verification and dumps, read the same stack.
 
@@ -61,49 +61,50 @@ and write each call's values on it (:meth:`ConicProgram.with_values`):
 b, and the stacked touches of scalar families, the only touches that
 read data.  What a solve derives from the structure alone is its
 :class:`_Plan`, made at its first solve and shared by every program on
-it: the matrix families' share of the row scale, each cone's layout (a
-Lorentz run's U, slots, layers and K index and its functionals in Q^4
-coordinates; a matrix family's dense columns; the scalars' index
-arrays), the cones' unit and the gathers that read the duals.  A solve
-adds its scalars' share of the row scale and divides the cones' rows by
-it, so a program's iterates are the same to the last bit whether its
-plan is new or shared.
+it: the matrix families' share of the row scale, the cones, the layout
+of the Lorentz cone (its U, slots, layers and K index and its
+functionals in Q^4 coordinates), the matrix columns of the dense array,
+the cones' unit and the gathers that read the duals.  A solve adds its
+scalars' share of the row scale and divides the rows by it, so a
+program's iterates are the same to the last bit whether its plan is new
+or shared.
 
 The iteration's products As v and As^T y and its dense Schur complement
 As Phi As^T (Phi is the NT scaling) read the row-equilibrated As held in
-one of two ways, and no sparse product runs inside the loop (the design
-of ECOS, Domahidi, Chu & Boyd, ECC 2013).  The plan picks the way per
-structure by the multiplies of one product (as Fujisawa, Kojima & Nakata
-choose how to form each Schur term by its operation count):
+two parts, and no sparse product runs inside the loop (the design of
+ECOS, Domahidi, Chu & Boyd, ECC 2013).  The columns are ordered 2x2
+Hermitian families, then other matrix families, then scalars, so:
 
-* *Dense*, when rows x columns is no more than the count by cone: one
-  dense As in the cones' coordinates.  The matrix families' columns are
-  formed once per structure; a solve adds its scalar columns and divides
-  by its row scale.  A product is one gemv, and the Schur complement is
-  As (Phi As)^T, each cone's Phi applied to the rows of As.  Most
-  small incompatibility and steering programs and the linear programs
-  take this way.
-* *By cone*: each cone owns its columns and applies them itself, and the
-  products and the Schur complement are sums over the cones.  A run of
-  consecutive 2x2 Hermitian families is one Lorentz cone; its products
-  are P (U X) and U^T (y P) over the run's U (4 touches x (rows + blocks)
-  multiplies), and its Schur term is formed on the run's rows from each
-  family's stacked rows (their touches and functionals), with no product
-  by P.  Matrix families and scalars hold dense columns, U[owner] (x) F
-  per stacked row, on the rows they touch (rows x columns multiplies); a
-  cone on every row uses a view.  Programs of many strategy blocks and
-  the NPA programs take this way.
+* The 2x2 Hermitian families are one Lorentz cone, which applies its
+  own columns: its products are P (U X) and U^T (y P) over its U (4
+  touches x (rows + blocks) multiplies), and its Schur term is formed on
+  its rows from each family's stacked rows (their touches and
+  functionals), with no product by P.
+* Every other column (the noise weight, the LP weights, the NPA moment
+  block, blocks with d >= 3) is one dense array over all rows, in the
+  cones' coordinates: U[owner] (x) F per stacked row, the matrix
+  columns formed once per structure and the scalar ones per solve, over
+  the row scale.  A product is one gemv, and its Schur term is
+  (Phi A) A^T, each cone's Phi applied to the rows of A.
 
-Either way a Lorentz run's closed-form kernels run once per iteration
-over all its blocks.  An iteration factors the Schur complement with one
-dpotrf and applies As and As^T four times each: once for its residuals,
-three times for its two directions (As^T dy is summed from the products
-that formed dx).
+Each product and the Schur complement is the Lorentz cone's term plus
+the array's.  When one product with a dense As (rows x columns
+multiplies) costs no more than one with the Lorentz cone's columns plus
+one with the other columns on the rows they reach, the plan folds the
+Lorentz cone's columns into the array instead (as Fujisawa, Kojima &
+Nakata choose how to form each Schur term by its operation count): most
+small incompatibility and steering programs take that way, programs of
+many strategy blocks keep the Lorentz cone's own columns, and the NPA
+and linear programs, which have no 2x2 family, are the array alone.
+The Lorentz cone's closed-form kernels run once per iteration over all
+its blocks either way.  An iteration factors the Schur complement with
+one dpotrf and applies As and As^T four times each: once for its
+residuals, three times for its two directions (As^T dy is summed from
+the products that formed dx).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -355,9 +356,12 @@ class ConicProgram:
     def _freeze(self):
         if self._frozen:
             return
-        offset = 0     # matrix families, then scalars, each in declaration order
+        # 2x2 Hermitian families (the solver's one Lorentz cone), then other
+        # matrix families, then scalars, each in declaration order
+        offset = 0
         for fam in sorted(self._families.values(),
-                          key=lambda f: f.kind in ("nonneg", "free")):
+                          key=lambda f: ((f.kind, f.dim) != ("herm", 2))
+                          + (f.kind in ("nonneg", "free"))):
             fam.offset = offset
             offset += fam.width
         self._ncols = offset
@@ -779,12 +783,14 @@ def duals_to_vec(prog: ConicProgram, duals: dict) -> np.ndarray:
 # cones
 # ---------------------------------------------------------------------------
 #
-# The HSD core sees each family as one cone on its slice ``sl`` of the
-# iterate, in the cone's coordinates (:func:`_cone_coords`).  ``scale(x, s)``
-# sets the NT scaling W at an iterate; the other methods work in its
-# scaled space, where lam = W^-1 x = W^T s:
+# The HSD core sees the 2x2 Hermitian families as one Lorentz cone, every
+# other matrix family as a cone and the scalars as one orthant, each on its
+# slice ``sl`` of the iterate, in the cone's coordinates (:func:`_cone_coords`),
+# with its unit ``unit``.  ``scale(x, s)`` sets the NT scaling W at an
+# iterate; the other methods work in its scaled space, where
+# lam = W^-1 x = W^T s:
 #
-#   phi(v)             Phi v = W W^T v, on the slice
+#   phi(v)             Phi v = W W^T v, on the slice (and on v's last axis)
 #   to_scaled(dx, ds)  (W^-1 dx, W^T ds)
 #   from_scaled(d)     W d, on the slice
 #   center(smu, corr)  d with lam o d = smu e - lam o lam - corr, where o is
@@ -792,16 +798,11 @@ def duals_to_vec(prog: ConicProgram, duals: dict) -> np.ndarray:
 #   product(a, b)      a o b
 #   max_steps(a, b)    largest alpha with lam + alpha a and lam + alpha b
 #                      both in the cone: one kernel call on a and b stacked
-#   schur()            this cone's term of As Phi As^T on the rows ``rows``
-#
-# and two products with its columns of As, which are zero off ``rows``:
-#
-#   matvec(v)          its term of As v on ``rows``, from v on the slice
-#   rmatvec(y)         its slice of As^T y, from the whole y
 #
 # ``scale()`` also stores every quantity of the scaling that these kernels
 # would otherwise recompute on each call (w^2, J v, lam o lam, R^H, ...),
-# computed as they computed it, so each runs once per iteration.
+# computed as they computed it, so each runs once per iteration.  The
+# columns of As are held apart from the kernels (:class:`_Plan`).
 
 def _min_step(lmin) -> float:
     """Largest alpha with 1 + alpha * lmin >= 0 for every entry."""
@@ -809,71 +810,37 @@ def _min_step(lmin) -> float:
     return -1.0 / low if low < 0 else np.inf
 
 
-class _DensePlan:
-    """Where the dense columns of families ``fams`` go: each stacked touch
-    row adds U[owner] (x) F to its row, the negatives too for a free
-    family's z- columns.  A matrix family's columns are the structure's,
-    so they are formed here once; scalar ones are formed per solve, from
-    the solved program's touch values."""
-
-    def __init__(self, fams, unit):
-        self.sl = slice(fams[0].offset, fams[-1].offset + fams[-1].width)
-        self.names, self.unit = [f.name for f in fams], unit
-        width = self.sl.stop - self.sl.start
-        decoded = [f.stacked() for f in fams]
-        self.touched = np.unique(np.concatenate([rows for rows, _, _, _ in decoded]))
-        self.multiplies = self.touched.size * width     # of one product
-        self.index = np.concatenate([
-            (np.searchsorted(self.touched, rows)[:, None] * width
-             + f.offset - self.sl.start + np.arange(f.width)).ravel()
-            for f, (rows, _, _, _) in zip(fams, decoded)])
-        self.fixed = None
-        if fams[0].kind not in ("nonneg", "free"):
-            self.fixed = self.columns(fams)
-
-    def columns(self, fams):
-        """(rows, dense): the rows the columns reach, and the columns on
-        them, unscaled."""
-        if self.fixed is not None:
-            return self.fixed
-        vals = []
-        for f in fams:
-            rows, F, owner, U = f.stacked()
-            D = (U[owner][:, :, None] * F[:, None, :]).reshape(
-                len(rows), f.count * f.ncoords)
-            if f.kind == "free":
-                D = np.hstack([D, -D])
-            vals.append(D.ravel())
-        width = self.sl.stop - self.sl.start
-        dense = np.bincount(self.index, np.concatenate(vals),
-                            self.touched.size * width).reshape(self.touched.size, width)
-        live = np.any(dense != 0, axis=1)     # the terms of two touches may cancel
-        return self.touched[live], dense[live]
+def _reached(fams):
+    """The rows that families ``fams`` touch, sorted and distinct."""
+    return np.unique(np.concatenate([np.zeros(0, np.int64)]
+                                    + [f.stacked()[0] for f in fams]))
 
 
-class _Dense:
-    """Columns of As held as one dense array on the rows they reach
-    (:class:`_DensePlan`), scaled by the solve's row scale, or ``A``, the
-    cone's columns of the program's one dense As on all rows."""
-
-    def __init__(self, plan, fams, drow, A=None):
-        self.sl, self.unit = plan.sl, plan.unit
-        if A is None:
-            self.rows, dense = plan.columns([fams[name] for name in plan.names])
-            A = dense * (1.0 / drow)[self.rows][:, None]
-        else:
-            self.rows = np.arange(len(A))
-        self.A = A
-
-    def matvec(self, v):
-        return self.A @ v
-
-    def rmatvec(self, y):
-        return y[self.rows] @ self.A
+def _dense_index(fams, start, width):
+    """Where each entry of :func:`_dense_values` goes in a flattened array
+    of ``width`` columns, from column ``start`` of A, on every row."""
+    return np.concatenate([np.zeros(0, np.int64)] + [
+        (f.stacked()[0][:, None] * width + f.offset - start + np.arange(f.width)).ravel()
+        for f in fams])
 
 
-class _Nonneg(_Dense):
-    """The nonnegative orthant: LP and split free scalars."""
+def _dense_values(fams):
+    """The columns of families ``fams`` on their stacked touch rows: each
+    stacked row is U[owner] (x) F, and its negative too for a free family's
+    z- columns; :func:`np.bincount` over :func:`_dense_index` sums them."""
+    vals = [np.zeros(0)]
+    for f in fams:
+        rows, F, owner, U = f.stacked()
+        D = (U[owner][:, :, None] * F[:, None, :]).reshape(len(rows), f.count * f.ncoords)
+        vals.append((np.hstack([D, -D]) if f.kind == "free" else D).ravel())
+    return np.concatenate(vals)
+
+
+class _Nonneg:
+    """The nonnegative orthant: LP and split free scalars, on columns ``sl``."""
+
+    def __init__(self, sl):
+        self.sl, self.unit = sl, np.ones(sl.stop - sl.start)
 
     def scale(self, x, s):
         x, s = x[self.sl], s[self.sl]
@@ -898,9 +865,6 @@ class _Nonneg(_Dense):
 
     def max_steps(self, a, b):
         return _min_step(np.minimum(a, b) / self.lam)
-
-    def schur(self):
-        return (self.A * self.w2) @ self.A.T
 
 
 _R2 = np.sqrt(0.5)
@@ -943,15 +907,16 @@ def _jordan(a, b):
 
 
 class _LorentzPlan:
-    """What a :class:`_Lorentz` run takes from the structure alone: its
+    """What a :class:`_Lorentz` cone takes from the structure alone: its
     rows, U and slots, each family's functional rows in Q^4 coordinates
     (:func:`_q`) and where they go in P, and the Schur term's layers, touch
-    index and K index.  A solve divides the rows by its row scale."""
+    index and K index.  A solve that holds the cone's columns divides the
+    rows by its row scale."""
 
     def __init__(self, fams):
         decoded = [f.stacked() for f in fams]
         self.sl = slice(fams[0].offset, fams[-1].offset + fams[-1].width)
-        self.rows = np.unique(np.concatenate([rows for rows, _, _, _ in decoded]))
+        self.rows = _reached(fams)
         nrows = self.rows.size
         self.U = np.zeros((sum(len(U) for *_, U in decoded), sum(f.count for f in fams)))
         self.parts = []           # (blocks, touches, U) per family
@@ -972,10 +937,10 @@ class _LorentzPlan:
             stacks.append((layer, at, owner))
             block, touch = blocks.stop, touches.stop
         self.unit = np.tile([np.sqrt(2.0), 0.0, 0.0, 0.0], block)
-        # one As^T y: y P on the run's rows, then U^T of it
+        # one As^T y: y P on the cone's rows, then U^T of it
         self.multiplies = 4 * len(self.U) * (nrows + self.U.shape[1])
         # the Schur term's record: each family's stacked row sits in slot
-        # layer * nrows + row of as many layers as the run needs, with its
+        # layer * nrows + row of as many layers as the cone needs, with its
         # touch t and functional F; an empty slot's F is zero
         self.layers = 1 + int(max(layer.max(initial=-1) for layer, *_ in stacks))
         size = self.layers * nrows
@@ -993,38 +958,38 @@ class _LorentzPlan:
 
 
 class _Lorentz:
-    """A run of consecutive families of 2x2 Hermitian PSD blocks as the
-    Lorentz cone Q^4, in closed form, on Q^4 coordinates (:func:`_cone_coords`).
+    """The 2x2 Hermitian PSD families as the Lorentz cone Q^4, in closed
+    form, on Q^4 coordinates (:func:`_cone_coords`).
 
     The NT scaling is W = beta (2 v v^T - J) with v^T J v = 1 (Alizadeh &
     Goldfarb, Math. Prog. 95, 2003).  The scaled space holds Q^4
     coordinates under the Jordan product with unit e = (1, 0, 0, 0), in
     which the central X o S = mu 1 of 2x2 matrices reads x o s = 2 mu e.
 
-    The run's columns are P kron(U, I4): P on the rows they reach, four
-    columns per touch (its functional rows mapped by :func:`_q`), U the
-    run's touch weights, family f's in its slot (its touches by its blocks)
-    and zero elsewhere.  As^T y is U^T (y P), and As v is
-    P (U X) with U X formed slot by slot: a BLAS product over the padded U
-    sums a family's blocks in another order.  The Schur term needs neither
-    P nor a touch-space matrix: each family's stacked rows are laid on the
-    run's rows, one layer per touch that reaches a row again, with their
-    touches and functionals, and :meth:`schur` sums Z Z^T over the run's
-    blocks less one K o (F J F^T) per family (after Fujisawa, Kojima &
-    Nakata, Math. Prog. 79, 1997).
-
-    Given ``A``, its columns of the program's one dense As, the run holds
-    them instead: its products are A v and y A, and the program forms
-    the Schur complement (:func:`_schur_complement`).
+    Unless the plan folds them into its dense array, the cone applies its
+    own columns (:meth:`hold`): P kron(U, I4), P on the rows they reach,
+    four columns per touch (its functional rows mapped by :func:`_q`), U
+    the touch weights, family f's in its slot (its touches by its blocks)
+    and zero elsewhere.  As^T y is U^T (y P), and As v is P (U X) with U X
+    formed slot by slot: a BLAS product over the padded U sums a family's
+    blocks in another order.  The Schur term needs neither P nor a
+    touch-space matrix: each family's stacked rows are laid on the cone's
+    rows, one layer per touch that reaches a row again, with their touches
+    and functionals, and :meth:`schur` sums Z Z^T over the blocks less one
+    K o (F J F^T) per family (after Fujisawa, Kojima & Nakata, Math. Prog.
+    79, 1997).
     """
 
-    def __init__(self, plan, fams, drow, A=None):
-        self.sl, self.unit, self.A = plan.sl, plan.unit, A
-        if A is not None:
-            self.rows = np.arange(len(A))
-            return
-        self.rows, self.U, self.parts, self.layers = (
-            plan.rows, plan.U, plan.parts, plan.layers)
+    def __init__(self, plan):
+        self.sl, self.unit = plan.sl, plan.unit
+
+    def hold(self, plan, drow):
+        """This cone with its own columns at row scale ``drow``; its rows
+        (sorted and distinct) are a view when they are all of them."""
+        full = plan.rows.size == drow.size
+        self.rows = slice(None) if full else plan.rows
+        self.square = (self.rows, self.rows) if full else np.ix_(plan.rows, plan.rows)
+        self.U, self.parts, self.layers = plan.U, plan.parts, plan.layers
         # the functional rows at this solve's row scale, in P and in the
         # Schur term's slots
         self.P = np.zeros((plan.rows.size, 4 * len(plan.U)))
@@ -1038,18 +1003,15 @@ class _Lorentz:
             FT = np.zeros((4, plan.layers * plan.rows.size))
             FT[:, slot] = Fqs[f].T
             self.terms.append((blocks, U, UtT, FT, kidx, (FT.T * _JSIGN) @ FT))
+        return self
 
     def matvec(self, v):
-        if self.A is not None:
-            return self.A @ v
         X, UX = v.reshape(-1, 4), np.empty((len(self.U), 4))
         for blocks, touches, U in self.parts:
             np.matmul(U, X[blocks], out=UX[touches])
         return self.P @ UX.ravel()
 
     def rmatvec(self, y):
-        if self.A is not None:
-            return y @ self.A
         return (self.U.T @ (y[self.rows] @ self.P).reshape(-1, 4)).ravel()
 
     def scale(self, x, s):
@@ -1116,7 +1078,7 @@ class _Lorentz:
         # Phi_i = 2 b_i^2 w_i w_i^T - b_i^2 J, that is
         # Z Z^T - K[t_e, t_e'] F_e J F_e'^T for Z[e, i] = sqrt2 b_i U[t_e, i] F_e.w_i
         # and K = U diag(b^2) U^T.  Every family fills its blocks' rows of one
-        # Z^T, and the layers of slots sum onto the run's rows.
+        # Z^T, and the layers of slots sum onto the cone's rows.
         n, layers = len(self.P), self.layers
         W = self.w * np.sqrt(2 * self.beta2)[:, None]
         ZT = np.zeros((len(W), layers * n))
@@ -1128,16 +1090,14 @@ class _Lorentz:
         return S.reshape(layers, n, layers, n).sum((0, 2))
 
 
-class _Matrix(_Dense):
+class _Matrix:
     """Real symmetric or complex Hermitian PSD blocks as matrices, with the
     NT scaling R^-1 X R^-H = R^H S R = Lam (diagonal) from the Cholesky
     factors of X and S and an SVD; the scaled space holds matrices in the
     eigenbasis of the scaled point, and the Jordan product is (AB+BA)/2."""
 
-    def __init__(self, plan, fams, drow, A=None):
-        super().__init__(plan, fams, drow, A)
-        self.fam = fams[plan.names[0]]
-        self.Amats = self._mats(self.A)        # the dense rows as blocks
+    def __init__(self, fam, unit):
+        self.fam, self.sl, self.unit = fam, slice(fam.offset, fam.offset + fam.width), unit
 
     def _mats(self, v):
         fam = self.fam
@@ -1184,11 +1144,6 @@ class _Matrix(_Dense):
         d = np.concatenate([a, b])
         return _min_step(np.linalg.eigvalsh(d * r[:, :, None] * r[:, None, :])[:, 0])
 
-    def schur(self):
-        # Phi applied to each dense row of As restricted to this family
-        phia = self.fam.coords(self.G @ self.Amats @ self.G).reshape(self.A.shape)
-        return self.A @ phia.T
-
 
 def _herm_t(m):
     return m.conj().swapaxes(-1, -2)
@@ -1198,48 +1153,52 @@ class _Plan:
     """What the solver derives from a program's structure alone, made at
     its first solve and shared by every program on that structure
     (:meth:`ConicProgram.with_values`): the row scale's share from the
-    matrix families, one plan per cone, how the columns are held, and the
-    gathers that read the duals.  Nothing in it reads a scalar family's
-    touch values, which each solve reads from its own program.
+    matrix families, the cones, how the columns are held, and the gathers
+    that read the duals.  Nothing in it reads a scalar family's touch
+    values, which each solve reads from its own program.
 
-    The columns are held as one dense As when one As v costs no more
-    multiplies that way (rows x columns) than by cone (each cone's
-    ``multiplies``); then ``dense`` holds the matrix families' columns
-    of A in the cones' coordinates, and ``None`` otherwise."""
+    The 2x2 Hermitian families come first in the columns and are one
+    Lorentz cone; every other column (columns ``sl``) is held in one
+    dense array.  The Lorentz cone applies its own columns (``lorentz``,
+    its plan) unless one product with a dense As (rows x columns
+    multiplies) costs no more than one with its columns plus one with the
+    others on the rows they reach; then its columns are folded into the
+    array, in Q^4 coordinates, and ``lorentz`` is None.  The array's
+    matrix columns are formed here (``fixed``); a solve adds its scalar
+    columns (``index``, where their values go) and divides by its row
+    scale."""
 
     def __init__(self, prog):
-        fams = list(prog._families.values())
-        self.drow = np.zeros(prog._nrows)
-        for f in fams:
-            if f.kind in ("herm", "psd"):
-                _row_scale(self.drow, f)
-        self.scalars = [f.name for f in fams if f.kind in ("nonneg", "free")]
-        self.cones = []           # (cone class, its plan)
-        for lorentz, run in itertools.groupby(
-                (f for f in fams if f.kind in ("herm", "psd")),
-                key=lambda f: f.kind == "herm" and f.dim == 2):
-            run = list(run)
-            if lorentz:
-                self.cones.append((_Lorentz, _LorentzPlan(run)))
-            else:
-                self.cones.extend((_Matrix, _DensePlan([f], f.coords(np.broadcast_to(
-                    np.eye(f.dim), (f.count, f.dim, f.dim))).ravel())) for f in run)
-        scalars = [f for f in fams if f.kind in ("nonneg", "free") and f.width]
-        if scalars:
-            self.cones.append((_Nonneg, _DensePlan(
-                scalars, np.ones(sum(f.width for f in scalars)))))
-        self.dense = None
-        nrows, mats = prog._nrows, [f for f in fams if f.kind in ("herm", "psd")]
-        if nrows * prog._ncols <= sum(cplan.multiplies for _, cplan in self.cones):
-            self.dense = np.zeros((nrows, prog._ncols))
-            if mats:     # matrix families come first in the columns
-                rows, cols = _DensePlan(mats, None).fixed
-                self.dense[rows, :cols.shape[1]] = cols
-            for cls, cplan in self.cones:
-                if cls is _Lorentz:
-                    block = self.dense[:, cplan.sl]
-                    block[:] = _q(block.reshape(-1, 4)).reshape(nrows, -1)
-            self.dense.flags.writeable = False
+        fams = sorted(prog._families.values(), key=lambda f: f.offset)
+        nrows, ncols = prog._nrows, prog._ncols
+        mats = [f for f in fams if f.kind in ("herm", "psd")]
+        self.drow = np.zeros(nrows)
+        for f in mats:
+            _row_scale(self.drow, f)
+        q4 = [f for f in mats if (f.kind, f.dim) == ("herm", 2)]
+        self.lorentz = _LorentzPlan(q4) if q4 else None
+        self.cones = [(_Lorentz, self.lorentz)] if q4 else []
+        self.cones += [(_Matrix, f, f.coords(np.broadcast_to(
+            np.eye(f.dim), (f.count, f.dim, f.dim))).ravel()) for f in mats[len(q4):]]
+        scalars = fams[len(mats):]
+        if sum(f.width for f in scalars):
+            self.cones.append((_Nonneg, slice(scalars[0].offset, ncols)))
+        held = fams[len(q4):]
+        width = sum(f.width for f in held)
+        if q4 and nrows * ncols <= self.lorentz.multiplies + _reached(held).size * width:
+            held, self.lorentz, width = fams, None, ncols
+        self.sl = slice(ncols - width, ncols)
+        held_mats = [f for f in held if f.kind in ("herm", "psd")]
+        mwidth = sum(f.width for f in held_mats)
+        self.fixed = np.bincount(
+            _dense_index(held_mats, self.sl.start, mwidth), _dense_values(held_mats),
+            nrows * mwidth).reshape(nrows, mwidth)
+        if q4 and self.lorentz is None:
+            block = self.fixed[:, :4 * sum(f.count for f in q4)]
+            block[:] = _q(block.reshape(-1, 4)).reshape(block.shape)
+        self.fixed.flags.writeable = False
+        self.scalars = [f.name for f in scalars]
+        self.index = _dense_index(scalars, self.sl.start + mwidth, width - mwidth)
         # the duals: one gather per matrix dimension and one of the scalar
         # rows, each with its row groups' names, then the groups' order
         self.order = [g.name for g in prog._rows]
@@ -1270,48 +1229,38 @@ def _row_scale(drow, fam) -> None:
 
 
 class _Cones(list):
-    """A program's cones, in column order, and ``A``: As as one dense
-    array in the cones' coordinates when the plan holds it so, else None."""
-    A = None
+    """A program's cones, in column order, and its As in the cones'
+    coordinates: ``lorentz``, the Lorentz cone when it applies its own
+    columns (else None), and ``A``, every other column (columns ``sl``) as
+    one dense array."""
 
 
 def _cones(prog):
-    """(cones, drow): one cone per run of consecutive 2x2 Hermitian
-    families, per other matrix family, and one for all scalars, on the
-    columns of As = A / drow.  The row scale drow[r] is the largest |entry|
-    that a touch puts in row r, before the touches on one block coordinate
-    are summed, at least 1e-12: max_j |A_rj| unless a row holds two terms
-    on one coordinate.  The cones' layout is the program's :class:`_Plan`;
-    the scalar families' touches and the row scale are this program's.
-    When the plan holds As dense, it is the plan's matrix columns and this
-    program's scalar columns over drow, and each cone holds its slice."""
+    """(cones, drow): the program's :class:`_Plan` of cones and columns, on
+    As = A / drow.  The row scale drow[r] is the largest |entry| that a
+    touch puts in row r, before the touches on one block coordinate are
+    summed, at least 1e-12: max_j |A_rj| unless a row holds two terms on
+    one coordinate.  The scalar families' touches and the row scale are
+    this program's: the dense array is the plan's matrix columns and this
+    program's scalar columns, over drow."""
     plan = prog._layout()
-    fams = prog._families
+    scalars = [prog._families[name] for name in plan.scalars]
     drow = plan.drow.copy()
-    for name in plan.scalars:
-        _row_scale(drow, fams[name])
+    for f in scalars:
+        _row_scale(drow, f)
     drow = np.maximum(drow, 1e-12)
-    cones = _Cones()
-    if plan.dense is None:
-        cones.extend(cls(cplan, fams, drow) for cls, cplan in plan.cones)
-    else:
-        A = plan.dense.copy()
-        for cls, cplan in plan.cones:
-            if cls is _Nonneg:
-                rows, cols = cplan.columns([fams[name] for name in cplan.names])
-                A[rows, cplan.sl] = cols
-        A *= (1.0 / drow)[:, None]
-        cones.A = A
-        cones.extend(cls(cplan, fams, drow, A[:, cplan.sl]) for cls, cplan in plan.cones)
-    for g in cones:     # rows are sorted and distinct: all rows are a view
-        full = g.rows.size == prog._nrows
-        g.rows = slice(None) if full else g.rows
-        g.square = (g.rows, g.rows) if full else np.ix_(g.rows, g.rows)
+    cones = _Cones(cls(*args) for cls, *args in plan.cones)
+    cones.lorentz = None if plan.lorentz is None else cones[0].hold(plan.lorentz, drow)
+    nrows, width = len(drow), plan.sl.stop - plan.sl.start - plan.fixed.shape[1]
+    cones.A = np.hstack([plan.fixed, np.bincount(
+        plan.index, _dense_values(scalars), nrows * width).reshape(nrows, width)])
+    cones.A *= (1.0 / drow)[:, None]
+    cones.sl = plan.sl
     return cones, drow
 
 
 def _cone_coords(cones, v):
-    """v with each Lorentz cone's slice mapped by :func:`_q`: from the
+    """v with the Lorentz cone's slice mapped by :func:`_q`: from the
     families' coordinates to the cones', and back (the map is an involution)."""
     out = v.copy()
     for g in cones:
@@ -1320,43 +1269,38 @@ def _cone_coords(cones, v):
     return out
 
 
-def _matvec(cones, v, nrows):
-    """As v: one product with a dense As, else summed cone by cone."""
-    if cones.A is not None:
-        return cones.A @ v
-    out = np.zeros(nrows)
-    for g in cones:
-        out[g.rows] += g.matvec(v[g.sl])
+def _matvec(cones, v):
+    """As v: the dense array's term plus the held Lorentz cone's."""
+    out = cones.A @ v[cones.sl]
+    if cones.lorentz is not None:
+        out[cones.lorentz.rows] += cones.lorentz.matvec(v[cones.lorentz.sl])
     return out
 
 
-def _rmatvec(cones, y, ncols):
-    """As^T y: one product with a dense As, else sliced cone by cone."""
-    if cones.A is not None:
-        return y @ cones.A
-    out = np.empty(ncols)
-    for g in cones:
-        out[g.sl] = g.rmatvec(y)
+def _rmatvec(cones, y):
+    """As^T y: the held Lorentz cone's columns, then the dense array's."""
+    out = y @ cones.A
+    if cones.lorentz is not None:
+        out = np.concatenate([cones.lorentz.rmatvec(y), out])
     return out
 
 
-def _phi(cones, v):
-    """Phi v, on v's last axis."""
+def _phi(cones, v, start=0):
+    """Phi v, on v's last axis, which holds the columns from ``start`` on."""
     out = np.empty_like(v)
     for g in cones:
-        out[..., g.sl] = g.phi(v[..., g.sl])
+        if g.sl.start >= start:
+            sl = slice(g.sl.start - start, g.sl.stop - start)
+            out[..., sl] = g.phi(v[..., sl])
     return out
 
 
-def _schur_complement(cones, nrows) -> np.ndarray:
-    """As Phi As^T (Phi = W W^T): As (Phi As^T) with a dense As, Phi
-    applied to its rows, else summed cone by cone."""
-    if cones.A is not None:
-        M = cones.A @ _phi(cones, cones.A).T
-    else:
-        M = np.zeros((nrows, nrows))
-        for g in cones:
-            M[g.square] += g.schur()
+def _schur_complement(cones) -> np.ndarray:
+    """As Phi As^T (Phi = W W^T): (Phi A) A^T of the dense array A, Phi
+    applied to its rows, plus the held Lorentz cone's term."""
+    M = _phi(cones, cones.A, cones.sl.start) @ cones.A.T
+    if cones.lorentz is not None:
+        M[cones.lorentz.square] += cones.lorentz.schur()
     return (M + M.T) / 2
 
 
@@ -1397,7 +1341,7 @@ def _step_fraction(sigma: float, aaff: float) -> float:
     return 1 - max(1e-6, min(1e-2, max(sigma, (1 - aaff) / 10)))
 
 
-def _start(cones, bs, n, nrows):
+def _start(cones, bs, n):
     """(x0, s0): s0 = e, the cones' unit, and x0 = alpha e, alpha the
     least-squares fit of As (alpha e) = bs.  The floor 1e-2 keeps x0
     interior when the fit is not positive (an infeasible b) and bounds
@@ -1407,7 +1351,7 @@ def _start(cones, bs, n, nrows):
     e = np.empty(n)
     for g in cones:
         e[g.sl] = g.unit
-    ae = _matvec(cones, e, nrows)
+    ae = _matvec(cones, e)
     norm2 = ae @ ae
     alpha = min(1.0, max(1e-2, (bs @ ae) / norm2)) if norm2 > 0 else 1.0
     return alpha * e, e
@@ -1426,7 +1370,7 @@ def _solve_hsd(prog: ConicProgram):
     norm_b = 1 + np.linalg.norm(bs)
     norm_c = 1 + np.linalg.norm(c)
 
-    x, s = _start(cones, bs, n, nrows)
+    x, s = _start(cones, bs, n)
     # the barrier degree: unit @ unit is each cone's degree
     degree = s @ s
     if degree == 0:
@@ -1443,7 +1387,7 @@ def _solve_hsd(prog: ConicProgram):
     ended = "iteration limit"
     for it in range(1, MAXITER + 1):
         mu = (x @ s + tau * kappa) / (degree + 1)
-        ax, aty = _matvec(cones, x, nrows), _rmatvec(cones, y, n)
+        ax, aty = _matvec(cones, x), _rmatvec(cones, y)
         ry = ax - bs * tau
         rx = aty + s - c * tau
         rz = c @ x - bs @ y + kappa
@@ -1476,11 +1420,11 @@ def _solve_hsd(prog: ConicProgram):
                 break
         by, cx = bs @ y, c @ x
         if by > 0 and mu < 1e-3 * mu0:
-            if np.linalg.norm(_rmatvec(cones, y / by, n) + s / by) <= FEASTOL * norm_c:
+            if np.linalg.norm(_rmatvec(cones, y / by) + s / by) <= FEASTOL * norm_c:
                 status = ended = "infeasible"
                 break
         if cx < 0 and mu < 1e-3 * mu0:
-            if np.linalg.norm(_matvec(cones, x / -cx, nrows)) <= FEASTOL * norm_b:
+            if np.linalg.norm(_matvec(cones, x / -cx)) <= FEASTOL * norm_b:
                 status = ended = "unbounded"
                 break
         if mu < 1e-16 * mu0:
@@ -1493,15 +1437,15 @@ def _solve_hsd(prog: ConicProgram):
         except np.linalg.LinAlgError:
             ended = "iterate left the cone"
             break
-        M = _schur_complement(cones, nrows)
+        M = _schur_complement(cones)
         Lm = _chol_reg(M)
         if Lm is None:
             ended = "Schur complement not positive definite"
             break
         phic = _phi(cones, c)
         phirx = _phi(cones, rx)
-        u2 = _cho_solve_refined(Lm, M, _matvec(cones, phic, nrows) + bs)
-        t2 = _rmatvec(cones, u2, n)
+        u2 = _cho_solve_refined(Lm, M, _matvec(cones, phic) + bs)
+        t2 = _rmatvec(cones, u2)
         p2 = _phi(cones, t2) - phic
         den = c @ p2 - bs @ u2 - kappa / tau
 
@@ -1512,8 +1456,8 @@ def _solve_hsd(prog: ConicProgram):
                 v[g.sl] = g.from_scaled(g.center(sigma * mu, cg))
             v += eta * phirx
             rhs_tk = sigma * mu - tau * kappa - corr_tk
-            u1 = _cho_solve_refined(Lm, M, -eta * ry - _matvec(cones, v, nrows))
-            t1 = _rmatvec(cones, u1, n)
+            u1 = _cho_solve_refined(Lm, M, -eta * ry - _matvec(cones, v))
+            t1 = _rmatvec(cones, u1)
             p1 = v + _phi(cones, t1)
             if abs(den) < 1e-300:
                 raise FloatingPointError("singular tau equation")

@@ -176,44 +176,35 @@ def build_program(name: str, kind: str, data: np.ndarray,
     m, n, d = data.shape[:3]
     total = check_strategy_cap(m, n)
     # the one data matrix in A: white noise's sign R/n in every match row,
-    # or -R in the norm row of consistent free and model noise; the zero
-    # pattern of its coordinates is part of the shape
+    # or -R in the norm row of consistent free and model noise
     noise = (row.sign * reference / n if row.noise == "white"
              else -reference if row.norm == "consistent" else None)
-    coords = pattern = None
-    if noise is not None:
-        coords = hermitian_coords(hermitize(np.asarray(noise, dtype=complex)), d)
-        pattern = tuple(np.flatnonzero(coords).tolist())
     structure = (_structure if total <= WORKING_SET else _structure.__wrapped__)(
-        kind, m, n, d, pattern)
+        kind, m, n, d)
     xs, outcomes = zip(*match_rows(m, n, row.noise))
     rhs = structure.rhs().copy()
     match = hermitian_coords(hermitize(data[list(xs), list(outcomes)]), d).ravel()
     rhs[:match.size] = match
     values = {}
-    if coords is not None:
-        # every touch of t reads the same coordinates
+    if noise is not None:
+        # every touch of t reads all d * d coordinates of the noise matrix
+        coords = hermitian_coords(hermitize(np.asarray(noise, dtype=complex)), d)
         _, _, _, U = structure.families["t"].stacked()
-        values["t"] = (np.tile(coords[list(pattern)], len(U))[:, None], None)
+        values["t"] = (np.tile(coords, len(U))[:, None], None)
     return structure.with_values(name, rhs, values)
 
 
 @lru_cache(maxsize=None)
-def _structure(kind: str, m: int, n: int, d: int, pattern: tuple | None) -> ConicProgram:
-    """The shared, read-only structure of ``KINDS[kind]`` on (m, n, d) data
-    whose noise matrix has nonzero Hermitian coordinates ``pattern`` (None:
-    no data in A): the program at zero data, with t reading the matrix of
-    unit coordinates on ``pattern``, which :func:`build_program` overwrites.
-    ``__wrapped__`` builds a new one."""
+def _structure(kind: str, m: int, n: int, d: int) -> ConicProgram:
+    """The shared, read-only structure of ``KINDS[kind]`` on (m, n, d) data:
+    the program at zero data, with t reading the matrix of unit Hermitian
+    coordinates, which :func:`build_program` overwrites.  ``__wrapped__``
+    builds a new one."""
     row = KINDS[kind]
     total = check_strategy_cap(m, n)
     masks = strategy_masks(m, n)
     every = np.arange(total)
-    unit = None
-    if pattern is not None:
-        unit = np.zeros(d * d)
-        unit[list(pattern)] = 1.0
-        unit = hermitian_from_coords(unit, d)
+    unit = hermitian_from_coords(np.ones(d * d), d)
 
     prog = ConicProgram(kind)
     if row.noise == "free":

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DimensionMismatch, NotHermitian
 
 HERM_REJECT = 1e-8     # construction rejects asymmetry beyond this
-PSD_TOL = 1e-10        # eigenvalues above -PSD_TOL are clipped to zero
 
 
 def asmatrix(op) -> np.ndarray:

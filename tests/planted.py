@@ -1,9 +1,10 @@
 """Conic programs with a planted optimum, the conic layer's oracle.
 
-``planted(seed)`` declares random families of every kind (a run of one to
-three 2x2 Hermitian families, which the solver treats as one Lorentz cone,
-and at random a 3x3 Hermitian, a real PSD family of size 2 to 4, a
-nonnegative and a free one, in random order), matrix row groups of
+``planted(seed)`` declares random families of every kind (one to three
+2x2 Hermitian families, which the solver treats as one Lorentz cone
+wherever they are declared, and at random a 3x3 Hermitian, a real PSD
+family of size 2 to 4, a nonnegative and a free one, in random order),
+matrix row groups of
 ``sum``, ``one`` and ``scalar_mat`` terms and scalar rows of ``mat`` and
 ``lin`` terms, with one row that reads every block so none is unbounded.
 It then plants a strictly complementary pair: per block, X* of random
@@ -42,7 +43,8 @@ def _declare(rng, prog):
         matrix.append(("H3", "herm", int(rng.integers(1, 3)), 3))
     if rng.random() < 0.5:
         matrix.append(("P", "psd", int(rng.integers(1, 3)), int(rng.integers(2, 5))))
-    # the last matrix family to a random place, which may split the run
+    # the last matrix family to a random place, which may fall between the
+    # 2x2 families
     order = list(range(len(matrix)))
     if len(matrix) > 2 and rng.random() < 0.5:
         tail = order.pop()

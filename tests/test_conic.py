@@ -11,8 +11,10 @@ import pytest
 import scipy.sparse as sp
 
 from corrquant import conic, decomposition, scenario
+from corrquant import nonlocality as nl
 from corrquant.conic import (
     ConicProgram,
+    _Lorentz,
     _cone_coords,
     _cones,
     _jnorm,
@@ -365,11 +367,12 @@ def test_a_step_applies_as_four_times_each_way(monkeypatch, program):
     residuals, and three times each for its directions, between the Schur
     complement and the step length.  A solve adds one As for the start and
     at most one As and one As^T per iteration for the stopping checks.
-    So it does with As held dense (the XZ robustness program) and held by
-    cone (the restricted m = 6 ladder program)."""
+    So it does with the Lorentz cone folded into the dense array (the XZ
+    robustness program) and applying its own columns (the restricted m = 6
+    ladder program)."""
     prog = (build_program("incompat", "robustness", scenario.paulis("XZ").effects,
                           np.eye(2)) if program == "XZ" else _ladder_program())
-    assert (_cones(prog)[0].A is not None) == (program == "XZ")
+    assert (_cones(prog)[0].lorentz is None) == (program == "XZ")
     events = []
 
     def spy(name, real):
@@ -698,8 +701,9 @@ def _ladder_program():
 
 
 SCHUR_PROGRAMS = ["IR", "IW", "SR", "mixed", "kernels", "runs", "duplicate", "ladder"]
-# the programs whose As the solver holds as one dense array: rows x
-# columns is no more than one product by cone costs
+# the programs whose Lorentz cone the solver folds into its one dense
+# array: rows x columns is no more than one product with the Lorentz
+# cone's own columns plus one with the other columns on their rows costs
 DENSE_SIDE = {"SR", "mixed", "runs", "duplicate"}
 
 
@@ -792,35 +796,66 @@ def test_structured_schur_matches_dense_product(name):
     prog = _schur_program(name)
     As, _, _, cones = _interior_point(prog, np.random.default_rng(13))
     if name == "runs":
-        # A and B share one Lorentz cone, P its own, C a new Lorentz cone
+        # A, B and C are one Lorentz cone though P is declared between them
         assert [(type(g).__name__, g.sl.stop - g.sl.start) for g in cones] == [
-            ("_Lorentz", 20), ("_Matrix", 12), ("_Lorentz", 8), ("_Nonneg", 7)]
+            ("_Lorentz", 28), ("_Matrix", 12), ("_Nonneg", 7)]
     if name == "ladder":
         assert [(type(g).__name__, g.sl.stop - g.sl.start) for g in cones] == [
             ("_Lorentz", 4 * 274), ("_Nonneg", 1)]
-    M = _schur_complement(cones, As.shape[0])
+    M = _schur_complement(cones)
     # reference: As Phi As^T with Phi applied to each dense row of As,
     # each row read in the cones' coordinates
     Ad = np.array([_cone_coords(cones, row) for row in As.toarray()])
     ref = Ad @ np.array([_phi(cones, row) for row in Ad]).T
     assert _close(M, ref)
-    # the rule's side, and a dense As is that reference As
-    assert (cones.A is not None) == (name in DENSE_SIDE)
-    if cones.A is not None:
-        assert cones.A.shape == Ad.shape and _close(cones.A, Ad)
-    # each cone's products with its own columns, zero off its rows, and
-    # the operator they assemble, against the CSR As: v enters and As^T y
-    # leaves through the coordinate map
+    # the rule's side, and the dense array is that reference As on its
+    # columns: all of them when the Lorentz cone is folded in
+    assert (cones.lorentz is None) == (name in DENSE_SIDE)
+    assert cones.sl.stop == As.shape[1]
+    assert cones.sl.start == (0 if cones.lorentz is None else cones.lorentz.sl.stop)
+    assert cones.A.shape == Ad[:, cones.sl].shape and _close(cones.A, Ad[:, cones.sl])
+    # the held Lorentz cone's products with its own columns, zero off its
+    # rows, and the operator As assembles, against the CSR As: v enters
+    # and As^T y leaves through the coordinate map
     rng = np.random.default_rng(14)
     v, y = rng.normal(size=As.shape[1]), rng.normal(size=As.shape[0])
     vc, aty = _cone_coords(cones, v), _cone_coords(cones, As.T @ y)
-    for g in cones:
+    g = cones.lorentz
+    if g is not None:
         got = np.zeros(As.shape[0])
         got[g.rows] = g.matvec(vc[g.sl])
         assert _close(got, As[:, g.sl] @ v[g.sl])
         assert _close(g.rmatvec(y), aty[g.sl])
-    assert _close(_matvec(cones, vc, As.shape[0]), As @ v)
-    assert _close(_cone_coords(cones, _rmatvec(cones, y, As.shape[1])), As.T @ y)
+    assert _close(_matvec(cones, vc), As @ v)
+    assert _close(_cone_coords(cones, _rmatvec(cones, y)), As.T @ y)
+
+
+def test_one_lorentz_cone_and_one_dense_array():
+    """The 2x2 Hermitian families come first in the columns, as one Lorentz
+    cone, and every other column is one dense array: a 2x2 family declared
+    after a real PSD family joins the cone, every nonlocality program (NPA
+    levels 1 and 2, and the linear programs) is one dense array, and the
+    restricted m = 6 ladder program's Lorentz cone applies its own columns."""
+    prog = _run_program()
+    fams = prog.families
+    assert [fams[name].offset for name in "ABCPtw"] == [0, 12, 20, 28, 40, 43]
+    cones, _ = _cones(prog)
+    assert [type(g) for g in cones].count(_Lorentz) == 1
+    assert cones[0].sl == slice(0, 28)
+    state = scenario.werner(0.9)
+    beh = scenario.measure(scenario.steer(state, scenario.paulis("XZ")),
+                           scenario.paulis("XY"))
+    for kind in decomposition.KINDS:
+        for level in (1, 2):
+            nlp, _ = nl.build_program("p", kind, beh, scenario.behaviour_marginal(beh, "B"),
+                                      level)
+            cones, _ = _cones(nlp)
+            assert cones.lorentz is None and cones.sl == slice(0, nlp._ncols), (kind, level)
+            assert cones.A.shape == (nlp._nrows, nlp._ncols)
+    ladder = _ladder_program()
+    cones, _ = _cones(ladder)
+    assert cones.lorentz is cones[0]
+    assert cones.sl == slice(4 * 274, ladder._ncols)
 
 
 @pytest.mark.parametrize("name", SCHUR_PROGRAMS)
@@ -830,13 +865,12 @@ def test_start_is_the_least_squares_multiple_of_the_unit(name):
     prog = _schur_program(name)
     cones, drow = _cones(prog)
     bs = prog.rhs() / drow
-    nrows, n = prog._nrows, prog._ncols
-    x0, e = _start(cones, bs, n, nrows)
+    x0, e = _start(cones, bs, prog._ncols)
     alpha = (x0 @ e) / (e @ e)
     assert 1e-2 <= alpha <= 1
     assert np.allclose(x0, alpha * e, rtol=1e-15, atol=0)
-    assert (np.linalg.norm(_matvec(cones, x0, nrows) - bs)
-            <= np.linalg.norm(_matvec(cones, e, nrows) - bs))
+    assert (np.linalg.norm(_matvec(cones, x0) - bs)
+            <= np.linalg.norm(_matvec(cones, e) - bs))
 
 
 def test_start_stays_interior_and_defined():
@@ -846,7 +880,7 @@ def test_start_stays_interior_and_defined():
     prog.add_scalar_row(("sum",), -1.0, [("lin", "x", [0, 1], [1.0, 1.0])])
     prog.set_objective([("lin", "x", [0], [1.0])])
     cones, drow = _cones(prog)
-    x0, e = _start(cones, prog.rhs() / drow, prog._ncols, prog._nrows)
+    x0, e = _start(cones, prog.rhs() / drow, prog._ncols)
     assert np.array_equal(e, np.ones(2))
     assert np.array_equal(x0, np.full(2, 1e-2))
     # a row on an off-diagonal coordinate only: As e = 0 fits every
@@ -855,7 +889,7 @@ def test_start_stays_interior_and_defined():
     prog.add_hermitian_family("X", 1, 2)
     prog.add_scalar_row(("re",), 0.3, [("mat", "X", 0, cell_functional(2, (0, 1)))])
     cones, drow = _cones(prog)
-    x0, e = _start(cones, prog.rhs() / drow, prog._ncols, prog._nrows)
+    x0, e = _start(cones, prog.rhs() / drow, prog._ncols)
     assert np.array_equal(x0, e)
 
 

@@ -8,6 +8,8 @@ from corrquant.errors import (
     NotPositiveSemidefinite,
 )
 
+PSD_TOL = 1e-10     # matrix_sqrt clips eigenvalues above -PSD_TOL to zero
+
 
 def random_hermitian(d, rng):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -18,7 +20,7 @@ def matrix_sqrt(mat) -> np.ndarray:
     """PSD square root, eigenvalues above -PSD_TOL clipped to zero (the
     steer oracle of test_scenario reads it too)."""
     vals, vecs = np.linalg.eigh(op.hermitize(mat))
-    if vals[0] < -op.PSD_TOL:
+    if vals[0] < -PSD_TOL:
         raise NotPositiveSemidefinite(f"smallest eigenvalue {vals[0]:.3e}")
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 

@@ -83,17 +83,22 @@ def test_decomposition_programs_share_their_structure(kind, reference, monkeypat
     assert _run(prog.solve()) == first
 
 
-def test_zero_pattern_of_the_reference_is_part_of_the_shape():
-    """White noise reads R/n in A, whose zero coordinates the touches
-    skip: a Werner rho_B = 1/2 and a random rho_B give two structures,
-    and R = 1 shares the Werner one."""
+def test_references_share_one_structure(monkeypatch):
+    """A structure is its shape: white noise reads R/n in A, and t touches
+    all d * d coordinates whatever R's zero pattern, so R = 1, a Werner
+    rho_B = 1/2 and a random rho_B share one structure, and each program is
+    the one the memo-free path builds, byte for byte."""
     progs = {ref: dc.build_program("p", "random_robustness", *_grid(ref, 1))
              for ref in REFERENCES}
-    assert progs["werner"]._base is progs["identity"]._base
-    assert progs["random"]._base is not progs["werner"]._base
-    rows = {ref: p.families["t"].stacked()[0].size for ref, p in progs.items()}
-    # three match rows (x = 1 drops its last outcome), each on 2 or 4 coordinates
-    assert rows == {"identity": 6, "werner": 6, "random": 12}
+    assert progs["werner"]._base is progs["identity"]._base is progs["random"]._base
+    # three match rows (x = 1 drops its last outcome), each on 4 coordinates
+    assert progs["random"].families["t"].stacked()[0].size == 12
+    with monkeypatch.context() as mp:
+        mp.setattr(dc, "_structure", dc._structure.__wrapped__)
+        for ref, prog in progs.items():
+            fresh = dc.build_program("p", "random_robustness", *_grid(ref, 1))
+            assert fresh._base is not prog._base
+            assert _bytes(fresh) == _bytes(prog), ref
 
 
 def test_structures_above_the_working_set_die_with_their_program():
