@@ -425,24 +425,6 @@ class ConicProgram:
         self._rows.append(_RowGroup(tuple(name), "scalar", 1, row, 1))
         self._nrows += 1
 
-    def add_coordinate_rows(self, names, family: str, index: int, functionals) -> None:
-        """Scalar rows with right-hand side 0 on one block: row k, named
-        ``names[k]``, reads ``functionals[k]`` (on block coordinates) of
-        block ``index`` of ``family``.  The rows are the ones
-        ``add_scalar_row`` writes for ("mat", family, index, C_k), C_k the
-        block with coordinates ``functionals[k]``, recorded as one touch."""
-        self._write()
-        fam = self._families[family]
-        functionals = np.asarray(functionals, dtype=float)
-        if functionals.shape != (len(names), fam.ncoords):
-            raise ValueError(f"functionals must be shaped {(len(names), fam.ncoords)}")
-        row0 = self._nrows
-        fam.touch(("rows", row0), row0 + np.arange(len(names)), functionals, index, 1.0)
-        self._b.extend([0.0] * len(names))
-        self._rows.extend(_RowGroup(tuple(name), "scalar", 1, row0 + k, 1)
-                          for k, name in enumerate(names))
-        self._nrows += len(names)
-
     def add_matrix_row_group(self, name: tuple, rhs, terms) -> None:
         """Equate a Hermitian-valued expression to Hermitian ``rhs``.
 

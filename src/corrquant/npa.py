@@ -5,14 +5,15 @@ the products of at most ``level`` measurement projectors (one outcome per
 input dropped via completeness), canonicalized by party commutation,
 idempotence and same-input orthogonality, and ordered by length, then
 one party's words before both parties'; matrix cells whose words
-coincide as operators share one scalar, and the template's class
-indicators sum each class's cells.
+coincide as operators share one scalar, their class's value.
 
-Membership and optimization are solved in hand-dualized form so the
-completed moment matrix is recovered from the solver's *dual slack*:
-class sharing is then exact by construction and the matrix is exactly
-PSD.  Quantifier programs that embed a scaled moment block instead add
-the block as a primal variable with explicit tying rows and the
+Membership and optimization are solved in hand-dualized form, one row
+per class on the class's indicator matrix, and the completed moment
+matrix is assembled from class values: each class's value (pinned by the
+behaviour, or minus the dual of its row) assigned to every cell of the
+class, so class sharing and the zero cells are exact by assignment.
+Quantifier programs that embed a scaled moment block instead add the
+block as a primal variable with explicit tying rows and the
 normalization Gamma[0,0] tied to the noise weight (see nonlocality).
 """
 
@@ -25,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cg import CgLayout
-from .conic import ConicProgram, smat, svec
+from .conic import ConicProgram
 from .decomposition import solve
 from .errors import ValidationError
 
@@ -54,15 +55,9 @@ def _reduce_party(word):
 
 def canonical_word(word):
     """Canonical form of a projector word; None if it is the zero operator."""
-    alice = tuple(s for s in word if s[0] == 0)
-    bob = tuple(s for s in word if s[0] == 1)
-    ra = _reduce_party(alice)
-    if ra is None:
-        return None
-    rb = _reduce_party(bob)
-    if rb is None:
-        return None
-    return ra + rb
+    ra = _reduce_party(s for s in word if s[0] == 0)
+    rb = _reduce_party(s for s in word if s[0] == 1)
+    return None if ra is None or rb is None else ra + rb
 
 
 def word_class_key(u, v):
@@ -72,18 +67,15 @@ def word_class_key(u, v):
     identifies w with reversed(w); None marks a structurally zero cell.
     """
     w = canonical_word(tuple(reversed(u)) + v)
-    if w is None:
-        return None
-    wadj = canonical_word(tuple(reversed(w)))
-    return min(w, wadj)
+    return None if w is None else min(w, canonical_word(tuple(reversed(w))))
 
 
 @dataclass(frozen=True)
 class NpaTemplate:
-    """Word index, equivalence classes, the CG identification map, the
-    tie and zero rows, and the class indicators.  :func:`build_npa_block` shares one template between
-    every program of its scenario and level, so a template is read-only:
-    tuples and non-writeable arrays, and a layout that is only read."""
+    """Word index, equivalence classes and the CG identification map.
+    :func:`build_npa_block` shares one template between every program of
+    its scenario and level, so a template is read-only: tuples, and a
+    layout that is only read."""
 
     scenario: tuple          # (mA, nA, mB, nB)
     level: int
@@ -93,27 +85,35 @@ class NpaTemplate:
     layout: CgLayout
     cg_class: tuple          # cg index -> class index
     cg_cells: tuple          # cg index -> representative cell
-    # the tie rows (a cell minus its class's first cell) and the zero
-    # rows: each row's name less the block's, and its functional on the
-    # block's svec coordinates, one row each
-    row_names: tuple
-    structure: np.ndarray
-    # per class, the svec coordinates of its indicator (1 on each of its
-    # cells and their transposes): tr(E Gamma) sums the class's entries
-    indicators: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.words)
 
+    def class_matrix(self, values: dict) -> np.ndarray:
+        """The symmetric matrix with ``values[ci]`` on every cell of class
+        ci and its transpose, 0 elsewhere: its classes share their values
+        exactly.  ``{ci: 1.0}`` is class ci's indicator E, and tr(E Gamma)
+        sums the class's entries."""
+        gamma = np.zeros((self.size, self.size))
+        for ci, value in values.items():
+            i, j = zip(*self.classes[ci])
+            gamma[i, j] = gamma[j, i] = value
+        return gamma
+
     def add_structure_rows(self, prog: ConicProgram, name: str,
                            normalization: tuple) -> None:
-        """Tying rows (shared class entries), zero cells, and the
-        normalization row Gamma[0,0] = the scalar variable
-        ``normalization``, a (family, index) pair.  The tie and zero rows
-        are the template's ``structure``, added as one touch."""
-        prog.add_coordinate_rows([(kind, name, *rest) for kind, *rest in self.row_names],
-                                 name, 0, self.structure)
+        """Tying rows (a cell minus its class's first cell), zero cells,
+        and the normalization row Gamma[0,0] = the scalar variable
+        ``normalization``, a (family, index) pair."""
+        for ci, cells in enumerate(self.classes):
+            first = cell_functional(self.size, cells[0])
+            for cell in cells[1:]:
+                tie = cell_functional(self.size, cell) - first
+                prog.add_scalar_row(("tie", name, ci, cell), 0.0, [("mat", name, 0, tie)])
+        for cell in self.zero_cells:
+            prog.add_scalar_row(("zero", name, cell), 0.0,
+                                [("mat", name, 0, cell_functional(self.size, cell))])
         fam, idx = normalization
         prog.add_scalar_row(("gnorm", name), 0.0,
                             [("mat", name, 0, cell_functional(self.size, (0, 0))),
@@ -161,28 +161,9 @@ def build_npa_block(scenario: tuple, level: int) -> NpaTemplate:
         cg_class.append(ci)
         cg_cells.append(classes[ci][0])
 
-    row_names, structure = [], []
-    for ci, cells in enumerate(classes):
-        for cell in cells[1:]:
-            row_names.append(("tie", ci, cell))
-            structure.append(svec(cell_functional(nw, cell)
-                                  - cell_functional(nw, cells[0])))
-    for cell in zero_cells:
-        row_names.append(("zero", cell))
-        structure.append(svec(cell_functional(nw, cell)))
-    structure = np.array(structure, dtype=float).reshape(len(row_names), nw * (nw + 1) // 2)
-    indicators = np.zeros((len(classes), nw * (nw + 1) // 2))
-    for ci, cells in enumerate(classes):
-        e = np.zeros((nw, nw))
-        i, j = zip(*cells)
-        e[i, j] = e[j, i] = 1.0
-        indicators[ci] = svec(e)
-    structure.flags.writeable = indicators.flags.writeable = False
     return NpaTemplate(scenario=tuple(scenario), level=level, words=tuple(words),
                        classes=tuple(map(tuple, classes)), zero_cells=tuple(zero_cells),
-                       layout=layout, cg_class=tuple(cg_class), cg_cells=tuple(cg_cells),
-                       row_names=tuple(row_names), structure=structure,
-                       indicators=indicators)
+                       layout=layout, cg_class=tuple(cg_class), cg_cells=tuple(cg_cells))
 
 
 def cell_functional(size: int, cell) -> np.ndarray:
@@ -196,7 +177,8 @@ def cell_functional(size: int, cell) -> np.ndarray:
 
 @dataclass
 class MomentMatrix:
-    """A completed moment matrix with exact class sharing."""
+    """A completed moment matrix, its class values assigned to their cells
+    (:meth:`NpaTemplate.class_matrix`): class sharing is exact."""
 
     template: NpaTemplate
     gamma: np.ndarray
@@ -233,30 +215,33 @@ def npa_membership(behaviour, level: int = 2) -> NpaDecision:
     Solved in dualized form: minimize <F0(P), X> over X >= 0, tr X = 1,
     <E_free, X> = 0.  The optimum is the largest w with Gamma(z) - w*I
     PSD for some completion z, so its sign decides membership and the
-    optimal X yields the separating functional.
+    optimal X yields the separating functional.  The moment matrix holds
+    the behaviour's CG values on the pinned classes and minus the dual of
+    its row on each free class.
     """
     behaviour.require_no_signalling()
     tmpl = build_npa_block(
         (behaviour.mA, behaviour.nA, behaviour.mB, behaviour.nB), level)
-    cgvec = tmpl.layout.of_table(behaviour.table)
-    pinned = tmpl.indicators[list(tmpl.cg_class)]
-    free = [ci for ci in range(len(tmpl.classes)) if ci not in tmpl.cg_class]
+    pinned = dict(zip(tmpl.cg_class, tmpl.layout.of_table(behaviour.table)))
+    free = [ci for ci in range(len(tmpl.classes)) if ci not in pinned]
 
     prog = ConicProgram(f"npa_membership:l{tmpl.level}")
     prog.add_psd_family("X", 1, tmpl.size)
-    prog.add_coordinate_rows([("freeclass", ci) for ci in free], "X", 0,
-                             tmpl.indicators[free])
+    for ci in free:
+        prog.add_scalar_row(("freeclass", ci), 0.0,
+                            [("mat", "X", 0, tmpl.class_matrix({ci: 1.0}))])
     prog.add_scalar_row(("trace",), 1.0, [("tr", "X", [0], 1.0)])
-    prog.set_objective([("mat", "X", 0, smat(cgvec @ pinned, tmpl.size))])
+    prog.set_objective([("mat", "X", 0, tmpl.class_matrix(pinned))])
     sol = solve(prog)
     margin = sol.value
     if margin >= -MEMBERSHIP_TOL:
-        gamma = sol.dual_slack["X"][0].real.copy()
-        gamma += sol.dual_rows[("trace",)] * np.eye(tmpl.size)
+        gamma = tmpl.class_matrix(
+            {**pinned, **{ci: -sol.dual_rows[("freeclass", ci)] for ci in free}})
         mm = MomentMatrix(template=tmpl, gamma=gamma,
                           normalization=float(gamma[0, 0]))
         return NpaDecision(True, margin, moment_matrix=mm)
-    coeffs_cg = pinned @ svec(sol.primal["X"][0])
+    x = sol.primal["X"][0]
+    coeffs_cg = np.array([np.sum(tmpl.class_matrix({ci: 1.0}) * x) for ci in pinned])
     func = BellFunctional(
         coefficients=tmpl.layout.functional_to_table(coeffs_cg),
         level=tmpl.level, violation=-margin)
@@ -267,7 +252,8 @@ def npa_optimize(coefficients, scenario, level: int = 2):
     """Upper bound on the quantum value of a full-table Bell functional.
 
     Returns (value, MomentMatrix); the matrix is the relaxation's
-    optimizer, recovered exactly from the dual slack.
+    optimizer, assembled from class values: minus the dual of each
+    class's row, and 1 on the identity class.
     """
     tmpl = build_npa_block(tuple(scenario), level)
     coeffs = np.asarray(coefficients, dtype=float)
@@ -284,15 +270,14 @@ def npa_optimize(coefficients, scenario, level: int = 2):
     prog.add_free("w", 1)
     gclass = np.zeros(len(tmpl.classes))
     np.add.at(gclass, list(tmpl.cg_class), g)
-    for ci, indicator in enumerate(tmpl.indicators):
-        terms = [("mat", "X", 0, smat(indicator, tmpl.size))]
+    for ci in range(len(tmpl.classes)):
+        terms = [("mat", "X", 0, tmpl.class_matrix({ci: 1.0}))]
         if ci == idc:
             terms.append(("lin", "w", [0], [-1.0]))
         prog.add_scalar_row(("class", ci), -gclass[ci], terms)
     prog.set_objective([("lin", "w", [0], [1.0])])
     sol = solve(prog)
-    z = np.array([-sol.dual_rows[("class", ci)] for ci in range(len(tmpl.classes))])
+    z = {ci: -sol.dual_rows[("class", ci)] for ci in range(len(tmpl.classes))}
     z[idc] = 1.0
-    gamma = smat(z @ tmpl.indicators, tmpl.size)
-    mm = MomentMatrix(template=tmpl, gamma=gamma, normalization=1.0)
+    mm = MomentMatrix(template=tmpl, gamma=tmpl.class_matrix(z), normalization=1.0)
     return float(sol.value), mm

@@ -42,6 +42,13 @@ SUM_TOL = 1e-9
 SIGNALLING_TOL = 1e-9
 
 
+def _require_finite(arr, what):
+    """Refuse the first non-finite entry: NaN passes every later check."""
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{what} entry {bad[0].tolist()} is {arr[tuple(bad[0])]}")
+
+
 def _check_psd_grid(grid, what="effect"):
     """Raise on the first block, in index order, with an eigenvalue below -PSD_TOL."""
     low = np.linalg.eigvalsh(grid)[..., 0]
@@ -62,6 +69,7 @@ def _operator_grid(ops, shape, what="effect") -> np.ndarray:
             or grid.shape[-1] != grid.shape[-2]):
         raise DimensionMismatch(
             f"{what}s must be ({', '.join(map(str, shape))}), got {grid.shape}")
+    _require_finite(grid, what)
     try:
         grid = hermitize(grid)
     except NotHermitian as exc:
@@ -110,6 +118,7 @@ class BipartiteState:
     def __init__(self, rho, dims):
         self.dA, self.dB = dims
         rho = hermitize(asmatrix(rho))
+        _require_finite(rho, "state")
         if rho.shape != (self.dA * self.dB,) * 2:
             raise DimensionMismatch(
                 f"state dim {rho.shape[0]} != dA*dB = {self.dA * self.dB}")
@@ -165,6 +174,7 @@ class Behaviour:
         if tab.ndim != 4:
             raise DimensionMismatch(f"table must be (mA, mB, nA, nB), got {tab.shape}")
         self.mA, self.mB, self.nA, self.nB = tab.shape
+        _require_finite(tab, "table")
         if np.min(tab) < -1e-12:
             raise ValueError(f"negative probability {np.min(tab):.3e}")
         norms = tab.sum(axis=(2, 3))
@@ -258,6 +268,7 @@ class LocalModel:
         lb = strategy_count(self.mB, self.nB)
         if w.shape != (la, lb):
             raise DimensionMismatch(f"weights must be ({la}, {lb}), got {w.shape}")
+        _require_finite(w, "weight")
         if np.min(w) < -PSD_TOL:
             raise ValueError(f"negative weight {np.min(w):.3e}")
         if abs(w.sum() - 1) > SUM_TOL:

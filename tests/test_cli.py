@@ -84,6 +84,19 @@ def test_validation_exit_code(tmp_path):
     assert res3.exit_code == 2 and "error:" in res3.output
 
 
+def test_non_finite_behaviour_exits_2(tmp_path):
+    # json reads NaN, and a NaN entry fails every comparison of the checks
+    table = np.full((2, 2, 2, 2), 0.25)
+    table[0, 1, 0, 0] = np.nan
+    path, out = tmp_path / "nan.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"mA": 2, "nA": 2, "mB": 2, "nB": 2, "table": table.tolist()}))
+    res = CliRunner().invoke(main, ["quantify", "nonlocal", "-k", "NLR_mar", "-l", "1",
+                                    "-i", str(path), "-o", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == "" and not out.exists()
+    assert "error: table: table entry [0, 1, 0, 0] is nan" in res.stderr
+
+
 @pytest.mark.parametrize("obj, args", [
     (sc.paulis("XZ"), ["quantify", "incompat", "-k", "bogus"]),
     (sc.paulis("XZ"), ["certificate", "-k", "bogus"]),

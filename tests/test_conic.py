@@ -516,8 +516,7 @@ def test_build_writes_out_the_term_grammar():
     """build()'s A, b and c against the grammar written out by hand: column
     j of A is every row's expression evaluated on the j-th unit vector,
     and c_j the objective's.  Every term tag runs on every family kind
-    that takes it, and add_coordinate_rows on a real symmetric and a 3x3
-    Hermitian family."""
+    that takes it."""
     rng = np.random.default_rng(31)
     prog = ConicProgram("grammar")
     prog.add_hermitian_family("A", 3, 2)
@@ -554,17 +553,6 @@ def test_build_writes_out_the_term_grammar():
               ("scalar_mat", "z", 0, H3)],
          lambda X: X["B"][0] + X["z"][0] * H3),
     ]
-    # rows of add_coordinate_rows: functionals on block coordinates, the
-    # svec of a real symmetric block and the Hermitian basis of a 3x3 one
-    # read entry by entry
-    upper, off = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)], [(0, 1), (0, 2), (1, 2)]
-    coordinate_rows = [
-        ("P", 1, rng.normal(size=(2, 6)),
-         lambda X: [X[i, j] * (1.0 if i == j else np.sqrt(2)) for i, j in upper]),
-        ("B", 0, rng.normal(size=(3, 9)),
-         lambda X: ([X[i, i].real for i in range(3)]
-                    + [np.sqrt(2) * X[i, j].real for i, j in off]
-                    + [np.sqrt(2) * X[i, j].imag for i, j in off]))]
     objective = ([("lin", "z", [0, 1], [1.0, -2.0]), ("lin", "u", [2], [0.5]),
                   ("mat", "A", 0, Q2), ("mat", "P", 1, S2)],
                  lambda X: (X["z"][0] - 2.0 * X["z"][1] + 0.5 * X["u"][2]
@@ -574,29 +562,24 @@ def test_build_writes_out_the_term_grammar():
             prog.add_matrix_row_group(("m", i), rhs, terms)
         else:
             prog.add_scalar_row(("s", i), rhs, terms)
-    for name, index, F, _ in coordinate_rows:
-        prog.add_coordinate_rows([("c", name, k) for k in range(len(F))], name, index, F)
     prog.set_objective(objective[0])
 
     def row_values(X):
         return np.concatenate([
             hermitian_coords(expr(X), rhs.shape[0]) if np.ndim(rhs) else [expr(X)]
-            for rhs, _, expr in rows] + [
-            F @ np.array(reads(X[name][index])) for name, index, F, reads in coordinate_rows])
+            for rhs, _, expr in rows])
 
     A, b, c = prog.build()
     assert A.has_sorted_indices
     units = [_unit_blocks(prog, e) for e in np.eye(A.shape[1])]
     want_a = np.array([row_values(X) for X in units]).T
     want_c = np.array([objective[1](X) for X in units])
-    assert A.shape == (2 + 4 + 9 + 2 + 3, 3 * 4 + 2 * 9 + 2 * 6 + 3 + 2 * 2)
+    assert A.shape == (2 + 4 + 9, 3 * 4 + 2 * 9 + 2 * 6 + 3 + 2 * 2)
     assert np.max(np.abs(A.toarray() - want_a)) <= 1e-12
     assert np.max(np.abs(c - want_c)) <= 1e-12
     assert np.max(np.abs(b - np.concatenate(
         [hermitian_coords(rhs, rhs.shape[0]) if np.ndim(rhs) else [rhs]
-         for rhs, _, _ in rows] + [np.zeros(5)]))) <= 1e-12
-    with pytest.raises(ValueError, match="shaped"):    # a Hermitian 3x3 functional on P
-        prog.add_coordinate_rows([("bad",)], "P", 0, np.zeros((1, 9)))
+         for rhs, _, _ in rows]))) <= 1e-12
 
 
 def _mixed_program():

@@ -135,6 +135,51 @@ def test_chsh_level1_tsirelson():
         assert max(vals) - min(vals) == 0.0
 
 
+def assert_assigned_from_classes(mm):
+    """Every cell of a class (and its transpose) holds one value, bit for
+    bit, and every zero cell holds 0."""
+    gamma = mm.gamma
+    for cells in mm.template.classes:
+        i, j = zip(*cells)
+        vals = np.concatenate([gamma[i, j], gamma[j, i]])
+        assert np.all(vals == vals[0])
+    for i, j in mm.template.zero_cells:
+        assert gamma[i, j] == 0.0 and gamma[j, i] == 0.0
+
+
+@pytest.mark.parametrize("scenario, level", [(CHSH, 1), (CHSH, 2), ((2, 3, 2, 2), 2)])
+def test_optimize_moment_matrix_shares_classes_exactly(scenario, level):
+    """npa_optimize's moment matrix on random functionals: exact class
+    sharing, the identity class at 1, and PSD within the accepted margin."""
+    mA, nA, mB, nB = scenario
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        _, mm = npa.npa_optimize(rng.normal(size=(mA, mB, nA, nB)), scenario, level)
+        assert_assigned_from_classes(mm)
+        assert mm.gamma[0, 0] == 1.0
+        assert np.linalg.eigvalsh(mm.gamma)[0] > -1e-9
+
+
+@pytest.mark.parametrize("scenario, level", [(CHSH, 1), (CHSH, 2), ((2, 3, 2, 2), 2)])
+def test_membership_moment_matrix_shares_classes_exactly(scenario, level):
+    """npa_membership's moment matrix on random local behaviours: exact
+    class sharing, the behaviour's CG values read back bit for bit, and
+    its least eigenvalue at least the margin."""
+    mA, nA, mB, nB = scenario
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        w = rng.random((nA ** mA, nB ** mB))
+        beh = sc.LocalModel(w / w.sum(), scenario).behaviour()
+        dec = npa.npa_membership(beh, level)
+        assert dec.feasible
+        mm = dec.moment_matrix
+        assert_assigned_from_classes(mm)
+        cg = mm.template.layout.of_table(beh.table)
+        reads = np.array([mm.gamma[c] for c in mm.template.cg_cells])
+        assert reads.tobytes() == cg.tobytes()
+        assert np.linalg.eigvalsh(mm.gamma)[0] >= dec.margin - 1e-9
+
+
 def test_level2_not_larger():
     v1, _ = npa.npa_optimize(chsh_functional(), CHSH, level=1)
     v2, _ = npa.npa_optimize(chsh_functional(), CHSH, level=2)
@@ -270,10 +315,9 @@ def test_structure_rows_match_the_per_row_loop(scenario, level):
 
 
 def reference_template(scenario, level):
-    """(words, classes, zero_cells, cg_class, cg_cells, row_names,
-    structure, class indicators) from the hand-written level-1/level-2
-    word loop that built the template before words came from word length."""
-    from corrquant.conic import svec
+    """(words, classes, zero_cells, cg_class, cg_cells) from the
+    hand-written level-1/level-2 word loop that built the template before
+    words came from word length."""
     mA, nA, mB, nB = scenario
     asyms = [(0, x, a) for x in range(mA) for a in range(nA - 1)]
     bsyms = [(1, y, b) for y in range(mB) for b in range(nB - 1)]
@@ -312,25 +356,7 @@ def reference_template(scenario, level):
         ci = key_index[npa.word_class_key((), word)]
         cg_class.append(ci)
         cg_cells.append(classes[ci][0])
-    row_names, structure = [], []
-    for ci, cells in enumerate(classes):
-        for cell in cells[1:]:
-            row_names.append(("tie", ci, cell))
-            structure.append(svec(npa.cell_functional(nw, cell)
-                                  - npa.cell_functional(nw, cells[0])))
-    for cell in zero_cells:
-        row_names.append(("zero", cell))
-        structure.append(svec(npa.cell_functional(nw, cell)))
-    structure = np.array(structure, dtype=float).reshape(len(row_names), nw * (nw + 1) // 2)
-    indicators = []
-    for cells in classes:
-        e = np.zeros((nw, nw))
-        for (i, j) in cells:
-            e[i, j] = 1.0
-            e[j, i] = 1.0
-        indicators.append(svec(e))
-    return (words, classes, zero_cells, cg_class, cg_cells, row_names, structure,
-            np.array(indicators))
+    return words, classes, zero_cells, cg_class, cg_cells
 
 
 @pytest.mark.parametrize("scenario", [
@@ -339,19 +365,10 @@ def reference_template(scenario, level):
 @pytest.mark.parametrize("level", [1, 2])
 def test_words_by_length_match_the_hand_written_loop(scenario, level):
     """Words from canonical products of at most ``level`` symbols give the
-    template, byte for byte, that the hand-written loop gave, and each
-    class indicator row is svec of the class's indicator matrix."""
-    words, classes, zero_cells, cg_class, cg_cells, row_names, structure, indicators = (
-        reference_template(scenario, level))
+    template that the hand-written loop gave."""
+    words, classes, zero_cells, cg_class, cg_cells = reference_template(scenario, level)
     tmpl = npa.build_npa_block.__wrapped__(scenario, level)
     assert list(tmpl.words) == words
     assert list(map(list, tmpl.classes)) == classes
     assert list(tmpl.zero_cells) == zero_cells
     assert list(tmpl.cg_class) == cg_class and list(tmpl.cg_cells) == cg_cells
-    assert list(tmpl.row_names) == row_names
-    assert tmpl.structure.dtype == structure.dtype
-    assert tmpl.structure.shape == structure.shape
-    assert tmpl.structure.tobytes() == structure.tobytes()
-    assert tmpl.indicators.shape == indicators.shape
-    assert tmpl.indicators.tobytes() == indicators.tobytes()
-    assert not tmpl.indicators.flags.writeable

@@ -319,6 +319,35 @@ def test_non_hermitian_block_is_refused_by_name(make, block, lead, what, attr, p
 
 
 @pytest.mark.parametrize("make, block, lead, what, attr, pair", GRIDS)
+def test_non_finite_block_is_refused_by_name(make, block, lead, what, attr, pair):
+    # NaN fails every comparison, so only a finiteness check refuses it
+    grid = _grid(block, lead)
+    grid[pair[0]][0, 1] = np.nan
+    name = re.escape(f"{what} entry {[*pair[0], 0, 1]} is (nan")
+    with pytest.raises(ValueError, match=rf"^{name}"):
+        make(grid)
+
+
+def _nan_at(arr, idx):
+    arr = np.array(arr)
+    arr[idx] = np.nan
+    return arr
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: sc.Behaviour(_nan_at(np.full((2, 2, 2, 2), 0.25), (0, 1, 0, 0))),
+     "table entry [0, 1, 0, 0] is nan"),
+    (lambda: sc.BipartiteState(_nan_at(np.eye(4, dtype=complex) / 4, (0, 1)), (2, 2)),
+     "state entry [0, 1] is (nan"),
+    (lambda: sc.LocalModel(_nan_at(np.full((4, 4), 1 / 16), (0, 1)), (2, 2, 2, 2)),
+     "weight entry [0, 1] is nan"),
+], ids=["Behaviour", "BipartiteState", "LocalModel"])
+def test_non_finite_entry_is_refused_by_index(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        make()
+
+
+@pytest.mark.parametrize("make, block, lead, what, attr, pair", GRIDS)
 def test_operator_grid_is_a_read_only_copy(make, block, lead, what, attr, pair):
     grid = _grid(block, lead)
     obj = make(grid)
