@@ -430,7 +430,7 @@ class ConicProgram:
 
         Term grammar:
         ("sum", family, indices, weight)  -> weight * sum_{i in indices} X_i
-        ("one", family, index, weight)    -> weight * X_index
+                                             (indices: a list or one index)
         ("scalar_mat", family, index, C)  -> z_index * C
 
         Expands into d*d real rows in the orthonormal Hermitian basis,
@@ -444,7 +444,7 @@ class ConicProgram:
         for term in terms:
             tag, famname, indices, arg = term
             fam = self._families[famname]
-            if tag in ("sum", "one"):
+            if tag == "sum":
                 if fam.kind != "herm" or fam.dim != d:
                     raise ValueError(
                         f"family {famname!r} incompatible with {d}x{d} matrix row")
@@ -1400,13 +1400,15 @@ def _solve_hsd(prog: ConicProgram):
             if converged or polish >= 10:
                 status, ended = "optimal", "converged" if converged else "polish cap"
                 break
+        # the rays' residuals are the residuals' own products, scaled:
+        # As^T(y/by) + s/by and As(x/-cx)
         by, cx = bs @ y, c @ x
         if by > 0 and mu < 1e-3 * mu0:
-            if np.linalg.norm(_rmatvec(cones, y / by) + s / by) <= FEASTOL * norm_c:
+            if np.linalg.norm(aty + s) / by <= FEASTOL * norm_c:
                 status = ended = "infeasible"
                 break
         if cx < 0 and mu < 1e-3 * mu0:
-            if np.linalg.norm(_matvec(cones, x / -cx)) <= FEASTOL * norm_b:
+            if np.linalg.norm(ax) / -cx <= FEASTOL * norm_b:
                 status = ended = "unbounded"
                 break
         if mu < 1e-16 * mu0:

@@ -215,7 +215,7 @@ def _structure(kind: str, m: int, n: int, d: int) -> ConicProgram:
     (prog.add_free if row.weight == "free" else prog.add_nonneg)("t", 1)
     for x, a in match_rows(m, n, row.noise):
         if row.noise == "free":
-            noise = ("one", "N", x * n + a, row.sign)
+            noise = ("sum", "N", x * n + a, row.sign)
         elif row.noise == "white":
             noise = ("scalar_mat", "t", 0, unit)
         else:

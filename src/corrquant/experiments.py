@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import pathlib
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,7 @@ from .errors import ValidationError
 from .npa import build_npa_block
 from .scenario import (
     MeasurementSet,
+    _require_finite,
     bloch_measurements,
     dodecahedron,
     lossy,
@@ -45,7 +45,6 @@ from .serialize import _fields
 THRESHOLD_EPS = 1e-6
 SEESAW_ROUNDS = 100       # see-saw rounds per restart
 SEESAW_TOL = 1e-7         # a round gaining at most this has converged
-TABLE1_BUDGET_S = 1800.0  # wall-clock budget of each steering-table row
 
 # Published reference values for the loophole-free steering data sets
 # (Wittmann et al. and Bennet et al. experiments), used by reproduce().
@@ -90,6 +89,7 @@ class SweepSpec:
 
     def __post_init__(self):
         self.grid = _spec_field("grid", lambda g: np.asarray(g, dtype=float), self.grid)
+        _spec_field("grid", _require_finite, self.grid, "grid")
         if self.grid.size < 2:
             raise ValidationError("grid resolution must be at least 2")
         if np.any(np.diff(self.grid) <= 0):
@@ -318,16 +318,9 @@ def _table1_row(name: str) -> dict:
         meas = lossy(dodecahedron(), params["eta"])
     state = werner(params["v"], psi=params["psi"])
     asm = steer(state, meas)
-    out = {"row": name, "status": "complete", "values": {}, "deviations": {}}
-    start = time.monotonic()
-    for label in _table1_labels(ref):
-        if time.monotonic() - start > TABLE1_BUDGET_S:
-            out["status"] = "partial"
-            break
-        val = _quantity(label, meas, asm)
-        out["values"][label] = val
-        out["deviations"][label] = abs(val - ref[label])
-    return out
+    values = {label: _quantity(label, meas, asm) for label in _table1_labels(ref)}
+    return {"row": name, "status": "complete", "values": values,
+            "deviations": {label: abs(val - ref[label]) for label, val in values.items()}}
 
 
 def _table1_markdown(rows: list) -> str:
@@ -335,13 +328,9 @@ def _table1_markdown(rows: list) -> str:
              "|---|---|---|---|---|"]
     for row in rows:
         ref = REFERENCE_TABLE1[row["row"]]
-        for label in _table1_labels(ref):
-            if label not in row["values"]:
-                lines.append(f"| {row['row']} | {label} | (not computed: "
-                             f"{row['status']}) | {ref[label]:.4e} | |")
-                continue
+        for label, val in row["values"].items():
             lines.append(
-                f"| {row['row']} | {label} | {row['values'][label]:.6e} "
+                f"| {row['row']} | {label} | {val:.6e} "
                 f"| {ref[label]:.4e} | {row['deviations'][label]:.2e} |")
     return "\n".join(lines) + "\n"
 
@@ -378,10 +367,9 @@ def _deviation_alerts(previous: dict, rows) -> list:
 def reproduce_table1(outdir, extended: bool = False) -> dict:
     """Steering-table reproduction: CSV + markdown + persisted deviations.
 
-    The Bennet row sits behind ``extended`` (a 3^10-outcome parent); a
-    row that runs out of TABLE1_BUDGET_S reports partial status without
-    failing.  The deviations of an earlier run are read before the first
-    solve, and a malformed file is refused then.
+    The Bennet row sits behind ``extended`` (a 3^10-outcome parent).  The
+    deviations of an earlier run are read before the first solve, and a
+    malformed file is refused then.
     """
     outdir = pathlib.Path(outdir)
     dev_path = outdir / "table1_deviations.json"

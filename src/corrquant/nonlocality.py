@@ -368,6 +368,7 @@ def ns_project(raw_table: np.ndarray, weights=None) -> NsProjection:
     raw = np.asarray(raw_table, dtype=float)
     if raw.ndim != 4:
         raise ValueError(f"table must be 4-d, got shape {raw.shape}")
+    scenario._require_finite(raw, "raw table")
     mA, mB, nA, nB = raw.shape
     if np.min(raw) < -1e-12:
         raise ValueError("raw table has negative entries")

@@ -29,6 +29,7 @@ from .cg import CgLayout
 from .conic import ConicProgram
 from .decomposition import solve
 from .errors import ValidationError
+from .scenario import _require_finite
 
 MEMBERSHIP_TOL = 1e-9   # npa_membership: margins down to -MEMBERSHIP_TOL are in
 
@@ -260,6 +261,7 @@ def npa_optimize(coefficients, scenario, level: int = 2):
     mA, nA, mB, nB = scenario
     if coeffs.shape != (mA, mB, nA, nB):
         raise ValueError(f"coefficients must be shaped {(mA, mB, nA, nB)}")
+    _require_finite(coeffs, "coefficients")
     # express the functional on CG coordinates: g' cg(table) = sum B*table
     T = tmpl.layout.table_matrix()
     g = T.T @ coeffs.ravel()

@@ -73,8 +73,8 @@ def _rows(rng, prog, fams):
                     idx = rng.choice(count, size=rng.integers(1, count + 1), replace=False)
                     terms.append(("sum", name, idx, rng.uniform(0.5, 2.0, idx.size)))
                 if rng.random() < 0.3:
-                    # may read a block the sum term reads too
-                    terms.append(("one", name, int(rng.integers(count)), rng.uniform(-1, 1)))
+                    # one block, which the list term may read too
+                    terms.append(("sum", name, int(rng.integers(count)), rng.uniform(-1, 1)))
             for name, _, count, _ in scalars:
                 if rng.random() < 0.5:
                     terms.append(("scalar_mat", name, int(rng.integers(count)),

@@ -165,7 +165,7 @@ def test_matrix_row_group_and_duals():
     cmat = random_hermitian(3, rng)
     prog = ConicProgram("pin")
     prog.add_hermitian_family("X", 1, 3)
-    prog.add_matrix_row_group(("pin",), h, [("one", "X", 0, 1.0)])
+    prog.add_matrix_row_group(("pin",), h, [("sum", "X", 0, 1.0)])
     prog.set_objective([("mat", "X", 0, cmat)])
     sol = prog.solve()
     assert sol.status == "optimal"
@@ -365,11 +365,12 @@ def test_endgame_is_superlinear():
 def test_a_step_applies_as_four_times_each_way(monkeypatch, program):
     """A step applies As and As^T four times each: once each for its
     residuals, and three times each for its directions, between the Schur
-    complement and the step length.  A solve adds one As for the start and
-    at most one As and one As^T per iteration for the stopping checks.
-    So it does with the Lorentz cone folded into the dense array (the XZ
-    robustness program) and applying its own columns (the restricted m = 6
-    ladder program)."""
+    complement and the step length.  A solve adds one As for the start, and
+    the stopping checks reuse the residuals' products, so outside the steps
+    a solve applies As exactly 1 + iterations times and As^T exactly
+    iterations times.  So it does with the Lorentz cone folded into the
+    dense array (the XZ robustness program) and applying its own columns
+    (the restricted m = 6 ladder program)."""
     prog = (build_program("incompat", "robustness", scenario.paulis("XZ").effects,
                           np.eye(2)) if program == "XZ" else _ladder_program())
     assert (_cones(prog)[0].lorentz is None) == (program == "XZ")
@@ -396,10 +397,10 @@ def test_a_step_applies_as_four_times_each_way(monkeypatch, program):
             (outside if window is None else window).append(name)
     assert len(steps) == sol.iterations - 1
     for window in steps:
-        assert window.count("_matvec") <= 3 and window.count("_rmatvec") <= 3
-    # residuals, plus the start's As e and the stopping checks
-    assert outside.count("_matvec") <= 1 + 2 * sol.iterations
-    assert outside.count("_rmatvec") <= 2 * sol.iterations
+        assert window.count("_matvec") == 3 and window.count("_rmatvec") == 3
+    # the start's As e, then each iteration's residuals
+    assert outside.count("_matvec") == 1 + sol.iterations
+    assert outside.count("_rmatvec") == sol.iterations
 
 
 def test_step_fraction_rule():
@@ -485,7 +486,7 @@ def test_verify_infeasible_sdp_ray_flags_negative_eigenvalue(minus_y):
     rhs = np.array([[-1.0, 2.0], [2.0, -1.0]])
     prog = ConicProgram("infeas-pin")
     prog.add_hermitian_family("X", 1, 2)
-    prog.add_matrix_row_group(("pin",), rhs, [("one", "X", 0, 1.0)])
+    prog.add_matrix_row_group(("pin",), rhs, [("sum", "X", 0, 1.0)])
     prog.set_objective([("tr", "X", [0], 1.0)])
     sol = prog.solve()
     assert sol.status == "infeasible"
@@ -537,7 +538,7 @@ def test_build_writes_out_the_term_grammar():
          lambda X: (1.5 * X["u"][0] - 2.0 * X["u"][2] + 0.7 * X["z"][1]
                     + tr(C2 @ X["A"][1]).real + 2.0 * tr(X["B"][0] + X["B"][1]).real
                     + X["P"][1][0, 2])),
-        (R2, [("sum", "A", [0, 1], 0.5), ("one", "A", 2, 2.0),
+        (R2, [("sum", "A", [0, 1], 0.5), ("sum", "A", 2, 2.0),
               ("scalar_mat", "u", 0, H2), ("scalar_mat", "z", 1, K2)],
          lambda X: (0.5 * (X["A"][0] + X["A"][1]) + 2.0 * X["A"][2]
                     + X["u"][0] * H2 + X["z"][1] * K2)),
@@ -549,7 +550,7 @@ def test_build_writes_out_the_term_grammar():
                     + X["B"][1][1, 2].real - tr(X["A"][0] + X["A"][2]).real
                     + 0.5 * tr(X["P"][1]) + tr(C3 @ X["B"][0]).real
                     + 4.0 * X["u"][1])),
-        (R3, [("sum", "B", [0, 1], 1.0), ("one", "B", 1, -1.0),
+        (R3, [("sum", "B", [0, 1], 1.0), ("sum", "B", 1, -1.0),
               ("scalar_mat", "z", 0, H3)],
          lambda X: X["B"][0] + X["z"][0] * H3),
     ]
@@ -582,6 +583,16 @@ def test_build_writes_out_the_term_grammar():
          for rhs, _, _ in rows]))) <= 1e-12
 
 
+@pytest.mark.parametrize("tag", ["one", "lin", "mat", "tr"])
+def test_matrix_rows_refuse_an_unknown_term(tag):
+    # "one" is the retired single-block term ("sum" takes one index); the
+    # others belong to the scalar-row grammar
+    prog = ConicProgram("terms")
+    prog.add_hermitian_family("X", 2, 2)
+    with pytest.raises(ValueError, match=f"unknown matrix term '{tag}'"):
+        prog.add_matrix_row_group(("pin",), np.eye(2), [(tag, "X", 0, 1.0)])
+
+
 def _mixed_program():
     """Hermitian blocks under matrix, trace and 'mat' rows next to
     a real PSD block, nonnegative and free scalars."""
@@ -593,10 +604,10 @@ def _mixed_program():
     prog.add_free("w", 2)
     prog.add_matrix_row_group(
         ("m0",), random_hermitian(2, rng),
-        [("sum", "H", [0, 2, 4], 1.0), ("one", "H", 1, -0.5),
+        [("sum", "H", [0, 2, 4], 1.0), ("sum", "H", 1, -0.5),
          ("scalar_mat", "w", 0, random_hermitian(2, rng))])
     prog.add_matrix_row_group(("m1",), np.eye(2),
-                              [("sum", "H", [1, 2, 2], 2.0), ("one", "H", 3, 1.0)])
+                              [("sum", "H", [1, 2, 2], 2.0), ("sum", "H", 3, 1.0)])
     prog.add_scalar_row(("tr",), 1.0, [("tr", "H", [0, 3], 1.0),
                                        ("tr", "P", [1], 2.0),
                                        ("lin", "t", [0, 2], [1.0, -1.0])])
@@ -619,7 +630,7 @@ def _kernel_program():
     prog.add_free("w", 1)
     prog.add_matrix_row_group(("m2",), np.eye(2), [("sum", "H2", [0, 1, 3], 1.0)])
     prog.add_matrix_row_group(("m3",), np.eye(3), [("sum", "H3", [0, 2], 1.0),
-                                                   ("one", "H3", 1, -1.0)])
+                                                   ("sum", "H3", 1, -1.0)])
     prog.add_scalar_row(("tr",), 1.0, [("tr", "P", [0, 1], 1.0),
                                        ("tr", "H2", [2], 1.0),
                                        ("lin", "t", [0, 1, 2], [1.0, 2.0, -1.0]),
@@ -641,7 +652,7 @@ def _run_program():
     prog.add_free("w", 2)
     prog.add_matrix_row_group(
         ("m0",), random_hermitian(2, rng),
-        [("sum", "A", [0, 1, 2], 1.0), ("one", "B", 1, -2.0),
+        [("sum", "A", [0, 1, 2], 1.0), ("sum", "B", 1, -2.0),
          ("scalar_mat", "w", 0, random_hermitian(2, rng))])
     prog.add_matrix_row_group(("m1",), np.eye(2), [("sum", "B", [0, 1], 0.5),
                                                    ("sum", "C", [0, 1], 3.0)])

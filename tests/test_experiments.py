@@ -67,6 +67,7 @@ BAD_SPECS = [
     ({**SPEC, "kinds": ["SR_red", "NOPE"]}, "kinds"),
     ({**SPEC, "kinds": ["NLR_mar"]}, "kinds"),       # not a steering kind
     ({**NONLOCAL_SPEC, "level": 3}, "level"),
+    ({**SPEC, "grid": [0.1, float("nan"), 0.5]}, "grid"),
 ]
 
 

@@ -322,6 +322,13 @@ def test_ns_project_idempotent():
     assert np.max(np.abs(p2.behaviour.table - p1.behaviour.table)) < 1e-9
 
 
+def test_ns_project_refuses_a_non_finite_raw_entry_by_name():
+    raw = isotropic_chsh(0.7).table.copy()
+    raw[1, 1, 1, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^raw table entry \[1, 1, 1, 1\] is nan$"):
+        nl.ns_project(raw)
+
+
 def test_ns_project_pipeline():
     rng = np.random.default_rng(2)
     for _ in range(20):

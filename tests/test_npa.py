@@ -135,6 +135,18 @@ def test_chsh_level1_tsirelson():
         assert max(vals) - min(vals) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_optimize_refuses_non_finite_coefficients(monkeypatch, bad):
+    def no_program(*args, **kwargs):
+        raise AssertionError("a program was built")
+
+    monkeypatch.setattr(npa, "ConicProgram", no_program)
+    coeffs = chsh_functional()
+    coeffs[1, 0, 1, 1] = bad
+    with pytest.raises(ValueError, match=rf"coefficients entry \[1, 0, 1, 1\] is {bad}"):
+        npa.npa_optimize(coeffs, CHSH, level=1)
+
+
 def assert_assigned_from_classes(mm):
     """Every cell of a class (and its transpose) holds one value, bit for
     bit, and every zero cell holds 0."""

@@ -176,7 +176,7 @@ def _grammar_calls(prog):
     return [
         lambda: prog.set_objective([("lin", "t", [0], [5.0])]),
         lambda: prog.add_scalar_row(("s",), 0.0, [("lin", "t", [0], [1.0])]),
-        lambda: prog.add_matrix_row_group(("n",), np.eye(2), [("one", "X", 0, 1.0)]),
+        lambda: prog.add_matrix_row_group(("n",), np.eye(2), [("sum", "X", 0, 1.0)]),
         lambda: prog.add_nonneg("u"),
     ]
 
