@@ -105,14 +105,50 @@ the products that formed dx).
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import SolverFailure
 from .operators import hermitize
+
+
+def _dpotrf_dpotrs():
+    """LAPACK's dpotrf and dpotrs from SciPy's extension ``scipy.linalg._flapack``.
+
+    Importing ``scipy.linalg`` costs most of this package's import time
+    (it runs ``scipy/__init__`` and ``scipy._lib._array_api``), yet the
+    solver needs only these two functions.  So the extension, which is
+    private to SciPy, is loaded by file from SciPy's package directory
+    (``find_spec`` does not run ``scipy/__init__``) under its real name
+    and registered in ``sys.modules``: a later ``import scipy.linalg``
+    reuses it, so both see the same function objects, and one loaded
+    before is used as it is.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        folder = Path(scipy.submodule_search_locations[0]) / "linalg"
+        path = folder / f"_flapack{EXTENSION_SUFFIXES[0]}"
+        if not path.is_file():
+            raise ImportError(f"no {path.name} in {folder}", name=name, path=str(path))
+        loader = ExtensionFileLoader(name, str(path))
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(name, path, loader=loader))
+        sys.modules[name] = module
+        loader.exec_module(module)
+    module = sys.modules[name]
+    return module.dpotrf, module.dpotrs
+
+
+dpotrf, dpotrs = _dpotrf_dpotrs()
 
 # The solve tolerances and limits, read when a solve or check runs:
 # set them on the module to solve and verify at other values.

@@ -91,11 +91,11 @@ class SweepSpec:
         self.grid = _spec_field("grid", lambda g: np.asarray(g, dtype=float), self.grid)
         _spec_field("grid", _require_finite, self.grid, "grid")
         if self.grid.size < 2:
-            raise ValidationError("grid resolution must be at least 2")
+            raise ValidationError("grid: resolution must be at least 2")
         if np.any(np.diff(self.grid) <= 0):
-            raise ValidationError("grid must be strictly increasing")
+            raise ValidationError("grid: must be strictly increasing")
         if self.state_family not in ("werner", "pure_theta"):
-            raise ValidationError(f"unknown state family {self.state_family!r}")
+            raise ValidationError(f"state_family: unknown family {self.state_family!r}")
         # the state constructors check the grid's range (the grid is
         # increasing) and psi
         family = werner if self.state_family == "werner" else pure_theta
@@ -103,7 +103,7 @@ class SweepSpec:
             _spec_field("grid", family, float(param))
         _spec_field("psi", lambda psi: werner(1.0, psi=psi), self.psi)
         if self.scenario not in ("steering", "nonlocality"):
-            raise ValidationError(f"unknown scenario {self.scenario!r}")
+            raise ValidationError(f"scenario: unknown scenario {self.scenario!r}")
         steering = self.scenario == "steering"
         if not (isinstance(self.kinds, list)
                 and all(isinstance(k, str) for k in self.kinds)):

@@ -379,6 +379,7 @@ def ns_project(raw_table: np.ndarray, weights=None) -> NsProjection:
     if weights is None:
         weights = np.full((mA, mB), 1.0 / (mA * mB))
     w = np.broadcast_to(np.asarray(weights, dtype=float), (mA, mB))
+    scenario._require_finite(w, "weights")
 
     layout = CgLayout(mA, nA, mB, nB)
     T = layout.table_matrix()            # vec(table) = T @ cg

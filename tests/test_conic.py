@@ -940,11 +940,55 @@ def test_jnorm_is_the_lorentz_norm_and_fails_loudly():
                 _jnorm(np.array(stack))
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    """A solve never assembles A, so importing the package and its CLI
-    does not import scipy.sparse; ConicProgram.build() imports it."""
+def _fresh_python(code: str) -> str:
+    """The stdout of ``code`` run by a fresh interpreter on this checkout."""
     src = str(Path(conic.__file__).resolve().parents[1])
-    code = "import sys, corrquant, corrquant.cli; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout.strip()
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    """A solve never assembles A and conic.py loads SciPy's LAPACK
+    extension by file, so importing the package and its CLI and solving
+    imports neither scipy.sparse nor scipy.linalg; ConicProgram.build()
+    imports scipy.sparse."""
+    code = ("import sys, corrquant, corrquant.cli\n"
+            "from corrquant import (incompatibility_quantifier, paulis, steer,\n"
+            "                       steering_quantifier, werner)\n"
+            "incompatibility_quantifier(paulis('XYZ'), 'IR')\n"
+            "steering_quantifier(steer(werner(0.8), paulis('XYZ')), 'SR_c')\n"
+            "print(sorted({'scipy.sparse', 'scipy.linalg'} & set(sys.modules)))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_flapack_is_scipys_lapack():
+    """conic's dpotrf and dpotrs are scipy.linalg.lapack's: the same bits
+    here, and the same objects whichever of the two a process imports first."""
+    from scipy.linalg import lapack
+
+    rng = np.random.default_rng(5)
+    for n in (3, 17, 40):
+        G = rng.standard_normal((n, n))
+        M, rhs = G @ G.T + n * np.eye(n), rng.standard_normal((n, 2))
+        L, info = conic.dpotrf(M, lower=1)
+        L_ref, info_ref = lapack.dpotrf(M, lower=1)
+        assert info == info_ref == 0 and L.tobytes() == L_ref.tobytes()
+        z, info = conic.dpotrs(L, rhs, lower=1)
+        z_ref, info_ref = lapack.dpotrs(L_ref, rhs, lower=1)
+        assert info == info_ref == 0 and z.tobytes() == z_ref.tobytes()
+    indefinite = np.diag([2.0, 1.0, -1.0, 3.0])
+    assert conic.dpotrf(indefinite, lower=1)[1] == lapack.dpotrf(indefinite, lower=1)[1] == 3
+    for first, second in (("corrquant.conic", "scipy.linalg.lapack"),
+                          ("scipy.linalg.lapack", "corrquant.conic")):
+        code = (f"import sys, {first}, {second}\n"
+                "from corrquant import conic\n"
+                "from scipy.linalg import lapack\n"
+                "print(conic.dpotrf is lapack.dpotrf and conic.dpotrs is lapack.dpotrs)")
+        assert _fresh_python(code) == "True", first
+
+
+def test_a_missing_flapack_names_the_directory_searched(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(conic, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match=r"^no _flapack\.missing in .*scipy[/\\]linalg$"):
+        conic._dpotrf_dpotrs()

@@ -329,6 +329,14 @@ def test_ns_project_refuses_a_non_finite_raw_entry_by_name():
         nl.ns_project(raw)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ns_project_refuses_a_non_finite_weight_by_name(bad):
+    weights = np.full((2, 2), 0.25)
+    weights[0, 1] = bad
+    with pytest.raises(ValueError, match=rf"^weights entry \[0, 1\] is {bad}$"):
+        nl.ns_project(isotropic_chsh(0.7).table, weights=weights)
+
+
 def test_ns_project_pipeline():
     rng = np.random.default_rng(2)
     for _ in range(20):
