@@ -6,11 +6,13 @@ Programs have the shape
     subject to  A x = b,   x in K,
 
 where K is a product of PSD blocks (real symmetric, or complex
-Hermitian), nonnegative scalars, and free scalars (split internally into
-differences of nonnegatives).  A real symmetric block is stored as its
-isometric svec; a d x d Hermitian block as its d*d real coordinates in
-the orthonormal Hermitian basis of :func:`hermitian_coords`, so the
-trace inner product is the dot product of coordinates.
+Hermitian) and nonnegative scalars.  There is no free kind: a free
+scalar with a lower bound is written shifted onto a nonnegative one (the
+membership programs' weight t = t' - 1, see :mod:`corrquant.decomposition`).
+A real symmetric block is stored as its isometric svec; a d x d
+Hermitian block as its d*d real coordinates in the orthonormal Hermitian
+basis of :func:`hermitian_coords`, so the trace inner product is the dot
+product of coordinates.
 
 The solver is a homogeneous self-dual (HSD) primal-dual path-following
 method with Nesterov-Todd scaling and a Mehrotra predictor-corrector.  Each
@@ -247,7 +249,7 @@ def hermitian_from_coords(coords: np.ndarray, d: int) -> np.ndarray:
 @dataclass
 class _Family:
     name: str
-    kind: str          # 'herm' | 'psd' | 'nonneg' | 'free'
+    kind: str          # 'herm' | 'psd' | 'nonneg'
     count: int
     dim: int           # matrix dimension (1 for scalar kinds)
     offset: int = -1   # filled when offsets are frozen
@@ -271,8 +273,8 @@ class _Family:
 
     @property
     def width(self) -> int:
-        """Columns of A; a free scalar is split into z+ and z-."""
-        return self.count * self.ncoords * (2 if self.kind == "free" else 1)
+        """Columns of A."""
+        return self.count * self.ncoords
 
     def mats(self, coords: np.ndarray) -> np.ndarray:
         """Blocks from their coordinates (batched)."""
@@ -313,7 +315,7 @@ class _Family:
         stacked, the touch that owns each stacked row, and one weight row
         per touch.  Block i's columns of A are P kron(U[:, i], I), P the
         functional rows F[e] placed in rows rows[e] and the coordinates
-        of touch owner[e]; a free family's z- columns are their negatives."""
+        of touch owner[e]."""
         if self.stack is None:
             touches = list(self.touches.values())
             rows = np.concatenate([np.zeros(0, np.int64)] + [r for r, _, _ in touches])
@@ -386,9 +388,6 @@ class ConicProgram:
     def add_nonneg(self, name: str, count: int = 1) -> str:
         return self._add_family(name, "nonneg", count, 1)
 
-    def add_free(self, name: str, count: int = 1) -> str:
-        return self._add_family(name, "free", count, 1)
-
     def _freeze(self):
         if self._frozen:
             return
@@ -397,7 +396,7 @@ class ConicProgram:
         offset = 0
         for fam in sorted(self._families.values(),
                           key=lambda f: ((f.kind, f.dim) != ("herm", 2))
-                          + (f.kind in ("nonneg", "free"))):
+                          + (f.kind == "nonneg")):
             fam.offset = offset
             offset += fam.width
         self._ncols = offset
@@ -424,7 +423,7 @@ class ConicProgram:
             tag, fam = term[0], self._families[term[1]]
             weight = 1.0
             if tag == "lin":
-                if fam.kind not in ("nonneg", "free"):
+                if fam.kind != "nonneg":
                     raise ValueError(f"family {fam.name!r} is not scalar")
                 _, _, indices, weight = term
                 coords = np.ones(1)
@@ -486,7 +485,7 @@ class ConicProgram:
                         f"family {famname!r} incompatible with {d}x{d} matrix row")
                 fam.touch(row0, row0 + np.arange(nr), np.eye(nr), indices, arg)
             elif tag == "scalar_mat":
-                if fam.kind not in ("nonneg", "free"):
+                if fam.kind != "nonneg":
                     raise ValueError(f"family {famname!r} is not scalar")
                 coords = hermitian_coords(hermitize(np.asarray(arg, dtype=complex)), d)
                 nz = np.flatnonzero(coords)
@@ -522,10 +521,7 @@ class ConicProgram:
         self._freeze()
         c = np.zeros(self._ncols)
         for fam in self._families.values():
-            cost = fam.cost.ravel()
-            if fam.kind == "free":
-                cost = np.concatenate([cost, 0.0 - cost])
-            c[fam.offset:fam.offset + fam.width] = cost
+            c[fam.offset:fam.offset + fam.width] = fam.cost.ravel()
         return c
 
     def column_products(self, name: str, y: np.ndarray) -> np.ndarray:
@@ -554,8 +550,7 @@ class ConicProgram:
             kr, kc = t * fam.ncoords + j, i * fam.ncoords + j
             K = sp.csr_matrix((np.tile(U[t, i], fam.ncoords), (kr.ravel(), kc.ravel())),
                               shape=(P.shape[1], fam.count * fam.ncoords))
-            Af = P @ K
-            blocks += [Af, -Af] if fam.kind == "free" else [Af]
+            blocks.append(P @ K)
         A = sp.hstack(blocks, format="csr")
         A.sort_indices()
         return A, self.rhs(), self.objective()
@@ -608,7 +603,7 @@ class ConicProgram:
         out._families = dict(self._families)
         for fname, (F, U) in touches.items():
             fam = self._families[fname]
-            if fam.kind not in ("nonneg", "free"):
+            if fam.kind != "nonneg":
                 raise ValueError(f"family {fname!r} is not scalar")
             rows, F0, owner, U0 = fam.stacked()
             F = F0 if F is None else np.array(F, dtype=float)
@@ -733,7 +728,7 @@ def _block_margins(prog, blocks):
 
 def _cone_distance(prog: ConicProgram, z: np.ndarray) -> float:
     """Distance of the column vector z from the (self-dual) cone, per block
-    by eigenvalues, per scalar (a free one's split halves too) by sign."""
+    by eigenvalues, per scalar by sign."""
     parts = [np.linalg.eigvalsh(f.mats(f.part(z))) if f.kind in ("herm", "psd")
              else f.part(z) for f in prog.families.values()]
     return float(np.sqrt(sum(np.sum(np.minimum(p, 0) ** 2) for p in parts)))
@@ -748,11 +743,9 @@ def verify_solution(prog: ConicProgram, sol: ConicSolution) -> ResidualReport:
             # min ||A'y + s|| over s in the cone: the distance of -A'y from it
             res = _cone_distance(prog, -(A.T @ duals_to_vec(prog, sol.ray)))
         elif sol.ray is not None:
-            # A x = 0, and x in the cone, where a free variable takes any value
-            ray = sol.ray["x"]
-            fixed = {f.name: 0.0 for f in prog.families.values() if f.kind == "free"}
-            res = max(float(np.max(np.abs(A @ _primal_to_vec(prog, ray)), initial=0.0)),
-                      _cone_distance(prog, _primal_to_vec(prog, {**ray, **fixed})))
+            # A x = 0, and x in the cone
+            x = _primal_to_vec(prog, sol.ray["x"])
+            res = max(float(np.max(np.abs(A @ x), initial=0.0)), _cone_distance(prog, x))
         return ResidualReport(ray_residual=res, ray_violation=sol.ray_violation)
     x = _primal_to_vec(prog, sol.primal)
     y = duals_to_vec(prog, sol.dual_rows)
@@ -770,17 +763,8 @@ def _primal_to_vec(prog: ConicProgram, primal: dict) -> np.ndarray:
     x = np.zeros(prog._ncols)
     for fam in prog.families.values():
         blk = primal[fam.name]
-        if fam.kind in ("herm", "psd"):
-            x[fam.offset:fam.offset + fam.width] = fam.coords(blk).ravel()
-        elif fam.kind == "nonneg":
-            x[fam.offset:fam.offset + fam.count] = blk
-        else:
-            # any split z = z+ - z- gives the same A x and c x; the
-            # symmetric one also undoes the dual slack's, whose two
-            # halves are negatives of each other at a dual-feasible point
-            z = np.asarray(blk, dtype=float) / 2
-            x[fam.offset:fam.offset + fam.count] = z
-            x[fam.offset + fam.count:fam.offset + 2 * fam.count] = -z
+        x[fam.offset:fam.offset + fam.width] = (
+            fam.coords(blk).ravel() if fam.kind in ("herm", "psd") else blk)
     return x
 
 
@@ -844,18 +828,17 @@ def _dense_index(fams, start, width):
 
 def _dense_values(fams):
     """The columns of families ``fams`` on their stacked touch rows: each
-    stacked row is U[owner] (x) F, and its negative too for a free family's
-    z- columns; :func:`np.bincount` over :func:`_dense_index` sums them."""
+    stacked row is U[owner] (x) F; :func:`np.bincount` over
+    :func:`_dense_index` sums them."""
     vals = [np.zeros(0)]
     for f in fams:
         rows, F, owner, U = f.stacked()
-        D = (U[owner][:, :, None] * F[:, None, :]).reshape(len(rows), f.count * f.ncoords)
-        vals.append((np.hstack([D, -D]) if f.kind == "free" else D).ravel())
+        vals.append((U[owner][:, :, None] * F[:, None, :]).ravel())
     return np.concatenate(vals)
 
 
 class _Nonneg:
-    """The nonnegative orthant: LP and split free scalars, on columns ``sl``."""
+    """The nonnegative orthant: the scalar families, on columns ``sl``."""
 
     def __init__(self, sl):
         self.sl, self.unit = sl, np.ones(sl.stop - sl.start)
@@ -1564,13 +1547,8 @@ def _solve_hsd(prog: ConicProgram):
 def _extract_primal(prog: ConicProgram, vec):
     out = {}
     for fam in prog.families.values():
-        blk = vec[fam.offset:fam.offset + fam.width]
-        if fam.kind in ("herm", "psd"):
-            out[fam.name] = fam.mats(fam.part(vec))
-        elif fam.kind == "nonneg":
-            out[fam.name] = blk.copy()
-        else:
-            out[fam.name] = blk[:fam.count] - blk[fam.count:]
+        part = fam.part(vec)
+        out[fam.name] = fam.mats(part) if fam.kind in ("herm", "psd") else part[:, 0].copy()
     return out
 
 

@@ -6,8 +6,8 @@ R = rho_B standing where R = 1 stood (the quantitative form of the
 steering / joint-measurability map of Uola, Budroni, Guehne & Pellonpaa,
 PRL 115, 230402, 2015): the consistent steering kinds solve the four
 incompatibility rows at R = rho_B (:data:`corrquant.steering.ROW`), and
-the table adds the rows whose noise keeps a free reduced state, and
-membership.  Every kind matches, per input x and outcome a,
+the table adds the rows whose noise keeps a free reduced state.  Every
+kind matches, per input x and outcome a,
 
     sum_{lambda: lambda_x = a} G_lambda + sign * noise_{a|x} = D_{a|x},
 
@@ -22,9 +22,15 @@ kind is one row of :data:`KINDS`:
   outcomes (one row, sum_a N_{a|0} = t R or sum_lambda H_lambda = t R,
   and none for white noise, which sums to t R as it is); or "trace",
   one scalar row fixing only the noise's total trace to t (on H, or
-  through the x = 0 match rows on G);
-* ``weight``: the cone of t, "nonneg"; or "free" in the "membership" row,
-  white noise at R = 1 whose margin w* = -t* is >= 0 exactly on members.
+  through the x = 0 match rows on G).
+
+The weight t is nonnegative in every row.  Membership (:func:`max_margin`)
+solves sum_{lambda_x = a} G_lambda = D_{a|x} - w 1/n for the largest
+margin w, which is >= 0 exactly on members.  Its x = 0
+rows give sum_lambda G_lambda = sum_a D_{a|0} - w 1, PSD, and
+sum_a D_{a|0} is 1 (effects) or a state (members), so w <= 1: the
+program is the "random_robustness" row at R = 1 on the data D - 1/n,
+with t = 1 - w >= 0, and no row has a free variable.
 
 The variables are the scaled-variable linearization: G absorbs the
 mixture denominator (G = (1 - sign*t) times the normalized parent or
@@ -73,7 +79,7 @@ more than WORKING_SET strategies by Dantzig-Wolfe column generation
 
 Reconstruction.  :func:`reconstruct` unscales a solution into the
 defining decomposition for every kind, and :func:`max_margin` does the
-same for the membership row, by one normalization rule
+same for membership, by one normalization rule
 (:func:`_normalize`): the nonzero blocks are clipped PSD and mapped by
 one congruence X -> C X C^H, C = T^1/2 S^-1/2 on the support of T and S
 their sum, so they sum to T exactly and zero blocks (those off a
@@ -118,21 +124,18 @@ class Decomposition:
     noise: str          # "free" | "white" | "model"
     sign: float         # -1 robustness, +1 weight
     norm: str           # "consistent" | "trace"
-    weight: str         # cone of t: "nonneg" | "free"
 
 
 KINDS = {
     # incompatibility at R = 1; the consistent steering kinds at R = rho_B
-    "robustness": Decomposition("free", -1.0, "consistent", "nonneg"),
-    "random_robustness": Decomposition("white", -1.0, "consistent", "nonneg"),
-    "jm_robustness": Decomposition("model", -1.0, "consistent", "nonneg"),
-    "weight": Decomposition("free", +1.0, "consistent", "nonneg"),
+    "robustness": Decomposition("free", -1.0, "consistent"),
+    "random_robustness": Decomposition("white", -1.0, "consistent"),
+    "jm_robustness": Decomposition("model", -1.0, "consistent"),
+    "weight": Decomposition("free", +1.0, "consistent"),
     # steering with the noise's reduced state free, R = rho_B
-    "SR": Decomposition("free", -1.0, "trace", "nonneg"),
-    "SR_lhs": Decomposition("model", -1.0, "trace", "nonneg"),
-    "SW": Decomposition("free", +1.0, "trace", "nonneg"),
-    # membership, R = 1
-    "membership": Decomposition("white", -1.0, "consistent", "free"),
+    "SR": Decomposition("free", -1.0, "trace"),
+    "SR_lhs": Decomposition("model", -1.0, "trace"),
+    "SW": Decomposition("free", +1.0, "trace"),
 }
 
 
@@ -212,7 +215,7 @@ def _structure(kind: str, m: int, n: int, d: int) -> ConicProgram:
     prog.add_hermitian_family("G", total, d)
     if row.noise == "model":
         prog.add_hermitian_family("H", total, d)
-    (prog.add_free if row.weight == "free" else prog.add_nonneg)("t", 1)
+    prog.add_nonneg("t", 1)
     for x, a in match_rows(m, n, row.noise):
         if row.noise == "free":
             noise = ("sum", "N", x * n + a, row.sign)
@@ -337,7 +340,8 @@ def quantify(name: str, kind: str, data: np.ndarray, reference: np.ndarray):
 
 
 def max_margin(name: str, data: np.ndarray, reference: np.ndarray):
-    """Solve the membership row: (margin w* = -t*, blocks, duals).
+    """Solve membership, the "random_robustness" row at R = 1 on D - 1/n
+    (module docstring): (margin w* = 1 - t*, blocks, duals).
 
     Within MEMBERSHIP_TOL of the boundary, ``blocks`` are the G_lambda
     shifted by w*/L (so they reproduce D) and normalized to sum to the
@@ -345,13 +349,13 @@ def max_margin(name: str, data: np.ndarray, reference: np.ndarray):
     ``duals`` is the match-row dual grid, the certificate of
     non-membership.
     """
-    m, n, d = data.shape[:3]
-    sol = solve_strategies(build_program(name, "membership", data, np.eye(d)), data)
-    margin = -sol.value
+    n, d = data.shape[1:3]
+    t, sol, duals = quantify(name, "random_robustness", data - np.eye(d) / n, np.eye(d))
+    margin = 1.0 - t
     if margin >= -MEMBERSHIP_TOL:
         blocks = sol.primal["G"] + (margin / len(sol.primal["G"])) * np.eye(d)
         return margin, _normalize(blocks, reference), None
-    return margin, None, match_duals(sol, m, n, d)
+    return margin, None, duals
 
 
 def reconstruct(kind: str, sol: ConicSolution, data: np.ndarray,

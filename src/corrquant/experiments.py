@@ -252,15 +252,17 @@ def seesaw_optimize(theta: float, kind, restarts: int = 3, seed: int = 0,
     T = diag(sin 2theta, -sin 2theta, 1), Bob's Bloch vectors are
     T(x +- z) normalized (Horodecki, Horodecki & Horodecki, Phys. Lett.
     A 200, 1995), CHSH_BOB at theta = pi/4; the others at random.
-    Heuristic: reports the best value found over ``restarts`` seeds.
+    Heuristic: reports the best value found over ``restarts`` (at least
+    1) starts; ``seed``, a nonnegative integer, seeds the random ones.
     """
     kind = parse_kind(nl.NonlocalityKind, kind, {})
     state = _spec_field("theta", pure_theta, theta)
+    if restarts < 1:
+        raise ValidationError(f"restarts: expected at least 1, got {restarts!r}")
+    rng = _spec_field("seed", np.random.default_rng, seed)
     alice = paulis("XZ")
     asm = steer(state, alice)
-    rng = np.random.default_rng(seed)
 
-    restarts = max(1, restarts)
     best: SeesawOutcome | None = None
     for restart in range(restarts):
         if restart == 0:

@@ -11,7 +11,9 @@ pairs: :func:`build_program` writes a row of
 R, on Collins-Gisin coordinates (full tables are rank deficient under
 no-signalling).  A quantifier writes the row its steering kind solves
 (:data:`corrquant.steering.ROW`) at the behaviour's Bob marginal, and
-:func:`is_local` the "membership" row at the uniform one,
+:func:`is_local` NLR_mar's row ("random_robustness") at the uniform one
+on the table shifted by the uniform behaviour (the membership program of
+:mod:`corrquant.decomposition`),
 
     sum_p G_p S_pk + sign * noise_k = cg_k,
 
@@ -172,19 +174,21 @@ def _cg_scenario(key: tuple):
 
 
 def is_local(b: Behaviour) -> LocalDecision:
-    """Max-margin membership in the local polytope: the "membership" row
-    at the uniform Bob marginal, whose white noise is the uniform
-    behaviour.
+    """Max-margin membership in the local polytope, sum_p G_p S_p =
+    cg(b) - w cg(u) maximizing w, u the uniform behaviour: the
+    "random_robustness" row at the uniform Bob marginal, whose white
+    noise is u, on the table b - u, with w = 1 - t.
 
-    Its margin w* = -t* >= 0 (down to -MEMBERSHIP_TOL) means local, with
+    Its margin w* >= 0 (down to -MEMBERSHIP_TOL) means local, with
     weights q = G + w*/N; otherwise the duals of the CG rows give a Bell
     inequality.
     """
     layout, S = _strategy_pairs(b)
     uniform = np.full((b.mB, b.nB), 1.0 / b.nB)
-    prog, _ = build_program("is_local", "membership", b, uniform, None)
+    prog, _ = build_program("is_local", "random_robustness",
+                            b.table - 1.0 / (b.nA * b.nB), uniform, None)
     sol = solve(prog)
-    margin = -sol.value
+    margin = 1.0 - sol.value
     if margin >= -MEMBERSHIP_TOL:
         q = sol.primal["G"] + margin / S.shape[0]
         return LocalDecision(True, margin, model=_pair_weights_to_model(q, _scenario(b)))
@@ -192,26 +196,29 @@ def is_local(b: Behaviour) -> LocalDecision:
     return LocalDecision(False, margin, inequality=ineq)
 
 
-def build_program(name: str, kind: str, b: Behaviour, reference: np.ndarray,
+def build_program(name: str, kind: str, table: np.ndarray, reference: np.ndarray,
                   level: int | None):
     """The program ``name`` of ``KINDS[kind]`` on CG rows, at Bob
     marginal ``reference`` (mB, nB); ``level`` is the NPA level of free
     noise.  It is the shared structure of its shape (:func:`_structure`)
-    with this call's values: b from the behaviour, and the reference's
+    with this call's values: b from the (mA, mB, nA, nB) ``table``, a
+    behaviour's or any other (the CG map is linear), and the reference's
     coefficients on t (on sum H for model noise).
 
     Returns (program, NPA template or None).
     """
     row = KINDS[kind]
-    structure, tmpl = _structure(kind, _scenario(b), level if row.noise == "free" else None)
-    layout, _ = _cg_scenario(_scenario(b))
+    mA, mB, nA, nB = table.shape
+    key = (mA, nA, mB, nB)
+    structure, tmpl = _structure(kind, key, level if row.noise == "free" else None)
+    layout, _ = _cg_scenario(key)
     rhs = structure.rhs().copy()
-    rhs[:layout.dim] = layout.of_table(b.table)
+    rhs[:layout.dim] = layout.of_table(table)
     fam = coef = None
     if row.noise == "white":
         # t's weight in every CG row: uniform-Alice noise reference[y, b]/nA
         fam, coef = "t", row.sign * layout.of_table(np.broadcast_to(
-            reference[None, :, None, :] / b.nA, b.table.shape).copy())
+            reference[None, :, None, :] / nA, table.shape).copy())
     elif row.norm == "consistent":
         # the weight on t of the last rows, which fix the noise's Bob marginal
         fam, coef = ("H" if row.noise == "model" else "t"), -reference[:, :-1].ravel()
@@ -241,7 +248,7 @@ def _structure(kind: str, key: tuple, level: int | None):
     if row.noise == "model":
         prog.add_nonneg("H", len(every))
     else:
-        (prog.add_free if row.weight == "free" else prog.add_nonneg)("t", 1)
+        prog.add_nonneg("t", 1)
 
     def noise(k, coef):
         """coef * noise_k: the moment cell, t * white_k or sum H S_k."""
@@ -310,7 +317,7 @@ def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
     row = KINDS[row_name]
     pb = behaviour_marginal(b, "B")
     name = f"nonlocality:{kind.value}" + (f":l{level}" if row.noise == "free" else "")
-    prog, tmpl = build_program(name, row_name, b, pb, level)
+    prog, tmpl = build_program(name, row_name, b.table, pb, level)
     sol = solve(prog)
     model = _pair_weights_to_model(sol.primal["G"], _scenario(b))
     noise_model = noise = None

@@ -252,6 +252,13 @@ def npa_membership(behaviour, level: int = 2) -> NpaDecision:
 def npa_optimize(coefficients, scenario, level: int = 2):
     """Upper bound on the quantum value of a full-table Bell functional.
 
+    Solved in hand-dualized form, with g the functional summed per
+    class and E_ci the class indicators: minimize <E_idc, X> over X >= 0
+    with <E_ci, X> = -g_ci on every class but the identity class idc.
+    The bound is its value plus g_idc; the dual, the moment matrix
+    E_idc + sum_ci z_ci E_ci with z_ci minus the dual of class ci's row,
+    maximizes g_idc + sum_ci g_ci z_ci over the relaxation.
+
     Returns (value, MomentMatrix); the matrix is the relaxation's
     optimizer, assembled from class values: minus the dual of each
     class's row, and 1 on the identity class.
@@ -267,19 +274,17 @@ def npa_optimize(coefficients, scenario, level: int = 2):
     g = T.T @ coeffs.ravel()
 
     idc = tmpl.cg_class[0]
+    others = [ci for ci in range(len(tmpl.classes)) if ci != idc]
     prog = ConicProgram(f"npa_optimize:l{level}")
     prog.add_psd_family("X", 1, tmpl.size)
-    prog.add_free("w", 1)
     gclass = np.zeros(len(tmpl.classes))
     np.add.at(gclass, list(tmpl.cg_class), g)
-    for ci in range(len(tmpl.classes)):
-        terms = [("mat", "X", 0, tmpl.class_matrix({ci: 1.0}))]
-        if ci == idc:
-            terms.append(("lin", "w", [0], [-1.0]))
-        prog.add_scalar_row(("class", ci), -gclass[ci], terms)
-    prog.set_objective([("lin", "w", [0], [1.0])])
+    for ci in others:
+        prog.add_scalar_row(("class", ci), -gclass[ci],
+                            [("mat", "X", 0, tmpl.class_matrix({ci: 1.0}))])
+    prog.set_objective([("mat", "X", 0, tmpl.class_matrix({idc: 1.0}))])
     sol = solve(prog)
-    z = {ci: -sol.dual_rows[("class", ci)] for ci in range(len(tmpl.classes))}
+    z = {ci: -sol.dual_rows[("class", ci)] for ci in others}
     z[idc] = 1.0
     mm = MomentMatrix(template=tmpl, gamma=tmpl.class_matrix(z), normalization=1.0)
-    return float(sol.value), mm
+    return float(sol.value + gclass[idc]), mm

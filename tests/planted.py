@@ -3,17 +3,16 @@
 ``planted(seed)`` declares random families of every kind (one to three
 2x2 Hermitian families, which the solver treats as one Lorentz cone
 wherever they are declared, and at random a 3x3 Hermitian, a real PSD
-family of size 2 to 4, a nonnegative and a free one, in random order),
-matrix row groups of
-``sum``, ``one`` and ``scalar_mat`` terms and scalar rows of ``mat`` and
-``lin`` terms, with one row that reads every block so none is unbounded.
-It then plants a strictly complementary pair: per block, X* of random
-rank and S* of the complementary rank in one random eigenbasis; per
-nonnegative scalar x* or s* positive and the other zero; free scalars
-with s* = 0; and a random y*.  With A from ``build()``, c = A^T y* + s*
-is set as the objective and b = A x* is written on the program's shared
-structure (``with_values``), so c x* is the optimal value: every
-feasible x has c x = b y* + s* x >= b y* = c x*.
+family of size 2 to 4 and a nonnegative one, in random order), matrix
+row groups of ``sum`` and ``scalar_mat`` terms and scalar rows of ``mat``
+and ``lin`` terms, with one row that reads every block so none is
+unbounded.  It then plants a strictly complementary pair: per block, X*
+of random rank and S* of the complementary rank in one random
+eigenbasis; per nonnegative scalar x* or s* positive and the other zero;
+and a random y*.  With A from ``build()``, c = A^T y* + s* is set as the
+objective and b = A x* is written on the program's shared structure
+(``with_values``), so c x* is the optimal value: every feasible x has
+c x = b y* + s* x >= b y* = c x*.
 """
 
 import numpy as np
@@ -52,18 +51,15 @@ def _declare(rng, prog):
     fams = [matrix[i] for i in order]
     if rng.random() < 0.7:
         fams.append(("z", "nonneg", int(rng.integers(1, 4)), 1))
-    if rng.random() < 0.5:
-        fams.append(("f", "free", int(rng.integers(1, 3)), 1))
     for name, kind, count, dim in fams:
         {"herm": lambda: prog.add_hermitian_family(name, count, dim),
          "psd": lambda: prog.add_psd_family(name, count, dim),
-         "nonneg": lambda: prog.add_nonneg(name, count),
-         "free": lambda: prog.add_free(name, count)}[kind]()
+         "nonneg": lambda: prog.add_nonneg(name, count)}[kind]()
     return fams
 
 
 def _rows(rng, prog, fams):
-    scalars = [f for f in fams if f[1] in ("nonneg", "free")]
+    scalars = [f for f in fams if f[1] == "nonneg"]
     for d in sorted({dim for _, kind, _, dim in fams if kind == "herm"}):
         herm = [f for f in fams if f[1] == "herm" and f[3] == d]
         for g in range(rng.integers(1, 3)):
@@ -122,13 +118,10 @@ def _plant(rng, prog, fams):
                 X.append((q * lx) @ q.conj().T)
                 S.append((q * ls) @ q.conj().T)
             x[sl], s[sl] = fam.coords(np.array(X)).ravel(), fam.coords(np.array(S)).ravel()
-        elif kind == "nonneg":
+        else:
             on = rng.random(count) < 0.5
             x[sl] = np.where(on, rng.uniform(0.5, 2.0, count), 0.0)
             s[sl] = np.where(on, 0.0, rng.uniform(0.5, 2.0, count))
-        else:
-            z = rng.normal(size=count)
-            x[sl] = np.concatenate([np.maximum(z, 0), np.maximum(-z, 0)])
     return x, s
 
 
@@ -149,8 +142,6 @@ def planted(seed: int):
             part = fam.part(c)
             objective += [("mat", name, i, fam.mats(part[i])) for i in range(count)]
         else:
-            # a free scalar's z- columns carry the negated cost
-            objective.append(("lin", name, np.arange(count),
-                              c[fam.offset:fam.offset + count]))
+            objective.append(("lin", name, np.arange(count), fam.part(c)[:, 0]))
     prog.set_objective(objective)
     return prog.share().with_values(prog.name, A @ x, {}), x

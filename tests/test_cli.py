@@ -238,6 +238,15 @@ def test_seesaw_command_deterministic(tmp_path):
     assert json.loads(r1.output)["value"] == json.loads(r2.output)["value"]
 
 
+@pytest.mark.parametrize("args, field", [(["-r", "0"], "restarts"), (["-S", "-1"], "seed")],
+                         ids=["r0", "S-1"])
+def test_seesaw_refuses_a_restart_count_below_1_and_a_negative_seed(args, field):
+    res = CliRunner().invoke(main, ["seesaw", "-t", "0.5", "-k", "NLR_mar", *args])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert f"error: {field}: " in res.stderr
+
+
 def test_seesaw_refuses_an_angle_outside_its_range():
     res = CliRunner().invoke(main, ["seesaw", "-t", "2.0", "-k", "NLR_c"])
     assert res.exit_code == 2, res.output

@@ -238,34 +238,20 @@ def test_unbounded_sdp_ray(declare):
     assert_improving_ray(prog, prog.solve(), {"X": np.ones((1, 2, 2))})
 
 
-def test_free_variable_split():
-    # min |w|-style: w free with w = -2.5 pinned via row
-    prog = ConicProgram("free")
-    prog.add_free("w", 1)
-    prog.add_nonneg("pad", 1)
-    prog.add_scalar_row(("pin",), -2.5, [("lin", "w", [0], [1.0])])
-    prog.add_scalar_row(("padpin",), 1.0, [("lin", "pad", [0], [1.0])])
-    prog.set_objective([("lin", "w", [0], [1.0])])
-    sol = prog.solve()
-    assert sol.status == "optimal"
-    assert abs(sol.primal["w"][0] + 2.5) < 1e-7
-
-
 @pytest.mark.parametrize("cost", [1.0, 0.0, -1.0])
-@pytest.mark.parametrize("kind", ["herm", "psd", "nonneg", "free"])
+@pytest.mark.parametrize("kind", ["herm", "psd", "nonneg"])
 def test_untouched_family_solves_or_is_unbounded(kind, cost):
     # min tr A_0 + x + cost * (tr or sum of Y) with A_0 + A_1 = 1, x = 2,
     # and a family Y that no row touches: a 2x2 Hermitian Y shares the
     # Lorentz run of A, a 3x3 real PSD Y is a matrix cone of its own, and
-    # a nonneg or free Y sits beside the touched nonneg x.  Y faces the
+    # a nonneg Y sits beside the touched nonneg x.  Y faces the
     # objective alone: the value is 2 when its cost lies in the dual cone
     # (Y = 0 at a positive cost), and the program is unbounded otherwise
     prog = ConicProgram(f"untouched {kind}")
     prog.add_hermitian_family("A", 2, 2)
     {"herm": lambda: prog.add_hermitian_family("Y", 2, 2),
      "psd": lambda: prog.add_psd_family("Y", 2, 3),
-     "nonneg": lambda: prog.add_nonneg("Y", 2),
-     "free": lambda: prog.add_free("Y", 2)}[kind]()
+     "nonneg": lambda: prog.add_nonneg("Y", 2)}[kind]()
     prog.add_nonneg("x", 1)
     prog.add_matrix_row_group(("pin",), np.eye(2), [("sum", "A", [0, 1], 1.0)])
     prog.add_scalar_row(("x",), 2.0, [("lin", "x", [0], [1.0])])
@@ -273,7 +259,7 @@ def test_untouched_family_solves_or_is_unbounded(kind, cost):
                         ("tr", "Y", [0, 1], cost) if kind in ("herm", "psd")
                         else ("lin", "Y", [0, 1], [cost, cost])])
     sol = prog.solve()
-    if cost < 0 or (cost > 0 and kind == "free"):
+    if cost < 0:
         assert sol.status == "unbounded"
         assert verify_solution(prog, sol).ray_residual <= 100 * conic.FEASTOL
         return
@@ -506,10 +492,8 @@ def _unit_blocks(prog, x):
             out[f.name] = hermitian_from_coords(part.reshape(f.count, -1), f.dim)
         elif f.kind == "psd":
             out[f.name] = smat(part.reshape(f.count, -1), f.dim)
-        elif f.kind == "nonneg":
-            out[f.name] = part
         else:
-            out[f.name] = part[:f.count] - part[f.count:]
+            out[f.name] = part
     return out
 
 
@@ -524,7 +508,7 @@ def test_build_writes_out_the_term_grammar():
     prog.add_hermitian_family("B", 2, 3)
     prog.add_psd_family("P", 2, 3)
     prog.add_nonneg("u", 3)
-    prog.add_free("z", 2)
+    prog.add_nonneg("z", 2)
     C2, H2, K2, Q2, R2 = (random_hermitian(2, rng) for _ in range(5))
     C3, H3, R3 = (random_hermitian(3, rng) for _ in range(3))
     S, S2 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))   # read symmetrized
@@ -575,7 +559,7 @@ def test_build_writes_out_the_term_grammar():
     units = [_unit_blocks(prog, e) for e in np.eye(A.shape[1])]
     want_a = np.array([row_values(X) for X in units]).T
     want_c = np.array([objective[1](X) for X in units])
-    assert A.shape == (2 + 4 + 9, 3 * 4 + 2 * 9 + 2 * 6 + 3 + 2 * 2)
+    assert A.shape == (2 + 4 + 9, 3 * 4 + 2 * 9 + 2 * 6 + 3 + 2)
     assert np.max(np.abs(A.toarray() - want_a)) <= 1e-12
     assert np.max(np.abs(c - want_c)) <= 1e-12
     assert np.max(np.abs(b - np.concatenate(
@@ -595,13 +579,13 @@ def test_matrix_rows_refuse_an_unknown_term(tag):
 
 def _mixed_program():
     """Hermitian blocks under matrix, trace and 'mat' rows next to
-    a real PSD block, nonnegative and free scalars."""
+    a real PSD block and two nonnegative scalar families."""
     rng = np.random.default_rng(12)
     prog = ConicProgram("mixed")
     prog.add_hermitian_family("H", 5, 2)
     prog.add_psd_family("P", 2, 3)
     prog.add_nonneg("t", 3)
-    prog.add_free("w", 2)
+    prog.add_nonneg("w", 2)
     prog.add_matrix_row_group(
         ("m0",), random_hermitian(2, rng),
         [("sum", "H", [0, 2, 4], 1.0), ("sum", "H", 1, -0.5),
@@ -620,14 +604,14 @@ def _mixed_program():
 
 
 def _kernel_program():
-    """One family of every cone kind: 2x2 and 3x3 Hermitian, real
-    symmetric, nonnegative and free."""
+    """One family of every cone kind (2x2 and 3x3 Hermitian, real
+    symmetric, nonnegative), and a second nonnegative one."""
     prog = ConicProgram("kernels")
     prog.add_hermitian_family("H2", 4, 2)
     prog.add_hermitian_family("H3", 3, 3)
     prog.add_psd_family("P", 2, 3)
     prog.add_nonneg("t", 3)
-    prog.add_free("w", 1)
+    prog.add_nonneg("w", 1)
     prog.add_matrix_row_group(("m2",), np.eye(2), [("sum", "H2", [0, 1, 3], 1.0)])
     prog.add_matrix_row_group(("m3",), np.eye(3), [("sum", "H3", [0, 2], 1.0),
                                                    ("sum", "H3", 1, -1.0)])
@@ -649,7 +633,7 @@ def _run_program():
     prog.add_psd_family("P", 2, 3)
     prog.add_hermitian_family("C", 2, 2)
     prog.add_nonneg("t", 3)
-    prog.add_free("w", 2)
+    prog.add_nonneg("w", 2)
     prog.add_matrix_row_group(
         ("m0",), random_hermitian(2, rng),
         [("sum", "A", [0, 1, 2], 1.0), ("sum", "B", 1, -2.0),
@@ -724,7 +708,7 @@ def _interior_point(prog, rng):
     coordinates (``_cone_coords``), As in the families'."""
     A = prog.build()[0]
     fams = prog.families.values()
-    lp_width = sum(f.width for f in fams if f.kind in ("nonneg", "free"))
+    lp_width = sum(f.width for f in fams if f.kind == "nonneg")
     x, s = np.zeros(A.shape[1]), np.zeros(A.shape[1])
     for vec in (x, s):
         for f in fams:
@@ -792,7 +776,7 @@ def test_structured_schur_matches_dense_product(name):
     if name == "runs":
         # A, B and C are one Lorentz cone though P is declared between them
         assert [(type(g).__name__, g.sl.stop - g.sl.start) for g in cones] == [
-            ("_Lorentz", 28), ("_Matrix", 12), ("_Nonneg", 7)]
+            ("_Lorentz", 28), ("_Matrix", 12), ("_Nonneg", 5)]
     if name == "ladder":
         assert [(type(g).__name__, g.sl.stop - g.sl.start) for g in cones] == [
             ("_Lorentz", 4 * 274), ("_Nonneg", 1)]
@@ -841,7 +825,7 @@ def test_one_lorentz_cone_and_one_dense_array():
                            scenario.paulis("XY"))
     for kind in decomposition.KINDS:
         for level in (1, 2):
-            nlp, _ = nl.build_program("p", kind, beh, scenario.behaviour_marginal(beh, "B"),
+            nlp, _ = nl.build_program("p", kind, beh.table, scenario.behaviour_marginal(beh, "B"),
                                       level)
             cones, _ = _cones(nlp)
             assert cones.lorentz is None and cones.sl == slice(0, nlp._ncols), (kind, level)

@@ -1,7 +1,7 @@
 """Column generation in decomposition.solve_strategies: the restricted
 path against the whole program, its lifted certificate, the one-pass
-path, and the reconstruction of a restricted solution; the membership
-row against the program it replaced, and at the 59049-strategy scale."""
+path, and the reconstruction of a restricted solution; membership against
+the free-margin program it replaced, and at the 59049-strategy scale."""
 
 import json
 import os
@@ -14,6 +14,8 @@ from corrquant import conic
 from corrquant import decomposition as dc
 from corrquant import experiments as ex
 from corrquant import incompat as ic
+from corrquant import nonlocality as nl
+from corrquant import npa
 from corrquant import scenario as sc
 from corrquant import steering as st
 from corrquant.conic import ConicProgram, verify_solution
@@ -23,8 +25,9 @@ LOSSY_ETA = 0.4
 TOL = 1e-8
 INCOMPAT_KINDS = ("robustness", "random_robustness", "jm_robustness", "weight")
 # every incompatibility and steering kind (the steering kinds solve their
-# st.ROW rows at R = rho_B, so every KINDS row is here), and the membership
-# row on the measurement set and on the assemblage
+# st.ROW rows at R = rho_B, so every KINDS row is here), and membership,
+# the random_robustness row at R = 1 on the shifted data D - 1/n, on the
+# measurement set and on the assemblage
 CASES = [*INCOMPAT_KINDS, *(k.value for k in st.SteeringKind), "membership:incompat",
          "membership:steering"]
 
@@ -41,7 +44,8 @@ def program(m, kind):
     row, _, domain = kind.partition(":")
     if row == "membership":
         data = meas.effects if domain == "incompat" else asm.members
-        return dc.build_program(domain, row, data, np.eye(2)), data
+        data = data - np.eye(2) / data.shape[1]
+        return dc.build_program(domain, "random_robustness", data, np.eye(2)), data
     if kind in INCOMPAT_KINDS:
         return dc.build_program("incompat", kind, meas.effects, np.eye(2)), meas.effects
     row = st.ROW[st.SteeringKind(kind)]
@@ -196,20 +200,23 @@ def test_strategy_bound_takes_qubit_eigenvalues_in_closed_form(monkeypatch):
 
 
 def replaced_membership_margin(data):
-    """The max-margin program the membership row replaced, written out:
-    Hermitian G over the strategies and a free w with
+    """The max-margin program that membership replaced, written out:
+    Hermitian G over the strategies and a free w = w+ - w- (two
+    nonnegative families, as the solver once split a free variable) with
     sum_{lambda_x = a} G_lambda + w 1/n = D_{a|x} on the pruned rows,
     maximizing w; its margin w*."""
     m, n, d = data.shape[:3]
     masks = sc.strategy_masks(m, n)
     prog = ConicProgram("replaced membership")
     prog.add_hermitian_family("G", n ** m, d)
-    prog.add_free("w", 1)
+    prog.add_nonneg("w+", 1)
+    prog.add_nonneg("w-", 1)
     for x, a in dc.match_rows(m, n, "white"):
         prog.add_matrix_row_group(("match", x, a), data[x, a],
                                   [("sum", "G", masks[x][a], 1.0),
-                                   ("scalar_mat", "w", 0, np.eye(d) / n)])
-    prog.set_objective([("lin", "w", [0], [-1.0])])
+                                   ("scalar_mat", "w+", 0, np.eye(d) / n),
+                                   ("scalar_mat", "w-", 0, -np.eye(d) / n)])
+    prog.set_objective([("lin", "w+", [0], [-1.0]), ("lin", "w-", [0], [1.0])])
     return -whole(prog).value
 
 
@@ -233,6 +240,44 @@ def test_membership_row_matches_the_program_it_replaced():
     assert min(margins) < -dc.MEMBERSHIP_TOL and max(margins) > dc.MEMBERSHIP_TOL
 
 
+EDGE_CASES = [("jm", (2, 2), 1.0), ("jm", (2, 3), 1.0), ("jm", (6, 3), 1.0),
+              ("lhs", "werner-0", 0.5), ("local", "uniform-chsh", 1.0),
+              *(("npa", (fill, level), 4.0 * fill) for fill in (0.0, 1.0)
+                for level in (1, 2))]
+
+
+@pytest.mark.parametrize("test, arg, want", EDGE_CASES,
+                         ids=["jm-2x2", "jm-2x3", "jm-6x3", "lhs-werner-0",
+                              "local-uniform-chsh", "npa-zero-l1", "npa-zero-l2",
+                              "npa-ones-l1", "npa-ones-l2"])
+def test_membership_at_the_edge_of_the_shift(test, arg, want):
+    # where the data is the white noise (every effect 1/n, the uniform
+    # behaviour), the shifted data D - 1/n is 0, so b = 0 and the optimal
+    # t = 1 - margin = 0 sits on the boundary of its cone: the trivial
+    # sets (the m = 6 one, 729 strategies, through column generation) and
+    # the uniform CHSH behaviour have margin 1, and the Werner v = 0
+    # assemblage has lambda_min(rho_B) = 1/2; npa_optimize bounds the zero
+    # and all-ones CHSH-scenario functionals by 0 and 4, their value on
+    # every behaviour
+    member = True
+    if test == "jm":
+        m, n = arg
+        res = ic.is_jointly_measurable(
+            sc.MeasurementSet(np.broadcast_to(np.eye(2) / n, (m, n, 2, 2)).copy()))
+        value, member = res.margin, res.jointly_measurable
+    elif test == "lhs":
+        res = st.has_lhs_model(sc.steer(sc.werner(0.0), sc.paulis("XZ")))
+        value, member = res.margin, res.has_model
+    elif test == "local":
+        res = nl.is_local(sc.Behaviour(np.full((2, 2, 2, 2), 0.25)))
+        value, member = res.margin, res.local
+    else:
+        fill, level = arg
+        value, _ = npa.npa_optimize(np.full((2, 2, 2, 2), fill), (2, 2, 2, 2), level)
+    assert member
+    assert abs(value - want) <= 1e-9, value
+
+
 def test_membership_at_bennet_scale():
     # 59049 strategies, through column generation: the lossy dodecahedron
     # set just inside its incompatible region, and its singlet assemblage
@@ -246,8 +291,9 @@ def test_membership_at_bennet_scale():
     assert abs(lhs.inequality.violation - abs(lhs.margin)) <= TOL
     assert jm.witness.bound <= TOL and lhs.inequality.bound <= TOL
     # the lifted solution is a solution of the whole program
-    prog = dc.build_program("incompat", "membership", meas.effects, np.eye(2))
-    sol = dc.solve_strategies(prog, meas.effects)
+    shifted = meas.effects - np.eye(2) / meas.n
+    prog = dc.build_program("incompat", "random_robustness", shifted, np.eye(2))
+    sol = dc.solve_strategies(prog, shifted)
     assert sol.working_set < 3 ** 10
     report = verify_solution(prog, sol)
     assert report.ok(), report

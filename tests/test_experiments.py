@@ -166,6 +166,22 @@ def test_seesaw_last_round(monkeypatch, last, kept):
     assert out.restarts == 1
 
 
+@pytest.mark.parametrize("args, field", [
+    ({"restarts": 0}, "restarts: expected at least 1, got 0"),
+    ({"restarts": -2}, "restarts: expected at least 1, got -2"),
+    ({"seed": -1}, "seed: ValueError('expected non-negative integer')")],
+    ids=["restarts=0", "restarts=-2", "seed=-1"])
+def test_seesaw_refuses_a_restart_count_below_1_and_a_negative_seed(monkeypatch, args, field):
+    # refused before any solve
+    def solve(*_, **__):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(ex.nl, "nonlocality_quantifier", solve)
+    with pytest.raises(ValidationError) as info:
+        ex.seesaw_optimize(np.pi / 6, "NLR_mar", **args)
+    assert str(info.value) == field
+
+
 def test_seesaw_restarts_monotone():
     v1 = ex.seesaw_optimize(np.pi / 6, "NLR_mar", restarts=1, seed=5).value
     v3 = ex.seesaw_optimize(np.pi / 6, "NLR_mar", restarts=3, seed=5).value

@@ -95,11 +95,12 @@ def test_isotropic_threshold():
                           1 / np.sqrt(2) + 1e-3, 0.72, 0.76, 0.85, 1.0)),
     (0.8, 0.9)])
 def test_membership_is_the_marginal_row_at_a_uniform_bob_marginal(v, eta):
-    """With Bob's marginal uniform the membership row and NLR_mar's row
-    are one program but for the cone of t, so the margin is -NLR_mar
-    wherever the behaviour is nonlocal (NLR_mar keeps t >= 0 and reads 0
-    where the margin is positive).  ``eta``: Alice's X and Z lossy, with
-    a third no-click outcome."""
+    """With Bob's marginal uniform, is_local solves NLR_mar's row on the
+    table b - u, u the uniform behaviour: NLR_mar's program with its t
+    shifted by one, so t >= -1 in place of t >= 0, and the margin is
+    -NLR_mar wherever the behaviour is nonlocal (NLR_mar reads 0 where
+    the margin is positive).  ``eta``: Alice's X and Z lossy, with a
+    third no-click outcome."""
     alice = None if eta is None else sc.lossy(sc.paulis("XZ"), eta)
     beh = isotropic_chsh(v, alice)
     assert np.allclose(sc.behaviour_marginal(beh, "B"), 1 / beh.nB, atol=1e-14)
@@ -433,7 +434,7 @@ def test_nlr_c_level2_converges_on_the_criterion_4_grid():
                                      np.linspace(0.72, 1.0, 8)]))
     for v in grid:
         beh = isotropic_chsh(v)
-        prog, _ = nl.build_program("nonlocality:NLR_c:l2", "robustness", beh,
+        prog, _ = nl.build_program("nonlocality:NLR_c:l2", "robustness", beh.table,
                                    sc.behaviour_marginal(beh, "B"), 2)
         sol = prog.solve()
         assert sol.ended == "converged", (v, sol.ended)
@@ -471,7 +472,7 @@ def test_shared_npa_template_builds_the_same_programs(monkeypatch):
             monkeypatch.setattr(nl, "build_npa_block", build)
             monkeypatch.setattr(nl, "_structure", structure)
             row = ROW[nl.STEERING_KIND[nl.NonlocalityKind(kind)]]
-            prog, _ = nl.build_program(f"nonlocality:{kind}:l2", row, beh,
+            prog, _ = nl.build_program(f"nonlocality:{kind}:l2", row, beh.table,
                                        sc.behaviour_marginal(beh, "B"), 2)
             A, b, c = prog.build()
             res = nl.nonlocality_quantifier(beh, kind, level=2)

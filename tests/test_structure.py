@@ -63,18 +63,29 @@ def _run(sol):
 REFERENCES = ("identity", "random", "werner")
 
 
+def _program(name, kind, data, ref):
+    """The program of ``kind``, a KINDS row, or "membership": the
+    random_robustness row at R = 1 on the data D - 1/n, which
+    decomposition.max_margin solves whatever the reference."""
+    if kind == "membership":
+        d = data.shape[2]
+        return dc.build_program(name, "random_robustness",
+                                data - np.eye(d) / data.shape[1], np.eye(d))
+    return dc.build_program(name, kind, data, ref)
+
+
 @pytest.mark.parametrize("reference", REFERENCES)
-@pytest.mark.parametrize("kind", list(dc.KINDS))
+@pytest.mark.parametrize("kind", [*dc.KINDS, "membership"])
 def test_decomposition_programs_share_their_structure(kind, reference, monkeypatch):
     data, ref = _grid(reference, 1)
-    prog = dc.build_program("p1", kind, data, ref)
-    other = dc.build_program("p2", kind, *_grid(reference, 2))
+    prog = _program("p1", kind, data, ref)
+    other = _program("p2", kind, *_grid(reference, 2))
     assert other._base is prog._base
     for arr in (data, ref):
         assert not np.shares_memory(prog.rhs(), arr)
     with monkeypatch.context() as mp:
         mp.setattr(dc, "_structure", dc._structure.__wrapped__)
-        fresh = dc.build_program("p1", kind, data, ref)
+        fresh = _program("p1", kind, data, ref)
     assert fresh._base is not prog._base
     assert _bytes(fresh) == _bytes(prog)
     # a solve leaves the structure as it found it
@@ -129,13 +140,13 @@ def test_nonlocality_programs_share_their_structure(level, nA, monkeypatch):
     for kind in nl.NonlocalityKind:
         row = ROW[nl.STEERING_KIND[kind]]
         name = f"nonlocality:{kind.value}"
-        prog, _ = nl.build_program(name, row, beh, sc.behaviour_marginal(beh, "B"), level)
-        prog2, _ = nl.build_program(name, row, other, sc.behaviour_marginal(other, "B"),
+        prog, _ = nl.build_program(name, row, beh.table, sc.behaviour_marginal(beh, "B"), level)
+        prog2, _ = nl.build_program(name, row, other.table, sc.behaviour_marginal(other, "B"),
                                     level)
         assert prog2._base is prog._base
         with monkeypatch.context() as mp:
             mp.setattr(nl, "_structure", nl._structure.__wrapped__)
-            fresh, _ = nl.build_program(name, row, beh, sc.behaviour_marginal(beh, "B"),
+            fresh, _ = nl.build_program(name, row, beh.table, sc.behaviour_marginal(beh, "B"),
                                         level)
         assert fresh._base is not prog._base
         assert _bytes(fresh) == _bytes(prog), kind
@@ -149,7 +160,7 @@ def test_structure_arrays_are_read_only():
     data, ref = _grid("random", 1)
     beh = _behaviour(np.random.default_rng(3), 2)
     progs = [dc.build_program("p", kind, data, ref) for kind in dc.KINDS]
-    progs += [nl.build_program("p", ROW[nl.STEERING_KIND[kind]], beh,
+    progs += [nl.build_program("p", ROW[nl.STEERING_KIND[kind]], beh.table,
                                sc.behaviour_marginal(beh, "B"), 2)[0]
               for kind in nl.NonlocalityKind]
     for prog in progs:
