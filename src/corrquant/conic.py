@@ -71,23 +71,35 @@ scalars' share of the row scale and divides the rows by it, so a
 program's iterates are the same to the last bit whether its plan is new
 or shared.
 
-The iteration's products As v and As^T y and its dense Schur complement
-As Phi As^T (Phi is the NT scaling) read the row-equilibrated As held in
-two parts, and no sparse product runs inside the loop (the design of
-ECOS, Domahidi, Chu & Boyd, ECC 2013).  The columns are ordered 2x2
-Hermitian families, then other matrix families, then scalars, so:
+Each iteration solves its Newton system in the NT-scaled space
+(Vandenberghe, "The CVXOPT linear and quadratic cone program solvers",
+2010; :class:`_Newton`).  With W the NT scaling, it maps the held As once
+to Abar = As W, factors M = Abar Abar^T = As W W^T As^T, and solves both
+Mehrotra directions for the scaled steps dxbar = W^-1 dx and
+dsbar = W^T ds, with dxbar + dsbar the cones' centering.  The step
+length, the affine mu and the corrector read the scaled steps and the
+scaled point lam = W^-1 x = W^T s; only the step taken leaves the
+scaled space, as dx = W dxbar and ds = c dtau - eta r_x - As^T dy.  So
+an iteration applies W three times: to the rows of As, to c and the dual
+residual r_x stacked, and to dxbar.
+
+The products read the row-equilibrated As held in two parts, and no
+sparse product runs inside the loop (the design of ECOS, Domahidi, Chu &
+Boyd, ECC 2013).  The columns are ordered 2x2 Hermitian families, then
+other matrix families, then scalars, so:
 
 * The 2x2 Hermitian families are one Lorentz cone, which applies its
   own columns: its products are P (U X) and U^T (y P) over its U (4
-  touches x (rows + blocks) multiplies), and its Schur term is formed on
-  its rows from each family's stacked rows (their touches and
-  functionals), with no product by P.
+  touches x (rows + blocks) multiplies), W applied before and W^T after
+  them in the scaled space, and its Schur term is formed on its rows
+  from each family's stacked rows (their touches and functionals), with
+  no product by P.
 * Every other column (the noise weight, the LP weights, the NPA moment
   block, blocks with d >= 3) is one dense array over all rows, in the
   cones' coordinates: U[owner] (x) F per stacked row, the matrix
   columns formed once per structure and the scalar ones per solve, over
-  the row scale.  A product is one gemv, and its Schur term is
-  (Phi A) A^T, each cone's Phi applied to the rows of A.
+  the row scale.  A product is one gemv; each iteration maps every row
+  of the array by W^T, and its Schur term is Abar Abar^T.
 
 Each product and the Schur complement is the Lorentz cone's term plus
 the array's.  When one product with a dense As (rows x columns
@@ -100,9 +112,9 @@ many strategy blocks keep the Lorentz cone's own columns, and the NPA
 and linear programs, which have no 2x2 family, are the array alone.
 The Lorentz cone's closed-form kernels run once per iteration over all
 its blocks either way.  An iteration factors the Schur complement with
-one dpotrf and applies As and As^T four times each: once for its
-residuals, three times for its two directions (As^T dy is summed from
-the products that formed dx).
+one dpotrf; it applies As and As^T once each for its residuals, Abar and
+Abar^T three times each for its two directions (Abar^T u2 serves both),
+and As^T once more for the ds it takes.
 """
 
 from __future__ import annotations
@@ -789,22 +801,24 @@ def duals_to_vec(prog: ConicProgram, duals: dict) -> np.ndarray:
 # other matrix family as a cone and the scalars as one orthant, each on its
 # slice ``sl`` of the iterate, in the cone's coordinates (:func:`_cone_coords`),
 # with its unit ``unit``.  ``scale(x, s)`` sets the NT scaling W at an
-# iterate; the other methods work in its scaled space, where
-# lam = W^-1 x = W^T s:
+# iterate and its scaled point ``lam`` = W^-1 x = W^T s.  The scaled space
+# holds flat slices in the same coordinates as the iterate, and the other
+# methods work in it:
 #
-#   phi(v)             Phi v = W W^T v, on the slice (and on v's last axis)
-#   to_scaled(dx, ds)  (W^-1 dx, W^T ds)
+#   to_scaled(v)       W^T v, on v's last axis (batched over leading axes)
 #   from_scaled(d)     W d, on the slice
-#   center(smu, corr)  d with lam o d = smu e - lam o lam - corr, where o is
-#                      the Jordan product that makes X o S = mu e central
+#   center(smu, corr)  d with lam o d = smu unit o unit - lam o lam - corr,
+#                      where o is the Jordan product: X o S = mu unit o unit
+#                      on the central path
 #   product(a, b)      a o b
 #   max_steps(a, b)    largest alpha with lam + alpha a and lam + alpha b
 #                      both in the cone: one kernel call on a and b stacked
 #
 # ``scale()`` also stores every quantity of the scaling that these kernels
-# would otherwise recompute on each call (w^2, J v, lam o lam, R^H, ...),
-# computed as they computed it, so each runs once per iteration.  The
-# columns of As are held apart from the kernels (:class:`_Plan`).
+# would otherwise recompute on each call (J v, lam o lam, 1/|lam|, ...), so
+# each runs once per iteration.  The columns of As are held apart from the
+# kernels (:class:`_Plan`); an iteration maps them by W once
+# (:func:`_scale`).
 
 def _min_step(lmin) -> float:
     """Largest alpha with 1 + alpha * lmin >= 0 for every entry."""
@@ -847,13 +861,10 @@ class _Nonneg:
         x, s = x[self.sl], s[self.sl]
         self.w = np.sqrt(x / s)
         self.lam = np.sqrt(x * s)
-        self.w2, self.lam2 = self.w ** 2, self.lam ** 2
+        self.lam2 = self.lam ** 2
 
-    def phi(self, v):
-        return v * self.w2
-
-    def to_scaled(self, dx, ds):
-        return dx / self.w, ds * self.w
+    def to_scaled(self, v):
+        return v * self.w
 
     def from_scaled(self, d):
         return d * self.w
@@ -1034,42 +1045,39 @@ class _Lorentz:
         u[:, 0] += 1
         u /= np.sqrt(2 * u[:, :1])
         lnorm = np.sqrt(nx * ns)
-        self.lam = lam * lnorm[:, None]
-        self.lam_sq, self.lnorm_sq = _jordan(self.lam, self.lam), lnorm ** 2
+        self.lam4 = lam * lnorm[:, None]
+        self.lam = self.lam4.ravel()
+        self.lam_sq, self.lnorm_sq = _jordan(self.lam4, self.lam4).ravel(), lnorm ** 2
         self.beta, self.v, self.w = np.sqrt(nx / ns), v, w
-        self.beta2, self.beta_inv, self.vj = self.beta ** 2, 1 / self.beta, v * _JSIGN
+        self.beta2 = self.beta ** 2
         # u and 1/|lam| twice over: max_steps stacks its two operands
         self.u2 = np.concatenate([u, u])
         self.linv2 = np.concatenate([1 / lnorm] * 2)
 
-    def phi(self, z):
-        # Phi = W^2 = beta^2 (2 w w^T - J), on z's last axis
-        return _hyperbolic(self.w, z.reshape(z.shape[:-1] + (-1, 4)),
-                           self.beta2).reshape(z.shape)
-
-    def to_scaled(self, dx, ds):
-        return (_hyperbolic(self.vj, dx.reshape(-1, 4), self.beta_inv),
-                _hyperbolic(self.v, ds.reshape(-1, 4), self.beta))
+    def to_scaled(self, v):
+        # W = beta (2 v v^T - J) is symmetric: W^T v = W v
+        return _hyperbolic(self.v, v.reshape(v.shape[:-1] + (-1, 4)),
+                           self.beta).reshape(v.shape)
 
     def from_scaled(self, d):
-        return _hyperbolic(self.v, d, self.beta).ravel()
+        return self.to_scaled(d)
 
     def center(self, smu, corr):
-        r = -self.lam_sq - corr
+        r = (-self.lam_sq - corr).reshape(-1, 4)
         r[:, 0] += 2 * smu
-        lam = self.lam
+        lam = self.lam4
         d = np.empty_like(r)
         d[:, 0] = ((lam[:, 0] * r[:, 0] - np.einsum("ij,ij->i", lam[:, 1:], r[:, 1:]))
                    / self.lnorm_sq)
         d[:, 1:] = (r[:, 1:] - d[:, :1] * lam[:, 1:]) / lam[:, :1]
-        return d
+        return d.ravel()
 
     def product(self, a, b):
-        return _jordan(a, b)
+        return _jordan(a.reshape(-1, 4), b.reshape(-1, 4)).ravel()
 
     def max_steps(self, a, b):
         # P(lam^-1/2) d, d = a and b stacked
-        rho = _hyperbolic(self.u2, np.concatenate([a, b]), self.linv2)
+        rho = _hyperbolic(self.u2, np.concatenate([a, b]).reshape(-1, 4), self.linv2)
         return _min_step(rho[:, 0] - np.sqrt(np.einsum("ij,ij->i", rho[:, 1:],
                                                        rho[:, 1:])))
 
@@ -1093,12 +1101,23 @@ class _Lorentz:
 
 class _Matrix:
     """Real symmetric or complex Hermitian PSD blocks as matrices, with the
-    NT scaling R^-1 X R^-H = R^H S R = Lam (diagonal) from the Cholesky
-    factors of X and S and an SVD; the scaled space holds matrices in the
-    eigenbasis of the scaled point, and the Jordan product is (AB+BA)/2."""
+    NT scaling W: D -> R D R^H, where R^-1 X R^-H = R^H S R = Lam (diagonal)
+    from the Cholesky factors of X and S and an SVD.  The scaled space holds
+    the blocks' coordinates (:meth:`_Family.coords`) of matrices in the
+    eigenbasis of the scaled point, and the Jordan product is (AB+BA)/2.
+    There lam o d scales coordinate (i, j) of d by (lam_i + lam_j)/2, so
+    centering is one division of coordinates."""
 
     def __init__(self, fam, unit):
         self.fam, self.sl, self.unit = fam, slice(fam.offset, fam.offset + fam.width), unit
+        # the matrix entry (i, j) that each block coordinate reads
+        if fam.kind == "herm":
+            iu, ju = _offdiag_index(fam.dim)
+            diag = np.arange(fam.dim)
+            self.ci, self.cj = np.concatenate([diag, iu, iu]), np.concatenate([diag, ju, ju])
+        else:
+            self.ci, self.cj, _ = _svec_index(fam.dim)
+        self.on_diag = self.ci == self.cj
 
     def _mats(self, v):
         fam = self.fam
@@ -1113,36 +1132,29 @@ class _Matrix:
         U, sig, Vh = np.linalg.svd(_herm_t(Ls) @ Lx)
         r = 1.0 / np.sqrt(sig)
         self.R = Lx @ _herm_t(Vh) * r[:, None, :]
-        self.Rinv = r[:, :, None] * _herm_t(U) @ _herm_t(Ls)
-        self.RH, self.RinvH = _herm_t(self.R), _herm_t(self.Rinv)
-        self.G = self.R @ self.RH
-        self.lam = sig
+        self.RH = _herm_t(self.R)
+        self.lam = np.where(self.on_diag, sig[:, self.ci], 0.0).ravel()
+        self.lam2 = self.lam ** 2
+        self.lsum = ((sig[:, self.ci] + sig[:, self.cj]) / 2).ravel()
         # r = lam^-1/2, twice over: max_steps stacks its two operands
         self.r2 = np.concatenate([r, r])
 
-    def phi(self, z):
-        return self._vec(self.G @ self._mats(z) @ self.G)
-
-    def to_scaled(self, dx, ds):
-        return (self.Rinv @ self._mats(dx) @ self.RinvH,
-                self.RH @ self._mats(ds) @ self.R)
+    def to_scaled(self, v):
+        return self._vec(self.RH @ self._mats(v) @ self.R)
 
     def from_scaled(self, d):
-        return self._vec(self.R @ d @ self.RH)
+        return self._vec(self.R @ self._mats(d) @ self.RH)
 
     def center(self, smu, corr):
-        lam = self.lam
-        rhs = np.zeros(lam.shape + lam.shape[-1:], dtype=self.R.dtype)
-        di = np.arange(lam.shape[-1])
-        rhs[:, di, di] = smu - lam ** 2
-        return (rhs - corr) / ((lam[:, :, None] + lam[:, None, :]) / 2)
+        return (smu * self.unit - self.lam2 - corr) / self.lsum
 
     def product(self, a, b):
-        return (a @ b + b @ a) / 2
+        a, b = self._mats(a), self._mats(b)
+        return self._vec((a @ b + b @ a) / 2)
 
     def max_steps(self, a, b):
         r = self.r2
-        d = np.concatenate([a, b])
+        d = self._mats(np.stack([a, b])).reshape(r.shape + r.shape[-1:])
         return _min_step(np.linalg.eigvalsh(d * r[:, :, None] * r[:, None, :])[:, 0])
 
 
@@ -1233,7 +1245,8 @@ class _Cones(list):
     """A program's cones, in column order, and its As in the cones'
     coordinates: ``lorentz``, the Lorentz cone when it applies its own
     columns (else None), and ``A``, every other column (columns ``sl``) as
-    one dense array."""
+    one dense array.  :func:`_scale` adds ``Abar``, that array mapped by
+    the current scaling: As W on columns ``sl``."""
 
 
 def _cones(prog):
@@ -1286,20 +1299,60 @@ def _rmatvec(cones, y):
     return out
 
 
-def _phi(cones, v, start=0):
-    """Phi v, on v's last axis, which holds the columns from ``start`` on."""
+def _to_scaled(cones, v, start=0):
+    """W^T v, on v's last axis, which holds the columns from ``start`` on."""
     out = np.empty_like(v)
     for g in cones:
         if g.sl.start >= start:
             sl = slice(g.sl.start - start, g.sl.stop - start)
-            out[..., sl] = g.phi(v[..., sl])
+            out[..., sl] = g.to_scaled(v[..., sl])
     return out
 
 
-def _schur_complement(cones) -> np.ndarray:
-    """As Phi As^T (Phi = W W^T): (Phi A) A^T of the dense array A, Phi
-    applied to its rows, plus the held Lorentz cone's term."""
-    M = _phi(cones, cones.A, cones.sl.start) @ cones.A.T
+def _from_scaled(cones, d):
+    """W d, cone by cone."""
+    out = np.empty_like(d)
+    for g in cones:
+        out[g.sl] = g.from_scaled(d[g.sl])
+    return out
+
+
+def _scale(cones, x, s):
+    """Set every cone's NT scaling W at (x, s) and map the dense array's
+    rows by W^T once, to ``cones.Abar`` = As W on its columns; return the
+    scaled point lam = W^-1 x = W^T s."""
+    lam = np.empty_like(x)
+    for g in cones:
+        g.scale(x, s)
+        lam[g.sl] = g.lam
+    cones.Abar = _to_scaled(cones, cones.A, cones.sl.start)
+    return lam
+
+
+def _scaled_matvec(cones, v):
+    """Abar v = As W v: the scaled array's term plus the held Lorentz cone's,
+    which applies W before its own columns."""
+    out = cones.Abar @ v[cones.sl]
+    g = cones.lorentz
+    if g is not None:
+        out[g.rows] += g.matvec(g.from_scaled(v[g.sl]))
+    return out
+
+
+def _scaled_rmatvec(cones, u):
+    """Abar^T u = W^T As^T u: the held Lorentz cone's columns, then W^T,
+    then the scaled array's term."""
+    out = u @ cones.Abar
+    g = cones.lorentz
+    if g is not None:
+        out = np.concatenate([g.to_scaled(g.rmatvec(u)), out])
+    return out
+
+
+def _schur(cones) -> np.ndarray:
+    """M = Abar Abar^T = As Phi As^T (Phi = W W^T): the scaled array's
+    term plus the held Lorentz cone's."""
+    M = cones.Abar @ cones.Abar.T
     if cones.lorentz is not None:
         M[cones.lorentz.square] += cones.lorentz.schur()
     return (M + M.T) / 2
@@ -1356,6 +1409,68 @@ def _start(cones, bs, n):
     norm2 = ae @ ae
     alpha = min(1.0, max(1e-2, (bs @ ae) / norm2)) if norm2 > 0 else 1.0
     return alpha * e, e
+
+
+class _Newton:
+    """One iteration's Newton system of the HSD equations, solved in the
+    NT-scaled space of the cones' current scaling (:func:`_scale`).  In
+    the scaled steps dxbar = W^-1 dx and dsbar = W^T ds the equations read
+
+        Abar dxbar - bs dtau              = -eta ry
+        Abar^T dy + dsbar - cbar dtau     = -eta rxbar
+        cbar^T dxbar - bs^T dy + dkappa   = -eta rz
+        dxbar + dsbar                     = q
+        tau dkappa + kappa dtau           = sigma mu - tau kappa - corr_tk
+
+    with cbar = W^T c, rxbar = W^T rx, and q the cones' centering of
+    lam o (dxbar + dsbar) = sigma mu unit o unit - lam o lam - corr.  So dy is
+    u1 + dtau u2 over M = Abar Abar^T, and dtau comes from the third
+    equation (Vandenberghe, "The CVXOPT linear and quadratic cone program
+    solvers", 2010).  The right-hand side of u2 and its products with
+    Abar^T are shared by both directions of the iteration."""
+
+    def __init__(self, cones, L, M, c, bs, ry, rx, rz, mu, tau, kappa):
+        self.cones, self.L, self.M, self.bs = cones, L, M, bs
+        self.ry, self.rz, self.mu, self.tau, self.kappa = ry, rz, mu, tau, kappa
+        # one W^T call for c and the dual residual stacked
+        self.cbar, self.rxbar = _to_scaled(cones, np.stack([c, rx]))
+        self.u2 = _cho_solve_refined(L, M, _scaled_matvec(cones, self.cbar) + bs)
+        self.t2 = _scaled_rmatvec(cones, self.u2)
+        self.p2 = self.t2 - self.cbar
+        self.den = self.cbar @ self.p2 - bs @ self.u2 - kappa / tau
+
+    def direction(self, eta, sigma, corr, corr_tk):
+        """(dxbar, dy, dsbar, dtau, dkappa) at centring weight ``sigma``,
+        residual weight ``eta`` and correctors ``corr`` (one per cone, in
+        its scaled space) and ``corr_tk``."""
+        cones, mu, tau, kappa = self.cones, self.mu, self.tau, self.kappa
+        v = np.empty_like(self.cbar)
+        for g, cg in zip(cones, corr):
+            v[g.sl] = g.center(sigma * mu, cg)
+        v += eta * self.rxbar
+        rhs_tk = sigma * mu - tau * kappa - corr_tk
+        u1 = _cho_solve_refined(self.L, self.M, -eta * self.ry - _scaled_matvec(cones, v))
+        t1 = _scaled_rmatvec(cones, u1)
+        p1 = v + t1
+        if abs(self.den) < 1e-300:
+            raise FloatingPointError("singular tau equation")
+        dtau = (-eta * self.rz - self.cbar @ p1 + self.bs @ u1 - rhs_tk / tau) / self.den
+        dy = u1 + dtau * self.u2
+        dx = p1 + dtau * self.p2
+        ds = self.cbar * dtau - eta * self.rxbar - t1 - dtau * self.t2
+        dkappa = (rhs_tk - kappa * dtau) / tau
+        return dx, dy, ds, dtau, dkappa
+
+    def max_step(self, step):
+        """The largest alpha that keeps every cone, tau and kappa feasible
+        along the scaled direction ``step`` (the form of :meth:`direction`)."""
+        dx, _, ds, dtau, dkappa = step
+        amax = min(g.max_steps(dx[g.sl], ds[g.sl]) for g in self.cones)
+        if dtau < 0:
+            amax = min(amax, -self.tau / dtau)
+        if dkappa < 0:
+            amax = min(amax, -self.kappa / dkappa)
+        return amax
 
 
 def _solve_hsd(prog: ConicProgram):
@@ -1435,74 +1550,37 @@ def _solve_hsd(prog: ConicProgram):
             break
 
         try:
-            for g in cones:
-                g.scale(x, s)
+            lam = _scale(cones, x, s)
         except np.linalg.LinAlgError:
             ended = "iterate left the cone"
             break
-        M = _schur_complement(cones)
+        M = _schur(cones)
         Lm = _chol_reg(M)
         if Lm is None:
             ended = "Schur complement not positive definite"
             break
-        phic = _phi(cones, c)
-        phirx = _phi(cones, rx)
-        u2 = _cho_solve_refined(Lm, M, _matvec(cones, phic) + bs)
-        t2 = _rmatvec(cones, u2)
-        p2 = _phi(cones, t2) - phic
-        den = c @ p2 - bs @ u2 - kappa / tau
-
-        def direction(eta, sigma, corr, corr_tk):
-            # As^T dy = t1 + dtau t2, both products formed for dx
-            v = np.empty(n)
-            for g, cg in zip(cones, corr):
-                v[g.sl] = g.from_scaled(g.center(sigma * mu, cg))
-            v += eta * phirx
-            rhs_tk = sigma * mu - tau * kappa - corr_tk
-            u1 = _cho_solve_refined(Lm, M, -eta * ry - _matvec(cones, v))
-            t1 = _rmatvec(cones, u1)
-            p1 = v + _phi(cones, t1)
-            if abs(den) < 1e-300:
-                raise FloatingPointError("singular tau equation")
-            dtau = (-eta * rz - c @ p1 + bs @ u1 - rhs_tk / tau) / den
-            dy = u1 + dtau * u2
-            dx = p1 + dtau * p2
-            ds = c * dtau - eta * rx - t1 - dtau * t2
-            dkappa = (rhs_tk - kappa * dtau) / tau
-            return dx, dy, ds, dtau, dkappa
-
-        def step_bound(dx, ds, dtau, dkappa):
-            """Scaled steps per cone and the largest feasible alpha, for the ds
-            applied: W^T ds taken as d - W^-1 dx let iterates leave the cone."""
-            steps = [g.to_scaled(dx[g.sl], ds[g.sl]) for g in cones]
-            amax = min(g.max_steps(a, b) for g, (a, b) in zip(cones, steps))
-            if dtau < 0:
-                amax = min(amax, -tau / dtau)
-            if dkappa < 0:
-                amax = min(amax, -kappa / dkappa)
-            return steps, amax
-
+        newton = _Newton(cones, Lm, M, c, bs, ry, rx, rz, mu, tau, kappa)
         try:
-            dxa, dya, dsa, dta, dka = direction(1.0, 0.0, [0.0] * len(cones), 0.0)
-            steps, amax = step_bound(dxa, dsa, dta, dka)
-            aaff = min(1.0, amax)
-            mua = ((x + aaff * dxa) @ (s + aaff * dsa)
+            pred = newton.direction(1.0, 0.0, [0.0] * len(cones), 0.0)
+            dxa, _, dsa, dta, dka = pred
+            aaff = min(1.0, newton.max_step(pred))
+            mua = ((lam + aaff * dxa) @ (lam + aaff * dsa)
                    + (tau + aaff * dta) * (kappa + aaff * dka)) / (degree + 1)
             sigma = min(1.0, max(0.0, mua / mu)) ** 3
-            corr = [g.product(a, b) for g, (a, b) in zip(cones, steps)]
-            dx, dy, ds, dt, dk = direction(1.0 - sigma, sigma, corr, dta * dka)
+            corr = [g.product(dxa[g.sl], dsa[g.sl]) for g in cones]
+            step = newton.direction(1.0 - sigma, sigma, corr, dta * dka)
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             ended = f"direction failed ({exc})"
             break
 
-        _, amax = step_bound(dx, ds, dt, dk)
-        alpha = min(1.0, _step_fraction(sigma, aaff) * amax)
+        alpha = min(1.0, _step_fraction(sigma, aaff) * newton.max_step(step))
         if alpha <= 1e-13:
             ended = "step length below 1e-13"
             break
-        x = x + alpha * dx
+        dx, dy, _, dt, dk = step
+        x = x + alpha * _from_scaled(cones, dx)
+        s = s + alpha * (c * dt - (1.0 - sigma) * rx - _rmatvec(cones, dy))
         y = y + alpha * dy
-        s = s + alpha * ds
         tau += alpha * dt
         kappa += alpha * dk
 

@@ -15,15 +15,21 @@ from corrquant import nonlocality as nl
 from corrquant.conic import (
     ConicProgram,
     _Lorentz,
+    _Newton,
+    _chol_reg,
     _cone_coords,
     _cones,
+    _from_scaled,
     _jnorm,
     _matvec,
-    _phi,
     _primal_to_vec,
     _rmatvec,
-    _schur_complement,
+    _scale,
+    _scaled_matvec,
+    _scaled_rmatvec,
+    _schur,
     _start,
+    _to_scaled,
     hermitian_coords,
     hermitian_from_coords,
     smat,
@@ -349,14 +355,17 @@ def test_endgame_is_superlinear():
 
 @pytest.mark.parametrize("program", ["XZ", "ladder"])
 def test_a_step_applies_as_four_times_each_way(monkeypatch, program):
-    """A step applies As and As^T four times each: once each for its
-    residuals, and three times each for its directions, between the Schur
-    complement and the step length.  A solve adds one As for the start, and
-    the stopping checks reuse the residuals' products, so outside the steps
-    a solve applies As exactly 1 + iterations times and As^T exactly
-    iterations times.  So it does with the Lorentz cone folded into the
-    dense array (the XZ robustness program) and applying its own columns
-    (the restricted m = 6 ladder program)."""
+    """A step applies As or its scaled form Abar = As W four times, and
+    their transposes five times.  Between the scaling, which forms Abar,
+    and the step length it applies Abar and Abar^T three times each for its
+    two directions (Abar^T u2 is shared by both) and no As; before it, As x
+    and As^T y once each for its residuals; after it, As^T dy once for the
+    dual step.  A solve adds one As for the start, and the stopping checks
+    reuse the residuals' products, so outside the steps a solve applies As
+    exactly 1 + iterations times and As^T exactly 2 iterations - 1 times.
+    So it does with the Lorentz cone folded into the dense array (the XZ
+    robustness program) and applying its own columns (the restricted m = 6
+    ladder program)."""
     prog = (build_program("incompat", "robustness", scenario.paulis("XZ").effects,
                           np.eye(2)) if program == "XZ" else _ladder_program())
     assert (_cones(prog)[0].lorentz is None) == (program == "XZ")
@@ -368,13 +377,14 @@ def test_a_step_applies_as_four_times_each_way(monkeypatch, program):
             return real(*args)
         return counted
 
-    for name in ("_matvec", "_rmatvec", "_schur_complement", "_step_fraction"):
+    for name in ("_matvec", "_rmatvec", "_scaled_matvec", "_scaled_rmatvec", "_scale",
+                 "_step_fraction"):
         monkeypatch.setattr(conic, name, spy(name, getattr(conic, name)))
     sol = prog.solve()
     assert sol.ended == "converged"
     steps, outside, window = [], [], None
     for name in events:
-        if name == "_schur_complement":
+        if name == "_scale":
             window = []
         elif name == "_step_fraction":
             steps.append(window)
@@ -383,10 +393,11 @@ def test_a_step_applies_as_four_times_each_way(monkeypatch, program):
             (outside if window is None else window).append(name)
     assert len(steps) == sol.iterations - 1
     for window in steps:
-        assert window.count("_matvec") == 3 and window.count("_rmatvec") == 3
-    # the start's As e, then each iteration's residuals
+        assert sorted(window) == ["_scaled_matvec"] * 3 + ["_scaled_rmatvec"] * 3
+    # the start's As e, then each iteration's residuals, then each step's As^T dy
     assert outside.count("_matvec") == 1 + sol.iterations
-    assert outside.count("_rmatvec") == sol.iterations
+    assert outside.count("_rmatvec") == 2 * sol.iterations - 1
+    assert len(outside) == 3 * sol.iterations
 
 
 def test_step_fraction_rule():
@@ -703,9 +714,9 @@ def _schur_program(name):
 
 
 def _interior_point(prog, rng):
-    """Random x, s inside the cone of ``prog``, its cones, and As = A / drow
-    at the solver's own row scale drow.  x and s are in the cones'
-    coordinates (``_cone_coords``), As in the families'."""
+    """Random x, s inside the cone of ``prog``, its cones scaled at (x, s),
+    and As = A / drow at the solver's own row scale drow.  x and s are in
+    the cones' coordinates (``_cone_coords``), As in the families'."""
     A = prog.build()[0]
     fams = prog.families.values()
     lp_width = sum(f.width for f in fams if f.kind == "nonneg")
@@ -723,8 +734,7 @@ def _interior_point(prog, rng):
     cones, drow = _cones(prog)
     As = (sp.diags(1.0 / drow) @ A).tocsr()
     x, s = _cone_coords(cones, x), _cone_coords(cones, s)
-    for g in cones:
-        g.scale(x, s)
+    _scale(cones, x, s)
     return As, x, s, cones
 
 
@@ -769,6 +779,11 @@ def test_column_products_are_a_slice_of_a_transpose_y(name, families):
         assert _close(got, fam.part(A.T @ y))
 
 
+def _dense_scaling(cones, n):
+    """W as a dense n x n matrix, column j the cones' W of unit vector j."""
+    return np.array([_from_scaled(cones, e) for e in np.eye(n)]).T
+
+
 @pytest.mark.parametrize("name", SCHUR_PROGRAMS)
 def test_structured_schur_matches_dense_product(name):
     prog = _schur_program(name)
@@ -780,23 +795,27 @@ def test_structured_schur_matches_dense_product(name):
     if name == "ladder":
         assert [(type(g).__name__, g.sl.stop - g.sl.start) for g in cones] == [
             ("_Lorentz", 4 * 274), ("_Nonneg", 1)]
-    M = _schur_complement(cones)
-    # reference: As Phi As^T with Phi applied to each dense row of As,
-    # each row read in the cones' coordinates
+    # reference: As Phi As^T with Phi = W W^T formed densely, each row of As
+    # read in the cones' coordinates; W^T maps rows of the identity to W
+    n = As.shape[1]
     Ad = np.array([_cone_coords(cones, row) for row in As.toarray()])
-    ref = Ad @ np.array([_phi(cones, row) for row in Ad]).T
-    assert _close(M, ref)
+    W = _dense_scaling(cones, n)
+    assert _close(_to_scaled(cones, np.eye(n)), W)
+    AW = Ad @ W
+    assert _close(_schur(cones), Ad @ (W @ W.T) @ Ad.T)
     # the rule's side, and the dense array is that reference As on its
-    # columns: all of them when the Lorentz cone is folded in
+    # columns (all of them when the Lorentz cone is folded in), and its
+    # scaled form Abar is As W there
     assert (cones.lorentz is None) == (name in DENSE_SIDE)
-    assert cones.sl.stop == As.shape[1]
+    assert cones.sl.stop == n
     assert cones.sl.start == (0 if cones.lorentz is None else cones.lorentz.sl.stop)
     assert cones.A.shape == Ad[:, cones.sl].shape and _close(cones.A, Ad[:, cones.sl])
+    assert _close(cones.Abar, AW[:, cones.sl])
     # the held Lorentz cone's products with its own columns, zero off its
-    # rows, and the operator As assembles, against the CSR As: v enters
-    # and As^T y leaves through the coordinate map
+    # rows, and the operators As and Abar assemble, against the CSR As: v
+    # enters and As^T y leaves through the coordinate map
     rng = np.random.default_rng(14)
-    v, y = rng.normal(size=As.shape[1]), rng.normal(size=As.shape[0])
+    v, y = rng.normal(size=n), rng.normal(size=As.shape[0])
     vc, aty = _cone_coords(cones, v), _cone_coords(cones, As.T @ y)
     g = cones.lorentz
     if g is not None:
@@ -806,6 +825,61 @@ def test_structured_schur_matches_dense_product(name):
         assert _close(g.rmatvec(y), aty[g.sl])
     assert _close(_matvec(cones, vc), As @ v)
     assert _close(_cone_coords(cones, _rmatvec(cones, y)), As.T @ y)
+    assert _close(_scaled_matvec(cones, v), AW @ v)
+    assert _close(_scaled_rmatvec(cones, y), AW.T @ y)
+
+
+@pytest.mark.parametrize("name", SCHUR_PROGRAMS)
+def test_direction_meets_the_linearized_hsd_equations(name):
+    """Both directions of a step, solved in the scaled space and mapped
+    back (dx = W dxbar, ds the dual step As^T dy + ds = c dtau - eta rx
+    applies), meet the linearized homogeneous self-dual equations with the
+    dense As, to 1e-10 of their terms:
+
+        As dx - bs dtau = -eta ry,   c^T dx - bs^T dy + dkappa = -eta rz,
+        lam o (W^-1 dx + W^T ds) = sigma mu unit o unit - lam o lam - corr,
+        tau dkappa + kappa dtau = sigma mu - tau kappa - corr_tk,
+
+    at a random interior point with random y, tau, kappa, c and bs, for the
+    predictor and for a corrector on its Mehrotra products."""
+    prog = _schur_program(name)
+    rng = np.random.default_rng(17)
+    As, x, s, cones = _interior_point(prog, rng)
+    n = As.shape[1]
+    Ad = np.array([_cone_coords(cones, row) for row in As.toarray()])
+    y, c, bs = rng.normal(size=As.shape[0]), rng.normal(size=n), rng.normal(size=As.shape[0])
+    tau, kappa = rng.uniform(0.5, 2.0, 2)
+    lam = _scale(cones, x, s)
+    degree = sum(g.unit @ g.unit for g in cones)
+    mu = (x @ s + tau * kappa) / (degree + 1)
+    ry, rx = Ad @ x - bs * tau, Ad.T @ y + s - c * tau
+    rz = c @ x - bs @ y + kappa
+    M = _schur(cones)
+    newton = _Newton(cones, _chol_reg(M), M, c, bs, ry, rx, rz, mu, tau, kappa)
+
+    def near(got, want, *terms):
+        size = max(np.max(np.abs(np.atleast_1d(term)), initial=0.0) for term in terms)
+        return np.max(np.abs(np.atleast_1d(got - want))) <= 1e-10 * max(size, 1e-300)
+
+    pred = newton.direction(1.0, 0.0, [0.0] * len(cones), 0.0)
+    corr = [g.product(pred[0][g.sl], pred[2][g.sl]) for g in cones]
+    for eta, sigma, cs, corr_tk in ((1.0, 0.0, [0.0] * len(cones), 0.0),
+                                    (0.7, 0.3, corr, pred[3] * pred[4])):
+        dxbar, dy, dsbar, dtau, dkappa = newton.direction(eta, sigma, cs, corr_tk)
+        dx = _from_scaled(cones, dxbar)
+        ds = c * dtau - eta * rx - Ad.T @ dy
+        assert near(Ad @ dx - bs * dtau, -eta * ry, Ad @ dx, bs * dtau, ry)
+        assert near(c @ dx - bs @ dy + dkappa, -eta * rz, c * dx, bs * dy, dkappa, rz)
+        assert near(tau * dkappa + kappa * dtau, sigma * mu - tau * kappa - corr_tk,
+                    tau * dkappa, kappa * dtau, mu, tau * kappa, corr_tk)
+        # the scaled dual step is the applied one, mapped by W^T
+        wds = _to_scaled(cones, ds)
+        assert near(wds, dsbar, wds)
+        for g, cg in zip(cones, cs):
+            lg = lam[g.sl]
+            got = g.product(lg, dxbar[g.sl] + wds[g.sl])
+            want = sigma * mu * g.product(g.unit, g.unit) - g.product(lg, lg) - cg
+            assert near(got, want, got, g.product(lg, lg), sigma * mu, cg)
 
 
 def test_one_lorentz_cone_and_one_dense_array():
@@ -873,33 +947,28 @@ def test_start_stays_interior_and_defined():
 
 def test_nt_scaling_kernels():
     """On every cone kind (2x2 Hermitian in closed form, 3x3 Hermitian and
-    real symmetric as matrices, scalars) the scaling maps x and s to one
-    point lam, Phi maps s to x, centering inverts lam o . at the barrier
-    degree of the block, and the step length stops on the boundary (read
-    in the families' coordinates) whichever of its two operands carries
-    the step."""
+    real symmetric as matrices, scalars) W^T maps s and W^-1 maps x to one
+    point lam (W lam = x), centering inverts lam o . at the barrier degree
+    of the block, and the step length stops on the boundary (read in the
+    families' coordinates) whichever of its two operands carries the
+    step.  The scaled space is flat coordinates on the cone's slice."""
     prog = _kernel_program()
     rng = np.random.default_rng(21)
     _, x, s, cones = _interior_point(prog, rng)
     fams = {f.offset: f for f in prog.families.values() if f.kind in ("herm", "psd")}
     for g in cones:
         fam = fams.get(g.sl.start)     # None for the scalars
-        lam, lam_s = g.to_scaled(x[g.sl], s[g.sl])
-        assert np.allclose(lam_s, lam)
+        lam = g.lam
+        assert lam.shape == (g.sl.stop - g.sl.start,)
+        assert np.allclose(g.to_scaled(s[g.sl]), lam)
         assert np.allclose(g.from_scaled(lam), x[g.sl])
-        assert np.allclose(g.phi(s[g.sl]), x[g.sl])
         assert np.allclose(g.center(0.0, 0.0), -lam)
         d = g.center(0.3, 0.0)
         degree = fam.count * fam.dim if fam else lam.size
-        assert np.isclose(np.vdot(lam, d).real,
-                          0.3 * degree - np.vdot(lam, lam).real)
+        assert np.isclose(lam @ d, 0.3 * degree - lam @ lam)
         corr = g.product(lam, d)
         assert np.allclose(g.product(lam, g.center(0.3, corr) - d), -corr)
         step = rng.normal(size=lam.shape)
-        if np.iscomplexobj(lam):
-            step = step + 1j * rng.normal(size=lam.shape)
-        if lam.ndim == 3:
-            step = step + step.conj().transpose(0, 2, 1)
         # the step bound reads both stacked operands: a zero step never binds
         alpha = g.max_steps(step, 0 * step)
         assert g.max_steps(0 * step, step) == alpha

@@ -362,3 +362,19 @@ def test_reproduce_fig3_smoke(tmp_path):
     assert rows[0] == columns
     assert [[float(x) for x in r] for r in rows[1:]] == [
         [point[c] for c in columns] for point in out["rows"]]
+
+
+def test_reproduce_fig3_at_its_defaults(tmp_path):
+    """fig3 at its default angles, restarts, seed and NPA level 2 returns,
+    and every value sits in the paper's chain: NLW_c = 1 at every angle
+    (the NLW_c see-saw programs have no strictly feasible point), and
+    NLR_c <= SR_c = IR(X, Z) = 3 - 2 sqrt2, with the see-saw's pi/16 value
+    at least its CHSH-optimal start's."""
+    out = ex.reproduce("fig3", tmp_path)
+    rows = out["rows"]
+    assert len(rows) == 7 and abs(rows[0]["theta"] - np.pi / 16) < 1e-12
+    assert rows[0]["NLR_c"] >= 0.0339
+    for point in rows:
+        assert abs(point["NLW_c"] - 1.0) <= 1e-8 and point["NLW_c"] <= 1 + 1e-9
+        assert point["NLR_c"] <= 3 - 2 * np.sqrt(2) + 1e-9
+    assert (tmp_path / "fig3.csv").is_file()

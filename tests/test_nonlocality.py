@@ -240,6 +240,15 @@ def test_nlw_c_tsirelson_is_one():
     assert abs(res2.value - 1.0) < 1e-6
 
 
+def test_nlw_c_level2_at_full_visibility_converges():
+    """The last grid point of the CHSH Werner sweep: its NLW_c level-2
+    program has no strictly feasible point (the optimum t = 1 forces every
+    local weight to 0), yet the solve ends converged at 1."""
+    res = nl.nonlocality_quantifier(isotropic_chsh(1.0), "NLW_c", level=2)
+    assert res.solution.ended == "converged"
+    assert abs(res.value - 1.0) <= 1e-8
+
+
 def test_consistency_pins_bob_marginal():
     beh = isotropic_chsh(0.95)
     pb = sc.behaviour_marginal(beh, "B")
@@ -426,9 +435,10 @@ def test_pin_party_a_model_in_input_scenario(kind):
 
 def test_nlr_c_level2_converges_on_the_criterion_4_grid():
     """Every NLR_c level-2 solve on the CHSH Werner grid of criterion 4
-    ends converged and verifies.  The step bound reads the ds the step
-    applies: W^T ds taken as d - W^-1 dx (d the scaled centring direction),
-    equal in exact arithmetic, let an iterate on this grid leave the cone."""
+    ends converged and verifies.  The step bound reads the scaled ds that
+    the step applies, c dtau - eta rx - As^T dy mapped by W^T; the scaled ds
+    taken as d - W^-1 dx (d the scaled centring direction), equal in exact
+    arithmetic, let an iterate on this grid leave the cone."""
     vth = 1 / np.sqrt(2)
     grid = np.unique(np.concatenate([np.arange(vth - 3e-3, vth + 3e-3, 5e-4),
                                      np.linspace(0.72, 1.0, 8)]))
@@ -463,8 +473,8 @@ def test_shared_npa_template_builds_the_same_programs(monkeypatch):
         tmpl.level = 1
     beh = isotropic_chsh(0.9)
     memo = nl._structure
-    # iteration bounds at 1 BLAS thread; NLW_c runs to the polish cap
-    for kind, most in (("NLW_c", 20), ("NLR_c", 15)):
+    # iteration bounds at 1 BLAS thread
+    for kind, most in (("NLW_c", 15), ("NLR_c", 15)):
         runs = []
         for build, structure in ((npa.build_npa_block, memo),
                                  (npa.build_npa_block.__wrapped__, memo.__wrapped__)):
@@ -484,4 +494,5 @@ def test_shared_npa_template_builds_the_same_programs(monkeypatch):
             sol_fresh.dobj.hex())
         assert all(x.tobytes() == y.tobytes() for x, y in
                    zip(_solution_arrays(sol), _solution_arrays(sol_fresh)))
+        assert sol.ended == "converged"
         assert sol.iterations <= most
