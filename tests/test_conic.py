@@ -779,11 +779,6 @@ def test_column_products_are_a_slice_of_a_transpose_y(name, families):
         assert _close(got, fam.part(A.T @ y))
 
 
-def _dense_scaling(cones, n):
-    """W as a dense n x n matrix, column j the cones' W of unit vector j."""
-    return np.array([_from_scaled(cones, e) for e in np.eye(n)]).T
-
-
 @pytest.mark.parametrize("name", SCHUR_PROGRAMS)
 def test_structured_schur_matches_dense_product(name):
     prog = _schur_program(name)
@@ -795,11 +790,12 @@ def test_structured_schur_matches_dense_product(name):
     if name == "ladder":
         assert [(type(g).__name__, g.sl.stop - g.sl.start) for g in cones] == [
             ("_Lorentz", 4 * 274), ("_Nonneg", 1)]
-    # reference: As Phi As^T with Phi = W W^T formed densely, each row of As
-    # read in the cones' coordinates; W^T maps rows of the identity to W
+    # reference: As Phi As^T with Phi = W W^T formed densely (column j of W
+    # the cones' W of unit vector j), each row of As read in the cones'
+    # coordinates; W^T maps rows of the identity to W
     n = As.shape[1]
     Ad = np.array([_cone_coords(cones, row) for row in As.toarray()])
-    W = _dense_scaling(cones, n)
+    W = np.array([_from_scaled(cones, e) for e in np.eye(n)]).T
     assert _close(_to_scaled(cones, np.eye(n)), W)
     AW = Ad @ W
     assert _close(_schur(cones), Ad @ (W @ W.T) @ Ad.T)
