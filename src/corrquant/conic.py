@@ -54,8 +54,9 @@ Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  One decoder,
 rows stacked, the touch owning each, and one weight row per touch,
 decoded once per family and kept.  The stack gives the row equilibration
 (max |F| times max |U| per stacked row) and its columns of As;
-pricing, :meth:`ConicProgram.restrict` and ``build()``, which assembles A
-only for verification and dumps, read the same stack.
+pricing, :meth:`ConicProgram.restrict` and :meth:`ConicProgram.triplets`
+(A's entries, which verification and dumps read, and ``build()`` makes
+one CSR matrix of for the tests) read the same stack.
 
 A program is a read-only *structure* and per-call values.  The builders
 make the structure once per program shape (:meth:`ConicProgram.share`)
@@ -544,27 +545,33 @@ class ConicProgram:
         np.add.at(z, owner, y[rows, None] * F)
         return U.T @ z
 
-    def build(self):
-        """Assemble (A, b, c), A one CSR with sorted indices, family by
-        family P kron(U, I) from the touches, for verification and dumps
-        (the solver reads the touches)."""
-        import scipy.sparse as sp   # only verification and dumps build A
+    def triplets(self):
+        """A's entries as (rows, cols, vals), read from each family's
+        touches: stacked row e puts U[owner[e], i] F[e, k] in row rows[e]
+        and coordinate k of block i (:meth:`_Family.stacked`).  An entry
+        that two touches reach is listed once for each."""
         self._freeze()
-        blocks = [sp.csr_matrix((self._nrows, 0))]   # a program may have no columns
-        for fam in sorted(self._families.values(), key=lambda f: f.offset):
+        parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+        for fam in self._families.values():
             rows, F, owner, U = fam.stacked()
             e, k = np.nonzero(F)
-            P = sp.csr_matrix((F[e, k], (rows[e], owner[e] * fam.ncoords + k)),
-                              shape=(self._nrows, F.shape[1] * len(U)))
-            # kron(U, I): U[t, i] on coordinate j of touch t and block i
-            t, i = np.nonzero(U)
-            j = np.arange(fam.ncoords)[:, None]
-            kr, kc = t * fam.ncoords + j, i * fam.ncoords + j
-            K = sp.csr_matrix((np.tile(U[t, i], fam.ncoords), (kr.ravel(), kc.ravel())),
-                              shape=(P.shape[1], fam.count * fam.ncoords))
-            blocks.append(P @ K)
-        A = sp.hstack(blocks, format="csr")
-        A.sort_indices()
+            t, i = np.nonzero(U)                  # by touch, then block
+            count = np.bincount(t, minlength=len(U))
+            first = np.cumsum(count) - count      # touch t's blocks start at i[first[t]]
+            n = count[owner[e]]                   # the blocks each entry of F reaches
+            entry = np.repeat(np.arange(len(e)), n)
+            nz = first[owner[e]][entry] + np.arange(len(entry)) - (np.cumsum(n) - n)[entry]
+            parts.append((rows[e][entry], fam.offset + i[nz] * fam.ncoords + k[entry],
+                          U[t, i][nz] * F[e, k][entry]))
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    def build(self):
+        """Assemble (A, b, c), A one CSR matrix with sorted indices over
+        :meth:`triplets` (the solver, verification and dumps read the
+        touches)."""
+        import scipy.sparse as sp   # the one use of scipy.sparse
+        rows, cols, vals = self.triplets()
+        A = sp.csr_matrix((vals, (rows, cols)), shape=(self._nrows, self._ncols))
         return A, self.rhs(), self.objective()
 
     def restrict(self, keep: dict) -> "ConicProgram":
@@ -641,18 +648,23 @@ class ConicProgram:
         return base._plan
 
     def dump_triplets(self) -> str:
-        """Sparse-triplet dump: '# header', then 'A i j v' / 'b i v' / 'c j v'."""
-        A, b, c = self.build()
-        lines = [f"# conic program {self.name!r}: {A.shape[0]} rows, {A.shape[1]} cols"]
+        """Sparse-triplet dump: '# header', then 'A i j v' (one summed
+        nonzero per entry, row-major) / 'b i v' / 'c j v'."""
+        rows, cols, vals = self.triplets()
+        at, where = np.unique(rows * self._ncols + cols, return_inverse=True)
+        vals = np.bincount(where, vals, minlength=len(at))
+        at, vals = at[vals != 0], vals[vals != 0]
+        b, c = self.rhs(), self.objective()
+        lines = [f"# conic program {self.name!r}: {self._nrows} rows, {self._ncols} cols"]
         for fam in self._families.values():
             lines.append(
                 f"# family {fam.name} kind={fam.kind} count={fam.count} "
                 f"dim={fam.dim} offset={fam.offset} width={fam.width}")
         for g in self._rows:
             lines.append(f"# rows {g.name} kind={g.kind} offset={g.offset} n={g.nrows}")
-        coo = A.tocoo()
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            lines.append(f"A {i} {j} {float(v)!r}")
+        for i, j, v in zip((at // self._ncols).tolist(), (at % self._ncols).tolist(),
+                           vals.tolist()):
+            lines.append(f"A {i} {j} {v!r}")
         for i, v in enumerate(b):
             if v != 0.0:
                 lines.append(f"b {i} {float(v)!r}")
@@ -747,23 +759,32 @@ def _cone_distance(prog: ConicProgram, z: np.ndarray) -> float:
 
 
 def verify_solution(prog: ConicProgram, sol: ConicSolution) -> ResidualReport:
-    """Recompute residuals and cone margins independent of solver internals."""
-    A, b, c = prog.build()
+    """Recompute residuals and cone margins independent of solver internals,
+    with A's entries from :meth:`ConicProgram.triplets`."""
+    rows, cols, vals = prog.triplets()
+    b, c = prog.rhs(), prog.objective()
+
+    def A(x):
+        return np.bincount(rows, vals * x[cols], minlength=len(b))
+
+    def AT(y):
+        return np.bincount(cols, vals * y[rows], minlength=len(c))
+
     if sol.status in ("infeasible", "unbounded"):
         res = np.nan
         if sol.status == "infeasible" and sol.ray is not None:
             # min ||A'y + s|| over s in the cone: the distance of -A'y from it
-            res = _cone_distance(prog, -(A.T @ duals_to_vec(prog, sol.ray)))
+            res = _cone_distance(prog, -AT(duals_to_vec(prog, sol.ray)))
         elif sol.ray is not None:
             # A x = 0, and x in the cone
             x = _primal_to_vec(prog, sol.ray["x"])
-            res = max(float(np.max(np.abs(A @ x), initial=0.0)), _cone_distance(prog, x))
+            res = max(float(np.max(np.abs(A(x)), initial=0.0)), _cone_distance(prog, x))
         return ResidualReport(ray_residual=res, ray_violation=sol.ray_violation)
     x = _primal_to_vec(prog, sol.primal)
     y = duals_to_vec(prog, sol.dual_rows)
     s = _primal_to_vec(prog, sol.dual_slack)
-    eq = float(np.max(np.abs(A @ x - b))) if b.size else 0.0
-    dres = float(np.max(np.abs(A.T @ y + s - c))) if c.size else 0.0
+    eq = float(np.max(np.abs(A(x) - b))) if b.size else 0.0
+    dres = float(np.max(np.abs(AT(y) + s - c))) if c.size else 0.0
     pobj, dobj = float(c @ x), float(b @ y)
     gap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
     return ResidualReport(eq, dres, _block_margins(prog, sol.primal),

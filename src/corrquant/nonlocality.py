@@ -284,34 +284,19 @@ def _structure(kind: str, key: tuple, level: int | None):
 
 
 def nonlocality_quantifier(b: Behaviour, kind: NonlocalityKind | str,
-                           level: int = 2,
-                           pin_party: str = "B") -> NonlocalityResult:
+                           level: int = 2) -> NonlocalityResult:
     """One of NLR, NLR^mar, NLR^lhv, NLW, NLR^c, NLR^c/lhv, NLW^c.
 
     ``level`` selects the moment-matrix relaxation for the SDP-relaxed
     kinds (quantum-noise sets); their values are certified lower bounds.
-    ``pin_party`` picks whose marginal the consistency/marginal kinds
-    pin: "B" (default, estimating Alice's incompatibility) or "A".
+    The consistency/marginal kinds pin Bob's marginal, estimating Alice's
+    incompatibility; Bob's side is quantified by passing
+    ``Behaviour(b.table.transpose(1, 0, 3, 2))``.
     """
     kind = parse_kind(NonlocalityKind, kind, {})
     # the NPA template refuses a level it has no relaxation for; every
     # kind takes ``level``, so every kind is refused it
     build_npa_block(_scenario(b), level)
-    if pin_party not in ("A", "B"):
-        raise ValueError(f"pin_party must be 'A' or 'B', got {pin_party!r}")
-    if pin_party == "A":
-        swapped = Behaviour(np.ascontiguousarray(b.table.transpose(1, 0, 3, 2)))
-        res = nonlocality_quantifier(swapped, kind, level=level)
-        res.inequality.coefficients = np.ascontiguousarray(
-            res.inequality.coefficients.transpose(1, 0, 3, 2))
-        if res.noise_table is not None:
-            res.noise_table = np.ascontiguousarray(
-                res.noise_table.transpose(1, 0, 3, 2))
-        res.model = LocalModel(res.model.weights.T, _scenario(b))
-        if res.noise_model is not None:
-            res.noise_model = LocalModel(res.noise_model.weights.T,
-                                         _scenario(b))
-        return res
     layout, S = _strategy_pairs(b)
     row_name = ROW[STEERING_KIND[kind]]
     row = KINDS[row_name]

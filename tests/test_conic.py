@@ -444,6 +444,30 @@ def test_dump_triplets_roundtrip_header():
     assert "family t" in text and "A 0 0 1.0" in text and "b 0 3.0" in text
 
 
+def test_two_touches_on_one_entry_are_summed():
+    """A row that reaches one coordinate of a block through two touches
+    (a "mat" and a "tr" term) has one entry there, their sum, and one
+    whose touches cancel has none: dump_triplets prints one summed line
+    per nonzero entry, and build() equals the dense A summed by hand."""
+    prog = ConicProgram("twice")
+    prog.add_hermitian_family("X", 2, 2)
+    C = np.array([[2.0, 1j], [-1j, 3.0]])
+    prog.add_scalar_row(("sum",), 1.0, [("mat", "X", 0, C), ("tr", "X", [0, 1], 0.5)])
+    prog.add_scalar_row(("cancel",), 0.0, [("mat", "X", 1, -np.eye(2)),
+                                           ("tr", "X", [1], 1.0)])
+    eye = hermitian_coords(np.eye(2), 2)
+    want = np.zeros((2, 8))
+    want[0] = np.concatenate([hermitian_coords(C, 2) + 0.5 * eye, 0.5 * eye])
+    # row 1 is -eye + eye on block 1: no entry
+    rows, _, _ = prog.triplets()
+    assert len(rows) > np.count_nonzero(want)     # some entries listed twice
+    A, _, _ = prog.build()
+    assert np.array_equal(A.toarray(), want)
+    lines = [ln.split() for ln in prog.dump_triplets().splitlines() if ln.startswith("A ")]
+    assert [(int(i), int(j)) for _, i, j, _ in lines] == list(zip(*np.nonzero(want)))
+    assert [float(v) for *_, v in lines] == list(want[np.nonzero(want)])
+
+
 def test_variable_cap():
     # 250001 blocks of 16 coordinates: 4000016 columns > VARIABLE_CAP
     prog = ConicProgram("capped")
@@ -996,18 +1020,28 @@ def _fresh_python(code: str) -> str:
                           check=True, env={**os.environ, "PYTHONPATH": src}).stdout.strip()
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    """A solve never assembles A and conic.py loads SciPy's LAPACK
-    extension by file, so importing the package and its CLI and solving
-    imports neither scipy.sparse nor scipy.linalg; ConicProgram.build()
-    imports scipy.sparse."""
+def test_import_leaves_scipy_sparse_unloaded(tmp_path):
+    """A solve never assembles A, verification and dumps read A's entries
+    from the touches (ConicProgram.triplets), and conic.py loads SciPy's
+    LAPACK extension by file, so importing the package and its CLI,
+    solving, verifying a solution and writing a program's dump import
+    neither scipy.sparse nor scipy.linalg."""
+    dump = tmp_path / "prog.txt"
     code = ("import sys, corrquant, corrquant.cli\n"
+            "import numpy as np\n"
             "from corrquant import (incompatibility_quantifier, paulis, steer,\n"
             "                       steering_quantifier, werner)\n"
+            "from corrquant.conic import verify_solution\n"
+            "from corrquant.decomposition import build_program\n"
+            "from corrquant.errors import SolverFailure\n"
             "incompatibility_quantifier(paulis('XYZ'), 'IR')\n"
             "steering_quantifier(steer(werner(0.8), paulis('XYZ')), 'SR_c')\n"
+            "prog = build_program('incompat', 'robustness', paulis('XZ').effects, np.eye(2))\n"
+            "assert verify_solution(prog, prog.solve()).ok()\n"
+            f"SolverFailure('dump', program=prog).write_dump({str(dump)!r})\n"
             "print(sorted({'scipy.sparse', 'scipy.linalg'} & set(sys.modules)))")
     assert _fresh_python(code) == "[]"
+    assert "\nA 0 " in dump.read_text()
 
 
 def test_flapack_is_scipys_lapack():

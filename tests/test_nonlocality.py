@@ -120,9 +120,9 @@ def test_signalling_rejected():
         nl.is_local(beh)
 
 
-@pytest.mark.parametrize("kind", list(nl.NonlocalityKind))
-@pytest.mark.parametrize("pin_party", ["B", "A"])
-def test_every_kind_refuses_an_unsupported_level(kind, pin_party):
+# "B": every kind pins Bob's marginal
+@pytest.mark.parametrize("kind", list(nl.NonlocalityKind), ids=lambda k: f"B-{k.value}")
+def test_every_kind_refuses_an_unsupported_level(kind):
     # the level is checked before the behaviour: a signalling one is
     # refused for its level, not for signalling
     tab = np.full((2, 2, 2, 2), 0.25)
@@ -131,7 +131,7 @@ def test_every_kind_refuses_an_unsupported_level(kind, pin_party):
         for level in (0, 3, 7):
             with pytest.raises(ValidationError,
                                match=rf"^unsupported level {level} \(only 1 and 2\)$"):
-                nl.nonlocality_quantifier(beh, kind, level=level, pin_party=pin_party)
+                nl.nonlocality_quantifier(beh, kind, level=level)
 
 
 def test_pair_cap_checked_before_strategy_matrix(monkeypatch):
@@ -384,18 +384,6 @@ def test_behaviour_from_counts_refuses_a_bad_table(cell, value, message):
         nl.behaviour_from_counts(counts)
 
 
-def test_pin_party_configurable():
-    beh = isotropic_chsh(0.95)
-    res_b = nl.nonlocality_quantifier(beh, "NLR_c_lhv")
-    res_a = nl.nonlocality_quantifier(beh, "NLR_c_lhv", pin_party="A")
-    # the isotropic configuration is party-symmetric, values agree
-    assert abs(res_a.value - res_b.value) < 1e-7
-    # pinning Alice constrains the noise's Alice marginal instead
-    pa = sc.behaviour_marginal(beh, "A")
-    qa = res_a.noise_table.sum(axis=3)[:, 0]
-    assert np.max(np.abs(qa - pa)) < 1e-6
-
-
 def test_three_outcome_quantifiers():
     rng = np.random.default_rng(5)
     w = rng.random((9, 4))
@@ -416,21 +404,6 @@ def test_three_outcome_quantifiers():
     assert res.value > 0.1
     dec = nl.is_local(beh32)
     assert not dec.local
-
-
-@pytest.mark.parametrize("kind", ["NLR_mar", "NLR_lhv", "NLR_c_lhv"])
-def test_pin_party_a_model_in_input_scenario(kind):
-    # pinned to A, the program runs on the transposed behaviour; the
-    # local model must come back in the input's (2, 2, 3, 2) scenario
-    rng = np.random.default_rng(5)
-    w = rng.random((9, 4))
-    w /= w.sum()
-    loc = sc.LocalModel(w, (2, 3, 2, 2)).behaviour()
-    res = nl.nonlocality_quantifier(loc, kind, level=1, pin_party="A")
-    assert res.model.weights.shape == (9, 4)
-    noise = 0.0 if res.noise_table is None else res.noise_table
-    mix = (loc.table + res.value * noise) / (1 + res.value)
-    assert np.max(np.abs(res.model.behaviour().table - mix)) < 1e-8
 
 
 def test_nlr_c_level2_converges_on_the_criterion_4_grid():
