@@ -79,7 +79,8 @@ to Abar = As W, factors M = Abar Abar^T = As W W^T As^T, and solves both
 Mehrotra directions for the scaled steps dxbar = W^-1 dx and
 dsbar = W^T ds, with dxbar + dsbar the cones' centering.  The step
 length, the affine mu and the corrector read the scaled steps and the
-scaled point lam = W^-1 x = W^T s; only the step taken leaves the
+scaled point lam = W^-1 x = W^T s, and the predictor's centering (sigma
+= 0, no corrector) is -lam in closed form; only the step taken leaves the
 scaled space, as dx = W dxbar and ds = c dtau - eta r_x - As^T dy.  So
 an iteration applies W three times: to the rows of As, to c and the dual
 residual r_x stacked, and to dxbar.
@@ -121,6 +122,7 @@ and As^T once more for the ds it takes.
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -140,13 +142,16 @@ def _dpotrf_dpotrs():
     (it runs ``scipy/__init__`` and ``scipy._lib._array_api``), yet the
     solver needs only these two functions.  So the extension, which is
     private to SciPy, is loaded by file from SciPy's package directory
-    (``find_spec`` does not run ``scipy/__init__``) under its real name
-    and registered in ``sys.modules``: a later ``import scipy.linalg``
-    reuses it, so both see the same function objects, and one loaded
-    before is used as it is.
+    (``find_spec`` does not run ``scipy/__init__``) under its real name,
+    and one loaded before is used as it is.  A module loaded here is
+    taken out of ``sys.modules`` again: a later ``import scipy.linalg``
+    then loads it itself and binds it as the package's ``_flapack``, and
+    CPython gives that second load of the (single-phase) extension the
+    same function objects, so both see the same dpotrf and dpotrs.
     """
     name = "scipy.linalg._flapack"
-    if name not in sys.modules:
+    module = sys.modules.get(name)
+    if module is None:
         scipy = importlib.util.find_spec("scipy")
         if scipy is None:
             raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
@@ -157,9 +162,8 @@ def _dpotrf_dpotrs():
         loader = ExtensionFileLoader(name, str(path))
         module = importlib.util.module_from_spec(
             importlib.util.spec_from_file_location(name, path, loader=loader))
-        sys.modules[name] = module
         loader.exec_module(module)
-    module = sys.modules[name]
+        sys.modules.pop(name, None)
     return module.dpotrf, module.dpotrs
 
 
@@ -903,6 +907,7 @@ class _Nonneg:
 _R2 = np.sqrt(0.5)
 _JSIGN = np.array([1.0, -1.0, -1.0, -1.0])    # J = diag(_JSIGN): X -> adj(X)
 _NEG_JSIGN = -_JSIGN
+_E = np.array([1.0, 0.0, 0.0, 0.0])             # the Jordan unit
 
 
 def _q(v):
@@ -916,26 +921,31 @@ def _q(v):
 
 
 def _jnorm(q):
-    """sqrt(q0^2 - |q_bar|^2) per row; raises off the cone's interior."""
-    nbar = np.sqrt(np.einsum("ij,ij->i", q[:, 1:], q[:, 1:]))
-    lo = q[:, 0] - nbar
+    """sqrt(q0^2 - |q_bar|^2) per row of q's last axis, over its leading
+    axes; raises if any row is off the cone's interior."""
+    qbar = q[..., 1:]
+    nbar = np.sqrt(np.vecdot(qbar, qbar))
+    lo = q[..., 0] - nbar
     if not lo.min() > 0:                  # NaN fails too
         raise np.linalg.LinAlgError("iterate left the Lorentz cone")
-    return np.sqrt(lo * (q[:, 0] + nbar))
+    return np.sqrt(lo * (q[..., 0] + nbar))
 
 
-def _hyperbolic(v, d, scale):
-    """scale * (2 v v^T - J) d per row, on d's last two axes."""
+def _hyperbolic(h, d):
+    """scale (2 v v^T - J) d per row, on d's last two axes, for
+    h = (v, 2 v, scale as a column)."""
+    v, a, sc = h
     out = d * _NEG_JSIGN
-    out += 2 * v * np.einsum("ij,...ij->...i", v, d)[..., None]
-    return out * scale[:, None]
+    out += a * np.vecdot(v, d)[..., None]
+    out *= sc
+    return out
 
 
 def _jordan(a, b):
     """Jordan product of Q^4 with unit e = (1, 0, 0, 0), per row."""
-    out = np.empty_like(a)
-    out[:, 0] = np.einsum("ij,ij->i", a, b)
-    out[:, 1:] = a[:, :1] * b[:, 1:] + b[:, :1] * a[:, 1:]
+    out = a[:, :1] * b
+    out += b[:, :1] * a
+    out[:, 0] = np.vecdot(a, b)
     return out
 
 
@@ -1048,49 +1058,54 @@ class _Lorentz:
         return (self.U.T @ (y[self.rows] @ self.P).reshape(-1, 4)).ravel()
 
     def scale(self, x, s):
-        xq, sq = x[self.sl].reshape(-1, 4), s[self.sl].reshape(-1, 4)
-        nx, ns = _jnorm(xq), _jnorm(sq)
-        xh, sh = xq / nx[:, None], sq / ns[:, None]
-        gamma = np.sqrt((1 + np.einsum("ij,ij->i", xh, sh)) / 2)
-        w = (xh + sh * _JSIGN) / (2 * gamma)[:, None]   # P(w) sh = xh, det w = 1
-        v = w.copy()
-        v[:, 0] += 1
-        v /= np.sqrt(2 * v[:, :1])                       # v o v = w
-        lam = np.empty_like(xh)
+        xs = np.concatenate([x[self.sl], s[self.sl]]).reshape(2, -1, 4)
+        norms = _jnorm(xs)
+        hat = xs / norms[..., None]
+        xh, sh = hat
+        gamma = np.sqrt((1 + np.vecdot(xh, sh)) / 2)
+        # lam/|lam| = (gamma, ((gamma + s0) x_bar + (gamma + x0) s_bar)
+        # / (2 gamma + x0 + s0))
+        g = gamma + hat[..., 0]
+        lam = (g[1, :, None] * xh + g[0, :, None] * sh) / (g[0] + g[1])[:, None]
         lam[:, 0] = gamma
-        lam[:, 1:] = (((gamma + sh[:, 0])[:, None] * xh[:, 1:]
-                       + (gamma + xh[:, 0])[:, None] * sh[:, 1:])
-                      / (2 * gamma + xh[:, 0] + sh[:, 0])[:, None])
-        # lam^-1/2 of the unit-determinant lam/|lam|, for the step length
-        u = lam * _JSIGN
-        u[:, 0] += 1
-        u /= np.sqrt(2 * u[:, :1])
+        # w, with P(w) sh = xh and det w = 1, and (lam/|lam|) J; then v
+        # with v o v = w, and u = (lam/|lam|)^-1/2 for the step length
+        wj = np.empty_like(hat)
+        w = np.divide(xh + sh * _JSIGN, (2 * gamma)[:, None], out=wj[0])
+        np.multiply(lam, _JSIGN, out=wj[1])
+        vu = wj + _E
+        vu /= np.sqrt(2 * vu[..., :1])
+        nx, ns = norms
         lnorm = np.sqrt(nx * ns)
-        self.lam4 = lam * lnorm[:, None]
-        self.lam = self.lam4.ravel()
-        self.lam_sq, self.lnorm_sq = _jordan(self.lam4, self.lam4).ravel(), lnorm ** 2
-        self.beta, self.v, self.w = np.sqrt(nx / ns), v, w
-        self.beta2 = self.beta ** 2
-        # u and 1/|lam| twice over: max_steps stacks its two operands
-        self.u2 = np.concatenate([u, u])
-        self.linv2 = np.concatenate([1 / lnorm] * 2)
+        linv = 1 / lnorm
+        lam *= lnorm[:, None]
+        self.lam4, self.lam = lam, lam.ravel()
+        # center's: lam o lam, -1/lam0 and the row -lam J / |lam|^2
+        self.lam_sq, self.nlinv0 = _jordan(lam, lam).ravel(), -1 / lam[:, :1]
+        self.dot0 = wj[1] * -linv[:, None]
+        self.beta2, self.w = nx / ns, w
+        # W = beta (2 v v^T - J) and P(u) / |lam|, in _hyperbolic's form
+        two = 2 * vu
+        self.W = vu[0], two[0], np.sqrt(self.beta2)[:, None]
+        self.Pu = vu[1], two[1], linv[:, None]
 
     def to_scaled(self, v):
         # W = beta (2 v v^T - J) is symmetric: W^T v = W v
-        return _hyperbolic(self.v, v.reshape(v.shape[:-1] + (-1, 4)),
-                           self.beta).reshape(v.shape)
+        return _hyperbolic(self.W, v.reshape(v.shape[:-1] + (-1, 4))).reshape(v.shape)
 
     def from_scaled(self, d):
         return self.to_scaled(d)
 
     def center(self, smu, corr):
-        r = (-self.lam_sq - corr).reshape(-1, 4)
-        r[:, 0] += 2 * smu
-        lam = self.lam4
-        d = np.empty_like(r)
-        d[:, 0] = ((lam[:, 0] * r[:, 0] - np.einsum("ij,ij->i", lam[:, 1:], r[:, 1:]))
-                   / self.lnorm_sq)
-        d[:, 1:] = (r[:, 1:] - d[:, :1] * lam[:, 1:]) / lam[:, :1]
+        # lam o d = r for r = -(lam o lam + corr - 2 smu e): d0 from the
+        # determinant, then d_bar = (r_bar - d0 lam_bar) / lam0
+        r = (self.lam_sq + corr).reshape(-1, 4)
+        r[:, 0] -= 2 * smu
+        d0 = np.vecdot(self.dot0, r)
+        d = d0[:, None] * self.lam4
+        d += r
+        d *= self.nlinv0
+        d[:, 0] = d0
         return d.ravel()
 
     def product(self, a, b):
@@ -1098,9 +1113,9 @@ class _Lorentz:
 
     def max_steps(self, a, b):
         # P(lam^-1/2) d, d = a and b stacked
-        rho = _hyperbolic(self.u2, np.concatenate([a, b]).reshape(-1, 4), self.linv2)
-        return _min_step(rho[:, 0] - np.sqrt(np.einsum("ij,ij->i", rho[:, 1:],
-                                                       rho[:, 1:])))
+        rho = _hyperbolic(self.Pu, np.concatenate([a, b]).reshape(2, -1, 4))
+        rbar = rho[..., 1:]
+        return _min_step(rho[..., 0] - np.sqrt(np.vecdot(rbar, rbar)))
 
     def schur(self):
         # family f's term between its stacked rows e, e' (touch t_e, Q^4
@@ -1148,8 +1163,7 @@ class _Matrix:
         return self.fam.coords(mats).reshape(mats.shape[:-3] + (-1,))
 
     def scale(self, x, s):
-        Lx = np.linalg.cholesky(self._mats(x[self.sl]))
-        Ls = np.linalg.cholesky(self._mats(s[self.sl]))
+        Lx, Ls = np.linalg.cholesky(self._pair(x[self.sl], s[self.sl]))
         U, sig, Vh = np.linalg.svd(_herm_t(Ls) @ Lx)
         r = 1.0 / np.sqrt(sig)
         self.R = Lx @ _herm_t(Vh) * r[:, None, :]
@@ -1157,8 +1171,8 @@ class _Matrix:
         self.lam = np.where(self.on_diag, sig[:, self.ci], 0.0).ravel()
         self.lam2 = self.lam ** 2
         self.lsum = ((sig[:, self.ci] + sig[:, self.cj]) / 2).ravel()
-        # r = lam^-1/2, twice over: max_steps stacks its two operands
-        self.r2 = np.concatenate([r, r])
+        # lam^-1/2 (x) lam^-1/2, for the step length
+        self.rr = r[:, :, None] * r[:, None, :]
 
     def to_scaled(self, v):
         return self._vec(self.RH @ self._mats(v) @ self.R)
@@ -1169,14 +1183,19 @@ class _Matrix:
     def center(self, smu, corr):
         return (smu * self.unit - self.lam2 - corr) / self.lsum
 
+    def _pair(self, a, b):
+        """a and b as matrices, stacked on a new first axis."""
+        return self._mats(np.concatenate([a, b]).reshape(2, -1))
+
     def product(self, a, b):
-        a, b = self._mats(a), self._mats(b)
-        return self._vec((a @ b + b @ a) / 2)
+        # b a = (a b)^H for Hermitian a and b
+        ab = np.matmul(*self._pair(a, b))
+        return self._vec((ab + _herm_t(ab)) / 2)
 
     def max_steps(self, a, b):
-        r = self.r2
-        d = self._mats(np.stack([a, b])).reshape(r.shape + r.shape[-1:])
-        return _min_step(np.linalg.eigvalsh(d * r[:, :, None] * r[:, None, :])[:, 0])
+        d = self._pair(a, b)
+        d *= self.rr
+        return _min_step(np.linalg.eigvalsh(d)[..., 0])
 
 
 def _herm_t(m):
@@ -1342,7 +1361,7 @@ def _scale(cones, x, s):
     """Set every cone's NT scaling W at (x, s) and map the dense array's
     rows by W^T once, to ``cones.Abar`` = As W on its columns; return the
     scaled point lam = W^-1 x = W^T s."""
-    lam = np.empty_like(x)
+    cones.lam = lam = np.empty_like(x)
     for g in cones:
         g.scale(x, s)
         lam[g.sl] = g.lam
@@ -1454,7 +1473,7 @@ class _Newton:
         self.cones, self.L, self.M, self.bs = cones, L, M, bs
         self.ry, self.rz, self.mu, self.tau, self.kappa = ry, rz, mu, tau, kappa
         # one W^T call for c and the dual residual stacked
-        self.cbar, self.rxbar = _to_scaled(cones, np.stack([c, rx]))
+        self.cbar, self.rxbar = _to_scaled(cones, np.concatenate([c, rx]).reshape(2, -1))
         self.u2 = _cho_solve_refined(L, M, _scaled_matvec(cones, self.cbar) + bs)
         self.t2 = _scaled_rmatvec(cones, self.u2)
         self.p2 = self.t2 - self.cbar
@@ -1463,12 +1482,18 @@ class _Newton:
     def direction(self, eta, sigma, corr, corr_tk):
         """(dxbar, dy, dsbar, dtau, dkappa) at centring weight ``sigma``,
         residual weight ``eta`` and correctors ``corr`` (one per cone, in
-        its scaled space) and ``corr_tk``."""
+        its scaled space) and ``corr_tk``.  ``corr`` None is the
+        predictor's case, sigma = 0 with no corrector, whose centering is
+        -lam in closed form (every cone's ``center(0, 0)``)."""
         cones, mu, tau, kappa = self.cones, self.mu, self.tau, self.kappa
-        v = np.empty_like(self.cbar)
-        for g, cg in zip(cones, corr):
-            v[g.sl] = g.center(sigma * mu, cg)
-        v += eta * self.rxbar
+        # q = dxbar + dsbar, the centering
+        if corr is None:
+            q = -cones.lam
+        else:
+            q = np.empty_like(self.cbar)
+            for g, cg in zip(cones, corr):
+                q[g.sl] = g.center(sigma * mu, cg)
+        v = q + eta * self.rxbar
         rhs_tk = sigma * mu - tau * kappa - corr_tk
         u1 = _cho_solve_refined(self.L, self.M, -eta * self.ry - _scaled_matvec(cones, v))
         t1 = _scaled_rmatvec(cones, u1)
@@ -1478,7 +1503,7 @@ class _Newton:
         dtau = (-eta * self.rz - self.cbar @ p1 + self.bs @ u1 - rhs_tk / tau) / self.den
         dy = u1 + dtau * self.u2
         dx = p1 + dtau * self.p2
-        ds = self.cbar * dtau - eta * self.rxbar - t1 - dtau * self.t2
+        ds = q - dx
         dkappa = (rhs_tk - kappa * dtau) / tau
         return dx, dy, ds, dtau, dkappa
 
@@ -1525,15 +1550,16 @@ def _solve_hsd(prog: ConicProgram):
     for it in range(1, MAXITER + 1):
         mu = (x @ s + tau * kappa) / (degree + 1)
         ax, aty = _matvec(cones, x), _rmatvec(cones, y)
+        cx, by = c @ x, bs @ y
         ry = ax - bs * tau
         rx = aty + s - c * tau
-        rz = c @ x - bs @ y + kappa
+        rz = cx - by + kappa
 
-        xs, ys, ss = x / tau, y / tau, s / tau
-        rp, rd = ax / tau - bs, aty / tau + ss - c
-        pres = np.sqrt(rp @ rp) / norm_b
-        dres = np.sqrt(rd @ rd) / norm_c
-        pobj, dobj = c @ xs, bs @ ys
+        # the stopping rule reads the iterate over tau: residuals ry / tau
+        # and rx / tau, objectives c x / tau and bs y / tau
+        pres = math.sqrt(ry @ ry) / (tau * norm_b)
+        dres = math.sqrt(rx @ rx) / (tau * norm_c)
+        pobj, dobj = cx / tau, by / tau
         objscale = 1 + abs(pobj) + abs(dobj)
         relgap = abs(pobj - dobj) / objscale
         if pres <= FEASTOL and dres <= FEASTOL and relgap <= GAPTOL:
@@ -1544,7 +1570,7 @@ def _solve_hsd(prog: ConicProgram):
             # residual into a large objective error); among qualifying
             # iterates the smallest estimate wins
             crossover = (dobj - pobj) / objscale
-            err = (abs(pobj - dobj) + abs(ys @ rp) + abs(xs @ rd)) / objscale
+            err = (abs(pobj - dobj) + (abs(y @ ry) + abs(x @ rx)) / tau ** 2) / objscale
             score = (crossover > 1e-10, err)
             if candidate is None or score < candidate[0]:
                 candidate = (score, x.copy(), y.copy(), s.copy(), tau,
@@ -1557,7 +1583,6 @@ def _solve_hsd(prog: ConicProgram):
                 break
         # the rays' residuals are the residuals' own products, scaled:
         # As^T(y/by) + s/by and As(x/-cx)
-        by, cx = bs @ y, c @ x
         if by > 0 and mu < 1e-3 * mu0:
             if np.linalg.norm(aty + s) / by <= FEASTOL * norm_c:
                 status = ended = "infeasible"
@@ -1582,7 +1607,7 @@ def _solve_hsd(prog: ConicProgram):
             break
         newton = _Newton(cones, Lm, M, c, bs, ry, rx, rz, mu, tau, kappa)
         try:
-            pred = newton.direction(1.0, 0.0, [0.0] * len(cones), 0.0)
+            pred = newton.direction(1.0, 0.0, None, 0.0)
             dxa, _, dsa, dta, dka = pred
             aaff = min(1.0, newton.max_step(pred))
             mua = ((lam + aaff * dxa) @ (lam + aaff * dsa)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -398,6 +399,48 @@ def test_a_step_applies_as_four_times_each_way(monkeypatch, program):
     assert outside.count("_matvec") == 1 + sol.iterations
     assert outside.count("_rmatvec") == 2 * sol.iterations - 1
     assert len(outside) == 3 * sol.iterations
+
+
+@pytest.mark.parametrize("program", ["XZ", "ladder"])
+def test_a_step_runs_each_cone_kernel_to_its_budget(monkeypatch, program):
+    """Between one scaling and the next, each cone runs scale once, center
+    once (the corrector's: the predictor's centering is -lam in closed
+    form), product once (the corrector's Mehrotra term), max_steps twice
+    (once per direction) and from_scaled once (the step taken), and no
+    kernel runs before the first scaling.  So it does with the Lorentz cone
+    folded into the dense array (the XZ robustness program) and applying
+    its own columns (the restricted m = 6 ladder program), where its
+    from_scaled also maps v before its columns in each of the step's three
+    products Abar v."""
+    prog = (build_program("incompat", "robustness", scenario.paulis("XZ").effects,
+                          np.eye(2)) if program == "XZ" else _ladder_program())
+    budget = {"scale": 1, "center": 1, "product": 1, "max_steps": 2, "from_scaled": 1}
+    events = []
+
+    def spy(name, real):
+        def counted(owner, *args):
+            events.append((name, owner))
+            return real(owner, *args)
+        return counted
+
+    monkeypatch.setattr(conic, "_scale", spy("_scale", conic._scale))
+    for cls in (conic._Lorentz, conic._Matrix, conic._Nonneg):
+        for name in budget:
+            monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
+    sol = prog.solve()
+    assert sol.ended == "converged"
+    steps = []
+    for name, owner in events:
+        if name == "_scale":
+            want = {(g, k): n for g in owner for k, n in budget.items()}
+            if owner.lorentz is not None:
+                want[owner.lorentz, "from_scaled"] += 3
+            steps.append((want, Counter()))
+        else:
+            steps[-1][1][owner, name] += 1
+    assert len(steps) == sol.iterations - 1
+    for want, got in steps:
+        assert got == want
 
 
 def test_step_fraction_rule():
@@ -902,6 +945,27 @@ def test_direction_meets_the_linearized_hsd_equations(name):
             assert near(got, want, got, g.product(lg, lg), sigma * mu, cg)
 
 
+@pytest.mark.parametrize("name", SCHUR_PROGRAMS)
+def test_predictor_centering_is_minus_lam(name):
+    """The predictor's centering in closed form, -lam (``corr`` None),
+    gives the direction that every cone's own center(0, 0) gives, to
+    1e-12 of each of its terms, at a random interior point with random
+    residuals."""
+    prog = _schur_program(name)
+    rng = np.random.default_rng(18)
+    As, x, s, cones = _interior_point(prog, rng)
+    m, n = As.shape
+    tau, kappa = rng.uniform(0.5, 2.0, 2)
+    M = _schur(cones)
+    newton = _Newton(cones, _chol_reg(M), M, rng.normal(size=n), rng.normal(size=m),
+                     rng.normal(size=m), rng.normal(size=n), rng.normal(), (x @ s) / n,
+                     tau, kappa)
+    closed = newton.direction(1.0, 0.0, None, 0.0)
+    looped = newton.direction(1.0, 0.0, [0.0] * len(cones), 0.0)
+    for got, want in zip(closed, looped):
+        assert np.max(np.abs(np.atleast_1d(got - want))) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_one_lorentz_cone_and_one_dense_array():
     """The 2x2 Hermitian families come first in the columns, as one Lorentz
     cone, and every other column is one dense array: a 2x2 family declared
@@ -1013,6 +1077,25 @@ def test_jnorm_is_the_lorentz_norm_and_fails_loudly():
                 _jnorm(np.array(stack))
 
 
+def test_jnorm_of_a_stack_is_its_rows():
+    """On x and s stacked in one (2, N, 4) array, as the Lorentz scaling
+    calls it, _jnorm gives each operand's and each row's own result to the
+    last bit, and it raises when either operand has a row off the cone."""
+    rng = np.random.default_rng(22)
+    q = rng.normal(size=(2, 9, 4))
+    q[..., 0] = np.linalg.norm(q[..., 1:], axis=-1) + rng.uniform(1e-3, 1.0, (2, 9))
+    got = _jnorm(q)
+    assert got.shape == (2, 9)
+    assert got.tobytes() == np.array([_jnorm(op) for op in q]).tobytes()
+    assert got.tobytes() == np.array([[_jnorm(row[None])[0] for row in op]
+                                      for op in q]).tobytes()
+    for k in range(2):
+        bad = q.copy()
+        bad[k, 4, 0] = 0.5 * np.linalg.norm(bad[k, 4, 1:])
+        with pytest.raises(np.linalg.LinAlgError):
+            _jnorm(bad)
+
+
 def _fresh_python(code: str) -> str:
     """The stdout of ``code`` run by a fresh interpreter on this checkout."""
     src = str(Path(conic.__file__).resolve().parents[1])
@@ -1046,7 +1129,9 @@ def test_import_leaves_scipy_sparse_unloaded(tmp_path):
 
 def test_flapack_is_scipys_lapack():
     """conic's dpotrf and dpotrs are scipy.linalg.lapack's: the same bits
-    here, and the same objects whichever of the two a process imports first."""
+    here, and the same objects whichever of the two a process imports
+    first, and scipy.linalg's ``_flapack`` attribute is the registered
+    module that holds them in both orders."""
     from scipy.linalg import lapack
 
     rng = np.random.default_rng(5)
@@ -1064,10 +1149,14 @@ def test_flapack_is_scipys_lapack():
     for first, second in (("corrquant.conic", "scipy.linalg.lapack"),
                           ("scipy.linalg.lapack", "corrquant.conic")):
         code = (f"import sys, {first}, {second}\n"
+                "import scipy.linalg\n"
                 "from corrquant import conic\n"
                 "from scipy.linalg import lapack\n"
-                "print(conic.dpotrf is lapack.dpotrf and conic.dpotrs is lapack.dpotrs)")
-        assert _fresh_python(code) == "True", first
+                "flapack = getattr(scipy.linalg, '_flapack', None)\n"
+                "print(conic.dpotrf is lapack.dpotrf and conic.dpotrs is lapack.dpotrs,\n"
+                "      flapack is sys.modules['scipy.linalg._flapack'],\n"
+                "      getattr(flapack, 'dpotrf', None) is conic.dpotrf)")
+        assert _fresh_python(code) == "True True True", first
 
 
 def test_a_missing_flapack_names_the_directory_searched(monkeypatch):
