@@ -31,14 +31,17 @@ def _fail(exc: Exception) -> None:
     click.echo(f"error: {exc}", err=True)
     if isinstance(exc, SolverFailure):
         if exc.program is not None:
+            path = None
             try:
                 fd, path = tempfile.mkstemp(prefix="corrquant_failed_program_",
                                             suffix=".triplets")
                 os.close(fd)
                 exc.write_dump(path)
                 click.echo(f"program dump written to {path}", err=True)
-            except OSError:
-                pass
+            except OSError as err:
+                click.echo(f"program dump not written: {err}", err=True)
+                if path is not None:
+                    os.unlink(path)
         sys.exit(EXIT_SOLVER)
     sys.exit(EXIT_VALIDATION)
 
@@ -84,10 +87,11 @@ def main():
 @main.command()
 @click.argument("domain", type=click.Choice(["incompat", "steer", "nonlocal"]))
 @click.option("--kind", "-k", required=True, help="quantifier kind")
-@click.option("--in", "-i", "infile", required=True, type=click.Path(exists=True))
+@click.option("--in", "-i", "infile", required=True,
+              type=click.Path(exists=True, dir_okay=False))
 @click.option("--level", "-l", default=2, show_default=True,
               help="moment-matrix relaxation level (nonlocal only)")
-@click.option("--out", "-o", type=click.Path(), help="write JSON here")
+@click.option("--out", "-o", type=click.Path(dir_okay=False), help="write JSON here")
 def quantify(domain, kind, infile, level, out):
     """Evaluate one quantifier on a serialized object."""
     obj = serialize.load(infile)
@@ -121,8 +125,9 @@ def quantify(domain, kind, infile, level, out):
 
 
 @main.command("sweep")
-@click.option("--spec", "-s", required=True, type=click.Path(exists=True))
-@click.option("--out", "-o", type=click.Path(), help="CSV output path")
+@click.option("--spec", "-s", required=True,
+              type=click.Path(exists=True, dir_okay=False))
+@click.option("--out", "-o", type=click.Path(dir_okay=False), help="CSV output path")
 def sweep_cmd(spec, out):
     """Run a quantifier sweep described by a JSON spec file."""
     try:
@@ -148,7 +153,7 @@ def sweep_cmd(spec, out):
 @click.option("--restarts", "-r", default=3, show_default=True, type=int)
 @click.option("--seed", "-S", default=0, show_default=True, type=int)
 @click.option("--level", "-l", default=2, show_default=True, type=int)
-@click.option("--out", "-o", type=click.Path())
+@click.option("--out", "-o", type=click.Path(dir_okay=False))
 def seesaw_cmd(theta, kind, restarts, seed, level, out):
     """See-saw optimization of Bob's two measurements at a given angle."""
     res = seesaw_optimize(theta, kind, restarts=restarts, seed=seed,
@@ -163,7 +168,8 @@ def seesaw_cmd(theta, kind, restarts, seed, level, out):
 @main.command("reproduce")
 @click.argument("target", type=click.Choice(
     ["table1", "fig1", "fig2", "fig3", "table2"]))
-@click.option("--outdir", "-d", default="corrquant_out", show_default=True)
+@click.option("--outdir", "-d", default="corrquant_out", show_default=True,
+              type=click.Path(file_okay=False))
 @click.option("--extended", is_flag=True,
               help="include the 10-measurement Bennet row (slow)")
 def reproduce_cmd(target, outdir, extended):
@@ -181,8 +187,9 @@ def reproduce_cmd(target, outdir, extended):
 
 
 @main.command("project-ns")
-@click.option("--in", "-i", "infile", required=True, type=click.Path(exists=True))
-@click.option("--out", "-o", type=click.Path())
+@click.option("--in", "-i", "infile", required=True,
+              type=click.Path(exists=True, dir_okay=False))
+@click.option("--out", "-o", type=click.Path(dir_okay=False))
 def project_ns_cmd(infile, out):
     """Project a (possibly signalling) behaviour or count table onto the
     no-signalling polytope."""
@@ -200,10 +207,11 @@ def project_ns_cmd(infile, out):
 
 
 @main.command("certificate")
-@click.option("--in", "-i", "infile", required=True, type=click.Path(exists=True))
+@click.option("--in", "-i", "infile", required=True,
+              type=click.Path(exists=True, dir_okay=False))
 @click.option("--kind", "-k", required=True)
 @click.option("--level", "-l", default=2, show_default=True, type=int)
-@click.option("--out", "-o", type=click.Path())
+@click.option("--out", "-o", type=click.Path(dir_okay=False))
 def certificate_cmd(infile, kind, level, out):
     """Extract the dual inequality certified by a quantifier solve."""
     obj = serialize.load(infile)

@@ -739,27 +739,18 @@ class ResidualReport:
                 and self.gap <= 100 * GAPTOL)
 
 
-def _block_margins(prog, blocks):
-    margin = np.inf
-    for fam in prog.families.values():
-        if fam.name not in blocks:
-            continue
-        blk = blocks[fam.name]
-        if fam.kind in ("herm", "psd"):
-            low = np.linalg.eigvalsh(hermitize(blk))[:, 0]
-            margin = float(np.min(low, initial=margin))
-        elif fam.kind == "nonneg":
-            if np.size(blk):
-                margin = min(margin, float(np.min(blk)))
-    return margin
+def _cone_eigenvalues(prog: ConicProgram, z: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the column vector z's blocks (closed form for
+    2x2 Hermitian ones) and its scalars, every family's in one array."""
+    return np.concatenate([np.zeros(0)] + [
+        (hermitian_eigvalsh(f.part(z), f.dim) if f.kind == "herm"
+         else np.linalg.eigvalsh(f.mats(f.part(z))) if f.kind == "psd"
+         else f.part(z)).ravel() for f in prog.families.values()])
 
 
-def _cone_distance(prog: ConicProgram, z: np.ndarray) -> float:
-    """Distance of the column vector z from the (self-dual) cone, per block
-    by eigenvalues, per scalar by sign."""
-    parts = [np.linalg.eigvalsh(f.mats(f.part(z))) if f.kind in ("herm", "psd")
-             else f.part(z) for f in prog.families.values()]
-    return float(np.sqrt(sum(np.sum(np.minimum(p, 0) ** 2) for p in parts)))
+def _cone_distance(lam: np.ndarray) -> float:
+    """Distance from the (self-dual) cone of a vector with eigenvalues lam."""
+    return float(np.linalg.norm(np.minimum(lam, 0)))
 
 
 def verify_solution(prog: ConicProgram, sol: ConicSolution) -> ResidualReport:
@@ -778,11 +769,13 @@ def verify_solution(prog: ConicProgram, sol: ConicSolution) -> ResidualReport:
         res = np.nan
         if sol.status == "infeasible" and sol.ray is not None:
             # min ||A'y + s|| over s in the cone: the distance of -A'y from it
-            res = _cone_distance(prog, -AT(duals_to_vec(prog, sol.ray)))
+            z = -AT(duals_to_vec(prog, sol.ray))
+            res = _cone_distance(_cone_eigenvalues(prog, z))
         elif sol.ray is not None:
             # A x = 0, and x in the cone
             x = _primal_to_vec(prog, sol.ray["x"])
-            res = max(float(np.max(np.abs(A(x)), initial=0.0)), _cone_distance(prog, x))
+            res = max(float(np.max(np.abs(A(x)), initial=0.0)),
+                      _cone_distance(_cone_eigenvalues(prog, x)))
         return ResidualReport(ray_residual=res, ray_violation=sol.ray_violation)
     x = _primal_to_vec(prog, sol.primal)
     y = duals_to_vec(prog, sol.dual_rows)
@@ -791,17 +784,22 @@ def verify_solution(prog: ConicProgram, sol: ConicSolution) -> ResidualReport:
     dres = float(np.max(np.abs(AT(y) + s - c))) if c.size else 0.0
     pobj, dobj = float(c @ x), float(b @ y)
     gap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
-    return ResidualReport(eq, dres, _block_margins(prog, sol.primal),
-                          _block_margins(prog, sol.dual_slack), gap)
+    margin, dual_margin = (float(_cone_eigenvalues(prog, v).min(initial=np.inf))
+                           for v in (x, s))
+    return ResidualReport(eq, dres, margin, dual_margin, gap)
 
 
 def _primal_to_vec(prog: ConicProgram, primal: dict) -> np.ndarray:
+    """The column vector of blocks given per family; raises
+    :class:`~corrquant.errors.NotHermitian` on an asymmetric block."""
     prog._freeze()
     x = np.zeros(prog._ncols)
     for fam in prog.families.values():
         blk = primal[fam.name]
-        x[fam.offset:fam.offset + fam.width] = (
-            fam.coords(blk).ravel() if fam.kind in ("herm", "psd") else blk)
+        if fam.kind in ("herm", "psd"):
+            blk = hermitize(blk)
+            blk = fam.coords(blk if fam.kind == "herm" else blk.real).ravel()
+        x[fam.offset:fam.offset + fam.width] = blk
     return x
 
 

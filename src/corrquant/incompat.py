@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .conic import ConicSolution
-from .decomposition import (TINY, max_margin, parse_kind, quantify, reconstruct,
+from .decomposition import (max_margin, parse_kind, quantify, reconstruct,
                             strategy_bound)
 from .scenario import MeasurementSet, ParentPovm
 
@@ -122,16 +122,4 @@ def mixture(measurements: MeasurementSet, noise: np.ndarray,
             t: float) -> MeasurementSet:
     """(M + t N)/(1 + t), the defining mixture of the robustness kinds."""
     grid = (measurements.effects + t * noise) / (1 + t)
-    return MeasurementSet(grid)
-
-
-def weight_remainder(measurements: MeasurementSet, generic: np.ndarray,
-                     t: float) -> MeasurementSet:
-    """N = (M - t O)/(1 - t), the JM part of the weight decomposition."""
-    if 1 - t < TINY:
-        d = measurements.d
-        return MeasurementSet(np.broadcast_to(
-            np.eye(d) / measurements.n,
-            (measurements.m, measurements.n, d, d)).copy())
-    grid = (measurements.effects - t * generic) / (1 - t)
     return MeasurementSet(grid)

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .conic import ConicSolution
-from .decomposition import (TINY, max_margin, parse_kind, quantify, reconstruct,
+from .decomposition import (max_margin, parse_kind, quantify, reconstruct,
                             strategy_bound)
 from .scenario import Assemblage, LhsModel, reduced_state
 
@@ -154,14 +154,3 @@ def steering_certificate(result: SteeringResult,
     if result.solution.status != "optimal":
         raise ValueError("certificate requires an optimal solve")
     return _inequality(result.inequality.coefficients, assemblage)
-
-
-def weight_remainder(assemblage: Assemblage, noise: np.ndarray,
-                     s: float) -> Assemblage:
-    """gamma = (sigma - s*pi)/(1-s), the LHS part of the weight split."""
-    if 1 - s < TINY:
-        d = assemblage.dB
-        grid = np.broadcast_to(np.eye(d) / (assemblage.n * d),
-                               (assemblage.m, assemblage.n, d, d))
-        return Assemblage(grid.copy())
-    return Assemblage((assemblage.members - s * noise) / (1 - s))

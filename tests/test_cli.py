@@ -1,4 +1,5 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,23 @@ from corrquant import serialize
 from corrquant import steering as st
 from corrquant.cli import main
 from corrquant.decomposition import parse_kind
+from corrquant.errors import SolverFailure
 
 
 CHSH = sc.measure(sc.steer(sc.werner(1.0), sc.paulis("XZ")),
                   sc.bloch_measurements([np.array([1, 0, 1]) / np.sqrt(2),
                                          np.array([1, 0, -1]) / np.sqrt(2)]))
+
+
+def assert_refused(args, *unwritten):
+    """The CLI refuses ``args`` with exit 2 before writing anything: its
+    stdout is empty and no path of ``unwritten`` exists.  Returns the
+    result."""
+    res = CliRunner().invoke(main, [str(a) for a in args])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert not [p for p in unwritten if p.exists()]
+    return res
 
 
 def test_quantify_incompat(tmp_path):
@@ -66,22 +79,40 @@ def test_quantify_nonlocal(tmp_path):
 
 
 def test_validation_exit_code(tmp_path):
+    out = tmp_path / "out.json"
     path = tmp_path / "bad.json"
     path.write_text("{\"type\": \"behaviour\", \"mA\": 1}")
-    runner = CliRunner()
-    res = runner.invoke(main, ["quantify", "nonlocal", "-k", "NLR", "-i",
-                               str(path)])
-    assert res.exit_code == 2
+    assert_refused(["quantify", "nonlocal", "-k", "NLR", "-i", path, "-o", out], out)
     # wrong object type also exits 2
     path2 = tmp_path / "ms.json"
     serialize.save(path2, sc.paulis("XZ"))
-    res2 = runner.invoke(main, ["quantify", "steer", "-k", "SR", "-i", str(path2)])
-    assert res2.exit_code == 2
+    assert_refused(["quantify", "steer", "-k", "SR", "-i", path2, "-o", out], out)
     # a top-level JSON list is not an object
     path3 = tmp_path / "list.json"
     path3.write_text("[1, 2]")
-    res3 = runner.invoke(main, ["quantify", "incompat", "-k", "IR", "-i", str(path3)])
-    assert res3.exit_code == 2 and "error:" in res3.output
+    res = assert_refused(["quantify", "incompat", "-k", "IR", "-i", path3, "-o", out], out)
+    assert "error:" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["quantify", "incompat", "-k", "IR", "-i", "{dir}", "-o", "{out}"],
+    ["certificate", "-k", "IR", "-i", "{dir}", "-o", "{out}"],
+    ["project-ns", "-i", "{dir}", "-o", "{out}"],
+    ["sweep", "-s", "{dir}", "-o", "{out}"],
+    ["quantify", "incompat", "-k", "IR", "-i", "{ms}", "-o", "{dir}"],
+    ["reproduce", "fig1", "-d", "{ms}"],
+], ids=["quantify-in", "certificate-in", "project-ns-in", "sweep-spec", "quantify-out",
+        "reproduce-outdir"])
+def test_a_path_of_the_wrong_kind_exits_2_before_any_solve(tmp_path, args):
+    # a directory where a file goes, or a file where a directory goes
+    ms, folder, out = tmp_path / "ms.json", tmp_path / "dir", tmp_path / "out.json"
+    serialize.save(ms, sc.paulis("XZ"))
+    folder.mkdir()
+    saved = ms.read_text()
+    res = assert_refused([a.format(dir=folder, ms=ms, out=out) for a in args], out)
+    assert "Error: Invalid value for" in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "ms.json"]
+    assert list(folder.iterdir()) == [] and ms.read_text() == saved
 
 
 def test_non_finite_behaviour_exits_2(tmp_path):
@@ -90,10 +121,8 @@ def test_non_finite_behaviour_exits_2(tmp_path):
     table[0, 1, 0, 0] = np.nan
     path, out = tmp_path / "nan.json", tmp_path / "out.json"
     path.write_text(json.dumps({"mA": 2, "nA": 2, "mB": 2, "nB": 2, "table": table.tolist()}))
-    res = CliRunner().invoke(main, ["quantify", "nonlocal", "-k", "NLR_mar", "-l", "1",
-                                    "-i", str(path), "-o", str(out)])
-    assert res.exit_code == 2, res.output
-    assert res.stdout == "" and not out.exists()
+    res = assert_refused(["quantify", "nonlocal", "-k", "NLR_mar", "-l", "1",
+                          "-i", path, "-o", out], out)
     assert "error: table: table entry [0, 1, 0, 0] is nan" in res.stderr
 
 
@@ -105,20 +134,18 @@ def test_non_finite_behaviour_exits_2(tmp_path):
     (CHSH, ["certificate", "-k", "NLR_c_lhv", "-l", "3"]),
 ])
 def test_unknown_kind_or_level_exits_2(tmp_path, obj, args):
-    path = tmp_path / "obj.json"
+    path, out = tmp_path / "obj.json", tmp_path / "out.json"
     serialize.save(path, obj)
-    res = CliRunner().invoke(main, args + ["-i", str(path)])
-    assert res.exit_code == 2, res.output
-    assert "error:" in res.output
+    res = assert_refused(args + ["-i", path, "-o", out], out)
+    assert "error:" in res.stderr
 
 
 @pytest.mark.parametrize("kind", ["NLR_mar", "NLR_lhv", "NLR_c_lhv"])
-def test_seesaw_refuses_an_unsupported_level(kind):
+def test_seesaw_refuses_an_unsupported_level(tmp_path, kind):
     # the linear-program kinds build no moment matrix, and are refused too
-    res = CliRunner().invoke(main, ["seesaw", "-t", "0.5", "-k", kind,
-                                    "-l", "7", "-r", "1"])
-    assert res.exit_code == 2, res.output
-    assert res.stdout == ""
+    out = tmp_path / "out.json"
+    res = assert_refused(["seesaw", "-t", "0.5", "-k", kind, "-l", "7", "-r", "1",
+                          "-o", out], out)
     assert "error: unsupported level 7 (only 1 and 2)" in res.stderr
 
 
@@ -165,9 +192,8 @@ def test_sweep_command_refuses_a_malformed_spec(tmp_path):
     spec_path = tmp_path / "list.json"
     spec_path.write_text("[1, 2]")
     out_path = tmp_path / "out.csv"
-    res = CliRunner().invoke(main, ["sweep", "-s", str(spec_path), "-o", str(out_path)])
-    assert res.exit_code == 2 and "error:" in res.output
-    assert not out_path.exists()
+    res = assert_refused(["sweep", "-s", spec_path, "-o", out_path], out_path)
+    assert "error:" in res.stderr
 
 
 @pytest.mark.parametrize("spec", [
@@ -180,10 +206,8 @@ def test_sweep_command_refuses_parameters_outside_the_family(tmp_path, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     out_path = tmp_path / "out.csv"
-    res = CliRunner().invoke(main, ["sweep", "-s", str(spec_path), "-o", str(out_path)])
-    assert res.exit_code == 2, res.output
-    assert res.stdout == "" and "error:" in res.stderr
-    assert not out_path.exists()
+    res = assert_refused(["sweep", "-s", spec_path, "-o", out_path], out_path)
+    assert "error:" in res.stderr
 
 
 @pytest.mark.parametrize("spec, field", [
@@ -192,23 +216,21 @@ def test_sweep_command_refuses_parameters_outside_the_family(tmp_path, spec):
                 "etas": [0.5, 0.5, 2.0]}}, "alice"),
     ({"alice": {"family": "bloch", "vectors": [[1, 0, 1]]}}, "alice"),
     ({"kinds": ["SR_red", "NOPE"]}, "kinds"),
-    ({"kinds": ["NLR_mar", "NLR_c"], "scenario": "nonlocality", "level": 3}, "level")])
+    ({"kinds": ["NLR_mar", "NLR_c"], "scenario": "nonlocality", "level": 3}, "level"),
+    ({"grid": [0.2, float("nan"), 0.5]}, "grid")])
 def test_sweep_command_refuses_a_bad_field_before_solving(tmp_path, spec, field):
     spec = {"state_family": "werner", "grid": [0.2, 0.5], "kinds": ["SR_red"], **spec}
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     out_path = tmp_path / "out.csv"
-    res = CliRunner().invoke(main, ["sweep", "-s", str(spec_path), "-o", str(out_path)])
-    assert res.exit_code == 2, res.output
-    assert res.stdout == "" and res.stderr.startswith(f"error: {field}: ")
-    assert not out_path.exists()
+    res = assert_refused(["sweep", "-s", spec_path, "-o", out_path], out_path)
+    assert res.stderr.startswith(f"error: {field}: ")
 
 
 def test_reproduce_table1_refuses_a_malformed_history(tmp_path):
     (tmp_path / "table1_deviations.json").write_text("[1, 2]")
-    res = CliRunner().invoke(main, ["reproduce", "table1", "-d", str(tmp_path)])
-    assert res.exit_code == 2, res.output
-    assert res.stdout == "" and "table1_deviations.json: not a table-1" in res.stderr
+    res = assert_refused(["reproduce", "table1", "-d", tmp_path])
+    assert "table1_deviations.json: not a table-1" in res.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["table1_deviations.json"]
 
 
@@ -240,27 +262,25 @@ def test_seesaw_command_deterministic(tmp_path):
 
 @pytest.mark.parametrize("args, field", [(["-r", "0"], "restarts"), (["-S", "-1"], "seed")],
                          ids=["r0", "S-1"])
-def test_seesaw_refuses_a_restart_count_below_1_and_a_negative_seed(args, field):
-    res = CliRunner().invoke(main, ["seesaw", "-t", "0.5", "-k", "NLR_mar", *args])
-    assert res.exit_code == 2, res.output
-    assert res.stdout == ""
+def test_seesaw_refuses_a_restart_count_below_1_and_a_negative_seed(tmp_path, args, field):
+    out = tmp_path / "out.json"
+    res = assert_refused(["seesaw", "-t", "0.5", "-k", "NLR_mar", *args, "-o", out], out)
     assert f"error: {field}: " in res.stderr
 
 
-def test_seesaw_refuses_an_angle_outside_its_range():
-    res = CliRunner().invoke(main, ["seesaw", "-t", "2.0", "-k", "NLR_c"])
-    assert res.exit_code == 2, res.output
-    assert "error: theta" in res.output
+def test_seesaw_refuses_an_angle_outside_its_range(tmp_path):
+    out = tmp_path / "out.json"
+    res = assert_refused(["seesaw", "-t", "2.0", "-k", "NLR_c", "-o", out], out)
+    assert "error: theta" in res.stderr
 
 
 def test_project_ns_refuses_a_slice_without_counts(tmp_path):
     counts = np.full((2, 2, 2, 2), 10)
     counts[1, 0] = 0
-    path = tmp_path / "counts.json"
+    path, out = tmp_path / "counts.json", tmp_path / "out.json"
     path.write_text(json.dumps({"counts": counts.tolist()}))
-    res = CliRunner().invoke(main, ["project-ns", "-i", str(path)])
-    assert res.exit_code == 2, res.output
-    assert "error: counts[1][0]" in res.output
+    res = assert_refused(["project-ns", "-i", path, "-o", out], out)
+    assert "error: counts[1][0]" in res.stderr
 
 
 @pytest.mark.parametrize("value, message", [
@@ -272,10 +292,8 @@ def test_project_ns_refuses_a_count_that_is_not_a_whole_number(tmp_path, value, 
     path = tmp_path / "counts.json"
     path.write_text(json.dumps({"counts": counts.tolist()}))
     out = tmp_path / "out.json"
-    res = CliRunner().invoke(main, ["project-ns", "-i", str(path), "-o", str(out)])
-    assert res.exit_code == 2, res.output
-    assert res.stdout == "" and res.stderr.strip() == message
-    assert not out.exists()
+    res = assert_refused(["project-ns", "-i", path, "-o", out], out)
+    assert res.stderr.strip() == message
 
 
 def test_project_ns_command(tmp_path):
@@ -292,10 +310,9 @@ def test_project_ns_command(tmp_path):
 
 
 def test_reproduce_table2_refused(tmp_path):
-    runner = CliRunner()
-    res = runner.invoke(main, ["reproduce", "table2", "-d", str(tmp_path)])
-    assert res.exit_code == 2
-    assert "not reproducible" in res.output or "not reproducible" in (res.stderr or "")
+    outdir = tmp_path / "t2"
+    res = assert_refused(["reproduce", "table2", "-d", outdir], outdir)
+    assert "not reproducible" in res.stderr
 
 
 def test_solver_failure_dump_goes_to_a_temporary_file(tmp_path, monkeypatch):
@@ -317,3 +334,26 @@ def test_solver_failure_dump_goes_to_a_temporary_file(tmp_path, monkeypatch):
     finally:
         dump.unlink(missing_ok=True)
     assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("fails", ["mkstemp", "write_dump"])
+def test_solver_failure_says_when_its_dump_was_not_written(tmp_path, monkeypatch, fails):
+    path = tmp_path / "ms.json"
+    serialize.save(path, sc.paulis("XZ"))
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.setattr(conic, "MAXITER", 1)
+
+    def refuse(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    target = tempfile if fails == "mkstemp" else SolverFailure
+    monkeypatch.setattr(target, fails, refuse)
+    res = CliRunner().invoke(main, ["quantify", "incompat", "-k", "robustness",
+                                    "-i", str(path)])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1] == \
+        "program dump not written: [Errno 28] No space left on device"
+    assert list(temp.iterdir()) == []

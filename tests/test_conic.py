@@ -39,7 +39,7 @@ from corrquant.conic import (
 )
 from corrquant.decomposition import build_program
 from corrquant.npa import cell_functional
-from corrquant.errors import SolverFailure
+from corrquant.errors import NotHermitian, SolverFailure
 
 RNG = np.random.default_rng(20240311)
 
@@ -215,7 +215,7 @@ def assert_improving_ray(prog, sol, off_kernel):
     assert (sol.status, sol.ended, sol.iterations) == ("unbounded", "unbounded", 2)
     A, b, c = prog.build()
     ray = _primal_to_vec(prog, sol.ray["x"])
-    assert conic._block_margins(prog, sol.ray["x"]) >= 0
+    assert conic._cone_eigenvalues(prog, ray).min() >= 0
     assert np.max(np.abs(A @ ray)) <= 1e-9
     assert c @ ray < 0
     assert verify_solution(prog, sol).ray_residual <= 1e-9
@@ -305,6 +305,22 @@ def test_verify_flags_dual_corruption(corrupt):
     else:
         sol.dual_rows[("tr",)] += 0.3
     assert not verify_solution(prog, sol).ok()
+
+
+@pytest.mark.parametrize("part", ["primal", "dual_slack"])
+def test_verify_reads_2x2_margins_in_closed_form_and_refuses_an_asymmetric_block(part):
+    cmat = random_hermitian(2, np.random.default_rng(5))
+    prog = ConicProgram()
+    prog.add_hermitian_family("X", 3, 2)
+    prog.add_scalar_row(("tr",), 1.0, [("tr", "X", [0, 1, 2], 1.0)])
+    prog.set_objective([("mat", "X", i, (i + 1) * cmat) for i in range(3)])
+    sol = prog.solve()
+    rep = verify_solution(prog, sol)
+    margins = {"primal": rep.cone_margin, "dual_slack": rep.dual_margin}
+    assert abs(margins[part] - np.linalg.eigvalsh(getattr(sol, part)["X"]).min()) <= 1e-12
+    getattr(sol, part)["X"][1, 0, 1] += 1e-3
+    with pytest.raises(NotHermitian, match=r"^\[1\]: asymmetry 1\.000e-03 exceeds"):
+        verify_solution(prog, sol)
 
 
 def test_tolerances_are_read_when_solving(monkeypatch):

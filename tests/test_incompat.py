@@ -159,9 +159,10 @@ def test_witness_reconstruction_invariants():
         assert res.witness.bound < 1e-7
         # reconstructed decomposition is jointly measurable
         if kind is ic.IncompatKind.weight:
-            remainder = ic.weight_remainder(ms, res.noise.reshape(ms.m, ms.n, 2, 2),
-                                            res.value)
-            dec = ic.is_jointly_measurable(remainder)
+            # N = (M - t O)/(1 - t), the JM part of the weight split
+            remainder = (ms.effects - res.value * res.noise.reshape(ms.effects.shape)) \
+                / (1 - res.value)
+            dec = ic.is_jointly_measurable(sc.MeasurementSet(remainder))
         else:
             mix = ic.mixture(ms, res.noise, res.value)
             dec = ic.is_jointly_measurable(mix)

@@ -119,8 +119,9 @@ def check_witness_and_certificate(asm, kind):
     assert res.value > 1e-4
     # defining decomposition reconstructs within 1e-8
     if dc.KINDS[st.ROW[kind]].sign > 0:
-        remainder = st.weight_remainder(asm, res.noise, res.value)
-        dec = st.has_lhs_model(remainder)
+        # gamma = (sigma - s pi)/(1 - s), the LHS part of the weight split
+        remainder = (asm.members - res.value * res.noise) / (1 - res.value)
+        dec = st.has_lhs_model(sc.Assemblage(remainder))
         assert dec.has_model
         rebuilt = res.value * res.noise + (1 - res.value) * \
             res.model.assemblage().members
