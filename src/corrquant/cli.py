@@ -67,6 +67,23 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+class _OutPath(click.Path):
+    """A file to write: not a directory, and in a directory that exists
+    (not a missing folder, nor a file), so a bad path is refused before
+    any solve."""
+
+    def __init__(self):
+        super().__init__(dir_okay=False)
+
+    def convert(self, value, param, ctx):
+        path = super().convert(value, param, ctx)
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            self.fail(f"{click.format_filename(folder)!r} is not an existing directory.",
+                      param, ctx)
+        return path
+
+
 class _Main(click.Group):
     """The one error boundary: every command's package error exits
     through ``_fail``."""
@@ -91,7 +108,7 @@ def main():
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--level", "-l", default=2, show_default=True,
               help="moment-matrix relaxation level (nonlocal only)")
-@click.option("--out", "-o", type=click.Path(dir_okay=False), help="write JSON here")
+@click.option("--out", "-o", type=_OutPath(), help="write JSON here")
 def quantify(domain, kind, infile, level, out):
     """Evaluate one quantifier on a serialized object."""
     obj = serialize.load(infile)
@@ -127,7 +144,7 @@ def quantify(domain, kind, infile, level, out):
 @main.command("sweep")
 @click.option("--spec", "-s", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "-o", type=click.Path(dir_okay=False), help="CSV output path")
+@click.option("--out", "-o", type=_OutPath(), help="CSV output path")
 def sweep_cmd(spec, out):
     """Run a quantifier sweep described by a JSON spec file."""
     try:
@@ -153,7 +170,7 @@ def sweep_cmd(spec, out):
 @click.option("--restarts", "-r", default=3, show_default=True, type=int)
 @click.option("--seed", "-S", default=0, show_default=True, type=int)
 @click.option("--level", "-l", default=2, show_default=True, type=int)
-@click.option("--out", "-o", type=click.Path(dir_okay=False))
+@click.option("--out", "-o", type=_OutPath())
 def seesaw_cmd(theta, kind, restarts, seed, level, out):
     """See-saw optimization of Bob's two measurements at a given angle."""
     res = seesaw_optimize(theta, kind, restarts=restarts, seed=seed,
@@ -189,7 +206,7 @@ def reproduce_cmd(target, outdir, extended):
 @main.command("project-ns")
 @click.option("--in", "-i", "infile", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "-o", type=click.Path(dir_okay=False))
+@click.option("--out", "-o", type=_OutPath())
 def project_ns_cmd(infile, out):
     """Project a (possibly signalling) behaviour or count table onto the
     no-signalling polytope."""
@@ -211,7 +228,7 @@ def project_ns_cmd(infile, out):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--kind", "-k", required=True)
 @click.option("--level", "-l", default=2, show_default=True, type=int)
-@click.option("--out", "-o", type=click.Path(dir_okay=False))
+@click.option("--out", "-o", type=_OutPath())
 def certificate_cmd(infile, kind, level, out):
     """Extract the dual inequality certified by a quantifier solve."""
     obj = serialize.load(infile)

@@ -64,13 +64,18 @@ and write each call's values on it (:meth:`ConicProgram.with_values`):
 b, and the stacked touches of scalar families, the only touches that
 read data.  What a solve derives from the structure alone is its
 :class:`_Plan`, made at its first solve and shared by every program on
-it: the matrix families' share of the row scale, the cones, the layout
-of the Lorentz cone (its U, slots, layers and K index and its
-functionals in Q^4 coordinates), the matrix columns of the dense array,
-the cones' unit and the gathers that read the duals.  A solve adds its
-scalars' share of the row scale and divides the rows by it, so a
-program's iterates are the same to the last bit whether its plan is new
-or shared.
+it, every array in it read-only: the matrix families' share of the row
+scale; the cones, each with its columns, its unit and, for a matrix
+family, the entry each coordinate reads; the cones' unit e and degree
+e.e; the objective c in the families' and the cones' coordinates; the
+layout of the Lorentz cone (its U, slots, layers and K index and its
+functionals in Q^4 coordinates); the matrix columns of the dense array;
+and the gathers that read the primal blocks (one per family) and the
+duals.  A solve computes only what its program's values change: its
+scalars' share of the row scale, the scalar columns of the dense array,
+and b over the row scale.  It makes its own cone objects, which hold the
+scaling of its iterates.  So a program's iterates are the same to the
+last bit whether its plan is new or shared.
 
 Each iteration solves its Newton system in the NT-scaled space
 (Vandenberghe, "The CVXOPT linear and quadratic cone program solvers",
@@ -224,16 +229,31 @@ def _offdiag_index(d: int):
     return iu, ju
 
 
+@lru_cache(maxsize=None)
+def _coords_index(d: int):
+    """(src, factor): where each coordinate of :func:`hermitian_coords`
+    sits among a d x d matrix's real and imaginary parts, row-major, and
+    its factor, sqrt2 off the diagonal."""
+    iu, ju = _offdiag_index(d)
+    diag, noff = np.arange(d), iu.size
+    src = (2 * np.concatenate([diag * (d + 1), iu * d + ju, iu * d + ju])
+           + np.repeat([0, 0, 1], [d, noff, noff]))
+    factor = np.repeat([1.0, np.sqrt(2.0), np.sqrt(2.0)], [d, noff, noff])
+    for arr in (src, factor):
+        arr.flags.writeable = False
+    return src, factor
+
+
 def hermitian_coords(mat: np.ndarray, d: int) -> np.ndarray:
-    """Real coordinates tr(F_k M) in the orthonormal Hermitian basis.
+    """Real coordinates tr(F_k M) in the orthonormal Hermitian basis, read
+    from M's diagonal and upper triangle.
 
     Basis order: diagonal units, then (E_ij+E_ji)/sqrt2, then
     i(E_ij-E_ji)/sqrt2 for i<j row-major.  Batched over leading axes.
     """
-    iu, ju = _offdiag_index(d)
-    diag = np.diagonal(mat, axis1=-2, axis2=-1).real
-    off = np.sqrt(2.0) * mat[..., iu, ju]
-    return np.concatenate([diag, off.real, off.imag], axis=-1)
+    src, factor = _coords_index(d)
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    return mat.view(float).reshape(mat.shape[:-2] + (2 * d * d,))[..., src] * factor
 
 
 def hermitian_eigvalsh(coords: np.ndarray, d: int) -> np.ndarray:
@@ -241,21 +261,41 @@ def hermitian_eigvalsh(coords: np.ndarray, d: int) -> np.ndarray:
     d*d) coordinates; closed form for d = 2."""
     if d != 2:
         return np.linalg.eigvalsh(hermitian_from_coords(coords, d))
-    mid = (coords[:, 0] + coords[:, 1]) / 2
-    rad = np.sqrt(((coords[:, 0] - coords[:, 1]) / 2) ** 2
-                  + (coords[:, 2] ** 2 + coords[:, 3] ** 2) / 2)
-    return np.stack([mid - rad, mid + rad], axis=1)
+    a, c, re, im = coords.T
+    mid = (a + c) / 2
+    rad = (a - c) / 2
+    rad *= rad
+    rad += (re * re + im * im) / 2
+    np.sqrt(rad, out=rad)
+    out = np.empty((len(coords), 2))
+    np.subtract(mid, rad, out=out[:, 0])
+    np.add(mid, rad, out=out[:, 1])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _from_coords_index(d: int):
+    """(src, dst, factor): the real and imaginary parts of a d x d matrix,
+    row-major, that :func:`hermitian_from_coords` writes (dst, the
+    diagonal's imaginary parts left zero), each coordinate src times
+    factor, so +-1/sqrt2 off the diagonal."""
+    iu, ju = _offdiag_index(d)
+    diag, noff, r = np.arange(d), iu.size, 1 / np.sqrt(2.0)
+    src = np.concatenate([diag, d + np.arange(noff), d + np.arange(noff),
+                          d + noff + np.arange(noff), d + noff + np.arange(noff)])
+    dst = 2 * np.concatenate([diag * (d + 1), iu * d + ju, ju * d + iu,
+                              iu * d + ju, ju * d + iu]) + (src >= d + noff)
+    factor = np.repeat([1.0, r, r, r, -r], [d] + [noff] * 4)
+    for arr in (src, dst, factor):
+        arr.flags.writeable = False
+    return src, dst, factor
 
 
 def hermitian_from_coords(coords: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`hermitian_coords`."""
-    iu, ju = _offdiag_index(d)
-    noff = iu.size
+    src, dst, factor = _from_coords_index(d)
     mat = np.zeros(coords.shape[:-1] + (d, d), dtype=complex)
-    mat[..., np.arange(d), np.arange(d)] = coords[..., :d]
-    off = (coords[..., d:d + noff] + 1j * coords[..., d + noff:]) / np.sqrt(2.0)
-    mat[..., iu, ju] = off
-    mat[..., ju, iu] = off.conj()
+    mat.reshape(coords.shape[:-1] + (d * d,)).view(float)[..., dst] = coords[..., src] * factor
     return mat
 
 
@@ -274,10 +314,12 @@ class _Family:
     touches: dict = field(default_factory=dict, repr=False)
     # stacked(), kept until the next touch
     stack: tuple | None = field(default=None, repr=False)
+    # objective coefficients, per block and coordinate
+    cost: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        # objective coefficients, per block and coordinate
-        self.cost = np.zeros((self.count, self.ncoords))
+        if self.cost is None:
+            self.cost = np.zeros((self.count, self.ncoords))
 
     @property
     def ncoords(self) -> int:
@@ -345,10 +387,8 @@ class _Family:
     def on(self, stack, cost) -> "_Family":
         """This family's declaration and offset with touches ``stack`` (the
         form of :meth:`stacked`) and block costs ``cost``."""
-        out = _Family(self.name, self.kind, len(cost), self.dim, self.offset,
-                      touches={}, stack=stack)
-        out.cost = cost
-        return out
+        return _Family(self.name, self.kind, len(cost), self.dim, self.offset,
+                       touches={}, stack=stack, cost=cost)
 
 
 @dataclass
@@ -877,8 +917,8 @@ def _dense_values(fams):
 class _Nonneg:
     """The nonnegative orthant: the scalar families, on columns ``sl``."""
 
-    def __init__(self, sl):
-        self.sl, self.unit = sl, np.ones(sl.stop - sl.start)
+    def __init__(self, sl, unit):
+        self.sl, self.unit = sl, unit
 
     def scale(self, x, s):
         x, s = x[self.sl], s[self.sl]
@@ -996,6 +1036,7 @@ class _LorentzPlan:
             t[slot] = owner
             self.terms.append((blocks, U, U.T.take(t, axis=1), slot,
                                t[:, None] * len(U) + t, f))
+        _read_only(vars(self))
 
 
 class _Lorentz:
@@ -1021,8 +1062,8 @@ class _Lorentz:
     79, 1997).
     """
 
-    def __init__(self, plan):
-        self.sl, self.unit = plan.sl, plan.unit
+    def __init__(self, sl, unit):
+        self.sl, self.unit = sl, unit
 
     def hold(self, plan, drow):
         """This cone with its own columns at row scale ``drow``; its rows
@@ -1142,16 +1183,10 @@ class _Matrix:
     There lam o d scales coordinate (i, j) of d by (lam_i + lam_j)/2, so
     centering is one division of coordinates."""
 
-    def __init__(self, fam, unit):
-        self.fam, self.sl, self.unit = fam, slice(fam.offset, fam.offset + fam.width), unit
-        # the matrix entry (i, j) that each block coordinate reads
-        if fam.kind == "herm":
-            iu, ju = _offdiag_index(fam.dim)
-            diag = np.arange(fam.dim)
-            self.ci, self.cj = np.concatenate([diag, iu, iu]), np.concatenate([diag, ju, ju])
-        else:
-            self.ci, self.cj, _ = _svec_index(fam.dim)
-        self.on_diag = self.ci == self.cj
+    def __init__(self, sl, unit, fam, ci, cj, on_diag):
+        # ci, cj: the matrix entry (i, j) that each block coordinate reads
+        self.sl, self.unit, self.fam = sl, unit, fam
+        self.ci, self.cj, self.on_diag = ci, cj, on_diag
 
     def _mats(self, v):
         fam = self.fam
@@ -1200,13 +1235,28 @@ def _herm_t(m):
     return m.conj().swapaxes(-1, -2)
 
 
+def _entries(fam):
+    """(ci, cj, ci == cj): the matrix entry (ci, cj) that each coordinate
+    of a block of matrix family ``fam`` reads."""
+    if fam.kind == "herm":
+        iu, ju = _offdiag_index(fam.dim)
+        diag = np.arange(fam.dim)
+        ci, cj = np.concatenate([diag, iu, iu]), np.concatenate([diag, ju, ju])
+    else:
+        ci, cj, _ = _svec_index(fam.dim)
+    return ci, cj, ci == cj
+
+
 class _Plan:
     """What the solver derives from a program's structure alone, made at
     its first solve and shared by every program on that structure
     (:meth:`ConicProgram.with_values`): the row scale's share from the
-    matrix families, the cones, how the columns are held, and the gathers
-    that read the duals.  Nothing in it reads a scalar family's touch
-    values, which each solve reads from its own program.
+    matrix families, the cones (each one's columns, unit and, for a
+    matrix family, the entry each coordinate reads), the cones' unit e
+    and degree e.e, the objective c in the families' and the cones'
+    coordinates, how the columns are held, and the gathers that read the
+    primal blocks and the duals.  Nothing in it reads a scalar family's
+    touch values, which each solve reads from its own program.
 
     The 2x2 Hermitian families come first in the columns and are one
     Lorentz cone; every other column (columns ``sl``) is held in one
@@ -1228,12 +1278,26 @@ class _Plan:
             _row_scale(self.drow, f)
         q4 = [f for f in mats if (f.kind, f.dim) == ("herm", 2)]
         self.lorentz = _LorentzPlan(q4) if q4 else None
-        self.cones = [(_Lorentz, self.lorentz)] if q4 else []
-        self.cones += [(_Matrix, f, f.coords(np.broadcast_to(
-            np.eye(f.dim), (f.count, f.dim, f.dim))).ravel()) for f in mats[len(q4):]]
+        # each cone's class and arguments: its columns, its unit and, for a
+        # matrix family, the family and the entry each coordinate reads
+        self.cones = [(_Lorentz, self.lorentz.sl, self.lorentz.unit)] if q4 else []
+        self.cones += [(_Matrix, slice(f.offset, f.offset + f.width), f.coords(np.broadcast_to(
+            np.eye(f.dim), (f.count, f.dim, f.dim))).ravel(), f, *_entries(f))
+                       for f in mats[len(q4):]]
         scalars = fams[len(mats):]
         if sum(f.width for f in scalars):
-            self.cones.append((_Nonneg, slice(scalars[0].offset, ncols)))
+            self.cones.append((_Nonneg, slice(scalars[0].offset, ncols),
+                               np.ones(ncols - scalars[0].offset)))
+        self.unit = np.empty(ncols)
+        for _, sl, unit, *_ in self.cones:
+            self.unit[sl] = unit
+        self.degree = self.unit @ self.unit
+        # the objective, and in the cones' coordinates (the Lorentz cone's
+        # columns, q4, mapped by _q)
+        self.q4 = self.lorentz.sl if q4 else None
+        self.c = prog.objective()
+        self.cq = _cone_coords(self, self.c)
+        self.norm_c = 1 + np.linalg.norm(self.cq)
         held = fams[len(q4):]
         width = sum(f.width for f in held)
         if q4 and nrows * ncols <= self.lorentz.multiplies + _reached(held).size * width:
@@ -1247,9 +1311,13 @@ class _Plan:
         if q4 and self.lorentz is None:
             block = self.fixed[:, :4 * sum(f.count for f in q4)]
             block[:] = _q(block.reshape(-1, 4)).reshape(block.shape)
-        self.fixed.flags.writeable = False
         self.scalars = [f.name for f in scalars]
         self.index = _dense_index(scalars, self.sl.start + mwidth, width - mwidth)
+        # the primal blocks: each family's name, columns, (blocks,
+        # coordinates) shape and its blocks from them (None for scalars)
+        self.blocks = [(f.name, slice(f.offset, f.offset + f.width), (f.count, f.ncoords),
+                        f.mats if f.kind in ("herm", "psd") else None)
+                       for f in prog._families.values()]
         # the duals: one gather per matrix dimension and one of the scalar
         # rows, each with its row groups' names, then the groups' order
         self.order = [g.name for g in prog._rows]
@@ -1261,6 +1329,13 @@ class _Plan:
              np.array([g.offset for g in gs]) if dim is None
              else np.array([g.offset + np.arange(g.nrows) for g in gs]))
             for dim, gs in groups.items()]
+        _read_only(vars(self))
+
+    def primal(self, vec) -> dict:
+        """Family name -> blocks (a scalar family's values) of the column
+        vector ``vec``."""
+        return {name: vec[sl].copy() if mats is None else mats(vec[sl].reshape(shape))
+                for name, sl, shape, mats in self.blocks}
 
     def duals(self, y) -> dict:
         """Row-group name -> dual (dual_rows style) of the row vector y."""
@@ -1269,6 +1344,16 @@ class _Plan:
             out.update(zip(names, y[index].tolist() if dim is None
                            else hermitian_from_coords(y[index], dim)))
         return {name: out[name] for name in self.order}
+
+
+def _read_only(held) -> None:
+    """Make every array in ``held`` (a dict, list or tuple, and those in
+    it) read-only; a plan's arrays are shared by every solve on it."""
+    for item in held.values() if isinstance(held, dict) else held:
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+        elif isinstance(item, (dict, list, tuple)):
+            _read_only(item)
 
 
 def _row_scale(drow, fam) -> None:
@@ -1283,8 +1368,9 @@ class _Cones(list):
     """A program's cones, in column order, and its As in the cones'
     coordinates: ``lorentz``, the Lorentz cone when it applies its own
     columns (else None), and ``A``, every other column (columns ``sl``) as
-    one dense array.  :func:`_scale` adds ``Abar``, that array mapped by
-    the current scaling: As W on columns ``sl``."""
+    one dense array; ``unit`` and ``q4`` are the plan's.  :func:`_scale`
+    adds ``Abar``, that array mapped by the current scaling: As W on
+    columns ``sl``."""
 
 
 def _cones(prog):
@@ -1302,22 +1388,24 @@ def _cones(prog):
         _row_scale(drow, f)
     drow = np.maximum(drow, 1e-12)
     cones = _Cones(cls(*args) for cls, *args in plan.cones)
+    cones.unit, cones.q4 = plan.unit, plan.q4
     cones.lorentz = None if plan.lorentz is None else cones[0].hold(plan.lorentz, drow)
     nrows, width = len(drow), plan.sl.stop - plan.sl.start - plan.fixed.shape[1]
-    cones.A = np.hstack([plan.fixed, np.bincount(
-        plan.index, _dense_values(scalars), nrows * width).reshape(nrows, width)])
+    cones.A = np.concatenate([plan.fixed, np.bincount(
+        plan.index, _dense_values(scalars), nrows * width).reshape(nrows, width)], axis=1)
     cones.A *= (1.0 / drow)[:, None]
     cones.sl = plan.sl
     return cones, drow
 
 
 def _cone_coords(cones, v):
-    """v with the Lorentz cone's slice mapped by :func:`_q`: from the
-    families' coordinates to the cones', and back (the map is an involution)."""
+    """v with the Lorentz cone's columns (``cones.q4``, None if there is no
+    such cone; a plan's or a program's cones) mapped by :func:`_q`: from
+    the families' coordinates to the cones', and back (the map is an
+    involution)."""
     out = v.copy()
-    for g in cones:
-        if isinstance(g, _Lorentz):
-            out[g.sl] = _q(v[g.sl].reshape(-1, 4)).ravel()
+    if cones.q4 is not None:
+        out[cones.q4] = _q(v[cones.q4].reshape(-1, 4)).ravel()
     return out
 
 
@@ -1433,16 +1521,14 @@ def _step_fraction(sigma: float, aaff: float) -> float:
     return 1 - max(1e-6, min(1e-2, max(sigma, (1 - aaff) / 10)))
 
 
-def _start(cones, bs, n):
-    """(x0, s0): s0 = e, the cones' unit, and x0 = alpha e, alpha the
-    least-squares fit of As (alpha e) = bs.  The floor 1e-2 keeps x0
-    interior when the fit is not positive (an infeasible b) and bounds
-    how near the boundary a start can be; the cap 1 starts no program
-    farther out than the unit does.  If no row sees e (As e = 0), every
-    multiple fits alike and x0 = e."""
-    e = np.empty(n)
-    for g in cones:
-        e[g.sl] = g.unit
+def _start(cones, bs):
+    """(x0, s0): s0 = e, the cones' unit (read-only), and x0 = alpha e,
+    alpha the least-squares fit of As (alpha e) = bs.  The floor 1e-2
+    keeps x0 interior when the fit is not positive (an infeasible b) and
+    bounds how near the boundary a start can be; the cap 1 starts no
+    program farther out than the unit does.  If no row sees e (As e = 0),
+    every multiple fits alike and x0 = e."""
+    e = cones.unit
     ae = _matvec(cones, e)
     norm2 = ae @ ae
     alpha = min(1.0, max(1e-2, (bs @ ae) / norm2)) if norm2 > 0 else 1.0
@@ -1518,21 +1604,20 @@ class _Newton:
 
 
 def _solve_hsd(prog: ConicProgram):
-    b, c_prog = prog.rhs(), prog.objective()
-    nrows, n = prog._nrows, prog._ncols
+    b, nrows = prog.rhs(), prog._nrows
     if nrows == 0:
         raise SolverFailure("program has no equality rows", program=prog)
 
     # row equilibration; duals are recovered through drow at the end
     cones, drow = _cones(prog)
-    c = _cone_coords(cones, c_prog)
+    plan = prog._layout()
+    c, norm_c = plan.cq, plan.norm_c
     bs = b / drow
-    norm_b = 1 + np.linalg.norm(bs)
-    norm_c = 1 + np.linalg.norm(c)
+    norm_b = 1 + math.sqrt(bs @ bs)
 
-    x, s = _start(cones, bs, n)
+    x, s = _start(cones, bs)
     # the barrier degree: unit @ unit is each cone's degree
-    degree = s @ s
+    degree = plan.degree
     if degree == 0:
         raise SolverFailure("program has no cone variables", program=prog)
     y = np.zeros(nrows)
@@ -1633,29 +1718,29 @@ def _solve_hsd(prog: ConicProgram):
         ended = f"fallback: {ended} after {polish} polishing iterations"
     if status == "optimal" and candidate is not None:
         _, x, y, s, tau, pres, dres = candidate
-    x, s, c = _cone_coords(cones, x), _cone_coords(cones, s), c_prog
+    x, s, c = _cone_coords(cones, x), _cone_coords(cones, s), plan.c
     y_orig = y / drow
 
     sol = ConicSolution(status=status, iterations=it, ended=ended)
     if status == "optimal":
-        xs = x / tau
-        sol.primal = _extract_primal(prog, xs)
-        sol.dual_rows = _extract_duals(prog, y_orig / tau)
-        sol.dual_slack = _extract_primal(prog, s / tau)
+        xs, ys = x / tau, y_orig / tau
+        sol.primal = plan.primal(xs)
+        sol.dual_rows = plan.duals(ys)
+        sol.dual_slack = plan.primal(s / tau)
         sol.pobj = float(c @ xs)
-        sol.dobj = float(b @ (y_orig / tau))
+        sol.dobj = float(b @ ys)
         sol.gap = abs(sol.pobj - sol.dobj) / (1 + abs(sol.pobj) + abs(sol.dobj))
         sol.pres = float(pres)
         sol.dres = float(dres)
         return sol
     if status == "infeasible":
         by = b @ y_orig
-        sol.ray = _extract_duals(prog, y_orig / by)
+        sol.ray = plan.duals(y_orig / by)
         sol.ray_violation = float(by / np.linalg.norm(y_orig))
         return sol
     if status == "unbounded":
         cx = c @ x
-        sol.ray = {"x": _extract_primal(prog, x / -cx)}
+        sol.ray = {"x": plan.primal(x / -cx)}
         sol.ray_violation = float(-cx / np.linalg.norm(x))
         return sol
 
@@ -1665,14 +1750,3 @@ def _solve_hsd(prog: ConicProgram):
         f"conic solve failed for {prog.name!r}: {report}",
         program=prog, report=report)
 
-
-def _extract_primal(prog: ConicProgram, vec):
-    out = {}
-    for fam in prog.families.values():
-        part = fam.part(vec)
-        out[fam.name] = fam.mats(part) if fam.kind in ("herm", "psd") else part[:, 0].copy()
-    return out
-
-
-def _extract_duals(prog: ConicProgram, y: np.ndarray) -> dict:
-    return prog._layout().duals(y)

@@ -146,17 +146,25 @@ def parse_kind(enum: type[Enum], text: str, aliases: dict) -> Enum:
     if isinstance(text, enum):
         return text
     key = _flat(text)
-    for kind in enum:
-        if key == _flat(kind.value):
-            return kind
-    if key in aliases:
-        return aliases[key]
-    raise ValidationError(f"unknown {enum.__name__} {text!r}: expected one of "
-                          f"{', '.join(k.value for k in enum)}")
+    kind = _flat_members(enum).get(key, aliases.get(key))
+    if kind is None:
+        raise ValidationError(f"unknown {enum.__name__} {text!r}: expected one of "
+                              f"{', '.join(k.value for k in enum)}")
+    return kind
 
 
 def _flat(text: str) -> str:
-    return "".join(ch for ch in text.strip().lower() if ch not in "^/-_")
+    return (text.strip().lower().replace("^", "").replace("/", "")
+            .replace("-", "").replace("_", ""))
+
+
+@lru_cache(maxsize=None)
+def _flat_members(enum: type[Enum]) -> dict:
+    """Flattened value -> member of ``enum``, the first member of each."""
+    members = {}
+    for kind in enum:
+        members.setdefault(_flat(kind.value), kind)
+    return members
 
 
 def match_rows(m: int, n: int, noise: str):
@@ -184,17 +192,25 @@ def build_program(name: str, kind: str, data: np.ndarray,
              else -reference if row.norm == "consistent" else None)
     structure = (_structure if total <= WORKING_SET else _structure.__wrapped__)(
         kind, m, n, d)
-    xs, outcomes = zip(*match_rows(m, n, row.noise))
+    xs, outcomes = _match_index(m, n, row.noise)
     rhs = structure.rhs().copy()
-    match = hermitian_coords(hermitize(data[list(xs), list(outcomes)]), d).ravel()
+    match = hermitian_coords(hermitize(data[xs, outcomes]), d).ravel()
     rhs[:match.size] = match
     values = {}
     if noise is not None:
         # every touch of t reads all d * d coordinates of the noise matrix
-        coords = hermitian_coords(hermitize(np.asarray(noise, dtype=complex)), d)
+        coords = hermitian_coords(hermitize(noise), d)
         _, _, _, U = structure.families["t"].stacked()
-        values["t"] = (np.tile(coords, len(U))[:, None], None)
+        values["t"] = (np.concatenate([coords] * len(U))[:, None], None)
     return structure.with_values(name, rhs, values)
+
+
+@lru_cache(maxsize=None)
+def _match_index(m: int, n: int, noise: str):
+    """(xs, outcomes): :func:`match_rows` as two read-only index arrays."""
+    index = np.array(match_rows(m, n, noise), dtype=np.int64).reshape(-1, 2).T
+    index.flags.writeable = False
+    return index[0], index[1]
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +273,8 @@ def solve_strategies(prog: ConicProgram, data: np.ndarray) -> ConicSolution:
     """Solve a program of :func:`build_program` on its (m, n, d, d) data
     grid; raise unless optimal.  With more than WORKING_SET strategy
     blocks it runs column generation (module docstring)."""
-    fams = [prog.families[name] for name in ("G", "H") if name in prog.families]
+    families = prog.families
+    fams = [families[name] for name in ("G", "H") if name in families]
     if fams[0].count <= WORKING_SET:
         return solve(prog)
     keep = {f.name: _starting_set(f, strategy_prices(sign * data))
@@ -367,11 +384,14 @@ def reconstruct(kind: str, sol: ConicSolution, data: np.ndarray,
     m, n = data.shape[:2]
     target = None if row.norm == "trace" else reference
     scale = 1.0 - row.sign * t
-    uniform = np.broadcast_to(reference / len(sol.primal["G"]),
-                              sol.primal["G"].shape)
-    parent = _normalize(sol.primal["G"], target) if scale > TINY else uniform
+    G = sol.primal["G"]
+
+    def uniform():
+        return np.broadcast_to(reference / len(G), G.shape)
+
+    parent = _normalize(G, target) if scale > TINY else uniform()
     if row.noise == "model":
-        noise_parent = _normalize(sol.primal["H"], target) if t > TINY else uniform
+        noise_parent = _normalize(sol.primal["H"], target) if t > TINY else uniform()
         return coarse_grain(noise_parent, m, n), parent, noise_parent
     if row.noise == "free" and t > TINY:
         noise = row.sign * (data - scale * coarse_grain(parent, m, n)) / t
@@ -380,14 +400,19 @@ def reconstruct(kind: str, sol: ConicSolution, data: np.ndarray,
 
 
 def _normalize(blocks: np.ndarray, target: np.ndarray | None) -> np.ndarray:
-    """``blocks`` with their nonzero members clipped PSD and all mapped by
-    X -> C X C^H, C = T^1/2 S^-1/2 on the support of T, S the clipped
-    sum: they then sum to T exactly, and zero blocks stay zero.  T is
-    ``target``, or S at unit trace when ``target`` is None."""
+    """``blocks`` (Hermitian) with their nonzero members clipped PSD and all
+    mapped by X -> C X C^H, C = T^1/2 S^-1/2 on the support of T, S the
+    clipped sum: they then sum to T exactly, and zero blocks stay zero.
+    T is ``target``, or S at unit trace when ``target`` is None.  Only a
+    block with a negative eigenvalue (closed form at d = 2) is clipped."""
+    d = blocks.shape[-1]
     live = np.flatnonzero(blocks.any(axis=(1, 2)))
-    vals, vecs = np.linalg.eigh(blocks[live])
-    clipped = np.einsum("lik,lk,ljk->lij", vecs, np.clip(vals, 0.0, None),
-                        vecs.conj())
+    clipped = blocks[live]
+    neg = np.flatnonzero(hermitian_eigvalsh(hermitian_coords(clipped, d), d)[:, 0] < 0)
+    if neg.size:
+        vals, vecs = np.linalg.eigh(clipped[neg])
+        clipped[neg] = np.einsum("lik,lk,ljk->lij", vecs, np.clip(vals, 0.0, None),
+                                 vecs.conj())
     total = clipped.sum(axis=0)
     if target is None:
         target = total / np.trace(total).real

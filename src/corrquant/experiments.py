@@ -140,8 +140,10 @@ def _spec_field(name: str, convert, *args):
     """``convert(*args)``, or ValidationError naming field ``name``."""
     try:
         return convert(*args)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{name}: {exc!r}") from exc
+    except KeyError as exc:
+        raise ValidationError(f"{name}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
 
 
 @dataclass

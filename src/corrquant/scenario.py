@@ -44,9 +44,10 @@ SIGNALLING_TOL = 1e-9
 
 def _require_finite(arr, what):
     """Refuse the first non-finite entry: NaN passes every later check."""
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        raise ValueError(f"{what} entry {bad[0].tolist()} is {arr[tuple(bad[0])]}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = np.argwhere(~finite)[0]
+        raise ValueError(f"{what} entry {bad.tolist()} is {arr[tuple(bad)]}")
 
 
 def _check_psd_grid(grid, what="effect"):
@@ -208,9 +209,9 @@ def behaviour_marginal(b: Behaviour, party: str) -> np.ndarray:
     no-signalling behaviour."""
     b.require_no_signalling()
     if party in ("A", "a"):
-        return b.table.sum(axis=3)[:, 0]        # (mA, nA), read at y = 0
+        return b.table[:, 0].sum(axis=2)        # (mA, nA), read at y = 0
     if party in ("B", "b"):
-        return b.table.sum(axis=2)[0]           # (mB, nB), read at x = 0
+        return b.table[0].sum(axis=1)           # (mB, nB), read at x = 0
     raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
@@ -346,7 +347,7 @@ def measure(assemblage: Assemblage, bob: MeasurementSet) -> Behaviour:
 def reduced_state(assemblage: Assemblage) -> np.ndarray:
     """rho_B = sum_a sigma_{a|0}, the same for every x (``Assemblage``
     checked it)."""
-    return assemblage.members.sum(axis=1)[0]
+    return assemblage.members[0].sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,29 @@ def test_a_path_of_the_wrong_kind_exits_2_before_any_solve(tmp_path, args):
     assert list(folder.iterdir()) == [] and ms.read_text() == saved
 
 
+@pytest.mark.parametrize("args", [
+    ["quantify", "incompat", "-k", "IR", "-i", "{ms}"],
+    ["certificate", "-k", "IR", "-i", "{ms}"],
+    ["project-ns", "-i", "{ms}"],
+    ["sweep", "-s", "{ms}"],
+    ["seesaw", "-t", "0.5", "-k", "NLR_mar", "-r", "1"],
+], ids=["quantify", "certificate", "project-ns", "sweep", "seesaw"])
+@pytest.mark.parametrize("folder", ["missing", "ms.json"], ids=["missing", "a-file"])
+def test_an_out_path_in_a_missing_directory_exits_2_before_any_solve(tmp_path, monkeypatch,
+                                                                    args, folder):
+    """An --out whose folder does not exist, or is a file, is refused."""
+    def solve(*_, **__):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(conic, "_solve_hsd", solve)
+    ms, out = tmp_path / "ms.json", tmp_path / folder / "out.json"
+    serialize.save(ms, sc.paulis("XZ"))
+    saved = ms.read_text()
+    res = assert_refused([a.format(ms=ms) for a in args] + ["-o", out], out)
+    assert f"{str(out.parent)!r} is not an existing directory." in res.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["ms.json"] and ms.read_text() == saved
+
+
 def test_non_finite_behaviour_exits_2(tmp_path):
     # json reads NaN, and a NaN entry fails every comparison of the checks
     table = np.full((2, 2, 2, 2), 0.25)
@@ -224,7 +247,10 @@ def test_sweep_command_refuses_a_bad_field_before_solving(tmp_path, spec, field)
     spec_path.write_text(json.dumps(spec))
     out_path = tmp_path / "out.csv"
     res = assert_refused(["sweep", "-s", spec_path, "-o", out_path], out_path)
-    assert res.stderr.startswith(f"error: {field}: ")
+    # the field, then the message; never the repr of the exception behind it
+    assert res.stderr.startswith(f"error: {field}: ") and "Error(" not in res.stderr
+    if field == "grid":
+        assert res.stderr == "error: grid: grid entry [1] is nan\n"
 
 
 def test_reproduce_table1_refuses_a_malformed_history(tmp_path):

@@ -1017,7 +1017,7 @@ def test_start_is_the_least_squares_multiple_of_the_unit(name):
     prog = _schur_program(name)
     cones, drow = _cones(prog)
     bs = prog.rhs() / drow
-    x0, e = _start(cones, bs, prog._ncols)
+    x0, e = _start(cones, bs)
     alpha = (x0 @ e) / (e @ e)
     assert 1e-2 <= alpha <= 1
     assert np.allclose(x0, alpha * e, rtol=1e-15, atol=0)
@@ -1032,7 +1032,7 @@ def test_start_stays_interior_and_defined():
     prog.add_scalar_row(("sum",), -1.0, [("lin", "x", [0, 1], [1.0, 1.0])])
     prog.set_objective([("lin", "x", [0], [1.0])])
     cones, drow = _cones(prog)
-    x0, e = _start(cones, prog.rhs() / drow, prog._ncols)
+    x0, e = _start(cones, prog.rhs() / drow)
     assert np.array_equal(e, np.ones(2))
     assert np.array_equal(x0, np.full(2, 1e-2))
     # a row on an off-diagonal coordinate only: As e = 0 fits every
@@ -1041,7 +1041,7 @@ def test_start_stays_interior_and_defined():
     prog.add_hermitian_family("X", 1, 2)
     prog.add_scalar_row(("re",), 0.3, [("mat", "X", 0, cell_functional(2, (0, 1)))])
     cones, drow = _cones(prog)
-    x0, e = _start(cones, prog.rhs() / drow, prog._ncols)
+    x0, e = _start(cones, prog.rhs() / drow)
     assert np.array_equal(x0, e)
 
 

@@ -19,6 +19,7 @@ from corrquant import npa
 from corrquant import scenario as sc
 from corrquant import steering as st
 from corrquant.conic import ConicProgram, verify_solution
+from corrquant.errors import NotPositiveSemidefinite
 
 DATA = Path(__file__).parent / "data"
 LOSSY_ETA = 0.4
@@ -197,6 +198,63 @@ def test_strategy_bound_takes_qubit_eigenvalues_in_closed_form(monkeypatch):
     assert calls == []
     assert abs(dc.strategy_bound(qutrit) - expected[-1]) <= 1e-12
     assert calls == [(3 ** 4, 3, 3)]
+
+
+def _normalize_by_eigh(blocks, target):
+    """The normalization rule with every nonzero block clipped through
+    np.linalg.eigh, as it was before the closed-form clip test."""
+    live = np.flatnonzero(blocks.any(axis=(1, 2)))
+    vals, vecs = np.linalg.eigh(blocks[live])
+    clipped = np.einsum("lik,lk,ljk->lij", vecs, np.clip(vals, 0.0, None), vecs.conj())
+    total = clipped.sum(axis=0)
+    if target is None:
+        target = total / np.trace(total).real
+    vals, vecs = np.linalg.eigh(target)
+    vecs, root = vecs[:, vals > dc.TINY], np.sqrt(vals[vals > dc.TINY])
+    s_vals, s_vecs = np.linalg.eigh(vecs.conj().T @ total @ vecs)
+    c = vecs @ (root[:, None] * ((s_vecs / np.sqrt(s_vals)) @ s_vecs.conj().T)) @ vecs.conj().T
+    out = np.zeros(blocks.shape, dtype=complex)
+    out[live] = c @ clipped @ c.conj().T
+    return out
+
+
+def test_normalize_matches_the_eigh_path(monkeypatch):
+    """On 2x2 blocks the clip test of _normalize reads the least
+    eigenvalues in closed form: they and the results match the
+    np.linalg.eigh path to 1e-13, and only a block with a negative
+    eigenvalue is clipped (one eigh more).  The PSD check of the same
+    blocks names the first one below -PSD_TOL and its eigenvalue."""
+    rng = np.random.default_rng(5)
+
+    def herm(n):
+        g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        return g @ np.swapaxes(g, -1, -2).conj()
+
+    def with_least(lam):
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        return u @ np.diag([lam, 0.7]) @ u.conj().T
+
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    rank_one, scalar = np.outer(v, v.conj()), 0.3 * np.eye(2)
+    psd = np.concatenate([herm(3), [rank_one, scalar, np.zeros((2, 2))]])
+    negative = np.concatenate([psd, [with_least(-1e-10)]])
+    targets = [np.eye(2), herm(1)[0] / 3, rank_one / np.trace(rank_one).real, None]
+    lapack, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or lapack(a))
+    for blocks, clipped in ((psd, 0), (negative, 1)):
+        for target in targets:
+            calls.clear()
+            out = dc._normalize(blocks, target)
+            assert len(calls) == 2 + clipped
+            assert np.abs(out - _normalize_by_eigh(blocks, target)).max() <= 1e-13
+            assert not out[5].any()     # the zero block stays zero
+    # the least eigenvalues, and the check's verdict and message
+    grid = np.concatenate([negative, [with_least(-2e-9), with_least(-3e-6)]]).reshape(3, 3, 2, 2)
+    low = conic.hermitian_eigvalsh(conic.hermitian_coords(grid, 2).reshape(-1, 4), 2)[:, 0]
+    assert np.abs(low - np.linalg.eigvalsh(grid).reshape(-1, 2)[:, 0]).max() <= 1e-13
+    sc._check_psd_grid(grid[:2], "effect")
+    with pytest.raises(NotPositiveSemidefinite, match=r"^state\[2, 1\] has eigenvalue -2\.000e-09$"):
+        sc._check_psd_grid(grid, "state")
 
 
 def replaced_membership_margin(data):

@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from corrquant import conic
 from corrquant import decomposition as dc
 from corrquant import nonlocality as nl
 from corrquant import scenario as sc
@@ -156,6 +157,20 @@ def test_nonlocality_programs_share_their_structure(level, nA, monkeypatch):
             assert _run(prog.solve()) == first, kind
 
 
+def _plan_arrays(held):
+    """Every array a solver plan holds: in its attributes, the Lorentz
+    cone's plan, and the lists, tuples and dicts among them."""
+    if isinstance(held, np.ndarray):
+        return [held]
+    if isinstance(held, (conic._Plan, conic._LorentzPlan)):
+        held = vars(held)
+    if isinstance(held, dict):
+        held = held.values()
+    elif not isinstance(held, (list, tuple)):
+        return []
+    return [arr for item in held for arr in _plan_arrays(item)]
+
+
 def test_structure_arrays_are_read_only():
     data, ref = _grid("random", 1)
     beh = _behaviour(np.random.default_rng(3), 2)
@@ -163,14 +178,22 @@ def test_structure_arrays_are_read_only():
     progs += [nl.build_program("p", ROW[nl.STEERING_KIND[kind]], beh.table,
                                sc.behaviour_marginal(beh, "B"), 2)[0]
               for kind in nl.NonlocalityKind]
+    # a held Lorentz cone's plan too: 729 strategy blocks
+    progs.append(dc.build_program("p", "robustness", sc.lossy(
+        sc.bloch_measurements(sc.dodecahedron_vectors()[:6]), 0.4).effects, np.eye(2)))
     for prog in progs:
+        plan = prog._layout()
+        arrays = _plan_arrays(plan)
+        assert {id(a) for a in (plan.c, plan.cq, plan.unit, plan.drow, plan.fixed)} <= {
+            id(a) for a in arrays}
         for holder in (prog, prog._base):
-            arrays = [holder.rhs()]
+            arrays.append(holder.rhs())
             for fam in holder.families.values():
                 arrays += [*fam.stacked(), fam.cost]
-            for arr in arrays:
-                with pytest.raises(ValueError):
-                    arr[...] = 0
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[...] = 0
+    assert progs[-1]._layout().lorentz is not None
 
 
 def _parent():
